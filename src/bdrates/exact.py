@@ -302,20 +302,15 @@ def truncation_limit(t: float, a: int, rates: Rates, tol: float = TRUNCATION_TOL
 def exact_loglik(panel: Panel, rates: Rates) -> float:
     """Exact log likelihood of a panel: the sum of log transition
     probabilities over consecutive observation pairs (the process is
-    Markov, so these factorize). Transitions out of state 0 contribute 0."""
-    cache: dict[float, GeomParams] = {}
+    Markov, so these factorize). Transitions out of state 0 contribute 0.
+
+    The panel's transitions table supplies one law per merged gap; the
+    per-transition sums run on Python ints."""
     total = 0.0
-    for tr in panel:
-        counts, times = tr.counts, tr.times
-        for i in range(1, len(counts)):
-            a = counts[i - 1]
-            if a == 0:
-                continue  # absorbed; stays at 0 with probability 1
-            tau = times[i] - times[i - 1]
-            g = cache.get(tau)
-            if g is None:
-                g = cache[tau] = geom_params(tau, rates)
-            total += _log_pmf(counts[i], a, g)
+    for grp in panel.transitions.groups:
+        g = geom_params(grp.tau, rates)
+        for a, k in zip(grp.src.tolist(), grp.dst.tolist()):
+            total += _log_pmf(k, a, g)
             if total == _NEG_INF:
                 return _NEG_INF
     return total

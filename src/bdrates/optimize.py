@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import minimize
 
+from .errors import DomainError
+
 __all__ = ["OptResult", "maximize_2d"]
 
 
@@ -52,7 +54,8 @@ def maximize_2d(
     on the incumbent (to tolerance) confirms it and stops the loop
     early; a restart that improves it replaces it and the search
     continues.  converged reports whether the best run terminated on the
-    simplex tolerances rather than the iteration budget.
+    simplex tolerances rather than the iteration budget.  A start where
+    the objective is not finite raises DomainError.
     """
     x_start = np.asarray(x0, dtype=float)
     if x_start.shape != (2,):
@@ -71,7 +74,9 @@ def maximize_2d(
         return -val
 
     if not math.isfinite(-negated(x_start)):
-        raise ValueError("objective is not finite at the starting point")
+        raise DomainError(
+            f"objective is not finite at the starting point {x_start.tolist()}"
+        )
 
     def run(start: np.ndarray):
         # rejected probes sit at +inf in the simplex; scipy's fatol check then

@@ -193,16 +193,20 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
         )
     x = np.minimum(np.log(s), x_hi)
 
-    # Newton polish the closed-form root down to the residual tolerance
+    # Newton polish the closed-form root down to the residual tolerance;
+    # a lane stops moving once it is within tolerance, so its value does
+    # not depend on which other lanes share the batch
     tol = RESIDUAL_TOL * np.maximum(1.0, k_arr)
     for _ in range(8):
         _, d1, d2 = _cgf_terms(x, g, a_arr)
         resid = d1 - k_arr
-        if np.all(np.abs(resid) <= tol):
+        open_ = ~(np.abs(resid) <= tol)
+        if not open_.any():
             return x
         with np.errstate(invalid="ignore", divide="ignore"):
             step = resid / d2
-        x = np.minimum(x - np.where(np.isfinite(step), step, 0.0), x_hi)
+        step = np.where(open_ & np.isfinite(step), step, 0.0)
+        x = np.where(open_, np.minimum(x - step, x_hi), x)
     _, d1, _ = _cgf_terms(x, g, a_arr)
     resid = np.abs(d1 - k_arr)
     bad = resid > tol
@@ -295,36 +299,35 @@ def spa_pmf_normalized(k: int, t: float, a: int, rates: Rates) -> float:
     return (1.0 - p0) * raw / _spa_normalizer(t, a, rates)
 
 
-def _cond_terms(x, g: GeomParams, a, log_p0: float):
-    """Value, first and second derivative of the non-extinction CGF
-    log{(M(x) - p0)/(1 - p0)}, plus log(M(x) - p0) itself."""
+def _cond_terms(x, g: GeomParams, a, log_p0):
+    """First and second derivative of the non-extinction CGF
+    log{(M(x) - p0)/(1 - p0)}, plus log(M(x) - p0) itself.
+
+    log_p0 = a*log(alpha) is the log extinction mass of each lane's
+    ancestors; a scalar or an array matching x.
+    """
     K, K1, K2 = _cgf_terms(x, g, a)
     d = log_p0 - K  # < 0 since M(x) > p0 for s > 0
     em = -np.expm1(d)  # (M - p0)/M in (0, 1]
     rho = 1.0 / em  # M/(M - p0) >= 1
     c1 = K1 * rho
     c2 = (K2 + K1 * K1) * rho - c1 * c1
-    log_m_minus_p0 = K + np.log(em)
-    cval = log_m_minus_p0 - _log1m_exp(log_p0)
-    return cval, c1, c2, log_m_minus_p0
+    return c1, c2, K + np.log(em)
 
 
-def _log1m_exp(logp: float) -> float:
-    # log(1 - e^{logp}) for logp < 0
-    return math.log(-math.expm1(logp))
-
-
-def _solve_conditional_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, log_p0: float):
+def _solve_conditional_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, log_p0):
     """Vectorized saddlepoints of the conditional CGF for k >= 2 lanes,
-    Newton-seeded at the plain saddlepoint with a bisection fallback."""
+    Newton-seeded at the plain saddlepoint with a bisection fallback.
+    log_p0 holds each lane's a*log(alpha)."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
+    log_p0 = np.asarray(log_p0, dtype=float)
     x = _solve_x(k_arr, a_arr, g, t, rates).copy()
     x_hi = _x_max(g)
     tol = RESIDUAL_TOL * np.maximum(1.0, k_arr)
     active = np.ones(x.shape, dtype=bool)
     for _ in range(60):
-        _, c1, c2, _ = _cond_terms(x[active], g, a_arr[active], log_p0)
+        c1, c2, _ = _cond_terms(x[active], g, a_arr[active], log_p0[active])
         resid = c1 - k_arr[active]
         done = np.abs(resid) <= tol[active]
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -338,14 +341,15 @@ def _solve_conditional_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, lo
             return x
     for idx in np.flatnonzero(active):
         x[idx] = _bisect_conditional(
-            float(k_arr.flat[idx]), float(a_arr.flat[idx]), g, rates, t, log_p0
+            float(k_arr.flat[idx]), float(a_arr.flat[idx]), g, rates, t,
+            float(log_p0.flat[idx]),
         )
     return x
 
 
 def _bisect_conditional(k, a, g: GeomParams, rates: Rates, t, log_p0):
     def fun(x):
-        _, c1, _, _ = _cond_terms(x, g, a, log_p0)
+        c1, _, _ = _cond_terms(x, g, a, log_p0)
         return float(c1) - k
 
     hi = _x_max(g) - 1e-8 * max(1.0, abs(_x_max(g)))
@@ -367,22 +371,33 @@ def _log_spa_conditional(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
     by (1 - p0) to approximate the unconditional pmf. k >= 2 lanes only;
     k = 1 sits on the boundary of the conditional support, where the
     saddle equation has no finite solution, and is handled exactly by the
-    caller (mirroring the exact treatment of k = 0)."""
+    caller (mirroring the exact treatment of k = 0).
+
+    Lanes may mix ancestor counts: p0 = alpha**a is carried per lane, and
+    every lane is solved in one Newton sweep. A lane's value does not
+    depend on the other lanes of the call."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
-    out = np.empty_like(k_arr)
-    # p0 depends on a, so group lanes by ancestor count
-    for a_val in np.unique(a_arr):
-        sel = a_arr == a_val
-        lp0 = float(a_val) * g.log_alpha
-        x = _solve_conditional_x(k_arr[sel], a_arr[sel], g, t, rates, lp0)
-        _, _, c2, log_mp0 = _cond_terms(x, g, a_arr[sel], lp0)
-        # (1-p0) * exp(Kc - x k)/sqrt(2 pi Kc'') with Kc = log_mp0 - log(1-p0):
-        # the (1-p0) factors cancel, leaving log(M - p0) directly.
-        # degenerate curvature scores -inf, same as the plain lane
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lp = -0.5 * np.log(2.0 * math.pi * c2) + log_mp0 - x * k_arr[sel]
-        out[sel] = np.where(np.isfinite(c2) & (c2 > 0.0), lp, -np.inf)
+    lp0 = a_arr * g.log_alpha
+    x = _solve_conditional_x(k_arr, a_arr, g, t, rates, lp0)
+    _, c2, log_mp0 = _cond_terms(x, g, a_arr, lp0)
+    # (1-p0) * exp(Kc - x k)/sqrt(2 pi Kc'') with Kc = log_mp0 - log(1-p0):
+    # the (1-p0) factors cancel, leaving log(M - p0) directly.
+    # degenerate curvature scores -inf, same as the plain lane
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lp = -0.5 * np.log(2.0 * math.pi * c2) + log_mp0 - x * k_arr
+    return np.where(np.isfinite(c2) & (c2 > 0.0), lp, -np.inf)
+
+
+def _log_pmf_one(a_arr, g: GeomParams):
+    """Exact log P(Z = 1 | a ancestors) for an array of a >= 1:
+    log a + log(1-alpha) + log(1-beta) + (a-1) log alpha (one ancestor line
+    survives with a single descendant, the other a-1 die out)."""
+    out = np.log(a_arr) + (g.log1m_alpha + g.log1m_beta)
+    rest = a_arr - 1.0
+    many = rest > 0.0
+    # a == 1 has no dying lines; skipping it keeps 0 * log(0) out
+    out[many] += rest[many] * g.log_alpha
     return out
 
 
@@ -441,31 +456,26 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
 
     Transitions to k = 0 use the exact extinction mass, transitions out
     of 0 contribute nothing, and the conditional variant additionally
-    scores k = 1 exactly (conditional support boundary). Transitions are
-    grouped by gap so the whole panel is evaluated vectorized.
+    scores k = 1 exactly (conditional support boundary). The panel's
+    transitions table (built once per panel, gaps equal to 1e-9 relative
+    merged) supplies one lane set per gap, and each set is evaluated in
+    one vectorized sweep.
     """
     if variant not in ("plain", "conditional"):
         raise DomainError(f"unknown saddlepoint variant {variant!r}")
-    groups: dict[float, list[tuple[int, int]]] = {}
     total = 0.0
-    for tr in panel:
-        counts, times = tr.counts, tr.times
-        for i in range(1, len(counts)):
-            a = counts[i - 1]
-            if a == 0:
-                continue
-            groups.setdefault(times[i] - times[i - 1], []).append((counts[i], a))
-    for tau, pairs in groups.items():
+    for grp in panel.transitions.groups:
+        tau = grp.tau
         g = geom_params(tau, rates)
-        k = np.array([p[0] for p in pairs], dtype=float)
-        a = np.array([p[1] for p in pairs], dtype=float)
+        k = grp.dst.astype(float)
+        a = grp.src.astype(float)
         zero = k == 0.0
         if zero.any():
             total += float(np.sum(a[zero])) * g.log_alpha
         if variant == "conditional":
             one = k == 1.0
-            for a_val in a[one]:
-                total += _log_pmf(1, int(a_val), g)
+            if one.any():
+                total += float(np.sum(_log_pmf_one(a[one], g)))
             live = ~zero & ~one
             if live.any():
                 total += float(np.sum(_log_spa_conditional(k[live], a[live], g, tau, rates)))

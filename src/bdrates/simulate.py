@@ -17,6 +17,7 @@ order.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -294,15 +295,7 @@ def run_benchmark(
             panel = simulate_panel(config, cell.m)
             fit_seed = child_seed(seed, ci, rep, 1)
             base = options if options is not None else FitOptions()
-            rep_options = FitOptions(
-                restarts=base.restarts,
-                xatol=base.xatol,
-                fatol=base.fatol,
-                maxiter=base.maxiter,
-                seed=fit_seed,
-                parametrization=base.parametrization,
-                max_count_cap=base.max_count_cap,
-            )
+            rep_options = dataclasses.replace(base, seed=fit_seed)
             for method in methods:
                 try:
                     res = fit(panel, method, rep_options)

@@ -9,10 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DataError, DomainError
 
-__all__ = ["Rates", "Trajectory", "Panel"]
+__all__ = ["Rates", "Trajectory", "GapGroup", "Transitions", "Panel"]
+
+# Relative tolerance within which two inter-observation gaps count as equal.
+SPACING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,9 +106,78 @@ class Trajectory:
         return tuple(b - a for a, b in zip(self.times, self.times[1:]))
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class GapGroup:
+    """The transitions of a panel that share one inter-observation gap.
+
+    tau is the mean of the members' gaps; src and dst are the counts at
+    the start and end of each member, in panel order (read-only int64).
+    """
+
+    tau: float
+    src: np.ndarray
+    dst: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Transitions:
+    """Every transition of a panel out of a positive count, grouped by gap.
+
+    Steps out of 0 are absorbed and carry no information, so they are
+    dropped. Gaps that agree to SPACING_TOL relative (the default of
+    Panel.equal_spacing) form one group, so a float grid such as
+    0.1*(j+1), whose differences scatter in the last bits, gives a single
+    group. Groups are ordered by increasing gap.
+    """
+
+    groups: tuple[GapGroup, ...]
+
+    @classmethod
+    def from_panel(cls, panel: Panel) -> Transitions:
+        steps = [
+            (b - a, k0, k1)
+            for tr in panel
+            for a, b, k0, k1 in zip(tr.times, tr.times[1:], tr.counts, tr.counts[1:])
+            if k0 > 0
+        ]
+        order = sorted(range(len(steps)), key=lambda i: steps[i][0])
+        runs: list[list[int]] = []
+        lo = 0.0
+        for i in order:
+            gap = steps[i][0]
+            # same test as Panel.equal_spacing, against the run's smallest gap
+            if runs and gap - lo <= SPACING_TOL * 0.5 * (lo + gap):
+                runs[-1].append(i)
+            else:
+                runs.append([i])
+                lo = gap
+        groups = []
+        for run in runs:
+            members = [steps[i] for i in sorted(run)]
+            groups.append(
+                GapGroup(
+                    tau=sum(m[0] for m in members) / len(members),
+                    src=_frozen([m[1] for m in members]),
+                    dst=_frozen([m[2] for m in members]),
+                )
+            )
+        return cls(tuple(groups))
+
+
 @dataclass(frozen=True)
 class Panel:
-    """A nonempty collection of independent trajectories."""
+    """A nonempty collection of independent trajectories.
+
+    The likelihoods read the panel through its transitions table, which
+    is built on first use and kept for the panel's lifetime, so the many
+    evaluations of one fit share it.
+    """
 
     trajectories: tuple[Trajectory, ...]
 
@@ -128,13 +203,18 @@ class Panel:
     def n_transitions(self) -> int:
         return sum(tr.n_transitions for tr in self.trajectories)
 
+    @cached_property
+    def transitions(self) -> Transitions:
+        """The panel's live transitions grouped by gap (built once)."""
+        return Transitions.from_panel(self)
+
     def all_gaps(self) -> list[float]:
         out: list[float] = []
         for tr in self.trajectories:
             out.extend(tr.gaps())
         return out
 
-    def equal_spacing(self, tolerance: float = 1e-9) -> bool:
+    def equal_spacing(self, tolerance: float = SPACING_TOL) -> bool:
         """Whether all gaps, within and across trajectories, agree to the
         given relative tolerance."""
         gaps = self.all_gaps()
@@ -142,7 +222,7 @@ class Panel:
         mid = 0.5 * (lo + hi)
         return (hi - lo) <= tolerance * mid
 
-    def common_gap(self, tolerance: float = 1e-9) -> float:
+    def common_gap(self, tolerance: float = SPACING_TOL) -> float:
         """The shared inter-observation gap; raises if spacing is unequal."""
         if not self.equal_spacing(tolerance):
             gaps = self.all_gaps()

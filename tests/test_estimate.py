@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bdrates.errors import CapError, DomainError
+from bdrates.errors import CapError, DomainError, SolverError
 from bdrates.estimate import (
     EstimateResult,
     FitOptions,
@@ -19,6 +19,7 @@ from bdrates.estimate import (
 from bdrates.exact import exact_loglik
 from bdrates.gaussian import qg_fit
 from bdrates.gw import gw_estimate
+from bdrates.multivariate import mv_loglik
 from bdrates.optimize import maximize_2d
 from bdrates.saddlepoint import spa_loglik
 from bdrates.types import Panel, Rates, Trajectory
@@ -72,6 +73,12 @@ def test_maximize_rejects_bad_start():
         maximize_2d(lambda x: -math.inf, [0.0, 0.0])
     with pytest.raises(ValueError):
         maximize_2d(lambda x: -x[0] ** 2, [0.0, 0.0, 0.0])
+
+
+def test_maximize_bad_start_is_a_package_error():
+    # a typed error, so compare() records it instead of aborting
+    with pytest.raises(DomainError, match="starting point"):
+        maximize_2d(lambda x: math.nan, [0.5, 1.0])
 
 
 def test_maximize_handles_rejection_regions():
@@ -260,6 +267,24 @@ def test_compare_captures_method_failure():
     assert rows[0].result is None and "DataError" in rows[0].error
     assert rows[1].result is not None
     assert rows[2].result is not None
+
+
+def test_compare_survives_infeasible_joint_start():
+    # growth path from z0=10 (birth 7, death 5, step 0.1) on which the
+    # joint-path likelihood cannot be evaluated at the default start
+    panel = Panel(
+        (
+            Trajectory(
+                tuple(0.1 * i for i in range(11)),
+                (10, 10, 14, 12, 15, 12, 10, 16, 25, 37, 40),
+            ),
+        )
+    )
+    with pytest.raises((DomainError, SolverError)):
+        mv_loglik(panel, initial_rates(panel))
+    rows = compare(panel, ["spmle", "mv_spmle"])
+    assert rows[0].result is not None
+    assert rows[1].result is None and rows[1].error.startswith("DomainError")
 
 
 def test_cross_method_omega_agreement():

@@ -1,5 +1,7 @@
 import math
+import random
 
+import legacy_kernels as legacy
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -237,3 +239,20 @@ def test_property_log_pmf_is_log_of_probability(r, t, a, k):
     v = log_transition_prob(k, t, a, r)
     assert v <= 1e-12
     assert not math.isnan(v)
+
+
+def test_exact_loglik_matches_float_gap_walk():
+    # one law per merged gap instead of one per float key
+    times = (0.0,) + tuple(0.1 * (j + 1) for j in range(12))
+    panel = Panel(
+        (
+            Trajectory(times, (10, 9, 13, 21, 20, 17, 24, 31, 30, 51, 60, 84, 128)),
+            Trajectory(times, (4, 3, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0)),
+            Trajectory((0.0, 0.188, 0.3, 0.357, 0.595), (8, 5, 3, 4, 13)),
+        )
+    )
+    rng = random.Random(9)
+    for _ in range(20):
+        r = Rates(rng.uniform(0.5, 12.0), rng.uniform(0.5, 12.0))
+        ref = legacy.exact_loglik(panel, r)
+        assert abs(exact_loglik(panel, r) - ref) <= 1e-12 * abs(ref)

@@ -1,13 +1,15 @@
 import math
 
+import legacy_kernels as legacy
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from bdrates.errors import DomainError
+from bdrates.errors import DomainError, SolverError
 from bdrates.exact import (
+    _log_pmf,
     exact_loglik,
     geom_params,
     log_transition_prob,
@@ -16,6 +18,8 @@ from bdrates.exact import (
     variance,
 )
 from bdrates.saddlepoint import (
+    _log_pmf_one,
+    _log_spa_conditional,
     cgf_eval,
     high_mass_region,
     radius,
@@ -25,6 +29,7 @@ from bdrates.saddlepoint import (
     spa_pmf_conditional,
     spa_pmf_normalized,
 )
+from bdrates.simulate import SimConfig, simulate_panel
 from bdrates.types import Panel, Rates, Trajectory
 
 R75 = Rates(7.0, 5.0)
@@ -273,3 +278,88 @@ def test_property_residual_invariant(lam, mu, t, a, k):
 def test_property_spa_positive_and_finite(lam, mu, t, a, k):
     v = spa_pmf(k, t, a, Rates(lam, mu))
     assert math.isfinite(v) and v >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# one-sweep conditional kernel and panel walk against the replaced code
+
+
+def _mixed_lanes(rng, rates, t, n):
+    """n (k, a) lanes with repeated and distinct ancestor counts, k >= 2
+    drawn within about two standard deviations of the mean."""
+    a = np.concatenate(
+        [rng.choice([1, 2, 3, 7, 40], size=n // 2), rng.integers(1, 400, size=n - n // 2)]
+    ).astype(float)
+    m = np.exp(rates.omega * t)
+    sd = np.sqrt(np.array([variance(t, int(ai), rates) for ai in a]))
+    k = np.round(a * m + 2.0 * sd * rng.uniform(-1.0, 1.0, size=n))
+    return np.maximum(k, 2.0), a
+
+
+@pytest.mark.parametrize(
+    "lam,mu,t",
+    [(7.0, 5.0, 0.1), (7.0, 5.0, 0.2), (2.0, 6.0, 0.7), (4.0, 4.0, 0.3), (9.0, 0.5, 1.0)],
+)
+def test_conditional_one_sweep_matches_per_count_loop(lam, mu, t):
+    rates = Rates(lam, mu)
+    rng = np.random.default_rng(11)
+    g = geom_params(t, rates)
+    for _ in range(5):
+        k, a = _mixed_lanes(rng, rates, t, 80)
+        got = _log_spa_conditional(k, a, g, t, rates)
+        ref = legacy.log_spa_conditional(k, a, g, t, rates)
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize(
+    "t,rates",
+    [(1.0, R75), (0.2, Rates(2.0, 6.0)), (0.5, Rates(4.0, 4.0)), (1e-12, R75), (0.5, Rates(3.0, 0.0))],
+)
+def test_log_pmf_one_closed_form(t, rates):
+    # t = 1e-12 drives alpha toward 0; mu = 0 makes it exactly 0, where
+    # only a = 1 can reach k = 1
+    g = geom_params(t, rates)
+    got = _log_pmf_one(np.arange(1.0, 201.0), g)
+    for a, v in zip(range(1, 201), got):
+        ref = _log_pmf(1, a, g)
+        if ref == -math.inf:
+            assert v == -math.inf
+        else:
+            assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def _walk_panels():
+    cells = [
+        (R75, 10, 0.1, 20, 4),  # pooled growth on a float grid
+        (R75, 1, 0.2, 14, 1),  # single trajectory, small counts
+        (Rates(3.0, 4.0), 6, 0.25, 12, 3),  # subcritical, with extinctions
+    ]
+    panels = []
+    for i, (r, z0, dt, n, m) in enumerate(cells):
+        cfg = SimConfig(r, z0, tuple(dt * (j + 1) for j in range(n)), seed=100 + i)
+        panels.append(simulate_panel(cfg, m))
+    panels.append(
+        Panel(
+            (
+                Trajectory((0.0, 0.188, 0.3, 0.357, 0.595, 0.767, 0.944), (8, 5, 3, 4, 13, 33, 69)),
+                Trajectory((0.0, 0.112, 0.3, 0.5, 0.7), (3, 1, 1, 2, 1)),
+            )
+        )
+    )
+    return panels
+
+
+@pytest.mark.parametrize("variant", ["plain", "conditional"])
+def test_spa_loglik_matches_float_gap_walk(variant):
+    rng = np.random.default_rng(3)
+    for panel in _walk_panels():
+        for _ in range(8):
+            r = Rates(*rng.uniform(0.5, 12.0, size=2))
+            try:
+                ref = legacy.spa_loglik(panel, r, variant)
+            except (DomainError, SolverError) as exc:
+                with pytest.raises(type(exc)):
+                    spa_loglik(panel, r, variant)
+                continue
+            got = spa_loglik(panel, r, variant)
+            assert abs(got - ref) <= 1e-12 * abs(ref)

@@ -1,5 +1,6 @@
 """Event-driven simulator and benchmark harness."""
 
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from bdrates.errors import CapError, DomainError
+from bdrates.estimate import FitOptions
 from bdrates.exact import log_transition_prob, mean, variance
 from bdrates.simulate import (
     BenchmarkCell,
@@ -209,6 +211,24 @@ def test_benchmark_determinism_and_failure_accounting():
     row = a[0].rows[0]
     # conditioned panels can still be flat (all counts 1); those fail gw
     assert row.n_used + row.n_failed == 12
+
+
+def test_benchmark_keeps_fit_options(monkeypatch):
+    import bdrates.simulate as simulate
+
+    seen = []
+
+    def record(panel, method, options):
+        seen.append(options)
+        raise CapError("recorded")
+
+    monkeypatch.setattr(simulate, "fit", record)
+    base = FitOptions(start=(3.0, 1.5), restarts=1, max_count_cap=500)
+    cell = BenchmarkCell(GROW, 2, 3, 1, 0.2)
+    run_benchmark(cell, ["spmle"], 2, seed=4, options=base)
+    assert [o.seed for o in seen] == [child_seed(4, 0, r, 1) for r in range(2)]
+    for o in seen:
+        assert o == dataclasses.replace(base, seed=o.seed)
 
 
 def test_benchmark_input_validation():

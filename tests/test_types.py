@@ -82,3 +82,53 @@ def test_panel_rejects_empty_and_foreign():
         Panel(())
     with pytest.raises(DataError):
         Panel(([0.0, 1.0],))
+
+
+# ---------------------------------------------------------------------------
+# transitions table
+
+
+def test_transitions_float_grid_is_one_group():
+    # 0.1*(j+1) differences scatter over several float values
+    times = (0.0,) + tuple(0.1 * (j + 1) for j in range(30))
+    counts = tuple(range(10, 41))
+    p = Panel((Trajectory(times, counts), Trajectory(times, counts[::-1])))
+    assert len(set(p.all_gaps())) > 1
+    (grp,) = p.transitions.groups
+    assert grp.tau == p.common_gap()
+    assert grp.src.tolist() == list(counts[:-1]) + list(counts[::-1][:-1])
+    assert grp.dst.tolist() == list(counts[1:]) + list(counts[::-1][1:])
+
+
+def test_transitions_distinct_gaps_split_and_sort():
+    p = Panel(
+        (
+            Trajectory((0.0, 0.2, 0.3, 0.5), (4, 5, 6, 7)),
+            Trajectory((0.0, 0.1), (8, 9)),
+        )
+    )
+    taus = [g.tau for g in p.transitions.groups]
+    assert taus == pytest.approx([0.1, 0.2])
+    short, long_ = p.transitions.groups
+    assert short.src.tolist() == [5, 8] and short.dst.tolist() == [6, 9]
+    assert long_.src.tolist() == [4, 6] and long_.dst.tolist() == [5, 7]
+
+
+def test_transitions_keep_gaps_apart_beyond_tolerance():
+    # 1e-6 relative apart is far outside the 1e-9 spacing tolerance
+    p = Panel((Trajectory((0.0, 1.0, 2.0 + 1e-6), (3, 4, 5)),))
+    assert len(p.transitions.groups) == 2
+    # 1e-12 relative apart is inside it
+    q = Panel((Trajectory((0.0, 1.0, 2.0 + 1e-12), (3, 4, 5)),))
+    (grp,) = q.transitions.groups
+    assert grp.tau == pytest.approx(1.0 + 0.5e-12, rel=1e-15)
+
+
+def test_transitions_drop_absorbed_steps_and_are_cached():
+    p = Panel((Trajectory((0.0, 1.0, 2.0, 3.0), (2, 1, 0, 0)),))
+    table = p.transitions
+    assert table is p.transitions
+    (grp,) = table.groups
+    assert grp.src.tolist() == [2, 1] and grp.dst.tolist() == [1, 0]
+    with pytest.raises(ValueError):
+        grp.src[0] = 5
