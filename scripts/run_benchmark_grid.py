@@ -29,6 +29,18 @@ GRID = [
     BenchmarkCell(rates=Rates(7.0, 5.0), z0=10, n_obs=30, m=20, dt=0.1),
 ]
 
+# The paper's Table 3: RMSE of the moment estimator's lambda-hat on one
+# trajectory with lambda=7, mu=6, by starting count z0. Printed next to
+# the gw rows of the matching single-trajectory cells.
+TABLE3_GW_RMSE_LAMBDA = {1: 5.03, 5: 3.38, 10: 2.82, 20: 2.68, 50: 2.56}
+
+
+def _table3_reference(cell: BenchmarkCell, method: str) -> str:
+    if method != "gw" or cell.m != 1 or cell.rates != Rates(7.0, 6.0):
+        return ""
+    target = TABLE3_GW_RMSE_LAMBDA.get(cell.z0)
+    return "" if target is None else f"  (paper Table 3: {target})"
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -54,7 +66,8 @@ def main(argv=None) -> int:
             print(
                 f"  {row.method:>6}: rmse(lambda)={row.rmse_lambda:.4g} "
                 f"rmse(omega)={row.rmse_omega:.4g} "
-                f"used={row.n_used} failed={row.n_failed}",
+                f"used={row.n_used} failed={row.n_failed}"
+                f"{_table3_reference(cell, row.method)}",
                 file=sys.stderr,
             )
 

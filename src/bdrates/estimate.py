@@ -216,26 +216,7 @@ def initial_rates(panel: Panel) -> Rates:
         except (DataError, DomainError):
             pass
     if lam is None:
-        num = 0
-        den = 0
-        tau_sum = 0.0
-        n = 0
-        for tr in panel:
-            gaps = tr.gaps()
-            for j in range(tr.n_transitions):
-                if tr.counts[j] == 0:
-                    continue
-                num += tr.counts[j + 1]
-                den += tr.counts[j]
-                tau_sum += gaps[j]
-                n += 1
-        if n == 0:
-            raise DataError("panel has no transitions with a positive source count")
-        tau_bar = tau_sum / n
-        if num > 0:
-            omega = math.log(num / den) / tau_bar
-        else:
-            omega = math.log(0.5 / den) / tau_bar
+        omega, _ = panel.transitions.pooled_growth()
         xi = 2.0 * abs(omega) + 1.0
         lam = 0.5 * (xi + omega)
         mu = 0.5 * (xi - omega)

@@ -151,25 +151,26 @@ def pgf(s: float, t: float, rates: Rates, a: int = 1) -> float:
     if not (s >= 0.0 and math.isfinite(s)):
         raise DomainError(f"pgf argument must be finite and nonnegative, got {s}")
     g = geom_params(t, rates)
-    one = _pgf_from_geom(s, g)
-    return one ** a
+    return pgf_geom(s, g)[0] ** a
 
 
-def _pgf_from_geom(s: float, g: GeomParams) -> float:
-    om_bs = _one_minus_beta_s(s, g)
+def pgf_geom(s: float, g: GeomParams) -> tuple[float, float, float]:
+    """Single-ancestor pgf value and its first two s-derivatives at s for
+    the law g; raises DomainError unless s lies inside the convergence
+    disc, s < 1/beta."""
+    om_b = math.exp(g.log1m_beta)
+    # 1 - beta*s as (1-beta) - beta*(s-1): both pieces are known accurately,
+    # which matters when s is just below the radius.
+    om_bs = om_b - g.beta * (s - 1.0)
     if om_bs <= 0.0:
         raise DomainError(
             f"pgf argument {s} is outside the convergence disc (radius {1.0 / g.beta})"
         )
     om_a = math.exp(g.log1m_alpha)
-    om_b = math.exp(g.log1m_beta)
-    return g.alpha + om_a * om_b * s / om_bs
-
-
-def _one_minus_beta_s(s: float, g: GeomParams) -> float:
-    # 1 - beta*s as (1-beta) - beta*(s-1): both pieces are known accurately,
-    # which matters when s is just below the radius.
-    return math.exp(g.log1m_beta) - g.beta * (s - 1.0)
+    f = g.alpha + om_a * om_b * s / om_bs
+    f1 = om_a * om_b / (om_bs * om_bs)
+    f2 = 2.0 * g.beta * om_a * om_b / (om_bs * om_bs * om_bs)
+    return f, f1, f2
 
 
 def pgf_derivs(s: float, t: float, rates: Rates) -> tuple[float, float, float]:
@@ -180,18 +181,7 @@ def pgf_derivs(s: float, t: float, rates: Rates) -> tuple[float, float, float]:
     """
     if not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"pgf argument must be positive and finite, got {s}")
-    g = geom_params(t, rates)
-    om_bs = _one_minus_beta_s(s, g)
-    if om_bs <= 0.0:
-        raise DomainError(
-            f"pgf argument {s} is outside the convergence disc (radius {1.0 / g.beta})"
-        )
-    om_a = math.exp(g.log1m_alpha)
-    om_b = math.exp(g.log1m_beta)
-    f = g.alpha + om_a * om_b * s / om_bs
-    f1 = om_a * om_b / (om_bs * om_bs)
-    f2 = 2.0 * g.beta * om_a * om_b / (om_bs * om_bs * om_bs)
-    return f, f1, f2
+    return pgf_geom(s, geom_params(t, rates))
 
 
 def log_transition_prob(k: int, t: float, a: int, rates: Rates) -> float:

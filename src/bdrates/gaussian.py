@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .errors import DataError, DomainError, SolverError
+from .errors import DomainError, SolverError
 from .types import Panel, Rates
 
 __all__ = [
@@ -115,16 +115,24 @@ def _nu(tau: float, omega: float) -> float:
     return tau * zeta * math.expm1(u) / u
 
 
-def _transitions(panel: Panel):
-    """(tau, src, dst) for every informative transition: positive source,
-    so extinct tails contribute exactly their absorbing step and 0 -> 0
-    is never scored."""
-    for tr in panel:
-        counts, times = tr.counts, tr.times
-        for j in range(1, len(counts)):
-            src = counts[j - 1]
-            if src >= 1:
-                yield times[j] - times[j - 1], src, counts[j]
+def _fixed_sums(groups) -> tuple[int, float]:
+    # number of transitions and the sum of their log source counts: the
+    # parts of the working likelihood that do not depend on the parameters
+    n = sum(len(grp.src) for grp in groups)
+    return n, sum(float(np.sum(np.log(grp.src))) for grp in groups)
+
+
+def _residual_sums(groups, omega: float) -> tuple[float, float]:
+    # sum over transitions of r^2 / (src * nu), the squared residual
+    # standardized at xi = 1, and of log(nu)
+    rss = 0.0
+    log_nu = 0.0
+    for grp in groups:
+        nu = _nu(grp.tau, omega)
+        r = grp.dst - grp.src * math.exp(omega * grp.tau)
+        rss += float(np.sum(r * r / grp.src)) / nu
+        log_nu += len(grp.src) * math.log(nu)
+    return rss, log_nu
 
 
 def qg_loglik(panel: Panel, params: QgParams) -> float:
@@ -132,54 +140,33 @@ def qg_loglik(panel: Panel, params: QgParams) -> float:
     if not isinstance(params, QgParams):
         params = QgParams(*params)
     omega, xi = params.omega, params.xi
-    total = 0.0
-    n = 0
-    for tau, src, dst in _transitions(panel):
-        zeta = math.exp(omega * tau)
-        v = src * xi * _nu(tau, omega)
-        r = dst - src * zeta
-        total += -0.5 * (_LOG_2PI + math.log(v) + r * r / v)
-        n += 1
-    if n == 0:
-        raise DataError("panel has no transitions with a positive source count")
-    return total
+    groups = panel.transitions.groups
+    n, log_src = _fixed_sums(groups)
+    rss, log_nu = _residual_sums(groups, omega)
+    return -0.5 * (n * (_LOG_2PI + math.log(xi)) + log_src + log_nu + rss / xi)
 
 
 def qg_profile_xi(panel: Panel, omega: float) -> float:
     """Closed-form maximizer of the working likelihood in xi at fixed
     omega: the average squared standardized residual."""
-    acc = 0.0
-    n = 0
-    for tau, src, dst in _transitions(panel):
-        zeta = math.exp(omega * tau)
-        r = dst - src * zeta
-        acc += r * r / (src * _nu(tau, omega))
-        n += 1
-    if n == 0:
-        raise DataError("panel has no transitions with a positive source count")
-    return acc / n
+    groups = panel.transitions.groups
+    n = sum(len(grp.src) for grp in groups)
+    return _residual_sums(groups, omega)[0] / n
 
 
-def _profile_loglik_terms(trans: list[tuple[float, int, int]], omega: float) -> float:
-    # l(xi_hat(omega), omega) over a precomputed transition list, with
-    # the additive constants kept so the value matches qg_loglik there
-    acc = 0.0
-    log_v_sum = 0.0
-    for tau, src, dst in trans:
-        zeta = math.exp(omega * tau)
-        nu = _nu(tau, omega)
-        r = dst - src * zeta
-        acc += r * r / (src * nu)
-        log_v_sum += math.log(src * nu)
-    n = len(trans)
-    xi = acc / n
+def _profile_loglik_terms(groups, n: int, log_src: float, omega: float) -> float:
+    # l(xi_hat(omega), omega) with the parameter-free sums precomputed and
+    # the additive constants kept, so the value matches qg_loglik there
+    rss, log_nu = _residual_sums(groups, omega)
+    xi = rss / n
     if xi <= 0.0:
         return math.inf  # deterministic fit: unbounded profile
-    return -0.5 * (n * _LOG_2PI + n * math.log(xi) + log_v_sum) - 0.5 * n
+    return -0.5 * (n * _LOG_2PI + n * math.log(xi) + log_src + log_nu) - 0.5 * n
 
 
 def _profile_loglik(panel: Panel, omega: float) -> float:
-    return _profile_loglik_terms(list(_transitions(panel)), omega)
+    groups = panel.transitions.groups
+    return _profile_loglik_terms(groups, *_fixed_sums(groups), omega)
 
 
 def qg_fit(panel: Panel) -> QgFit:
@@ -190,16 +177,13 @@ def qg_fit(panel: Panel) -> QgFit:
     Fits whose maximum leaves the open wedge are clamped to the nearest
     rate boundary, preserving omega_hat, and flagged.
     """
-    trans = list(_transitions(panel))
-    if not trans:
-        raise DataError("panel has no transitions with a positive source count")
-    tau_bar = sum(t[0] for t in trans) / len(trans)
-    num = sum(t[2] for t in trans)
-    den = sum(t[1] for t in trans)
-    if num > 0:
-        omega_init = math.log(num / den) / tau_bar
-    else:
-        omega_init = math.log(0.5 / den) / tau_bar  # total extinction
+    groups = panel.transitions.groups
+    n, log_src = _fixed_sums(groups)
+
+    def profile(omega: float) -> float:
+        return _profile_loglik_terms(groups, n, log_src, omega)
+
+    omega_init, tau_bar = panel.transitions.pooled_growth()
     half = 10.0 / tau_bar
     lo, hi = omega_init - half, omega_init + half
     iterations = 0
@@ -208,7 +192,7 @@ def qg_fit(panel: Panel) -> QgFit:
         # coarse scan first: golden section alone can get trapped on the
         # spurious far-negative mode of crash panels (see module docstring)
         grid = np.linspace(lo, hi, 65)
-        vals = np.array([_profile_loglik_terms(trans, w) for w in grid])
+        vals = np.array([profile(w) for w in grid])
         iterations += len(grid)
         best = int(np.argmax(vals))
         if best == 0 or best == len(grid) - 1:
@@ -217,7 +201,7 @@ def qg_fit(panel: Panel) -> QgFit:
             omega_hat = float(grid[best])
             continue
         res = minimize_scalar(
-            lambda w: -_profile_loglik_terms(trans, w),
+            lambda w: -profile(w),
             bounds=(float(grid[best - 1]), float(grid[best + 1])),
             method="bounded",
             options={"xatol": 1e-10, "maxiter": 500},
@@ -226,7 +210,7 @@ def qg_fit(panel: Panel) -> QgFit:
         omega_hat = float(res.x)
         break
     xi_hat = qg_profile_xi(panel, omega_hat)
-    loglik = _profile_loglik(panel, omega_hat)
+    loglik = profile(omega_hat)
 
     if xi_hat < DEGENERATE_XI_FLOOR:
         return QgFit(
@@ -273,14 +257,16 @@ def _information(panel: Panel, params: QgParams) -> np.ndarray:
     i_xx = 0.0
     i_xw = 0.0
     i_ww = 0.0
-    for tau, src, _dst in _transitions(panel):
+    for grp in panel.transitions.groups:
+        tau = grp.tau
+        n = len(grp.src)
         u = omega * tau
         nu = _nu(tau, omega)
         nd = tau * (1.0 + _kappa_prime(u))  # nu_dot / nu
         zd = tau * math.exp(u)  # zeta_dot
-        i_xx += 1.0 / (2.0 * xi * xi)
-        i_xw += nd / (2.0 * xi)
-        i_ww += 0.5 * nd * nd + (src * zd * zd) / (xi * nu)
+        i_xx += n / (2.0 * xi * xi)
+        i_xw += n * nd / (2.0 * xi)
+        i_ww += 0.5 * n * nd * nd + (sum(grp.src.tolist()) * zd * zd) / (xi * nu)
     return np.array([[i_xx, i_xw], [i_xw, i_ww]])
 
 
@@ -330,28 +316,29 @@ def qg_sandwich_cov(
 def _score_cov_true(panel: Panel, params: QgParams) -> np.ndarray:
     omega, xi = params.omega, params.xi
     rates = params.rates
-    by_tau: dict[float, tuple[float, float, float]] = {}
     c_xx = 0.0
     c_xw = 0.0
     c_ww = 0.0
-    for tau, src, _dst in _transitions(panel):
-        if tau not in by_tau:
-            by_tau[tau] = _true_cumulants(tau, rates)
-        k2, k3_raw, k4_raw = by_tau[tau]
-        # standardized cumulants of (dst - src*zeta)/sqrt(src*k2)
-        kap3 = k3_raw / (math.sqrt(src) * k2**1.5)
-        kap4 = k4_raw / (src * k2 * k2)
+    for grp in panel.transitions.groups:
+        tau = grp.tau
+        n = len(grp.src)
+        k2, k3_raw, k4_raw = _true_cumulants(tau, rates)
+        # standardized cumulants of (dst - src*zeta)/sqrt(src*k2) are
+        # kap3 = skew/sqrt(src) and kap4 = kurt/src, so the group enters
+        # through n, sum(src) and sum(1/src) alone
+        skew = k3_raw / k2**1.5
+        kap4_sum = k4_raw / (k2 * k2) * float(np.sum(1.0 / grp.src))
         u = omega * tau
         nu = _nu(tau, omega)
         nd = tau * (1.0 + _kappa_prime(u))
         zd = tau * math.exp(u)
-        c_xx += 1.0 / (2.0 * xi * xi) + kap4 / (4.0 * xi * xi)
-        c_xw += (nd * (2.0 + kap4) + 2.0 * zd * math.sqrt(src) * kap3 / math.sqrt(xi * nu)) / (
+        c_xx += (2.0 * n + kap4_sum) / (4.0 * xi * xi)
+        c_xw += (nd * (2.0 * n + kap4_sum) + 2.0 * n * zd * skew / math.sqrt(xi * nu)) / (
             4.0 * xi
         )
         c_ww += (
-            0.25 * nd * nd * (2.0 + kap4)
-            + (src * zd * zd) / (xi * nu)
-            + nd * zd * math.sqrt(src) * kap3 / math.sqrt(xi * nu**3)
+            0.25 * nd * nd * (2.0 * n + kap4_sum)
+            + (sum(grp.src.tolist()) * zd * zd) / (xi * nu)
+            + n * nd * zd * skew / math.sqrt(xi * nu**3)
         )
     return np.array([[c_xx, c_xw], [c_xw, c_ww]])

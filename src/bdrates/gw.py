@@ -88,29 +88,16 @@ def gw_moments(panel: Panel) -> GwMoments:
             "does not apply (use the quasi-likelihood estimator instead)"
         )
     delta_t = panel.common_gap()
-    num = 0.0
-    den = 0.0
-    n_terms = 0
-    for tr in panel:
-        counts = tr.counts
-        for j in range(1, len(counts)):
-            src = counts[j - 1]
-            if src == 0:
-                continue  # absorbed; 0/0 := 1 makes the term vanish
-            num += counts[j]
-            den += src
-            n_terms += 1
-    if den <= 0.0 or n_terms == 0:
-        raise DataError("panel has no transitions with a positive source count")
-    m_hat = num / den
+    src: list[int] = []
+    dst: list[int] = []
+    for grp in panel.transitions.groups:
+        src += grp.src.tolist()
+        dst += grp.dst.tolist()
+    n_terms = len(src)
+    m_hat = sum(dst) / sum(src)
     acc = 0.0
-    for tr in panel:
-        counts = tr.counts
-        for j in range(1, len(counts)):
-            src = counts[j - 1]
-            if src == 0:
-                continue
-            acc += src * (counts[j] / src - m_hat) ** 2
+    for a, k in zip(src, dst):
+        acc += a * (k / a - m_hat) ** 2
     return GwMoments(m_hat, acc / n_terms, delta_t, n_terms, len(panel))
 
 
@@ -159,12 +146,7 @@ def gw_standard_errors(moments: GwMoments, panel: Panel) -> tuple[float, float, 
     is expected to flag the regime; the values are still returned.
     """
     m, s2, dt = moments.m_hat, moments.sigma2_hat, moments.delta_t
-    src_total = 0.0
-    for tr in panel:
-        counts = tr.counts
-        for j in range(1, len(counts)):
-            if counts[j - 1] > 0:
-                src_total += counts[j - 1]
+    src_total = sum(sum(grp.src.tolist()) for grp in panel.transitions.groups)
     gap = abs(m - 1.0)
     if gap > 0.0 and m > 0.0:
         se_rate = abs(math.log(m)) * s2 / math.sqrt(
@@ -172,9 +154,7 @@ def gw_standard_errors(moments: GwMoments, panel: Panel) -> tuple[float, float, 
         )
     else:
         se_rate = math.inf
-    se_omega = (
-        math.sqrt(s2) / (m * dt * math.sqrt(src_total)) if src_total > 0.0 else math.inf
-    )
+    se_omega = math.sqrt(s2) / (m * dt * math.sqrt(src_total))
     return se_rate, se_rate, se_omega
 
 

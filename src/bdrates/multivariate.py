@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from .errors import DomainError, SolverError
-from .exact import _one_minus_beta_s, geom_params
+from .exact import geom_params, pgf_geom
 from .saddlepoint import solve_saddlepoint
 from .types import Panel, Rates
 
@@ -81,7 +81,7 @@ def _level_params(gaps: np.ndarray, rates: Rates) -> list:
     return [geom_params(float(tau), rates) for tau in gaps]
 
 
-def _pgf_derivs_from_geom(s: float, g, level: int) -> tuple[float, float, float]:
+def _level_pgf(s: float, g, level: int) -> tuple[float, float, float]:
     # single-gap map and its first two derivatives; the domain check is
     # the implicit convergence-region test for the whole composition
     if not (s > 0.0 and math.isfinite(s)):
@@ -89,18 +89,13 @@ def _pgf_derivs_from_geom(s: float, g, level: int) -> tuple[float, float, float]
             f"joint generating function argument left the domain at nesting "
             f"level {level} (inner argument {s})"
         )
-    om_bs = _one_minus_beta_s(s, g)
-    if om_bs <= 0.0:
+    try:
+        return pgf_geom(s, g)
+    except DomainError as exc:
         raise DomainError(
             f"joint generating function argument left the domain at nesting "
-            f"level {level} (inner argument {s}, radius {1.0 / g.beta})"
-        )
-    om_a = math.exp(g.log1m_alpha)
-    om_b = math.exp(g.log1m_beta)
-    f = g.alpha + om_a * om_b * s / om_bs
-    f1 = om_a * om_b / (om_bs * om_bs)
-    f2 = 2.0 * g.beta * om_a * om_b / (om_bs * om_bs * om_bs)
-    return f, f1, f2
+            f"level {level} ({exc})"
+        ) from exc
 
 
 def joint_pgf(s: Sequence[float], times: Sequence[float], a: int, rates: Rates) -> float:
@@ -119,7 +114,7 @@ def joint_pgf(s: Sequence[float], times: Sequence[float], a: int, rates: Rates) 
     params = _level_params(gaps, rates)
     w = 1.0
     for j in range(len(s) - 1, -1, -1):
-        w, _, _ = _pgf_derivs_from_geom(s[j] * w, params[j], j + 1)
+        w, _, _ = _level_pgf(s[j] * w, params[j], j + 1)
     return w**a
 
 
@@ -146,7 +141,7 @@ def _nested_derivs(
         hy = s[j] * hess
         hy[j, :] = gy
         hy[:, j] = gy
-        f, f1, f2 = _pgf_derivs_from_geom(y, params[j], j + 1)
+        f, f1, f2 = _level_pgf(y, params[j], j + 1)
         val = f
         grad = f1 * gy
         hess = f2 * np.outer(gy, gy) + f1 * hy

@@ -32,7 +32,6 @@ from .types import Panel, Rates
 __all__ = [
     "CgfPoint",
     "SaddlepointSolution",
-    "radius",
     "cgf_eval",
     "solve_saddlepoint",
     "spa_pmf",
@@ -67,13 +66,6 @@ class SaddlepointSolution:
     s_tilde: float
     cgf: CgfPoint
     residual: float
-
-
-def radius(t: float, rates: Rates) -> float:
-    """Convergence radius R(t) = 1/beta(t) of the pgf (inf for a
-    pure-death process)."""
-    g = geom_params(t, rates)
-    return 1.0 / g.beta if g.beta > 0.0 else math.inf
 
 
 def _log_radius(g: GeomParams) -> float:

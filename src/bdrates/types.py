@@ -133,10 +133,28 @@ class Transitions:
     dropped. Gaps that agree to SPACING_TOL relative (the default of
     Panel.equal_spacing) form one group, so a float grid such as
     0.1*(j+1), whose differences scatter in the last bits, gives a single
-    group. Groups are ordered by increasing gap.
+    group. Groups are ordered by increasing gap. Every estimator reads
+    the panel through this table: the moments, the quasi-likelihood, the
+    starting point of the searches and the transition likelihoods. Only
+    the joint-path likelihood, which needs whole paths, does not.
     """
 
     groups: tuple[GapGroup, ...]
+
+    def pooled_growth(self) -> tuple[float, float]:
+        """(omega, tau_bar): the growth rate log(sum dst / sum src) / tau_bar
+        of the pooled one-step ratio, with tau_bar the mean gap. On total
+        extinction (sum dst == 0) half an individual stands in for the
+        targets, so the guess stays finite and negative."""
+        n = sum(len(grp.src) for grp in self.groups)
+        # weighting by n_g/n, not summing n_g*tau, returns a lone group's
+        # tau bit for bit
+        tau_bar = sum(grp.tau * (len(grp.src) / n) for grp in self.groups)
+        num = sum(sum(grp.dst.tolist()) for grp in self.groups)
+        den = sum(sum(grp.src.tolist()) for grp in self.groups)
+        if num > 0:
+            return math.log(num / den) / tau_bar, tau_bar
+        return math.log(0.5 / den) / tau_bar, tau_bar
 
     @classmethod
     def from_panel(cls, panel: Panel) -> Transitions:
@@ -174,9 +192,10 @@ class Transitions:
 class Panel:
     """A nonempty collection of independent trajectories.
 
-    The likelihoods read the panel through its transitions table, which
-    is built on first use and kept for the panel's lifetime, so the many
-    evaluations of one fit share it.
+    Every estimator but the joint-path likelihood reads the panel through
+    its transitions table, which is built on first use and kept for the
+    panel's lifetime, so the many evaluations of one fit, and the fits of
+    one battery, share it.
     """
 
     trajectories: tuple[Trajectory, ...]

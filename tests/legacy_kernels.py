@@ -1,11 +1,14 @@
-"""Reference copies of likelihood code that has since been replaced.
+"""Reference copies of estimator code that has since been replaced.
 
 The conditional saddlepoint kernel used to solve one Newton sweep per
 distinct ancestor count, with p0 = alpha**a a scalar per sweep, and the
 panel likelihoods used to walk the trajectories on every call, grouping
-transitions by the raw float gap. They are kept here verbatim apart
-from names, calling the package's current plain-saddlepoint and pmf
-helpers, so the replacements can be checked against them.
+transitions by the raw float gap. The moment estimator, the Gaussian
+quasi-likelihood and the fallback start of the likelihood searches
+walked the trajectories too, one transition at a time. They are kept
+here verbatim apart from names, calling the package's current helpers,
+so the replacements, which read the panel's transitions table, can be
+checked against them.
 """
 
 from __future__ import annotations
@@ -13,10 +16,22 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
-from bdrates.errors import SolverError
+from bdrates.errors import DataError, DomainError, SolverError
 from bdrates.exact import _log_pmf, geom_params
+from bdrates.gaussian import (
+    _LOG_2PI,
+    DEGENERATE_XI_FLOOR,
+    QgFit,
+    QgParams,
+    _clamped_rates,
+    _kappa_prime,
+    _nu,
+    _true_cumulants,
+    qg_sandwich_cov,
+)
+from bdrates.gw import GwMoments, gw_estimate
 from bdrates.saddlepoint import (
     RESIDUAL_TOL,
     _cgf_terms,
@@ -24,6 +39,7 @@ from bdrates.saddlepoint import (
     _solve_x,
     _x_max,
 )
+from bdrates.types import Panel, Rates
 
 
 def _cond_terms(x, g, a, log_p0: float):
@@ -163,3 +179,303 @@ def exact_loglik(panel, rates):
             if total == -math.inf:
                 return -math.inf
     return total
+
+
+def gw_moments(panel: Panel) -> GwMoments:
+    """Pooled moment estimators over all trajectories and generations.
+
+    m_hat is the ratio of summed targets to summed sources; sigma2_hat
+    averages the squared standardized one-step fluctuations around m_hat.
+    Requires equal spacing throughout the panel.
+    """
+    if not panel.equal_spacing():
+        raise DataError(
+            "panel is not equally spaced; the embedded-process estimator "
+            "does not apply (use the quasi-likelihood estimator instead)"
+        )
+    delta_t = panel.common_gap()
+    num = 0.0
+    den = 0.0
+    n_terms = 0
+    for tr in panel:
+        counts = tr.counts
+        for j in range(1, len(counts)):
+            src = counts[j - 1]
+            if src == 0:
+                continue  # absorbed; 0/0 := 1 makes the term vanish
+            num += counts[j]
+            den += src
+            n_terms += 1
+    if den <= 0.0 or n_terms == 0:
+        raise DataError("panel has no transitions with a positive source count")
+    m_hat = num / den
+    acc = 0.0
+    for tr in panel:
+        counts = tr.counts
+        for j in range(1, len(counts)):
+            src = counts[j - 1]
+            if src == 0:
+                continue
+            acc += src * (counts[j] / src - m_hat) ** 2
+    return GwMoments(m_hat, acc / n_terms, delta_t, n_terms, len(panel))
+
+
+def gw_standard_errors(moments: GwMoments, panel: Panel) -> tuple[float, float, float]:
+    """Plug-in asymptotic standard errors (se_lambda, se_mu, se_omega).
+
+    The rate pair has equal standard errors
+    |log m| * sigma2 / sqrt(2 dt^2 m^2 (m-1)^2 n_terms); the growth rate
+    uses the observed-information normalization sigma / (m dt sqrt(S))
+    with S the summed source counts. Outside the supercritical regime
+    the rate-pair formula degenerates (division by m-1) and the caller
+    is expected to flag the regime; the values are still returned.
+    """
+    m, s2, dt = moments.m_hat, moments.sigma2_hat, moments.delta_t
+    src_total = 0.0
+    for tr in panel:
+        counts = tr.counts
+        for j in range(1, len(counts)):
+            if counts[j - 1] > 0:
+                src_total += counts[j - 1]
+    gap = abs(m - 1.0)
+    if gap > 0.0 and m > 0.0:
+        se_rate = abs(math.log(m)) * s2 / math.sqrt(
+            2.0 * dt * dt * m * m * gap * gap * moments.n_terms
+        )
+    else:
+        se_rate = math.inf
+    se_omega = (
+        math.sqrt(s2) / (m * dt * math.sqrt(src_total)) if src_total > 0.0 else math.inf
+    )
+    return se_rate, se_rate, se_omega
+
+
+def _transitions(panel: Panel):
+    """(tau, src, dst) for every informative transition: positive source,
+    so extinct tails contribute exactly their absorbing step and 0 -> 0
+    is never scored."""
+    for tr in panel:
+        counts, times = tr.counts, tr.times
+        for j in range(1, len(counts)):
+            src = counts[j - 1]
+            if src >= 1:
+                yield times[j] - times[j - 1], src, counts[j]
+
+
+def qg_loglik(panel: Panel, params: QgParams) -> float:
+    """Gaussian working log likelihood (2*pi constant included)."""
+    if not isinstance(params, QgParams):
+        params = QgParams(*params)
+    omega, xi = params.omega, params.xi
+    total = 0.0
+    n = 0
+    for tau, src, dst in _transitions(panel):
+        zeta = math.exp(omega * tau)
+        v = src * xi * _nu(tau, omega)
+        r = dst - src * zeta
+        total += -0.5 * (_LOG_2PI + math.log(v) + r * r / v)
+        n += 1
+    if n == 0:
+        raise DataError("panel has no transitions with a positive source count")
+    return total
+
+
+def qg_profile_xi(panel: Panel, omega: float) -> float:
+    """Closed-form maximizer of the working likelihood in xi at fixed
+    omega: the average squared standardized residual."""
+    acc = 0.0
+    n = 0
+    for tau, src, dst in _transitions(panel):
+        zeta = math.exp(omega * tau)
+        r = dst - src * zeta
+        acc += r * r / (src * _nu(tau, omega))
+        n += 1
+    if n == 0:
+        raise DataError("panel has no transitions with a positive source count")
+    return acc / n
+
+
+def _profile_loglik_terms(trans: list[tuple[float, int, int]], omega: float) -> float:
+    # l(xi_hat(omega), omega) over a precomputed transition list, with
+    # the additive constants kept so the value matches qg_loglik there
+    acc = 0.0
+    log_v_sum = 0.0
+    for tau, src, dst in trans:
+        zeta = math.exp(omega * tau)
+        nu = _nu(tau, omega)
+        r = dst - src * zeta
+        acc += r * r / (src * nu)
+        log_v_sum += math.log(src * nu)
+    n = len(trans)
+    xi = acc / n
+    if xi <= 0.0:
+        return math.inf  # deterministic fit: unbounded profile
+    return -0.5 * (n * _LOG_2PI + n * math.log(xi) + log_v_sum) - 0.5 * n
+
+
+def _profile_loglik(panel: Panel, omega: float) -> float:
+    return _profile_loglik_terms(list(_transitions(panel)), omega)
+
+
+def qg_fit(panel: Panel) -> QgFit:
+    """Profile fit over omega with the closed-form xi plugged in.
+
+    The bracket is centered at the pooled-ratio growth guess and widened
+    (doubled, up to 5 times) whenever the maximizer lands on an edge.
+    Fits whose maximum leaves the open wedge are clamped to the nearest
+    rate boundary, preserving omega_hat, and flagged.
+    """
+    trans = list(_transitions(panel))
+    if not trans:
+        raise DataError("panel has no transitions with a positive source count")
+    tau_bar = sum(t[0] for t in trans) / len(trans)
+    num = sum(t[2] for t in trans)
+    den = sum(t[1] for t in trans)
+    if num > 0:
+        omega_init = math.log(num / den) / tau_bar
+    else:
+        omega_init = math.log(0.5 / den) / tau_bar  # total extinction
+    half = 10.0 / tau_bar
+    lo, hi = omega_init - half, omega_init + half
+    iterations = 0
+    omega_hat = omega_init
+    for _ in range(6):
+        # coarse scan first: golden section alone can get trapped on the
+        # spurious far-negative mode of crash panels (see module docstring)
+        grid = np.linspace(lo, hi, 65)
+        vals = np.array([_profile_loglik_terms(trans, w) for w in grid])
+        iterations += len(grid)
+        best = int(np.argmax(vals))
+        if best == 0 or best == len(grid) - 1:
+            width = hi - lo
+            lo, hi = lo - width / 2.0, hi + width / 2.0
+            omega_hat = float(grid[best])
+            continue
+        res = minimize_scalar(
+            lambda w: -_profile_loglik_terms(trans, w),
+            bounds=(float(grid[best - 1]), float(grid[best + 1])),
+            method="bounded",
+            options={"xatol": 1e-10, "maxiter": 500},
+        )
+        iterations += int(res.nfev)
+        omega_hat = float(res.x)
+        break
+    xi_hat = qg_profile_xi(panel, omega_hat)
+    loglik = _profile_loglik(panel, omega_hat)
+
+    if xi_hat < DEGENERATE_XI_FLOOR:
+        return QgFit(
+            None,
+            _clamped_rates(omega_hat),
+            None,
+            loglik,
+            iterations,
+            boundary=True,
+            degenerate=True,
+        )
+    if not (xi_hat > abs(omega_hat)):
+        return QgFit(
+            None,
+            _clamped_rates(omega_hat),
+            None,
+            loglik,
+            iterations,
+            boundary=True,
+            degenerate=False,
+        )
+    params = QgParams(omega_hat, xi_hat)
+    cov = qg_sandwich_cov(panel, params)
+    return QgFit(
+        params, params.rates, cov, loglik, iterations, boundary=False, degenerate=False
+    )
+
+
+def _information(panel: Panel, params: QgParams) -> np.ndarray:
+    """Expected information of the full panel at params, with observed
+    source counts standing in for their expectations."""
+    omega, xi = params.omega, params.xi
+    i_xx = 0.0
+    i_xw = 0.0
+    i_ww = 0.0
+    for tau, src, _dst in _transitions(panel):
+        u = omega * tau
+        nu = _nu(tau, omega)
+        nd = tau * (1.0 + _kappa_prime(u))  # nu_dot / nu
+        zd = tau * math.exp(u)  # zeta_dot
+        i_xx += 1.0 / (2.0 * xi * xi)
+        i_xw += nd / (2.0 * xi)
+        i_ww += 0.5 * nd * nd + (src * zd * zd) / (xi * nu)
+    return np.array([[i_xx, i_xw], [i_xw, i_ww]])
+
+
+def _score_cov_true(panel: Panel, params: QgParams) -> np.ndarray:
+    omega, xi = params.omega, params.xi
+    rates = params.rates
+    by_tau: dict[float, tuple[float, float, float]] = {}
+    c_xx = 0.0
+    c_xw = 0.0
+    c_ww = 0.0
+    for tau, src, _dst in _transitions(panel):
+        if tau not in by_tau:
+            by_tau[tau] = _true_cumulants(tau, rates)
+        k2, k3_raw, k4_raw = by_tau[tau]
+        # standardized cumulants of (dst - src*zeta)/sqrt(src*k2)
+        kap3 = k3_raw / (math.sqrt(src) * k2**1.5)
+        kap4 = k4_raw / (src * k2 * k2)
+        u = omega * tau
+        nu = _nu(tau, omega)
+        nd = tau * (1.0 + _kappa_prime(u))
+        zd = tau * math.exp(u)
+        c_xx += 1.0 / (2.0 * xi * xi) + kap4 / (4.0 * xi * xi)
+        c_xw += (nd * (2.0 + kap4) + 2.0 * zd * math.sqrt(src) * kap3 / math.sqrt(xi * nu)) / (
+            4.0 * xi
+        )
+        c_ww += (
+            0.25 * nd * nd * (2.0 + kap4)
+            + (src * zd * zd) / (xi * nu)
+            + nd * zd * math.sqrt(src) * kap3 / math.sqrt(xi * nu**3)
+        )
+    return np.array([[c_xx, c_xw], [c_xw, c_ww]])
+
+
+def initial_rates(panel: Panel) -> Rates:
+    """Interior starting point for the likelihood searches.
+
+    Equal-spacing panels seed from the moment estimator; otherwise (or
+    when the moments degenerate) the pooled growth ratio fixes omega and
+    the total-rate guess 2|omega| + 1 keeps the start well inside the
+    wedge.  Zero components from a clamped moment fit are floored.
+    """
+    lam = mu = None
+    if panel.equal_spacing():
+        try:
+            est = gw_estimate(panel)
+            lam, mu = est.rates.lam, est.rates.mu
+        except (DataError, DomainError):
+            pass
+    if lam is None:
+        num = 0
+        den = 0
+        tau_sum = 0.0
+        n = 0
+        for tr in panel:
+            gaps = tr.gaps()
+            for j in range(tr.n_transitions):
+                if tr.counts[j] == 0:
+                    continue
+                num += tr.counts[j + 1]
+                den += tr.counts[j]
+                tau_sum += gaps[j]
+                n += 1
+        if n == 0:
+            raise DataError("panel has no transitions with a positive source count")
+        tau_bar = tau_sum / n
+        if num > 0:
+            omega = math.log(num / den) / tau_bar
+        else:
+            omega = math.log(0.5 / den) / tau_bar
+        xi = 2.0 * abs(omega) + 1.0
+        lam = 0.5 * (xi + omega)
+        mu = 0.5 * (xi - omega)
+    floor = 1e-3 * max(1.0, lam + mu)
+    return Rates(max(lam, floor), max(mu, floor))

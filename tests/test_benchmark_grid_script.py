@@ -1,0 +1,27 @@
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_benchmark_grid.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("run_benchmark_grid", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_grid_script_writes_reports_and_prints_table3(tmp_path, capsys):
+    grid = _load()
+    prefix = str(tmp_path / "grid")
+    assert grid.main(["--replicates", "2", "--prefix", prefix]) == 0
+    assert (tmp_path / "grid.csv").read_text().strip()
+    reports = json.loads((tmp_path / "grid.json").read_text())["reports"]
+    assert len(reports) == len(grid.GRID)
+    err = capsys.readouterr().err
+    gw_lines = [line for line in err.splitlines() if line.strip().startswith("gw:")]
+    for z0 in (1, 10):
+        target = grid.TABLE3_GW_RMSE_LAMBDA[z0]
+        assert sum(f"paper Table 3: {target}" in line for line in gw_lines) == 1
+    assert sum("paper Table 3" in line for line in err.splitlines()) == 2

@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from bdrates.errors import DomainError, SolverError
 from bdrates.exact import (
     _log_pmf,
+    convergence_radius as radius,
     exact_loglik,
     geom_params,
     log_transition_prob,
@@ -22,7 +23,6 @@ from bdrates.saddlepoint import (
     _log_spa_conditional,
     cgf_eval,
     high_mass_region,
-    radius,
     solve_saddlepoint,
     spa_loglik,
     spa_pmf,
