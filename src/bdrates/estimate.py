@@ -52,8 +52,10 @@ class FitOptions:
     useful when the growth rate is the quantity of interest.  Standard
     errors are always computed in log-rate coordinates, so the choice
     only affects the search path.  max_count_cap bounds the population
-    size the exact likelihood will accept; the exact pmf cost grows with
-    the count, the approximations' does not.
+    size the exact likelihood will accept: its term table holds
+    sum(min(a, k)) terms over the transitions a -> k, in memory
+    (16 bytes each) and in the time of every evaluation, so it grows
+    with the counts; the approximations' cost does not.
     """
 
     restarts: int = 3

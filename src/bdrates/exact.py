@@ -15,12 +15,24 @@ geometric with ratio ``beta``,
 
 so the generating function is alpha + (1-alpha)(1-beta) s / (1 - beta s),
 with radius of convergence 1/beta.
+
+The panel likelihood sums, per transition a -> k >= 1, min(a, k) terms
+whose logs are a rate-free log binomial coefficient plus a part linear
+in log(alpha), log(beta) and log(1-alpha) + log(1-beta). The
+coefficients are tabulated once per panel (TermTable), so an
+evaluation is one law per gap group, one affine map and a segmented
+log-sum-exp. Single transitions (log_transition_prob, truncation_limit) and
+the degenerate laws of a pure-birth or pure-death process use the scalar
+sum _log_pmf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import gammaln
 
 from .errors import CapError, DomainError
 from .types import Panel, Rates
@@ -289,16 +301,109 @@ def truncation_limit(t: float, a: int, rates: Rates, tol: float = TRUNCATION_TOL
         k = min(int(math.ceil(k * 1.25)) + 8, TRUNCATION_CAP)
 
 
+@dataclass(frozen=True, eq=False)
+class TermTable:
+    """The rate-free part of a panel's exact log likelihood.
+
+    Each summand of the pmf of a k >= 1 transition out of a ancestors,
+    indexed by the number j of ancestor lines that die out, splits as
+
+        coef(a, k, j) + [a*l1ab + (k-a)*log(beta)] + j*(log(alpha) + log(beta) - l1ab)
+
+    with l1ab = log(1-alpha) + log(1-beta) of the transition's gap group.
+    coef holds the log binomial coefficients of every summand, flat, gap
+    group after gap group: one segment of lengths = min(a, k) terms per
+    k >= 1 transition, starting at starts, and group_terms terms per
+    group. j holds the matching index. Per group, the bracket sums to
+    src_live*l1ab + excess*log(beta), and the k = 0 transitions add
+    src_dead*log(alpha). Arrays are read-only.
+    """
+
+    coef: np.ndarray
+    j: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    group_terms: np.ndarray
+    src_live: tuple[int, ...]
+    excess: tuple[int, ...]
+    src_dead: tuple[int, ...]
+
+
+def term_table(groups) -> TermTable:
+    """Build the TermTable of a sequence of GapGroups."""
+    src = np.concatenate([grp.src for grp in groups])
+    dst = np.concatenate([grp.dst for grp in groups])
+    live = dst > 0
+    a, k = src[live], dst[live]
+    lengths = np.minimum(a, k)
+    starts = np.zeros(len(lengths), dtype=np.intp)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    # j runs from max(0, a-k) to a-1 within each segment
+    j_lo = np.maximum(a - k, 0)
+    j = np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(starts - j_lo, lengths)
+    a_t = np.repeat(a, lengths)
+    k_t = np.repeat(k, lengths)
+    # log_head - lgamma(j+1) - lgamma(a-j+1) - lgamma(a-j) - lgamma(k-a+j+1)
+    coef = gammaln(a_t + 1) + gammaln(k_t)
+    coef -= gammaln(j + 1)
+    coef -= gammaln(a_t - j + 1)
+    coef -= gammaln(a_t - j)
+    coef -= gammaln(k_t - a_t + j + 1)
+    # min(a, 0) = 0: the k = 0 members add no terms
+    group_terms = np.array([np.minimum(grp.src, grp.dst).sum() for grp in groups])
+    arrays = (coef, j.astype(float), starts, lengths, group_terms)
+    for arr in arrays:
+        arr.setflags(write=False)
+    live_of = [(grp, grp.dst > 0) for grp in groups]
+    return TermTable(
+        *arrays,
+        src_live=tuple(int(grp.src[lv].sum()) for grp, lv in live_of),
+        excess=tuple(int((grp.dst - grp.src)[lv].sum()) for grp, lv in live_of),
+        src_dead=tuple(int(grp.src[~lv].sum()) for grp, lv in live_of),
+    )
+
+
+def _table_loglik(tab: TermTable, laws: list[GeomParams]) -> float:
+    # sum of the panel's log pmfs for laws with alpha, beta > 0: one
+    # affine map of the coefficients and a log-sum-exp per segment
+    l1ab = [g.log1m_alpha + g.log1m_beta for g in laws]
+    total = sum(
+        n_live * c + n_exc * g.log_beta + n_dead * g.log_alpha
+        for n_live, n_exc, n_dead, c, g in zip(
+            tab.src_live, tab.excess, tab.src_dead, l1ab, laws
+        )
+    )
+    if tab.coef.size == 0:
+        return total
+    slopes = [g.log_alpha + g.log_beta - c for g, c in zip(laws, l1ab)]
+    # a lone group's slope broadcasts; spreading it would copy the table
+    v = tab.j * (slopes[0] if len(slopes) == 1 else np.repeat(slopes, tab.group_terms))
+    v += tab.coef
+    peak = np.maximum.reduceat(v, tab.starts)
+    v -= np.repeat(peak, tab.lengths)
+    np.exp(v, out=v)
+    mass = np.add.reduceat(v, tab.starts)
+    return total + float(np.sum(peak)) + float(np.sum(np.log(mass)))
+
+
 def exact_loglik(panel: Panel, rates: Rates) -> float:
     """Exact log likelihood of a panel: the sum of log transition
     probabilities over consecutive observation pairs (the process is
     Markov, so these factorize). Transitions out of state 0 contribute 0.
 
-    The panel's transitions table supplies one law per merged gap; the
-    per-transition sums run on Python ints."""
+    Each gap group of the panel's transitions table gets one law. The
+    log pmfs come from the panel's TermTable, built on the first exact
+    evaluation and kept with the transitions table: per evaluation, one
+    affine map of the rate-free coefficients and a segmented
+    log-sum-exp. A degenerate law (alpha = 0 or beta = 0, i.e. mu = 0 or
+    lam = 0), under which some summands are -inf, sums the scalar
+    _log_pmf instead."""
+    trans = panel.transitions
+    laws = [geom_params(grp.tau, rates) for grp in trans.groups]
+    if all(g.log_alpha > _NEG_INF and g.log_beta > _NEG_INF for g in laws):
+        return _table_loglik(trans.term_table, laws)
     total = 0.0
-    for grp in panel.transitions.groups:
-        g = geom_params(grp.tau, rates)
+    for grp, g in zip(trans.groups, laws):
         for a, k in zip(grp.src.tolist(), grp.dst.tolist()):
             total += _log_pmf(k, a, g)
             if total == _NEG_INF:

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, SolverError
+from .exact import geom_params
 from .types import Panel, Rates
 
 __all__ = [
@@ -272,16 +273,21 @@ def _information(panel: Panel, params: QgParams) -> np.ndarray:
 
 def _true_cumulants(tau: float, rates: Rates) -> tuple[float, float, float]:
     """Per-ancestor second, third and fourth conditional cumulants of the
-    count after tau, from finite differences of the CGF curvature."""
-    from .saddlepoint import cgf_eval
+    count after tau, in closed form.
 
-    h = 1e-4
-    k2_0 = cgf_eval(0.0, tau, 1, rates).d2
-    k2_p = cgf_eval(h, tau, 1, rates).d2
-    k2_m = cgf_eval(-h, tau, 1, rates).d2
-    k3 = (k2_p - k2_m) / (2.0 * h)
-    k4 = (k2_p - 2.0 * k2_0 + k2_m) / (h * h)
-    return k2_0, k3, k4
+    The single-ancestor law is modified geometric, with factorial moments
+    f^(n)(1) = n! beta^(n-1) (1-alpha)/(1-beta)^n. Turned into cumulants,
+    each has the factor (1-alpha) times a low-order polynomial in alpha
+    and beta over a power of (1-beta), evaluated as such.
+    """
+    g = geom_params(tau, rates)
+    a, b = g.alpha, g.beta
+    om_a, om_b = math.exp(g.log1m_alpha), math.exp(g.log1m_beta)
+    s = a + b
+    k2 = om_a * s / om_b**2
+    k3 = om_a * ((2.0 * a + b) * s + b - a) / om_b**3
+    k4 = om_a * s * (6.0 * a * (s - 1.0) + b * b + 4.0 * b + 1.0) / om_b**4
+    return k2, k3, k4
 
 
 def qg_sandwich_cov(
@@ -292,7 +298,7 @@ def qg_sandwich_cov(
 
     Under the Gaussian working model the third and fourth standardized
     cumulants vanish and C = I; true_cumulants=True plugs in the process
-    cumulants instead, computed from the generating-function curvature.
+    cumulants instead, in closed form from the single-ancestor law.
     """
     if not isinstance(params, QgParams):
         params = QgParams(*params)

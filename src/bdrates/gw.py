@@ -82,12 +82,13 @@ def gw_moments(panel: Panel) -> GwMoments:
     averages the squared standardized one-step fluctuations around m_hat.
     Requires equal spacing throughout the panel.
     """
-    if not panel.equal_spacing():
+    try:
+        delta_t = panel.common_gap()
+    except DataError:
         raise DataError(
             "panel is not equally spaced; the embedded-process estimator "
             "does not apply (use the quasi-likelihood estimator instead)"
-        )
-    delta_t = panel.common_gap()
+        ) from None
     src: list[int] = []
     dst: list[int] = []
     for grp in panel.transitions.groups:
@@ -143,9 +144,16 @@ def gw_standard_errors(moments: GwMoments, panel: Panel) -> tuple[float, float, 
     uses the observed-information normalization sigma / (m dt sqrt(S))
     with S the summed source counts. Outside the supercritical regime
     the rate-pair formula degenerates (division by m-1) and the caller
-    is expected to flag the regime; the values are still returned.
+    is expected to flag the regime; the values are still returned. A
+    zero m_hat (every trajectory extinct after one step) raises
+    DomainError, since the growth-rate normalization divides by it.
     """
     m, s2, dt = moments.m_hat, moments.sigma2_hat, moments.delta_t
+    if m == 0.0:
+        raise DomainError(
+            "offspring mean estimate m_hat is 0 (every trajectory died out in "
+            "its first step): the standard errors divide by it"
+        )
     src_total = sum(sum(grp.src.tolist()) for grp in panel.transitions.groups)
     gap = abs(m - 1.0)
     if gap > 0.0 and m > 0.0:

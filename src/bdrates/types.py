@@ -141,6 +141,16 @@ class Transitions:
 
     groups: tuple[GapGroup, ...]
 
+    @cached_property
+    def term_table(self):
+        """The rate-free coefficients of the exact likelihood (an
+        exact.TermTable), built on the first exact evaluation only (the
+        other estimators never pay for them) and kept for the table's
+        lifetime."""
+        from .exact import term_table
+
+        return term_table(self.groups)
+
     def pooled_growth(self) -> tuple[float, float]:
         """(omega, tau_bar): the growth rate log(sum dst / sum src) / tau_bar
         of the pooled one-step ratio, with tau_bar the mean gap. On total
@@ -236,17 +246,20 @@ class Panel:
     def equal_spacing(self, tolerance: float = SPACING_TOL) -> bool:
         """Whether all gaps, within and across trajectories, agree to the
         given relative tolerance."""
-        gaps = self.all_gaps()
-        lo, hi = min(gaps), max(gaps)
-        mid = 0.5 * (lo + hi)
-        return (hi - lo) <= tolerance * mid
+        return _gaps_agree(self.all_gaps(), tolerance)
 
     def common_gap(self, tolerance: float = SPACING_TOL) -> float:
-        """The shared inter-observation gap; raises if spacing is unequal."""
-        if not self.equal_spacing(tolerance):
-            gaps = self.all_gaps()
+        """The shared inter-observation gap (the mean gap); raises if
+        spacing is unequal. Walks the gaps once."""
+        gaps = self.all_gaps()
+        if not _gaps_agree(gaps, tolerance):
             raise DataError(
                 f"panel is not equally spaced: gaps range [{min(gaps)}, {max(gaps)}]"
             )
-        gaps = self.all_gaps()
         return sum(gaps) / len(gaps)
+
+
+def _gaps_agree(gaps: list[float], tolerance: float) -> bool:
+    lo, hi = min(gaps), max(gaps)
+    mid = 0.5 * (lo + hi)
+    return (hi - lo) <= tolerance * mid

@@ -5,10 +5,11 @@ distinct ancestor count, with p0 = alpha**a a scalar per sweep, and the
 panel likelihoods used to walk the trajectories on every call, grouping
 transitions by the raw float gap. The moment estimator, the Gaussian
 quasi-likelihood and the fallback start of the likelihood searches
-walked the trajectories too, one transition at a time. They are kept
-here verbatim apart from names, calling the package's current helpers,
-so the replacements, which read the panel's transitions table, can be
-checked against them.
+walked the trajectories too, one transition at a time. The exact
+likelihood then summed the scalar pmf of every transition of the table
+on each call, before its rate-free term table replaced the loop. They
+are kept here verbatim apart from names, calling the package's current
+helpers, so the replacements can be checked against them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from bdrates.errors import DataError, DomainError, SolverError
-from bdrates.exact import _log_pmf, geom_params
+from bdrates.exact import _NEG_INF, _log_pmf, geom_params
 from bdrates.gaussian import (
     _LOG_2PI,
     DEGENERATE_XI_FLOOR,
@@ -178,6 +179,23 @@ def exact_loglik(panel, rates):
             total += _log_pmf(counts[i], a, g)
             if total == -math.inf:
                 return -math.inf
+    return total
+
+
+def exact_loglik_transition_walk(panel: Panel, rates: Rates) -> float:
+    """Exact log likelihood of a panel: the sum of log transition
+    probabilities over consecutive observation pairs (the process is
+    Markov, so these factorize). Transitions out of state 0 contribute 0.
+
+    The panel's transitions table supplies one law per merged gap; the
+    per-transition sums run on Python ints."""
+    total = 0.0
+    for grp in panel.transitions.groups:
+        g = geom_params(grp.tau, rates)
+        for a, k in zip(grp.src.tolist(), grp.dst.tolist()):
+            total += _log_pmf(k, a, g)
+            if total == _NEG_INF:
+                return _NEG_INF
     return total
 
 

@@ -13,6 +13,7 @@ from bdrates.gaussian import (
     _information,
     _kappa_prime,
     _nu,
+    _true_cumulants,
     qg_fit,
     qg_loglik,
     qg_profile_xi,
@@ -20,6 +21,7 @@ from bdrates.gaussian import (
 )
 from bdrates.gw import gw_estimate
 from bdrates.types import Panel, Rates, Trajectory
+from oracles import mp_cgf_derivative
 
 
 def _panel(*count_rows, dt=1.0):
@@ -214,6 +216,18 @@ def test_sandwich_true_cumulant_mode():
     # corrected variances should not collapse toward zero
     assert cov_t[0, 0] > 0.2 * cov_g[0, 0]
     assert cov_t[1, 1] > 0.2 * cov_g[1, 1]
+
+
+@pytest.mark.parametrize(
+    "lam, mu",
+    [(7.0, 5.0), (1.2, 0.8), (2.0, 2.0), (0.5, 3.0), (5.0, 0.1), (0.1, 5.0), (3.0, 2.9)],
+)
+@pytest.mark.parametrize("tau", [0.001, 0.1, 1.0, 10.0])
+def test_true_cumulants_match_oracle(lam, mu, tau):
+    got = _true_cumulants(tau, Rates(lam, mu))
+    for order, value in zip((2, 3, 4), got):
+        want = float(mp_cgf_derivative(0, tau, 1, lam, mu, order=order))
+        assert value == pytest.approx(want, rel=1e-12)
 
 
 def test_profile_xi_positive_on_noisy_panel():

@@ -73,6 +73,37 @@ def test_moments_requires_equal_spacing():
         gw_moments(Panel((tr,)))
 
 
+def test_moments_walk_the_gaps_once(monkeypatch):
+    panel = _panel([2, 3, 5, 4], [6, 6, 9], dt=0.1)
+    calls = []
+    real = Panel.all_gaps
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(Panel, "all_gaps", counting)
+    assert gw_moments(panel).delta_t == sum(real(panel)) / 5
+    assert len(calls) == 1
+    tr = Trajectory((0.0, 1.0, 3.0), (2, 3, 4))
+    with pytest.raises(DataError, match="embedded-process estimator does not apply"):
+        gw_moments(Panel((tr,)))
+
+
+def test_standard_errors_reject_zero_offspring_mean():
+    # every trajectory dies in its first step, so m_hat = 0
+    for panel in (
+        Panel((Trajectory((0.0, 0.5, 1.0), (4, 0, 0)),)),
+        _panel([3, 0], [1, 0], dt=0.5),
+    ):
+        moments = gw_moments(panel)
+        assert moments.m_hat == 0.0
+        with pytest.raises(DomainError, match="offspring mean"):
+            gw_standard_errors(moments, panel)
+        with pytest.raises(DomainError):
+            gw_estimate(panel)
+
+
 def test_moments_scale_equivariance():
     base = gw_moments(_panel([2, 3, 5, 4]))
     scaled = gw_moments(_panel([20, 30, 50, 40]))

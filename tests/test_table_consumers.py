@@ -56,8 +56,6 @@ def _panels():
 
 PANELS = _panels()
 EQUAL = [name for name, p in PANELS.items() if p.equal_spacing()]
-# every gap group holds a single float gap, so its mean tau is that gap
-EXACT_GAPS = ["absorbing", "unequal_extinct", "equal_extinct"]
 
 
 def _params(seed, k=6):
@@ -120,15 +118,12 @@ def test_qg_functions_match_walk(name):
 
 @pytest.mark.parametrize("name", sorted(PANELS))
 def test_score_cov_true_matches_walk(name):
-    # The fourth cumulant is a second difference with step 1e-4, so it
-    # turns a last-bit change of tau into ~1e-8 relative. The table's
-    # merged gap is the mean of its members, which differs from single
-    # members in the last bits on float grids; on exact gaps it does not.
-    rel = 1e-12 if name in EXACT_GAPS else 1e-6
+    # the cumulants are closed-form, so the merged gap's last-bit
+    # difference from single float gaps stays in the last bits
     panel = PANELS[name]
     for params in _params(2):
         got = _score_cov_true(panel, params)
-        _assert_rel(got, legacy._score_cov_true(panel, params), rel)
+        _assert_rel(got, legacy._score_cov_true(panel, params), 1e-12)
 
 
 def test_score_cov_true_evaluates_cumulants_once_per_group(monkeypatch):
