@@ -6,8 +6,12 @@ counts. For every cell, each estimator is fit to the same simulated
 panels and the bias / sd / rmse of lambda-hat, mu-hat and omega-hat are
 aggregated. Results land in <prefix>.csv and <prefix>.json.
 
-The full grid at --replicates 1000 takes a while (the m=20 cells
-dominate); start with --replicates 100 for a smoke pass.
+Each row also prints the method's mean objective evaluations and fit
+time per replicate. Cost grows linearly with --replicates and is set by
+the fits, not by simulation (a few ms per panel): on a 2-CPU host
+(Python 3.11, numpy 2.4) --replicates 100 --methods gw,spmle,mle took
+4.0 minutes, 2.8 of them in the m=20, z0=10 cell, whose mle fits take
+1.6 s each.
 """
 
 import argparse
@@ -66,7 +70,8 @@ def main(argv=None) -> int:
             print(
                 f"  {row.method:>6}: rmse(lambda)={row.rmse_lambda:.4g} "
                 f"rmse(omega)={row.rmse_omega:.4g} "
-                f"used={row.n_used} failed={row.n_failed}"
+                f"used={row.n_used} failed={row.n_failed} "
+                f"evals={row.mean_obj_evals:.4g} fit={row.mean_wall_time:.3g}s"
                 f"{_table3_reference(cell, row.method)}",
                 file=sys.stderr,
             )

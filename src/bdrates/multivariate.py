@@ -176,15 +176,38 @@ def _univariate_start(k: np.ndarray, gaps: np.ndarray, a: int, rates: Rates) -> 
     return x0
 
 
+def _feasible_start(
+    x: np.ndarray, params: list, a: int
+) -> tuple[np.ndarray, tuple[float, np.ndarray, np.ndarray]]:
+    """Pull x toward the origin, halving it, until the path CGF and its
+    derivatives are finite there.
+
+    The componentwise start ignores the coupling between gaps and can put
+    an inner argument past the convergence radius.  x = 0 is always
+    feasible: every nested argument is then 1, below every level's radius.
+    """
+    for _ in range(MAX_HALVINGS):
+        try:
+            derivs = _nested_derivs(x, params, a)
+        except DomainError:
+            derivs = None
+        if derivs is not None and all(np.all(np.isfinite(d)) for d in derivs):
+            return x, derivs
+        x = 0.5 * x
+    x = np.zeros_like(x)
+    return x, _nested_derivs(x, params, a)
+
+
 def mv_solve(
     k: Sequence[int], times: Sequence[float], a: int, rates: Rates
 ) -> MvSaddle:
     """Solve the N-dimensional saddlepoint system K'(x) = k.
 
-    Damped Newton from the componentwise univariate saddlepoints; steps
-    are halved when the residual norm fails to decrease or the iterate
-    leaves the convergence region (signalled by the domain error of the
-    nested composition).
+    Damped Newton from the componentwise univariate saddlepoints, pulled
+    toward the origin until they lie inside the joint domain; steps are
+    halved when the residual norm fails to decrease or the iterate leaves
+    the convergence region (signalled by the domain error of the nested
+    composition).
     """
     k = np.asarray(k, dtype=float)
     if k.ndim != 1 or len(k) == 0:
@@ -196,8 +219,9 @@ def mv_solve(
     params = _level_params(gaps, rates)
     tol = RESIDUAL_TOL * max(1.0, float(np.max(np.abs(k))))
 
-    x = _univariate_start(k, gaps, a, rates)
-    val, grad, hess = _nested_derivs(x, params, a)
+    x, (val, grad, hess) = _feasible_start(
+        _univariate_start(k, gaps, a, rates), params, a
+    )
     resid = float(np.max(np.abs(grad - k)))
     trace = [resid]
     for _ in range(MAX_NEWTON_ITER):

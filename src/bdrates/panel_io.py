@@ -39,7 +39,7 @@ __all__ = [
 
 PANEL_SCHEMA = "bdrates-panel-v1"
 RESULT_SCHEMA = "bdrates-result-v1"
-BENCHMARK_SCHEMA = "bdrates-benchmark-v1"
+BENCHMARK_SCHEMA = "bdrates-benchmark-v2"
 
 _HEADER = ["trajectory_id", "time", "count"]
 
@@ -298,6 +298,7 @@ _BENCH_COLUMNS = [
     "bias_lambda", "sd_lambda", "rmse_lambda",
     "bias_mu", "sd_mu", "rmse_mu",
     "bias_omega", "sd_omega", "rmse_omega",
+    "mean_obj_evals", "mean_wall_time",
 ]
 
 

@@ -1,13 +1,26 @@
-"""Exact event-driven simulation and the Monte-Carlo benchmark harness.
+"""Exact simulation of the process and the Monte-Carlo benchmark harness.
 
-The process is simulated event by event: in state k the holding time is
-exponential with rate k(lambda + mu) and the jump is a birth with
-probability lambda/(lambda + mu).  States are read off at the requested
-observation times from the same event clock, so the recorded panel is a
-draw from the exact discrete-time law and the simulator doubles as an
-oracle for the transition pmf.  Non-extinction conditioning rejects and
-redraws whole paths until the final observation is positive (the
-weakest, and documented, reading of conditioning on survival).
+Two samplers draw from the same law:
+
+- Panels (simulate_panel, simulate_panel_stats, and through them
+  run_benchmark and ``bdrates simulate``) are drawn gap by gap from the
+  exact transition law.  Over a gap tau, each of z individuals leaves
+  descendants with probability 1 - alpha(tau), and the S survivors grow
+  to Z = S + NegBin(S, 1 - beta(tau)), with (alpha, beta) from
+  exact.geom_params.  The draws are vectorized over the panel's
+  trajectories, so a panel costs a few numpy calls per gap whatever the
+  counts.
+- Single trajectories (simulate_trajectory, simulate_trajectory_stats)
+  are drawn event by event: in state k the holding time is exponential
+  with rate k(lambda + mu) and the jump is a birth with probability
+  lambda/(lambda + mu); states are read off at the observation times from
+  the same event clock.  This loop shares no code with the transition
+  law, which is why it stays: it is the independent oracle that the
+  tests hold both the pmf and the panel sampler against.
+
+Non-extinction conditioning rejects and redraws whole paths until the
+final observation is positive (the weakest, and documented, reading of
+conditioning on survival), on both paths.
 
 run_benchmark() wraps the simulator and the estimation front-end into a
 bias / standard deviation / RMSE table per estimator, with per-replicate
@@ -26,7 +39,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BdError, CapError, DomainError
-from .estimate import FitOptions, fit
+from .estimate import EstimateResult, FitOptions, fit
+from .exact import geom_params
 from .types import Panel, Rates, Trajectory
 
 __all__ = [
@@ -48,9 +62,18 @@ class SimConfig:
     """One trajectory's worth of simulation settings.
 
     obs_times are the recording instants after time zero; the returned
-    trajectory always prepends (0, z0).  max_events bounds the total
-    event count across rejection attempts of a single trajectory, so a
-    conditioned subcritical run cannot spin forever.
+    trajectory always prepends (0, z0).  The caps raise CapError:
+
+    - max_events bounds the work spent on one trajectory across its
+      rejected paths, so a conditioned run on rates that rarely survive
+      cannot spin forever.  The event loop counts births and deaths; the
+      panel sampler counts path steps, one per gap of every path drawn
+      (its unconditioned draw is one path per trajectory and is not
+      bounded further).
+    - max_pop bounds the population: the event loop checks it after
+      every event, the panel sampler at every observation of every path
+      it draws, and also refuses a gap whose expected growth is beyond
+      what the sampler can draw.
     """
 
     rates: Rates
@@ -167,23 +190,141 @@ def simulate_trajectory(
     return traj
 
 
+# Largest expected growth of one lane over one gap that the panel sampler
+# draws.  numpy refuses negative-binomial draws whose mean nears 9.2e18 and
+# the counts are int64; any larger step is far above every population cap
+# the estimators can handle, so it is reported as a cap instead.
+_MAX_STEP_MEAN = 1e15
+
+# Path steps (lanes x observations) held in one batch of conditioned draws.
+_MAX_BATCH_STEPS = 2**22
+
+
+def _gap_laws(config: SimConfig) -> list[tuple[float, float, float, float]]:
+    """Per gap: (obs time, survival prob 1 - alpha, geometric success prob
+    1 - beta, log(beta / (1 - beta))), the last the mean growth per survivor.
+
+    The probabilities are exp(log1m_*), not 1.0 - alpha or 1.0 - beta,
+    which cancel at long gaps.
+    """
+    laws = []
+    prev = 0.0
+    for t in config.obs_times:
+        g = geom_params(t - prev, config.rates)
+        laws.append(
+            (t, math.exp(g.log1m_alpha), math.exp(g.log1m_beta), g.log_beta - g.log1m_beta)
+        )
+        prev = t
+    return laws
+
+
+def _draw_paths(
+    rng: np.random.Generator,
+    config: SimConfig,
+    laws: list[tuple[float, float, float, float]],
+    n: int,
+) -> np.ndarray:
+    """n unconditioned paths from z0, shape (n, n_obs + 1)."""
+    n_obs = len(laws)
+    out = np.empty((n, n_obs + 1), dtype=np.int64)
+    z = np.full(n, config.z0, dtype=np.int64)
+    out[:, 0] = z
+    for i, (t, p_survive, p_geom, log_growth) in enumerate(laws):
+        z = rng.binomial(z, p_survive)
+        s_max = int(z.max())
+        if s_max > 0:
+            log_mean = math.log(s_max) + log_growth
+            if log_mean > math.log(_MAX_STEP_MEAN):
+                raise CapError(
+                    f"population cap {config.max_pop} out of reach at t={t:.6g}: "
+                    f"the step expects {math.exp(min(log_mean, 700.0)):.3g} births, "
+                    f"more than can be drawn; {i}/{n_obs} observations recorded"
+                )
+            live = z > 0
+            z[live] += rng.negative_binomial(z[live], p_geom)
+            if int(z.max()) > config.max_pop:
+                raise CapError(
+                    f"population cap {config.max_pop} exceeded at t={t:.6g}, "
+                    f"{i}/{n_obs} observations recorded"
+                )
+        out[:, i + 1] = z
+    return out
+
+
+def _draw_conditioned(
+    rng: np.random.Generator,
+    config: SimConfig,
+    laws: list[tuple[float, float, float, float]],
+    m: int,
+) -> tuple[np.ndarray, list[int]]:
+    """m paths with a positive last count, and the rejected paths drawn
+    before each since the previous accepted one.
+
+    Paths are drawn in batches and read as one stream in draw order.  A
+    trajectory may spend max_events path steps on rejected paths, as the
+    event loop may spend max_events events.
+    """
+    n_obs = len(laws)
+    max_run = -(-config.max_events // n_obs)
+    # batches are sized from the exact survival probability to the last
+    # observation, so one batch nearly always suffices; the floor only
+    # keeps the size finite, the budget and memory caps below bind first
+    log_alpha = geom_params(config.obs_times[-1], config.rates).log_alpha
+    p_keep = max(-math.expm1(config.z0 * log_alpha), 1e-9)
+    kept: list[np.ndarray] = []
+    rejections: list[int] = []
+    run = 0
+    while len(rejections) < m:
+        need = m - len(rejections)
+        n = min(
+            math.ceil(1.2 * need / p_keep) + 8,
+            need * max_run,
+            max(1, _MAX_BATCH_STEPS // (n_obs + 1)),
+        )
+        paths = _draw_paths(rng, config, laws, n)
+        accepted = np.flatnonzero(paths[:, -1] > 0)[:need]
+        runs = np.diff(accepted, prepend=-1) - 1
+        if len(accepted):
+            runs[0] += run
+            run = 0
+        after = n - 1 - (int(accepted[-1]) if len(accepted) else -1)
+        longest = max(runs.max(initial=0), run + after if len(accepted) < need else 0)
+        if longest >= max_run:
+            raise CapError(
+                f"event cap exhausted after {max_run} rejected paths; the "
+                "non-extinction event may be too rare for these rates"
+            )
+        kept.append(paths[accepted])
+        rejections.extend(runs.tolist())
+        run += after
+    return np.concatenate(kept), rejections
+
+
 def simulate_panel_stats(config: SimConfig, m: int) -> tuple[Panel, list[int]]:
-    """m independent trajectories plus per-trajectory rejection counts;
-    per-trajectory seeds split from config.seed."""
+    """m independent trajectories plus per-trajectory rejection counts.
+
+    Drawn from the exact transition law with one numpy Generator seeded
+    from config.seed for the whole panel (not per-trajectory child
+    seeds), so a panel reproduces from its seed but its trajectory j is
+    not the one simulate_trajectory draws.  rejections[j] counts the
+    paths conditioning threw away between trajectory j - 1 and j.
+    """
     if m < 1:
         raise DomainError(f"panel size must be positive, got {m}")
-    trajectories = []
-    rejections = []
-    for j in range(m):
-        rng = random.Random(child_seed(config.seed, j))
-        traj, rej = simulate_trajectory_stats(config, rng)
-        trajectories.append(traj)
-        rejections.append(rej)
-    return Panel(tuple(trajectories)), rejections
+    rng = np.random.default_rng(config.seed)
+    laws = _gap_laws(config)
+    if config.condition_nonextinct:
+        counts, rejections = _draw_conditioned(rng, config, laws, m)
+    else:
+        counts, rejections = _draw_paths(rng, config, laws, m), [0] * m
+    times = (0.0,) + tuple(config.obs_times)
+    panel = Panel(tuple(Trajectory(times, tuple(row)) for row in counts.tolist()))
+    return panel, rejections
 
 
 def simulate_panel(config: SimConfig, m: int) -> Panel:
-    """m independent trajectories; per-trajectory seeds split from config.seed."""
+    """m independent trajectories drawn from the exact transition law with
+    one generator seeded from config.seed (see simulate_panel_stats)."""
     return simulate_panel_stats(config, m)[0]
 
 
@@ -224,7 +365,11 @@ class MethodStats:
     rmse uses sqrt(mean((theta_hat - theta_0)^2)), so with n used
     replicates rmse^2 = bias^2 + sd^2 * (n-1)/n exactly (sd has ddof=1).
     n_failed counts replicates the method raised on; n_nonconverged
-    counts kept replicates whose optimizer hit its budget.
+    counts kept replicates whose optimizer hit its budget.  The cost of
+    a fit sits next to its accuracy: mean_obj_evals and mean_wall_time
+    average the used replicates' n_obj_evals and wall_time (NaN when
+    none was used).  Wall time is left out of equality, so two runs of
+    one seeded benchmark compare equal.
     """
 
     method: str
@@ -240,6 +385,8 @@ class MethodStats:
     bias_omega: float
     sd_omega: float
     rmse_omega: float
+    mean_obj_evals: float
+    mean_wall_time: float = dataclasses.field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -259,6 +406,10 @@ def summarize(values: Sequence[float], truth: float) -> tuple[float, float, floa
     sd = float(np.std(v, ddof=1)) if len(v) > 1 else 0.0
     rmse = float(np.sqrt(np.mean((v - truth) ** 2)))
     return bias, sd, rmse
+
+
+def _mean(values: Sequence[float]) -> float:
+    return float(np.mean(values)) if values else math.nan
 
 
 def run_benchmark(
@@ -281,7 +432,7 @@ def run_benchmark(
         raise DomainError("n_replicates must be positive")
     reports = []
     for ci, cell in enumerate(cells):
-        estimates: dict[str, list[tuple[float, float]]] = {m: [] for m in methods}
+        estimates: dict[str, list[EstimateResult]] = {m: [] for m in methods}
         failures = {m: 0 for m in methods}
         nonconverged = {m: 0 for m in methods}
         for rep in range(n_replicates):
@@ -304,13 +455,13 @@ def run_benchmark(
                     continue
                 if not res.converged:
                     nonconverged[method] += 1
-                estimates[method].append((res.rates.lam, res.rates.mu))
+                estimates[method].append(res)
         rows = []
         for method in methods:
             kept = estimates[method]
-            lams = [e[0] for e in kept]
-            mus = [e[1] for e in kept]
-            oms = [l - m for l, m in kept]
+            lams = [r.rates.lam for r in kept]
+            mus = [r.rates.mu for r in kept]
+            oms = [r.rates.lam - r.rates.mu for r in kept]
             bl, sl, rl = summarize(lams, cell.rates.lam)
             bm, sm, rm = summarize(mus, cell.rates.mu)
             bo, so, ro = summarize(oms, cell.rates.omega)
@@ -329,6 +480,8 @@ def run_benchmark(
                     bias_omega=bo,
                     sd_omega=so,
                     rmse_omega=ro,
+                    mean_obj_evals=_mean([r.n_obj_evals for r in kept]),
+                    mean_wall_time=_mean([r.wall_time for r in kept]),
                 )
             )
         reports.append(

@@ -344,7 +344,12 @@ class TestBenchmark:
         o1, o2 = str(tmp_path / "b1"), str(tmp_path / "b2")
         assert run(args + ["--out", o1]) == 0
         assert run(args + ["--out", o2]) == 0
-        assert open(o1 + ".csv").read() == open(o2 + ".csv").read()
+        # every column but the measured fit time is reproduced byte for byte
+        c1, c2 = (list(csv.reader(open(o + ".csv"))) for o in (o1, o2))
+        timed = c1[1].index("mean_wall_time")
+        for row in c1[1:] + c2[1:]:
+            del row[timed]
+        assert c1 == c2
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         config = tmp_path / "cells.json"

@@ -1,4 +1,8 @@
-"""Event-driven simulator and benchmark harness."""
+"""Simulators and benchmark harness.
+
+The event loop (simulate_trajectory) is the reference: tests that check
+a law take the panel sampler (simulate_panel) as a second input.
+"""
 
 import dataclasses
 import math
@@ -7,16 +11,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from bdrates.errors import CapError, DomainError
-from bdrates.estimate import FitOptions
-from bdrates.exact import log_transition_prob, mean, variance
+from bdrates.estimate import FitOptions, fit
+from bdrates.exact import alpha_beta, log_transition_prob, mean, variance
 from bdrates.simulate import (
     BenchmarkCell,
     SimConfig,
     child_seed,
     run_benchmark,
     simulate_panel,
+    simulate_panel_stats,
     simulate_trajectory,
     simulate_trajectory_stats,
     summarize,
@@ -24,6 +30,28 @@ from bdrates.simulate import (
 from bdrates.types import Panel, Rates
 
 GROW = Rates(2.0, 1.0)
+SAMPLERS = ("events", "law")
+# one trajectory from the event loop, a three-trajectory panel from the law
+DRAWS = (simulate_trajectory, lambda config: simulate_panel(config, 3))
+
+
+def _draws(sampler, config, n, seed):
+    """n independent trajectories: from the event loop on one
+    random.Random(seed) stream, or one panel of the law sampler."""
+    if sampler == "events":
+        rng = random.Random(seed)
+        return [simulate_trajectory(config, rng) for _ in range(n)]
+    return list(simulate_panel(dataclasses.replace(config, seed=seed), n))
+
+
+def _per_seed_or_panel(sampler, config, n):
+    """n trajectories: one event-loop run per seed 0..n-1, or one panel."""
+    if sampler == "events":
+        return [
+            simulate_trajectory(dataclasses.replace(config, seed=seed))
+            for seed in range(n)
+        ]
+    return list(simulate_panel(config, n))
 
 
 def test_config_validation():
@@ -55,17 +83,19 @@ def test_seed_determinism():
 
 
 def test_pure_birth_nondecreasing():
-    for seed in range(25):
-        config = SimConfig(Rates(3.0, 0.0), 2, (0.2, 0.5, 1.0), seed=seed)
-        counts = simulate_trajectory(config).counts
-        assert all(b >= a for a, b in zip(counts, counts[1:]))
+    config = SimConfig(Rates(3.0, 0.0), 2, (0.2, 0.5, 1.0))
+    for sampler in SAMPLERS:
+        for traj in _per_seed_or_panel(sampler, config, 25):
+            counts = traj.counts
+            assert all(b >= a for a, b in zip(counts, counts[1:])), sampler
 
 
 def test_pure_death_nonincreasing():
-    for seed in range(25):
-        config = SimConfig(Rates(0.0, 2.0), 9, (0.2, 0.5, 1.0), seed=seed)
-        counts = simulate_trajectory(config).counts
-        assert all(b <= a for a, b in zip(counts, counts[1:]))
+    config = SimConfig(Rates(0.0, 2.0), 9, (0.2, 0.5, 1.0))
+    for sampler in SAMPLERS:
+        for traj in _per_seed_or_panel(sampler, config, 25):
+            counts = traj.counts
+            assert all(b <= a for a, b in zip(counts, counts[1:])), sampler
 
 
 def test_absorption_is_permanent():
@@ -85,19 +115,52 @@ def test_event_cap_raises():
 
 
 def test_population_cap_raises():
+    # the law sampler refuses the step before drawing: its mean is 4e110
     config = SimConfig(Rates(50.0, 0.0), 100, (5.0,), max_pop=500)
-    with pytest.raises(CapError, match="population cap"):
-        simulate_trajectory(config)
+    for draw in DRAWS:
+        with pytest.raises(CapError, match="population cap"):
+            draw(config)
+
+
+def test_panel_population_cap_checked_at_observations():
+    # mean 739 after one step, so some path passes the cap of 500
+    config = SimConfig(Rates(2.0, 0.0), 100, (0.5, 1.0), max_pop=500)
+    with pytest.raises(CapError, match="population cap 500 exceeded at t=1"):
+        simulate_panel(config, 20)
 
 
 def test_conditioning_forces_survival():
-    for seed in range(60):
-        config = SimConfig(
-            Rates(1.0, 2.0), 2, (0.5, 1.0), condition_nonextinct=True, seed=seed
-        )
-        traj, rejections = simulate_trajectory_stats(config)
-        assert traj.counts[-1] > 0
-        assert rejections >= 0
+    config = SimConfig(Rates(1.0, 2.0), 2, (0.5, 1.0), condition_nonextinct=True)
+    events = [
+        simulate_trajectory_stats(dataclasses.replace(config, seed=seed))
+        for seed in range(60)
+    ]
+    law = list(zip(*simulate_panel_stats(config, 60)))
+    for draws in (events, law):
+        assert len(draws) == 60
+        for traj, rejections in draws:
+            assert traj.counts[-1] > 0
+            assert rejections >= 0
+
+
+@pytest.mark.parametrize("batch_paths", [None, 2])
+def test_panel_rejections_count_paths_per_trajectory(monkeypatch, batch_paths):
+    # each trajectory's rejected paths are geometric with the survival
+    # probability p = 1 - alpha(1)^2 as success probability; two-path
+    # batches make most runs of rejections span several batches
+    import bdrates.simulate as simulate
+
+    if batch_paths is not None:
+        monkeypatch.setattr(simulate, "_MAX_BATCH_STEPS", batch_paths * 3)
+    config = SimConfig(
+        Rates(1.0, 2.0), 2, (0.5, 1.0), condition_nonextinct=True, seed=5
+    )
+    n = 4000
+    _, rejections = simulate_panel_stats(config, n)
+    assert len(rejections) == n and min(rejections) >= 0
+    p = 1.0 - alpha_beta(1.0, config.rates)[0] ** 2
+    se = math.sqrt((1.0 - p) / p**2 / n)
+    assert abs(np.mean(rejections) - (1.0 - p) / p) <= 4.0 * se
 
 
 def test_conditioning_cap_on_hopeless_configs():
@@ -106,52 +169,88 @@ def test_conditioning_cap_on_hopeless_configs():
     config = SimConfig(
         Rates(0.1, 8.0), 1, (25.0,), condition_nonextinct=True, max_events=2000
     )
-    with pytest.raises(CapError, match="rejected paths"):
-        simulate_trajectory(config)
+    for draw in DRAWS:
+        with pytest.raises(CapError, match="rejected paths"):
+            draw(config)
+    # the law sampler spends one unit of max_events per gap of each path
+    two_gaps = dataclasses.replace(config, obs_times=(12.5, 25.0))
+    with pytest.raises(CapError, match="after 1000 rejected paths"):
+        simulate_panel(two_gaps, 3)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        pytest.param(BenchmarkCell(Rates(50.0, 0.0), 100, 1, 1, 5.0), id="explosive"),
+        pytest.param(BenchmarkCell(Rates(0.1, 8.0), 1, 1, 1, 25.0), id="hopeless"),
+    ],
+)
+def test_benchmark_cap_raises_cap_error(cell):
+    # the default caps: 10^7 rejected one-step paths, population 10^6
+    with pytest.raises(CapError):
+        run_benchmark(cell, ["gw"], 1, seed=3)
 
 
 def test_marginal_law_total_variation():
     rates = GROW
     n = 30000
-    rng = random.Random(123)
     config = SimConfig(rates, 1, (0.5,), seed=0)
-    hits = Counter()
-    for _ in range(n):
-        hits[simulate_trajectory(config, rng).counts[-1]] += 1
-    tv = 0.5 * sum(
-        abs(hits.get(k, 0) / n - math.exp(log_transition_prob(k, 0.5, 1, rates)))
-        for k in range(0, max(hits) + 60)
-    )
-    assert tv <= 0.02  # MC noise at this n is ~0.005
+    for sampler in SAMPLERS:
+        hits = Counter(traj.counts[-1] for traj in _draws(sampler, config, n, 123))
+        tv = 0.5 * sum(
+            abs(hits.get(k, 0) / n - math.exp(log_transition_prob(k, 0.5, 1, rates)))
+            for k in range(0, max(hits) + 60)
+        )
+        assert tv <= 0.02, sampler  # MC noise at this n is ~0.005
 
 
 def test_extinction_frequency_matches_alpha():
     rates = Rates(7.0, 5.0)
     n = 20000
-    rng = random.Random(9)
     config = SimConfig(rates, 3, (1.0,), seed=0)
-    extinct = sum(
-        1 for _ in range(n) if simulate_trajectory(config, rng).counts[-1] == 0
-    )
     p = math.exp(log_transition_prob(0, 1.0, 3, rates))  # alpha(1)^3
     se = math.sqrt(p * (1.0 - p) / n)
-    assert abs(extinct / n - p) <= 3.5 * se
+    for sampler in SAMPLERS:
+        extinct = sum(traj.counts[-1] == 0 for traj in _draws(sampler, config, n, 9))
+        assert abs(extinct / n - p) <= 3.5 * se, sampler
 
 
 def test_moments_match_closed_forms():
-    rates = Rates(3.0, 1.5)
+    # the law sampler also on the pure-birth, pure-death and critical laws
     n = 20000
-    rng = random.Random(21)
-    config = SimConfig(rates, 4, (0.6,), seed=0)
-    draws = np.array(
-        [simulate_trajectory(config, rng).counts[-1] for _ in range(n)], dtype=float
-    )
-    m = mean(0.6, 4, rates)
-    v = variance(0.6, 4, rates)
-    se_mean = math.sqrt(v / n)
-    assert abs(draws.mean() - m) <= 3.5 * se_mean
-    # variance of the sample variance ~ (kappa4 + 2 v^2) / n; bound loosely
-    assert abs(draws.var(ddof=1) - v) / v <= 0.1
+    cases = [("events", Rates(3.0, 1.5))] + [
+        ("law", rates)
+        for rates in (Rates(3.0, 1.5), Rates(3.0, 0.0), Rates(0.0, 2.0), Rates(2.0, 2.0))
+    ]
+    for sampler, rates in cases:
+        config = SimConfig(rates, 4, (0.6,), seed=0)
+        draws = np.array(
+            [traj.counts[-1] for traj in _draws(sampler, config, n, 21)], dtype=float
+        )
+        m = mean(0.6, 4, rates)
+        v = variance(0.6, 4, rates)
+        se_mean = math.sqrt(v / n)
+        assert abs(draws.mean() - m) <= 3.5 * se_mean, (sampler, rates)
+        # variance of the sample variance ~ (kappa4 + 2 v^2) / n; bound loosely
+        assert abs(draws.var(ddof=1) - v) / v <= 0.1, (sampler, rates)
+
+
+def test_panel_sampler_matches_event_loop():
+    # two-sample chi-square at a middle and at the last observation of a
+    # six-step path, counts above the pooled 95th percentile in one bin
+    config = SimConfig(Rates(2.0, 1.5), 3, tuple(0.2 * (j + 1) for j in range(6)))
+    n = 6000
+    law = _draws("law", config, n, 31)
+    events = _draws("events", config, n, 32)
+    for obs in (3, 6):
+        a = np.array([traj.counts[obs] for traj in law])
+        b = np.array([traj.counts[obs] for traj in events])
+        cap = int(np.quantile(np.concatenate([a, b]), 0.95))
+        table = np.array(
+            [[np.sum(np.minimum(x, cap) == v) for x in (a, b)] for v in range(cap + 1)]
+        )
+        assert cap >= 5 and table.sum(axis=1).min() >= 10
+        assert chi2_contingency(table).pvalue > 1e-3, obs
 
 
 def test_panel_simulation():
@@ -201,6 +300,24 @@ def test_benchmark_report_structure():
     # equal spacing: the moment and quasi-likelihood fits coincide
     gw_row, qg_row = report.rows
     assert gw_row.rmse_lambda == pytest.approx(qg_row.rmse_lambda, abs=1e-6)
+
+
+def test_benchmark_reports_fit_cost(monkeypatch):
+    import bdrates.simulate as simulate
+
+    results = []
+
+    def record(panel, method, options):
+        results.append(fit(panel, method, options))
+        return results[-1]
+
+    monkeypatch.setattr(simulate, "fit", record)
+    cell = BenchmarkCell(Rates(7.0, 5.0), 5, 4, 2, 0.1)
+    row = run_benchmark(cell, ["spmle"], 3, seed=8)[0].rows[0]
+    assert row.n_used == len(results) == 3
+    assert row.mean_obj_evals == np.mean([r.n_obj_evals for r in results])
+    assert row.mean_wall_time == np.mean([r.wall_time for r in results])
+    assert row.mean_obj_evals > 0 and row.mean_wall_time > 0
 
 
 def test_benchmark_determinism_and_failure_accounting():
