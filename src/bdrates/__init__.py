@@ -35,16 +35,7 @@ from .estimate import (
     format_compare_table,
     numeric_hessian_se,
 )
-from .multivariate import (
-    MvSaddle,
-    joint_pgf,
-    mv_cgf,
-    mv_log_spa_pmf,
-    mv_loglik,
-    mv_solve,
-    mv_spa_pmf,
-    mv_spmle,
-)
+from .multivariate import mv_loglik
 from .simulate import (
     BenchmarkCell,
     BenchmarkReport,

@@ -24,7 +24,14 @@ from typing import Optional
 
 from . import __version__
 from .errors import CapError, DataError, DomainError, SolverError
-from .estimate import FitOptions, canonical_method, compare, fit, format_compare_table
+from .estimate import (
+    METHODS,
+    FitOptions,
+    canonical_method,
+    compare,
+    fit,
+    format_compare_table,
+)
 from .exact import log_transition_prob
 from .panel_io import (
     PANEL_SCHEMA,
@@ -39,7 +46,7 @@ from .saddlepoint import spa_pmf, spa_pmf_conditional, spa_pmf_normalized
 from .simulate import BenchmarkCell, SimConfig, run_benchmark, simulate_panel_stats
 from .types import Rates
 
-_METHOD_CHOICES = ["gw", "qg", "spmle", "spmle-adjusted", "mle", "mv-spmle", "all"]
+_METHOD_CHOICES = [m.replace("_", "-") for m in METHODS] + ["all"]
 
 PMF_NA = "NA"  # sentinel for exact-law columns past the cost cap
 

@@ -1,12 +1,17 @@
 """Unified estimation front-end.
 
 fit() puts the moment estimator, the Gaussian quasi-likelihood, the two
-saddlepoint maximum-likelihood variants, the exact maximum likelihood,
-and the joint-path saddlepoint route behind a single result type.  The
-likelihood methods share one derivative-free optimizer over (log lambda,
-log mu) and get observed-information standard errors from a numeric
-Hessian at the optimum.  compare() runs a battery of methods on one
-panel, capturing per-method failures instead of aborting.
+saddlepoint maximum-likelihood variants and the exact maximum likelihood
+behind a single result type.  The likelihood methods share one
+derivative-free optimizer over (log lambda, log mu) and get
+observed-information standard errors from a numeric Hessian at the
+optimum.  compare() runs a battery of methods on one panel, capturing
+per-method failures instead of aborting.
+
+mv_spmle, the joint-path saddlepoint, is the plain saddlepoint fit under
+its old name: the joint-path saddlepoint likelihood factorizes into the
+per-transition one (see multivariate), so its fit equals spmle's.  It is
+left out of compare()'s default battery because it would repeat spmle.
 """
 
 from __future__ import annotations
@@ -66,6 +71,10 @@ class FitOptions:
     parametrization: str = "log_rates"
     max_count_cap: int = 10**5
     start: Optional[tuple[float, float]] = None  # (lambda, mu) override
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,9 +379,10 @@ def compare(
 ) -> list[CompareRow]:
     """Run several estimators on one panel; failures become rows, not raises.
 
-    The default battery is every method except the opt-in joint-path
-    route.  Methods run in the order given; each row carries either the
-    result or the error message.
+    The default battery is every method except mv_spmle, the plain
+    saddlepoint fit under its old name, which would repeat spmle.
+    Methods run in the order given; each row carries either the result
+    or the error message.
     """
     if methods is None:
         methods = ("gw", "qg", "spmle", "spmle_adjusted", "mle")

@@ -188,8 +188,8 @@ def pgf_geom(s: float, g: GeomParams) -> tuple[float, float, float]:
 def pgf_derivs(s: float, t: float, rates: Rates) -> tuple[float, float, float]:
     """Single-ancestor pgf value and its first two s-derivatives at s.
 
-    Requires 0 < s < 1/beta(t). Used by the joint (path) generating
-    function, which composes this map across observation gaps.
+    Requires 0 < s < 1/beta(t). The generating function of a whole path
+    composes this map across its observation gaps.
     """
     if not (s > 0.0 and math.isfinite(s)):
         raise DomainError(f"pgf argument must be positive and finite, got {s}")

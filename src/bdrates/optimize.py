@@ -2,8 +2,8 @@
 
 Every likelihood objective in this package is a smooth function of two
 parameters whose gradient is unpleasant to write down (implicit
-saddlepoints, nested compositions), so a bounded-free Nelder-Mead
-simplex search in an unconstrained parametrization is used throughout.
+saddlepoints), so a bounded-free Nelder-Mead simplex search in an
+unconstrained parametrization is used throughout.
 A small number of restarts from perturbed points guards against a
 prematurely collapsed simplex; the perturbations are drawn from a
 seeded generator so runs are reproducible.

@@ -98,6 +98,8 @@ class SimConfig:
             prev = t
         if self.max_events <= 0 or self.max_pop <= 0:
             raise DomainError("caps must be positive")
+        if self.seed < 0:
+            raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 def child_seed(master: int, *path: int) -> int:
@@ -430,6 +432,8 @@ def run_benchmark(
         cells = [cells]
     if n_replicates < 1:
         raise DomainError("n_replicates must be positive")
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
     reports = []
     for ci, cell in enumerate(cells):
         estimates: dict[str, list[EstimateResult]] = {m: [] for m in methods}

@@ -135,8 +135,7 @@ class Transitions:
     0.1*(j+1), whose differences scatter in the last bits, gives a single
     group. Groups are ordered by increasing gap. Every estimator reads
     the panel through this table: the moments, the quasi-likelihood, the
-    starting point of the searches and the transition likelihoods. Only
-    the joint-path likelihood, which needs whole paths, does not.
+    starting point of the searches and the transition likelihoods.
     """
 
     groups: tuple[GapGroup, ...]
@@ -202,10 +201,9 @@ class Transitions:
 class Panel:
     """A nonempty collection of independent trajectories.
 
-    Every estimator but the joint-path likelihood reads the panel through
-    its transitions table, which is built on first use and kept for the
-    panel's lifetime, so the many evaluations of one fit, and the fits of
-    one battery, share it.
+    Every estimator reads the panel through its transitions table, which
+    is built on first use and kept for the panel's lifetime, so the many
+    evaluations of one fit, and the fits of one battery, share it.
     """
 
     trajectories: tuple[Trajectory, ...]

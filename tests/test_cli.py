@@ -367,3 +367,22 @@ class TestBenchmark:
              "--out", str(tmp_path / "b")]
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--lambda", "2", "--mu", "1", "--dt", "0.2", "--n-obs", "3"],
+        ["estimate", "--method", "spmle", "--input", "{panel}"],
+        ["estimate", "--method", "all", "--input", "{panel}"],
+        ["benchmark", "--lambda", "7", "--mu", "5", "--z0", "10", "--n-obs", "5",
+         "--m", "1", "--dt", "0.1", "--methods", "gw", "--replicates", "2"],
+    ],
+    ids=["simulate", "estimate-spmle", "estimate-all", "benchmark"],
+)
+def test_negative_seed_exit_2_names_seed(argv, panel_csv, tmp_path, capsys):
+    argv = [tok.format(panel=panel_csv) for tok in argv]
+    capsys.readouterr()
+    code = run(argv + ["--seed", "-1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err

@@ -223,6 +223,12 @@ def test_seeded_determinism():
     assert np.array_equal(a.cov, b.cov)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(DomainError, match="seed .* -1"):
+        FitOptions(seed=-1)
+    assert FitOptions(seed=0).seed == 0
+
+
 def test_start_override():
     res = fit(PANEL_A, "spmle", FitOptions(start=(3.0, 1.0)))
     base = fit(PANEL_A, "spmle")

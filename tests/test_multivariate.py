@@ -1,24 +1,27 @@
-"""Joint-path saddlepoint: nested PGF, chain-rule CGF, Newton solve, pmf."""
+"""Joint-path saddlepoint: mv_spmle is the plain saddlepoint fit, and the
+retired N-dimensional solver (nested PGF, chain-rule CGF, Newton solve,
+pmf), kept in legacy_kernels, agrees with the plain saddlepoint
+likelihood it was replaced by."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
-
-from bdrates.errors import DomainError
-from bdrates.estimate import fit
-from bdrates.exact import geom_params, log_transition_prob, mean, pgf, variance
-from bdrates.multivariate import (
+from legacy_kernels import (
     joint_pgf,
     mv_cgf,
     mv_log_spa_pmf,
     mv_loglik,
     mv_solve,
     mv_spa_pmf,
-    mv_spmle,
 )
-from bdrates.saddlepoint import cgf_eval, solve_saddlepoint, spa_pmf
+from scipy.optimize import minimize
+
+from bdrates.errors import DomainError, SolverError
+from bdrates.estimate import fit
+from bdrates.exact import geom_params, log_transition_prob, mean, pgf, variance
+from bdrates.saddlepoint import cgf_eval, solve_saddlepoint, spa_loglik, spa_pmf
+from bdrates.simulate import SimConfig, simulate_panel
 from bdrates.types import Panel, Rates, Trajectory
 
 RATES = Rates(1.2, 0.8)
@@ -249,39 +252,94 @@ def test_loglik_adds_over_trajectories():
 
 
 # ---------------------------------------------------------------------------
-# joint-path SPMLE
+# the retired solver against the plain saddlepoint likelihood
 
 
-def test_spmle_single_transition_panels_coincide():
-    # with one gap per trajectory the joint objective IS the univariate one
-    panel = Panel(
+def _identity_panels():
+    """40 seeded panels: 1-3 trajectories, 2-15 unequal gaps, z0 1-29,
+    every other one conditioned on survival."""
+    panels = []
+    for i in range(40):
+        rng = np.random.default_rng(1000 + i)
+        gaps = rng.uniform(0.05, 0.35, size=int(rng.integers(2, 16)))
+        rates = Rates(float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.3, 1.5)))
+        config = SimConfig(
+            rates=rates,
+            z0=int(rng.integers(1, 30)),
+            obs_times=tuple(np.cumsum(gaps)),
+            condition_nonextinct=i % 2 == 1,
+            seed=i,
+        )
+        panels.append((simulate_panel(config, int(rng.integers(1, 4))), rates))
+    return panels
+
+
+def test_retired_solver_matches_plain_saddlepoint():
+    panels = _identity_panels()
+    assert any(tr.counts[-1] == 0 for p, _ in panels for tr in p)
+    compared = 0
+    for panel, rates in panels:
+        for f_lam, f_mu in ((1.0, 1.0), (1.4, 1.0), (1.0, 0.6), (0.7, 1.3), (2.0, 2.0)):
+            probe = Rates(rates.lam * f_lam, rates.mu * f_mu)
+            # the reference pulls an overflowing start back by testing
+            # finiteness, so its overflow in exp and the inf * 0 products
+            # that follow are expected
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    ref = mv_loglik(panel, probe)
+                except (DomainError, SolverError):
+                    continue
+            if not math.isfinite(ref):
+                continue
+            plain = spa_loglik(panel, probe, variant="plain")
+            assert plain == pytest.approx(ref, rel=1e-8), (panel, probe)
+            compared += 1
+    assert compared >= 190
+
+
+# ---------------------------------------------------------------------------
+# mv_spmle is spmle under its old name
+
+
+_FIT_PANELS = {
+    "single_transition": Panel(
         (Trajectory((0.0, 0.25), (12, 15)), Trajectory((0.0, 0.25), (8, 6)))
-    )
-    uni = fit(panel, "spmle")
-    mv = fit(panel, "mv_spmle")
-    assert mv.rates.lam == pytest.approx(uni.rates.lam, rel=1e-6)
-    assert mv.rates.mu == pytest.approx(uni.rates.mu, rel=1e-6)
-
-
-def test_spmle_close_to_univariate_on_large_counts():
-    counts = (60, 73, 72, 102, 112, 138, 141, 176, 220, 253, 284)
-    panel = Panel((Trajectory(tuple(0.1 * i for i in range(11)), counts),))
-    uni = fit(panel, "spmle")
-    mv = mv_spmle(panel)
-    assert mv.converged
-    assert abs(mv.rates.lam - uni.rates.lam) / uni.rates.lam <= 0.01
-    assert abs(mv.rates.mu - uni.rates.mu) / uni.rates.mu <= 0.01
-
-
-def test_relative_error_gap_on_growth_path():
-    # increasing path from 10 ancestors: joint and factorized saddlepoint
-    # fits sit nearly on top of each other relative to the exact fit
-    panel = Panel(
+    ),
+    "large_counts": Panel(
+        (
+            Trajectory(
+                tuple(0.1 * i for i in range(11)),
+                (60, 73, 72, 102, 112, 138, 141, 176, 220, 253, 284),
+            ),
+        )
+    ),
+    "growth_path": Panel(
         (Trajectory(tuple(0.1 * i for i in range(6)), (10, 10, 20, 33, 67, 80)),)
-    )
-    exact = fit(panel, "mle")
+    ),
+    "infeasible_joint_start": Panel(
+        (
+            Trajectory(
+                tuple(0.1 * i for i in range(11)),
+                (10, 10, 14, 12, 15, 12, 10, 16, 25, 37, 40),
+            ),
+        )
+    ),
+    # the joint solver failed on the way to spmle's pure-death optimum
+    "pure_death_edge": Panel((Trajectory((0.0, 1.75, 1.9), (19, 2, 2)),)),
+}
+
+
+@pytest.mark.parametrize("name", list(_FIT_PANELS))
+def test_mv_spmle_fit_equals_spmle_fit(name):
+    panel = _FIT_PANELS[name]
     uni = fit(panel, "spmle")
     mv = fit(panel, "mv_spmle")
-    re_uni = abs(uni.rates.lam - exact.rates.lam) / exact.rates.lam
-    re_mv = abs(mv.rates.lam - exact.rates.lam) / exact.rates.lam
-    assert abs(re_mv - re_uni) <= 0.01
+    assert mv.method == "mv_spmle"
+    assert (mv.rates.lam, mv.rates.mu) == (uni.rates.lam, uni.rates.mu)
+    assert mv.omega_hat == uni.omega_hat
+    assert mv.loglik == uni.loglik
+    assert (mv.cov is None) == (uni.cov is None)
+    if uni.cov is not None:
+        assert np.array_equal(mv.cov, uni.cov)
+    assert mv.converged == uni.converged
+    assert mv.n_obj_evals == uni.n_obj_evals

@@ -67,6 +67,13 @@ def test_config_validation():
         SimConfig(GROW, 3, (1.0,), max_events=0)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(DomainError, match="seed .* -1"):
+        SimConfig(GROW, 3, (1.0,), seed=-1)
+    with pytest.raises(DomainError, match="seed .* -1"):
+        run_benchmark(BenchmarkCell(GROW, 3, 2, 1, 0.1), ["gw"], 1, seed=-1)
+
+
 def test_trajectory_shape_and_prefix():
     config = SimConfig(GROW, 4, (0.3, 0.7, 1.1), seed=11)
     traj = simulate_trajectory(config)
