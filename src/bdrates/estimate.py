@@ -52,11 +52,8 @@ _EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 class FitOptions:
     """Knobs shared by the likelihood fits.
 
-    parametrization picks the search coordinates: "log_rates" is
-    (log lambda, log mu); "omega_logxi" is (lambda - mu, log(lambda + mu)),
-    useful when the growth rate is the quantity of interest.  Standard
-    errors are always computed in log-rate coordinates, so the choice
-    only affects the search path.  max_count_cap bounds the population
+    The search runs in (log lambda, log mu), the coordinates of the
+    standard errors.  max_count_cap bounds the population
     size the exact likelihood will accept: its term table holds
     sum(min(a, k)) terms over the transitions a -> k, in memory
     (16 bytes each) and in the time of every evaluation, so it grows
@@ -64,11 +61,8 @@ class FitOptions:
     """
 
     restarts: int = 3
-    xatol: float = 1e-9
-    fatol: float = 1e-9
     maxiter: int = 2000
     seed: int = 0
-    parametrization: str = "log_rates"
     max_count_cap: int = 10**5
     start: Optional[tuple[float, float]] = None  # (lambda, mu) override
 
@@ -131,7 +125,7 @@ def canonical_method(method: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# coordinate maps
+# coordinate map
 
 
 def _rates_from_log(x: np.ndarray) -> Optional[Rates]:
@@ -139,31 +133,6 @@ def _rates_from_log(x: np.ndarray) -> Optional[Rates]:
         return Rates(math.exp(x[0]), math.exp(x[1]))
     except OverflowError:
         return None
-
-
-def _rates_from_wedge(x: np.ndarray) -> Optional[Rates]:
-    omega = x[0]
-    try:
-        xi = math.exp(x[1])
-    except OverflowError:
-        return None
-    lam = 0.5 * (xi + omega)
-    mu = 0.5 * (xi - omega)
-    if lam <= 0.0 or mu <= 0.0 or not (math.isfinite(lam) and math.isfinite(mu)):
-        return None
-    return Rates(lam, mu)
-
-
-_PARAMETRIZATIONS: dict[str, tuple[Callable, Callable]] = {
-    "log_rates": (
-        _rates_from_log,
-        lambda r: np.array([math.log(r.lam), math.log(r.mu)]),
-    ),
-    "omega_logxi": (
-        _rates_from_wedge,
-        lambda r: np.array([r.lam - r.mu, math.log(r.lam + r.mu)]),
-    ),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +162,11 @@ def _loglik_function(
     raise DomainError(f"method {method!r} has no likelihood objective")
 
 
-def _wrap_objective(
-    loglik: Callable[[Rates], float], to_rates: Callable[[np.ndarray], Optional[Rates]]
-) -> Callable[[np.ndarray], float]:
+def _wrap_objective(loglik: Callable[[Rates], float]) -> Callable[[np.ndarray], float]:
+    """loglik as a function of (log lambda, log mu); -inf where it fails."""
+
     def objective(x: np.ndarray) -> float:
-        rates = to_rates(x)
+        rates = _rates_from_log(x)
         if rates is None:
             return -math.inf
         try:
@@ -326,32 +295,22 @@ def fit(panel: Panel, method: str, options: Optional[FitOptions] = None) -> Esti
     if name == "qg":
         return _fit_qg(panel, t0)
 
-    loglik = _loglik_function(name, panel, options)
-    if options.parametrization not in _PARAMETRIZATIONS:
-        raise DomainError(
-            f"unknown parametrization {options.parametrization!r}; "
-            f"expected one of {tuple(_PARAMETRIZATIONS)}"
-        )
-    to_rates, from_rates = _PARAMETRIZATIONS[options.parametrization]
+    objective = _wrap_objective(_loglik_function(name, panel, options))
     start = (
         Rates(*options.start) if options.start is not None else initial_rates(panel)
     )
-    objective = _wrap_objective(loglik, to_rates)
     res = maximize_2d(
         objective,
-        from_rates(start),
+        [math.log(start.lam), math.log(start.mu)],
         restarts=options.restarts,
-        xatol=options.xatol,
-        fatol=options.fatol,
         maxiter=options.maxiter,
         seed=options.seed,
     )
-    rates_hat = to_rates(np.asarray(res.x))
+    rates_hat = _rates_from_log(np.asarray(res.x))
     if rates_hat is None:
         raise SolverError(f"{name} search ended outside the parameter domain")
-    log_objective = _wrap_objective(loglik, _rates_from_log)
     cov = numeric_hessian_se(
-        log_objective, [math.log(rates_hat.lam), math.log(rates_hat.mu)]
+        objective, [math.log(rates_hat.lam), math.log(rates_hat.mu)]
     )
     return EstimateResult(
         method=name,

@@ -41,7 +41,6 @@ __all__ = [
     "EPS_CRITICAL",
     "alpha_beta",
     "pgf",
-    "pgf_derivs",
     "log_transition_prob",
     "mean",
     "variance",
@@ -183,17 +182,6 @@ def pgf_geom(s: float, g: GeomParams) -> tuple[float, float, float]:
     f1 = om_a * om_b / (om_bs * om_bs)
     f2 = 2.0 * g.beta * om_a * om_b / (om_bs * om_bs * om_bs)
     return f, f1, f2
-
-
-def pgf_derivs(s: float, t: float, rates: Rates) -> tuple[float, float, float]:
-    """Single-ancestor pgf value and its first two s-derivatives at s.
-
-    Requires 0 < s < 1/beta(t). The generating function of a whole path
-    composes this map across its observation gaps.
-    """
-    if not (s > 0.0 and math.isfinite(s)):
-        raise DomainError(f"pgf argument must be positive and finite, got {s}")
-    return pgf_geom(s, geom_params(t, rates))
 
 
 def log_transition_prob(k: int, t: float, a: int, rates: Rates) -> float:

@@ -22,6 +22,12 @@ from .errors import DomainError
 
 __all__ = ["OptResult", "maximize_2d"]
 
+# Nelder-Mead simplex tolerances on the point and the value, and the
+# standard deviation of the Gaussian perturbation that starts a restart
+XATOL = 1e-9
+FATOL = 1e-9
+PERTURB_SCALE = 0.25
+
 
 @dataclass(frozen=True)
 class OptResult:
@@ -39,18 +45,15 @@ def maximize_2d(
     x0: Sequence[float],
     *,
     restarts: int = 3,
-    xatol: float = 1e-9,
-    fatol: float = 1e-9,
     maxiter: int = 2000,
     seed: int = 0,
-    perturb_scale: float = 0.25,
 ) -> OptResult:
     """Maximize a 2-D objective by Nelder-Mead with perturbed restarts.
 
     The objective may return -inf (or nan, treated the same) to reject a
     point; it must be finite at x0.  After the initial run, up to
     `restarts` further runs are started from the incumbent optimum plus
-    Gaussian noise of scale `perturb_scale`.  A restart that lands back
+    Gaussian noise of scale PERTURB_SCALE.  A restart that lands back
     on the incumbent (to tolerance) confirms it and stops the loop
     early; a restart that improves it replaces it and the search
     continues.  converged reports whether the best run terminated on the
@@ -87,8 +90,8 @@ def maximize_2d(
                 start,
                 method="Nelder-Mead",
                 options={
-                    "xatol": xatol,
-                    "fatol": fatol,
+                    "xatol": XATOL,
+                    "fatol": FATOL,
                     "maxiter": maxiter,
                     "maxfev": 4 * maxiter,
                 },
@@ -98,13 +101,13 @@ def maximize_2d(
     best = run(x_start)
     n_runs = 1
     for _ in range(restarts):
-        start = best.x + perturb_scale * rng.standard_normal(2)
+        start = best.x + PERTURB_SCALE * rng.standard_normal(2)
         res = run(start)
         n_runs += 1
         same_point = np.max(np.abs(res.x - best.x)) <= 1e-6 * np.maximum(
             1.0, np.max(np.abs(best.x))
         )
-        close_value = abs(res.fun - best.fun) <= 10.0 * fatol * max(1.0, abs(best.fun))
+        close_value = abs(res.fun - best.fun) <= 10.0 * FATOL * max(1.0, abs(best.fun))
         if res.fun < best.fun:
             best = res
             if same_point and close_value:

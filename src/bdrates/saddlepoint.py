@@ -14,6 +14,22 @@ extinction mass alpha**a is used. A conditional variant applies the same
 construction to the law given non-extinction at the horizon, which
 removes most of the continuity artifact at small k; the result is scaled
 back by (1 - alpha**a) so it approximates the unconditional pmf.
+
+Both variants solve their saddle equation with one lane-vectorized
+Newton solve. The plain solve starts from the closed-form quadratic root;
+the conditional solve starts from the plain saddlepoint. The derivative
+increases in x, so the sign of each probe's residual moves a per-lane
+bracket: probes above the root lower its top, probes below raise its
+bottom. A lane takes the Newton step, clipped to +-2 and capped at x_hi
+(log R shrunk by RADIUS_GUARD), while that step lands strictly inside
+the bracket, and otherwise bisects it, never probing more than 2 below
+its top (the bottom starts open). It stops once |K' - k| <=
+RESIDUAL_TOL*max(1, k), or once the bracket is as narrow as 8.9e-16*|x|
+(4 eps, brentq's default rtol), keeping the end with the smaller
+residual: where K'' is huge one ulp of x moves K' by more than the
+tolerance. A lane that probes x_hi and finds K' < k there has its root
+inside the guard band and raises SolverError, as does a lane still open
+after 200 probes.
 """
 
 from __future__ import annotations
@@ -23,7 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, SolverError
 from .exact import GeomParams, geom_params, is_critical, truncation_limit, _log_pmf
@@ -69,7 +84,12 @@ class SaddlepointSolution:
 
 
 def _log_radius(g: GeomParams) -> float:
-    return -g.log_beta  # log(1/beta); +inf when beta == 0
+    """log R = log(1/beta), formed as log1p((1 - beta)/beta) from the
+    1 - beta that _cgf_terms uses, so that 1 - beta*e^x stays positive
+    below it even where beta rounds close to 1; +inf when beta == 0."""
+    if g.beta == 0.0:
+        return math.inf
+    return math.log1p(math.exp(g.log1m_beta) / g.beta)
 
 
 def _x_max(g: GeomParams) -> float:
@@ -115,23 +135,28 @@ def cgf_eval(x: float, t: float, a: int, rates: Rates) -> CgfPoint:
 
 def _saddle_quadratic(ratio, t: float, rates: Rates):
     """Coefficients (A, B, C) of the quadratic whose root in (0, R) is the
-    saddlepoint in s, for ratio = a/k (B depends on the ratio; A, C do not)."""
+    saddlepoint in s, for ratio = a/k (B depends on the ratio; A, C do not).
+
+    All three carry one power-of-two scale that keeps B*B and 4*A*C finite;
+    the scale is exact, so the roots are those of the unscaled quadratic."""
     if is_critical(rates):
         u = 0.5 * rates.xi * t
         A = u - u * u
         B = 2.0 * u * u - 1.0 + ratio
         C = -u - u * u
-        return A, B, C
-    lam, mu = rates.lam, rates.mu
-    m = math.exp(rates.omega * t)
-    if not math.isfinite(m * m):
-        raise DomainError(f"horizon {t} too long for saddlepoint coefficients")
-    A = lam * (m - 1.0) * (lam - mu * m)
-    B = 2.0 * lam * mu * (1.0 + m * m - m) - m * (lam * lam + mu * mu) + ratio * (
-        m * (lam - mu) ** 2
-    )
-    C = mu * (m - 1.0) * (mu - lam * m)
-    return A, B, C
+    else:
+        lam, mu = rates.lam, rates.mu
+        m = math.exp(rates.omega * t)
+        if not math.isfinite(m * m):
+            raise DomainError(f"horizon {t} too long for saddlepoint coefficients")
+        A = lam * (m - 1.0) * (lam - mu * m)
+        B = 2.0 * lam * mu * (1.0 + m * m - m) - m * (lam * lam + mu * mu) + ratio * (
+            m * (lam - mu) ** 2
+        )
+        C = mu * (m - 1.0) * (mu - lam * m)
+    big = max(abs(A), abs(C), float(np.abs(B).max()))
+    scale = math.ldexp(1.0, -max(math.frexp(big)[1], 0))
+    return A * scale, B * scale, C * scale
 
 
 def _stable_roots(A, B, C):
@@ -154,11 +179,12 @@ def _stable_roots(A, B, C):
 
 
 def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
-    """Vectorized saddlepoints x~ with K'(x~) = k, for k >= 1 lanes."""
+    """Vectorized saddlepoints x~ with K'(x~) = k, for k >= 1 lanes,
+    seeded at the closed-form root of the saddle quadratic."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
     A, B, C = _saddle_quadratic(a_arr / k_arr, t, rates)
-    r1, r2 = _stable_roots(np.broadcast_to(A, B.shape), B, np.broadcast_to(C, B.shape))
+    r1, r2 = _stable_roots(A, B, C)
     x_hi = _x_max(g)
     s_hi = 1.0 / g.beta if g.beta > 0.0 else math.inf
 
@@ -173,56 +199,80 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
             f"a={a_arr.flat[bad]}, t={t}, rates=({rates.lam}, {rates.mu})"
         )
     s = np.where(ok1, r1, r2)
-    # where both roots look admissible, keep the one closer to solving K'=k
+    # where both roots look admissible, keep the one closer to solving K'=k;
+    # a root inside the guard band is scored at x_hi, where its solve starts
     both = ok1 & ok2 & (r1 != r2)
     if np.any(both):
-        _, d1a, _ = _cgf_terms(np.log(r1[both]), g, a_arr[both])
-        _, d1b, _ = _cgf_terms(np.log(r2[both]), g, a_arr[both])
+        _, d1a, _ = _cgf_terms(np.minimum(np.log(r1[both]), x_hi), g, a_arr[both])
+        _, d1b, _ = _cgf_terms(np.minimum(np.log(r2[both]), x_hi), g, a_arr[both])
         s[both] = np.where(
             np.abs(d1a - k_arr[both]) <= np.abs(d1b - k_arr[both]),
             r1[both],
             r2[both],
         )
     x = np.minimum(np.log(s), x_hi)
+    return _newton(
+        x, k_arr, lambda x, i: _cgf_terms(x, g, a_arr[i])[1:], x_hi, t, a_arr, rates
+    )
 
-    # Newton polish the closed-form root down to the residual tolerance;
-    # a lane stops moving once it is within tolerance, so its value does
-    # not depend on which other lanes share the batch
+
+def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
+    """Solve d1(x) = k from the seeds x, where terms(x[i], i) gives a
+    CGF's first two derivatives (d1, d2) at lanes i and d1 increases in x.
+
+    Each lane brackets its root between the points it has probed; a probe
+    where d1 is NaN counts as below the root. The module docstring gives
+    the steps and the stopping rules. A lane's value does not depend on
+    the other lanes.
+    """
+    x = np.array(x, dtype=float)
     tol = RESIDUAL_TOL * np.maximum(1.0, k_arr)
-    for _ in range(8):
-        _, d1, d2 = _cgf_terms(x, g, a_arr)
-        resid = d1 - k_arr
-        open_ = ~(np.abs(resid) <= tol)
+    lanes = np.arange(x.size)
+    br = None  # rows: lo, hi, and |d1 - k| at lo and at hi
+    for _ in range(200):
+        xi = x[lanes]
+        d1, d2 = terms(xi, lanes)
+        resid = d1 - k_arr[lanes]
+        err = np.abs(resid)
+        open_ = ~(err <= tol[lanes])
         if not open_.any():
             return x
-        with np.errstate(invalid="ignore", divide="ignore"):
-            step = resid / d2
-        step = np.where(open_ & np.isfinite(step), step, 0.0)
-        x = np.where(open_, np.minimum(x - step, x_hi), x)
-    _, d1, _ = _cgf_terms(x, g, a_arr)
-    resid = np.abs(d1 - k_arr)
-    bad = resid > tol
-    for idx in np.flatnonzero(bad):
-        x[idx] = _solve_x_bisect(float(k_arr.flat[idx]), float(a_arr.flat[idx]), g, x_hi)
-    return x
-
-
-def _solve_x_bisect(k: float, a: float, g: GeomParams, x_hi: float):
-    """Scalar fallback: bracket K'(x) - k and solve by brentq."""
-
-    def fun(x):
-        _, d1, _ = _cgf_terms(x, g, a)
-        return float(d1) - k
-
-    hi = min(x_hi, 700.0) - 1e-13 * max(1.0, abs(x_hi))
-    lo = min(0.0, hi - 1.0)
-    for _ in range(200):
-        if fun(lo) < 0.0:
-            break
-        lo -= 5.0
-    else:
-        raise SolverError(f"cannot bracket saddlepoint for k={k}, a={a}")
-    return brentq(fun, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=300)
+        lanes, xi, resid, err, d2 = lanes[open_], xi[open_], resid[open_], err[open_], d2[open_]
+        if br is None:
+            br = np.full((4, x.size), np.inf)
+            br[0] = -np.inf
+        side = (resid > 0.0).astype(np.intp)
+        br[side, lanes] = xi
+        br[side + 2, lanes] = err
+        lo, hi, err_lo, err_hi = br[:, lanes]
+        # Newton step clipped to +-2: |resid| / max(d2, |resid|/2) <= 2
+        cand = np.minimum(xi - resid / np.fmax(d2, 0.5 * err), x_hi)
+        inside = (lo < cand) & (cand < hi)
+        if not inside.all():
+            # a probe at x_hi below the root makes x_hi the bracket's bottom
+            blocked = lo == x_hi
+            if blocked.any():
+                j = int(np.argmax(blocked))
+                i = lanes[j]
+                raise SolverError(
+                    f"saddlepoint for k={k_arr[i]}, a={a_arr[i]}, t={t}, "
+                    f"rates=({rates.lam}, {rates.mu}) lies inside the radius guard "
+                    f"band: K'(x_hi) = {k_arr[i] + resid[j]}"
+                )
+            mid = np.minimum(np.maximum(0.5 * (lo + hi), hi - 2.0), x_hi)
+            cand = np.where(inside, cand, mid)
+        x[lanes] = cand
+        narrow = hi - lo <= 8.9e-16 * np.abs(xi)
+        if narrow.any():
+            x[lanes[narrow]] = np.where(err_lo < err_hi, lo, hi)[narrow]
+            lanes = lanes[~narrow]
+            if not lanes.size:
+                return x
+    i = lanes[0]
+    raise SolverError(
+        f"saddlepoint solve did not converge for k={k_arr[i]}, a={a_arr[i]}, "
+        f"t={t}, rates=({rates.lam}, {rates.mu})"
+    )
 
 
 def solve_saddlepoint(k: int, t: float, a: int, rates: Rates) -> SaddlepointSolution:
@@ -293,69 +343,34 @@ def spa_pmf_normalized(k: int, t: float, a: int, rates: Rates) -> float:
 
 def _cond_terms(x, g: GeomParams, a, log_p0):
     """First and second derivative of the non-extinction CGF
-    log{(M(x) - p0)/(1 - p0)}, plus log(M(x) - p0) itself.
+    log{(M(x) - p0)/(1 - p0)}, plus K = log M(x) and em = (M - p0)/M,
+    so that log(M(x) - p0) = K + log(em).
 
     log_p0 = a*log(alpha) is the log extinction mass of each lane's
     ancestors; a scalar or an array matching x.
     """
     K, K1, K2 = _cgf_terms(x, g, a)
-    d = log_p0 - K  # < 0 since M(x) > p0 for s > 0
-    em = -np.expm1(d)  # (M - p0)/M in (0, 1]
+    em = -np.expm1(log_p0 - K)  # (M - p0)/M in (0, 1]
+    # far below the saddlepoint M - p0 can round to 0 or below: the lane
+    # is outside the domain there and reads NaN
+    em = np.where(em > 0.0, em, np.nan)
     rho = 1.0 / em  # M/(M - p0) >= 1
     c1 = K1 * rho
     c2 = (K2 + K1 * K1) * rho - c1 * c1
-    return c1, c2, K + np.log(em)
+    return c1, c2, K, em
 
 
 def _solve_conditional_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, log_p0):
     """Vectorized saddlepoints of the conditional CGF for k >= 2 lanes,
-    Newton-seeded at the plain saddlepoint with a bisection fallback.
-    log_p0 holds each lane's a*log(alpha)."""
+    seeded at the plain saddlepoint. log_p0 holds each lane's a*log(alpha)."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
     log_p0 = np.asarray(log_p0, dtype=float)
-    x = _solve_x(k_arr, a_arr, g, t, rates).copy()
-    x_hi = _x_max(g)
-    tol = RESIDUAL_TOL * np.maximum(1.0, k_arr)
-    active = np.ones(x.shape, dtype=bool)
-    for _ in range(60):
-        c1, c2, _ = _cond_terms(x[active], g, a_arr[active], log_p0[active])
-        resid = c1 - k_arr[active]
-        done = np.abs(resid) <= tol[active]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            step = resid / c2
-        step = np.clip(np.where(np.isfinite(step), step, 0.0), -2.0, 2.0)
-        x[active] = np.minimum(x[active] - np.where(done, 0.0, step), x_hi)
-        still = np.flatnonzero(active)[~done]
-        active = np.zeros_like(active)
-        active[still] = True
-        if not active.any():
-            return x
-    for idx in np.flatnonzero(active):
-        x[idx] = _bisect_conditional(
-            float(k_arr.flat[idx]), float(a_arr.flat[idx]), g, rates, t,
-            float(log_p0.flat[idx]),
-        )
-    return x
-
-
-def _bisect_conditional(k, a, g: GeomParams, rates: Rates, t, log_p0):
-    def fun(x):
-        c1, _, _ = _cond_terms(x, g, a, log_p0)
-        return float(c1) - k
-
-    hi = _x_max(g) - 1e-8 * max(1.0, abs(_x_max(g)))
-    x0 = float(_solve_x(np.array([k]), np.array([a]), g, t, rates)[0])
-    lo = x0 - 5.0
-    for _ in range(40):
-        if fun(lo) < 0.0:
-            break
-        lo -= 5.0
-    else:
-        raise SolverError(
-            f"cannot bracket conditional saddlepoint for k={k}, a={a}, t={t}"
-        )
-    return brentq(fun, lo, min(hi, 700.0), xtol=1e-14, rtol=8.9e-16, maxiter=300)
+    x = _solve_x(k_arr, a_arr, g, t, rates)
+    return _newton(
+        x, k_arr, lambda x, i: _cond_terms(x, g, a_arr[i], log_p0[i])[:2],
+        _x_max(g), t, a_arr, rates,
+    )
 
 
 def _log_spa_conditional(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
@@ -372,7 +387,8 @@ def _log_spa_conditional(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
     a_arr = np.asarray(a_arr, dtype=float)
     lp0 = a_arr * g.log_alpha
     x = _solve_conditional_x(k_arr, a_arr, g, t, rates, lp0)
-    _, c2, log_mp0 = _cond_terms(x, g, a_arr, lp0)
+    _, c2, K, em = _cond_terms(x, g, a_arr, lp0)
+    log_mp0 = K + np.log(em)
     # (1-p0) * exp(Kc - x k)/sqrt(2 pi Kc'') with Kc = log_mp0 - log(1-p0):
     # the (1-p0) factors cancel, leaving log(M - p0) directly.
     # degenerate curvature scores -inf, same as the plain lane

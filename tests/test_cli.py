@@ -208,6 +208,14 @@ class TestEstimate:
         assert code == 3
         assert "cap" in capsys.readouterr().err
 
+    def test_battery_on_collapsing_panel_exits_0_or_4(self, tmp_path, capsys):
+        # the old saddlepoint fallback raised a bare ValueError on this panel
+        p = str(tmp_path / "panel.csv")
+        write_panel(p, Panel((Trajectory((0.0, 0.2, 3.4), (25, 1, 1)),)))
+        code = run(["estimate", "--input", p, "--method", "all", "--seed", "1"])
+        assert code in (0, 4)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_solver_failure_exit_4(self, panel_csv, monkeypatch):
         import bdrates.cli as cli_mod
 
@@ -264,6 +272,17 @@ class TestPmf:
             assert float(row["ratio_spa"]) == pytest.approx(
                 float(row["spa"]) / exact, rel=1e-12
             )
+
+    def test_root_in_guard_band_exit_4(self, capsys):
+        # alpha rounds to 1 at these rates: K' at the guard band's edge is
+        # 1.2e-17, so no saddlepoint for k = 2 exists below it
+        code = run(
+            ["pmf", "--lambda", "0.00047968440257367326", "--mu", "12.210102965056127",
+             "--t", "8.279897916191494", "--a", "4", "--k-min", "2", "--k-max", "2"]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_exact_cap_sentinel(self, tmp_path, capsys):
         out = str(tmp_path / "pmf.csv")

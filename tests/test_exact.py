@@ -17,7 +17,7 @@ from bdrates.exact import (
     log_transition_prob,
     mean,
     pgf,
-    pgf_derivs,
+    pgf_geom,
     truncation_limit,
     variance,
 )
@@ -77,7 +77,7 @@ def test_pgf_derivs_match_oracle_difference():
     # the second central difference
     r = Rates(1.2, 0.8)
     s, t, h = 0.9, 0.7, 1e-4
-    f, f1, f2 = pgf_derivs(s, t, r)
+    f, f1, f2 = pgf_geom(s, geom_params(t, r))
     assert f == pytest.approx(pgf(s, t, r), rel=1e-14)
     fd1 = (pgf(s + h, t, r) - pgf(s - h, t, r)) / (2 * h)
     fd2 = (pgf(s + h, t, r) - 2 * f + pgf(s - h, t, r)) / (h * h)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from bdrates.errors import DomainError, SolverError
+from bdrates.errors import BdError, DomainError, SolverError
 from bdrates.exact import (
     _log_pmf,
     convergence_radius as radius,
@@ -363,3 +363,86 @@ def test_spa_loglik_matches_float_gap_walk(variant):
                 continue
             got = spa_loglik(panel, r, variant)
             assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def _one_step(a, k, t):
+    return Panel((Trajectory((0.0, t), (a, k)),))
+
+
+# (a, k, lambda, mu, t) of one-transition panels on which the old
+# Newton-then-brentq solvers warned (division by zero or log of a negative
+# number in the CGF terms, overflow in the quadratic's discriminant) or
+# raised scipy's bare ValueError; on the last one beta rounds close to 1
+# and 1 - beta*s went negative below the old log radius -log(beta)
+EDGE_INPUTS = [
+    (3, 2, 0.015039993583716273, 30.75876642857539, 4.045870995154412),
+    (17, 14, 0.21429584545820518, 10.941623175892738, 4.896397190495787),
+    (6, 2, 0.002033275760620081, 18.709812242521387, 2.5805538923985925),
+    (136, 10**7, 22.50430748026842, 0.3795964918679304, 8.281344035246526),
+    (4, 2, 0.00047968440257367326, 12.210102965056127, 8.279897916191494),
+    (1, 10**7, 27.39343349121747, 0.28066276162833503, 2.9658718534433155),
+    (16, 6416867, 25.64980151993033, 1.3032964568531082, 1.2176110711011734),
+]
+
+
+@pytest.mark.parametrize("variant", ["plain", "conditional"])
+@pytest.mark.parametrize("a,k,lam,mu,t", EDGE_INPUTS)
+def test_edge_inputs_give_a_float_or_typed_error(a, k, lam, mu, t, variant):
+    try:
+        val = spa_loglik(_one_step(a, k, t), Rates(lam, mu), variant)
+    except BdError:
+        return
+    assert isinstance(val, float) and (math.isfinite(val) or val == -math.inf)
+
+
+@pytest.mark.parametrize(
+    "a,k,lam,mu,t,ref",
+    [
+        (17, 14, 0.21429584545820518, 10.941623175892738, 4.896397190495787, -69.75603302031905),
+        (6, 2, 0.002033275760620081, 18.709812242521387, 2.5805538923985925, -29.379116750276346),
+    ],
+)
+def test_plain_loglik_where_one_ulp_exceeds_the_tolerance(a, k, lam, mu, t, ref):
+    # K'' is about 1e12 at these roots, so one ulp of x moves K' by more
+    # than the residual tolerance; the solve stops on its bracket width and
+    # the value agrees with the old bisection fallback's to 1e-5
+    val = spa_loglik(_one_step(a, k, t), Rates(lam, mu), "plain")
+    assert abs(val - ref) <= 1e-5 * abs(ref)
+
+
+@pytest.mark.parametrize("a,k,lam,mu,t", EDGE_INPUTS[1:3])
+def test_conditional_solve_crosses_where_m_minus_p0_rounds_to_zero(a, k, lam, mu, t):
+    # Newton steps from the plain root land where M(x) - p0 rounds to 0;
+    # those probes count as below the root, and the solve still ends near
+    # the exact log pmf
+    rates = Rates(lam, mu)
+    val = spa_loglik(_one_step(a, k, t), rates, "conditional")
+    ref = log_transition_prob(k, t, a, rates)
+    assert abs(val - ref) <= 5e-3 * abs(ref)
+
+
+@pytest.mark.parametrize("variant", ["plain", "conditional"])
+@pytest.mark.parametrize("a,k,lam,mu,t", [EDGE_INPUTS[0], EDGE_INPUTS[4]])
+def test_root_inside_the_guard_band_raises_solver_error(a, k, lam, mu, t, variant):
+    # alpha rounds to 1, so K'(x_hi) is ~1e-17 or less, far below k = 2
+    with pytest.raises(SolverError, match="guard band"):
+        spa_loglik(_one_step(a, k, t), Rates(lam, mu), variant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_lam=st.floats(math.log(1e-8), math.log(30.0)),
+    log_mu=st.floats(math.log(1e-8), math.log(30.0)),
+    gap=st.floats(1e-3, 5.0),
+    a=st.integers(1, 1000),
+    k=st.integers(0, 10**7),
+    variant=st.sampled_from(["plain", "conditional"]),
+)
+def test_one_transition_loglik_is_a_float_or_typed_error(log_lam, log_mu, gap, a, k, variant):
+    # pytest turns any RuntimeWarning into a failure here as well
+    rates = Rates(math.exp(log_lam), math.exp(log_mu))
+    try:
+        val = spa_loglik(_one_step(a, k, gap), rates, variant)
+    except BdError:
+        return
+    assert isinstance(val, float) and (math.isfinite(val) or val == -math.inf)
