@@ -335,7 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     est.add_argument("--out", help="result JSON path")
     est.add_argument("--seed", type=int, default=None)
-    est.add_argument("--restarts", type=int, default=3)
+    est.add_argument(
+        "--restarts", type=int, default=3,
+        help="perturbed Nelder-Mead restarts: the saddlepoint fits' search, "
+        "and the continuation of an mle Newton run that cannot form a finite "
+        "model or runs out of step halvings; --seed seeds their perturbations",
+    )
     est.add_argument(
         "--max-count-cap", type=int, default=10**5,
         help="largest count the exact likelihood will accept",

@@ -2,11 +2,13 @@
 
 fit() puts the moment estimator, the Gaussian quasi-likelihood, the two
 saddlepoint maximum-likelihood variants and the exact maximum likelihood
-behind a single result type.  The likelihood methods share one
-derivative-free optimizer over (log lambda, log mu) and get
-observed-information standard errors from a numeric Hessian at the
-optimum.  compare() runs a battery of methods on one panel, capturing
-per-method failures instead of aborting.
+behind a single result type.  The likelihood methods share one search
+over (log lambda, log mu) (optimize.maximize_2d): damped Newton steps
+on the exact likelihood's analytic score and observed information, and
+Nelder-Mead on the saddlepoint likelihoods.  The standard errors come
+from the Newton search's last model at the optimum, or from a numeric
+Hessian there.  compare() runs a battery of methods on one panel,
+capturing per-method failures instead of aborting.
 
 mv_spmle, the joint-path saddlepoint, is the plain saddlepoint fit under
 its old name: the joint-path saddlepoint likelihood factorizes into the
@@ -27,7 +29,7 @@ from .errors import BdError, CapError, DataError, DomainError, SolverError
 from .exact import exact_loglik
 from .gaussian import qg_fit
 from .gw import gw_estimate
-from .optimize import maximize_2d
+from .optimize import maximize_2d, numeric_hessian_se
 from .saddlepoint import spa_loglik
 from .types import Panel, Rates
 
@@ -45,15 +47,19 @@ __all__ = [
 # canonical method names; hyphenated spellings are accepted and folded
 METHODS = ("gw", "qg", "spmle", "spmle_adjusted", "mle", "mv_spmle")
 
-_EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
 
 @dataclass(frozen=True)
 class FitOptions:
     """Knobs shared by the likelihood fits.
 
     The search runs in (log lambda, log mu), the coordinates of the
-    standard errors.  max_count_cap bounds the population
+    standard errors.  maxiter bounds the Newton steps of an mle fit
+    and the iterations of each Nelder-Mead run.  restarts and seed
+    govern Nelder-Mead: the saddlepoint fits' search, and the
+    continuation of an mle fit whose Newton run cannot form a finite
+    model or runs out of step halvings.  restarts is the number of
+    perturbed restarts after its first run, and seed seeds the
+    perturbations.  max_count_cap bounds the population
     size the exact likelihood will accept: its term table holds
     sum(min(a, k)) terms over the transitions a -> k, in memory
     (16 bytes each) and in the time of every evaluation, so it grows
@@ -80,6 +86,11 @@ class EstimateResult:
     moment panel).  loglik is the method's own objective at the
     optimum and is None for the moment estimator, which has no
     likelihood.  n_obj_evals counts optimizer objective calls only.
+    The likelihood searches also report n_runs (the Newton run plus any
+    Nelder-Mead runs), newton_iterations, rejected_probes (non-finite or
+    non-improving Newton probes) and continued (whether Nelder-Mead
+    continued the Newton run); the other methods leave them at their
+    defaults.
     """
 
     method: str
@@ -90,6 +101,10 @@ class EstimateResult:
     converged: bool
     n_obj_evals: int
     wall_time: float
+    n_runs: int = 0
+    newton_iterations: int = 0
+    rejected_probes: int = 0
+    continued: bool = False
 
     def __post_init__(self) -> None:
         if self.omega_hat != self.rates.lam - self.rates.mu:
@@ -139,18 +154,47 @@ def _rates_from_log(x: np.ndarray) -> Optional[Rates]:
 # objectives and starting points
 
 
-def _loglik_function(
+Objective = Callable[[np.ndarray], float]
+Derivatives = Callable[[np.ndarray], Optional[tuple[np.ndarray, np.ndarray]]]
+
+
+def _search_functions(
     method: str, panel: Panel, options: FitOptions
-) -> Callable[[Rates], float]:
-    if method == "mle":
-        worst = max(max(tr.counts) for tr in panel)
-        if worst > options.max_count_cap:
-            raise CapError(
-                f"panel count {worst} exceeds the exact-likelihood cap "
-                f"{options.max_count_cap}; raise max_count_cap or use a "
-                "saddlepoint method"
-            )
-        return lambda rates: exact_loglik(panel, rates)
+) -> tuple[Objective, Optional[Derivatives]]:
+    """The method's objective in (log lambda, log mu) and, for the exact
+    likelihood, its derivatives."""
+    if method != "mle":
+        return _wrap_objective(_loglik_function(method, panel)), None
+    worst = max(max(tr.counts) for tr in panel)
+    if worst > options.max_count_cap:
+        raise CapError(
+            f"panel count {worst} exceeds the exact-likelihood cap "
+            f"{options.max_count_cap}; raise max_count_cap or use a "
+            "saddlepoint method"
+        )
+    # each evaluation returns the score and information with the value;
+    # the objective keeps those of its last point for derivatives to read
+    last: dict[Rates, tuple[np.ndarray, np.ndarray]] = {}
+
+    def loglik(rates: Rates) -> float:
+        last.clear()
+        value, score, info = exact_loglik(panel, rates, derivatives=True)
+        if score is not None:
+            last[rates] = (score, -info)
+        return value
+
+    objective = _wrap_objective(loglik)
+
+    def derivatives(x: np.ndarray):
+        rates = _rates_from_log(x)
+        if rates not in last:
+            objective(x)
+        return last.get(rates)
+
+    return objective, derivatives
+
+
+def _loglik_function(method: str, panel: Panel) -> Callable[[Rates], float]:
     if method == "spmle":
         return lambda rates: spa_loglik(panel, rates, variant="plain")
     if method == "spmle_adjusted":
@@ -205,48 +249,6 @@ def initial_rates(panel: Panel) -> Rates:
 
 
 # ---------------------------------------------------------------------------
-# numeric Hessian standard errors
-
-
-def numeric_hessian_se(
-    objective: Callable[[np.ndarray], float], theta_hat: Sequence[float]
-) -> Optional[np.ndarray]:
-    """Covariance of (lambda, mu) from the observed information.
-
-    objective is the maximized log-likelihood as a function of
-    (log lambda, log mu); the Hessian of its negative is formed by
-    central differences with per-coordinate step eps^(1/3) * max(1, |theta|)
-    and inverted, then pushed through the Jacobian diag(lambda, mu) of
-    the exp map.  Returns None when the Hessian is not positive definite
-    or any stencil value is non-finite.
-    """
-    th = np.asarray(theta_hat, dtype=float)
-    h = _EPS_CBRT * np.maximum(1.0, np.abs(th))
-
-    def g(d0: float, d1: float) -> float:
-        return -objective(np.array([th[0] + d0, th[1] + d1]))
-
-    g0 = g(0.0, 0.0)
-    h00 = (g(h[0], 0.0) - 2.0 * g0 + g(-h[0], 0.0)) / (h[0] * h[0])
-    h11 = (g(0.0, h[1]) - 2.0 * g0 + g(0.0, -h[1])) / (h[1] * h[1])
-    h01 = (
-        g(h[0], h[1]) - g(h[0], -h[1]) - g(-h[0], h[1]) + g(-h[0], -h[1])
-    ) / (4.0 * h[0] * h[1])
-    if not (math.isfinite(h00) and math.isfinite(h11) and math.isfinite(h01)):
-        return None
-    det = h00 * h11 - h01 * h01
-    if h00 <= 0.0 or det <= 0.0:
-        return None
-    inv = np.array([[h11, -h01], [-h01, h00]]) / det
-    jac = np.diag([math.exp(th[0]), math.exp(th[1])])
-    cov = jac @ inv @ jac
-    cov[1, 0] = cov[0, 1]
-    if cov[0, 0] < 0.0 or cov[1, 1] < 0.0:
-        return None
-    return cov
-
-
-# ---------------------------------------------------------------------------
 # dispatch
 
 
@@ -295,13 +297,14 @@ def fit(panel: Panel, method: str, options: Optional[FitOptions] = None) -> Esti
     if name == "qg":
         return _fit_qg(panel, t0)
 
-    objective = _wrap_objective(_loglik_function(name, panel, options))
+    objective, derivatives = _search_functions(name, panel, options)
     start = (
         Rates(*options.start) if options.start is not None else initial_rates(panel)
     )
     res = maximize_2d(
         objective,
         [math.log(start.lam), math.log(start.mu)],
+        derivatives=derivatives,
         restarts=options.restarts,
         maxiter=options.maxiter,
         seed=options.seed,
@@ -309,9 +312,7 @@ def fit(panel: Panel, method: str, options: Optional[FitOptions] = None) -> Esti
     rates_hat = _rates_from_log(np.asarray(res.x))
     if rates_hat is None:
         raise SolverError(f"{name} search ended outside the parameter domain")
-    cov = numeric_hessian_se(
-        objective, [math.log(rates_hat.lam), math.log(rates_hat.mu)]
-    )
+    cov = numeric_hessian_se(objective, res.x, res.hessian)
     return EstimateResult(
         method=name,
         rates=rates_hat,
@@ -321,6 +322,10 @@ def fit(panel: Panel, method: str, options: Optional[FitOptions] = None) -> Esti
         converged=res.converged,
         n_obj_evals=res.n_evals,
         wall_time=time.perf_counter() - t0,
+        n_runs=res.n_runs,
+        newton_iterations=res.newton_iterations,
+        rejected_probes=res.rejected,
+        continued=res.continued,
     )
 
 

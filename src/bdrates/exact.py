@@ -24,6 +24,19 @@ evaluation is one law per gap group, one affine map and a segmented
 log-sum-exp. Single transitions (log_transition_prob, truncation_limit) and
 the degenerate laws of a pure-birth or pure-death process use the scalar
 sum _log_pmf.
+
+The same table gives the score and the observed information in
+(log lam, log mu). A segment's log-sum-exp has the softmax mean of j as
+its derivative in the slope and the softmax variance of j as its second
+derivative, so each costs one more weighted reduction. The chain to the
+rates runs through
+
+    log beta = log P - log(1+P),   log alpha = log Q - log(1+P),
+    log(1-alpha) + log(1-beta) = omega*t - 2 log(1+P),
+
+with P = lam*t*phi(omega*t), Q = mu*t*phi(omega*t) and
+phi(x) = (e^x - 1)/x, which is smooth through omega = 0; log phi's
+derivatives take a series near 0.
 """
 
 from __future__ import annotations
@@ -302,7 +315,8 @@ class TermTable:
     coef holds the log binomial coefficients of every summand, flat, gap
     group after gap group: one segment of lengths = min(a, k) terms per
     k >= 1 transition, starting at starts, and group_terms terms per
-    group. j holds the matching index. Per group, the bracket sums to
+    group; segment_group holds each segment's group. j holds the
+    matching index. Per group, the bracket sums to
     src_live*l1ab + excess*log(beta), and the k = 0 transitions add
     src_dead*log(alpha). Arrays are read-only.
     """
@@ -312,6 +326,7 @@ class TermTable:
     starts: np.ndarray
     lengths: np.ndarray
     group_terms: np.ndarray
+    segment_group: np.ndarray
     src_live: tuple[int, ...]
     excess: tuple[int, ...]
     src_dead: tuple[int, ...]
@@ -339,7 +354,10 @@ def term_table(groups) -> TermTable:
     coef -= gammaln(k_t - a_t + j + 1)
     # min(a, 0) = 0: the k = 0 members add no terms
     group_terms = np.array([np.minimum(grp.src, grp.dst).sum() for grp in groups])
-    arrays = (coef, j.astype(float), starts, lengths, group_terms)
+    segment_group = np.repeat(
+        np.arange(len(groups)), [np.count_nonzero(grp.dst) for grp in groups]
+    )
+    arrays = (coef, j.astype(float), starts, lengths, group_terms, segment_group)
     for arr in arrays:
         arr.setflags(write=False)
     live_of = [(grp, grp.dst > 0) for grp in groups]
@@ -351,9 +369,12 @@ def term_table(groups) -> TermTable:
     )
 
 
-def _table_loglik(tab: TermTable, laws: list[GeomParams]) -> float:
-    # sum of the panel's log pmfs for laws with alpha, beta > 0: one
-    # affine map of the coefficients and a log-sum-exp per segment
+def _table_loglik(tab: TermTable, laws: list[GeomParams], moments: bool = False):
+    """Sum of the panel's log pmfs for laws with alpha, beta > 0: one
+    affine map of the coefficients and a log-sum-exp per segment. With
+    moments, also each group's sums over its segments of the softmax mean
+    and variance of j: the first two derivatives of the log-sum-exps in
+    their group's slope."""
     l1ab = [g.log1m_alpha + g.log1m_beta for g in laws]
     total = sum(
         n_live * c + n_exc * g.log_beta + n_dead * g.log_alpha
@@ -362,7 +383,8 @@ def _table_loglik(tab: TermTable, laws: list[GeomParams]) -> float:
         )
     )
     if tab.coef.size == 0:
-        return total
+        zero = np.zeros(len(laws))
+        return (total, zero, zero) if moments else total
     slopes = [g.log_alpha + g.log_beta - c for g, c in zip(laws, l1ab)]
     # a lone group's slope broadcasts; spreading it would copy the table
     v = tab.j * (slopes[0] if len(slopes) == 1 else np.repeat(slopes, tab.group_terms))
@@ -371,10 +393,83 @@ def _table_loglik(tab: TermTable, laws: list[GeomParams]) -> float:
     v -= np.repeat(peak, tab.lengths)
     np.exp(v, out=v)
     mass = np.add.reduceat(v, tab.starts)
-    return total + float(np.sum(peak)) + float(np.sum(np.log(mass)))
+    value = total + float(np.sum(peak)) + float(np.sum(np.log(mass)))
+    if not moments:
+        return value
+    # v / mass are the softmax weights within each segment
+    mean = np.add.reduceat(v * tab.j, tab.starts) / mass
+    dev = tab.j - np.repeat(mean, tab.lengths)
+    var = np.add.reduceat(v * dev * dev, tab.starts) / mass
+    n = len(laws)
+    return (
+        value,
+        np.bincount(tab.segment_group, mean, n),
+        np.bincount(tab.segment_group, var, n),
+    )
 
 
-def exact_loglik(panel: Panel, rates: Rates) -> float:
+# log phi(x) = log((e^x - 1)/x) has derivatives 1/2 + coth(x/2)/2 - 1/x and
+# 1/x^2 - (coth(x/2)^2 - 1)/4; below this |x| both cancel, and their
+# series, truncated after the x^7 and x^6 terms, are exact to rounding
+_SERIES_X = 0.1
+
+
+def _log_phi_derivs(x: float) -> tuple[float, float]:
+    """First and second derivatives of log phi at x."""
+    if abs(x) < _SERIES_X:
+        x2 = x * x
+        return (
+            0.5 + x * (1.0 / 12.0 - x2 * (1.0 / 720.0 - x2 * (1.0 / 30240.0 - x2 / 1209600.0))),
+            1.0 / 12.0 - x2 * (1.0 / 240.0 - x2 * (1.0 / 6048.0 - x2 / 172800.0)),
+        )
+    coth = 1.0 / math.tanh(0.5 * x)
+    return 0.5 + 0.5 * coth - 1.0 / x, 1.0 / (x * x) - 0.25 * (coth * coth - 1.0)
+
+
+def _score_information(
+    trans, laws: list[GeomParams], rates: Rates, mean_j: np.ndarray, var_j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score and observed information in theta = (log lam, log mu) of the
+    table log likelihood, from each group's summed softmax mean and
+    variance of j (see the module docstring for the chain). Scalar
+    arithmetic per group: a panel has few groups, and numpy's per-call
+    cost on 2-vectors would outweigh the work."""
+    tab = trans.term_table
+    lam, mu = rates.lam, rates.mu
+    g0 = g1 = h00 = h01 = h11 = 0.0
+    for grp, law, n_dead, n_exc, n_live, m1, var in zip(
+        trans.groups, laws, tab.src_dead, tab.excess, tab.src_live,
+        mean_j.tolist(), var_j.tolist(),
+    ):
+        d1, d2 = _log_phi_derivs(rates.omega * grp.tau)
+        # x = omega*tau: gradient (x0, x1), Hessian diag(x0, x1)
+        x0, x1 = lam * grp.tau, -mu * grp.tau
+        # log P and log Q: gradients p and q; both have the Hessian l
+        p0, p1 = 1.0 + d1 * x0, d1 * x1
+        q0, q1 = d1 * x0, 1.0 + d1 * x1
+        l00, l01, l11 = d2 * x0 * x0 + d1 * x0, d2 * x0 * x1, d2 * x1 * x1 + d1 * x1
+        # log(1+P) = softplus(log P), whose slope is beta and curvature
+        # beta(1 - beta): gradient (s0, s1), Hessian (s00, s01, s11)
+        b = law.beta
+        bv = b * math.exp(law.log1m_beta)
+        s0, s1 = b * p0, b * p1
+        s00, s01, s11 = bv * p0 * p0 + b * l00, bv * p0 * p1 + b * l01, bv * p1 * p1 + b * l11
+        # the log likelihood's gradient in u = (log alpha, log beta,
+        # log(1-alpha) + log(1-beta)) = (log Q - sp, log P - sp, x - 2 sp)
+        w1, w2, w3 = n_dead + m1, n_exc + m1, n_live - m1
+        g0 += w1 * (q0 - s0) + w2 * (p0 - s0) + w3 * (x0 - 2.0 * s0)
+        g1 += w1 * (q1 - s1) + w2 * (p1 - s1) + w3 * (x1 - 2.0 * s1)
+        # its Hessian in u is var * c c^T along the slope c = (1, 1, -1),
+        # whose gradient in theta is q + p - x (the softplus cancels)
+        c0, c1 = q0 + p0 - x0, q1 + p1 - x1
+        w12 = w1 + w2
+        h00 += var * c0 * c0 + w12 * (l00 - s00) + w3 * (x0 - 2.0 * s00)
+        h01 += var * c0 * c1 + w12 * (l01 - s01) - w3 * 2.0 * s01
+        h11 += var * c1 * c1 + w12 * (l11 - s11) + w3 * (x1 - 2.0 * s11)
+    return np.array([g0, g1]), -np.array([[h00, h01], [h01, h11]])
+
+
+def exact_loglik(panel: Panel, rates: Rates, derivatives: bool = False):
     """Exact log likelihood of a panel: the sum of log transition
     probabilities over consecutive observation pairs (the process is
     Markov, so these factorize). Transitions out of state 0 contribute 0.
@@ -385,11 +480,23 @@ def exact_loglik(panel: Panel, rates: Rates) -> float:
     affine map of the rate-free coefficients and a segmented
     log-sum-exp. A degenerate law (alpha = 0 or beta = 0, i.e. mu = 0 or
     lam = 0), under which some summands are -inf, sums the scalar
-    _log_pmf instead."""
+    _log_pmf instead.
+
+    With derivatives, returns (value, score, information): the score
+    and the observed information (minus the Hessian) in
+    (log lam, log mu), or None for both on a degenerate law."""
     trans = panel.transitions
     laws = [geom_params(grp.tau, rates) for grp in trans.groups]
     if all(g.log_alpha > _NEG_INF and g.log_beta > _NEG_INF for g in laws):
-        return _table_loglik(trans.term_table, laws)
+        if not derivatives:
+            return _table_loglik(trans.term_table, laws)
+        value, mean_j, var_j = _table_loglik(trans.term_table, laws, moments=True)
+        return (value, *_score_information(trans, laws, rates, mean_j, var_j))
+    value = _scalar_loglik(trans, laws)
+    return (value, None, None) if derivatives else value
+
+
+def _scalar_loglik(trans, laws: list[GeomParams]) -> float:
     total = 0.0
     for grp, g in zip(trans.groups, laws):
         for a, k in zip(grp.src.tolist(), grp.dst.tolist()):

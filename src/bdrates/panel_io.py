@@ -214,6 +214,10 @@ def result_to_dict(result: EstimateResult, seed: Optional[int] = None) -> dict:
         "diagnostics": {
             "n_obj_evals": result.n_obj_evals,
             "wall_time": result.wall_time,
+            "n_runs": result.n_runs,
+            "newton_iterations": result.newton_iterations,
+            "rejected_probes": result.rejected_probes,
+            "continued": result.continued,
         },
         "seed": seed,
     }

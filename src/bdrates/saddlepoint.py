@@ -100,11 +100,17 @@ def _x_max(g: GeomParams) -> float:
     return lr * (1.0 - RADIUS_GUARD)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _cgf_terms(x, g: GeomParams, a):
     """Vectorized K, K', K'' at x for a ancestors (a may be an array).
 
     Uses the geometric form of the pgf; 1 - beta*s is assembled as
     (1-beta) - beta*(e^x - 1) so accuracy survives close to the radius.
+    Where 1 - beta is tiny (1e-146 at 50 -> 3, lambda 1471, mu 1214,
+    t 1.3), K'' close to the radius exceeds the float range; the terms
+    come back inf or NaN there, which the solve and the callers score.
+    (The errstate is a decorator: as a with-block it costs twice as much
+    per call, and the solve calls this a few times per evaluation.)
     """
     x = np.asarray(x, dtype=float)
     om_a = math.exp(g.log1m_alpha)
@@ -138,7 +144,8 @@ def _saddle_quadratic(ratio, t: float, rates: Rates):
     saddlepoint in s, for ratio = a/k (B depends on the ratio; A, C do not).
 
     All three carry one power-of-two scale that keeps B*B and 4*A*C finite;
-    the scale is exact, so the roots are those of the unscaled quadratic."""
+    the scale is exact, so the roots are those of the unscaled quadratic.
+    Coefficients that overflow before scaling raise DomainError."""
     if is_critical(rates):
         u = 0.5 * rates.xi * t
         A = u - u * u
@@ -147,14 +154,18 @@ def _saddle_quadratic(ratio, t: float, rates: Rates):
     else:
         lam, mu = rates.lam, rates.mu
         m = math.exp(rates.omega * t)
-        if not math.isfinite(m * m):
-            raise DomainError(f"horizon {t} too long for saddlepoint coefficients")
         A = lam * (m - 1.0) * (lam - mu * m)
         B = 2.0 * lam * mu * (1.0 + m * m - m) - m * (lam * lam + mu * mu) + ratio * (
             m * (lam - mu) ** 2
         )
         C = mu * (m - 1.0) * (mu - lam * m)
-    big = max(abs(A), abs(C), float(np.abs(B).max()))
+    b_max = float(np.abs(B).max())  # inf or NaN if any entry is
+    if not (math.isfinite(A) and math.isfinite(C) and math.isfinite(b_max)):
+        raise DomainError(
+            f"saddlepoint coefficients overflow at horizon {t}, "
+            f"rates ({rates.lam}, {rates.mu})"
+        )
+    big = max(abs(A), abs(C), b_max)
     scale = math.ldexp(1.0, -max(math.frexp(big)[1], 0))
     return A * scale, B * scale, C * scale
 
@@ -180,7 +191,12 @@ def _stable_roots(A, B, C):
 
 def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
     """Vectorized saddlepoints x~ with K'(x~) = k, for k >= 1 lanes,
-    seeded at the closed-form root of the saddle quadratic."""
+    seeded at the closed-form root of the saddle quadratic.
+
+    Where beta rounds close to 1, both roots can round onto 1/beta and
+    fail the range check although K' crosses k below x_hi; such lanes are
+    seeded at x_hi, and the solve finds the root or raises its
+    guard-band SolverError."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
     A, B, C = _saddle_quadratic(a_arr / k_arr, t, rates)
@@ -192,13 +208,15 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
         return np.isfinite(r) & (r > 0.0) & (r < s_hi)
 
     ok1, ok2 = in_range(r1), in_range(r2)
-    if not np.all(ok1 | ok2):
-        bad = int(np.argmin(ok1 | ok2))
+    seeded = ok1 | ok2
+    all_seeded = bool(seeded.all())
+    if x_hi == math.inf and not all_seeded:
+        bad = int(np.argmin(seeded))
         raise SolverError(
             f"no saddlepoint root in (0, {s_hi}) for k={k_arr.flat[bad]}, "
             f"a={a_arr.flat[bad]}, t={t}, rates=({rates.lam}, {rates.mu})"
         )
-    s = np.where(ok1, r1, r2)
+    s = np.where(ok1, r1, r2 if all_seeded else np.where(ok2, r2, np.nan))
     # where both roots look admissible, keep the one closer to solving K'=k;
     # a root inside the guard band is scored at x_hi, where its solve starts
     both = ok1 & ok2 & (r1 != r2)
@@ -211,6 +229,8 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
             r2[both],
         )
     x = np.minimum(np.log(s), x_hi)
+    if not all_seeded:
+        x = np.where(seeded, x, x_hi)
     return _newton(
         x, k_arr, lambda x, i: _cgf_terms(x, g, a_arr[i])[1:], x_hi, t, a_arr, rates
     )

@@ -11,7 +11,10 @@ on each call, before its rate-free term table replaced the loop. The
 joint-path saddlepoint solved each trajectory's N-dimensional
 saddlepoint system through the nested generating function, by damped
 Newton with Cholesky steps, before it was found to equal the plain
-saddlepoint likelihood to its solver tolerance. They are kept here
+saddlepoint likelihood to its solver tolerance. Every likelihood fit
+searched by Nelder-Mead with perturbed restarts, about 270 evaluations
+each, before damped Newton steps on the exact likelihood's analytic
+derivatives and a difference stencil replaced it. They are kept here
 verbatim apart from names, calling the package's current helpers, so
 the replacements can be checked against them.
 """
@@ -20,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq, minimize, minimize_scalar
 
 from bdrates.errors import DataError, DomainError, SolverError
 from bdrates.exact import _NEG_INF, _log_pmf, geom_params, pgf_geom
@@ -40,6 +43,7 @@ from bdrates.gaussian import (
     qg_sandwich_cov,
 )
 from bdrates.gw import GwMoments, gw_estimate
+from bdrates.optimize import FATOL, PERTURB_SCALE, XATOL, OptResult
 from bdrates.saddlepoint import (
     RESIDUAL_TOL,
     _cgf_terms,
@@ -789,3 +793,91 @@ def mv_loglik(panel: Panel, rates: Rates) -> float:
     for tr in panel:
         total += mv_log_spa_pmf(tr.counts[1:], tr.times, tr.counts[0], rates)
     return total
+
+
+# ---------------------------------------------------------------------------
+# likelihood search: Nelder-Mead with perturbed restarts, as maximize_2d ran
+
+
+def maximize_2d(
+    objective: Callable[[np.ndarray], float],
+    x0: Sequence[float],
+    *,
+    restarts: int = 3,
+    maxiter: int = 2000,
+    seed: int = 0,
+) -> OptResult:
+    """Maximize a 2-D objective by Nelder-Mead with perturbed restarts.
+
+    The objective may return -inf (or nan, treated the same) to reject a
+    point; it must be finite at x0.  After the initial run, up to
+    `restarts` further runs are started from the incumbent optimum plus
+    Gaussian noise of scale PERTURB_SCALE.  A restart that lands back
+    on the incumbent (to tolerance) confirms it and stops the loop
+    early; a restart that improves it replaces it and the search
+    continues.  converged reports whether the best run terminated on the
+    simplex tolerances rather than the iteration budget.  A start where
+    the objective is not finite raises DomainError.
+    """
+    x_start = np.asarray(x0, dtype=float)
+    if x_start.shape != (2,):
+        raise ValueError(f"expected a 2-vector start, got shape {x_start.shape}")
+    n_evals = 0
+
+    def negated(x: np.ndarray) -> float:
+        nonlocal n_evals
+        n_evals += 1
+        val = objective(x)
+        # nan and +inf both mean the probe broke down numerically; -inf is
+        # a legitimate log-zero rejection. All three score as +inf here so
+        # the minimizer never mistakes a degenerate spike for an optimum.
+        if not math.isfinite(val):
+            return math.inf
+        return -val
+
+    if not math.isfinite(-negated(x_start)):
+        raise DomainError(
+            f"objective is not finite at the starting point {x_start.tolist()}"
+        )
+
+    def run(start: np.ndarray):
+        # rejected probes sit at +inf in the simplex; scipy's fatol check then
+        # computes inf-inf, which is harmless but noisy without the errstate
+        with np.errstate(invalid="ignore"):
+            return minimize(
+                negated,
+                start,
+                method="Nelder-Mead",
+                options={
+                    "xatol": XATOL,
+                    "fatol": FATOL,
+                    "maxiter": maxiter,
+                    "maxfev": 4 * maxiter,
+                },
+            )
+
+    rng = np.random.default_rng(seed)
+    best = run(x_start)
+    n_runs = 1
+    for _ in range(restarts):
+        start = best.x + PERTURB_SCALE * rng.standard_normal(2)
+        res = run(start)
+        n_runs += 1
+        same_point = np.max(np.abs(res.x - best.x)) <= 1e-6 * np.maximum(
+            1.0, np.max(np.abs(best.x))
+        )
+        close_value = abs(res.fun - best.fun) <= 10.0 * FATOL * max(1.0, abs(best.fun))
+        if res.fun < best.fun:
+            best = res
+            if same_point and close_value:
+                break
+            continue
+        if res.success and same_point and close_value:
+            break
+    return OptResult(
+        x=(float(best.x[0]), float(best.x[1])),
+        fun=-float(best.fun),
+        n_evals=n_evals,
+        converged=bool(best.success),
+        n_runs=n_runs,
+    )

@@ -65,3 +65,25 @@ def mp_cgf_derivative(x, t, a, lam, mu, order=1):
     high-order numerical differentiation at high precision."""
     f = lambda y: mp_cgf(y, t, a, lam, mu)
     return mp.diff(f, mp.mpf(x), order)
+
+
+def mp_log_spa_pmf(k, t, a, lam, mu, lo, hi):
+    """Log of the plain saddlepoint pmf approximation, with the saddlepoint
+    found by bisecting K'(x) = k on [lo, hi] in arbitrary precision."""
+    alpha, beta = mp_alpha_beta(t, lam, mu)
+
+    def cgf_prime(x):
+        s = mp.e ** x
+        f = alpha + (1 - alpha) * (1 - beta) * s / (1 - beta * s)
+        return int(a) * (1 - alpha) * (1 - beta) * s / ((1 - beta * s) ** 2 * f)
+
+    lo, hi = mp.mpf(lo), mp.mpf(hi)
+    for _ in range(400):
+        mid = (lo + hi) / 2
+        if cgf_prime(mid) < k:
+            lo = mid
+        else:
+            hi = mid
+    x = (lo + hi) / 2
+    k2 = mp_cgf_derivative(x, t, a, lam, mu, order=2)
+    return -mp.log(2 * mp.pi * k2) / 2 + mp_cgf(x, t, a, lam, mu) - x * k

@@ -68,6 +68,22 @@ def test_maximize_quadratic():
     assert res.n_evals > 0 and res.n_runs >= 2
 
 
+def test_maximize_quadratic_newton():
+    # with its exact derivatives, one Newton step reaches the optimum and
+    # the next step is zero; no Nelder-Mead continuation runs
+    def obj(x):
+        return -((x[0] - 2.0) ** 2) - 3.0 * (x[1] + 1.0) ** 2
+
+    def derivatives(x):
+        return np.array([-2.0 * (x[0] - 2.0), -6.0 * (x[1] + 1.0)]), np.diag([-2.0, -6.0])
+
+    res = maximize_2d(obj, [0.5, 0.0], derivatives=derivatives)
+    assert res.converged and res.n_runs == 1 and not res.continued
+    assert res.x == (2.0, -1.0) and res.fun == 0.0
+    assert res.newton_iterations == 2 and res.n_evals == 2
+    assert np.array_equal(res.hessian, np.diag([-2.0, -6.0]))
+
+
 def test_maximize_rejects_bad_start():
     with pytest.raises(ValueError):
         maximize_2d(lambda x: -math.inf, [0.0, 0.0])

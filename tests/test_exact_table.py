@@ -168,6 +168,7 @@ def test_table_layout():
     assert tab.lengths.tolist() == [3, 2, 2, 1, 1]
     assert tab.starts.tolist() == [0, 3, 5, 7, 8]
     assert tab.group_terms.tolist() == [5, 4]
+    assert tab.segment_group.tolist() == [0, 0, 1, 1, 1]
     assert tab.j.tolist() == [0, 1, 2, 0, 1, 0, 1, 0, 6]
     assert tab.src_live == (5, 10)
     assert tab.excess == (2, -1)
@@ -192,7 +193,7 @@ def test_table_without_live_targets():
 
 def test_table_is_read_only():
     tab = PANELS["unequal"].transitions.term_table
-    for arr in (tab.coef, tab.j, tab.starts, tab.lengths, tab.group_terms):
+    for arr in (tab.coef, tab.j, tab.starts, tab.lengths, tab.group_terms, tab.segment_group):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0
@@ -221,3 +222,115 @@ def test_table_not_built_by_other_methods():
     assert "term_table" not in vars(panel.transitions)
     fit(panel, "mle", OPTS)
     assert "term_table" in vars(panel.transitions)
+
+
+# ---------------------------------------------------------------------------
+# score and observed information in (log lambda, log mu)
+
+
+def _loglik_at(panel, theta):
+    return exact_loglik(panel, Rates(math.exp(theta[0]), math.exp(theta[1])))
+
+
+def _derivs_at(panel, theta):
+    return exact_loglik(panel, Rates(math.exp(theta[0]), math.exp(theta[1])), derivatives=True)
+
+
+def _theta_points():
+    """(log lambda, log mu) at random rates, with |omega| inside the
+    near-critical band, and at mu/lambda and lambda/mu = 1e-6."""
+    rng = random.Random(23)
+    out = [(math.log(rng.uniform(0.3, 12.0)), math.log(rng.uniform(0.3, 12.0))) for _ in range(3)]
+    for lam, frac in [(2.0, 0.4), (6.5, -0.9)]:
+        out.append((math.log(lam), math.log(lam * (1.0 + frac * EPS_CRITICAL))))
+    out += [(math.log(5.0), math.log(5e-6)), (math.log(5e-6), math.log(5.0))]
+    return out
+
+
+THETAS = _theta_points()
+_E = np.eye(2)
+
+
+@pytest.mark.parametrize("name", sorted(PANELS))
+def test_score_matches_central_differences_of_the_loglik(name):
+    panel = PANELS[name]
+    h = 1e-5
+    for theta in THETAS:
+        theta = np.array(theta)
+        value, score, _ = _derivs_at(panel, theta)
+        assert value == exact_loglik(panel, Rates(*np.exp(theta)))
+        fd = [(_loglik_at(panel, theta + h * e) - _loglik_at(panel, theta - h * e)) / (2 * h) for e in _E]
+        assert np.max(np.abs(score - fd)) <= 1e-6 * max(1.0, np.max(np.abs(score))), theta
+
+
+@pytest.mark.parametrize("name", sorted(PANELS))
+def test_information_matches_central_differences_of_the_score(name):
+    panel = PANELS[name]
+    h = 1e-5
+    for theta in THETAS:
+        theta = np.array(theta)
+        _, _, info = _derivs_at(panel, theta)
+        assert info[0, 1] == info[1, 0]
+        fd = np.array(
+            [(_derivs_at(panel, theta + h * e)[1] - _derivs_at(panel, theta - h * e)[1]) / (2 * h) for e in _E]
+        )
+        assert np.max(np.abs(-info - fd)) <= 1e-6 * np.max(np.abs(info)), theta
+
+
+@pytest.mark.parametrize("x", [1e-9, 1e-4, 0.0999, 0.1001, 1.0, 30.0, 700.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_log_phi_derivatives_match_oracle(x, sign):
+    # the series inside |x| < 0.1 and the closed form outside it
+    x = sign * x
+    f = lambda y: mp.log(mp.expm1(y) / y)
+    got = exact._log_phi_derivs(x)
+    want = [float(mp.diff(f, mp.mpf(x), n)) for n in (1, 2)]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def _mp_derivs(a, k, t, lam, mu):
+    """Score and Hessian of the oracle log pmf in (log lambda, log mu)."""
+    mp.mp.dps = 60
+
+    def f(x, y):
+        return mp.log(mp_transition_prob(k, t, a, mp.exp(x), mp.exp(y)))
+
+    x, y = mp.log(mp.mpf(lam)), mp.log(mp.mpf(mu))
+    grad = [float(mp.diff(f, (x, y), order)) for order in [(1, 0), (0, 1)]]
+    hess = [float(mp.diff(f, (x, y), order)) for order in [(2, 0), (1, 1), (0, 2)]]
+    return np.array(grad), np.array([[hess[0], hess[1]], [hess[1], hess[2]]])
+
+
+# (a, k, t, lam, mu): random rates, |omega| inside the near-critical band,
+# and mu/lambda, lambda/mu = 1e-6, with k = 0, k = 1 and a = 1 among them
+ORACLE_DERIVS = [
+    (3, 5, 0.5, 1.8, 1.2),
+    (5, 0, 0.5, 1.8, 1.2),
+    (1, 9, 0.7, 3.0, 0.5),
+    (20, 1, 1.0, 7.0, 5.0),
+    (10, 40, 1.0, 7.0, 5.0),
+    (4, 3, 0.5, 2.0, 2.0 * (1.0 + 0.4 * EPS_CRITICAL)),
+    (37, 12, 0.8, 2.5, 2.5 * (1.0 - 0.9 * EPS_CRITICAL)),
+    (6, 9, 0.6, 3.0, 3e-6),
+    (9, 4, 0.6, 3e-6, 3.0),
+]
+
+
+@pytest.mark.parametrize("a, k, t, lam, mu", ORACLE_DERIVS)
+def test_score_and_information_match_oracle(a, k, t, lam, mu):
+    panel = Panel((Trajectory((0.0, t), (a, k)),))
+    rates = Rates(lam, mu)
+    _, score, info = exact_loglik(panel, rates, derivatives=True)
+    grad, hess = _mp_derivs(a, k, t, lam, mu)
+    # inside the band the law is the lam == mu limit, itself off by about
+    # EPS_CRITICAL relative, and the derivatives are taken at that law
+    rel = 10 * EPS_CRITICAL if exact.is_critical(rates) else 1e-9
+    assert np.max(np.abs(score - grad)) <= rel * max(1.0, np.max(np.abs(grad)))
+    assert np.max(np.abs(-info - hess)) <= rel * max(1.0, np.max(np.abs(hess)))
+
+
+def test_degenerate_law_has_no_derivatives():
+    panel = PANELS["absorbing"]
+    value, score, info = exact_loglik(panel, Rates(0.0, 3.0), derivatives=True)
+    assert value == exact_loglik(panel, Rates(0.0, 3.0))
+    assert score is None and info is None

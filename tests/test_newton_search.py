@@ -1,0 +1,189 @@
+"""The likelihood searches: the exact likelihood's damped Newton search
+against the Nelder-Mead search it replaced (kept in legacy_kernels), the
+saddlepoint fits, which still run that search, the Nelder-Mead
+continuation, the edge panels, and a property test over small panels."""
+
+import math
+
+import legacy_kernels as legacy
+import numpy as np
+import pytest
+import test_exact_table
+import test_table_consumers
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bdrates.errors import BdError
+from bdrates.estimate import (
+    FitOptions,
+    _search_functions,
+    fit,
+    initial_rates,
+    numeric_hessian_se,
+)
+from bdrates.exact import exact_loglik
+from bdrates.optimize import maximize_2d
+from bdrates.types import Panel, Trajectory
+
+FROZEN = {
+    **{f"exact_table.{k}": p for k, p in test_exact_table.PANELS.items()},
+    **{f"table_consumers.{k}": p for k, p in test_table_consumers.PANELS.items()},
+}
+LIKELIHOODS = ("spmle", "spmle_adjusted", "mle")
+
+
+def _legacy_fit(panel, method):
+    objective, _ = _search_functions(method, panel, FitOptions())
+    start = initial_rates(panel)
+    return legacy.maximize_2d(objective, [math.log(start.lam), math.log(start.mu)])
+
+
+@pytest.mark.parametrize("method", LIKELIHOODS)
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_fit_agrees_with_the_nelder_mead_search(name, method):
+    panel = FROZEN[name]
+    new, old = fit(panel, method), _legacy_fit(panel, method)
+    if method != "mle":
+        # no derivatives: the reference search itself, evaluation for evaluation
+        assert new.newton_iterations == 0 and not new.continued
+        assert new.n_obj_evals == old.n_evals and new.loglik == old.fun
+        return
+    assert new.converged and not new.continued and new.n_runs == 1
+    assert new.loglik >= old.fun - 1e-9 * max(1.0, abs(old.fun))
+    if "extinct" in name:
+        # every target is 0: the likelihood climbs toward 0 as the death
+        # rate grows, so there is no optimum for the two searches to share
+        return
+    got = np.array([new.rates.lam, new.rates.mu])
+    want = np.exp(old.x)
+    assert np.all(np.abs(got - want) <= 1e-5 * want)
+
+
+def test_mle_takes_a_few_evaluations_and_its_cov_is_the_analytic_information():
+    panel = FROZEN["exact_table.pooled_float_grid"]
+    res = fit(panel, "mle")
+    assert res.n_obj_evals <= 8 and res.rejected_probes == 0
+    theta = np.log([res.rates.lam, res.rates.mu])
+    _, _, info = exact_loglik(panel, res.rates, derivatives=True)
+    objective, _ = _search_functions("mle", panel, FitOptions())
+    assert np.allclose(res.cov, numeric_hessian_se(objective, theta, -info), rtol=1e-12, atol=0)
+    # the 9-point stencil agrees to its own accuracy: the rates lie on a
+    # ridge, where the inverse amplifies the stencil's rounding noise
+    stencil = numeric_hessian_se(objective, theta)
+    assert np.all(np.abs(res.cov - stencil) <= 1e-2 * np.abs(stencil))
+    assert res.se_omega == pytest.approx(
+        math.sqrt(stencil[0, 0] + stencil[1, 1] - 2 * stencil[0, 1]), rel=1e-3
+    )
+
+
+# ---------------------------------------------------------------------------
+# the Nelder-Mead continuation
+
+
+def _beside_a_hole(x):
+    # -inf right of x0 = 0.5, optimum at (0.4, 0.2)
+    if x[0] > 0.5:
+        return -math.inf
+    return -((x[0] - 0.4) ** 2) - (x[1] - 0.2) ** 2
+
+
+def test_continuation_runs_where_there_is_no_model():
+    # no model at the start, as at a degenerate law of the exact likelihood
+    res = maximize_2d(_beside_a_hole, [0.5 - 1e-7, 0.0], derivatives=lambda x: None)
+    assert res.continued and res.n_runs >= 2 and res.newton_iterations == 0
+    assert abs(res.x[0] - 0.4) < 1e-6 and abs(res.x[1] - 0.2) < 1e-6
+    assert res.hessian is None
+
+
+def test_continuation_runs_when_the_halvings_run_out():
+    # a model whose optimum (5, 0.2) lies deep in the hole: every probe
+    # along its clipped step is -inf or lower than the start, and the 30th
+    # halving still leaves the step above XATOL
+    def derivatives(x):
+        return np.array([-2.0 * (x[0] - 5.0), -2.0 * (x[1] - 0.2)]), -2.0 * np.eye(2)
+
+    res = maximize_2d(_beside_a_hole, [0.5 - 1e-7, 0.2], derivatives=derivatives)
+    assert res.continued and res.n_runs >= 2
+    assert res.newton_iterations == 1 and res.rejected == 30
+    assert abs(res.x[0] - 0.4) < 1e-6 and abs(res.x[1] - 0.2) < 1e-6
+
+
+COLLAPSE = Panel((Trajectory((0.0, 0.2, 3.4), (25, 1, 1)),))
+ONE_STEP = Panel((Trajectory((0.0, 0.5718816614534702), (6, 9)),))
+PURE_DEATH_EDGE = Panel((Trajectory((0.0, 1.75, 1.9), (19, 2, 2)),))
+
+
+def test_collapse_spmle_reaches_the_nelder_mead_loglik():
+    # the spmle surface has -inf holes near the start; the search must step
+    # around them to the optimum at -6.864231
+    res = fit(COLLAPSE, "spmle")
+    assert res.loglik >= -6.8643
+
+
+@pytest.mark.parametrize("method", LIKELIHOODS)
+def test_value_gain_stop_ends_the_boundary_crawl(method):
+    # the optimum is at mu -> 0; mle's clipped Newton steps crawl toward it
+    # until a step gains at most FATOL*max(1, |f|), and the saddlepoint
+    # fits' Nelder-Mead stops on its simplex tolerances
+    res = fit(ONE_STEP, method)
+    assert res.converged and not res.continued
+    assert res.newton_iterations < 100
+    assert res.rates.mu < 1e-6 * res.rates.lam
+
+
+# spmle_adjusted left out: its Nelder-Mead search crawls lambda toward 0
+# along an unbounded objective for several seconds (ROADMAP item 6)
+@pytest.mark.parametrize("method", ["spmle", "mle"])
+def test_pure_death_edge_panel_returns(method):
+    res = fit(PURE_DEATH_EDGE, method)
+    assert math.isfinite(res.loglik)
+
+
+# ---------------------------------------------------------------------------
+# property: only BdError leaves fit, and no RuntimeWarning (pytest's filter
+# turns one into a failure)
+
+
+@st.composite
+def small_panels(draw):
+    trajectories = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(2, 5))
+        gaps = draw(st.lists(st.floats(0.01, 3.0), min_size=n - 1, max_size=n - 1))
+        times = tuple(float(t) for t in np.concatenate([[0.0], np.cumsum(gaps)]))
+        counts = [draw(st.integers(1, 40))]
+        for _ in range(n - 1):
+            counts.append(0 if counts[-1] == 0 else draw(st.integers(0, 60)))
+        trajectories.append(Trajectory(times, tuple(counts)))
+    return Panel(tuple(trajectories))
+
+
+# the examples' fits probe rates where the saddlepoint quadratic's
+# coefficients overflow
+@settings(max_examples=40, deadline=None)
+@given(panel=small_panels(), method=st.sampled_from(LIKELIHOODS))
+@example(
+    panel=Panel(
+        (
+            Trajectory((0.0, 0.25, 1.5534828466184352, 1.5634828466184352), (40, 50, 3, 48)),
+            Trajectory((0.0, 0.25), (1, 0)),
+        )
+    ),
+    method="spmle",
+)
+@example(
+    panel=Panel(
+        (
+            Trajectory((0.0, 0.23828125, 1.5417640966184352, 1.5517640966184352), (40, 50, 3, 48)),
+            Trajectory((0.0, 0.25), (1, 0)),
+        )
+    ),
+    method="spmle",
+)
+def test_only_typed_errors_leave_fit(panel, method):
+    try:
+        res = fit(panel, method)
+    except BdError:
+        return
+    assert math.isfinite(res.loglik)
+    assert res.n_runs >= 1 and res.newton_iterations >= 0

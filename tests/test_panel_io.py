@@ -244,6 +244,21 @@ class TestResultFiles:
         assert doc["loglik"] == result.loglik
         assert doc["diagnostics"]["n_obj_evals"] == result.n_obj_evals
         assert doc["diagnostics"]["wall_time"] >= 0.0
+        assert doc["diagnostics"]["n_runs"] == result.n_runs >= 1
+        assert doc["diagnostics"]["newton_iterations"] == result.newton_iterations >= 0
+        assert doc["diagnostics"]["rejected_probes"] == result.rejected_probes >= 0
+        assert doc["diagnostics"]["continued"] is result.continued
+
+    def test_newton_bookkeeping_recorded(self, tmp_path):
+        # the exact likelihood's fit is the one that takes Newton steps
+        result = fit(Panel((PANEL_EQ[0],)), "mle")
+        p = str(tmp_path / "res.json")
+        write_results(p, result)
+        diag = read_results(p)["diagnostics"]
+        assert diag["n_runs"] == result.n_runs == 1
+        assert diag["newton_iterations"] == result.newton_iterations >= 1
+        assert diag["rejected_probes"] == result.rejected_probes >= 0
+        assert diag["continued"] is result.continued is False
 
     def test_battery_round_trip(self, tmp_path):
         rows = compare(PANEL_EQ, methods=["gw", "qg"], options=FitOptions(seed=4))
@@ -290,6 +305,14 @@ class TestResultFiles:
             "converged",
             "diagnostics",
             "seed",
+        }
+        assert result_to_dict(result)["diagnostics"] == {
+            "n_obj_evals": 0,
+            "wall_time": result.wall_time,
+            "n_runs": 0,
+            "newton_iterations": 0,
+            "rejected_probes": 0,
+            "continued": False,
         }
 
 

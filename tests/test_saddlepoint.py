@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mp_log_spa_pmf
 from scipy.optimize import brentq
 
 from bdrates.errors import BdError, DomainError, SolverError
@@ -382,6 +383,10 @@ EDGE_INPUTS = [
     (4, 2, 0.00047968440257367326, 12.210102965056127, 8.279897916191494),
     (1, 10**7, 27.39343349121747, 0.28066276162833503, 2.9658718534433155),
     (16, 6416867, 25.64980151993033, 1.3032964568531082, 1.2176110711011734),
+    # probes of a Newton fit: the quadratic's coefficients overflow, and
+    # (beta rounding to 1) K' and K'' overflow near the radius
+    (50, 3, 328.7384990863487, 60.089802085189156, 1.3034828466184352),
+    (50, 3, 1470.9570132556241, 1214.380994645912, 1.3034828466184352),
 ]
 
 
@@ -446,3 +451,25 @@ def test_one_transition_loglik_is_a_float_or_typed_error(log_lam, log_mu, gap, a
     except BdError:
         return
     assert isinstance(val, float) and (math.isfinite(val) or val == -math.inf)
+
+
+# beta rounds to 1.0 here, so both roots of the saddle quadratic round onto
+# 1/beta and fail its range check although K' crosses k in (-1, 0)
+BETA_ONE = (38, 13.34, 0.00131, 3.87)
+
+
+def test_plain_solve_runs_where_both_quadratic_roots_round_onto_the_radius():
+    a, lam, mu, t = BETA_ONE
+    val = spa_loglik(_one_step(a, 1, t), Rates(lam, mu), "plain")
+    ref = float(mp_log_spa_pmf(1, t, a, lam, mu, -1, 0))
+    assert abs(val - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("k", [1, 2, 30])
+def test_conditional_solve_runs_where_both_quadratic_roots_round_onto_the_radius(k):
+    # k = 1 is scored exactly; k >= 2 seeds from the plain solve
+    a, lam, mu, t = BETA_ONE
+    rates = Rates(lam, mu)
+    val = spa_loglik(_one_step(a, k, t), rates, "conditional")
+    ref = log_transition_prob(k, t, a, rates)
+    assert abs(val - ref) <= 5e-3 * abs(ref)
