@@ -337,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, default=None)
     est.add_argument(
         "--restarts", type=int, default=3,
-        help="perturbed Nelder-Mead restarts: the saddlepoint fits' search, "
-        "and the continuation of an mle Newton run that cannot form a finite "
+        help="most perturbed Nelder-Mead restarts, run only while the best "
+        "optimum fails its stencil check: the saddlepoint fits' search, and "
+        "the continuation of an mle Newton run that cannot form a finite "
         "model or runs out of step halvings; --seed seeds their perturbations",
     )
     est.add_argument(

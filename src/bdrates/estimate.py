@@ -5,10 +5,12 @@ saddlepoint maximum-likelihood variants and the exact maximum likelihood
 behind a single result type.  The likelihood methods share one search
 over (log lambda, log mu) (optimize.maximize_2d): damped Newton steps
 on the exact likelihood's analytic score and observed information, and
-Nelder-Mead on the saddlepoint likelihoods.  The standard errors come
-from the Newton search's last model at the optimum, or from a numeric
-Hessian there.  compare() runs a battery of methods on one panel,
-capturing per-method failures instead of aborting.
+Nelder-Mead on the saddlepoint likelihoods, whose optimum the 9-point
+stencil of the covariance confirms.  The standard errors come from the
+Newton search's last model at the optimum, or from that stencil's
+Hessian; a fit on the boundary (one rate below 1e-6 of the other) has
+none.  compare() runs a battery of methods on one panel, capturing
+per-method failures instead of aborting.
 
 mv_spmle, the joint-path saddlepoint, is the plain saddlepoint fit under
 its old name: the joint-path saddlepoint likelihood factorizes into the
@@ -57,9 +59,10 @@ class FitOptions:
     and the iterations of each Nelder-Mead run.  restarts and seed
     govern Nelder-Mead: the saddlepoint fits' search, and the
     continuation of an mle fit whose Newton run cannot form a finite
-    model or runs out of step halvings.  restarts is the number of
-    perturbed restarts after its first run, and seed seeds the
-    perturbations.  max_count_cap bounds the population
+    model or runs out of step halvings.  restarts bounds the perturbed
+    runs after the first, which start only while the best optimum so
+    far fails its stencil check (optimize.maximize_2d), and seed seeds
+    the perturbations.  max_count_cap bounds the population
     size the exact likelihood will accept: its term table holds
     sum(min(a, k)) terms over the transitions a -> k, in memory
     (16 bytes each) and in the time of every evaluation, so it grows
@@ -82,10 +85,12 @@ class EstimateResult:
     """One estimator's output on one panel.
 
     cov is the 2x2 covariance of (lambda_hat, mu_hat) or None when it
-    could not be formed (non-PD Hessian, boundary fit, degenerate
-    moment panel).  loglik is the method's own objective at the
-    optimum and is None for the moment estimator, which has no
-    likelihood.  n_obj_evals counts optimizer objective calls only.
+    could not be formed (non-PD Hessian, a boundary fit whose smaller
+    rate is below 1e-6 of the larger, degenerate moment panel).  loglik
+    is the method's own objective at the optimum and is None for the
+    moment estimator, which has no likelihood.  n_obj_evals counts the
+    search's objective calls, including the 8 stencil evaluations that
+    check each Nelder-Mead optimum and give its covariance.
     The likelihood searches also report n_runs (the Newton run plus any
     Nelder-Mead runs), newton_iterations, rejected_probes (non-finite or
     non-improving Newton probes) and continued (whether Nelder-Mead
@@ -361,10 +366,16 @@ def compare(
 
 
 def format_compare_table(rows: Sequence[CompareRow]) -> str:
-    """Fixed-width text table of a compare() battery."""
+    """Fixed-width text table of a compare() battery.
+
+    Next to the objective evaluations (evals) stand the search's runs
+    (the Newton run plus each Nelder-Mead run) and its rejected Newton
+    probes; both read 0 for the moment estimators, which do not search.
+    """
     header = (
         f"{'method':<15} {'lambda':>12} {'mu':>12} {'omega':>12} "
-        f"{'se_omega':>10} {'loglik':>14} {'conv':>5} {'evals':>6} {'time_s':>9}"
+        f"{'se_omega':>10} {'loglik':>14} {'conv':>5} {'evals':>6} "
+        f"{'runs':>5} {'rejected':>8} {'time_s':>9}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
@@ -377,6 +388,7 @@ def format_compare_table(rows: Sequence[CompareRow]) -> str:
         lines.append(
             f"{r.method:<15} {r.rates.lam:>12.6f} {r.rates.mu:>12.6f} "
             f"{r.omega_hat:>12.6f} {se:>10} {ll:>14} "
-            f"{str(r.converged):>5} {r.n_obj_evals:>6d} {r.wall_time:>9.4f}"
+            f"{str(r.converged):>5} {r.n_obj_evals:>6d} {r.n_runs:>5d} "
+            f"{r.rejected_probes:>8d} {r.wall_time:>9.4f}"
         )
     return "\n".join(lines)

@@ -12,15 +12,20 @@ model is returned with the optimum, so the standard errors cost no
 further evaluations.
 
 The other objectives (the saddlepoint likelihoods, whose gradient runs
-through implicit saddlepoints) get a derivative-free Nelder-Mead search
-with seeded restarts from perturbed points. A Newton model built from
-central differences costs 12 evaluations, and the number of models a
-fit needs (3 to 6) follows the distance from the start to the optimum,
-so the cost of a fit jumps by a fifth to a third from one panel to the
-next. The simplex spends most of its 250-290 evaluations on the same
-tolerance tail whatever the start, so its cost varies by less than a
-tenth. The standard errors of those fits come from numeric_hessian_se's
-9-point stencil at the optimum.
+through implicit saddlepoints) get a derivative-free Nelder-Mead search.
+A Newton model built from central differences costs 12 evaluations, and
+the number of models a fit needs (3 to 6) follows the distance from the
+start to the optimum, so the cost of a fit jumps by a fifth to a third
+from one panel to the next. The simplex spends most of its 120-160
+evaluations on the same tolerance tail whatever the start, so its cost
+varies by less than a tenth. Each run's optimum is then checked on the
+9-point central-difference stencil that the standard errors need anyway
+(8 more evaluations; the centre is the run's own value): it is accepted
+when the run converged, every stencil value is finite and the centre is
+at least each of its 8 neighbours, a check on local information in the
+spirit of Kelley (1999, SIAM J. Optim. 10:43-55). Only a point that
+fails it starts a further run from a perturbed point. The accepted
+stencil's Hessian is returned with the optimum.
 
 A Newton run that cannot form a finite model, or that halves its step
 MAX_HALVINGS times without an improving probe, hands its best point to
@@ -52,6 +57,10 @@ PERTURB_SCALE = 0.25
 MAX_STEP = 2.0
 EIG_FLOOR = 1e-8
 MAX_HALVINGS = 30
+# a fit whose smaller rate is below this share of the larger lies on the
+# boundary of the parameter space, where the information is no guide to
+# the estimator's spread
+BOUNDARY_RATIO = 1e-6
 
 _EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -65,8 +74,9 @@ class OptResult:
     n_runs counts the Newton run and each Nelder-Mead run; rejected
     counts Newton probes that were non-finite or did not improve;
     continued reports whether Nelder-Mead continued a Newton run.
-    hessian is the objective's Hessian at x from the last Newton model,
-    or None when there is none there."""
+    hessian is the objective's Hessian at x: from derivatives where they
+    are given, else from the stencil that confirmed a Nelder-Mead
+    optimum; None when there is none."""
 
     x: tuple[float, float]
     fun: float
@@ -88,26 +98,19 @@ def numeric_hessian_se(
 
     objective is the maximized log-likelihood as a function of
     (log lambda, log mu). hessian is its Hessian at theta_hat when known
-    (a Newton search's last model); otherwise it is formed by central
-    differences with per-coordinate step eps^(1/3) * max(1, |theta|).
-    The negated Hessian is inverted, then pushed through the Jacobian
-    diag(lambda, mu) of the exp map. Returns None when it is not
-    positive definite or any stencil value is non-finite.
+    (from the search); otherwise it is formed on the 9-point stencil
+    (_stencil). The negated Hessian is inverted, then pushed through the
+    Jacobian diag(lambda, mu) of the exp map. Returns None when the
+    smaller rate is below BOUNDARY_RATIO of the larger (a boundary fit;
+    no stencil is evaluated), when the negated Hessian is not positive
+    definite, or when any stencil value is non-finite.
     """
     th = np.asarray(theta_hat, dtype=float)
+    lam, mu = math.exp(th[0]), math.exp(th[1])
+    if min(lam, mu) < BOUNDARY_RATIO * max(lam, mu):
+        return None
     if hessian is None:
-        h = _EPS_CBRT * np.maximum(1.0, np.abs(th))
-
-        def g(d0: float, d1: float) -> float:
-            return objective(np.array([th[0] + d0, th[1] + d1]))
-
-        g0 = g(0.0, 0.0)
-        h00 = (g(h[0], 0.0) - 2.0 * g0 + g(-h[0], 0.0)) / (h[0] * h[0])
-        h11 = (g(0.0, h[1]) - 2.0 * g0 + g(0.0, -h[1])) / (h[1] * h[1])
-        h01 = (
-            g(h[0], h[1]) - g(h[0], -h[1]) - g(-h[0], h[1]) + g(-h[0], -h[1])
-        ) / (4.0 * h[0] * h[1])
-        hessian = np.array([[h00, h01], [h01, h11]])
+        _, hessian = _stencil(objective, th, objective(th))
     h00, h01, h11 = -hessian[0, 0], -hessian[0, 1], -hessian[1, 1]
     if not (math.isfinite(h00) and math.isfinite(h11) and math.isfinite(h01)):
         return None
@@ -115,12 +118,32 @@ def numeric_hessian_se(
     if h00 <= 0.0 or det <= 0.0:
         return None
     inv = np.array([[h11, -h01], [-h01, h00]]) / det
-    jac = np.diag([math.exp(th[0]), math.exp(th[1])])
+    jac = np.diag([lam, mu])
     cov = jac @ inv @ jac
     cov[1, 0] = cov[0, 1]
     if cov[0, 0] < 0.0 or cov[1, 1] < 0.0:
         return None
     return cov
+
+
+def _stencil(
+    objective: Callable[[np.ndarray], float], th: np.ndarray, centre: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 8 neighbours of th on the 9-point central-difference stencil,
+    per-coordinate step eps^(1/3) * max(1, |theta|), and the Hessian they
+    form with centre, the objective's value at th."""
+    h = _EPS_CBRT * np.maximum(1.0, np.abs(th))
+
+    def g(d0: float, d1: float) -> float:
+        return objective(np.array([th[0] + d0, th[1] + d1]))
+
+    east, west, north, south = g(h[0], 0.0), g(-h[0], 0.0), g(0.0, h[1]), g(0.0, -h[1])
+    corners = g(h[0], h[1]), g(h[0], -h[1]), g(-h[0], h[1]), g(-h[0], -h[1])
+    h00 = (east - 2.0 * centre + west) / (h[0] * h[0])
+    h11 = (north - 2.0 * centre + south) / (h[1] * h[1])
+    h01 = (corners[0] - corners[1] - corners[2] + corners[3]) / (4.0 * h[0] * h[1])
+    values = np.array([east, west, north, south, *corners], dtype=float)
+    return values, np.array([[h00, h01], [h01, h11]])
 
 
 def _newton_step(model: Optional[Model]) -> Optional[np.ndarray]:
@@ -163,12 +186,13 @@ def maximize_2d(
 
     Without derivatives, or when a Newton run meets a point without a
     finite model or runs out of halvings, Nelder-Mead searches from the
-    start or from the run's best point: the restarts further runs start
-    from the incumbent plus Gaussian noise of scale PERTURB_SCALE drawn
-    from a generator seeded by seed, and a restart that lands back on
-    the incumbent confirms it and stops the loop early. converged then
-    reports whether the best Nelder-Mead run stopped on its simplex
-    tolerances, each run taking at most maxiter iterations.
+    start or from the run's best point, and the 9-point stencil at the
+    run's optimum checks it (the module docstring). While the incumbent
+    fails the check, up to restarts further runs start from it plus
+    Gaussian noise of scale PERTURB_SCALE drawn from a generator seeded
+    by seed. converged then reports whether the best Nelder-Mead run
+    stopped on its simplex tolerances, each run taking at most maxiter
+    iterations.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (2,):
@@ -188,13 +212,14 @@ def maximize_2d(
         raise DomainError(f"objective is not finite at the starting point {x.tolist()}")
 
     if derivatives is None:
-        best, n_runs = _nelder_mead(evaluate, x, restarts, maxiter, seed)
+        best, n_runs, hessian = _nelder_mead(evaluate, x, restarts, maxiter, seed)
         return OptResult(
             x=(float(best.x[0]), float(best.x[1])),
             fun=-float(best.fun),
             n_evals=n_evals,
             converged=bool(best.success),
             n_runs=n_runs,
+            hessian=hessian,
         )
 
     model = derivatives(x)
@@ -234,7 +259,8 @@ def maximize_2d(
             **bookkeeping,
         )
 
-    best, n_runs = _nelder_mead(evaluate, x, restarts, maxiter, seed)
+    # the analytic Hessian, where there is one, is the more accurate
+    best, n_runs, _ = _nelder_mead(evaluate, x, restarts, maxiter, seed)
     x = np.asarray(best.x, dtype=float)
     model = derivatives(x) if evaluate(x) > -math.inf else None
     return OptResult(
@@ -250,8 +276,10 @@ def maximize_2d(
 
 
 def _nelder_mead(evaluate, x_start: np.ndarray, restarts: int, maxiter: int, seed: int):
-    """Nelder-Mead from x_start with perturbed restarts; the best scipy
-    result (of the negated objective) and the number of runs."""
+    """Nelder-Mead from x_start, then from perturbed incumbents while the
+    incumbent fails the stencil check (_confirm); the best scipy result
+    (of the negated objective), the number of runs and the Hessian of
+    the stencil that confirmed it, or None when none did."""
 
     def negated(x: np.ndarray) -> float:
         return -evaluate(x)
@@ -275,19 +303,26 @@ def _nelder_mead(evaluate, x_start: np.ndarray, restarts: int, maxiter: int, see
     rng = np.random.default_rng(seed)
     best = run(x_start)
     n_runs = 1
-    for _ in range(restarts):
-        start = best.x + PERTURB_SCALE * rng.standard_normal(2)
-        res = run(start)
+    hessian = _confirm(evaluate, best)
+    while hessian is None and n_runs <= restarts:
+        res = run(best.x + PERTURB_SCALE * rng.standard_normal(2))
         n_runs += 1
-        same_point = np.max(np.abs(res.x - best.x)) <= 1e-6 * np.maximum(
-            1.0, np.max(np.abs(best.x))
-        )
-        close_value = abs(res.fun - best.fun) <= 10.0 * FATOL * max(1.0, abs(best.fun))
+        # an incumbent that stays has already failed its check
         if res.fun < best.fun:
             best = res
-            if same_point and close_value:
-                break
-            continue
-        if res.success and same_point and close_value:
-            break
-    return best, n_runs
+            hessian = _confirm(evaluate, best)
+    return best, n_runs, hessian
+
+
+def _confirm(evaluate, res) -> Optional[np.ndarray]:
+    """The stencil Hessian at a converged Nelder-Mead optimum whose value
+    (-res.fun) is finite on the whole stencil and at least each of its 8
+    neighbours; None, after no evaluation, for a run that did not
+    converge, and None for a point that fails the check."""
+    if not res.success:
+        return None
+    centre = -float(res.fun)
+    neighbours, hessian = _stencil(evaluate, res.x, centre)
+    if neighbours.min() > -math.inf and centre >= neighbours.max():
+        return hessian
+    return None

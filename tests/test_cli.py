@@ -160,6 +160,31 @@ class TestEstimate:
         for name in methods:
             assert name in table
 
+    def test_battery_table_shows_search_bookkeeping(self, panel_csv, tmp_path, capsys):
+        out = str(tmp_path / "all.json")
+        code = run(
+            [
+                "estimate", "--input", panel_csv,
+                "--method", "all", "--seed", "5", "--out", out,
+            ]
+        )
+        assert code == 0
+        header, _, *lines = capsys.readouterr().out.splitlines()
+        columns = header.split()
+        assert columns[columns.index("evals") + 1 : columns.index("evals") + 3] == [
+            "runs", "rejected",
+        ]
+        table = {line.split()[0]: dict(zip(columns, line.split())) for line in lines}
+        for record in json.load(open(out)):
+            row, diag = table[record["method"]], record["diagnostics"]
+            assert int(row["evals"]) == diag["n_obj_evals"]
+            assert int(row["runs"]) == diag["n_runs"]
+            assert int(row["rejected"]) == diag["rejected_probes"]
+        # the moment estimators do not search; each likelihood fit here is
+        # one run, the exact likelihood's Newton run or a confirmed simplex
+        assert table["gw"]["runs"] == table["qg"]["runs"] == "0"
+        assert all(table[m]["runs"] == "1" for m in ("spmle", "spmle_adjusted", "mle"))
+
     def test_battery_survives_single_method_failure(self, tmp_path):
         # unequal spacing: gw refuses, everything else still reports
         panel = Panel(

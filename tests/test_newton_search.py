@@ -1,7 +1,8 @@
-"""The likelihood searches: the exact likelihood's damped Newton search
-against the Nelder-Mead search it replaced (kept in legacy_kernels), the
-saddlepoint fits, which still run that search, the Nelder-Mead
-continuation, the edge panels, and a property test over small panels."""
+"""The likelihood searches against the Nelder-Mead search with blind
+confirming restarts (kept in legacy_kernels): the exact likelihood's
+damped Newton search, and the saddlepoint fits' Nelder-Mead runs checked
+on the covariance stencil. Then the Nelder-Mead continuation, the edge
+panels, and property tests of fit and compare over small panels."""
 
 import math
 
@@ -13,10 +14,12 @@ import test_table_consumers
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bdrates import errors
 from bdrates.errors import BdError
 from bdrates.estimate import (
     FitOptions,
     _search_functions,
+    compare,
     fit,
     initial_rates,
     numeric_hessian_se,
@@ -43,13 +46,12 @@ def _legacy_fit(panel, method):
 def test_fit_agrees_with_the_nelder_mead_search(name, method):
     panel = FROZEN[name]
     new, old = fit(panel, method), _legacy_fit(panel, method)
-    if method != "mle":
-        # no derivatives: the reference search itself, evaluation for evaluation
-        assert new.newton_iterations == 0 and not new.continued
-        assert new.n_obj_evals == old.n_evals and new.loglik == old.fun
-        return
+    # the Newton run, or one Nelder-Mead run whose optimum the stencil
+    # confirms, reaches the reference search's optimum
     assert new.converged and not new.continued and new.n_runs == 1
     assert new.loglik >= old.fun - 1e-9 * max(1.0, abs(old.fun))
+    # every frozen fit is interior, so the boundary rule takes no covariance
+    assert new.cov is not None
     if "extinct" in name:
         # every target is 0: the likelihood climbs toward 0 as the death
         # rate grows, so there is no optimum for the two searches to share
@@ -131,6 +133,15 @@ def test_value_gain_stop_ends_the_boundary_crawl(method):
     assert res.rates.mu < 1e-6 * res.rates.lam
 
 
+@pytest.mark.parametrize("method", LIKELIHOODS)
+def test_boundary_fit_reports_no_covariance(method):
+    # the information at mu -> 0 says nothing about the estimator's spread;
+    # mle's crawl stops at mu = 5.2e-9, where its model would still give one
+    res = fit(ONE_STEP, method)
+    assert res.rates.mu < 1e-6 * res.rates.lam
+    assert res.cov is None and res.se_mu is None
+
+
 # spmle_adjusted left out: its Nelder-Mead search crawls lambda toward 0
 # along an unbounded objective for several seconds (ROADMAP item 6)
 @pytest.mark.parametrize("method", ["spmle", "mle"])
@@ -140,8 +151,8 @@ def test_pure_death_edge_panel_returns(method):
 
 
 # ---------------------------------------------------------------------------
-# property: only BdError leaves fit, and no RuntimeWarning (pytest's filter
-# turns one into a failure)
+# property: only BdError leaves fit or compare, and no RuntimeWarning
+# (pytest's filter turns one into a failure)
 
 
 @st.composite
@@ -187,3 +198,17 @@ def test_only_typed_errors_leave_fit(panel, method):
         return
     assert math.isfinite(res.loglik)
     assert res.n_runs >= 1 and res.newton_iterations >= 0
+
+
+# compare() catches BdError only, so any other exception fails the test
+@settings(max_examples=15, deadline=None)
+@given(panel=small_panels())
+def test_compare_rows_carry_a_result_or_an_error(panel):
+    rows = compare(panel)
+    assert [r.method for r in rows] == ["gw", "qg", "spmle", "spmle_adjusted", "mle"]
+    for row in rows:
+        assert (row.result is None) != (row.error is None)
+        if row.result is None:
+            assert issubclass(getattr(errors, row.error.split(":")[0]), BdError)
+        else:
+            assert row.result.method == row.method
