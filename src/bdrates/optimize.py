@@ -16,7 +16,7 @@ through implicit saddlepoints) get a derivative-free Nelder-Mead search.
 A Newton model built from central differences costs 12 evaluations, and
 the number of models a fit needs (3 to 6) follows the distance from the
 start to the optimum, so the cost of a fit jumps by a fifth to a third
-from one panel to the next. The simplex spends most of its 120-160
+from one panel to the next. The simplex spends most of its 110-170
 evaluations on the same tolerance tail whatever the start, so its cost
 varies by less than a tenth. Each run's optimum is then checked on the
 9-point central-difference stencil that the standard errors need anyway
@@ -259,7 +259,7 @@ def maximize_2d(
             **bookkeeping,
         )
 
-    # the analytic Hessian, where there is one, is the more accurate
+    # the Hessian comes from derivatives, as on the Newton path
     best, n_runs, _ = _nelder_mead(evaluate, x, restarts, maxiter, seed)
     x = np.asarray(best.x, dtype=float)
     model = derivatives(x) if evaluate(x) > -math.inf else None

@@ -14,7 +14,8 @@ Newton with Cholesky steps, before it was found to equal the plain
 saddlepoint likelihood to its solver tolerance. Every likelihood fit
 searched by Nelder-Mead with perturbed restarts, about 270 evaluations
 each, before damped Newton steps on the exact likelihood's analytic
-derivatives and a difference stencil replaced it. They are kept here
+derivatives replaced it, and one Nelder-Mead run confirmed on the
+covariance stencil replaced it for the saddlepoint fits. They are kept here
 verbatim apart from names, calling the package's current helpers, so
 the replacements can be checked against them.
 """

@@ -50,7 +50,7 @@ def test_fit_agrees_with_the_nelder_mead_search(name, method):
     # confirms, reaches the reference search's optimum
     assert new.converged and not new.continued and new.n_runs == 1
     assert new.loglik >= old.fun - 1e-9 * max(1.0, abs(old.fun))
-    # every frozen fit is interior, so the boundary rule takes no covariance
+    # every frozen fit is interior, so each keeps its covariance
     assert new.cov is not None
     if "extinct" in name:
         # every target is 0: the likelihood climbs toward 0 as the death
