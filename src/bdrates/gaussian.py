@@ -47,6 +47,12 @@ SERIES_EPS = 1e-6
 # the profile objective is unbounded there and no covariance makes sense.
 DEGENERATE_XI_FLOOR = 1e-10
 
+# range of omega * tau the profile scan reaches. On the growth side the
+# squared residual grows as exp(2 * omega * tau) and leaves the float
+# range near 354; on the decay side nu shrinks as exp(omega * tau) and
+# reaches zero near -745.
+SCAN_U_RANGE = (-600.0, 300.0)
+
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -175,6 +181,8 @@ def qg_fit(panel: Panel) -> QgFit:
 
     The bracket is centered at the pooled-ratio growth guess and widened
     (doubled, up to 5 times) whenever the maximizer lands on an edge.
+    The scan never leaves omega * tau_max in SCAN_U_RANGE, where the
+    terms stay finite; a maximum past that range ends on its edge.
     Fits whose maximum leaves the open wedge are clamped to the nearest
     rate boundary, preserving omega_hat, and flagged.
     """
@@ -186,20 +194,25 @@ def qg_fit(panel: Panel) -> QgFit:
 
     omega_init, tau_bar = panel.transitions.pooled_growth()
     half = 10.0 / tau_bar
+    tau_max = max(grp.tau for grp in groups)
+    w_lo, w_hi = (u / tau_max for u in SCAN_U_RANGE)
+    omega_init = min(max(omega_init, w_lo), w_hi)
     lo, hi = omega_init - half, omega_init + half
     iterations = 0
     omega_hat = omega_init
     for _ in range(6):
         # coarse scan first: golden section alone can get trapped on the
         # spurious far-negative mode of crash panels (see module docstring)
-        grid = np.linspace(lo, hi, 65)
+        grid = np.linspace(max(lo, w_lo), min(hi, w_hi), 65)
         vals = np.array([profile(w) for w in grid])
         iterations += len(grid)
         best = int(np.argmax(vals))
         if best == 0 or best == len(grid) - 1:
+            omega_hat = float(grid[best])
+            if omega_hat in (w_lo, w_hi):
+                break
             width = hi - lo
             lo, hi = lo - width / 2.0, hi + width / 2.0
-            omega_hat = float(grid[best])
             continue
         res = minimize_scalar(
             lambda w: -profile(w),

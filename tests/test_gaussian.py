@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bdrates.errors import DataError, DomainError
 from bdrates.gaussian import (
+    SCAN_U_RANGE,
     QgFit,
     QgParams,
     _c_ratio,
@@ -177,6 +178,19 @@ def test_fit_all_extinct_panel_hits_boundary():
     assert fit.boundary
     assert fit.rates.lam == 0.0
     assert fit.rates.mu > 0.0
+
+
+def test_all_extinct_scan_stays_in_the_float_range():
+    # unequal gaps: the widened bracket reaches omega = 212, so
+    # omega * tau = 424 on the growth side, where the squared residual
+    # overflows; the scan stops at SCAN_U_RANGE and still finds the
+    # decay edge
+    panel = Panel((Trajectory((0.0, 1.0), (1, 0)), Trajectory((0.0, 2.0), (1, 0))))
+    fit = qg_fit(panel)
+    assert fit.boundary and fit.degenerate
+    assert math.isfinite(fit.loglik)
+    assert fit.rates.lam == 0.0
+    assert 100.0 < fit.rates.mu < -SCAN_U_RANGE[0] / 2.0
 
 
 def test_terminal_extinction_term_pulls_omega_down():
