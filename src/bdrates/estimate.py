@@ -60,9 +60,9 @@ class FitOptions:
     govern Nelder-Mead: the saddlepoint fits' search, and the
     continuation of an mle fit whose Newton run cannot form a finite
     model or runs out of step halvings.  restarts bounds the perturbed
-    runs after the first, which start only while the best optimum so
-    far fails its stencil check (optimize.maximize_2d), and seed seeds
-    the perturbations.  max_count_cap bounds the population
+    runs after the first, which go on only while the best optimum so
+    far fails its stencil check and each restart beats it
+    (optimize.maximize_2d), and seed seeds the perturbations.  max_count_cap bounds the population
     size the exact likelihood will accept: its term table holds
     sum(min(a, k)) terms over the transitions a -> k, in memory
     (16 bytes each) and in the time of every evaluation, so it grows

@@ -24,8 +24,9 @@ varies by less than a tenth. Each run's optimum is then checked on the
 when the run converged, every stencil value is finite and the centre is
 at least each of its 8 neighbours, a check on local information in the
 spirit of Kelley (1999, SIAM J. Optim. 10:43-55). Only a point that
-fails it starts a further run from a perturbed point. The accepted
-stencil's Hessian is returned with the optimum.
+fails it starts a further run from a perturbed point; a run that does
+not beat that point by more than the value tolerance ends the restarts.
+The accepted stencil's Hessian is returned with the optimum.
 
 A Newton run that cannot form a finite model, or that halves its step
 MAX_HALVINGS times without an improving probe, hands its best point to
@@ -190,9 +191,10 @@ def maximize_2d(
     run's optimum checks it (the module docstring). While the incumbent
     fails the check, up to restarts further runs start from it plus
     Gaussian noise of scale PERTURB_SCALE drawn from a generator seeded
-    by seed. converged then reports whether the best Nelder-Mead run
-    stopped on its simplex tolerances, each run taking at most maxiter
-    iterations.
+    by seed; the first run that does not beat the incumbent by more than
+    FATOL*max(1, |f|) ends them, and the incumbent stays. converged then
+    reports whether the best Nelder-Mead run stopped on its simplex
+    tolerances, each run taking at most maxiter iterations.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (2,):
@@ -259,8 +261,9 @@ def maximize_2d(
             **bookkeeping,
         )
 
-    # the Hessian comes from derivatives, as on the Newton path
-    best, n_runs, _ = _nelder_mead(evaluate, x, restarts, maxiter, seed)
+    # the Hessian comes from derivatives, as on the Newton path, else from
+    # the stencil that confirmed the Nelder-Mead optimum
+    best, n_runs, nm_hessian = _nelder_mead(evaluate, x, restarts, maxiter, seed)
     x = np.asarray(best.x, dtype=float)
     model = derivatives(x) if evaluate(x) > -math.inf else None
     return OptResult(
@@ -270,14 +273,15 @@ def maximize_2d(
         converged=bool(best.success),
         n_runs=1 + n_runs,
         continued=True,
-        hessian=None if model is None else model[1],
+        hessian=nm_hessian if model is None else model[1],
         **bookkeeping,
     )
 
 
 def _nelder_mead(evaluate, x_start: np.ndarray, restarts: int, maxiter: int, seed: int):
     """Nelder-Mead from x_start, then from perturbed incumbents while the
-    incumbent fails the stencil check (_confirm); the best scipy result
+    incumbent fails the stencil check (_confirm) and each restart beats
+    it by more than FATOL*max(1, |f|); the best scipy result
     (of the negated objective), the number of runs and the Hessian of
     the stencil that confirmed it, or None when none did."""
 
@@ -307,10 +311,14 @@ def _nelder_mead(evaluate, x_start: np.ndarray, restarts: int, maxiter: int, see
     while hessian is None and n_runs <= restarts:
         res = run(best.x + PERTURB_SCALE * rng.standard_normal(2))
         n_runs += 1
-        # an incumbent that stays has already failed its check
-        if res.fun < best.fun:
-            best = res
-            hessian = _confirm(evaluate, best)
+        # a restart that gains at most FATOL*max(1, |f|) confirms the
+        # incumbent as far as a restart can (at a -inf hole or on a flat
+        # ridge the check fails at the true optimum); more runs would land
+        # there too
+        if res.fun >= best.fun - FATOL * max(1.0, abs(best.fun)):
+            break
+        best = res
+        hessian = _confirm(evaluate, best)
     return best, n_runs, hessian
 
 

@@ -71,6 +71,22 @@ def test_maximize_quadratic():
     assert np.allclose(res.hessian, -2.0 * np.eye(2), rtol=0, atol=1e-6)
 
 
+def test_maximize_quadratic_newton():
+    # with its exact derivatives, one Newton step reaches the optimum and
+    # the next step is zero; no Nelder-Mead continuation runs
+    def obj(x):
+        return -((x[0] - 2.0) ** 2) - 3.0 * (x[1] + 1.0) ** 2
+
+    def derivatives(x):
+        return np.array([-2.0 * (x[0] - 2.0), -6.0 * (x[1] + 1.0)]), np.diag([-2.0, -6.0])
+
+    res = maximize_2d(obj, [0.5, 0.0], derivatives=derivatives)
+    assert res.converged and res.n_runs == 1 and not res.continued
+    assert res.x == (2.0, -1.0) and res.fun == 0.0
+    assert res.newton_iterations == 2 and res.n_evals == 2
+    assert np.array_equal(res.hessian, np.diag([-2.0, -6.0]))
+
+
 def test_maximize_restarts_a_run_that_did_not_converge():
     # each run is cut short by maxiter, so none passes the check (no
     # stencil is evaluated) and every perturbed restart runs, each
@@ -87,15 +103,16 @@ def test_maximize_restarts_a_run_that_did_not_converge():
 
 def test_maximize_restarts_from_a_point_beside_a_hole():
     # the optimum (0.3, 0.2) lies closer to a -inf region than the stencil
-    # step: each converged run fails the check on a non-finite neighbour, so
-    # every restart runs, and each lands on the same optimum
+    # step: the converged run fails the check on a non-finite neighbour, so
+    # a restart runs; it lands on the same optimum, no higher, and that
+    # ends the restarts
     def obj(x):
         if x[0] < 0.3 - 3e-6:
             return -math.inf
         return -((x[0] - 0.3) ** 2) - (x[1] - 0.2) ** 2
 
     res = maximize_2d(obj, [0.5, 0.0], restarts=2)
-    assert res.converged and res.n_runs == 3 and res.hessian is None
+    assert res.converged and res.n_runs == 2 and res.hessian is None
     assert abs(res.x[0] - 0.3) < 1e-6 and abs(res.x[1] - 0.2) < 1e-6
 
 
