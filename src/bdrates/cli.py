@@ -337,11 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--seed", type=int, default=None)
     est.add_argument(
         "--restarts", type=int, default=3,
-        help="most perturbed Nelder-Mead restarts, run only while the best "
-        "optimum fails its stencil check and each restart beats it: the "
-        "saddlepoint fits' search, and the continuation of an mle Newton "
-        "run that cannot form a finite model or runs out of step halvings; "
-        "--seed seeds their perturbations",
+        help="most perturbed Nelder-Mead restarts in the continuation of a "
+        "likelihood fit whose Newton run cannot form a finite model or runs "
+        "out of step halvings, run only while the best optimum fails its "
+        "stencil check and each restart beats it; --seed seeds their "
+        "perturbations",
     )
     est.add_argument(
         "--max-count-cap", type=int, default=10**5,

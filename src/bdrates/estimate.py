@@ -4,13 +4,16 @@ fit() puts the moment estimator, the Gaussian quasi-likelihood, the two
 saddlepoint maximum-likelihood variants and the exact maximum likelihood
 behind a single result type.  The likelihood methods share one search
 over (log lambda, log mu) (optimize.maximize_2d): damped Newton steps
-on the exact likelihood's analytic score and observed information, and
-Nelder-Mead on the saddlepoint likelihoods, whose optimum the 9-point
-stencil of the covariance confirms.  The standard errors come from the
-Newton search's last model at the optimum, or from that stencil's
-Hessian; a fit on the boundary (one rate below 1e-6 of the other) has
-none.  compare() runs a battery of methods on one panel, capturing
-per-method failures instead of aborting.
+on each likelihood's analytic score and observed information (the exact
+likelihood's from its term table, the saddlepoint likelihoods' from
+saddlepoint.spa_derivatives), continued by Nelder-Mead only where a
+Newton run cannot form a finite model or runs out of step halvings.
+The standard errors come from the Newton search's last model at the
+optimum, or, on a continued fit without one there, from the Hessian of
+the 9-point stencil that checked the Nelder-Mead optimum; a fit on the
+boundary (one rate below 1e-6 of the other) has none.  compare() runs a
+battery of methods on one panel, capturing per-method failures instead
+of aborting.
 
 mv_spmle, the joint-path saddlepoint, is the plain saddlepoint fit under
 its old name: the joint-path saddlepoint likelihood factorizes into the
@@ -32,7 +35,7 @@ from .exact import exact_loglik
 from .gaussian import qg_fit
 from .gw import gw_estimate
 from .optimize import maximize_2d, numeric_hessian_se
-from .saddlepoint import spa_loglik
+from .saddlepoint import spa_derivatives, spa_loglik
 from .types import Panel, Rates
 
 __all__ = [
@@ -55,18 +58,18 @@ class FitOptions:
     """Knobs shared by the likelihood fits.
 
     The search runs in (log lambda, log mu), the coordinates of the
-    standard errors.  maxiter bounds the Newton steps of an mle fit
-    and the iterations of each Nelder-Mead run.  restarts and seed
-    govern Nelder-Mead: the saddlepoint fits' search, and the
-    continuation of an mle fit whose Newton run cannot form a finite
-    model or runs out of step halvings.  restarts bounds the perturbed
-    runs after the first, which go on only while the best optimum so
-    far fails its stencil check and each restart beats it
-    (optimize.maximize_2d), and seed seeds the perturbations.  max_count_cap bounds the population
-    size the exact likelihood will accept: its term table holds
-    sum(min(a, k)) terms over the transitions a -> k, in memory
-    (16 bytes each) and in the time of every evaluation, so it grows
-    with the counts; the approximations' cost does not.
+    standard errors.  maxiter bounds the Newton steps of a fit and the
+    iterations of each Nelder-Mead run.  restarts and seed govern only
+    the Nelder-Mead continuation of a fit whose Newton run cannot form a
+    finite model or runs out of step halvings: restarts bounds the
+    perturbed runs after the first, which go on only while the best
+    optimum so far fails its stencil check and each restart beats it
+    (optimize.maximize_2d), and seed seeds the perturbations.
+    max_count_cap bounds the population size the exact likelihood will
+    accept: its term table holds sum(min(a, k)) terms over the
+    transitions a -> k, in memory (16 bytes each) and in the time of
+    every evaluation, so it grows with the counts; the approximations'
+    cost does not.
     """
 
     restarts: int = 3
@@ -89,8 +92,10 @@ class EstimateResult:
     rate is below 1e-6 of the larger, degenerate moment panel).  loglik
     is the method's own objective at the optimum and is None for the
     moment estimator, which has no likelihood.  n_obj_evals counts the
-    search's objective calls, including the 8 stencil evaluations that
-    check each Nelder-Mead optimum and give its covariance.
+    search's objective calls; a continued fit's include the 8 stencil
+    evaluations that check each Nelder-Mead optimum.  Calls for the
+    derivatives are not counted (a saddlepoint one solves again the
+    point the objective has just scored).
     The likelihood searches also report n_runs (the Newton run plus any
     Nelder-Mead runs), newton_iterations, rejected_probes (non-finite or
     non-improving Newton probes) and continued (whether Nelder-Mead
@@ -165,11 +170,23 @@ Derivatives = Callable[[np.ndarray], Optional[tuple[np.ndarray, np.ndarray]]]
 
 def _search_functions(
     method: str, panel: Panel, options: FitOptions
-) -> tuple[Objective, Optional[Derivatives]]:
-    """The method's objective in (log lambda, log mu) and, for the exact
-    likelihood, its derivatives."""
+) -> tuple[Objective, Derivatives]:
+    """The method's objective in (log lambda, log mu) and its derivatives:
+    the analytic score and observed information, as the gradient and
+    Hessian of the objective, or None where there are none."""
     if method != "mle":
-        return _wrap_objective(_loglik_function(method, panel)), None
+        variant = "conditional" if method == "spmle_adjusted" else "plain"
+        objective = _wrap_objective(_loglik_function(method, panel))
+
+        def derivatives(x: np.ndarray):
+            rates = _rates_from_log(x)
+            try:
+                out = None if rates is None else spa_derivatives(panel, rates, variant)
+            except (DomainError, SolverError):
+                return None
+            return None if out is None else (out[0], -out[1])
+
+        return objective, derivatives
     worst = max(max(tr.counts) for tr in panel)
     if worst > options.max_count_cap:
         raise CapError(
@@ -200,10 +217,12 @@ def _search_functions(
 
 
 def _loglik_function(method: str, panel: Panel) -> Callable[[Rates], float]:
+    # spa_loglik takes exactly (panel, rates, variant), the signature
+    # perfbench's traced run wraps
     if method == "spmle":
-        return lambda rates: spa_loglik(panel, rates, variant="plain")
+        return lambda rates: spa_loglik(panel, rates, "plain")
     if method == "spmle_adjusted":
-        return lambda rates: spa_loglik(panel, rates, variant="conditional")
+        return lambda rates: spa_loglik(panel, rates, "conditional")
     if method == "mv_spmle":
         from .multivariate import mv_loglik
 

@@ -36,7 +36,9 @@ rates runs through
 
 with P = lam*t*phi(omega*t), Q = mu*t*phi(omega*t) and
 phi(x) = (e^x - 1)/x, which is smooth through omega = 0; log phi's
-derivatives take a series near 0.
+derivatives take a series near 0. That chain (_chain) also takes the
+saddlepoint likelihoods' derivatives to the rates: their log pmfs
+depend on a gap's law through the same coordinates.
 """
 
 from __future__ import annotations
@@ -426,21 +428,20 @@ def _log_phi_derivs(x: float) -> tuple[float, float]:
     return 0.5 + 0.5 * coth - 1.0 / x, 1.0 / (x * x) - 0.25 * (coth * coth - 1.0)
 
 
-def _score_information(
-    trans, laws: list[GeomParams], rates: Rates, mean_j: np.ndarray, var_j: np.ndarray
+def _chain(
+    groups, laws: list[GeomParams], rates: Rates, weights
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score and observed information in theta = (log lam, log mu) of the
-    table log likelihood, from each group's summed softmax mean and
-    variance of j (see the module docstring for the chain). Scalar
-    arithmetic per group: a panel has few groups, and numpy's per-call
-    cost on 2-vectors would outweigh the work."""
-    tab = trans.term_table
+    """Score and observed information in theta = (log lam, log mu) of a
+    log likelihood that depends on each gap group's law only through
+    u = (log alpha, log beta, log(1-alpha) + log(1-beta)), with gradient
+    (w1, w2, w3) in u and Hessian var * c c^T along the slope
+    c = (1, 1, -1): weights holds (w1, w2, w3, var) per group. The chain
+    runs through P, Q and phi (the module docstring). Scalar arithmetic
+    per group: a panel has few groups, and numpy's per-call cost on
+    2-vectors would outweigh the work."""
     lam, mu = rates.lam, rates.mu
     g0 = g1 = h00 = h01 = h11 = 0.0
-    for grp, law, n_dead, n_exc, n_live, m1, var in zip(
-        trans.groups, laws, tab.src_dead, tab.excess, tab.src_live,
-        mean_j.tolist(), var_j.tolist(),
-    ):
+    for grp, law, (w1, w2, w3, var) in zip(groups, laws, weights):
         d1, d2 = _log_phi_derivs(rates.omega * grp.tau)
         # x = omega*tau: gradient (x0, x1), Hessian diag(x0, x1)
         x0, x1 = lam * grp.tau, -mu * grp.tau
@@ -454,19 +455,33 @@ def _score_information(
         bv = b * math.exp(law.log1m_beta)
         s0, s1 = b * p0, b * p1
         s00, s01, s11 = bv * p0 * p0 + b * l00, bv * p0 * p1 + b * l01, bv * p1 * p1 + b * l11
-        # the log likelihood's gradient in u = (log alpha, log beta,
-        # log(1-alpha) + log(1-beta)) = (log Q - sp, log P - sp, x - 2 sp)
-        w1, w2, w3 = n_dead + m1, n_exc + m1, n_live - m1
+        # u = (log Q - sp, log P - sp, x - 2 sp)
         g0 += w1 * (q0 - s0) + w2 * (p0 - s0) + w3 * (x0 - 2.0 * s0)
         g1 += w1 * (q1 - s1) + w2 * (p1 - s1) + w3 * (x1 - 2.0 * s1)
-        # its Hessian in u is var * c c^T along the slope c = (1, 1, -1),
-        # whose gradient in theta is q + p - x (the softplus cancels)
+        # the slope's gradient in theta is q + p - x (the softplus cancels)
         c0, c1 = q0 + p0 - x0, q1 + p1 - x1
         w12 = w1 + w2
         h00 += var * c0 * c0 + w12 * (l00 - s00) + w3 * (x0 - 2.0 * s00)
         h01 += var * c0 * c1 + w12 * (l01 - s01) - w3 * 2.0 * s01
         h11 += var * c1 * c1 + w12 * (l11 - s11) + w3 * (x1 - 2.0 * s11)
     return np.array([g0, g1]), -np.array([[h00, h01], [h01, h11]])
+
+
+def _score_information(
+    trans, laws: list[GeomParams], rates: Rates, mean_j: np.ndarray, var_j: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score and observed information of the table log likelihood. Per
+    group, the summed softmax mean m of j gives its gradient in u,
+    (n_dead + m, n_exc + m, n_live - m), and the summed softmax variance
+    its Hessian along the slope, whose coefficient j carries."""
+    tab = trans.term_table
+    weights = [
+        (n_dead + m1, n_exc + m1, n_live - m1, var)
+        for n_dead, n_exc, n_live, m1, var in zip(
+            tab.src_dead, tab.excess, tab.src_live, mean_j.tolist(), var_j.tolist()
+        )
+    ]
+    return _chain(trans.groups, laws, rates, weights)
 
 
 def exact_loglik(panel: Panel, rates: Rates, derivatives: bool = False):

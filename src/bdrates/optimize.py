@@ -1,37 +1,28 @@
-"""2-D maximization: damped Newton steps where the objective supplies its
-derivatives, Nelder-Mead otherwise.
+"""2-D maximization: damped Newton steps on the objective's analytic
+derivatives, with Nelder-Mead as the continuation.
 
 Every likelihood objective in this package is a smooth function of
-(log lambda, log mu). Where the caller supplies the objective's gradient
-and Hessian (the exact likelihood), the search takes Newton steps: the
-Hessian's eigenvalues are floored to make it negative definite, the step
-is clipped to max-norm MAX_STEP and halved on every rejected or
-non-improving probe. A run stops once a step is at most XATOL or an
-accepted step gains at most FATOL*max(1, |f|). The Hessian of the last
-model is returned with the optimum, so the standard errors cost no
-further evaluations.
-
-The other objectives (the saddlepoint likelihoods, whose gradient runs
-through implicit saddlepoints) get a derivative-free Nelder-Mead search.
-A Newton model built from central differences costs 12 evaluations, and
-the number of models a fit needs (3 to 6) follows the distance from the
-start to the optimum, so the cost of a fit jumps by a fifth to a third
-from one panel to the next. The simplex spends most of its 110-170
-evaluations on the same tolerance tail whatever the start, so its cost
-varies by less than a tenth. Each run's optimum is then checked on the
-9-point central-difference stencil that the standard errors need anyway
-(8 more evaluations; the centre is the run's own value): it is accepted
-when the run converged, every stencil value is finite and the centre is
-at least each of its 8 neighbours, a check on local information in the
-spirit of Kelley (1999, SIAM J. Optim. 10:43-55). Only a point that
-fails it starts a further run from a perturbed point; a run that does
-not beat that point by more than the value tolerance ends the restarts.
-The accepted stencil's Hessian is returned with the optimum.
+(log lambda, log mu), and each supplies its gradient and Hessian: the
+exact likelihood from its term table, the saddlepoint likelihoods by
+implicit differentiation at their saddlepoints. The search takes Newton
+steps: the Hessian's eigenvalues are floored to make it negative
+definite, the step is clipped to max-norm MAX_STEP and halved on every
+rejected or non-improving probe. A run stops once a step is at most
+XATOL or an accepted step gains at most FATOL*max(1, |f|). The Hessian
+of the last model is returned with the optimum, so the standard errors
+cost no further evaluations.
 
 A Newton run that cannot form a finite model, or that halves its step
 MAX_HALVINGS times without an improving probe, hands its best point to
 the Nelder-Mead search, which steps around holes where the objective is
--inf.
+-inf. Each Nelder-Mead run's optimum is checked on the 9-point
+central-difference stencil that the standard errors then use (8 more
+evaluations; the centre is the run's own value): it is accepted when
+the run converged, every stencil value is finite and the centre is at
+least each of its 8 neighbours, a check on local information in the
+spirit of Kelley (1999, SIAM J. Optim. 10:43-55). Only a point that
+fails it starts a further run from a perturbed point; a run that does
+not beat that point by more than the value tolerance ends the restarts.
 """
 
 from __future__ import annotations
@@ -76,8 +67,8 @@ class OptResult:
     counts Newton probes that were non-finite or did not improve;
     continued reports whether Nelder-Mead continued a Newton run.
     hessian is the objective's Hessian at x: from derivatives where they
-    are given, else from the stencil that confirmed a Nelder-Mead
-    optimum; None when there is none."""
+    give a model there, else from the stencil that confirmed a
+    Nelder-Mead optimum; None when there is none."""
 
     x: tuple[float, float]
     fun: float
@@ -170,13 +161,13 @@ def maximize_2d(
     objective: Callable[[np.ndarray], float],
     x0: Sequence[float],
     *,
-    derivatives: Optional[Callable[[np.ndarray], Optional[Model]]] = None,
+    derivatives: Callable[[np.ndarray], Optional[Model]],
     restarts: int = 3,
     maxiter: int = 2000,
     seed: int = 0,
 ) -> OptResult:
-    """Maximize a 2-D objective: damped Newton steps with derivatives,
-    Nelder-Mead without (the module docstring).
+    """Maximize a 2-D objective: damped Newton steps on its derivatives,
+    continued by Nelder-Mead (the module docstring).
 
     The objective may return -inf (or nan, treated the same) to reject a
     point; it must be finite at x0, else DomainError. derivatives(x),
@@ -185,16 +176,17 @@ def maximize_2d(
     At most maxiter Newton steps are taken; converged reports whether
     the run stopped on XATOL or FATOL.
 
-    Without derivatives, or when a Newton run meets a point without a
-    finite model or runs out of halvings, Nelder-Mead searches from the
-    start or from the run's best point, and the 9-point stencil at the
-    run's optimum checks it (the module docstring). While the incumbent
-    fails the check, up to restarts further runs start from it plus
-    Gaussian noise of scale PERTURB_SCALE drawn from a generator seeded
-    by seed; the first run that does not beat the incumbent by more than
-    FATOL*max(1, |f|) ends them, and the incumbent stays. converged then
-    reports whether the best Nelder-Mead run stopped on its simplex
-    tolerances, each run taking at most maxiter iterations.
+    When a Newton run meets a point without a finite model or runs out
+    of halvings, Nelder-Mead searches from the run's best point, and the
+    9-point stencil at the run's optimum checks it (a derivatives that
+    always returns None makes this a Nelder-Mead search from the start).
+    While the incumbent fails the check, up to
+    restarts further runs start from it plus Gaussian noise of scale
+    PERTURB_SCALE drawn from a generator seeded by seed; the first run
+    that does not beat the incumbent by more than FATOL*max(1, |f|) ends
+    them, and the incumbent stays. converged then reports whether the
+    best Nelder-Mead run stopped on its simplex tolerances, each run
+    taking at most maxiter iterations.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (2,):
@@ -212,17 +204,6 @@ def maximize_2d(
     f = evaluate(x)
     if f == -math.inf:
         raise DomainError(f"objective is not finite at the starting point {x.tolist()}")
-
-    if derivatives is None:
-        best, n_runs, hessian = _nelder_mead(evaluate, x, restarts, maxiter, seed)
-        return OptResult(
-            x=(float(best.x[0]), float(best.x[1])),
-            fun=-float(best.fun),
-            n_evals=n_evals,
-            converged=bool(best.success),
-            n_runs=n_runs,
-            hessian=hessian,
-        )
 
     model = derivatives(x)
     iterations = rejected = 0

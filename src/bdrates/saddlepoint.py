@@ -30,6 +30,11 @@ residual: where K'' is huge one ulp of x moves K' by more than the
 tolerance. A lane that probes x_hi and finds K' < k there has its root
 inside the guard band and raises SolverError, as does a lane still open
 after 200 probes.
+
+spa_derivatives gives the score and observed information of either
+variant's panel log likelihood in (log lam, log mu), by implicit
+differentiation at each lane's saddlepoint (see the comment block above
+it), so the fits take Newton steps on it.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .exact import GeomParams, geom_params, is_critical, truncation_limit, _log_pmf
+from .exact import GeomParams, geom_params, is_critical, truncation_limit, _chain, _log_pmf
 from .types import Panel, Rates
 
 __all__ = [
@@ -53,6 +58,7 @@ __all__ = [
     "spa_pmf_normalized",
     "spa_pmf_conditional",
     "spa_loglik",
+    "spa_derivatives",
     "high_mass_region",
 ]
 
@@ -145,20 +151,24 @@ def _saddle_quadratic(ratio, t: float, rates: Rates):
 
     All three carry one power-of-two scale that keeps B*B and 4*A*C finite;
     the scale is exact, so the roots are those of the unscaled quadratic.
-    Coefficients that overflow before scaling raise DomainError."""
-    if is_critical(rates):
-        u = 0.5 * rates.xi * t
-        A = u - u * u
-        B = 2.0 * u * u - 1.0 + ratio
-        C = -u - u * u
-    else:
-        lam, mu = rates.lam, rates.mu
-        m = math.exp(rates.omega * t)
-        A = lam * (m - 1.0) * (lam - mu * m)
-        B = 2.0 * lam * mu * (1.0 + m * m - m) - m * (lam * lam + mu * mu) + ratio * (
-            m * (lam - mu) ** 2
-        )
-        C = mu * (m - 1.0) * (mu - lam * m)
+    Coefficients that overflow before scaling raise DomainError (so does
+    an exp or a power that overflows on the way to them)."""
+    try:
+        if is_critical(rates):
+            u = 0.5 * rates.xi * t
+            A = u - u * u
+            B = 2.0 * u * u - 1.0 + ratio
+            C = -u - u * u
+        else:
+            lam, mu = rates.lam, rates.mu
+            m = math.exp(rates.omega * t)
+            A = lam * (m - 1.0) * (lam - mu * m)
+            B = 2.0 * lam * mu * (1.0 + m * m - m) - m * (lam * lam + mu * mu) + ratio * (
+                m * (lam - mu) ** 2
+            )
+            C = mu * (m - 1.0) * (mu - lam * m)
+    except OverflowError:
+        A = B = C = math.inf
     b_max = float(np.abs(B).max())  # inf or NaN if any entry is
     if not (math.isfinite(A) and math.isfinite(C) and math.isfinite(b_max)):
         raise DomainError(
@@ -512,3 +522,185 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
             if live.any():
                 total += float(np.sum(_log_spa(k[live], a[live], g, tau, rates)))
     return total
+
+
+# ---------------------------------------------------------------------------
+# score and observed information
+#
+# With y = x + log(beta) and z = log(1-alpha) + log(1-beta) - log(alpha)
+# - log(beta), the single-ancestor pgf at e^x is
+#
+#     f = alpha * (1 + e^z r(y)),   r(y) = e^y / (1 - e^y) = beta e^x / (1 - beta e^x),
+#
+# so K = a log(alpha) + a Phi(y, z) with Phi = log(1 + e^z r(y)), and a
+# lane's log pmf, K - x k - 1/2 log K'' up to a constant, is
+# a log(alpha) + k log(beta) + psi(z), where psi(z) is the saddlepoint
+# term of a Phi in y. Its gradient in u = (log alpha, log beta,
+# log(1-alpha) + log(1-beta)) is (a - psi', k - psi', psi') and its
+# Hessian psi'' c c^T along c = (1, 1, -1), the shape of the exact
+# likelihood's (exact._chain). The conditional variant's log(M - p0) is
+# a log(alpha) + log(e^{a Phi} - 1), again a function of (y, z) alone.
+#
+# Taking y rather than x keeps the two rate directions apart: at a
+# saddlepoint near the radius, d x~ / d log(beta) is close to -1, and the
+# derivatives in x and log(beta) separately are huge and cancel.
+#
+# A jet holds a function's derivatives at the lanes, in the order
+# (y, yy, yyy, yyyy, z, zz, yz, yzz, yyz, yyzz, yyyz).
+
+
+def _plain_jet(x, g: GeomParams, a):
+    """The jet of a Phi(y, z) = a log(1 + e^z r(y)) at the lanes' x. With
+    E = z + log r(y), whose y-derivatives are 1 + r, r(1 + r), ... and
+    whose z-derivative is 1, a Phi = a softplus(E), and softplus has the
+    derivatives q, q p, q p (p - q), q p (1 - 6 q p) with q = 1 - p the
+    logistic of E."""
+    s = np.exp(x)
+    n2 = math.exp(g.log1m_beta) - g.beta * np.expm1(x)  # 1 - beta e^x
+    r = g.beta * s / n2
+    # e^z r = (1-alpha)(1-beta) e^x / (alpha n2); its logistic q and 1 - q
+    # share the denominator alpha n2 + (1-alpha)(1-beta) e^x
+    tail = math.exp(g.log1m_alpha + g.log1m_beta) * s
+    den = g.alpha * n2 + tail
+    q, p = tail / den, g.alpha * n2 / den
+    e1 = 1.0 / n2
+    e2 = r * e1
+    e3 = e2 * (1.0 + 2.0 * r)
+    e4 = e2 * (1.0 + 6.0 * e2)
+    f1 = a * q
+    f2 = f1 * p
+    f3 = f2 * (p - q)
+    f4 = f2 * (1.0 - 6.0 * q * p)
+    sq1 = e1 * e1
+    return (
+        f1 * e1,
+        f2 * sq1 + f1 * e2,
+        f3 * sq1 * e1 + 3.0 * f2 * e1 * e2 + f1 * e3,
+        f4 * sq1 * sq1 + 6.0 * f3 * sq1 * e2 + f2 * (4.0 * e1 * e3 + 3.0 * e2 * e2) + f1 * e4,
+        f1,
+        f2,
+        f2 * e1,
+        f3 * e1,
+        f3 * sq1 + f2 * e2,
+        f4 * sq1 + f3 * e2,
+        f4 * sq1 * e1 + 3.0 * f3 * e1 * e2 + f2 * e3,
+    )
+
+
+def _compose(f1, f2, f3, f4, jet):
+    """The jet of F(J) from F's first four derivatives at J and J's jet
+    (Faa di Bruno)."""
+    j1, j2, j3, j4, jz, jzz, jyz, jyzz, jyyz, jyyzz, jyyyz = jet
+    sq1, sqz = j1 * j1, jz * jz
+    return (
+        f1 * j1,
+        f2 * sq1 + f1 * j2,
+        f3 * sq1 * j1 + 3.0 * f2 * j1 * j2 + f1 * j3,
+        f4 * sq1 * sq1 + 6.0 * f3 * sq1 * j2 + f2 * (4.0 * j1 * j3 + 3.0 * j2 * j2) + f1 * j4,
+        f1 * jz,
+        f2 * sqz + f1 * jzz,
+        f2 * j1 * jz + f1 * jyz,
+        f3 * j1 * sqz + f2 * (j1 * jzz + 2.0 * jyz * jz) + f1 * jyzz,
+        f3 * sq1 * jz + f2 * (j2 * jz + 2.0 * j1 * jyz) + f1 * jyyz,
+        f4 * sq1 * sqz + f3 * (j2 * sqz + sq1 * jzz + 4.0 * j1 * jyz * jz)
+        + f2 * (j2 * jzz + 2.0 * (jyyz * jz + j1 * jyzz + jyz * jyz)) + f1 * jyyzz,
+        f4 * sq1 * j1 * jz + 3.0 * f3 * (sq1 * jyz + j1 * j2 * jz)
+        + f2 * (3.0 * (j2 * jyz + j1 * jyyz) + j3 * jz) + f1 * jyyyz,
+    )
+
+
+def _conditional_jet(x, g: GeomParams, a):
+    """The jet of log(e^{a Phi} - 1) at the lanes' x: log(M - p0) less
+    a log(alpha). Its derivatives in t = a Phi are 1 + v, -v(1 + v),
+    v(1 + v)(1 + 2v), -v(1 + v)(1 + 6v(1 + v)) with v = 1/(e^t - 1) =
+    p0/(M - p0)."""
+    n2 = math.exp(g.log1m_beta) - g.beta * np.expm1(x)
+    t = a * np.log1p(np.exp(g.log1m_alpha + g.log1m_beta - g.log_alpha + x) / n2)
+    v = 1.0 / np.expm1(t)
+    v2 = v * (1.0 + v)
+    return _compose(1.0 + v, -v2, v2 * (1.0 + 2.0 * v), -v2 * (1.0 + 6.0 * v2), _plain_jet(x, g, a))
+
+
+def _saddle_terms(jet):
+    """psi' and psi'' at each lane, for psi(z) = L(y~, z) - y~ k
+    - 1/2 log L_yy(y~, z) with L_y(y~(z), z) = k and L's jet. By the
+    envelope theorem the first part has the derivatives L_z and
+    L_zz + L_yz y~_z, with y~_z = -L_yz / L_yy; the log term G adds
+    G_z + G_y y~_z and its second derivative, in which y~_zz comes from
+    differentiating L_y(y~(z), z) = k twice."""
+    _, l2, l3, l4, lz, lzz, lyz, lyzz, lyyz, lyyzz, lyyyz = jet
+    inv = 1.0 / l2
+    yz = -lyz * inv
+    r3, rz = l3 * inv, lyyz * inv
+    gy = -0.5 * r3
+    first = lz - 0.5 * rz + gy * yz
+    yzz = -(lyzz + (2.0 * lyyz + l3 * yz) * yz) * inv
+    second = (
+        lzz + lyz * yz
+        - 0.5 * (lyyzz * inv - rz * rz)
+        - (lyyyz * inv - r3 * rz) * yz
+        - 0.5 * (l4 * inv - r3 * r3) * yz * yz
+        + gy * yzz
+    )
+    return first, second
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _group_weights(grp, g: GeomParams, rates: Rates, conditional: bool):
+    """The group's (w1, w2, w3, var) for exact._chain: its log
+    likelihood's gradient in u and its Hessian's weight along c."""
+    k = grp.dst.astype(float)
+    a = grp.src.astype(float)
+    # the exact k = 0 (and, conditional, k = 1) terms are linear in u:
+    # a log(alpha), and log(a) + (a - 1) log(alpha) + log(1-alpha) + log(1-beta)
+    zero = k == 0.0
+    live = ~zero
+    w1 = float(np.sum(a[zero])) if zero.any() else 0.0
+    w2 = w3 = var = 0.0
+    if conditional:
+        one = k == 1.0
+        if one.any():
+            n_one = float(np.count_nonzero(one))
+            w1 += float(np.sum(a[one])) - n_one
+            w3 = n_one
+            live &= ~one
+    if live.any():
+        k, a = k[live], a[live]
+        if conditional:
+            x = _solve_conditional_x(k, a, g, grp.tau, rates, a * g.log_alpha)
+            first, second = _saddle_terms(_conditional_jet(x, g, a))
+        else:
+            x = _solve_x(k, a, g, grp.tau, rates)
+            first, second = _saddle_terms(_plain_jet(x, g, a))
+        d1 = float(np.sum(first))
+        w1 += float(np.sum(a)) - d1
+        w2 = float(np.sum(k)) - d1
+        w3 += d1
+        var = float(np.sum(second))
+    return w1, w2, w3, var
+
+
+def spa_derivatives(panel: Panel, rates: Rates, variant: str = "plain"):
+    """Score and observed information of spa_loglik(panel, rates, variant)
+    in (log lam, log mu), or None on a degenerate law (alpha or beta 0)
+    or where they are not finite.
+
+    Each lane is solved again as spa_loglik solves it and differentiated
+    implicitly at its saddlepoint, in the one rate coordinate z its
+    log pmf depends on beyond two linear terms (the block comment above);
+    exact._chain, which the exact likelihood's derivatives share, takes
+    the result to (log lam, log mu). Raises the solve's SolverError or
+    DomainError where spa_loglik would.
+    """
+    if variant not in ("plain", "conditional"):
+        raise DomainError(f"unknown saddlepoint variant {variant!r}")
+    groups = panel.transitions.groups
+    laws = [geom_params(grp.tau, rates) for grp in groups]
+    if any(g.log_alpha == -math.inf or g.log_beta == -math.inf for g in laws):
+        return None
+    conditional = variant == "conditional"
+    weights = [_group_weights(grp, g, rates, conditional) for grp, g in zip(groups, laws)]
+    score, info = _chain(groups, laws, rates, weights)
+    if not (np.all(np.isfinite(score)) and np.all(np.isfinite(info))):
+        return None
+    return score, info

@@ -59,15 +59,22 @@ PANEL_C = Panel(
 # optimizer
 
 
+def _no_model(x):
+    # no model anywhere: the Newton run hands the start to Nelder-Mead
+    return None
+
+
 def test_maximize_quadratic():
-    res = maximize_2d(lambda x: -((x[0] - 2.0) ** 2) - (x[1] + 1.0) ** 2, [0.0, 0.0])
-    assert res.converged
+    res = maximize_2d(
+        lambda x: -((x[0] - 2.0) ** 2) - (x[1] + 1.0) ** 2, [0.0, 0.0], derivatives=_no_model
+    )
+    assert res.converged and res.continued
     assert abs(res.x[0] - 2.0) < 1e-6
     assert abs(res.x[1] + 1.0) < 1e-6
     assert abs(res.fun) < 1e-12
-    # the stencil confirms the first run's optimum, so no restart runs, and
-    # its Hessian comes back with the optimum
-    assert res.n_evals > 0 and res.n_runs == 1
+    # the stencil confirms the first Nelder-Mead run's optimum, so no
+    # restart runs, and its Hessian comes back with the optimum
+    assert res.n_evals > 0 and res.n_runs == 2
     assert np.allclose(res.hessian, -2.0 * np.eye(2), rtol=0, atol=1e-6)
 
 
@@ -94,10 +101,11 @@ def test_maximize_restarts_a_run_that_did_not_converge():
     def obj(x):
         return -((x[0] - 2.0) ** 2) - (x[1] + 1.0) ** 2
 
-    one = maximize_2d(obj, [0.0, 0.0], maxiter=30, restarts=0)
-    res = maximize_2d(obj, [0.0, 0.0], maxiter=30, restarts=3)
+    one = maximize_2d(obj, [0.0, 0.0], derivatives=_no_model, maxiter=30, restarts=0)
+    res = maximize_2d(obj, [0.0, 0.0], derivatives=_no_model, maxiter=30, restarts=3)
     assert not one.converged and not res.converged
-    assert one.n_runs == 1 and res.n_runs == 4 and res.hessian is None
+    # the Newton run, then one Nelder-Mead run and three restarts
+    assert one.n_runs == 2 and res.n_runs == 5 and res.hessian is None
     assert res.fun > one.fun
 
 
@@ -111,22 +119,22 @@ def test_maximize_restarts_from_a_point_beside_a_hole():
             return -math.inf
         return -((x[0] - 0.3) ** 2) - (x[1] - 0.2) ** 2
 
-    res = maximize_2d(obj, [0.5, 0.0], restarts=2)
-    assert res.converged and res.n_runs == 2 and res.hessian is None
+    res = maximize_2d(obj, [0.5, 0.0], derivatives=_no_model, restarts=2)
+    assert res.converged and res.n_runs == 3 and res.hessian is None
     assert abs(res.x[0] - 0.3) < 1e-6 and abs(res.x[1] - 0.2) < 1e-6
 
 
 def test_maximize_rejects_bad_start():
     with pytest.raises(ValueError):
-        maximize_2d(lambda x: -math.inf, [0.0, 0.0])
+        maximize_2d(lambda x: -math.inf, [0.0, 0.0], derivatives=_no_model)
     with pytest.raises(ValueError):
-        maximize_2d(lambda x: -x[0] ** 2, [0.0, 0.0, 0.0])
+        maximize_2d(lambda x: -x[0] ** 2, [0.0, 0.0, 0.0], derivatives=_no_model)
 
 
 def test_maximize_bad_start_is_a_package_error():
     # a typed error, so compare() records it instead of aborting
     with pytest.raises(DomainError, match="starting point"):
-        maximize_2d(lambda x: math.nan, [0.5, 1.0])
+        maximize_2d(lambda x: math.nan, [0.5, 1.0], derivatives=_no_model)
 
 
 def test_maximize_handles_rejection_regions():
@@ -136,7 +144,7 @@ def test_maximize_handles_rejection_regions():
             return -math.inf
         return -((x[0] - 0.3) ** 2) - (x[1] - 0.2) ** 2
 
-    res = maximize_2d(obj, [0.0, 0.0])
+    res = maximize_2d(obj, [0.0, 0.0], derivatives=_no_model)
     assert abs(res.x[0] - 0.3) < 1e-6
     assert abs(res.x[1] - 0.2) < 1e-6
 

@@ -1,8 +1,9 @@
 """The likelihood searches against the Nelder-Mead search with blind
-confirming restarts (kept in legacy_kernels): the exact likelihood's
-damped Newton search, and the saddlepoint fits' Nelder-Mead runs checked
-on the covariance stencil. Then the Nelder-Mead continuation, the edge
-panels, and property tests of fit and compare over small panels."""
+confirming restarts (kept in legacy_kernels): the damped Newton search
+on the exact likelihood's and the saddlepoint likelihoods' analytic
+derivatives, and their covariances against the 9-point stencil. Then
+the Nelder-Mead continuation, the edge panels, and property tests of
+fit and compare over small panels."""
 
 import math
 
@@ -46,8 +47,7 @@ def _legacy_fit(panel, method):
 def test_fit_agrees_with_the_nelder_mead_search(name, method):
     panel = FROZEN[name]
     new, old = fit(panel, method), _legacy_fit(panel, method)
-    # the Newton run, or one Nelder-Mead run whose optimum the stencil
-    # confirms, reaches the reference search's optimum
+    # the Newton run alone reaches the reference search's optimum
     assert new.converged and not new.continued and new.n_runs == 1
     assert new.loglik >= old.fun - 1e-9 * max(1.0, abs(old.fun))
     # every frozen fit is interior, so each keeps its covariance
@@ -76,6 +76,40 @@ def test_mle_takes_a_few_evaluations_and_its_cov_is_the_analytic_information():
     assert res.se_omega == pytest.approx(
         math.sqrt(stencil[0, 0] + stencil[1, 1] - 2 * stencil[0, 1]), rel=1e-3
     )
+
+
+# the extinct panels have no optimum (see above), so neither matrix is
+# an information there; on the large_counts ridge (lam = 138.6,
+# mu = 138.0) the stencil's se_lambda moves from 65 to 82 as its step
+# goes from 1e-3 to 1e-4, against 79.8 from both analytic informations
+# (spmle's and mle's), so there se_omega is compared with the stencil and
+# the information with central differences of the analytic score
+RIDGE = "exact_table.large_counts"
+
+
+@pytest.mark.parametrize("method", ["spmle", "spmle_adjusted"])
+@pytest.mark.parametrize("name", sorted(k for k in FROZEN if "extinct" not in k))
+def test_saddlepoint_cov_from_the_information_agrees_with_the_stencil(name, method):
+    panel = FROZEN[name]
+    res = fit(panel, method)
+    objective, derivatives = _search_functions(method, panel, FitOptions())
+    theta = np.log([res.rates.lam, res.rates.mu])
+    stencil = numeric_hessian_se(objective, theta)
+    assert res.se_omega == pytest.approx(
+        math.sqrt(stencil[0, 0] + stencil[1, 1] - 2 * stencil[0, 1]), rel=1e-4
+    )
+    if name != RIDGE:
+        se = np.sqrt(np.diag(stencil))
+        assert np.all(np.abs(np.array([res.se_lambda, res.se_mu]) - se) <= 1e-2 * se)
+        return
+    _, hess = derivatives(theta)
+    h = 1e-3
+    cols = []
+    for e in np.eye(2) * h:
+        grad = [derivatives(theta + d * e)[0] for d in (2, 1, -1, -2)]
+        cols.append((-grad[0] + 8 * grad[1] - 8 * grad[2] + grad[3]) / (12 * h))
+    ref = np.array(cols).T
+    assert np.all(np.abs(hess - ref) <= 1e-6 * np.max(np.abs(ref)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +159,8 @@ def test_collapse_spmle_reaches_the_nelder_mead_loglik():
 
 @pytest.mark.parametrize("method", LIKELIHOODS)
 def test_value_gain_stop_ends_the_boundary_crawl(method):
-    # the optimum is at mu -> 0; mle's clipped Newton steps crawl toward it
-    # until a step gains at most FATOL*max(1, |f|), and the saddlepoint
-    # fits' Nelder-Mead stops on its simplex tolerances
+    # the optimum is at mu -> 0; the clipped Newton steps crawl toward it
+    # until a step gains at most FATOL*max(1, |f|)
     res = fit(ONE_STEP, method)
     assert res.converged and not res.continued
     assert res.newton_iterations < 100
@@ -143,10 +176,9 @@ def test_boundary_fit_reports_no_covariance(method):
     assert res.cov is None and res.se_mu is None
 
 
-# spmle_adjusted is not in this list, which is kept as it was; its fit of
-# this panel now stops in well under a second and can join it once the
-# unbounded objective there is settled (ROADMAP item 6)
-@pytest.mark.parametrize("method", ["spmle", "mle"])
+# both saddlepoint objectives grow without bound as lambda -> 0 here
+# (ROADMAP item 6); their Newton runs stop near lambda = e^-71
+@pytest.mark.parametrize("method", LIKELIHOODS)
 def test_pure_death_edge_panel_returns(method):
     res = fit(PURE_DEATH_EDGE, method)
     assert math.isfinite(res.loglik)

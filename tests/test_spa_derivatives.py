@@ -1,0 +1,203 @@
+"""Score and observed information of the saddlepoint log likelihoods
+(spa_derivatives) against independent references: mpmath derivatives of
+the oracle saddlepoint pmf, central differences of spa_loglik, and
+central differences of the analytic score. Then the contract the fits
+keep with spa_loglik."""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+import test_exact_table
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import mp_alpha_beta, mp_log_spa_pmf
+from test_newton_search import small_panels
+
+import bdrates.estimate
+import bdrates.saddlepoint
+from bdrates.errors import BdError, DomainError
+from bdrates.estimate import fit
+from bdrates.exact import geom_params, is_critical
+from bdrates.saddlepoint import _log_radius, solve_saddlepoint, spa_derivatives, spa_loglik
+from bdrates.types import Panel, Rates, Trajectory
+
+# three gap groups (0.3, 0.5, 0.7); k = 0 lanes (1 -> 0), k = 1 lanes
+# (5 -> 1, 1 -> 1), conditional k >= 2 lanes, ancestor counts 1 to 9
+EDGE = Panel(
+    (
+        Trajectory((0.0, 0.3, 0.8, 1.5), (5, 1, 0, 0)),
+        Trajectory((0.0, 0.5, 0.8, 1.5), (3, 9, 2, 14)),
+        Trajectory((0.0, 0.3, 1.0), (1, 1, 4)),
+    )
+)
+PANELS = {"edge": EDGE, **test_exact_table.PANELS}
+
+RATES = {
+    "growth": Rates(1.3, 0.9),
+    "decline": Rates(0.7, 1.1),
+    # inside the critical band, where geom_params and the saddle
+    # quadratic take the lam == mu formulas
+    "critical": Rates(2.0, 2.0),
+    "in_band": Rates(2.0 * (1 + 2.5e-9), 2.0 * (1 - 2.5e-9)),
+    # just outside it, on either side
+    "above_band": Rates(2.0 * (1 + 1e-6), 2.0 * (1 - 1e-6)),
+    "below_band": Rates(2.0 * (1 - 1e-6), 2.0 * (1 + 1e-6)),
+}
+
+
+def test_band_rates_straddle_the_critical_switch():
+    assert is_critical(RATES["critical"]) and is_critical(RATES["in_band"])
+    assert not is_critical(RATES["above_band"]) and not is_critical(RATES["below_band"])
+    assert RATES["above_band"].omega > 0.0 > RATES["below_band"].omega
+
+
+def _rates(theta) -> Rates:
+    return Rates(math.exp(theta[0]), math.exp(theta[1]))
+
+
+def _central(fun, theta, h=1e-3):
+    """Fourth-order central differences of fun (a scalar or a vector) in
+    each coordinate of theta, as columns."""
+    cols = []
+    for i in range(2):
+        e = np.zeros(2)
+        e[i] = h
+        cols.append(
+            (-fun(theta + 2 * e) + 8 * fun(theta + e) - 8 * fun(theta - e) + fun(theta - 2 * e))
+            / (12 * h)
+        )
+    return np.array(cols).T
+
+
+def _mp_score(panel, rates):
+    """d/d(log lam, log mu) of the plain saddlepoint log likelihood, by
+    mpmath differentiation of the oracle pmf summed over the panel: k = 0
+    lanes score a*log(alpha) and k >= 1 lanes mp_log_spa_pmf, each
+    bracketed around the float saddlepoint."""
+    lanes = []
+    for tr in panel:
+        for a, k, t in zip(tr.counts, tr.counts[1:], np.diff(tr.times)):
+            if a == 0:
+                continue
+            if k == 0:
+                lanes.append((a, k, t, None))
+                continue
+            x = solve_saddlepoint(k, t, a, rates).x_tilde
+            room = _log_radius(geom_params(t, rates)) - x
+            lanes.append((a, k, t, (x - 0.5, x + min(0.5, 0.5 * room))))
+
+    def loglik(th0, th1):
+        lam, mu = mp.exp(th0), mp.exp(th1)
+        total = mp.mpf(0)
+        for a, k, t, bracket in lanes:
+            if bracket is None:
+                total += a * mp.log(mp_alpha_beta(t, lam, mu)[0])
+            else:
+                total += mp_log_spa_pmf(k, t, a, lam, mu, *bracket)
+        return total
+
+    # central differences with an explicit step: mpmath's default step is
+    # inaccurate at lam == mu, where mp_alpha_beta switches formulas
+    th = (mp.log(rates.lam), mp.log(rates.mu))
+    h = mp.mpf("1e-20")
+    return np.array([float(mp.diff(loglik, th, order, h=h)) for order in ((1, 0), (0, 1))])
+
+
+@pytest.mark.parametrize("rname", list(RATES))
+@pytest.mark.parametrize("pname", ["edge", "unequal"])
+def test_plain_score_matches_mpmath(pname, rname):
+    panel, rates = PANELS[pname], RATES[rname]
+    score, _ = spa_derivatives(panel, rates, "plain")
+    ref = _mp_score(panel, rates)
+    assert np.all(np.abs(score - ref) <= 1e-7 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("variant", ["plain", "conditional"])
+@pytest.mark.parametrize("rname", list(RATES))
+@pytest.mark.parametrize("pname", list(PANELS))
+def test_score_matches_central_differences(pname, rname, variant):
+    panel, rates = PANELS[pname], RATES[rname]
+    theta = np.log([rates.lam, rates.mu])
+    score, _ = spa_derivatives(panel, rates, variant)
+    ref = _central(lambda th: spa_loglik(panel, _rates(th), variant), theta)
+    assert np.all(np.abs(score - ref) <= 1e-6 * max(1.0, np.max(np.abs(ref))))
+
+
+@pytest.mark.parametrize("variant", ["plain", "conditional"])
+@pytest.mark.parametrize("rname", list(RATES))
+@pytest.mark.parametrize("pname", list(PANELS))
+def test_information_matches_central_differences_of_the_score(pname, rname, variant):
+    panel, rates = PANELS[pname], RATES[rname]
+    theta = np.log([rates.lam, rates.mu])
+    _, info = spa_derivatives(panel, rates, variant)
+    ref = -_central(lambda th: spa_derivatives(panel, _rates(th), variant)[0], theta)
+    assert np.array_equal(info, info.T)
+    assert np.all(np.abs(info - ref) <= 1e-6 * max(1.0, np.max(np.abs(ref))))
+
+
+def test_derivatives_reject_a_degenerate_law_and_an_unknown_variant():
+    assert spa_derivatives(EDGE, Rates(0.0, 1.0), "plain") is None
+    assert spa_derivatives(EDGE, Rates(1.0, 0.0), "conditional") is None
+    with pytest.raises(DomainError):
+        spa_derivatives(EDGE, Rates(1.0, 1.0), "renormalized")
+
+
+def test_derivatives_near_the_radius_stay_accurate():
+    # the collapse panel at a point its search once stalled on: the 1 -> 1
+    # saddlepoint lies 1e-12 below the radius, where derivatives taken in
+    # x and log(beta) apart cancel to nothing, and where spa_loglik is too
+    # rough for central differences
+    panel = Panel((Trajectory((0.0, 0.2, 3.4), (25, 1, 1)),))
+    rates = _rates([1.74745801, 3.01638623])
+    score, _ = spa_derivatives(panel, rates, "plain")
+    ref = _mp_score(panel, rates)
+    assert np.all(np.abs(score - ref) <= 1e-7 * np.max(np.abs(ref)))
+
+
+# pytest's filter turns a RuntimeWarning into a failure
+@settings(max_examples=60, deadline=None)
+@given(
+    panel=small_panels(),
+    theta=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+    variant=st.sampled_from(["plain", "conditional"]),
+)
+def test_derivatives_are_finite_none_or_a_typed_error(panel, theta, variant):
+    try:
+        out = spa_derivatives(panel, _rates(theta), variant)
+    except BdError:
+        return
+    if out is not None:
+        assert all(np.all(np.isfinite(part)) for part in out)
+
+
+# ---------------------------------------------------------------------------
+# the fits
+
+
+@pytest.mark.parametrize("method", ["spmle", "spmle_adjusted"])
+def test_fits_call_spa_loglik_once_per_counted_evaluation(monkeypatch, method):
+    # perfbench's traced run wraps bdrates.estimate.spa_loglik with the
+    # signature (panel, rates, variant); its evaluation counts hold only if
+    # the objective calls it exactly so, once per evaluation, and nothing
+    # else does
+    real = bdrates.saddlepoint.spa_loglik
+    calls = []
+
+    def counting(panel, rates, variant):
+        calls.append((panel, variant))
+        return real(panel, rates, variant)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spa_derivatives must not score the panel through spa_loglik")
+
+    monkeypatch.setattr(bdrates.estimate, "spa_loglik", counting)
+    monkeypatch.setattr(bdrates.saddlepoint, "spa_loglik", refuse)
+    panel = test_exact_table.PANELS["pooled_float_grid"]
+    res = fit(panel, method)
+    variant = "conditional" if method == "spmle_adjusted" else "plain"
+    assert len(calls) == res.n_obj_evals
+    assert all(p is panel and v == variant for p, v in calls)
+    assert res.newton_iterations >= 1 and not res.continued
+
