@@ -80,10 +80,11 @@ def test_mle_takes_a_few_evaluations_and_its_cov_is_the_analytic_information():
 
 # the extinct panels have no optimum (see above), so neither matrix is
 # an information there; on the large_counts ridge (lam = 138.6,
-# mu = 138.0) the stencil's se_lambda moves from 65 to 82 as its step
-# goes from 1e-3 to 1e-4, against 79.8 from both analytic informations
-# (spmle's and mle's), so there se_omega is compared with the stencil and
-# the information with central differences of the analytic score
+# mu = 138.0) the stencil's se_lambda reads 74.3 at the spmle optimum
+# and 81.7 at the mle one, and a fourth-order stencil's 65 to 79 as its
+# step goes from 1e-3 to 1e-4, against 79.8 from both analytic
+# informations, so there se_omega is compared with the stencil and the
+# information with central differences of the analytic score
 RIDGE = "exact_table.large_counts"
 
 
