@@ -8,7 +8,10 @@ implicit differentiation at their saddlepoints. The search takes Newton
 steps: the Hessian's eigenvalues are floored to make it negative
 definite, the step is clipped to max-norm MAX_STEP and halved on every
 rejected or non-improving probe. A run stops once a step is at most
-XATOL or an accepted step gains at most FATOL*max(1, |f|). The Hessian
+XATOL or an accepted step gains at most FATOL*max(1, |f|), or when a
+probe fails although the model promised at most that gain for the full
+step: the run then stands at the optimum to within the objective's own
+rounding, which no halving of the step can beat. The Hessian
 of the last model is returned with the optimum, so the standard errors
 cost no further evaluations.
 
@@ -138,10 +141,11 @@ def _stencil(
     return values, np.array([[h00, h01], [h01, h11]])
 
 
-def _newton_step(model: Optional[Model]) -> Optional[np.ndarray]:
+def _newton_step(model: Optional[Model]) -> Optional[tuple[np.ndarray, float]]:
     """Ascent step of the model with its Hessian's eigenvalues floored to
     at most -EIG_FLOOR*max(1, max |eigenvalue|), clipped to max-norm
-    MAX_STEP; None when the model or the step is not finite."""
+    MAX_STEP, and the gain that floored model predicts for it; None when
+    the model or the step is not finite."""
     if model is None:
         return None
     grad, hess = model
@@ -149,12 +153,20 @@ def _newton_step(model: Optional[Model]) -> Optional[np.ndarray]:
         return None
     eig, vec = np.linalg.eigh(hess)
     eig = np.minimum(eig, -EIG_FLOOR * max(1.0, float(np.max(np.abs(eig)))))
+    along = vec.T @ grad
     with np.errstate(over="ignore", invalid="ignore"):
-        step = -vec @ ((vec.T @ grad) / eig)
+        coef = along / eig
+        step = -vec @ coef
     if not np.all(np.isfinite(step)):
         return None
+    # the full step gains q = -along . coef >= 0 on the floored model, a
+    # step scaled by c gains q*c*(1 - c/2)
+    q = -float(along @ coef)
     size = float(np.max(np.abs(step)))
-    return step * (MAX_STEP / size) if size > MAX_STEP else step
+    if size > MAX_STEP:
+        c = MAX_STEP / size
+        return step * c, q * c * (1.0 - 0.5 * c)
+    return step, 0.5 * q
 
 
 def maximize_2d(
@@ -209,10 +221,11 @@ def maximize_2d(
     iterations = rejected = 0
     status = "maxiter"  # or "converged", or "stalled" to continue
     while status == "maxiter" and iterations < maxiter:
-        step = _newton_step(model)
-        if step is None:
+        newton = _newton_step(model)
+        if newton is None:
             status = "stalled"
             break
+        step, promised = newton
         iterations += 1
         for _ in range(MAX_HALVINGS):
             if np.max(np.abs(step)) <= XATOL:
@@ -227,6 +240,12 @@ def maximize_2d(
                     status = "converged"
                 break
             rejected += 1
+            if promised <= FATOL * max(1.0, abs(f)):
+                # a failed probe of a step worth at most the value
+                # tolerance is rounding in the objective: halving it only
+                # probes the same point again, down to XATOL
+                status = "converged"
+                break
             step = 0.5 * step
         else:
             status = "stalled"

@@ -146,6 +146,22 @@ def test_continuation_runs_when_the_halvings_run_out():
     assert abs(res.x[0] - 0.4) < 1e-6 and abs(res.x[1] - 0.2) < 1e-6
 
 
+def test_a_failed_probe_within_the_value_tolerance_ends_the_run():
+    # values rounded to steps of 1e-10, as a likelihood rounds near its
+    # optimum: the start and the optimum read alike, so the first probe
+    # fails, and its step promised far less than the value tolerance
+    def rounded(x):
+        return -1e-10 * round((x[0] ** 2 + x[1] ** 2) / 1e-10)
+
+    def derivatives(x):
+        return -2.0 * np.asarray(x, dtype=float), -2.0 * np.eye(2)
+
+    res = maximize_2d(rounded, [1e-6, -1e-6], derivatives=derivatives)
+    assert res.converged and not res.continued
+    assert res.n_evals == 2 and res.rejected == 1
+    assert res.x == (1e-6, -1e-6)
+
+
 COLLAPSE = Panel((Trajectory((0.0, 0.2, 3.4), (25, 1, 1)),))
 ONE_STEP = Panel((Trajectory((0.0, 0.5718816614534702), (6, 9)),))
 PURE_DEATH_EDGE = Panel((Trajectory((0.0, 1.75, 1.9), (19, 2, 2)),))
