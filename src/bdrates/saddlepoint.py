@@ -246,6 +246,7 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
     )
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
     """Solve d1(x) = k from the seeds x, where terms(x[i], i) gives a
     CGF's first two derivatives (d1, d2) at lanes i and d1 increases in x.
@@ -253,7 +254,9 @@ def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
     Each lane brackets its root between the points it has probed; a probe
     where d1 is NaN counts as below the root. The module docstring gives
     the steps and the stopping rules. A lane's value does not depend on
-    the other lanes.
+    the other lanes. Where the terms overflow (d1 = +inf and d2 = -inf at
+    x_hi when 1 - beta is below about 1e-150), the Newton candidate reads
+    NaN and the lane bisects its bracket instead.
     """
     x = np.array(x, dtype=float)
     tol = RESIDUAL_TOL * np.maximum(1.0, k_arr)
