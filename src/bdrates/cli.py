@@ -8,8 +8,9 @@ pmf         tabulate exact vs saddlepoint transition probabilities as CSV
 benchmark   Monte Carlo estimator comparison over a grid of scenarios
 
 Exit codes: 0 success, 2 usage or parse failure, 3 resource cap
-exceeded, 4 estimator did not converge.  Runs without --seed draw one
-from the OS and record it in every output, so any run can be replayed.
+exceeded, 4 estimator did not converge.  simulate and benchmark runs
+without --seed draw one from the OS and record it in every output, so
+any run can be replayed; estimate is deterministic and takes no seed.
 """
 
 from __future__ import annotations
@@ -123,16 +124,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     panel = read_panel(args.input)
-    options = FitOptions(
-        restarts=args.restarts, seed=seed, max_count_cap=args.max_count_cap
-    )
+    options = FitOptions(max_count_cap=args.max_count_cap)
     if args.method == "all":
         rows = compare(panel, options=options)
         print(format_compare_table(rows))
         if args.out:
-            write_results(args.out, rows, seed=seed)
+            write_results(args.out, rows)
         ok = any(r.result is not None and r.result.converged for r in rows)
         return 0 if ok else 4
     result = fit(panel, canonical_method(args.method), options)
@@ -147,7 +145,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         f"omega={result.omega_hat:.10g}{se}"
     )
     if args.out:
-        write_results(args.out, result, seed=seed)
+        write_results(args.out, result)
     return 0 if result.converged else 4
 
 
@@ -327,22 +325,20 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="panel CSV path")
     sim.set_defaults(func=cmd_simulate)
 
-    est = sub.add_parser("estimate", help="fit rates to a panel CSV")
+    est = sub.add_parser(
+        "estimate",
+        help="fit rates to a panel CSV",
+        description="Fit rates to a panel CSV.  The likelihood methods take "
+        "damped Newton steps on their analytic derivatives; a Newton run "
+        "that stalls is continued by one Nelder-Mead run.  The fit is "
+        "deterministic, so estimate takes no seed.",
+    )
     est.add_argument("--input", required=True, help="panel CSV path")
     est.add_argument(
         "--method", choices=_METHOD_CHOICES, default="spmle",
         help="estimator, or 'all' for the comparison battery",
     )
     est.add_argument("--out", help="result JSON path")
-    est.add_argument("--seed", type=int, default=None)
-    est.add_argument(
-        "--restarts", type=int, default=3,
-        help="most perturbed Nelder-Mead restarts in the continuation of a "
-        "likelihood fit whose Newton run cannot form a finite model or runs "
-        "out of step halvings, run only while the best optimum fails its "
-        "stencil check and each restart beats it; --seed seeds their "
-        "perturbations",
-    )
     est.add_argument(
         "--max-count-cap", type=int, default=10**5,
         help="largest count the exact likelihood will accept",

@@ -6,14 +6,12 @@ behind a single result type.  The likelihood methods share one search
 over (log lambda, log mu) (optimize.maximize_2d): damped Newton steps
 on each likelihood's analytic score and observed information (the exact
 likelihood's from its term table, the saddlepoint likelihoods' from
-saddlepoint.spa_derivatives), continued by Nelder-Mead only where a
-Newton run cannot form a finite model or runs out of step halvings.
-The standard errors come from the Newton search's last model at the
-optimum, or, on a continued fit without one there, from the Hessian of
-the 9-point stencil that checked the Nelder-Mead optimum; a fit on the
-boundary (one rate below 1e-6 of the other) has none.  compare() runs a
-battery of methods on one panel, capturing per-method failures instead
-of aborting.
+saddlepoint.spa_derivatives), continued by one Nelder-Mead run only
+where the Newton run stalls.  The standard errors come from the
+observed information at the optimum; a continued fit whose optimum has
+none, and a fit on the boundary (one rate below 1e-6 of the other),
+have no standard errors.  compare() runs a battery of methods on one
+panel, capturing per-method failures instead of aborting.
 
 mv_spmle, the joint-path saddlepoint, is the plain saddlepoint fit under
 its old name: the joint-path saddlepoint likelihood factorizes into the
@@ -59,28 +57,22 @@ class FitOptions:
 
     The search runs in (log lambda, log mu), the coordinates of the
     standard errors.  maxiter bounds the Newton steps of a fit and the
-    iterations of each Nelder-Mead run.  restarts and seed govern only
-    the Nelder-Mead continuation of a fit whose Newton run cannot form a
-    finite model or runs out of step halvings: restarts bounds the
-    perturbed runs after the first, which go on only while the best
-    optimum so far fails its stencil check and each restart beats it
-    (optimize.maximize_2d), and seed seeds the perturbations.
-    max_count_cap bounds the population size the exact likelihood will
-    accept: its term table holds sum(min(a, k)) terms over the
-    transitions a -> k, in memory (16 bytes each) and in the time of
-    every evaluation, so it grows with the counts; the approximations'
-    cost does not.
+    iterations of the Nelder-Mead run that continues a stalled Newton
+    run (optimize.maximize_2d).  max_count_cap bounds the population
+    size the exact likelihood will accept: its term table holds
+    sum(min(a, k)) terms over the transitions a -> k, in memory (16
+    bytes each) and in the time of every evaluation, so it grows with
+    the counts; the approximations' cost does not.
+
+    restarts is read by no code: the continuation is a single run.  The
+    field stays only so that callers that still pass it construct
+    (perfbench's warm-up options).
     """
 
-    restarts: int = 3
+    restarts: int = 0
     maxiter: int = 2000
-    seed: int = 0
     max_count_cap: int = 10**5
     start: Optional[tuple[float, float]] = None  # (lambda, mu) override
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise DomainError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,15 +84,13 @@ class EstimateResult:
     rate is below 1e-6 of the larger, degenerate moment panel).  loglik
     is the method's own objective at the optimum and is None for the
     moment estimator, which has no likelihood.  n_obj_evals counts the
-    search's objective calls; a continued fit's include the 8 stencil
-    evaluations that check each Nelder-Mead optimum.  Calls for the
-    derivatives are not counted (a saddlepoint one solves again the
-    point the objective has just scored).
-    The likelihood searches also report n_runs (the Newton run plus any
-    Nelder-Mead runs), newton_iterations, rejected_probes (non-finite or
-    non-improving Newton probes) and continued (whether Nelder-Mead
-    continued the Newton run); the other methods leave them at their
-    defaults.
+    search's objective calls, Newton probes and Nelder-Mead vertices
+    alike.  Calls for the derivatives are not counted (a saddlepoint one
+    solves again the point the objective has just scored).
+    The likelihood searches also report newton_iterations,
+    rejected_probes (non-finite or non-improving Newton probes) and
+    continued (whether a Nelder-Mead run continued the Newton run); the
+    other methods leave them at their defaults.
     """
 
     method: str
@@ -111,7 +101,6 @@ class EstimateResult:
     converged: bool
     n_obj_evals: int
     wall_time: float
-    n_runs: int = 0
     newton_iterations: int = 0
     rejected_probes: int = 0
     continued: bool = False
@@ -329,14 +318,12 @@ def fit(panel: Panel, method: str, options: Optional[FitOptions] = None) -> Esti
         objective,
         [math.log(start.lam), math.log(start.mu)],
         derivatives=derivatives,
-        restarts=options.restarts,
         maxiter=options.maxiter,
-        seed=options.seed,
     )
     rates_hat = _rates_from_log(np.asarray(res.x))
     if rates_hat is None:
         raise SolverError(f"{name} search ended outside the parameter domain")
-    cov = numeric_hessian_se(objective, res.x, res.hessian)
+    cov = numeric_hessian_se(res.x, res.hessian)
     return EstimateResult(
         method=name,
         rates=rates_hat,
@@ -346,7 +333,6 @@ def fit(panel: Panel, method: str, options: Optional[FitOptions] = None) -> Esti
         converged=res.converged,
         n_obj_evals=res.n_evals,
         wall_time=time.perf_counter() - t0,
-        n_runs=res.n_runs,
         newton_iterations=res.newton_iterations,
         rejected_probes=res.rejected,
         continued=res.continued,
@@ -387,14 +373,14 @@ def compare(
 def format_compare_table(rows: Sequence[CompareRow]) -> str:
     """Fixed-width text table of a compare() battery.
 
-    Next to the objective evaluations (evals) stand the search's runs
-    (the Newton run plus each Nelder-Mead run) and its rejected Newton
-    probes; both read 0 for the moment estimators, which do not search.
+    Next to the objective evaluations (evals) stand the search's
+    rejected Newton probes; both read 0 for the moment estimators, which
+    do not search.
     """
     header = (
         f"{'method':<15} {'lambda':>12} {'mu':>12} {'omega':>12} "
         f"{'se_omega':>10} {'loglik':>14} {'conv':>5} {'evals':>6} "
-        f"{'runs':>5} {'rejected':>8} {'time_s':>9}"
+        f"{'rejected':>8} {'time_s':>9}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
@@ -407,7 +393,7 @@ def format_compare_table(rows: Sequence[CompareRow]) -> str:
         lines.append(
             f"{r.method:<15} {r.rates.lam:>12.6f} {r.rates.mu:>12.6f} "
             f"{r.omega_hat:>12.6f} {se:>10} {ll:>14} "
-            f"{str(r.converged):>5} {r.n_obj_evals:>6d} {r.n_runs:>5d} "
+            f"{str(r.converged):>5} {r.n_obj_evals:>6d} "
             f"{r.rejected_probes:>8d} {r.wall_time:>9.4f}"
         )
     return "\n".join(lines)

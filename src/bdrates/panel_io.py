@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 PANEL_SCHEMA = "bdrates-panel-v1"
-RESULT_SCHEMA = "bdrates-result-v1"
+RESULT_SCHEMA = "bdrates-result-v2"
 BENCHMARK_SCHEMA = "bdrates-benchmark-v2"
 
 _HEADER = ["trajectory_id", "time", "count"]
@@ -194,7 +194,7 @@ def dumps_17g(obj, _indent: int = 0) -> str:
 # result files
 
 
-def result_to_dict(result: EstimateResult, seed: Optional[int] = None) -> dict:
+def result_to_dict(result: EstimateResult) -> dict:
     cov = None
     if result.cov is not None:
         cov = [[float(result.cov[i, j]) for j in range(2)] for i in range(2)]
@@ -214,16 +214,14 @@ def result_to_dict(result: EstimateResult, seed: Optional[int] = None) -> dict:
         "diagnostics": {
             "n_obj_evals": result.n_obj_evals,
             "wall_time": result.wall_time,
-            "n_runs": result.n_runs,
             "newton_iterations": result.newton_iterations,
             "rejected_probes": result.rejected_probes,
             "continued": result.continued,
         },
-        "seed": seed,
     }
 
 
-def error_to_dict(method: str, message: str, seed: Optional[int] = None) -> dict:
+def error_to_dict(method: str, message: str) -> dict:
     return {
         "schema": RESULT_SCHEMA,
         "artifact_version": __version__,
@@ -238,21 +236,18 @@ def error_to_dict(method: str, message: str, seed: Optional[int] = None) -> dict
         "loglik": None,
         "converged": False,
         "diagnostics": {"error": message},
-        "seed": seed,
     }
 
 
-def write_results(
-    path: str, rows: Sequence[CompareRow] | EstimateResult, seed: Optional[int] = None
-) -> None:
+def write_results(path: str, rows: Sequence[CompareRow] | EstimateResult) -> None:
     """Single result -> one JSON object; a compare battery -> an array."""
     if isinstance(rows, EstimateResult):
-        doc = result_to_dict(rows, seed)
+        doc = result_to_dict(rows)
     else:
         doc = [
-            result_to_dict(r.result, seed)
+            result_to_dict(r.result)
             if r.result is not None
-            else error_to_dict(r.method, r.error, seed)
+            else error_to_dict(r.method, r.error)
             for r in rows
         ]
     with open(path, "w") as fh:

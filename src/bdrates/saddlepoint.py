@@ -145,6 +145,7 @@ def cgf_eval(x: float, t: float, a: int, rates: Rates) -> CgfPoint:
     return CgfPoint(float(x), float(value), float(d1), float(d2))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _saddle_quadratic(ratio, t: float, rates: Rates):
     """Coefficients (A, B, C) of the quadratic whose root in (0, R) is the
     saddlepoint in s, for ratio = a/k (B depends on the ratio; A, C do not).
@@ -152,7 +153,8 @@ def _saddle_quadratic(ratio, t: float, rates: Rates):
     All three carry one power-of-two scale that keeps B*B and 4*A*C finite;
     the scale is exact, so the roots are those of the unscaled quadratic.
     Coefficients that overflow before scaling raise DomainError (so does
-    an exp or a power that overflows on the way to them)."""
+    an exp or a power that overflows on the way to them; an array B that
+    overflows reads inf or NaN under the errstate, and raises the same)."""
     try:
         if is_critical(rates):
             u = 0.5 * rates.xi * t
@@ -374,13 +376,16 @@ def spa_pmf_normalized(k: int, t: float, a: int, rates: Rates) -> float:
     return (1.0 - p0) * raw / _spa_normalizer(t, a, rates)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cond_terms(x, g: GeomParams, a, log_p0):
     """First and second derivative of the non-extinction CGF
     log{(M(x) - p0)/(1 - p0)}, plus K = log M(x) and em = (M - p0)/M,
     so that log(M(x) - p0) = K + log(em).
 
     log_p0 = a*log(alpha) is the log extinction mass of each lane's
-    ancestors; a scalar or an array matching x.
+    ancestors; a scalar or an array matching x. Where K' and K'' are
+    large enough that c2 overflows, it reads inf or NaN: the solve then
+    bisects, and the pmf scores the lane -inf.
     """
     K, K1, K2 = _cgf_terms(x, g, a)
     em = -np.expm1(log_p0 - K)  # (M - p0)/M in (0, 1]

@@ -423,10 +423,10 @@ def run_benchmark(
 ) -> list[BenchmarkReport]:
     """Simulate panels per cell, fit every method, aggregate the errors.
 
-    Replicate r of cell c simulates from child_seed(seed, c, r) and fits
-    with optimizer seed child_seed(seed, c, r, 1), so any subset of the
-    grid reproduces exactly.  A method failure (refused panel, cap hit,
-    search leaving the domain) drops that replicate for that method only.
+    Replicate r of cell c simulates from child_seed(seed, c, r), and the
+    fits are deterministic, so any subset of the grid reproduces exactly.
+    A method failure (refused panel, cap hit, search leaving the domain)
+    drops that replicate for that method only.
     """
     if isinstance(cells, BenchmarkCell):
         cells = [cells]
@@ -448,12 +448,9 @@ def run_benchmark(
                 seed=child_seed(seed, ci, rep),
             )
             panel = simulate_panel(config, cell.m)
-            fit_seed = child_seed(seed, ci, rep, 1)
-            base = options if options is not None else FitOptions()
-            rep_options = dataclasses.replace(base, seed=fit_seed)
             for method in methods:
                 try:
-                    res = fit(panel, method, rep_options)
+                    res = fit(panel, method, options)
                 except BdError:
                     failures[method] += 1
                     continue

@@ -15,7 +15,9 @@ saddlepoint likelihood to its solver tolerance. Every likelihood fit
 searched by Nelder-Mead with perturbed restarts, about 270 evaluations
 each, before damped Newton steps on the exact likelihood's analytic
 derivatives replaced it, and one Nelder-Mead run confirmed on the
-covariance stencil replaced it for the saddlepoint fits. They are kept here
+covariance stencil replaced it for the saddlepoint fits. That 9-point
+central-difference stencil gave the covariance of a fit without an
+analytic Hessian, before every fit had one. They are kept here
 verbatim apart from names, calling the package's current helpers, so
 the replacements can be checked against them.
 """
@@ -44,7 +46,7 @@ from bdrates.gaussian import (
     qg_sandwich_cov,
 )
 from bdrates.gw import GwMoments, gw_estimate
-from bdrates.optimize import FATOL, PERTURB_SCALE, XATOL, OptResult
+from bdrates.optimize import FATOL, XATOL, OptResult
 from bdrates.saddlepoint import (
     RESIDUAL_TOL,
     _cgf_terms,
@@ -797,7 +799,31 @@ def mv_loglik(panel: Panel, rates: Rates) -> float:
 
 
 # ---------------------------------------------------------------------------
-# likelihood search: Nelder-Mead with perturbed restarts, as maximize_2d ran
+# likelihood search: Nelder-Mead with perturbed restarts, as maximize_2d ran,
+# and the 9-point stencil that gave the Hessian of a Nelder-Mead optimum
+
+PERTURB_SCALE = 0.25
+_EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+
+def _stencil(
+    objective: Callable[[np.ndarray], float], th: np.ndarray, centre: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 8 neighbours of th on the 9-point central-difference stencil,
+    per-coordinate step eps^(1/3) * max(1, |theta|), and the Hessian they
+    form with centre, the objective's value at th."""
+    h = _EPS_CBRT * np.maximum(1.0, np.abs(th))
+
+    def g(d0: float, d1: float) -> float:
+        return objective(np.array([th[0] + d0, th[1] + d1]))
+
+    east, west, north, south = g(h[0], 0.0), g(-h[0], 0.0), g(0.0, h[1]), g(0.0, -h[1])
+    corners = g(h[0], h[1]), g(h[0], -h[1]), g(-h[0], h[1]), g(-h[0], -h[1])
+    h00 = (east - 2.0 * centre + west) / (h[0] * h[0])
+    h11 = (north - 2.0 * centre + south) / (h[1] * h[1])
+    h01 = (corners[0] - corners[1] - corners[2] + corners[3]) / (4.0 * h[0] * h[1])
+    values = np.array([east, west, north, south, *corners], dtype=float)
+    return values, np.array([[h00, h01], [h01, h11]])
 
 
 def maximize_2d(
@@ -859,11 +885,9 @@ def maximize_2d(
 
     rng = np.random.default_rng(seed)
     best = run(x_start)
-    n_runs = 1
     for _ in range(restarts):
         start = best.x + PERTURB_SCALE * rng.standard_normal(2)
         res = run(start)
-        n_runs += 1
         same_point = np.max(np.abs(res.x - best.x)) <= 1e-6 * np.maximum(
             1.0, np.max(np.abs(best.x))
         )
@@ -880,5 +904,4 @@ def maximize_2d(
         fun=-float(best.fun),
         n_evals=n_evals,
         converged=bool(best.success),
-        n_runs=n_runs,
     )

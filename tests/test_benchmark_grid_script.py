@@ -34,3 +34,18 @@ def test_accuracy_curve_script_prints_one_row_per_ancestor_count(capsys):
     assert [int(row[0]) for row in rows] == [5, 10]
     # the plain approximation's worst relative error shrinks as a grows
     assert float(rows[1][1]) < float(rows[0][1])
+
+
+def test_continuation_census_script_reports_each_method(capsys):
+    census = _load("run_continuation_census")
+    assert census.main(["--seed", "3", "--panels", "5", "--methods", "spmle,mle"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    heads = [line for line in out if not line.startswith(" ")]
+    assert [line.split(":")[0] for line in heads] == ["spmle", "mle"]
+    for line in heads:
+        fits, refused = (int(line.split()[i]) for i in (1, 3))
+        assert fits + refused == 5
+        assert "0 warnings" in line
+    assert sum(line.strip().startswith("most evaluations:") for line in out) == 2
+    # the panels reproduce from the seed
+    assert census.draw_panels(3, 5) == census.draw_panels(3, 5)

@@ -123,7 +123,7 @@ class TestEstimate:
         code = run(
             [
                 "estimate", "--input", panel_csv,
-                "--method", "spmle", "--seed", "5", "--out", out,
+                "--method", "spmle", "--out", out,
             ]
         )
         assert code == 0
@@ -131,14 +131,21 @@ class TestEstimate:
         assert doc["method"] == "spmle"
         assert doc["converged"] is True
         assert doc["omega"] == doc["lambda"] - doc["mu"]
-        assert doc["seed"] == 5
+        # a fit is deterministic, so the result records no seed
+        assert "seed" not in doc
+
+    @pytest.mark.parametrize("flag", ["--seed", "--restarts"])
+    def test_estimate_takes_no_seed_or_restarts(self, panel_csv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(["estimate", "--input", panel_csv, flag, "1"])
+        assert exc.value.code == 2
 
     def test_hyphenated_method_name(self, panel_csv, tmp_path):
         out = str(tmp_path / "res.json")
         code = run(
             [
                 "estimate", "--input", panel_csv,
-                "--method", "spmle-adjusted", "--seed", "5", "--out", out,
+                "--method", "spmle-adjusted", "--out", out,
             ]
         )
         assert code == 0
@@ -149,7 +156,7 @@ class TestEstimate:
         code = run(
             [
                 "estimate", "--input", panel_csv,
-                "--method", "all", "--seed", "5", "--out", out,
+                "--method", "all", "--out", out,
             ]
         )
         assert code == 0
@@ -165,25 +172,20 @@ class TestEstimate:
         code = run(
             [
                 "estimate", "--input", panel_csv,
-                "--method", "all", "--seed", "5", "--out", out,
+                "--method", "all", "--out", out,
             ]
         )
         assert code == 0
         header, _, *lines = capsys.readouterr().out.splitlines()
         columns = header.split()
-        assert columns[columns.index("evals") + 1 : columns.index("evals") + 3] == [
-            "runs", "rejected",
-        ]
+        assert columns[columns.index("evals") + 1] == "rejected"
         table = {line.split()[0]: dict(zip(columns, line.split())) for line in lines}
         for record in json.load(open(out)):
             row, diag = table[record["method"]], record["diagnostics"]
             assert int(row["evals"]) == diag["n_obj_evals"]
-            assert int(row["runs"]) == diag["n_runs"]
             assert int(row["rejected"]) == diag["rejected_probes"]
-        # the moment estimators do not search; each likelihood fit here is
-        # one run, the exact likelihood's Newton run or a confirmed simplex
-        assert table["gw"]["runs"] == table["qg"]["runs"] == "0"
-        assert all(table[m]["runs"] == "1" for m in ("spmle", "spmle_adjusted", "mle"))
+        # the moment estimators do not search
+        assert table["gw"]["rejected"] == table["qg"]["rejected"] == "0"
 
     def test_battery_survives_single_method_failure(self, tmp_path):
         # unequal spacing: gw refuses, everything else still reports
@@ -194,8 +196,7 @@ class TestEstimate:
         write_panel(p, panel)
         out = str(tmp_path / "all.json")
         code = run(
-            ["estimate", "--input", p, "--method", "all", "--seed", "1",
-             "--out", out]
+            ["estimate", "--input", p, "--method", "all", "--out", out]
         )
         assert code == 0
         arr = json.load(open(out))
@@ -212,14 +213,14 @@ class TestEstimate:
         )
         p = str(tmp_path / "panel.csv")
         write_panel(p, panel)
-        code = run(["estimate", "--input", p, "--method", "gw", "--seed", "1"])
+        code = run(["estimate", "--input", p, "--method", "gw"])
         assert code == 2
         assert "quasi-likelihood" in capsys.readouterr().err
 
     def test_malformed_csv_exit_2_names_row(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("trajectory_id,time,count\na,0.0,3\na,oops,4\n")
-        code = run(["estimate", "--input", str(p), "--method", "gw", "--seed", "1"])
+        code = run(["estimate", "--input", str(p), "--method", "gw"])
         assert code == 2
         assert "row 3" in capsys.readouterr().err
 
@@ -227,7 +228,7 @@ class TestEstimate:
         code = run(
             [
                 "estimate", "--input", panel_csv, "--method", "mle",
-                "--seed", "1", "--max-count-cap", "3",
+                "--max-count-cap", "3",
             ]
         )
         assert code == 3
@@ -237,7 +238,7 @@ class TestEstimate:
         # the old saddlepoint fallback raised a bare ValueError on this panel
         p = str(tmp_path / "panel.csv")
         write_panel(p, Panel((Trajectory((0.0, 0.2, 3.4), (25, 1, 1)),)))
-        code = run(["estimate", "--input", p, "--method", "all", "--seed", "1"])
+        code = run(["estimate", "--input", p, "--method", "all"])
         assert code in (0, 4)
         assert "Traceback" not in capsys.readouterr().err
 
@@ -248,11 +249,10 @@ class TestEstimate:
             raise SolverError("no maximum found")
 
         monkeypatch.setattr(cli_mod, "fit", boom)
-        code = run(["estimate", "--input", panel_csv, "--method", "spmle",
-                    "--seed", "1"])
+        code = run(["estimate", "--input", panel_csv, "--method", "spmle"])
         assert code == 4
 
-    def test_seeded_estimate_deterministic_apart_from_wall_time(
+    def test_estimate_deterministic_apart_from_wall_time(
         self, panel_csv, tmp_path
     ):
         out1 = str(tmp_path / "r1.json")
@@ -260,7 +260,7 @@ class TestEstimate:
         for out in (out1, out2):
             assert run(
                 ["estimate", "--input", panel_csv, "--method", "spmle",
-                 "--seed", "6", "--out", out]
+                 "--out", out]
             ) == 0
         d1, d2 = json.load(open(out1)), json.load(open(out2))
         d1["diagnostics"].pop("wall_time")
@@ -417,12 +417,10 @@ class TestBenchmark:
     "argv",
     [
         ["simulate", "--lambda", "2", "--mu", "1", "--dt", "0.2", "--n-obs", "3"],
-        ["estimate", "--method", "spmle", "--input", "{panel}"],
-        ["estimate", "--method", "all", "--input", "{panel}"],
         ["benchmark", "--lambda", "7", "--mu", "5", "--z0", "10", "--n-obs", "5",
          "--m", "1", "--dt", "0.1", "--methods", "gw", "--replicates", "2"],
     ],
-    ids=["simulate", "estimate-spmle", "estimate-all", "benchmark"],
+    ids=["simulate", "benchmark"],
 )
 def test_negative_seed_exit_2_names_seed(argv, panel_csv, tmp_path, capsys):
     argv = [tok.format(panel=panel_csv) for tok in argv]

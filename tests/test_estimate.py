@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import bdrates.optimize as optimize
 from bdrates.errors import CapError, DomainError
 from bdrates.estimate import (
     EstimateResult,
@@ -72,10 +73,10 @@ def test_maximize_quadratic():
     assert abs(res.x[0] - 2.0) < 1e-6
     assert abs(res.x[1] + 1.0) < 1e-6
     assert abs(res.fun) < 1e-12
-    # the stencil confirms the first Nelder-Mead run's optimum, so no
-    # restart runs, and its Hessian comes back with the optimum
+    # the Newton run and one Nelder-Mead run; without a model at the
+    # optimum there is no Hessian
     assert res.n_evals > 0 and res.n_runs == 2
-    assert np.allclose(res.hessian, -2.0 * np.eye(2), rtol=0, atol=1e-6)
+    assert res.hessian is None
 
 
 def test_maximize_quadratic_newton():
@@ -94,34 +95,43 @@ def test_maximize_quadratic_newton():
     assert np.array_equal(res.hessian, np.diag([-2.0, -6.0]))
 
 
-def test_maximize_restarts_a_run_that_did_not_converge():
-    # each run is cut short by maxiter, so none passes the check (no
-    # stencil is evaluated) and every perturbed restart runs, each
-    # continuing from the best point so far
-    def obj(x):
-        return -((x[0] - 2.0) ** 2) - (x[1] + 1.0) ** 2
+def _counting_minimize(monkeypatch):
+    """The results of every scipy minimize call that maximize_2d makes."""
+    real, runs = optimize.minimize, []
 
-    one = maximize_2d(obj, [0.0, 0.0], derivatives=_no_model, maxiter=30, restarts=0)
-    res = maximize_2d(obj, [0.0, 0.0], derivatives=_no_model, maxiter=30, restarts=3)
-    assert not one.converged and not res.converged
-    # the Newton run, then one Nelder-Mead run and three restarts
-    assert one.n_runs == 2 and res.n_runs == 5 and res.hessian is None
-    assert res.fun > one.fun
+    def minimize(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(optimize, "minimize", minimize)
+    return runs
 
 
-def test_maximize_restarts_from_a_point_beside_a_hole():
-    # the optimum (0.3, 0.2) lies closer to a -inf region than the stencil
-    # step: the converged run fails the check on a non-finite neighbour, so
-    # a restart runs; it lands on the same optimum, no higher, and that
-    # ends the restarts
+def test_continuation_makes_one_nelder_mead_run(monkeypatch):
+    # the optimum (0.3, 0.2) lies within 3e-6 of a -inf region; the one
+    # Nelder-Mead run reaches it, and no restart follows
     def obj(x):
         if x[0] < 0.3 - 3e-6:
             return -math.inf
         return -((x[0] - 0.3) ** 2) - (x[1] - 0.2) ** 2
 
-    res = maximize_2d(obj, [0.5, 0.0], derivatives=_no_model, restarts=2)
-    assert res.converged and res.n_runs == 3 and res.hessian is None
+    runs = _counting_minimize(monkeypatch)
+    res = maximize_2d(obj, [0.5, 0.0], derivatives=_no_model)
+    assert len(runs) == 1 and res.n_runs == 2
+    assert res.converged and res.hessian is None
     assert abs(res.x[0] - 0.3) < 1e-6 and abs(res.x[1] - 0.2) < 1e-6
+    # the run's evaluations, the start and the optimum's re-evaluation
+    assert res.n_evals == runs[0].nfev + 2
+
+
+def test_continuation_cut_short_by_maxiter_makes_one_run(monkeypatch):
+    def obj(x):
+        return -((x[0] - 2.0) ** 2) - (x[1] + 1.0) ** 2
+
+    runs = _counting_minimize(monkeypatch)
+    res = maximize_2d(obj, [0.0, 0.0], derivatives=_no_model, maxiter=30)
+    assert len(runs) == 1 and runs[0].nit == 30
+    assert not res.converged and res.continued and res.fun < 0.0
 
 
 def test_maximize_rejects_bad_start():
@@ -156,44 +166,35 @@ def test_maximize_handles_rejection_regions():
 def test_hessian_quadratic_exact():
     # curvature diag(1, 4) at theta=(1, 2): covariance of the rates is
     # diag(e^2, e^4/4) through the exp-map Jacobian
-    obj = lambda x: -0.5 * ((x[0] - 1.0) ** 2 + 4.0 * (x[1] - 2.0) ** 2)
-    cov = numeric_hessian_se(obj, [1.0, 2.0])
+    cov = numeric_hessian_se([1.0, 2.0], -np.diag([1.0, 4.0]))
     expect = np.diag([math.e**2, 0.25 * math.e**4])
-    assert np.max(np.abs(cov - expect)) < 1e-6
+    assert np.allclose(cov, expect, rtol=1e-15, atol=0)
 
 
 def test_hessian_exactly_symmetric():
-    obj = lambda x: -0.5 * (2.0 * x[0] ** 2 + 1.3 * x[0] * x[1] + 3.0 * x[1] ** 2)
-    cov = numeric_hessian_se(obj, [0.1, -0.2])
+    # the Hessian of -(2 x^2 + 1.3 x y + 3 y^2)/2
+    cov = numeric_hessian_se([0.1, -0.2], -np.array([[2.0, 0.65], [0.65, 3.0]]))
     assert cov[0, 1] == cov[1, 0]
     assert cov[0, 0] > 0.0 and cov[1, 1] > 0.0
 
 
 def test_hessian_not_positive_definite():
-    assert numeric_hessian_se(lambda x: 0.5 * (x[0] ** 2 + x[1] ** 2), [0.0, 0.0]) is None
+    assert numeric_hessian_se([0.0, 0.0], np.eye(2)) is None
+    assert numeric_hessian_se([0.0, 0.0], np.array([[-1.0, 2.0], [2.0, -1.0]])) is None
 
 
-def test_hessian_nonfinite_stencil():
-    def obj(x):
-        if x[0] > 1.0:
-            return -math.inf
-        return -(x[0] ** 2) - x[1] ** 2
-
-    assert numeric_hessian_se(obj, [1.0, 0.0]) is None
+def test_hessian_nonfinite_or_missing():
+    assert numeric_hessian_se([1.0, 0.0], np.array([[-math.inf, 0.0], [0.0, -1.0]])) is None
+    assert numeric_hessian_se([1.0, 0.0], np.array([[-1.0, math.nan], [math.nan, -1.0]])) is None
+    assert numeric_hessian_se([1.0, 0.0]) is None
+    assert numeric_hessian_se([1.0, 0.0], None) is None
 
 
-def test_hessian_boundary_fit_evaluates_nothing():
+def test_hessian_boundary_fit():
     # a rate below 1e-6 of the other: no covariance, whatever the Hessian
-    probes = []
-
-    def obj(x):
-        probes.append(x)
-        return -(x[0] ** 2) - x[1] ** 2
-
-    assert numeric_hessian_se(obj, [0.0, math.log(0.9e-6)]) is None
-    assert numeric_hessian_se(obj, [math.log(0.9e-6), 0.0], -np.eye(2)) is None
-    assert not probes
-    assert numeric_hessian_se(obj, [0.0, math.log(1.1e-6)]) is not None
+    assert numeric_hessian_se([0.0, math.log(0.9e-6)], -np.eye(2)) is None
+    assert numeric_hessian_se([math.log(0.9e-6), 0.0], -np.eye(2)) is None
+    assert numeric_hessian_se([0.0, math.log(1.1e-6)], -np.eye(2)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +276,10 @@ def test_optimum_compass_directions():
             assert val <= at + 5e-8
 
 
-def test_seeded_determinism():
-    a = fit(PANEL_A, "spmle", FitOptions(seed=7))
-    b = fit(PANEL_A, "spmle", FitOptions(seed=7))
-    assert a.rates == b.rates
-    assert a.loglik == b.loglik
-    assert a.n_obj_evals == b.n_obj_evals
-    assert np.array_equal(a.cov, b.cov)
-
-
-def test_negative_seed_rejected():
-    with pytest.raises(DomainError, match="seed .* -1"):
-        FitOptions(seed=-1)
-    assert FitOptions(seed=0).seed == 0
+def test_restarts_is_still_accepted():
+    # read by no code; callers that pass it (perfbench's warm-up options)
+    # must still construct
+    assert FitOptions(restarts=0, maxiter=20).maxiter == 20
 
 
 def test_start_override():

@@ -13,12 +13,10 @@ import pytest
 from oracles import mp_transition_prob
 
 import bdrates.exact as exact
-from bdrates.estimate import FitOptions, fit
+from bdrates.estimate import fit
 from bdrates.exact import EPS_CRITICAL, exact_loglik, geom_params, term_table
 from bdrates.simulate import SimConfig, simulate_panel
 from bdrates.types import Panel, Rates, Trajectory
-
-OPTS = FitOptions(restarts=1)
 
 
 def _panels():
@@ -218,9 +216,9 @@ def test_table_built_once_per_panel(monkeypatch):
 def test_table_not_built_by_other_methods():
     panel = Panel(tuple(PANELS["pooled_float_grid"]))
     for method in ("gw", "qg", "spmle", "spmle_adjusted"):
-        fit(panel, method, OPTS)
+        fit(panel, method)
     assert "term_table" not in vars(panel.transitions)
-    fit(panel, "mle", OPTS)
+    fit(panel, "mle")
     assert "term_table" in vars(panel.transitions)
 
 

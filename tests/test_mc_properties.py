@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from bdrates import (
-    FitOptions,
     Panel,
     Rates,
     SimConfig,
@@ -133,11 +132,7 @@ class TestMleCalibration:
                 rates, z0=5, obs_times=obs, condition_nonextinct=True,
                 seed=child_seed(MASTER, 5, r),
             )
-            res = fit(
-                simulate_panel(cfg, 10),
-                "mle",
-                FitOptions(seed=child_seed(MASTER, 5, r, 1)),
-            )
+            res = fit(simulate_panel(cfg, 10), "mle")
             assert res.cov is not None
             lam_hats.append(res.rates.lam)
             ses.append(res.se_lambda)
@@ -195,7 +190,7 @@ class TestCliRoundTrip:
         assert main(
             [
                 "estimate", "--input", panel_path, "--method", "all",
-                "--seed", "0", "--out", out_path,
+                "--out", out_path,
             ]
         ) == 0
         rows = json.load(open(out_path))

@@ -1,9 +1,9 @@
 """The likelihood searches against the Nelder-Mead search with blind
 confirming restarts (kept in legacy_kernels): the damped Newton search
 on the exact likelihood's and the saddlepoint likelihoods' analytic
-derivatives, and their covariances against the 9-point stencil. Then
-the Nelder-Mead continuation, the edge panels, and property tests of
-fit and compare over small panels."""
+derivatives, and their covariances against the 9-point stencil (kept
+there too). Then the Nelder-Mead continuation, the edge panels, and
+property tests of fit and compare over small panels."""
 
 import math
 
@@ -42,13 +42,19 @@ def _legacy_fit(panel, method):
     return legacy.maximize_2d(objective, [math.log(start.lam), math.log(start.mu)])
 
 
+def _stencil_cov(objective, theta):
+    """The covariance from the 9-point stencil's Hessian at theta."""
+    _, hessian = legacy._stencil(objective, theta, objective(theta))
+    return numeric_hessian_se(theta, hessian)
+
+
 @pytest.mark.parametrize("method", LIKELIHOODS)
 @pytest.mark.parametrize("name", sorted(FROZEN))
 def test_fit_agrees_with_the_nelder_mead_search(name, method):
     panel = FROZEN[name]
     new, old = fit(panel, method), _legacy_fit(panel, method)
     # the Newton run alone reaches the reference search's optimum
-    assert new.converged and not new.continued and new.n_runs == 1
+    assert new.converged and not new.continued
     assert new.loglik >= old.fun - 1e-9 * max(1.0, abs(old.fun))
     # every frozen fit is interior, so each keeps its covariance
     assert new.cov is not None
@@ -68,10 +74,10 @@ def test_mle_takes_a_few_evaluations_and_its_cov_is_the_analytic_information():
     theta = np.log([res.rates.lam, res.rates.mu])
     _, _, info = exact_loglik(panel, res.rates, derivatives=True)
     objective, _ = _search_functions("mle", panel, FitOptions())
-    assert np.allclose(res.cov, numeric_hessian_se(objective, theta, -info), rtol=1e-12, atol=0)
+    assert np.allclose(res.cov, numeric_hessian_se(theta, -info), rtol=1e-12, atol=0)
     # the 9-point stencil agrees to its own accuracy: the rates lie on a
     # ridge, where the inverse amplifies the stencil's rounding noise
-    stencil = numeric_hessian_se(objective, theta)
+    stencil = _stencil_cov(objective, theta)
     assert np.all(np.abs(res.cov - stencil) <= 1e-2 * np.abs(stencil))
     assert res.se_omega == pytest.approx(
         math.sqrt(stencil[0, 0] + stencil[1, 1] - 2 * stencil[0, 1]), rel=1e-3
@@ -95,7 +101,7 @@ def test_saddlepoint_cov_from_the_information_agrees_with_the_stencil(name, meth
     res = fit(panel, method)
     objective, derivatives = _search_functions(method, panel, FitOptions())
     theta = np.log([res.rates.lam, res.rates.mu])
-    stencil = numeric_hessian_se(objective, theta)
+    stencil = _stencil_cov(objective, theta)
     assert res.se_omega == pytest.approx(
         math.sqrt(stencil[0, 0] + stencil[1, 1] - 2 * stencil[0, 1]), rel=1e-4
     )
@@ -127,10 +133,10 @@ def _beside_a_hole(x):
 def test_continuation_runs_where_there_is_no_model():
     # no model at the start, as at a degenerate law of the exact likelihood
     res = maximize_2d(_beside_a_hole, [0.5 - 1e-7, 0.0], derivatives=lambda x: None)
-    assert res.continued and res.n_runs >= 2 and res.newton_iterations == 0
+    assert res.continued and res.n_runs == 2 and res.newton_iterations == 0
     assert abs(res.x[0] - 0.4) < 1e-6 and abs(res.x[1] - 0.2) < 1e-6
-    # without a model there, the Hessian is the confirming stencil's
-    assert np.allclose(res.hessian, -2.0 * np.eye(2), rtol=0, atol=1e-6)
+    # without a model at the optimum there is no Hessian
+    assert res.hessian is None
 
 
 def test_continuation_runs_when_the_halvings_run_out():
@@ -141,9 +147,26 @@ def test_continuation_runs_when_the_halvings_run_out():
         return np.array([-2.0 * (x[0] - 5.0), -2.0 * (x[1] - 0.2)]), -2.0 * np.eye(2)
 
     res = maximize_2d(_beside_a_hole, [0.5 - 1e-7, 0.2], derivatives=derivatives)
-    assert res.continued and res.n_runs >= 2
+    assert res.continued and res.n_runs == 2
     assert res.newton_iterations == 1 and res.rejected == 30
     assert abs(res.x[0] - 0.4) < 1e-6 and abs(res.x[1] - 0.2) < 1e-6
+
+
+def test_a_run_halved_down_to_xatol_stalls_and_continues():
+    # a model that points away from the optimum (1, 1) with a small step:
+    # its halvings shrink the step to XATOL within 30 probes, none of them
+    # improving, so the run stalls (it does not converge) and Nelder-Mead
+    # takes over from the start
+    def quadratic(x):
+        return -((x[0] - 1.0) ** 2) - (x[1] - 1.0) ** 2
+
+    def wrong_way(x):
+        return 2.0 * (np.asarray(x) - 1.0), -1e3 * np.eye(2)
+
+    res = maximize_2d(quadratic, [0.0, 0.0], derivatives=wrong_way)
+    assert res.continued and res.converged
+    assert res.newton_iterations == 1 and res.rejected == 21
+    assert abs(res.x[0] - 1.0) < 1e-6 and abs(res.x[1] - 1.0) < 1e-6
 
 
 def test_a_failed_probe_within_the_value_tolerance_ends_the_run():
@@ -172,6 +195,23 @@ def test_collapse_spmle_reaches_the_nelder_mead_loglik():
     # around them to the optimum at -6.864231
     res = fit(COLLAPSE, "spmle")
     assert res.loglik >= -6.8643
+
+
+# the Newton run of this spmle fit stalls, and one Nelder-Mead run takes
+# it to the optimum
+CONTINUED = Panel(
+    (
+        Trajectory((0.0, 1.0, 1.03125), (274, 9, 0)),
+        Trajectory((0.0, 0.03125, 1.03125, 3.349820538227884, 5.349820538227884), (1094, 0, 0, 0, 0)),
+    )
+)
+
+
+def test_continued_fit_reaches_its_loglik_in_one_run():
+    res = fit(CONTINUED, "spmle")
+    assert res.continued and res.converged
+    assert res.loglik == pytest.approx(-7.5939, abs=5e-5)
+    assert res.n_obj_evals <= 450
 
 
 @pytest.mark.parametrize("method", LIKELIHOODS)
@@ -221,7 +261,9 @@ def small_panels(draw):
 
 
 # the examples' fits probe rates where the saddlepoint quadratic's
-# coefficients overflow
+# coefficients overflow; the last three carry counts past the strategy's
+# range, where the conditional CGF's curvature or the quadratic's array
+# coefficient overflows
 @settings(max_examples=40, deadline=None)
 @given(panel=small_panels(), method=st.sampled_from(LIKELIHOODS))
 @example(
@@ -242,13 +284,37 @@ def small_panels(draw):
     ),
     method="spmle",
 )
+@example(
+    panel=Panel(
+        (
+            Trajectory((0.0, 2.0, 3.0, 6.0), (1405, 2946, 0, 0)),
+            Trajectory((0.0, 0.03125, 0.53125, 0.5625, 3.5625), (1428, 1, 66, 306, 3)),
+        )
+    ),
+    method="spmle_adjusted",
+)
+@example(
+    panel=Panel(
+        (Trajectory((0.0, 0.03125, 1.5596453520209497, 4.000807155283514), (2, 1202, 95, 61)),)
+    ),
+    method="spmle_adjusted",
+)
+@example(
+    panel=Panel(
+        (
+            Trajectory((0.0, 2.0, 2.5, 3.365602721173814), (108, 1044, 2615, 59)),
+            Trajectory((0.0, 0.5, 0.53125, 0.5625, 3.4931759613559317), (281, 6, 288, 852, 151)),
+        )
+    ),
+    method="spmle",
+)
 def test_only_typed_errors_leave_fit(panel, method):
     try:
         res = fit(panel, method)
     except BdError:
         return
     assert math.isfinite(res.loglik)
-    assert res.n_runs >= 1 and res.newton_iterations >= 0
+    assert res.newton_iterations >= 0
 
 
 # compare() catches BdError only, so any other exception fails the test;

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from bdrates import (
     BenchmarkCell,
-    FitOptions,
     Panel,
     Rates,
     SimConfig,
@@ -221,14 +220,13 @@ class TestResultFiles:
     def test_single_result_round_trip(self, tmp_path):
         result = fit(PANEL_EQ, "gw")
         p = str(tmp_path / "res.json")
-        write_results(p, result, seed=11)
+        write_results(p, result)
         doc = read_results(p)
         assert doc["schema"] == RESULT_SCHEMA
         assert doc["method"] == "gw"
         assert doc["lambda"] == result.rates.lam
         assert doc["mu"] == result.rates.mu
         assert doc["omega"] == result.omega_hat
-        assert doc["seed"] == 11
         assert doc["converged"] is True
         if result.cov is not None:
             for i in range(2):
@@ -237,14 +235,13 @@ class TestResultFiles:
 
     def test_loglik_and_evals_recorded(self, tmp_path):
         panel = Panel((PANEL_EQ[0],))
-        result = fit(panel, "spmle", FitOptions(seed=2))
+        result = fit(panel, "spmle")
         p = str(tmp_path / "res.json")
-        write_results(p, result, seed=2)
+        write_results(p, result)
         doc = read_results(p)
         assert doc["loglik"] == result.loglik
         assert doc["diagnostics"]["n_obj_evals"] == result.n_obj_evals
         assert doc["diagnostics"]["wall_time"] >= 0.0
-        assert doc["diagnostics"]["n_runs"] == result.n_runs >= 1
         assert doc["diagnostics"]["newton_iterations"] == result.newton_iterations >= 0
         assert doc["diagnostics"]["rejected_probes"] == result.rejected_probes >= 0
         assert doc["diagnostics"]["continued"] is result.continued
@@ -255,15 +252,14 @@ class TestResultFiles:
         p = str(tmp_path / "res.json")
         write_results(p, result)
         diag = read_results(p)["diagnostics"]
-        assert diag["n_runs"] == result.n_runs == 1
         assert diag["newton_iterations"] == result.newton_iterations >= 1
         assert diag["rejected_probes"] == result.rejected_probes >= 0
         assert diag["continued"] is result.continued is False
 
     def test_battery_round_trip(self, tmp_path):
-        rows = compare(PANEL_EQ, methods=["gw", "qg"], options=FitOptions(seed=4))
+        rows = compare(PANEL_EQ, methods=["gw", "qg"])
         p = str(tmp_path / "all.json")
-        write_results(p, rows, seed=4)
+        write_results(p, rows)
         arr = read_results(p)
         assert [r["method"] for r in arr] == ["gw", "qg"]
         assert all(r["schema"] == RESULT_SCHEMA for r in arr)
@@ -271,7 +267,7 @@ class TestResultFiles:
     def test_error_rows_serialized(self, tmp_path):
         # unequal spacing: gw refuses, the battery keeps going
         panel = Panel((Trajectory((0.0, 0.1, 0.35), (5, 8, 9)),))
-        rows = compare(panel, methods=["gw", "qg"], options=FitOptions(seed=4))
+        rows = compare(panel, methods=["gw", "qg"])
         p = str(tmp_path / "all.json")
         write_results(p, rows)
         arr = read_results(p)
@@ -282,7 +278,7 @@ class TestResultFiles:
         assert "error" in gw_row["diagnostics"]
 
     def test_error_to_dict_shape(self):
-        doc = error_to_dict("mle", "boom", seed=3)
+        doc = error_to_dict("mle", "boom")
         assert doc["method"] == "mle"
         assert doc["diagnostics"]["error"] == "boom"
         assert doc["omega"] is None
@@ -304,12 +300,10 @@ class TestResultFiles:
             "loglik",
             "converged",
             "diagnostics",
-            "seed",
         }
         assert result_to_dict(result)["diagnostics"] == {
             "n_obj_evals": 0,
             "wall_time": result.wall_time,
-            "n_runs": 0,
             "newton_iterations": 0,
             "rejected_probes": 0,
             "continued": False,

@@ -347,12 +347,11 @@ def test_benchmark_keeps_fit_options(monkeypatch):
         raise CapError("recorded")
 
     monkeypatch.setattr(simulate, "fit", record)
-    base = FitOptions(start=(3.0, 1.5), restarts=1, max_count_cap=500)
+    base = FitOptions(start=(3.0, 1.5), max_count_cap=500)
     cell = BenchmarkCell(GROW, 2, 3, 1, 0.2)
     run_benchmark(cell, ["spmle"], 2, seed=4, options=base)
-    assert [o.seed for o in seen] == [child_seed(4, 0, r, 1) for r in range(2)]
-    for o in seen:
-        assert o == dataclasses.replace(base, seed=o.seed)
+    # the fits are deterministic: every replicate gets the options as given
+    assert len(seen) == 2 and all(o is base for o in seen)
 
 
 def test_benchmark_input_validation():
