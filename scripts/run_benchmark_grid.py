@@ -10,8 +10,8 @@ Each row also prints the method's mean objective evaluations and fit
 time per replicate. Cost grows linearly with --replicates and is set by
 the fits, not by simulation (a few ms per panel): on a 2-CPU host
 (Python 3.11, numpy 2.4) --replicates 100 --methods gw,spmle,mle took
-32 s, 15 s of them in the m=20, z0=10 cell, whose mle fits take 0.098 s
-each (about 5 evaluations) and spmle fits 0.044 s (about 143).
+16 s, 10 s of them in the m=20, z0=10 cell, whose mle fits take 0.091 s
+each and spmle fits 0.0036 s (both about 3.6 evaluations).
 """
 
 import argparse

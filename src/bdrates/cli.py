@@ -36,7 +36,7 @@ from .estimate import (
 from .exact import log_transition_prob
 from .panel_io import (
     PANEL_SCHEMA,
-    dumps_17g,
+    dumps_json,
     read_panel,
     write_benchmark_csv,
     write_benchmark_json,
@@ -111,7 +111,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "rejected_paths": rejections,
     }
     with open(args.out + ".meta.json", "w") as fh:
-        fh.write(dumps_17g(meta) + "\n")
+        fh.write(dumps_json(meta) + "\n")
     print(
         f"wrote {len(panel)} trajectories x {len(obs_times)} observations "
         f"to {args.out} (seed {seed})"

@@ -165,7 +165,14 @@ def _search_functions(
     Hessian of the objective, or None where there are none."""
     if method != "mle":
         variant = "conditional" if method == "spmle_adjusted" else "plain"
-        objective = _wrap_objective(_loglik_function(method, panel))
+        if method == "mv_spmle":
+            from .multivariate import mv_loglik
+
+            objective = _wrap_objective(lambda rates: mv_loglik(panel, rates))
+        else:
+            # spa_loglik takes exactly (panel, rates, variant), the
+            # signature perfbench's traced run wraps
+            objective = _wrap_objective(lambda rates: spa_loglik(panel, rates, variant))
 
         def derivatives(x: np.ndarray):
             rates = _rates_from_log(x)
@@ -203,20 +210,6 @@ def _search_functions(
         return last.get(rates)
 
     return objective, derivatives
-
-
-def _loglik_function(method: str, panel: Panel) -> Callable[[Rates], float]:
-    # spa_loglik takes exactly (panel, rates, variant), the signature
-    # perfbench's traced run wraps
-    if method == "spmle":
-        return lambda rates: spa_loglik(panel, rates, "plain")
-    if method == "spmle_adjusted":
-        return lambda rates: spa_loglik(panel, rates, "conditional")
-    if method == "mv_spmle":
-        from .multivariate import mv_loglik
-
-        return lambda rates: mv_loglik(panel, rates)
-    raise DomainError(f"method {method!r} has no likelihood objective")
 
 
 def _wrap_objective(loglik: Callable[[Rates], float]) -> Callable[[np.ndarray], float]:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, SolverError
-from .exact import geom_params
+from .exact import _log_phi_derivs, geom_params
 from .types import Panel, Rates
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "qg_sandwich_cov",
 ]
 
-# |u| below which series expansions replace u/(e^u - 1) style ratios.
+# |u| below which a series replaces (e^u - 1)/u in nu.
 SERIES_EPS = 1e-6
 
 # xi_hat below this is treated as a deterministic (zero-residual) panel:
@@ -95,22 +95,6 @@ class QgFit:
     profile_iterations: int
     boundary: bool
     degenerate: bool
-
-
-def _c_ratio(u: float) -> float:
-    # u / (e^u - 1), the reciprocal variance inflation factor
-    if abs(u) < SERIES_EPS:
-        return 1.0 - 0.5 * u + u * u / 12.0
-    return u / math.expm1(u)
-
-
-def _kappa_prime(u: float) -> float:
-    # derivative of log{(e^u - 1)/u}; increases from 0 to 1 over the line
-    if abs(u) < SERIES_EPS:
-        return 0.5 + u / 12.0 - u**3 / 720.0
-    if u > 0.0:
-        return 1.0 / (-math.expm1(-u)) - 1.0 / u
-    return math.exp(u) / math.expm1(u) - 1.0 / u
 
 
 def _nu(tau: float, omega: float) -> float:
@@ -169,11 +153,6 @@ def _profile_loglik_terms(groups, n: int, log_src: float, omega: float) -> float
     if xi <= 0.0:
         return math.inf  # deterministic fit: unbounded profile
     return -0.5 * (n * _LOG_2PI + n * math.log(xi) + log_src + log_nu) - 0.5 * n
-
-
-def _profile_loglik(panel: Panel, omega: float) -> float:
-    groups = panel.transitions.groups
-    return _profile_loglik_terms(groups, *_fixed_sums(groups), omega)
 
 
 def qg_fit(panel: Panel) -> QgFit:
@@ -276,7 +255,7 @@ def _information(panel: Panel, params: QgParams) -> np.ndarray:
         n = len(grp.src)
         u = omega * tau
         nu = _nu(tau, omega)
-        nd = tau * (1.0 + _kappa_prime(u))  # nu_dot / nu
+        nd = tau * (1.0 + _log_phi_derivs(u)[0])  # nu_dot / nu
         zd = tau * math.exp(u)  # zeta_dot
         i_xx += n / (2.0 * xi * xi)
         i_xw += n * nd / (2.0 * xi)
@@ -349,7 +328,7 @@ def _score_cov_true(panel: Panel, params: QgParams) -> np.ndarray:
         kap4_sum = k4_raw / (k2 * k2) * float(np.sum(1.0 / grp.src))
         u = omega * tau
         nu = _nu(tau, omega)
-        nd = tau * (1.0 + _kappa_prime(u))
+        nd = tau * (1.0 + _log_phi_derivs(u)[0])
         zd = tau * math.exp(u)
         c_xx += (2.0 * n + kap4_sum) / (4.0 * xi * xi)
         c_xw += (nd * (2.0 * n + kap4_sum) + 2.0 * n * zd * skew / math.sqrt(xi * nu)) / (

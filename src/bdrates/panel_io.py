@@ -3,8 +3,8 @@
 Panels travel as plain CSV with a mandatory `trajectory_id,time,count`
 header, rows grouped by trajectory and time-sorted within each group;
 parse failures point at the offending row number.  Results and
-benchmark reports are JSON with every float written to 17 significant
-digits so a read-back reproduces the doubles bit for bit.  Every file
+benchmark reports are JSON whose floats take their shortest round-trip
+form, so a read-back reproduces the doubles bit for bit.  Every file
 carries a schema tag and the package version.
 """
 
@@ -28,7 +28,7 @@ __all__ = [
     "BENCHMARK_SCHEMA",
     "write_panel",
     "read_panel",
-    "dumps_17g",
+    "dumps_json",
     "result_to_dict",
     "error_to_dict",
     "write_results",
@@ -145,49 +145,24 @@ def read_panel(path: str) -> Panel:
 
 
 # ---------------------------------------------------------------------------
-# JSON with 17-significant-digit floats
+# JSON
 
 
-def dumps_17g(obj, _indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits (lossless read-back).
-
-    Non-finite floats become null; tuples serialize as arrays.
-    """
-    pad = "  " * _indent
-    inner = "  " * (_indent + 1)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+def _finite_or_none(obj):
     if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return "null"
-        text = format(obj, ".17g")
-        # keep the token a float so a read-back preserves type and the
-        # sign of -0.0
-        if not any(ch in text for ch in ".eE"):
-            text += ".0"
-        return text
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (
-            f"{inner}{json.dumps(str(k))}: {dumps_17g(v, _indent + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        return {k: _finite_or_none(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = (f"{inner}{dumps_17g(v, _indent + 1)}" for v in obj)
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return [_finite_or_none(v) for v in obj]
+    return obj
+
+
+def dumps_json(obj) -> str:
+    """JSON text indented by 2, with non-finite floats as null and tuples
+    as arrays. Floats take Python's shortest repr, which reads back to
+    the same double."""
+    return json.dumps(_finite_or_none(obj), indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +226,7 @@ def write_results(path: str, rows: Sequence[CompareRow] | EstimateResult) -> Non
             for r in rows
         ]
     with open(path, "w") as fh:
-        fh.write(dumps_17g(doc) + "\n")
+        fh.write(dumps_json(doc) + "\n")
 
 
 def read_results(path: str):
@@ -288,7 +263,7 @@ def write_benchmark_json(path: str, reports: Sequence[BenchmarkReport]) -> None:
         "reports": [_report_to_dict(r) for r in reports],
     }
     with open(path, "w") as fh:
-        fh.write(dumps_17g(doc) + "\n")
+        fh.write(dumps_json(doc) + "\n")
 
 
 _BENCH_COLUMNS = [

@@ -9,27 +9,42 @@ of a root of an explicit quadratic, and the approximate pmf is
     (2*pi*K''(x~))**(-1/2) * exp(K(x~) - x~*k).
 
 The relative error decays like 1/a, uniformly over k regions of fixed
-standardized width. k = 0 never takes a saddlepoint path: the exact
-extinction mass alpha**a is used. A conditional variant applies the same
-construction to the law given non-extinction at the horizon, which
-removes most of the continuity artifact at small k; the result is scaled
-back by (1 - alpha**a) so it approximates the unconditional pmf.
+standardized width. A conditional variant applies the same construction
+to the law given non-extinction at the horizon, which removes most of
+the continuity artifact at small k; the result is scaled back by
+(1 - alpha**a) so it approximates the unconditional pmf.
+
+Lane policy. A transition a -> k (a lane) is scored either exactly or by
+its variant's saddlepoint, and _lanes alone decides which, for every
+entry point (spa_loglik, spa_derivatives and the pointwise pmfs):
+
+- k = 0 is exact under both variants: the extinction mass alpha**a;
+- k = 1 is exact under the conditional variant, a (1-alpha)(1-beta)
+  alpha**(a-1): it is the boundary of the conditional support, where the
+  saddle equation has no finite root;
+- every other lane takes the saddlepoint.
+
+The exact lanes come back as coefficients on log(alpha) and
+log(1-alpha) + log(1-beta) plus a constant, so the likelihood's value
+and its derivatives read the same numbers. A rule for lanes that the
+saddlepoint scores badly belongs in _lanes too.
 
 Both variants solve their saddle equation with one lane-vectorized
-Newton solve. The plain solve starts from the closed-form quadratic root;
-the conditional solve starts from the plain saddlepoint. The derivative
-increases in x, so the sign of each probe's residual moves a per-lane
-bracket: probes above the root lower its top, probes below raise its
-bottom. A lane takes the Newton step, clipped to +-2 and capped at x_hi
-(log R shrunk by RADIUS_GUARD), while that step lands strictly inside
-the bracket, and otherwise bisects it, never probing more than 2 below
-its top (the bottom starts open). It stops once |K' - k| <=
-RESIDUAL_TOL*max(1, k), or once the bracket is as narrow as 8.9e-16*|x|
-(4 eps, brentq's default rtol), keeping the end with the smaller
-residual: where K'' is huge one ulp of x moves K' by more than the
-tolerance. A lane that probes x_hi and finds K' < k there has its root
-inside the guard band and raises SolverError, as does a lane still open
-after 200 probes.
+Newton solve (_solve_x). The plain solve starts from the closed-form
+quadratic root; the conditional solve starts from the plain saddlepoint.
+The derivative increases in x, so the sign of each probe's residual
+moves a per-lane bracket: probes above the root lower its top, probes
+below raise its bottom. A lane takes the Newton step, clipped to +-2 and
+capped at x_hi (log R shrunk by RADIUS_GUARD), while that step lands
+strictly inside the bracket, and otherwise bisects it, never probing
+more than 2 below its top (the bottom starts open). It stops once
+|K' - k| <= RESIDUAL_TOL*max(1, k), or once the bracket is as narrow as
+8.9e-16*|x| (4 eps, brentq's default rtol), keeping the end with the
+smaller residual: where K'' is huge one ulp of x moves K' by more than
+the tolerance. A lane that probes x_hi and finds K' < k there has its
+root inside the guard band and raises SolverError, as does a lane still
+open after 200 probes. _log_spa turns either variant's saddlepoints into
+log pmfs.
 
 spa_derivatives gives the score and observed information of either
 variant's panel log likelihood in (log lam, log mu), by implicit
@@ -201,9 +216,11 @@ def _stable_roots(A, B, C):
     return r1, r2
 
 
-def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
-    """Vectorized saddlepoints x~ with K'(x~) = k, for k >= 1 lanes,
-    seeded at the closed-form root of the saddle quadratic.
+def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: bool):
+    """Vectorized saddlepoints x~ of the variant's saddle equation, for
+    k >= 1 lanes (k >= 2 conditional). The plain solve is seeded at the
+    closed-form root of the saddle quadratic, the conditional one at the
+    plain saddlepoint.
 
     Where beta rounds close to 1, both roots can round onto 1/beta and
     fail the range check although K' crosses k below x_hi; such lanes are
@@ -243,8 +260,12 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
     x = np.minimum(np.log(s), x_hi)
     if not all_seeded:
         x = np.where(seeded, x, x_hi)
+    x = _newton(x, k_arr, lambda x, i: _cgf_terms(x, g, a_arr[i])[1:], x_hi, t, a_arr, rates)
+    if not conditional:
+        return x
+    log_p0 = a_arr * g.log_alpha
     return _newton(
-        x, k_arr, lambda x, i: _cgf_terms(x, g, a_arr[i])[1:], x_hi, t, a_arr, rates
+        x, k_arr, lambda x, i: _cond_terms(x, g, a_arr[i], log_p0[i])[:2], x_hi, t, a_arr, rates
     )
 
 
@@ -310,29 +331,91 @@ def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
     )
 
 
+def _check_args(t: float, a: int, k: int = 0) -> None:
+    """Refuse a pointwise target outside k >= 0, a >= 1, 0 < t < inf."""
+    if not k >= 0:
+        raise DomainError(f"target count k must be nonnegative, got {k}")
+    if not a >= 1:
+        raise DomainError(f"ancestor count a must be positive, got {a}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"horizon t must be positive and finite, got {t}")
+
+
 def solve_saddlepoint(k: int, t: float, a: int, rates: Rates) -> SaddlepointSolution:
     """Saddlepoint for target count k >= 1 at horizon t from a ancestors."""
     if k < 1:
         raise DomainError(f"saddlepoint target count must be >= 1, got {k}")
-    if a < 1:
-        raise DomainError(f"ancestor count must be positive, got {a}")
+    _check_args(t, a, k)
     g = geom_params(t, rates)
-    x = float(_solve_x(np.array([float(k)]), np.array([float(a)]), g, t, rates)[0])
+    x = float(_solve_x(np.array([float(k)]), np.array([float(a)]), g, t, rates, False)[0])
     value, d1, d2 = _cgf_terms(x, g, float(a))
     pt = CgfPoint(x, float(value), float(d1), float(d2))
     return SaddlepointSolution(x, math.exp(x), pt, float(d1) - k)
 
 
-def _log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
-    """Vectorized log of the plain saddlepoint pmf for k >= 1 lanes."""
-    x = _solve_x(k_arr, a_arr, g, t, rates)
-    value, _, d2 = _cgf_terms(x, g, np.asarray(a_arr, dtype=float))
-    # d2 underflows to 0 when a probe collapses the law toward a point
-    # mass; the quadratic shape carries no information there, so the lane
-    # scores -inf rather than the +inf a bare log(0) would produce
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lp = -0.5 * np.log(2.0 * math.pi * d2) + value - x * np.asarray(k_arr, dtype=float)
+def _lanes(k, a, conditional: bool):
+    """Split lanes a -> k (count arrays) the way the variant scores them,
+    by the lane policy of the module docstring: ((n_alpha, n_l1ab, c), k,
+    a). The exact lanes' log pmfs sum to n_alpha*log(alpha) +
+    n_l1ab*(log(1-alpha) + log(1-beta)) + c, the shape of exact.TermTable;
+    k and a (floats) are those of the saddlepoint lanes."""
+    k = np.asarray(k, dtype=float)
+    a = np.asarray(a, dtype=float)
+    exact = k <= (1.0 if conditional else 0.0)
+    if not exact.any():
+        return (0.0, 0.0, 0.0), k, a
+    # a k = 1 lane: a - 1 lines die out, one survives with one descendant
+    ones = a[exact & (k == 1.0)]
+    coefs = (
+        float(np.sum(a[exact])) - ones.size,
+        float(ones.size),
+        float(np.sum(np.log(ones))),
+    )
+    live = ~exact
+    return coefs, k[live], a[live]
+
+
+def _exact_log(coefs, g: GeomParams) -> float:
+    """The exact lanes' summed log pmf under the law g, from _lanes'
+    coefficients. A zero coefficient drops its term, so a log(alpha) of
+    -inf (mu = 0) counts only where some lane needs it."""
+    n_alpha, n_l1ab, value = coefs
+    if n_alpha:
+        value += n_alpha * g.log_alpha
+    if n_l1ab:
+        value += n_l1ab * (g.log1m_alpha + g.log1m_beta)
+    return value
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: bool):
+    """Vectorized log saddlepoint pmf of the variant's saddlepoint lanes.
+
+    The conditional pmf (1-p0) * exp(Kc - x k)/sqrt(2 pi Kc'') has
+    Kc = log(M - p0) - log(1-p0): the (1-p0) factors cancel, leaving
+    log(M - p0) where the plain pmf has K. p0 = alpha**a is carried per
+    lane, and a lane's value does not depend on the other lanes. d2
+    underflows to 0 when a probe collapses the law toward a point mass;
+    the quadratic shape carries no information there, so the lane scores
+    -inf rather than the +inf a bare log(0) would produce. k_arr and
+    a_arr are float arrays."""
+    x = _solve_x(k_arr, a_arr, g, t, rates, conditional)
+    if conditional:
+        _, d2, K, em = _cond_terms(x, g, a_arr, a_arr * g.log_alpha)
+        value = K + np.log(em)
+    else:
+        value, _, d2 = _cgf_terms(x, g, a_arr)
+    lp = -0.5 * np.log(2.0 * math.pi * d2) + value - x * k_arr
     return np.where(np.isfinite(d2) & (d2 > 0.0), lp, -np.inf)
+
+
+def _pmf(k: int, t: float, a: int, rates: Rates, conditional: bool) -> float:
+    _check_args(t, a, k)
+    g = geom_params(t, rates)
+    coefs, ks, anc = _lanes([k], [a], conditional)
+    if ks.size:
+        return float(np.exp(_log_spa(ks, anc, g, t, rates, conditional)[0]))
+    return math.exp(_exact_log(coefs, g))
 
 
 def spa_pmf(k: int, t: float, a: int, rates: Rates) -> float:
@@ -340,15 +423,7 @@ def spa_pmf(k: int, t: float, a: int, rates: Rates) -> float:
 
     k = 0 returns the exact extinction mass alpha**a.
     """
-    if k < 0:
-        raise DomainError(f"count must be nonnegative, got {k}")
-    if a < 1:
-        raise DomainError(f"ancestor count must be positive, got {a}")
-    g = geom_params(t, rates)
-    if k == 0:
-        return math.exp(a * g.log_alpha)
-    lp = _log_spa(np.array([float(k)]), np.array([float(a)]), g, t, rates)
-    return float(np.exp(lp[0]))
+    return _pmf(k, t, a, rates, False)
 
 
 @lru_cache(maxsize=128)
@@ -358,7 +433,7 @@ def _spa_normalizer(t: float, a: int, rates: Rates) -> float:
     g = geom_params(t, rates)
     kmax = truncation_limit(t, a, rates)
     ks = np.arange(1.0, kmax + 1.0)
-    lp = _log_spa(ks, np.full_like(ks, float(a)), g, t, rates)
+    lp = _log_spa(ks, np.full_like(ks, float(a)), g, t, rates, False)
     m = float(np.max(lp))
     return math.exp(m) * float(np.sum(np.exp(lp - m)))
 
@@ -366,13 +441,10 @@ def _spa_normalizer(t: float, a: int, rates: Rates) -> float:
 def spa_pmf_normalized(k: int, t: float, a: int, rates: Rates) -> float:
     """Saddlepoint pmf rescaled so that total mass is exact: k = 0 keeps
     alpha**a, and the k >= 1 values are renormalized to 1 - alpha**a."""
-    if k < 0:
-        raise DomainError(f"count must be nonnegative, got {k}")
-    g = geom_params(t, rates)
-    p0 = math.exp(a * g.log_alpha)
-    if k == 0:
-        return p0
     raw = spa_pmf(k, t, a, rates)
+    if k == 0:
+        return raw
+    p0 = spa_pmf(0, t, a, rates)
     return (1.0 - p0) * raw / _spa_normalizer(t, a, rates)
 
 
@@ -398,77 +470,16 @@ def _cond_terms(x, g: GeomParams, a, log_p0):
     return c1, c2, K, em
 
 
-def _solve_conditional_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, log_p0):
-    """Vectorized saddlepoints of the conditional CGF for k >= 2 lanes,
-    seeded at the plain saddlepoint. log_p0 holds each lane's a*log(alpha)."""
-    k_arr = np.asarray(k_arr, dtype=float)
-    a_arr = np.asarray(a_arr, dtype=float)
-    log_p0 = np.asarray(log_p0, dtype=float)
-    x = _solve_x(k_arr, a_arr, g, t, rates)
-    return _newton(
-        x, k_arr, lambda x, i: _cond_terms(x, g, a_arr[i], log_p0[i])[:2],
-        _x_max(g), t, a_arr, rates,
-    )
-
-
-def _log_spa_conditional(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
-    """Vectorized log of the conditional saddlepoint pmf, already scaled
-    by (1 - p0) to approximate the unconditional pmf. k >= 2 lanes only;
-    k = 1 sits on the boundary of the conditional support, where the
-    saddle equation has no finite solution, and is handled exactly by the
-    caller (mirroring the exact treatment of k = 0).
-
-    Lanes may mix ancestor counts: p0 = alpha**a is carried per lane, and
-    every lane is solved in one Newton sweep. A lane's value does not
-    depend on the other lanes of the call."""
-    k_arr = np.asarray(k_arr, dtype=float)
-    a_arr = np.asarray(a_arr, dtype=float)
-    lp0 = a_arr * g.log_alpha
-    x = _solve_conditional_x(k_arr, a_arr, g, t, rates, lp0)
-    _, c2, K, em = _cond_terms(x, g, a_arr, lp0)
-    log_mp0 = K + np.log(em)
-    # (1-p0) * exp(Kc - x k)/sqrt(2 pi Kc'') with Kc = log_mp0 - log(1-p0):
-    # the (1-p0) factors cancel, leaving log(M - p0) directly.
-    # degenerate curvature scores -inf, same as the plain lane
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lp = -0.5 * np.log(2.0 * math.pi * c2) + log_mp0 - x * k_arr
-    return np.where(np.isfinite(c2) & (c2 > 0.0), lp, -np.inf)
-
-
-def _log_pmf_one(a_arr, g: GeomParams):
-    """Exact log P(Z = 1 | a ancestors) for an array of a >= 1:
-    log a + log(1-alpha) + log(1-beta) + (a-1) log alpha (one ancestor line
-    survives with a single descendant, the other a-1 die out)."""
-    out = np.log(a_arr) + (g.log1m_alpha + g.log1m_beta)
-    rest = a_arr - 1.0
-    many = rest > 0.0
-    # a == 1 has no dying lines; skipping it keeps 0 * log(0) out
-    out[many] += rest[many] * g.log_alpha
-    return out
-
-
 def spa_pmf_conditional(k: int, t: float, a: int, rates: Rates) -> float:
     """Saddlepoint approximation built on the law conditioned on
     non-extinction at the horizon, scaled back by the exact survival
     probability so it approximates the plain pmf.
 
     k = 0 returns the exact alpha**a; k = 1 is the boundary of the
-    conditional support (no finite saddlepoint exists there) and uses the
-    exact single-term pmf value.
+    conditional support (no finite saddlepoint exists there) and returns
+    the exact pmf value.
     """
-    if k < 0:
-        raise DomainError(f"count must be nonnegative, got {k}")
-    if a < 1:
-        raise DomainError(f"ancestor count must be positive, got {a}")
-    g = geom_params(t, rates)
-    if k == 0:
-        return math.exp(a * g.log_alpha)
-    if k == 1:
-        return math.exp(_log_pmf(1, a, g))
-    lp = _log_spa_conditional(
-        np.array([float(k)]), np.array([float(a)]), g, t, rates
-    )
-    return float(np.exp(lp[0]))
+    return _pmf(k, t, a, rates, True)
 
 
 def high_mass_region(
@@ -485,6 +496,7 @@ def high_mass_region(
     is where the bulk of the mass sits and is the region the error law is
     calibrated on; widening it toward k = 1 admits the boundary artifact.
     """
+    _check_args(t, a)
     if not (0.0 <= lo < hi <= 1.0):
         raise DomainError(f"quantile window [{lo}, {hi}] is not ordered in [0, 1]")
     g = geom_params(t, rates)
@@ -497,38 +509,28 @@ def high_mass_region(
     return k_lo, k_hi
 
 
+def _is_conditional(variant: str) -> bool:
+    if variant not in ("plain", "conditional"):
+        raise DomainError(f"unknown saddlepoint variant {variant!r}")
+    return variant == "conditional"
+
+
 def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
     """Panel log likelihood with saddlepoint transition probabilities.
 
-    Transitions to k = 0 use the exact extinction mass, transitions out
-    of 0 contribute nothing, and the conditional variant additionally
-    scores k = 1 exactly (conditional support boundary). The panel's
-    transitions table (built once per panel, gaps equal to 1e-9 relative
-    merged) supplies one lane set per gap, and each set is evaluated in
-    one vectorized sweep.
+    Transitions out of 0 contribute nothing; _lanes splits the rest into
+    exact and saddlepoint lanes. The panel's transitions table (built
+    once per panel, gaps equal to 1e-9 relative merged) supplies one lane
+    set per gap, and each set is evaluated in one vectorized sweep.
     """
-    if variant not in ("plain", "conditional"):
-        raise DomainError(f"unknown saddlepoint variant {variant!r}")
+    conditional = _is_conditional(variant)
     total = 0.0
     for grp in panel.transitions.groups:
-        tau = grp.tau
-        g = geom_params(tau, rates)
-        k = grp.dst.astype(float)
-        a = grp.src.astype(float)
-        zero = k == 0.0
-        if zero.any():
-            total += float(np.sum(a[zero])) * g.log_alpha
-        if variant == "conditional":
-            one = k == 1.0
-            if one.any():
-                total += float(np.sum(_log_pmf_one(a[one], g)))
-            live = ~zero & ~one
-            if live.any():
-                total += float(np.sum(_log_spa_conditional(k[live], a[live], g, tau, rates)))
-        else:
-            live = ~zero
-            if live.any():
-                total += float(np.sum(_log_spa(k[live], a[live], g, tau, rates)))
+        g = geom_params(grp.tau, rates)
+        coefs, k, a = _lanes(grp.dst, grp.src, conditional)
+        total += _exact_log(coefs, g)
+        if k.size:
+            total += float(np.sum(_log_spa(k, a, g, grp.tau, rates, conditional)))
     return total
 
 
@@ -656,36 +658,17 @@ def _saddle_terms(jet):
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _group_weights(grp, g: GeomParams, rates: Rates, conditional: bool):
     """The group's (w1, w2, w3, var) for exact._chain: its log
-    likelihood's gradient in u and its Hessian's weight along c."""
-    k = grp.dst.astype(float)
-    a = grp.src.astype(float)
-    # the exact k = 0 (and, conditional, k = 1) terms are linear in u:
-    # a log(alpha), and log(a) + (a - 1) log(alpha) + log(1-alpha) + log(1-beta)
-    zero = k == 0.0
-    live = ~zero
-    w1 = float(np.sum(a[zero])) if zero.any() else 0.0
-    w2 = w3 = var = 0.0
-    if conditional:
-        one = k == 1.0
-        if one.any():
-            n_one = float(np.count_nonzero(one))
-            w1 += float(np.sum(a[one])) - n_one
-            w3 = n_one
-            live &= ~one
-    if live.any():
-        k, a = k[live], a[live]
-        if conditional:
-            x = _solve_conditional_x(k, a, g, grp.tau, rates, a * g.log_alpha)
-            first, second = _saddle_terms(_conditional_jet(x, g, a))
-        else:
-            x = _solve_x(k, a, g, grp.tau, rates)
-            first, second = _saddle_terms(_plain_jet(x, g, a))
-        d1 = float(np.sum(first))
-        w1 += float(np.sum(a)) - d1
-        w2 = float(np.sum(k)) - d1
-        w3 += d1
-        var = float(np.sum(second))
-    return w1, w2, w3, var
+    likelihood's gradient in u and its Hessian's weight along c. The
+    exact lanes are linear in u, with _lanes' coefficients."""
+    (n_alpha, n_l1ab, _), k, a = _lanes(grp.dst, grp.src, conditional)
+    if not k.size:
+        return n_alpha, 0.0, n_l1ab, 0.0
+    x = _solve_x(k, a, g, grp.tau, rates, conditional)
+    jet = _conditional_jet(x, g, a) if conditional else _plain_jet(x, g, a)
+    first, second = _saddle_terms(jet)
+    d1 = float(np.sum(first))
+    w1 = n_alpha + (float(np.sum(a)) - d1)
+    return w1, float(np.sum(k)) - d1, n_l1ab + d1, float(np.sum(second))
 
 
 def spa_derivatives(panel: Panel, rates: Rates, variant: str = "plain"):
@@ -700,13 +683,11 @@ def spa_derivatives(panel: Panel, rates: Rates, variant: str = "plain"):
     the result to (log lam, log mu). Raises the solve's SolverError or
     DomainError where spa_loglik would.
     """
-    if variant not in ("plain", "conditional"):
-        raise DomainError(f"unknown saddlepoint variant {variant!r}")
+    conditional = _is_conditional(variant)
     groups = panel.transitions.groups
     laws = [geom_params(grp.tau, rates) for grp in groups]
     if any(g.log_alpha == -math.inf or g.log_beta == -math.inf for g in laws):
         return None
-    conditional = variant == "conditional"
     weights = [_group_weights(grp, g, rates, conditional) for grp, g in zip(groups, laws)]
     score, info = _chain(groups, laws, rates, weights)
     if not (np.all(np.isfinite(score)) and np.all(np.isfinite(info))):

@@ -33,14 +33,13 @@ from scipy.linalg import cho_solve
 from scipy.optimize import brentq, minimize, minimize_scalar
 
 from bdrates.errors import DataError, DomainError, SolverError
-from bdrates.exact import _NEG_INF, _log_pmf, geom_params, pgf_geom
+from bdrates.exact import _NEG_INF, _log_phi_derivs, _log_pmf, geom_params, pgf_geom
 from bdrates.gaussian import (
     _LOG_2PI,
     DEGENERATE_XI_FLOOR,
     QgFit,
     QgParams,
     _clamped_rates,
-    _kappa_prime,
     _nu,
     _true_cumulants,
     qg_sandwich_cov,
@@ -82,7 +81,7 @@ def _solve_conditional_x(k_arr, a_arr, g, t, rates, log_p0: float):
     Newton-seeded at the plain saddlepoint with a bisection fallback."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
-    x = _solve_x(k_arr, a_arr, g, t, rates).copy()
+    x = _solve_x(k_arr, a_arr, g, t, rates, False).copy()
     x_hi = _x_max(g)
     tol = RESIDUAL_TOL * np.maximum(1.0, k_arr)
     active = np.ones(x.shape, dtype=bool)
@@ -112,7 +111,7 @@ def _bisect_conditional(k, a, g, rates, t, log_p0):
         return float(c1) - k
 
     hi = _x_max(g) - 1e-8 * max(1.0, abs(_x_max(g)))
-    x0 = float(_solve_x(np.array([k]), np.array([a]), g, t, rates)[0])
+    x0 = float(_solve_x(np.array([k]), np.array([a]), g, t, rates, False)[0])
     lo = x0 - 5.0
     for _ in range(40):
         if fun(lo) < 0.0:
@@ -173,7 +172,7 @@ def spa_loglik(panel, rates, variant="plain"):
         else:
             live = ~zero
             if live.any():
-                total += float(np.sum(_log_spa(k[live], a[live], g, tau, rates)))
+                total += float(np.sum(_log_spa(k[live], a[live], g, tau, rates, False)))
     return total
 
 
@@ -433,7 +432,7 @@ def _information(panel: Panel, params: QgParams) -> np.ndarray:
     for tau, src, _dst in _transitions(panel):
         u = omega * tau
         nu = _nu(tau, omega)
-        nd = tau * (1.0 + _kappa_prime(u))  # nu_dot / nu
+        nd = tau * (1.0 + _log_phi_derivs(u)[0])  # nu_dot / nu
         zd = tau * math.exp(u)  # zeta_dot
         i_xx += 1.0 / (2.0 * xi * xi)
         i_xw += nd / (2.0 * xi)
@@ -457,7 +456,7 @@ def _score_cov_true(panel: Panel, params: QgParams) -> np.ndarray:
         kap4 = k4_raw / (src * k2 * k2)
         u = omega * tau
         nu = _nu(tau, omega)
-        nd = tau * (1.0 + _kappa_prime(u))
+        nd = tau * (1.0 + _log_phi_derivs(u)[0])
         zd = tau * math.exp(u)
         c_xx += 1.0 / (2.0 * xi * xi) + kap4 / (4.0 * xi * xi)
         c_xw += (nd * (2.0 + kap4) + 2.0 * zd * math.sqrt(src) * kap3 / math.sqrt(xi * nu)) / (

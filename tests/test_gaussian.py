@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdrates.errors import DataError, DomainError
+from bdrates.exact import _SERIES_X, _log_phi_derivs
 from bdrates.gaussian import (
     SCAN_U_RANGE,
     QgFit,
     QgParams,
-    _c_ratio,
+    _fixed_sums,
     _information,
-    _kappa_prime,
     _nu,
+    _profile_loglik_terms,
     _true_cumulants,
     qg_fit,
     qg_loglik,
@@ -107,28 +108,25 @@ def test_profile_identity():
 
 
 def test_profile_derivative_single_sign_change():
-    trans_panel = MIXED
+    groups = MIXED.transitions.groups
+    sums = _fixed_sums(groups)
     grid = np.linspace(-3.0, 3.0, 200)
-    from bdrates.gaussian import _profile_loglik
-
-    vals = np.array([_profile_loglik(trans_panel, w) for w in grid])
+    vals = np.array([_profile_loglik_terms(groups, *sums, w) for w in grid])
     dsign = np.sign(np.diff(vals))
     changes = int(np.sum(np.abs(np.diff(dsign)) > 0))
     assert changes == 1
 
 
 def test_c_and_kappa_prime_shape():
+    # kappa' = (log phi)', the derivative of log{(e^u - 1)/u}
     grid = np.linspace(-50.0, 50.0, 401)
-    c_vals = [_c_ratio(u) for u in grid]
-    assert all(a > b for a, b in zip(c_vals, c_vals[1:]))  # strictly decreasing
-    kp = [_kappa_prime(u) for u in grid]
+    kp = [_log_phi_derivs(u)[0] for u in grid]
     assert all(0.0 < v < 1.0 for v in kp)
     assert all(b > a for a, b in zip(kp, kp[1:]))  # increasing
     # series and direct branches agree at the switch
-    for u in (1e-6 * 0.99, 1e-6 * 1.01, -1e-6 * 0.99, -1e-6 * 1.01):
+    for u in (_SERIES_X * 0.99, _SERIES_X * 1.01, -_SERIES_X * 0.99, -_SERIES_X * 1.01):
         direct = 1.0 / (-math.expm1(-u)) - 1.0 / u if u > 0 else math.exp(u) / math.expm1(u) - 1.0 / u
-        assert _kappa_prime(u) == pytest.approx(direct, rel=1e-7)
-        assert _c_ratio(u) == pytest.approx(u / math.expm1(u), rel=1e-9)
+        assert _log_phi_derivs(u)[0] == pytest.approx(direct, rel=1e-7)
 
 
 def test_nu_series_matches_direct():

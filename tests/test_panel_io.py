@@ -28,7 +28,7 @@ from bdrates.panel_io import (
     BENCHMARK_SCHEMA,
     PANEL_SCHEMA,
     RESULT_SCHEMA,
-    dumps_17g,
+    dumps_json,
     error_to_dict,
     result_to_dict,
 )
@@ -186,26 +186,26 @@ class TestPanelCsv:
         assert read_panel(p) == panel
 
 
-class TestJson17g:
+class TestDumpsJson:
     @given(
         st.floats(allow_nan=False, allow_infinity=False)
         | st.integers(min_value=-(2**62), max_value=2**62)
     )
     def test_number_round_trip_exact(self, x):
-        back = json.loads(dumps_17g(x))
+        back = json.loads(dumps_json(x))
         assert back == x
         if isinstance(x, float):
             assert math.copysign(1.0, back) == math.copysign(1.0, x)
 
     def test_nested_structure(self):
         doc = {"a": [1.5, None, True], "b": {"c": "text", "d": ()}}
-        assert json.loads(dumps_17g(doc)) == {
+        assert json.loads(dumps_json(doc)) == {
             "a": [1.5, None, True],
             "b": {"c": "text", "d": []},
         }
 
     def test_non_finite_becomes_null(self):
-        assert json.loads(dumps_17g([math.inf, -math.inf, math.nan])) == [
+        assert json.loads(dumps_json([math.inf, -math.inf, math.nan])) == [
             None,
             None,
             None,
@@ -213,7 +213,7 @@ class TestJson17g:
 
     def test_unserializable_raises(self):
         with pytest.raises(TypeError):
-            dumps_17g(object())
+            dumps_json(object())
 
 
 class TestResultFiles:

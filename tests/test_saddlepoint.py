@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import legacy_kernels as legacy
 import numpy as np
@@ -20,8 +21,9 @@ from bdrates.exact import (
     variance,
 )
 from bdrates.saddlepoint import (
-    _log_pmf_one,
-    _log_spa_conditional,
+    _exact_log,
+    _lanes,
+    _log_spa,
     cgf_eval,
     high_mass_region,
     solve_saddlepoint,
@@ -105,11 +107,30 @@ def test_saddlepoint_monotone_in_k():
     assert all(b > a for a, b in zip(xs, xs[1:]))
 
 
-def test_saddlepoint_rejects_bad_targets():
-    with pytest.raises(DomainError):
-        solve_saddlepoint(0, 1.0, 5, R75)
-    with pytest.raises(DomainError):
-        solve_saddlepoint(3, 1.0, 0, R75)
+@pytest.mark.parametrize(
+    "call,args,message",
+    [
+        (solve_saddlepoint, (0, 1.0, 5), "target count"),
+        (solve_saddlepoint, (3, 1.0, 0), "ancestor count a"),
+        (solve_saddlepoint, (3, 0.0, 2), "horizon t"),
+        (spa_pmf, (-1, 1.0, 2), "target count k"),
+        (spa_pmf, (3, 1.0, 0), "ancestor count a"),
+        (spa_pmf, (3, 0.0, 2), "horizon t"),
+        (spa_pmf_conditional, (3, math.inf, 2), "horizon t"),
+        (spa_pmf_conditional, (3, math.nan, 2), "horizon t"),
+        (spa_pmf_normalized, (-1, 1.0, 2), "target count k"),
+        (spa_pmf_normalized, (0, 1.0, -1), "ancestor count a"),
+        (high_mass_region, (1.0, 0), "ancestor count a"),
+        (high_mass_region, (1.0, -2), "ancestor count a"),
+        (high_mass_region, (-1.0, 3), "horizon t"),
+    ],
+)
+def test_saddlepoint_rejects_bad_targets(call, args, message):
+    # the error names the argument at fault, and no warning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            call(*args, rates=R75)
 
 
 def test_spa_pmf_k0_is_exact_passthrough():
@@ -202,23 +223,19 @@ def test_spa_conditional_renormalizes_cleanly():
 
 
 def test_spa_loglik_additivity():
+    # lanes into 5, 2, 0 and 1; the variants score the lanes into 1
+    # differently (plain: saddlepoint, conditional: exact)
     r = Rates(1.8, 1.2)
-    tr = Trajectory((0.0, 0.5, 1.0, 2.0), (3, 5, 2, 0))
-    panel = Panel((tr,))
-    manual = (
-        math.log(spa_pmf(5, 0.5, 3, r))
-        + math.log(spa_pmf(2, 0.5, 5, r))
-        + math.log(spa_pmf(0, 1.0, 2, r))
+    panel = Panel(
+        (
+            Trajectory((0.0, 0.5, 1.0, 2.0), (3, 5, 2, 0)),
+            Trajectory((0.0, 0.5, 1.0), (4, 1, 1)),
+        )
     )
-    assert spa_loglik(panel, r) == pytest.approx(manual, rel=1e-12)
-    manual_c = (
-        math.log(spa_pmf_conditional(5, 0.5, 3, r))
-        + math.log(spa_pmf_conditional(2, 0.5, 5, r))
-        + math.log(spa_pmf_conditional(0, 1.0, 2, r))
-    )
-    assert spa_loglik(panel, r, variant="conditional") == pytest.approx(
-        manual_c, rel=1e-12
-    )
+    lanes = [(5, 0.5, 3), (2, 0.5, 5), (0, 1.0, 2), (1, 0.5, 4), (1, 0.5, 1)]
+    for variant, pmf in (("plain", spa_pmf), ("conditional", spa_pmf_conditional)):
+        manual = sum(math.log(pmf(k, t, a, r)) for k, t, a in lanes)
+        assert spa_loglik(panel, r, variant) == pytest.approx(manual, rel=1e-12)
 
 
 def test_spa_loglik_high_count_panel_is_sharp():
@@ -307,7 +324,7 @@ def test_conditional_one_sweep_matches_per_count_loop(lam, mu, t):
     g = geom_params(t, rates)
     for _ in range(5):
         k, a = _mixed_lanes(rng, rates, t, 80)
-        got = _log_spa_conditional(k, a, g, t, rates)
+        got = _log_spa(k, a, g, t, rates, True)
         ref = legacy.log_spa_conditional(k, a, g, t, rates)
         assert np.array_equal(got, ref)
 
@@ -317,11 +334,14 @@ def test_conditional_one_sweep_matches_per_count_loop(lam, mu, t):
     [(1.0, R75), (0.2, Rates(2.0, 6.0)), (0.5, Rates(4.0, 4.0)), (1e-12, R75), (0.5, Rates(3.0, 0.0))],
 )
 def test_log_pmf_one_closed_form(t, rates):
-    # t = 1e-12 drives alpha toward 0; mu = 0 makes it exactly 0, where
-    # only a = 1 can reach k = 1
+    # the conditional variant scores k = 1 exactly, from _lanes'
+    # coefficients; t = 1e-12 drives alpha toward 0; mu = 0 makes it
+    # exactly 0, where only a = 1 can reach k = 1
     g = geom_params(t, rates)
-    got = _log_pmf_one(np.arange(1.0, 201.0), g)
-    for a, v in zip(range(1, 201), got):
+    for a in range(1, 201):
+        coefs, k, _ = _lanes([1], [a], True)
+        assert k.size == 0
+        v = _exact_log(coefs, g)
         ref = _log_pmf(1, a, g)
         if ref == -math.inf:
             assert v == -math.inf

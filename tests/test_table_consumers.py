@@ -11,8 +11,9 @@ from bdrates.errors import BdError, DataError
 from bdrates.estimate import initial_rates
 from bdrates.gaussian import (
     QgParams,
+    _fixed_sums,
     _information,
-    _profile_loglik,
+    _profile_loglik_terms,
     _score_cov_true,
     qg_fit,
     qg_loglik,
@@ -112,7 +113,9 @@ def test_qg_functions_match_walk(name):
         w = params.omega
         _assert_rel(qg_loglik(panel, params), legacy.qg_loglik(panel, params), 1e-12)
         _assert_rel(qg_profile_xi(panel, w), legacy.qg_profile_xi(panel, w), 1e-12)
-        _assert_rel(_profile_loglik(panel, w), legacy._profile_loglik(panel, w), 1e-12)
+        groups = panel.transitions.groups
+        profile = _profile_loglik_terms(groups, *_fixed_sums(groups), w)
+        _assert_rel(profile, legacy._profile_loglik(panel, w), 1e-12)
         _assert_rel(_information(panel, params), legacy._information(panel, params), 1e-12)
 
 
