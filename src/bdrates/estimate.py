@@ -5,13 +5,14 @@ saddlepoint maximum-likelihood variants and the exact maximum likelihood
 behind a single result type.  The likelihood methods share one search
 over (log lambda, log mu) (optimize.maximize_2d): damped Newton steps
 on each likelihood's analytic score and observed information (the exact
-likelihood's from its term table, the saddlepoint likelihoods' from
-saddlepoint.spa_derivatives), continued by one Nelder-Mead run only
-where the Newton run stalls.  The standard errors come from the
-observed information at the optimum; a continued fit whose optimum has
-none, and a fit on the boundary (one rate below 1e-6 of the other),
-have no standard errors.  compare() runs a battery of methods on one
-panel, capturing per-method failures instead of aborting.
+likelihood's from the term-table pass that gives its value, the
+saddlepoint likelihoods' from saddlepoint.spa_derivatives at the
+saddlepoints the objective has just solved), continued by one
+Nelder-Mead run only where the Newton run stalls.  The standard errors
+come from the observed information at the optimum; a continued fit
+whose optimum has none, and a fit on the boundary (one rate below 1e-6
+of the other), have no standard errors.  compare() runs a battery of
+methods on one panel, capturing per-method failures instead of aborting.
 
 mv_spmle, the joint-path saddlepoint, is the plain saddlepoint fit under
 its old name: the joint-path saddlepoint likelihood factorizes into the
@@ -85,8 +86,10 @@ class EstimateResult:
     is the method's own objective at the optimum and is None for the
     moment estimator, which has no likelihood.  n_obj_evals counts the
     search's objective calls, Newton probes and Nelder-Mead vertices
-    alike.  Calls for the derivatives are not counted (a saddlepoint one
-    solves again the point the objective has just scored).
+    alike.  Calls for the derivatives are not counted: each comes at the
+    point the objective has just scored and reuses its work there (the
+    exact likelihood's one pass, the saddlepoint likelihoods' solved
+    saddlepoints).
     The likelihood searches also report newton_iterations,
     rejected_probes (non-finite or non-improving Newton probes) and
     continued (whether a Nelder-Mead run continued the Newton run); the

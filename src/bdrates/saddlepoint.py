@@ -49,7 +49,13 @@ log pmfs.
 spa_derivatives gives the score and observed information of either
 variant's panel log likelihood in (log lam, log mu), by implicit
 differentiation at each lane's saddlepoint (see the comment block above
-it), so the fits take Newton steps on it.
+it), so the fits take Newton steps on it. A fit asks for them at the
+point its objective has just scored, so spa_loglik leaves its finished
+sweep's saddlepoints on the panel's transitions table (one slot, the
+last sweep only) and spa_derivatives reads them there when the rates
+and the variant match: each lane is solved once per evaluation.
+spa_loglik never reads the slot, so every value it returns is computed
+afresh.
 """
 
 from __future__ import annotations
@@ -149,8 +155,7 @@ def cgf_eval(x: float, t: float, a: int, rates: Rates) -> CgfPoint:
 
     x must lie below log R(t) minus the guard band.
     """
-    if a < 1:
-        raise DomainError(f"ancestor count must be positive, got {a}")
+    _check_args(t, a)
     g = geom_params(t, rates)
     if not (x < _x_max(g)):
         raise DomainError(
@@ -387,9 +392,17 @@ def _exact_log(coefs, g: GeomParams) -> float:
     return value
 
 
-@np.errstate(divide="ignore", invalid="ignore")
 def _log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: bool):
-    """Vectorized log saddlepoint pmf of the variant's saddlepoint lanes.
+    """Vectorized log saddlepoint pmf of the variant's saddlepoint lanes:
+    their saddlepoints, scored by _score_spa. k_arr and a_arr are float
+    arrays."""
+    x = _solve_x(k_arr, a_arr, g, t, rates, conditional)
+    return _score_spa(x, k_arr, a_arr, g, conditional)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _score_spa(x, k_arr, a_arr, g: GeomParams, conditional: bool):
+    """Log saddlepoint pmf of the variant's lanes at their saddlepoints x.
 
     The conditional pmf (1-p0) * exp(Kc - x k)/sqrt(2 pi Kc'') has
     Kc = log(M - p0) - log(1-p0): the (1-p0) factors cancel, leaving
@@ -397,9 +410,7 @@ def _log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: b
     lane, and a lane's value does not depend on the other lanes. d2
     underflows to 0 when a probe collapses the law toward a point mass;
     the quadratic shape carries no information there, so the lane scores
-    -inf rather than the +inf a bare log(0) would produce. k_arr and
-    a_arr are float arrays."""
-    x = _solve_x(k_arr, a_arr, g, t, rates, conditional)
+    -inf rather than the +inf a bare log(0) would produce."""
     if conditional:
         _, d2, K, em = _cond_terms(x, g, a_arr, a_arr * g.log_alpha)
         value = K + np.log(em)
@@ -515,6 +526,14 @@ def _is_conditional(variant: str) -> bool:
     return variant == "conditional"
 
 
+def _solve_group(grp, g: GeomParams, rates: Rates, conditional: bool):
+    """A gap group's lanes split by _lanes, with the saddlepoints of its
+    saddlepoint lanes (None where it has none): (coefs, k, a, x)."""
+    coefs, k, a = _lanes(grp.dst, grp.src, conditional)
+    x = _solve_x(k, a, g, grp.tau, rates, conditional) if k.size else None
+    return coefs, k, a, x
+
+
 def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
     """Panel log likelihood with saddlepoint transition probabilities.
 
@@ -522,15 +541,25 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
     exact and saddlepoint lanes. The panel's transitions table (built
     once per panel, gaps equal to 1e-9 relative merged) supplies one lane
     set per gap, and each set is evaluated in one vectorized sweep.
+
+    Every call solves its saddlepoints. A sweep that finishes leaves its
+    lanes and saddlepoints in the table's _saddlepoints slot for
+    spa_derivatives at the same rates and variant; the slot is emptied
+    first, so a call that raises leaves nothing there.
     """
     conditional = _is_conditional(variant)
+    table = panel.transitions
+    table._saddlepoints.clear()
     total = 0.0
-    for grp in panel.transitions.groups:
+    sweep = []
+    for grp in table.groups:
         g = geom_params(grp.tau, rates)
-        coefs, k, a = _lanes(grp.dst, grp.src, conditional)
+        coefs, k, a, x = lanes = _solve_group(grp, g, rates, conditional)
         total += _exact_log(coefs, g)
-        if k.size:
-            total += float(np.sum(_log_spa(k, a, g, grp.tau, rates, conditional)))
+        if x is not None:
+            total += float(np.sum(_score_spa(x, k, a, g, conditional)))
+        sweep.append(lanes)
+    table._saddlepoints[rates, conditional] = sweep
     return total
 
 
@@ -656,14 +685,14 @@ def _saddle_terms(jet):
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _group_weights(grp, g: GeomParams, rates: Rates, conditional: bool):
-    """The group's (w1, w2, w3, var) for exact._chain: its log
-    likelihood's gradient in u and its Hessian's weight along c. The
-    exact lanes are linear in u, with _lanes' coefficients."""
-    (n_alpha, n_l1ab, _), k, a = _lanes(grp.dst, grp.src, conditional)
-    if not k.size:
+def _group_weights(coefs, k, a, x, g: GeomParams, conditional: bool):
+    """The group's (w1, w2, w3, var) for exact._chain, from its lanes and
+    saddlepoints (_solve_group): its log likelihood's gradient in u and
+    its Hessian's weight along c. The exact lanes are linear in u, with
+    _lanes' coefficients."""
+    n_alpha, n_l1ab, _ = coefs
+    if x is None:
         return n_alpha, 0.0, n_l1ab, 0.0
-    x = _solve_x(k, a, g, grp.tau, rates, conditional)
     jet = _conditional_jet(x, g, a) if conditional else _plain_jet(x, g, a)
     first, second = _saddle_terms(jet)
     d1 = float(np.sum(first))
@@ -676,20 +705,26 @@ def spa_derivatives(panel: Panel, rates: Rates, variant: str = "plain"):
     in (log lam, log mu), or None on a degenerate law (alpha or beta 0)
     or where they are not finite.
 
-    Each lane is solved again as spa_loglik solves it and differentiated
-    implicitly at its saddlepoint, in the one rate coordinate z its
-    log pmf depends on beyond two linear terms (the block comment above);
-    exact._chain, which the exact likelihood's derivatives share, takes
-    the result to (log lam, log mu). Raises the solve's SolverError or
-    DomainError where spa_loglik would.
+    Each lane is differentiated implicitly at its saddlepoint, in the
+    one rate coordinate z its log pmf depends on beyond two linear terms
+    (the block comment above); exact._chain, which the exact likelihood's
+    derivatives share, takes the result to (log lam, log mu). The
+    saddlepoints are those of the last spa_loglik sweep on the panel when
+    it ran at equal rates and the same variant; otherwise they are solved
+    here, as spa_loglik solves them, and the solve's SolverError or
+    DomainError is raised where spa_loglik would raise it. The solve is
+    deterministic lane by lane, so both ways give the same bits.
     """
     conditional = _is_conditional(variant)
-    groups = panel.transitions.groups
-    laws = [geom_params(grp.tau, rates) for grp in groups]
+    table = panel.transitions
+    laws = [geom_params(grp.tau, rates) for grp in table.groups]
     if any(g.log_alpha == -math.inf or g.log_beta == -math.inf for g in laws):
         return None
-    weights = [_group_weights(grp, g, rates, conditional) for grp, g in zip(groups, laws)]
-    score, info = _chain(groups, laws, rates, weights)
+    sweep = table._saddlepoints.get((rates, conditional))
+    if sweep is None:
+        sweep = [_solve_group(grp, g, rates, conditional) for grp, g in zip(table.groups, laws)]
+    weights = [_group_weights(*lanes, g, conditional) for lanes, g in zip(sweep, laws)]
+    score, info = _chain(table.groups, laws, rates, weights)
     if not (np.all(np.isfinite(score)) and np.all(np.isfinite(info))):
         return None
     return score, info

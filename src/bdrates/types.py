@@ -8,7 +8,7 @@ validate eagerly so numerical code can assume well-formed input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -136,9 +136,14 @@ class Transitions:
     group. Groups are ordered by increasing gap. Every estimator reads
     the panel through this table: the moments, the quasi-likelihood, the
     starting point of the searches and the transition likelihoods.
+
+    _saddlepoints holds the last finished sweep of saddlepoint.spa_loglik
+    as {(rates, conditional): each group's lanes and saddlepoints}, for
+    spa_derivatives to read at equal rates and the same variant.
     """
 
     groups: tuple[GapGroup, ...]
+    _saddlepoints: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def term_table(self):

@@ -49,3 +49,18 @@ def test_continuation_census_script_reports_each_method(capsys):
     assert sum(line.strip().startswith("most evaluations:") for line in out) == 2
     # the panels reproduce from the seed
     assert census.draw_panels(3, 5) == census.draw_panels(3, 5)
+
+
+def test_kernel_costs_script_reports_each_kernel(capsys):
+    costs = _load("run_kernel_costs")
+    assert costs.main(["--seed", "3", "--panels", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rows = {(line[:30].strip(), line[31:46].strip()): line.split()[-4:] for line in out[1:]}
+    kernels = ["spa_loglik", "spa_derivatives cold", "spa_derivatives after loglik"]
+    expected = [(k, m) for m in ("spmle", "spmle_adjusted") for k in kernels]
+    assert list(rows) == expected + [("exact_loglik+derivatives", "mle")]
+    for median, lo, hi, panels in rows.values():
+        assert 0.0 < float(lo) <= float(median) <= float(hi)
+        assert int(panels) == 2
+    # the panels reproduce from the seed
+    assert costs.draw_panels(3, 2) == costs.draw_panels(3, 2)

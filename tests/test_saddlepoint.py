@@ -123,6 +123,8 @@ def test_saddlepoint_monotone_in_k():
         (high_mass_region, (1.0, 0), "ancestor count a"),
         (high_mass_region, (1.0, -2), "ancestor count a"),
         (high_mass_region, (-1.0, 3), "horizon t"),
+        (cgf_eval, (0.0, 0.0, 1), "horizon t"),
+        (cgf_eval, (0.0, 1.0, 0), "ancestor count a"),
     ],
 )
 def test_saddlepoint_rejects_bad_targets(call, args, message):

@@ -2,7 +2,8 @@
 (spa_derivatives) against independent references: mpmath derivatives of
 the oracle saddlepoint pmf, central differences of spa_loglik, and
 central differences of the analytic score. Then the contract the fits
-keep with spa_loglik."""
+keep with spa_loglik, and the saddlepoints spa_derivatives reads from
+the last spa_loglik sweep."""
 
 import math
 
@@ -17,7 +18,7 @@ from test_newton_search import small_panels
 
 import bdrates.estimate
 import bdrates.saddlepoint
-from bdrates.errors import BdError, DomainError
+from bdrates.errors import BdError, DomainError, SolverError
 from bdrates.estimate import fit
 from bdrates.exact import geom_params, is_critical
 from bdrates.saddlepoint import _log_radius, solve_saddlepoint, spa_derivatives, spa_loglik
@@ -201,3 +202,89 @@ def test_fits_call_spa_loglik_once_per_counted_evaluation(monkeypatch, method):
     assert all(p is panel and v == variant for p, v in calls)
     assert res.newton_iterations >= 1 and not res.continued
 
+
+
+# ---------------------------------------------------------------------------
+# the saddlepoints spa_loglik leaves for spa_derivatives
+
+
+def _fresh(panel):
+    """The same panel with its own, empty transitions table."""
+    return Panel(panel.trajectories)
+
+
+def _count_solves(monkeypatch):
+    real = bdrates.saddlepoint._solve_x
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bdrates.saddlepoint, "_solve_x", counting)
+    return calls
+
+
+def _same_bits(got, ref):
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+
+
+@pytest.mark.parametrize("variant", ["plain", "conditional"])
+@pytest.mark.parametrize("rname", ["growth", "decline", "critical"])
+@pytest.mark.parametrize("pname", sorted(test_exact_table.PANELS))
+def test_derivatives_after_the_loglik_equal_a_cold_call_bit_for_bit(
+    monkeypatch, pname, rname, variant
+):
+    panel, rates = _fresh(test_exact_table.PANELS[pname]), RATES[rname]
+    cold = spa_derivatives(_fresh(panel), rates, variant)
+    spa_loglik(panel, rates, variant)
+    solves = _count_solves(monkeypatch)
+    # equal rates, not the same object, find the sweep
+    warm = spa_derivatives(panel, Rates(rates.lam, rates.mu), variant)
+    assert not solves
+    assert _same_bits(warm, cold)
+
+
+@pytest.mark.parametrize("variant", ["plain", "conditional"])
+def test_a_sweep_at_other_rates_or_of_the_other_variant_is_not_read(monkeypatch, variant):
+    panel = _fresh(test_exact_table.PANELS["unequal"])
+    other = "plain" if variant == "conditional" else "conditional"
+    rates = RATES["growth"]
+    spa_loglik(panel, rates, variant)
+    solves = _count_solves(monkeypatch)
+    for r, v in [(RATES["decline"], variant), (rates, other)]:
+        del solves[:]
+        got = spa_derivatives(panel, r, v)
+        assert solves, (r, v)
+        assert _same_bits(got, spa_derivatives(_fresh(panel), r, v))
+
+
+@pytest.mark.parametrize("variant", ["plain", "conditional"])
+def test_a_loglik_that_raises_leaves_no_sweep(variant):
+    # the 0.5 gap group solves; the later 4.05 gap group's root lies inside
+    # the guard band (EDGE_INPUTS[0] of test_saddlepoint)
+    t = 4.045870995154412
+    panel = Panel((Trajectory((0.0, 0.5), (3, 2)), Trajectory((0.0, t), (3, 2))))
+    bad = Rates(0.015039993583716273, 30.75876642857539)
+    spa_loglik(panel, RATES["growth"], variant)
+    assert panel.transitions._saddlepoints
+    with pytest.raises(SolverError, match="guard band"):
+        spa_loglik(panel, bad, variant)
+    assert panel.transitions._saddlepoints == {}
+    with pytest.raises(SolverError, match="guard band"):
+        spa_derivatives(panel, bad, variant)
+
+
+@pytest.mark.parametrize("pname", ["unequal", "single_traj"])
+@pytest.mark.parametrize("method", ["spmle", "spmle_adjusted"])
+def test_fits_solve_each_group_once_per_counted_evaluation(monkeypatch, method, pname):
+    panel = _fresh(test_exact_table.PANELS[pname])
+    conditional = method == "spmle_adjusted"
+    live = sum(
+        bool(bdrates.saddlepoint._lanes(grp.dst, grp.src, conditional)[1].size)
+        for grp in panel.transitions.groups
+    )
+    solves = _count_solves(monkeypatch)
+    res = fit(panel, method)
+    assert live >= 1 and res.newton_iterations >= 1 and not res.continued
+    assert len(solves) == live * res.n_obj_evals
