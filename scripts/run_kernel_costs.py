@@ -16,7 +16,11 @@ spmle_adjusted and mle, and times at each fit's optimum:
 
 Each figure is the best of 20 calls on one panel; the table gives the
 median, smallest and largest over the panels, in microseconds. It is the
-per-evaluation layer cost, to read beside the evaluations per fit.
+per-evaluation layer cost, to read beside the evaluations per fit. Beside
+it, passes is the median over the panels of the CGF passes one call
+makes (calls of saddlepoint._cgf_terms, each over one gap group's lanes;
+0 for a call that reads the saddlepoints of the sweep before it, and for
+the exact kernel).
 
     PYTHONPATH=src python scripts/run_kernel_costs.py --seed 1 --panels 12
 """
@@ -29,6 +33,7 @@ import time
 import numpy as np
 
 from bdrates import BdError, Panel, Rates, fit
+from bdrates import saddlepoint
 from bdrates.exact import exact_loglik
 from bdrates.saddlepoint import spa_derivatives, spa_loglik
 from bdrates.simulate import SimConfig, simulate_panel
@@ -60,28 +65,53 @@ def best_of(call) -> float:
     return 1e6 * best
 
 
-def panel_costs(panel: Panel) -> dict[tuple[str, str], float]:
-    """{(kernel, method): microseconds} at each method's optimum on one
-    panel; a method whose fit or kernel raises a BdError is left out."""
+def cgf_passes(call) -> int:
+    """The calls of saddlepoint._cgf_terms that one call() makes."""
+    real, count = saddlepoint._cgf_terms, 0
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return real(*args)
+
+    saddlepoint._cgf_terms = counting
+    try:
+        call()
+    finally:
+        saddlepoint._cgf_terms = real
+    return count
+
+
+def cost(call) -> tuple[float, int]:
+    """(microseconds, CGF passes) of call."""
+    return best_of(call), cgf_passes(call)
+
+
+def panel_costs(panel: Panel) -> dict[tuple[str, str], tuple[float, int]]:
+    """{(kernel, method): (microseconds, CGF passes)} at each method's
+    optimum on one panel; a method whose fit or kernel raises a BdError
+    is left out."""
     out = {}
     for method, variant in VARIANTS.items():
         try:
             rates = fit(panel, method).rates
             cold = Panel(panel.trajectories)
             cold.transitions  # built before the timing
-            out["spa_loglik", method] = best_of(lambda: spa_loglik(panel, rates, variant))
-            out["spa_derivatives cold", method] = best_of(
+            out["spa_loglik", method] = cost(lambda: spa_loglik(panel, rates, variant))
+            # each call of a cold panel's table solves (the loglik never
+            # visits it)
+            out["spa_derivatives cold", method] = cost(
                 lambda: spa_derivatives(cold, rates, variant)
             )
             spa_loglik(panel, rates, variant)
-            out["spa_derivatives after loglik", method] = best_of(
+            out["spa_derivatives after loglik", method] = cost(
                 lambda: spa_derivatives(panel, rates, variant)
             )
         except BdError:
             continue
     try:
         rates = fit(panel, "mle").rates
-        out["exact_loglik+derivatives", "mle"] = best_of(
+        out["exact_loglik+derivatives", "mle"] = cost(
             lambda: exact_loglik(panel, rates, derivatives=True)
         )
     except BdError:
@@ -95,15 +125,20 @@ def main(argv=None) -> int:
     ap.add_argument("--panels", type=int, default=12)
     args = ap.parse_args(argv)
 
-    rows: dict[tuple[str, str], list[float]] = {}
+    rows: dict[tuple[str, str], list[tuple[float, int]]] = {}
     for panel in draw_panels(args.seed, args.panels):
-        for key, us in panel_costs(panel).items():
-            rows.setdefault(key, []).append(us)
-    print(f"{'kernel':<30} {'method':<15} {'median_us':>10} {'min_us':>10} {'max_us':>10} {'panels':>7}")
-    for (kernel, method), costs in rows.items():
+        for key, row in panel_costs(panel).items():
+            rows.setdefault(key, []).append(row)
+    print(
+        f"{'kernel':<30} {'method':<15} {'median_us':>10} {'min_us':>10} {'max_us':>10} "
+        f"{'passes':>7} {'panels':>7}"
+    )
+    for (kernel, method), row in rows.items():
+        costs = [us for us, _ in row]
+        passes = statistics.median([p for _, p in row])
         print(
             f"{kernel:<30} {method:<15} {statistics.median(costs):>10.1f} "
-            f"{min(costs):>10.1f} {max(costs):>10.1f} {len(costs):>7d}"
+            f"{min(costs):>10.1f} {max(costs):>10.1f} {passes:>7.1f} {len(costs):>7d}"
         )
     return 0
 

@@ -6,7 +6,8 @@ Every likelihood objective in this package is a smooth function of
 exact likelihood from its term table, the saddlepoint likelihoods by
 implicit differentiation at their saddlepoints. The search takes Newton
 steps: the Hessian's eigenvalues are floored to make it negative
-definite, the step is clipped to max-norm MAX_STEP and halved on every
+definite (its 2x2 eigendecomposition is taken in closed form, without a
+LAPACK call), the step is clipped to max-norm MAX_STEP and halved on every
 rejected or non-improving probe. A run stops once a step starts at most
 XATOL or an accepted step gains at most FATOL*max(1, |f|), or when a
 probe fails although the model promised at most that gain for the full
@@ -116,23 +117,41 @@ def _newton_step(model: Optional[Model]) -> Optional[tuple[np.ndarray, float]]:
     """Ascent step of the model with its Hessian's eigenvalues floored to
     at most -EIG_FLOOR*max(1, max |eigenvalue|), clipped to max-norm
     MAX_STEP, and the gain that floored model predicts for it; None when
-    the model or the step is not finite."""
+    the model or the step is not finite.
+
+    The Hessian's lower triangle [[h00, .], [h10, h11]] is decomposed in
+    closed form: the eigenvalue of larger magnitude e1 = m + sign(m) r,
+    with m the mean of the diagonal and r = hypot((h00 - h11)/2, h10), and
+    the other as det/e1 in the form of LAPACK's dlaev2, which loses
+    nothing to cancellation; e1's eigenvector is taken from the row of
+    H - e1 I that does not cancel either."""
     if model is None:
         return None
     grad, hess = model
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         return None
-    eig, vec = np.linalg.eigh(hess)
-    eig = np.minimum(eig, -EIG_FLOOR * max(1.0, float(np.max(np.abs(eig)))))
-    along = vec.T @ grad
-    with np.errstate(over="ignore", invalid="ignore"):
-        coef = along / eig
-        step = -vec @ coef
+    h00, h10, h11 = float(hess[0, 0]), float(hess[1, 0]), float(hess[1, 1])
+    m, d = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
+    sr = -math.hypot(d, h10) if m < 0.0 else math.hypot(d, h10)
+    e1 = m + sr
+    big, small = (h00, h11) if abs(h00) > abs(h11) else (h11, h00)
+    e2 = (big / e1) * small - (h10 / e1) * h10 if e1 else 0.0
+    # (e1 - h11, h10) = (d + sr, h10) and (h10, e1 - h00) = (h10, sr - d)
+    # both span e1's eigenspace; take the one whose sum does not cancel
+    u0, u1 = (d + sr, h10) if d * sr >= 0.0 else (h10, sr - d)
+    norm = math.hypot(u0, u1)
+    v0, v1 = (u0 / norm, u1 / norm) if norm else (1.0, 0.0)  # else H = e1 I
+    floor = -EIG_FLOOR * max(1.0, abs(e1), abs(e2))
+    e1, e2 = min(e1, floor), min(e2, floor)
+    g0, g1 = float(grad[0]), float(grad[1])
+    p1, p2 = v0 * g0 + v1 * g1, v0 * g1 - v1 * g0  # along (v0, v1) and (-v1, v0)
+    c1, c2 = p1 / e1, p2 / e2
+    step = np.array([-(v0 * c1 - v1 * c2), -(v1 * c1 + v0 * c2)])
     if not np.all(np.isfinite(step)):
         return None
-    # the full step gains q = -along . coef >= 0 on the floored model, a
+    # the full step gains q = -(p1 c1 + p2 c2) >= 0 on the floored model, a
     # step scaled by c gains q*c*(1 - c/2)
-    q = -float(along @ coef)
+    q = -(p1 * c1 + p2 * c2)
     size = float(np.max(np.abs(step)))
     if size > MAX_STEP:
         c = MAX_STEP / size

@@ -30,8 +30,12 @@ and its derivatives read the same numbers. A rule for lanes that the
 saddlepoint scores badly belongs in _lanes too.
 
 Both variants solve their saddle equation with one lane-vectorized
-Newton solve (_solve_x). The plain solve starts from the closed-form
-quadratic root; the conditional solve starts from the plain saddlepoint.
+Newton solve (_solve_x, _newton). Both start from the closed-form root
+of the plain saddle quadratic. The conditional solve starts its a = 1
+lanes at their exact root instead: given survival one ancestor's count
+is geometric, Kc'(x) = 1/(1 - beta e^x), so x = log(1 - 1/k) + log R
+(capped at x_hi). Each pass of the solve evaluates the variant's CGF
+terms at every lane of the group; a lane that has stopped keeps its x.
 The derivative increases in x, so the sign of each probe's residual
 moves a per-lane bracket: probes above the root lower its top, probes
 below raise its bottom. A lane takes the Newton step, clipped to +-2 and
@@ -43,8 +47,12 @@ more than 2 below its top (the bottom starts open). It stops once
 smaller residual: where K'' is huge one ulp of x moves K' by more than
 the tolerance. A lane that probes x_hi and finds K' < k there has its
 root inside the guard band and raises SolverError, as does a lane still
-open after 200 probes. _log_spa turns either variant's saddlepoints into
-log pmfs.
+open after 200 probes. The solve returns the terms of its last pass,
+which are those at the saddlepoints, and _score_spa turns them into log
+pmfs without evaluating the CGF again. So a plain group costs one CGF
+pass, the residual check at the quadratic root, unless a lane needs a
+Newton step; a conditional group costs 3-6 on the single-trajectory
+benchmark panels.
 
 spa_derivatives gives the score and observed information of either
 variant's panel log likelihood in (log lam, log mu), by implicit
@@ -223,9 +231,11 @@ def _stable_roots(A, B, C):
 
 def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: bool):
     """Vectorized saddlepoints x~ of the variant's saddle equation, for
-    k >= 1 lanes (k >= 2 conditional). The plain solve is seeded at the
-    closed-form root of the saddle quadratic, the conditional one at the
-    plain saddlepoint.
+    k >= 1 lanes (k >= 2 conditional), and the variant's terms there
+    (_newton's last pass). Both variants are seeded at the closed-form
+    root of the plain saddle quadratic; conditional a = 1 lanes, whose
+    conditional law is geometric, at their exact root log(1 - 1/k) + log R
+    instead (capped at x_hi).
 
     Where beta rounds close to 1, both roots can round onto 1/beta and
     fail the range check although K' crosses k below x_hi; such lanes are
@@ -265,20 +275,24 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: b
     x = np.minimum(np.log(s), x_hi)
     if not all_seeded:
         x = np.where(seeded, x, x_hi)
-    x = _newton(x, k_arr, lambda x, i: _cgf_terms(x, g, a_arr[i])[1:], x_hi, t, a_arr, rates)
     if not conditional:
-        return x
+        return _newton(x, k_arr, lambda x: _cgf_terms(x, g, a_arr), x_hi, t, a_arr, rates)
+    one = a_arr == 1.0
+    if x_hi < math.inf and one.any():  # beta = 0 leaves no root to seed at
+        # Kc' = 1/(1 - beta e^x) for a = 1, which is k at beta e^x = 1 - 1/k
+        x = np.where(one, np.minimum(np.log1p(-1.0 / k_arr) + _log_radius(g), x_hi), x)
     log_p0 = a_arr * g.log_alpha
-    return _newton(
-        x, k_arr, lambda x, i: _cond_terms(x, g, a_arr[i], log_p0[i])[:2], x_hi, t, a_arr, rates
-    )
+    return _newton(x, k_arr, lambda x: _cond_terms(x, g, a_arr, log_p0), x_hi, t, a_arr, rates)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
-    """Solve d1(x) = k from the seeds x, where terms(x[i], i) gives a
-    CGF's first two derivatives (d1, d2) at lanes i and d1 increases in x.
+    """Solve d1(x) = k from the seeds x, where terms(x) gives a CGF's
+    terms (value, d1, d2, ...) at every lane and d1 increases in x.
+    Returns the saddlepoints and the terms of the last pass, which are
+    those at the saddlepoints.
 
+    Each pass evaluates every lane; a lane that has stopped keeps its x.
     Each lane brackets its root between the points it has probed; a probe
     where d1 is NaN counts as below the root. The module docstring gives
     the steps and the stopping rules. A lane's value does not depend on
@@ -288,48 +302,48 @@ def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
     """
     x = np.array(x, dtype=float)
     tol = RESIDUAL_TOL * np.maximum(1.0, k_arr)
-    lanes = np.arange(x.size)
-    br = None  # rows: lo, hi, and |d1 - k| at lo and at hi
+    done = np.zeros(x.shape, dtype=bool)
+    lo = hi = err_lo = err_hi = None  # each lane's bracket, |d1 - k| at its ends
     for _ in range(200):
-        xi = x[lanes]
-        d1, d2 = terms(xi, lanes)
-        resid = d1 - k_arr[lanes]
+        out = terms(x)
+        resid = out[1] - k_arr
         err = np.abs(resid)
-        open_ = ~(err <= tol[lanes])
-        if not open_.any():
-            return x
-        lanes, xi, resid, err, d2 = lanes[open_], xi[open_], resid[open_], err[open_], d2[open_]
-        if br is None:
-            br = np.full((4, x.size), np.inf)
-            br[0] = -np.inf
-        side = (resid > 0.0).astype(np.intp)
-        br[side, lanes] = xi
-        br[side + 2, lanes] = err
-        lo, hi, err_lo, err_hi = br[:, lanes]
+        done |= err <= tol
+        if done.all():
+            return x, out
+        open_ = ~done
+        if lo is None:
+            lo = np.full(x.shape, -np.inf)
+            hi, err_lo, err_hi = -lo, -lo, -lo
+        # the brackets of stopped lanes move too, but are never read again
+        above = resid > 0.0
+        hi = np.where(above, x, hi)
+        err_hi = np.where(above, err, err_hi)
+        lo = np.where(above, lo, x)
+        err_lo = np.where(above, err_lo, err)
         # Newton step clipped to +-2: |resid| / max(d2, |resid|/2) <= 2
-        cand = np.minimum(xi - resid / np.fmax(d2, 0.5 * err), x_hi)
+        cand = np.minimum(x - resid / np.fmax(out[2], 0.5 * err), x_hi)
         inside = (lo < cand) & (cand < hi)
-        if not inside.all():
+        if not (inside | done).all():
             # a probe at x_hi below the root makes x_hi the bracket's bottom
-            blocked = lo == x_hi
+            blocked = open_ & (lo == x_hi)
             if blocked.any():
-                j = int(np.argmax(blocked))
-                i = lanes[j]
+                i = int(np.argmax(blocked))
                 raise SolverError(
                     f"saddlepoint for k={k_arr[i]}, a={a_arr[i]}, t={t}, "
                     f"rates=({rates.lam}, {rates.mu}) lies inside the radius guard "
-                    f"band: K'(x_hi) = {k_arr[i] + resid[j]}"
+                    f"band: K'(x_hi) = {k_arr[i] + resid[i]}"
                 )
             mid = np.minimum(np.maximum(0.5 * (lo + hi), hi - 2.0), x_hi)
             cand = np.where(inside, cand, mid)
-        x[lanes] = cand
-        narrow = hi - lo <= 8.9e-16 * np.abs(xi)
+        narrow = open_ & (hi - lo <= 8.9e-16 * np.abs(x))
+        x = np.where(open_, cand, x)
         if narrow.any():
-            x[lanes[narrow]] = np.where(err_lo < err_hi, lo, hi)[narrow]
-            lanes = lanes[~narrow]
-            if not lanes.size:
-                return x
-    i = lanes[0]
+            x = np.where(narrow, np.where(err_lo < err_hi, lo, hi), x)
+            done |= narrow
+    if done.all():
+        return x, terms(x)
+    i = int(np.argmin(done))
     raise SolverError(
         f"saddlepoint solve did not converge for k={k_arr[i]}, a={a_arr[i]}, "
         f"t={t}, rates=({rates.lam}, {rates.mu})"
@@ -352,10 +366,12 @@ def solve_saddlepoint(k: int, t: float, a: int, rates: Rates) -> SaddlepointSolu
         raise DomainError(f"saddlepoint target count must be >= 1, got {k}")
     _check_args(t, a, k)
     g = geom_params(t, rates)
-    x = float(_solve_x(np.array([float(k)]), np.array([float(a)]), g, t, rates, False)[0])
-    value, d1, d2 = _cgf_terms(x, g, float(a))
-    pt = CgfPoint(x, float(value), float(d1), float(d2))
-    return SaddlepointSolution(x, math.exp(x), pt, float(d1) - k)
+    xs, (value, d1, d2) = _solve_x(
+        np.array([float(k)]), np.array([float(a)]), g, t, rates, False
+    )
+    x = float(xs[0])
+    pt = CgfPoint(x, float(value[0]), float(d1[0]), float(d2[0]))
+    return SaddlepointSolution(x, math.exp(x), pt, float(d1[0]) - k)
 
 
 def _lanes(k, a, conditional: bool):
@@ -396,26 +412,25 @@ def _log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: b
     """Vectorized log saddlepoint pmf of the variant's saddlepoint lanes:
     their saddlepoints, scored by _score_spa. k_arr and a_arr are float
     arrays."""
-    x = _solve_x(k_arr, a_arr, g, t, rates, conditional)
-    return _score_spa(x, k_arr, a_arr, g, conditional)
+    x, terms = _solve_x(k_arr, a_arr, g, t, rates, conditional)
+    return _score_spa(x, k_arr, terms, conditional)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _score_spa(x, k_arr, a_arr, g: GeomParams, conditional: bool):
-    """Log saddlepoint pmf of the variant's lanes at their saddlepoints x.
+def _score_spa(x, k_arr, terms, conditional: bool):
+    """Log saddlepoint pmf of the variant's lanes at their saddlepoints x,
+    from the variant's terms there (_solve_x's).
 
     The conditional pmf (1-p0) * exp(Kc - x k)/sqrt(2 pi Kc'') has
     Kc = log(M - p0) - log(1-p0): the (1-p0) factors cancel, leaving
-    log(M - p0) where the plain pmf has K. p0 = alpha**a is carried per
-    lane, and a lane's value does not depend on the other lanes. d2
-    underflows to 0 when a probe collapses the law toward a point mass;
-    the quadratic shape carries no information there, so the lane scores
-    -inf rather than the +inf a bare log(0) would produce."""
+    log(M - p0) = K + log(em) where the plain pmf has K. p0 = alpha**a is
+    carried per lane, and a lane's value does not depend on the other
+    lanes. d2 underflows to 0 when a probe collapses the law toward a
+    point mass; the quadratic shape carries no information there, so the
+    lane scores -inf rather than the +inf a bare log(0) would produce."""
+    value, _, d2 = terms[:3]
     if conditional:
-        _, d2, K, em = _cond_terms(x, g, a_arr, a_arr * g.log_alpha)
-        value = K + np.log(em)
-    else:
-        value, _, d2 = _cgf_terms(x, g, a_arr)
+        value = value + np.log(terms[3])
     lp = -0.5 * np.log(2.0 * math.pi * d2) + value - x * k_arr
     return np.where(np.isfinite(d2) & (d2 > 0.0), lp, -np.inf)
 
@@ -461,9 +476,9 @@ def spa_pmf_normalized(k: int, t: float, a: int, rates: Rates) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _cond_terms(x, g: GeomParams, a, log_p0):
-    """First and second derivative of the non-extinction CGF
-    log{(M(x) - p0)/(1 - p0)}, plus K = log M(x) and em = (M - p0)/M,
-    so that log(M(x) - p0) = K + log(em).
+    """K = log M(x), the first and second derivative of the non-extinction
+    CGF log{(M(x) - p0)/(1 - p0)}, and em = (M - p0)/M, so that
+    log(M(x) - p0) = K + log(em).
 
     log_p0 = a*log(alpha) is the log extinction mass of each lane's
     ancestors; a scalar or an array matching x. Where K' and K'' are
@@ -478,7 +493,7 @@ def _cond_terms(x, g: GeomParams, a, log_p0):
     rho = 1.0 / em  # M/(M - p0) >= 1
     c1 = K1 * rho
     c2 = (K2 + K1 * K1) * rho - c1 * c1
-    return c1, c2, K, em
+    return K, c1, c2, em
 
 
 def spa_pmf_conditional(k: int, t: float, a: int, rates: Rates) -> float:
@@ -527,11 +542,14 @@ def _is_conditional(variant: str) -> bool:
 
 
 def _solve_group(grp, g: GeomParams, rates: Rates, conditional: bool):
-    """A gap group's lanes split by _lanes, with the saddlepoints of its
-    saddlepoint lanes (None where it has none): (coefs, k, a, x)."""
+    """A gap group's law and lanes split by _lanes, with the saddlepoints
+    of its saddlepoint lanes, (g, coefs, k, a, x), and the variant's terms
+    at them (x and terms None where it has no such lane)."""
     coefs, k, a = _lanes(grp.dst, grp.src, conditional)
-    x = _solve_x(k, a, g, grp.tau, rates, conditional) if k.size else None
-    return coefs, k, a, x
+    x = terms = None
+    if k.size:
+        x, terms = _solve_x(k, a, g, grp.tau, rates, conditional)
+    return (g, coefs, k, a, x), terms
 
 
 def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
@@ -542,10 +560,11 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
     once per panel, gaps equal to 1e-9 relative merged) supplies one lane
     set per gap, and each set is evaluated in one vectorized sweep.
 
-    Every call solves its saddlepoints. A sweep that finishes leaves its
-    lanes and saddlepoints in the table's _saddlepoints slot for
-    spa_derivatives at the same rates and variant; the slot is emptied
-    first, so a call that raises leaves nothing there.
+    Every call solves its saddlepoints, and scores them from the solve's
+    last pass. A sweep that finishes leaves each group's law, lanes and
+    saddlepoints in the table's _saddlepoints slot for spa_derivatives at
+    the same rates and variant; the slot is emptied first, so a call that
+    raises leaves nothing there.
     """
     conditional = _is_conditional(variant)
     table = panel.transitions
@@ -553,11 +572,11 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
     total = 0.0
     sweep = []
     for grp in table.groups:
-        g = geom_params(grp.tau, rates)
-        coefs, k, a, x = lanes = _solve_group(grp, g, rates, conditional)
+        lanes, terms = _solve_group(grp, geom_params(grp.tau, rates), rates, conditional)
+        g, coefs, k, _, x = lanes
         total += _exact_log(coefs, g)
         if x is not None:
-            total += float(np.sum(_score_spa(x, k, a, g, conditional)))
+            total += float(np.sum(_score_spa(x, k, terms, conditional)))
         sweep.append(lanes)
     table._saddlepoints[rates, conditional] = sweep
     return total
@@ -685,9 +704,9 @@ def _saddle_terms(jet):
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _group_weights(coefs, k, a, x, g: GeomParams, conditional: bool):
-    """The group's (w1, w2, w3, var) for exact._chain, from its lanes and
-    saddlepoints (_solve_group): its log likelihood's gradient in u and
+def _group_weights(g: GeomParams, coefs, k, a, x, conditional: bool):
+    """The group's (w1, w2, w3, var) for exact._chain, from its law, lanes
+    and saddlepoints (_solve_group): its log likelihood's gradient in u and
     its Hessian's weight along c. The exact lanes are linear in u, with
     _lanes' coefficients."""
     n_alpha, n_l1ab, _ = coefs
@@ -708,22 +727,28 @@ def spa_derivatives(panel: Panel, rates: Rates, variant: str = "plain"):
     Each lane is differentiated implicitly at its saddlepoint, in the
     one rate coordinate z its log pmf depends on beyond two linear terms
     (the block comment above); exact._chain, which the exact likelihood's
-    derivatives share, takes the result to (log lam, log mu). The
-    saddlepoints are those of the last spa_loglik sweep on the panel when
-    it ran at equal rates and the same variant; otherwise they are solved
-    here, as spa_loglik solves them, and the solve's SolverError or
-    DomainError is raised where spa_loglik would raise it. The solve is
-    deterministic lane by lane, so both ways give the same bits.
+    derivatives share, takes the result to (log lam, log mu). The laws,
+    lanes and saddlepoints are those of the last spa_loglik sweep on the
+    panel when it ran at equal rates and the same variant; otherwise they
+    are formed and solved here, as spa_loglik does, and the solve's
+    SolverError or DomainError is raised where spa_loglik would raise it.
+    The solve is deterministic lane by lane, so both ways give the same
+    bits.
     """
     conditional = _is_conditional(variant)
     table = panel.transitions
-    laws = [geom_params(grp.tau, rates) for grp in table.groups]
-    if any(g.log_alpha == -math.inf or g.log_beta == -math.inf for g in laws):
-        return None
     sweep = table._saddlepoints.get((rates, conditional))
     if sweep is None:
-        sweep = [_solve_group(grp, g, rates, conditional) for grp, g in zip(table.groups, laws)]
-    weights = [_group_weights(*lanes, g, conditional) for lanes, g in zip(sweep, laws)]
+        laws = [geom_params(grp.tau, rates) for grp in table.groups]
+    else:
+        laws = [lanes[0] for lanes in sweep]
+    if any(g.log_alpha == -math.inf or g.log_beta == -math.inf for g in laws):
+        return None
+    if sweep is None:
+        sweep = [
+            _solve_group(grp, g, rates, conditional)[0] for grp, g in zip(table.groups, laws)
+        ]
+    weights = [_group_weights(*lanes, conditional) for lanes in sweep]
     score, info = _chain(table.groups, laws, rates, weights)
     if not (np.all(np.isfinite(score)) and np.all(np.isfinite(info))):
         return None

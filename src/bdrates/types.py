@@ -138,7 +138,7 @@ class Transitions:
     starting point of the searches and the transition likelihoods.
 
     _saddlepoints holds the last finished sweep of saddlepoint.spa_loglik
-    as {(rates, conditional): each group's lanes and saddlepoints}, for
+    as {(rates, conditional): each group's law, lanes and saddlepoints}, for
     spa_derivatives to read at equal rates and the same variant.
     """
 

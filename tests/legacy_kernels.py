@@ -17,7 +17,9 @@ each, before damped Newton steps on the exact likelihood's analytic
 derivatives replaced it, and one Nelder-Mead run confirmed on the
 covariance stencil replaced it for the saddlepoint fits. That 9-point
 central-difference stencil gave the covariance of a fit without an
-analytic Hessian, before every fit had one. They are kept here
+analytic Hessian, before every fit had one. The Newton step took its
+floored Hessian from LAPACK's symmetric eigensolver (numpy.linalg.eigh)
+before a closed-form 2x2 decomposition replaced it. They are kept here
 verbatim apart from names, calling the package's current helpers, so
 the replacements can be checked against them.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -45,7 +47,7 @@ from bdrates.gaussian import (
     qg_sandwich_cov,
 )
 from bdrates.gw import GwMoments, gw_estimate
-from bdrates.optimize import FATOL, XATOL, OptResult
+from bdrates.optimize import EIG_FLOOR, FATOL, MAX_STEP, XATOL, Model, OptResult
 from bdrates.saddlepoint import (
     RESIDUAL_TOL,
     _cgf_terms,
@@ -81,7 +83,7 @@ def _solve_conditional_x(k_arr, a_arr, g, t, rates, log_p0: float):
     Newton-seeded at the plain saddlepoint with a bisection fallback."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
-    x = _solve_x(k_arr, a_arr, g, t, rates, False).copy()
+    x = _solve_x(k_arr, a_arr, g, t, rates, False)[0].copy()
     x_hi = _x_max(g)
     tol = RESIDUAL_TOL * np.maximum(1.0, k_arr)
     active = np.ones(x.shape, dtype=bool)
@@ -111,7 +113,7 @@ def _bisect_conditional(k, a, g, rates, t, log_p0):
         return float(c1) - k
 
     hi = _x_max(g) - 1e-8 * max(1.0, abs(_x_max(g)))
-    x0 = float(_solve_x(np.array([k]), np.array([a]), g, t, rates, False)[0])
+    x0 = float(_solve_x(np.array([k]), np.array([a]), g, t, rates, False)[0][0])
     lo = x0 - 5.0
     for _ in range(40):
         if fun(lo) < 0.0:
@@ -904,3 +906,35 @@ def maximize_2d(
         n_evals=n_evals,
         converged=bool(best.success),
     )
+
+
+# ---------------------------------------------------------------------------
+# Newton step of maximize_2d, with the floored Hessian from numpy.linalg.eigh
+
+
+def _newton_step(model: Optional[Model]) -> Optional[tuple[np.ndarray, float]]:
+    """Ascent step of the model with its Hessian's eigenvalues floored to
+    at most -EIG_FLOOR*max(1, max |eigenvalue|), clipped to max-norm
+    MAX_STEP, and the gain that floored model predicts for it; None when
+    the model or the step is not finite."""
+    if model is None:
+        return None
+    grad, hess = model
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        return None
+    eig, vec = np.linalg.eigh(hess)
+    eig = np.minimum(eig, -EIG_FLOOR * max(1.0, float(np.max(np.abs(eig)))))
+    along = vec.T @ grad
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = along / eig
+        step = -vec @ coef
+    if not np.all(np.isfinite(step)):
+        return None
+    # the full step gains q = -along . coef >= 0 on the floored model, a
+    # step scaled by c gains q*c*(1 - c/2)
+    q = -float(along @ coef)
+    size = float(np.max(np.abs(step)))
+    if size > MAX_STEP:
+        c = MAX_STEP / size
+        return step * c, q * c * (1.0 - 0.5 * c)
+    return step, 0.5 * q

@@ -87,3 +87,16 @@ def mp_log_spa_pmf(k, t, a, lam, mu, lo, hi):
     x = (lo + hi) / 2
     k2 = mp_cgf_derivative(x, t, a, lam, mu, order=2)
     return -mp.log(2 * mp.pi * k2) / 2 + mp_cgf(x, t, a, lam, mu) - x * k
+
+
+def mp_cond_cgf_derivative(x, t, a, lam, mu):
+    """First derivative in x of the CGF of the law conditioned on
+    non-extinction, log{(M(x) - alpha^a)/(1 - alpha^a)} with M(x) the pgf
+    at e^x: M'(x)/(M(x) - alpha^a), M' by mpmath numerical differentiation.
+    It runs at 150 digits: where 1 - beta is near 1e-55, M - alpha^a keeps
+    only the digits of M beyond the 55th."""
+    with mp.workdps(150):
+        alpha, _ = mp_alpha_beta(t, lam, mu)
+        m = lambda y: mp_pgf(mp.e ** y, t, a, lam, mu)
+        x = mp.mpf(x)
+        return mp.diff(m, x) / (m(x) - alpha ** int(a))

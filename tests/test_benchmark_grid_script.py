@@ -55,12 +55,61 @@ def test_kernel_costs_script_reports_each_kernel(capsys):
     costs = _load("run_kernel_costs")
     assert costs.main(["--seed", "3", "--panels", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
-    rows = {(line[:30].strip(), line[31:46].strip()): line.split()[-4:] for line in out[1:]}
+    rows = {(line[:30].strip(), line[31:46].strip()): line.split()[-5:] for line in out[1:]}
     kernels = ["spa_loglik", "spa_derivatives cold", "spa_derivatives after loglik"]
     expected = [(k, m) for m in ("spmle", "spmle_adjusted") for k in kernels]
     assert list(rows) == expected + [("exact_loglik+derivatives", "mle")]
-    for median, lo, hi, panels in rows.values():
+    for median, lo, hi, _, panels in rows.values():
         assert 0.0 < float(lo) <= float(median) <= float(hi)
         assert int(panels) == 2
+    passes = {key: float(row[3]) for key, row in rows.items()}
+    # one pass per group for the plain value, none where the sweep is read
+    assert passes["spa_loglik", "spmle"] == 1.0
+    assert passes["spa_loglik", "spmle_adjusted"] >= 1.0
+    assert passes["spa_derivatives after loglik", "spmle"] == 0.0
+    assert passes["spa_derivatives after loglik", "spmle_adjusted"] == 0.0
+    assert passes["exact_loglik+derivatives", "mle"] == 0.0
     # the panels reproduce from the seed
     assert costs.draw_panels(3, 2) == costs.draw_panels(3, 2)
+
+
+def test_bench_pairs_script_writes_the_paired_summary(tmp_path, monkeypatch):
+    pairs = _load("run_bench_pairs")
+    assert pairs.parse_seeds("401-403") == [401, 402, 403]
+    assert pairs.parse_seeds("5,7") == [5, 7]
+    root = SCRIPTS.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    calls = []
+
+    def fake_run(checkout, workload, seed):
+        # the change reads 20% lower on times and higher on throughputs,
+        # except at seed 403
+        calls.append((checkout.name, workload, seed))
+        factor = 0.8 if checkout.name == "change" and seed != 403 else 1.0
+        metrics = {
+            m["name"]: {"value": (seed - 400) * (factor if m["better"] == "lower" else 1 / factor)}
+            for m in spec["end_to_end"]
+        }
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    out = tmp_path / "BENCH_x.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+    assert pairs.main(argv + ["--seeds", "401-403", "--out", str(out)]) == 0
+    # parent first on odd seeds, change first on even ones
+    sides = [side for side, workload, _ in calls if workload == "single_traj"]
+    assert sides == ["parent", "change", "change", "parent", "parent", "change"]
+    report = json.loads(out.read_text())
+    assert report["seeds"] == [401, 402, 403]
+    assert report["parent_git_sha"] == report["change_git_sha"] == "unknown"
+    table = report["workloads"]["single_traj"]
+    assert table["runs"]["change"] == {"correct": True, "attempted": 30, "failed": 0}
+    m = table["fit_s.spmle_adjusted"]
+    assert m["parent"]["values"] == [1.0, 2.0, 3.0] and m["parent"]["median"] == 2.0
+    assert m["change"]["median"] == 1.6 and m["change_wins"] == 2
+    assert m["ratio_change_over_parent"] == 0.8
+    assert m["parent"]["q1"] <= m["parent"]["median"] <= m["parent"]["q3"]
+    assert table["replicates_per_s"]["change_wins"] == 2

@@ -2,13 +2,15 @@ import math
 import warnings
 
 import legacy_kernels as legacy
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mp_log_spa_pmf
+from oracles import mp_alpha_beta, mp_cond_cgf_derivative, mp_log_spa_pmf
 from scipy.optimize import brentq
 
+from bdrates import saddlepoint
 from bdrates.errors import BdError, DomainError, SolverError
 from bdrates.exact import (
     _log_pmf,
@@ -21,9 +23,12 @@ from bdrates.exact import (
     variance,
 )
 from bdrates.saddlepoint import (
+    RESIDUAL_TOL,
     _exact_log,
     _lanes,
+    _log_radius,
     _log_spa,
+    _solve_x,
     cgf_eval,
     high_mass_region,
     solve_saddlepoint,
@@ -321,6 +326,11 @@ def _mixed_lanes(rng, rates, t, n):
     [(7.0, 5.0, 0.1), (7.0, 5.0, 0.2), (2.0, 6.0, 0.7), (4.0, 4.0, 0.3), (9.0, 0.5, 1.0)],
 )
 def test_conditional_one_sweep_matches_per_count_loop(lam, mu, t):
+    # the one-sweep solve starts elsewhere than the per-count loop (the
+    # plain quadratic root, and the exact root on a = 1 lanes), so a lane
+    # may stop at another point inside the residual tolerance; such a lane
+    # must solve the saddle equation there to RESIDUAL_TOL at mpmath
+    # precision
     rates = Rates(lam, mu)
     rng = np.random.default_rng(11)
     g = geom_params(t, rates)
@@ -328,7 +338,46 @@ def test_conditional_one_sweep_matches_per_count_loop(lam, mu, t):
         k, a = _mixed_lanes(rng, rates, t, 80)
         got = _log_spa(k, a, g, t, rates, True)
         ref = legacy.log_spa_conditional(k, a, g, t, rates)
-        assert np.array_equal(got, ref)
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
+        x = _solve_x(k, a, g, t, rates, True)[0]
+        for i in np.flatnonzero(got != ref):
+            kc1 = mp_cond_cgf_derivative(x[i], t, a[i], lam, mu)
+            assert abs(kc1 - k[i]) <= RESIDUAL_TOL * max(1.0, k[i])
+
+
+@pytest.mark.parametrize(
+    "lam,mu,t",
+    [
+        # growth, decline, near-critical (outside the band of the lam == mu
+        # formulas) and critical
+        *[
+            (lam, mu, t)
+            for lam, mu in [(7.0, 5.0), (2.0, 6.0), (4.0, 4.000004), (4.0, 4.0)]
+            for t in (1e-3, 0.1, 1.0, 5.0)
+        ],
+        (66.56, 3.214, 1.998),  # beta rounds to 1
+    ],
+)
+def test_conditional_seed_of_one_ancestor_is_its_root(monkeypatch, lam, mu, t):
+    # given survival, one ancestor's count is geometric, Kc' = 1/(1 - beta
+    # e^x) and Kc'' = Kc'(Kc' - 1): the conditional solve seeds a = 1 lanes
+    # at the root in closed form, and the seed solves the saddle equation
+    # at mpmath precision: to RESIDUAL_TOL, or to what the float error of
+    # its input log R and two float spacings of x move Kc' (at k = 1e6 and
+    # x near 5 one spacing moves it by 9e-10 k)
+    rates = Rates(lam, mu)
+    g = geom_params(t, rates)
+    k = np.array([2.0, 5.0, 40.0, 1e6])
+    seeds = []
+    real = saddlepoint._newton
+    monkeypatch.setattr(saddlepoint, "_newton", lambda x, *args: seeds.append(x) or real(x, *args))
+    _solve_x(k, np.ones_like(k), g, t, rates, True)
+    (x,) = seeds
+    lr_err = abs(_log_radius(g) + mp.log(mp_alpha_beta(t, lam, mu)[1]))
+    for xi, ki in zip(x, k):
+        kc1 = mp_cond_cgf_derivative(xi, t, 1, lam, mu)
+        moved = ki * (ki - 1.0) * (lr_err + 2.0 * np.spacing(abs(xi)))
+        assert abs(kc1 - ki) <= max(RESIDUAL_TOL * ki, moved), (xi, ki, kc1)
 
 
 @pytest.mark.parametrize(
@@ -385,7 +434,9 @@ def test_spa_loglik_matches_float_gap_walk(variant):
                     spa_loglik(panel, r, variant)
                 continue
             got = spa_loglik(panel, r, variant)
-            assert abs(got - ref) <= 1e-12 * abs(ref)
+            # the conditional solve starts elsewhere than the walk's
+            # per-count loop, and stops within its residual tolerance
+            assert abs(got - ref) <= (1e-11 if variant == "conditional" else 1e-12) * abs(ref)
 
 
 def _one_step(a, k, t):

@@ -288,3 +288,42 @@ def test_fits_solve_each_group_once_per_counted_evaluation(monkeypatch, method, 
     res = fit(panel, method)
     assert live >= 1 and res.newton_iterations >= 1 and not res.continued
     assert len(solves) == live * res.n_obj_evals
+
+
+# the most CGF passes one conditional spa_loglik call made during the fit
+# of each panel (the plain call makes one per gap group with saddlepoint
+# lanes: the residual check at the quadratic root, whose terms it scores)
+COND_PASSES = {"pooled_float_grid": 3, "single_traj": 6, "absorbing": 5, "unequal": 21, "large_counts": 1}
+
+
+@pytest.mark.parametrize("variant", ["plain", "conditional"])
+@pytest.mark.parametrize("pname", sorted(test_exact_table.PANELS))
+def test_cgf_passes_per_evaluation(monkeypatch, pname, variant):
+    panel = _fresh(test_exact_table.PANELS[pname])
+    conditional = variant == "conditional"
+    live = sum(
+        bool(bdrates.saddlepoint._lanes(grp.dst, grp.src, conditional)[1].size)
+        for grp in panel.transitions.groups
+    )
+    real_terms, real_loglik = bdrates.saddlepoint._cgf_terms, bdrates.estimate.spa_loglik
+    passes, per_call = [0], []
+
+    def counting_terms(*args):
+        passes[0] += 1
+        return real_terms(*args)
+
+    def counting_loglik(panel, rates, variant):
+        before = passes[0]
+        try:
+            return real_loglik(panel, rates, variant)
+        finally:
+            per_call.append(passes[0] - before)
+
+    monkeypatch.setattr(bdrates.saddlepoint, "_cgf_terms", counting_terms)
+    monkeypatch.setattr(bdrates.estimate, "spa_loglik", counting_loglik)
+    res = fit(panel, "spmle_adjusted" if conditional else "spmle")
+    assert len(per_call) == res.n_obj_evals
+    if conditional:
+        assert max(per_call) <= COND_PASSES[pname]
+    else:
+        assert set(per_call) == {live}
