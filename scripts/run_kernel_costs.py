@@ -32,8 +32,7 @@ import time
 
 import numpy as np
 
-from bdrates import BdError, Panel, Rates, fit
-from bdrates import saddlepoint
+from bdrates import BdError, Panel, Rates, fit, saddlepoint
 from bdrates.exact import exact_loglik
 from bdrates.saddlepoint import spa_derivatives, spa_loglik
 from bdrates.simulate import SimConfig, simulate_panel
@@ -98,8 +97,6 @@ def panel_costs(panel: Panel) -> dict[tuple[str, str], tuple[float, int]]:
             cold = Panel(panel.trajectories)
             cold.transitions  # built before the timing
             out["spa_loglik", method] = cost(lambda: spa_loglik(panel, rates, variant))
-            # each call of a cold panel's table solves (the loglik never
-            # visits it)
             out["spa_derivatives cold", method] = cost(
                 lambda: spa_derivatives(cold, rates, variant)
             )

@@ -24,9 +24,10 @@ def _sym(eig, angle):
 
 
 def _cases(kind, rng):
-    """(grad, hess) pairs of one kind; eigenvalue magnitudes stay within
+    """(grad, hess) pairs of one kind. Eigenvalue magnitudes stay within
     two decades of each other, so that both decompositions resolve the
-    smaller one to about 1e-14 relative."""
+    smaller one to about 1e-14 relative; diagonal matrices, which both
+    resolve exactly, span twelve decades."""
     for _ in range(200):
         grad = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3)
         angle = rng.uniform(-math.pi, math.pi)
@@ -34,7 +35,8 @@ def _cases(kind, rng):
         if kind == "negative definite":
             yield grad, _sym(-mags, angle)
         elif kind == "diagonal":
-            yield grad, np.diag(-mags * rng.choice([-1.0, 1.0], size=2))
+            wide = 10.0 ** rng.uniform(-6, 6, size=2)
+            yield grad, np.diag(-wide * rng.choice([-1.0, 1.0], size=2))
         elif kind == "repeated":
             e = -mags[0] * rng.choice([-1.0, 1.0])
             yield grad, _sym([e, e * (1.0 + rng.choice([0.0, 1e-15, 1e-10]))], angle)

@@ -293,7 +293,13 @@ def test_fits_solve_each_group_once_per_counted_evaluation(monkeypatch, method, 
 # the most CGF passes one conditional spa_loglik call made during the fit
 # of each panel (the plain call makes one per gap group with saddlepoint
 # lanes: the residual check at the quadratic root, whose terms it scores)
-COND_PASSES = {"pooled_float_grid": 3, "single_traj": 6, "absorbing": 5, "unequal": 21, "large_counts": 1}
+COND_PASSES = {
+    "pooled_float_grid": 3,
+    "single_traj": 6,
+    "absorbing": 5,
+    "unequal": 21,
+    "large_counts": 1,
+}
 
 
 @pytest.mark.parametrize("variant", ["plain", "conditional"])
