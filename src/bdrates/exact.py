@@ -159,13 +159,6 @@ def alpha_beta(t: float, rates: Rates) -> tuple[float, float]:
     return g.alpha, g.beta
 
 
-def convergence_radius(t: float, rates: Rates) -> float:
-    """Radius 1/beta of the generating function at horizon t (inf if the
-    geometric part is empty, e.g. for a pure-death process)."""
-    g = geom_params(t, rates)
-    return 1.0 / g.beta if g.beta > 0.0 else math.inf
-
-
 def pgf(s: float, t: float, rates: Rates, a: int = 1) -> float:
     """Probability generating function E[s^Z(t)] from a ancestors.
 

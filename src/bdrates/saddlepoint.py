@@ -3,8 +3,8 @@
 The moment generating function of the count at horizon t from a
 ancestors is the pgf evaluated at e^x, so the cumulant generating
 function is K(x) = a*log f(e^x, t), finite for x < log R(t) with R the
-pgf convergence radius. The saddlepoint x~ solving K'(x~) = k is the log
-of a root of an explicit quadratic, and the approximate pmf is
+pgf convergence radius. The saddlepoint x~ solving K'(x~) = k has a
+closed form in the law's (alpha, beta), and the approximate pmf is
 
     (2*pi*K''(x~))**(-1/2) * exp(K(x~) - x~*k).
 
@@ -30,12 +30,20 @@ and its derivatives read the same numbers. A rule for lanes that the
 saddlepoint scores badly belongs in _lanes too.
 
 Both variants solve their saddle equation with one lane-vectorized
-Newton solve (_solve_x, _newton). Both start from the closed-form root
-of the plain saddle quadratic. The conditional solve starts its a = 1
-lanes at their exact root instead: given survival one ancestor's count
-is geometric, Kc'(x) = 1/(1 - beta e^x), so x = log(1 - 1/k) + log R
-(capped at x_hi). Each pass of the solve evaluates the variant's CGF
-terms at every lane of the group; a lane that has stopped keeps its x.
+Newton solve (_solve_x, _newton). Both start from the root of the plain
+saddle equation, which in u = 1 - beta e^x is u = 2r/(1 + r + S) with
+r = a/k, S = sqrt((1 - r)^2 + 4 r rho) and rho = alpha beta /
+((1-alpha)(1-beta)), so x = log1p(-u) + log R. _plain_root evaluates it
+from the law's logs, taking 1 - u in a form without cancellation where
+u > 1/2. So it holds at criticality, keeps its digits where 1 - beta is
+far smaller than the root's distance from the radius, is exact for pure
+birth and cannot overflow. Pure birth with k <= a and pure death with
+k >= a have no root, and such a lane raises SolverError. The
+conditional solve starts its a = 1 lanes at their exact root instead:
+given survival one ancestor's count is geometric, Kc'(x) =
+1/(1 - beta e^x), so x = log(1 - 1/k) + log R (capped at x_hi). Each
+pass of the solve evaluates the variant's CGF terms at every lane of
+the group; a lane that has stopped keeps its x.
 The derivative increases in x, so the sign of each probe's residual
 moves a per-lane bracket: probes above the root lower its top, probes
 below raise its bottom. A lane takes the Newton step, clipped to +-2 and
@@ -50,7 +58,7 @@ root inside the guard band and raises SolverError, as does a lane still
 open after 200 probes. The solve returns the terms of its last pass,
 which are those at the saddlepoints, and _score_spa turns them into log
 pmfs without evaluating the CGF again. So a plain group costs one CGF
-pass, the residual check at the quadratic root, unless a lane needs a
+pass, the residual check at the closed-form root, unless a lane needs a
 Newton step; a conditional group costs 3-6 on the single-trajectory
 benchmark panels.
 
@@ -75,7 +83,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .exact import GeomParams, geom_params, is_critical, truncation_limit, _chain, _log_pmf
+from .exact import GeomParams, geom_params, truncation_limit, _chain, _log_pmf
 from .types import Panel, Rates
 
 __all__ = [
@@ -173,108 +181,55 @@ def cgf_eval(x: float, t: float, a: int, rates: Rates) -> CgfPoint:
     return CgfPoint(float(x), float(value), float(d1), float(d2))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _saddle_quadratic(ratio, t: float, rates: Rates):
-    """Coefficients (A, B, C) of the quadratic whose root in (0, R) is the
-    saddlepoint in s, for ratio = a/k (B depends on the ratio; A, C do not).
-
-    All three carry one power-of-two scale that keeps B*B and 4*A*C finite;
-    the scale is exact, so the roots are those of the unscaled quadratic.
-    Coefficients that overflow before scaling raise DomainError (so does
-    an exp or a power that overflows on the way to them; an array B that
-    overflows reads inf or NaN under the errstate, and raises the same)."""
-    try:
-        if is_critical(rates):
-            u = 0.5 * rates.xi * t
-            A = u - u * u
-            B = 2.0 * u * u - 1.0 + ratio
-            C = -u - u * u
-        else:
-            lam, mu = rates.lam, rates.mu
-            m = math.exp(rates.omega * t)
-            A = lam * (m - 1.0) * (lam - mu * m)
-            B = 2.0 * lam * mu * (1.0 + m * m - m) - m * (lam * lam + mu * mu) + ratio * (
-                m * (lam - mu) ** 2
-            )
-            C = mu * (m - 1.0) * (mu - lam * m)
-    except OverflowError:
-        A = B = C = math.inf
-    b_max = float(np.abs(B).max())  # inf or NaN if any entry is
-    if not (math.isfinite(A) and math.isfinite(C) and math.isfinite(b_max)):
-        raise DomainError(
-            f"saddlepoint coefficients overflow at horizon {t}, "
-            f"rates ({rates.lam}, {rates.mu})"
-        )
-    big = max(abs(A), abs(C), b_max)
-    scale = math.ldexp(1.0, -max(math.frexp(big)[1], 0))
-    return A * scale, B * scale, C * scale
-
-
-def _stable_roots(A, B, C):
-    """Both roots of A s^2 + B s + C = 0 without subtractive cancellation;
-    lanes that do not exist come back as NaN."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    C = np.asarray(C, dtype=float)
-    disc = B * B - 4.0 * A * C
-    floor = -1e-12 * np.maximum(B * B, np.abs(4.0 * A * C))
-    if np.any(disc < floor):
-        raise SolverError("saddlepoint quadratic has complex roots; inconsistent inputs")
-    disc = np.maximum(disc, 0.0)
-    q = -0.5 * (B + np.sign(B) * np.sqrt(disc))
-    q = np.where(B == 0.0, np.sqrt(np.maximum(-A * C, 0.0)), q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = np.where(A != 0.0, q / A, np.nan)
-        r2 = np.where(q != 0.0, C / q, np.nan)
-    return r1, r2
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _plain_root(r, g: GeomParams):
+    """The root x of the plain saddle equation K'(x) = k for the ratios
+    r = a/k under the law g, from its closed form in u = 1 - beta e^x
+    (_solve_x); +-inf or NaN on a lane that has no root."""
+    log_rad = _log_radius(g)
+    log_rho = g.log_alpha + g.log_beta - g.log1m_alpha - g.log1m_beta
+    # S = sqrt((1 - r)^2 + 4 r rho), finite unless rho passes e^1400
+    s = np.hypot(1.0 - r, 2.0 * np.sqrt(r) * np.exp(0.5 * log_rho))
+    den = 1.0 + r + s
+    u = 2.0 * r / den
+    # where u > 1/2, 1 - u without cancellation: for r > 1, log(1 - u) +
+    # log R is log(rho / beta) + log(4r / ((S + r - 1)(1 + r + S))), and
+    # beta cancels, so a beta = 0 law keeps its root
+    far = np.where(
+        r <= 1.0,
+        np.log((1.0 - r + s) / den) + log_rad,
+        g.log_alpha - g.log1m_alpha - g.log1m_beta + np.log(4.0 * r / ((s + r - 1.0) * den)),
+    )
+    return np.where(u <= 0.5, np.log1p(-u) + log_rad, far)
 
 
 def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: bool):
     """Vectorized saddlepoints x~ of the variant's saddle equation, for
     k >= 1 lanes (k >= 2 conditional), and the variant's terms there
-    (_newton's last pass). Both variants are seeded at the closed-form
-    root of the plain saddle quadratic; conditional a = 1 lanes, whose
-    conditional law is geometric, at their exact root log(1 - 1/k) + log R
-    instead (capped at x_hi).
+    (_newton's last pass).
 
-    Where beta rounds close to 1, both roots can round onto 1/beta and
-    fail the range check although K' crosses k below x_hi; such lanes are
-    seeded at x_hi, and the solve finds the root or raises its
-    guard-band SolverError."""
+    Both variants are seeded at the root of the plain saddle equation,
+    capped at x_hi. In u = 1 - beta e^x it reads a(1 - u) = k u (rho u +
+    1 - u) with rho = alpha beta / ((1-alpha)(1-beta)) = e^-z (the z of
+    the derivative block below), whose only root in (0, 1) is
+    u = 2r / (1 + r + S) with r = a/k and S = sqrt((1 - r)^2 + 4 r rho);
+    then x = log1p(-u) + log R (_plain_root). A lane without a root
+    (pure birth with k <= a, pure death with k >= a) raises SolverError
+    naming it. Conditional a = 1 lanes, whose conditional law is
+    geometric, start at their exact root log(1 - 1/k) + log R instead
+    (capped at x_hi)."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
-    A, B, C = _saddle_quadratic(a_arr / k_arr, t, rates)
-    r1, r2 = _stable_roots(A, B, C)
-    x_hi = _x_max(g)
-    s_hi = 1.0 / g.beta if g.beta > 0.0 else math.inf
-
-    def in_range(r):
-        return np.isfinite(r) & (r > 0.0) & (r < s_hi)
-
-    ok1, ok2 = in_range(r1), in_range(r2)
-    seeded = ok1 | ok2
-    all_seeded = bool(seeded.all())
-    if x_hi == math.inf and not all_seeded:
-        bad = int(np.argmin(seeded))
+    x = _plain_root(a_arr / k_arr, g)
+    ok = np.isfinite(x)
+    if not ok.all():
+        bad = int(np.argmin(ok))
         raise SolverError(
-            f"no saddlepoint root in (0, {s_hi}) for k={k_arr.flat[bad]}, "
-            f"a={a_arr.flat[bad]}, t={t}, rates=({rates.lam}, {rates.mu})"
+            f"no saddlepoint root for k={k_arr.flat[bad]}, a={a_arr.flat[bad]}, "
+            f"t={t}, rates=({rates.lam}, {rates.mu})"
         )
-    s = np.where(ok1, r1, r2 if all_seeded else np.where(ok2, r2, np.nan))
-    # where both roots look admissible, keep the one closer to solving K'=k;
-    # a root inside the guard band is scored at x_hi, where its solve starts
-    both = ok1 & ok2 & (r1 != r2)
-    if np.any(both):
-        _, d1a, _ = _cgf_terms(np.minimum(np.log(r1[both]), x_hi), g, a_arr[both])
-        _, d1b, _ = _cgf_terms(np.minimum(np.log(r2[both]), x_hi), g, a_arr[both])
-        s[both] = np.where(
-            np.abs(d1a - k_arr[both]) <= np.abs(d1b - k_arr[both]),
-            r1[both],
-            r2[both],
-        )
-    x = np.minimum(np.log(s), x_hi)
-    if not all_seeded:
-        x = np.where(seeded, x, x_hi)
+    x_hi = _x_max(g)
+    x = np.minimum(x, x_hi)
     if not conditional:
         return _newton(x, k_arr, lambda x: _cgf_terms(x, g, a_arr), x_hi, t, a_arr, rates)
     one = a_arr == 1.0

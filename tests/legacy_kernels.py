@@ -19,7 +19,11 @@ covariance stencil replaced it for the saddlepoint fits. That 9-point
 central-difference stencil gave the covariance of a fit without an
 analytic Hessian, before every fit had one. The Newton step took its
 floored Hessian from LAPACK's symmetric eigensolver (numpy.linalg.eigh)
-before a closed-form 2x2 decomposition replaced it. They are kept here
+before a closed-form 2x2 decomposition replaced it. The saddlepoint
+solve was seeded at a root of a quadratic in s = e^x whose coefficients
+came from the rates, with its own critical branch and overflow check,
+choosing between both roots, before the closed-form root in
+u = 1 - beta e^x replaced it. They are kept here
 verbatim apart from names, calling the package's current helpers, so
 the replacements can be checked against them.
 """
@@ -34,8 +38,17 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.optimize import brentq, minimize, minimize_scalar
 
+from bdrates import saddlepoint
 from bdrates.errors import DataError, DomainError, SolverError
-from bdrates.exact import _NEG_INF, _log_phi_derivs, _log_pmf, geom_params, pgf_geom
+from bdrates.exact import (
+    _NEG_INF,
+    GeomParams,
+    _log_phi_derivs,
+    _log_pmf,
+    geom_params,
+    is_critical,
+    pgf_geom,
+)
 from bdrates.gaussian import (
     _LOG_2PI,
     DEGENERATE_XI_FLOOR,
@@ -51,12 +64,132 @@ from bdrates.optimize import EIG_FLOOR, FATOL, MAX_STEP, XATOL, Model, OptResult
 from bdrates.saddlepoint import (
     RESIDUAL_TOL,
     _cgf_terms,
+    _log_radius,
     _log_spa,
-    _solve_x,
+    _newton,
+    _score_spa,
     _x_max,
     solve_saddlepoint,
 )
 from bdrates.types import Panel, Rates
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _saddle_quadratic(ratio, t: float, rates: Rates):
+    """Coefficients (A, B, C) of the quadratic whose root in (0, R) is the
+    saddlepoint in s, for ratio = a/k (B depends on the ratio; A, C do not).
+
+    All three carry one power-of-two scale that keeps B*B and 4*A*C finite;
+    the scale is exact, so the roots are those of the unscaled quadratic.
+    Coefficients that overflow before scaling raise DomainError (so does
+    an exp or a power that overflows on the way to them; an array B that
+    overflows reads inf or NaN under the errstate, and raises the same)."""
+    try:
+        if is_critical(rates):
+            u = 0.5 * rates.xi * t
+            A = u - u * u
+            B = 2.0 * u * u - 1.0 + ratio
+            C = -u - u * u
+        else:
+            lam, mu = rates.lam, rates.mu
+            m = math.exp(rates.omega * t)
+            A = lam * (m - 1.0) * (lam - mu * m)
+            B = 2.0 * lam * mu * (1.0 + m * m - m) - m * (lam * lam + mu * mu) + ratio * (
+                m * (lam - mu) ** 2
+            )
+            C = mu * (m - 1.0) * (mu - lam * m)
+    except OverflowError:
+        A = B = C = math.inf
+    b_max = float(np.abs(B).max())  # inf or NaN if any entry is
+    if not (math.isfinite(A) and math.isfinite(C) and math.isfinite(b_max)):
+        raise DomainError(
+            f"saddlepoint coefficients overflow at horizon {t}, "
+            f"rates ({rates.lam}, {rates.mu})"
+        )
+    big = max(abs(A), abs(C), b_max)
+    scale = math.ldexp(1.0, -max(math.frexp(big)[1], 0))
+    return A * scale, B * scale, C * scale
+
+
+def _stable_roots(A, B, C):
+    """Both roots of A s^2 + B s + C = 0 without subtractive cancellation;
+    lanes that do not exist come back as NaN."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    C = np.asarray(C, dtype=float)
+    disc = B * B - 4.0 * A * C
+    floor = -1e-12 * np.maximum(B * B, np.abs(4.0 * A * C))
+    if np.any(disc < floor):
+        raise SolverError("saddlepoint quadratic has complex roots; inconsistent inputs")
+    disc = np.maximum(disc, 0.0)
+    q = -0.5 * (B + np.sign(B) * np.sqrt(disc))
+    q = np.where(B == 0.0, np.sqrt(np.maximum(-A * C, 0.0)), q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1 = np.where(A != 0.0, q / A, np.nan)
+        r2 = np.where(q != 0.0, C / q, np.nan)
+    return r1, r2
+
+
+def solve_x_quadratic(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: bool):
+    """Vectorized saddlepoints x~ of the variant's saddle equation, for
+    k >= 1 lanes (k >= 2 conditional), and the variant's terms there
+    (_newton's last pass). Both variants are seeded at the closed-form
+    root of the plain saddle quadratic; conditional a = 1 lanes, whose
+    conditional law is geometric, at their exact root log(1 - 1/k) + log R
+    instead (capped at x_hi).
+
+    Where beta rounds close to 1, both roots can round onto 1/beta and
+    fail the range check although K' crosses k below x_hi; such lanes are
+    seeded at x_hi, and the solve finds the root or raises its
+    guard-band SolverError."""
+    k_arr = np.asarray(k_arr, dtype=float)
+    a_arr = np.asarray(a_arr, dtype=float)
+    A, B, C = _saddle_quadratic(a_arr / k_arr, t, rates)
+    r1, r2 = _stable_roots(A, B, C)
+    x_hi = _x_max(g)
+    s_hi = 1.0 / g.beta if g.beta > 0.0 else math.inf
+
+    def in_range(r):
+        return np.isfinite(r) & (r > 0.0) & (r < s_hi)
+
+    ok1, ok2 = in_range(r1), in_range(r2)
+    seeded = ok1 | ok2
+    all_seeded = bool(seeded.all())
+    if x_hi == math.inf and not all_seeded:
+        bad = int(np.argmin(seeded))
+        raise SolverError(
+            f"no saddlepoint root in (0, {s_hi}) for k={k_arr.flat[bad]}, "
+            f"a={a_arr.flat[bad]}, t={t}, rates=({rates.lam}, {rates.mu})"
+        )
+    s = np.where(ok1, r1, r2 if all_seeded else np.where(ok2, r2, np.nan))
+    # where both roots look admissible, keep the one closer to solving K'=k;
+    # a root inside the guard band is scored at x_hi, where its solve starts
+    both = ok1 & ok2 & (r1 != r2)
+    if np.any(both):
+        _, d1a, _ = _cgf_terms(np.minimum(np.log(r1[both]), x_hi), g, a_arr[both])
+        _, d1b, _ = _cgf_terms(np.minimum(np.log(r2[both]), x_hi), g, a_arr[both])
+        s[both] = np.where(
+            np.abs(d1a - k_arr[both]) <= np.abs(d1b - k_arr[both]),
+            r1[both],
+            r2[both],
+        )
+    x = np.minimum(np.log(s), x_hi)
+    if not all_seeded:
+        x = np.where(seeded, x, x_hi)
+    if not conditional:
+        return _newton(x, k_arr, lambda x: _cgf_terms(x, g, a_arr), x_hi, t, a_arr, rates)
+    one = a_arr == 1.0
+    if x_hi < math.inf and one.any():  # beta = 0 leaves no root to seed at
+        # Kc' = 1/(1 - beta e^x) for a = 1, which is k at beta e^x = 1 - 1/k
+        x = np.where(one, np.minimum(np.log1p(-1.0 / k_arr) + _log_radius(g), x_hi), x)
+    log_p0 = a_arr * g.log_alpha
+    return _newton(x, k_arr, lambda x: saddlepoint._cond_terms(x, g, a_arr, log_p0), x_hi, t, a_arr, rates)
+
+
+def log_spa_quadratic(k_arr, a_arr, g, t, rates, conditional):
+    """The saddlepoint kernel _log_spa on the quadratic seed above."""
+    x, terms = solve_x_quadratic(k_arr, a_arr, g, t, rates, conditional)
+    return _score_spa(x, k_arr, terms, conditional)
 
 
 def _cond_terms(x, g, a, log_p0: float):
@@ -83,7 +216,7 @@ def _solve_conditional_x(k_arr, a_arr, g, t, rates, log_p0: float):
     Newton-seeded at the plain saddlepoint with a bisection fallback."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
-    x = _solve_x(k_arr, a_arr, g, t, rates, False)[0].copy()
+    x = solve_x_quadratic(k_arr, a_arr, g, t, rates, False)[0].copy()
     x_hi = _x_max(g)
     tol = RESIDUAL_TOL * np.maximum(1.0, k_arr)
     active = np.ones(x.shape, dtype=bool)
@@ -113,7 +246,7 @@ def _bisect_conditional(k, a, g, rates, t, log_p0):
         return float(c1) - k
 
     hi = _x_max(g) - 1e-8 * max(1.0, abs(_x_max(g)))
-    x0 = float(_solve_x(np.array([k]), np.array([a]), g, t, rates, False)[0][0])
+    x0 = float(solve_x_quadratic(np.array([k]), np.array([a]), g, t, rates, False)[0][0])
     lo = x0 - 5.0
     for _ in range(40):
         if fun(lo) < 0.0:

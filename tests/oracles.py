@@ -67,20 +67,30 @@ def mp_cgf_derivative(x, t, a, lam, mu, order=1):
     return mp.diff(f, mp.mpf(x), order)
 
 
+def mp_cgf_prime(x, t, a, lam, mu):
+    """K'(x) in closed form, a (1-alpha)(1-beta) s / ((1 - beta s)^2 f(s))
+    with s = e^x, at the working precision. Unlike mp_cgf_derivative it
+    takes no step in x, so it holds where the radius is closer to x than
+    mp.diff's step; 1 - beta s keeps the digits of the working precision
+    beyond those that 1 - beta cancels (run it at 200 digits where
+    1 - beta is near 1e-146)."""
+    return _cgf_prime(x, a, *mp_alpha_beta(t, lam, mu))
+
+
+def _cgf_prime(x, a, alpha, beta):
+    s = mp.e ** mp.mpf(x)
+    f = alpha + (1 - alpha) * (1 - beta) * s / (1 - beta * s)
+    return int(a) * (1 - alpha) * (1 - beta) * s / ((1 - beta * s) ** 2 * f)
+
+
 def mp_log_spa_pmf(k, t, a, lam, mu, lo, hi):
     """Log of the plain saddlepoint pmf approximation, with the saddlepoint
     found by bisecting K'(x) = k on [lo, hi] in arbitrary precision."""
     alpha, beta = mp_alpha_beta(t, lam, mu)
-
-    def cgf_prime(x):
-        s = mp.e ** x
-        f = alpha + (1 - alpha) * (1 - beta) * s / (1 - beta * s)
-        return int(a) * (1 - alpha) * (1 - beta) * s / ((1 - beta * s) ** 2 * f)
-
     lo, hi = mp.mpf(lo), mp.mpf(hi)
     for _ in range(400):
         mid = (lo + hi) / 2
-        if cgf_prime(mid) < k:
+        if _cgf_prime(mid, a, alpha, beta) < k:
             lo = mid
         else:
             hi = mid

@@ -113,3 +113,51 @@ def test_bench_pairs_script_writes_the_paired_summary(tmp_path, monkeypatch):
     assert m["ratio_change_over_parent"] == 0.8
     assert m["parent"]["q1"] <= m["parent"]["median"] <= m["parent"]["q3"]
     assert table["replicates_per_s"]["change_wins"] == 2
+
+
+def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys):
+    eq = _load("run_fit_equivalence")
+    parent = tmp_path / "parent.json"
+    argv = ["fits", "--out", str(parent), "--census-panels", "2", "--methods", "gw,qg"]
+    assert eq.main(argv + ["--census-seeds", "4"]) == 0
+    data = json.loads(parent.read_text())
+    assert data["census_seeds"] == [1, 4]
+    labels = [r["panel"] for r in data["fits"]]
+    # 2 panels per census seed, the 11 test panels, 6 seeds of perfbench's
+    # stratified panels (3 single_traj, 1 pooled_growth)
+    assert len(set(labels)) == 2 * 2 + 11 + 6 * (3 + 1) and len(labels) == 2 * len(set(labels))
+    assert {r["method"] for r in data["fits"]} == {"gw", "qg"}
+    # gw refuses the census panels with unequal gaps, by a typed error
+    errors = {r["error"].split(":")[0] for r in data["fits"] if r["error"] is not None}
+    assert "DataError" in errors and errors <= {"DataError", "DomainError"}
+
+    # the same tree twice: every fit is bit-identical
+    capsys.readouterr()
+    assert eq.main(["compare", str(parent), str(parent)]) == 0
+    heads = [line for line in capsys.readouterr().out.splitlines()[1:] if not line.startswith(" ")]
+    for line in heads:
+        n, same = (int(line.split()[i]) for i in (1, 3))
+        assert n == same and "0 error changes" in line
+
+    # a change that moves one well-conditioned loglik (qg fits take about
+    # 76 evaluations, so the parent's count is set to 5), makes one fit
+    # raise and lowers a fit that the parent continued
+    change = json.loads(parent.read_text())
+    pairs = [(p, c) for p, c in zip(data["fits"], change["fits"]) if p["method"] == "qg"]
+    (p0, c0), (_, c1), (p2, c2) = [(p, c) for p, c in pairs if p["error"] is None][:3]
+    p0["evals"] = c0["evals"] = 5
+    c0["loglik"] += 1.0
+    c1.update(error="SolverError: no root")
+    p2["continued"] = True
+    c2["loglik"] -= 1.0
+    parent.write_text(json.dumps(data))
+    (tmp_path / "change.json").write_text(json.dumps(change))
+    summary = eq.compare(data, change, 1e-8)["qg"]
+    assert len(summary["well_moved"]) == 1
+    assert summary["well_moved"][0].startswith(f"qg on {p0['panel']}: ")
+    assert summary["errors"] == [f"qg on {c1['panel']}: None -> SolverError: no root"]
+    assert len(summary["moved"]) == 1 and summary["moved"][0].endswith("LOWER")
+    assert summary["identical"] == summary["fits"] - 3
+    assert eq.main(["compare", str(parent), str(tmp_path / "change.json")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("well_moved:") == 1 and out.count("errors:") == 1

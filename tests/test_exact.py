@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bdrates.errors import CapError, DomainError
 from bdrates.exact import (
     alpha_beta,
-    convergence_radius,
     exact_loglik,
     extinction_prob,
     geom_params,
@@ -67,7 +66,7 @@ def test_pgf_at_one_and_zero():
 
 def test_pgf_rejects_outside_radius():
     r = Rates(7.0, 5.0)
-    radius = convergence_radius(1.0, r)
+    radius = 1.0 / alpha_beta(1.0, r)[1]
     with pytest.raises(DomainError):
         pgf(radius * 1.01, 1.0, r)
 

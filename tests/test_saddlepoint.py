@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mp_alpha_beta, mp_cond_cgf_derivative, mp_log_spa_pmf
+from oracles import mp_alpha_beta, mp_cgf_prime, mp_cond_cgf_derivative, mp_log_spa_pmf
 from scipy.optimize import brentq
 
 from bdrates import saddlepoint
 from bdrates.errors import BdError, DomainError, SolverError
 from bdrates.exact import (
     _log_pmf,
-    convergence_radius as radius,
+    alpha_beta,
     exact_loglik,
     geom_params,
     log_transition_prob,
@@ -67,7 +67,7 @@ def test_cgf_identities_at_zero():
 
 
 def test_cgf_rejects_outside_domain():
-    lr = math.log(radius(1.0, R75))
+    lr = -math.log(alpha_beta(1.0, R75)[1])
     with pytest.raises(DomainError):
         cgf_eval(lr + 0.01, 1.0, 10, R75)
 
@@ -97,7 +97,7 @@ def test_saddlepoint_agrees_with_bisection():
     # independent root find of K'(x) = k over (0, R)
     k, a, t = 40, 10, 1.0
     sol = solve_saddlepoint(k, t, a, R75)
-    lr = math.log(radius(t, R75))
+    lr = -math.log(alpha_beta(t, R75)[1])
 
     def fun(x):
         return cgf_eval(x, t, a, R75).d1 - k
@@ -327,7 +327,7 @@ def _mixed_lanes(rng, rates, t, n):
 )
 def test_conditional_one_sweep_matches_per_count_loop(lam, mu, t):
     # the one-sweep solve starts elsewhere than the per-count loop (the
-    # plain quadratic root, and the exact root on a = 1 lanes), so a lane
+    # closed-form plain root, and the exact root on a = 1 lanes), so a lane
     # may stop at another point inside the residual tolerance; such a lane
     # must solve the saddle equation there to RESIDUAL_TOL at mpmath
     # precision
@@ -456,8 +456,9 @@ EDGE_INPUTS = [
     (4, 2, 0.00047968440257367326, 12.210102965056127, 8.279897916191494),
     (1, 10**7, 27.39343349121747, 0.28066276162833503, 2.9658718534433155),
     (16, 6416867, 25.64980151993033, 1.3032964568531082, 1.2176110711011734),
-    # probes of a Newton fit: the quadratic's coefficients overflow, and
-    # (beta rounding to 1) K' and K'' overflow near the radius
+    # probes of a Newton fit: the coefficients of the quadratic that used to
+    # seed the solve overflow, and (beta rounding to 1) K' and K'' overflow
+    # near the radius
     (50, 3, 328.7384990863487, 60.089802085189156, 1.3034828466184352),
     (50, 3, 1470.9570132556241, 1214.380994645912, 1.3034828466184352),
 ]
@@ -526,8 +527,8 @@ def test_one_transition_loglik_is_a_float_or_typed_error(log_lam, log_mu, gap, a
     assert isinstance(val, float) and (math.isfinite(val) or val == -math.inf)
 
 
-# beta rounds to 1.0 here, so both roots of the saddle quadratic round onto
-# 1/beta and fail its range check although K' crosses k in (-1, 0)
+# beta rounds to 1.0 here, and K' crosses k in (-1, 0); the quadratic in
+# s = e^x that used to seed the solve had both roots round onto 1/beta
 BETA_ONE = (38, 13.34, 0.00131, 3.87)
 
 
@@ -540,9 +541,119 @@ def test_plain_solve_runs_where_both_quadratic_roots_round_onto_the_radius():
 
 @pytest.mark.parametrize("k", [1, 2, 30])
 def test_conditional_solve_runs_where_both_quadratic_roots_round_onto_the_radius(k):
-    # k = 1 is scored exactly; k >= 2 seeds from the plain solve
+    # k = 1 is scored exactly; k >= 2 seeds from the plain root
     a, lam, mu, t = BETA_ONE
     rates = Rates(lam, mu)
     val = spa_loglik(_one_step(a, k, t), rates, "conditional")
     ref = log_transition_prob(k, t, a, rates)
     assert abs(val - ref) <= 5e-3 * abs(ref)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form seed of the plain solve
+
+
+def _count_passes(monkeypatch):
+    real, calls = saddlepoint._cgf_terms, []
+    monkeypatch.setattr(
+        saddlepoint, "_cgf_terms", lambda *args: calls.append(1) or real(*args)
+    )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "lam,mu,t",
+    [
+        # growth, decline, critical, near-critical (outside the band of the
+        # lam == mu formulas), pure birth and pure death
+        *[
+            (lam, mu, t)
+            for lam, mu in [(7.0, 5.0), (2.0, 6.0), (4.0, 4.0), (4.0, 4.000004), (2.5, 0.0), (0.0, 2.0)]
+            for t in (1e-3, 0.1, 1.0, 5.0)
+        ],
+        # 1 - beta = 9.7e-147: the 2 -> 11 root is x = -1.539e-71
+        (490.5467, 0.0036409, 0.68539),
+    ],
+)
+def test_plain_seed_solves_the_saddle_equation(monkeypatch, lam, mu, t):
+    # the seed alone meets the residual tolerance at 200 digits, with K'
+    # in closed form (mp.diff's step would cross a radius 1e-146 away), so
+    # a plain group makes exactly one CGF pass
+    rates = Rates(lam, mu)
+    g = geom_params(t, rates)
+    lanes = [(a, k) for a in (1, 2, 3, 40) for k in (1, 2, 5, 11, 40, 300)]
+    # pure birth has no root for k <= a, pure death none for k >= a
+    lanes = [(a, k) for a, k in lanes if not (mu == 0.0 and k <= a or lam == 0.0 and k >= a)]
+    a, k = (np.array(v, dtype=float) for v in zip(*lanes))
+    seeds = []
+    real = saddlepoint._newton
+    monkeypatch.setattr(saddlepoint, "_newton", lambda x, *args: seeds.append(x) or real(x, *args))
+    passes = _count_passes(monkeypatch)
+    x, _ = _solve_x(k, a, g, t, rates, False)
+    assert len(passes) == 1
+    assert np.array_equal(seeds[0], x)
+    with mp.workdps(200):
+        for xi, ai, ki in zip(x, a, k):
+            k1 = mp_cgf_prime(xi, t, ai, lam, mu)
+            assert abs(k1 - ki) <= RESIDUAL_TOL * max(1.0, ki), (xi, ai, ki, k1)
+
+
+@pytest.mark.parametrize(
+    "a,k,lam,mu,t",
+    [
+        (3, 3, 2.5, 0.0, 0.7),  # pure birth, k = a
+        (5, 2, 2.5, 0.0, 0.7),  # pure birth, k < a
+        (3, 3, 0.0, 2.0, 0.7),  # pure death, k = a
+        (2, 5, 0.0, 2.0, 0.7),  # pure death, k > a
+    ],
+)
+@pytest.mark.parametrize("variant", ["plain", "conditional"])
+def test_a_lane_without_a_root_raises_solver_error(a, k, lam, mu, t, variant):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=f"no saddlepoint root for k={float(k)}, a={float(a)}"):
+            spa_loglik(_one_step(a, k, t), Rates(lam, mu), variant)
+    with pytest.raises(SolverError, match=f"t={t}, rates=\\({float(lam)}, {float(mu)}\\)"):
+        spa_pmf(k, t, a, Rates(lam, mu))
+
+
+@pytest.mark.parametrize(
+    "a,k,lam,mu,t",
+    [
+        # the bracket of the old quadratic's seed read K' = 1.7e-44 and 5e81 at
+        # its ends, and bisection in x could not reach a root at -4.6e-42
+        (136, 10**7, 22.50430748026842, 0.3795964918679304, 8.281344035246526),
+        # 1 - beta = 1e-55 near the spmle optimum of a two-gap panel
+        (2, 9, 66.56, 3.214, 1.998053006936432),
+    ],
+)
+def test_lanes_whose_root_is_near_zero_take_one_pass(monkeypatch, a, k, lam, mu, t):
+    # both lanes took 200 CGF passes and raised SolverError on the
+    # quadratic seed
+    rates = Rates(lam, mu)
+    passes = _count_passes(monkeypatch)
+    val = spa_loglik(_one_step(a, k, t), rates, "plain")
+    assert len(passes) == 1
+    x = solve_saddlepoint(k, t, a, rates).x_tilde
+    with mp.workdps(200):
+        ref = mp_log_spa_pmf(k, t, a, lam, mu, 2.0 * x, _log_radius(geom_params(t, rates)))
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize(
+    "lam,mu,t",
+    [(7.0, 5.0, 0.1), (7.0, 5.0, 0.2), (2.0, 6.0, 0.7), (4.0, 4.0, 0.3), (9.0, 0.5, 1.0)],
+)
+def test_plain_kernel_matches_the_quadratic_seed(lam, mu, t):
+    # both seeds feed the same Newton solve; the lanes stop within the
+    # residual tolerance of one root
+    rates = Rates(lam, mu)
+    rng = np.random.default_rng(11)
+    g = geom_params(t, rates)
+    for _ in range(5):
+        k, a = _mixed_lanes(rng, rates, t, 80)
+        k = np.concatenate([k, np.ones(4)])
+        a = np.concatenate([a, [1.0, 2.0, 7.0, 40.0]])
+        got = _log_spa(k, a, g, t, rates, False)
+        ref = legacy.log_spa_quadratic(k, a, g, t, rates, False)
+        assert np.all(np.abs(got - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
