@@ -12,8 +12,9 @@ panel set is
 The fits mode writes the fits of the bdrates on PYTHONPATH as JSON: per
 panel and method the rates, loglik, cov, evaluation and probe counts,
 converged and continued flags, the typed error if fit raised one, every
-RuntimeWarning that escaped, and the wall time. Run it once per tree,
-with that tree's src first on PYTHONPATH:
+RuntimeWarning that escaped, and the wall time; and, at the fitted rates,
+the exact log-likelihood and the smallest log(1 - beta) over the panel's
+gaps. Run it once per tree, with that tree's src first on PYTHONPATH:
 
     PYTHONPATH=../parent/src python scripts/run_fit_equivalence.py fits --out parent.json
     PYTHONPATH=src python scripts/run_fit_equivalence.py fits --out change.json
@@ -21,10 +22,14 @@ with that tree's src first on PYTHONPATH:
 The compare mode reads two such files and prints, per method, the fits
 that are bit-identical; the largest loglik move among well-conditioned
 fits (at the parent: not continued, at most 60 evaluations, with a cov),
-relative to max(1, |loglik|), and each one past --tol; every other fit
-whose loglik moved past --tol, marking those that end lower; every change
-of error or warning; and the wall time of both sides per panel source
-(census seed, test module, perfbench):
+relative to max(1, |loglik|), and each one past TOL; every other fit
+whose loglik moved past TOL, marking those that end lower, and giving
+for those that end higher the exact log-likelihood at both rates, marked
+SUSPECT where the change's rates put some gap's 1 - beta below the float
+epsilon (beta rounds to 1, where the plain saddlepoint can score a lane
+far above the exact law, so the rise may be a spurious optimum);
+every change of error or warning; and the wall time of both sides per
+panel source (census seed, test module, perfbench):
 
     python scripts/run_fit_equivalence.py compare parent.json change.json
 
@@ -35,6 +40,7 @@ minutes on a 2-CPU host, plus about a minute per added census seed.
 import argparse
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 import time
@@ -42,13 +48,19 @@ import warnings
 from pathlib import Path
 
 import bdrates
-from bdrates import BdError, fit
+from bdrates import BdError, exact_loglik, fit
+from bdrates.exact import geom_params
 
 ROOT = Path(__file__).resolve().parent.parent
 METHODS = ("gw", "qg", "spmle", "spmle_adjusted", "mle", "mv_spmle")
+CENSUS_PANELS = 600
 PERFBENCH_SEEDS = range(1, 7)
-# fits the parent ran cleanly and briefly, whose loglik must hold
+# fits the parent ran cleanly and briefly, whose loglik must hold to TOL
+# relative to max(1, |loglik|)
 MAX_WELL_EVALS = 60
+TOL = 1e-8
+# below this log(1 - beta), beta rounds to 1
+LOG_EPS = math.log(sys.float_info.epsilon)
 FIELDS = ("lam", "mu", "loglik", "cov", "evals", "newton", "rejected", "converged", "continued")
 
 
@@ -59,7 +71,7 @@ def _load(path: Path, name: str):
     return module
 
 
-def panel_set(census_seeds, census_panels: int) -> list[tuple[str, object]]:
+def panel_set(census_seeds) -> list[tuple[str, object]]:
     """(label, panel) pairs of the fixed set, in a fixed order."""
     for sub in ("tests", "perfbench"):
         if str(ROOT / sub) not in sys.path:
@@ -67,7 +79,7 @@ def panel_set(census_seeds, census_panels: int) -> list[tuple[str, object]]:
     census = _load(ROOT / "scripts" / "run_continuation_census.py", "run_continuation_census")
     out = []
     for seed in census_seeds:
-        out += [(f"census{seed}:{i}", p) for i, p in enumerate(census.draw_panels(seed, census_panels))]
+        out += [(f"census{seed}:{i}", p) for i, p in enumerate(census.draw_panels(seed, CENSUS_PANELS))]
     for module in ("test_exact_table", "test_table_consumers"):
         panels = _load(ROOT / "tests" / f"{module}.py", module).PANELS
         out += [(f"{module}:{name}", panels[name]) for name in sorted(panels)]
@@ -103,16 +115,23 @@ def fit_record(panel, method: str) -> dict:
             rejected=res.rejected_probes,
             converged=res.converged,
             continued=res.continued,
+            log1m_beta=min(
+                (geom_params(grp.tau, res.rates).log1m_beta for grp in panel.transitions.groups),
+                default=0.0,
+            ),
         )
+        try:
+            rec["exact"] = exact_loglik(panel, res.rates)
+        except BdError:
+            rec["exact"] = None
     return rec
 
 
 def fits(args) -> int:
-    seeds = [1] + [int(s) for s in args.census_seeds.split(",") if s.strip()]
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    seeds = sorted({1} | {int(s) for s in args.census_seeds.split(",") if s.strip()})
     records = []
-    for label, panel in panel_set(seeds, args.census_panels):
-        for method in methods:
+    for label, panel in panel_set(seeds):
+        for method in METHODS:
             records.append({"panel": label, "method": method, **fit_record(panel, method)})
     # the commit of the tree whose bdrates was fitted, not of this script's
     src = Path(bdrates.__file__).resolve().parent
@@ -128,13 +147,25 @@ def fits(args) -> int:
     return 0
 
 
+def _num(value) -> str:
+    return "n/a" if value is None else f"{value:.10g}"
+
+
 def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a))
 
 
-def compare(parent: dict, change: dict, tol: float) -> dict:
-    """Per-method summary of the change's fits against the parent's."""
+def compare(parent: dict, change: dict) -> dict:
+    """Per-method summary of the change's fits against the parent's,
+    which must cover the same (panel, method) pairs."""
     theirs = {(r["panel"], r["method"]): r for r in change["fits"]}
+    ours = {(r["panel"], r["method"]) for r in parent["fits"]}
+    if ours != set(theirs):
+        missing = sorted(ours ^ set(theirs))
+        raise ValueError(
+            f"the files fit different (panel, method) pairs, {len(missing)} in one only, "
+            f"e.g. {missing[0]}; write both with the same --census-seeds"
+        )
     out = {}
     for p in parent["fits"]:
         c = theirs[p["panel"], p["method"]]
@@ -168,19 +199,29 @@ def compare(parent: dict, change: dict, tol: float) -> dict:
         if not p["continued"] and p["evals"] <= MAX_WELL_EVALS and p["cov"] is not None:
             s["well"] += 1
             s["worst_well"] = max(s["worst_well"], move)
-            if move > tol:
+            if move > TOL:
                 s["well_moved"].append(line)
-        elif move > tol:
-            lower = c["loglik"] < p["loglik"]
-            s["moved"].append(line + (" LOWER" if lower else ""))
+        elif move > TOL:
+            if c["loglik"] < p["loglik"]:
+                line += " LOWER"
+            else:
+                line += f"; exact {_num(p.get('exact'))} -> {_num(c.get('exact'))}"
+                if c.get("log1m_beta", 0.0) < LOG_EPS:
+                    line += " SUSPECT"
+            s["moved"].append(line)
     return out
 
 
 def compare_main(args) -> int:
     parent = json.loads(Path(args.parent).read_text())
     change = json.loads(Path(args.change).read_text())
-    print(f"parent {parent['git_sha']}, change {change['git_sha']}, tol {args.tol:g}")
-    for method, s in compare(parent, change, args.tol).items():
+    try:
+        summary = compare(parent, change)
+    except ValueError as exc:
+        print(f"cannot compare {args.parent} with {args.change}: {exc}", file=sys.stderr)
+        return 2
+    print(f"parent {parent['git_sha']}, change {change['git_sha']}, tol {TOL:g}")
+    for method, s in summary.items():
         print(
             f"{method}: {s['fits']} fits, {s['identical']} bit-identical, "
             f"{s['well']} well-conditioned (worst move {s['worst_well']:.2g}), "
@@ -200,12 +241,9 @@ def main(argv=None) -> int:
     f = sub.add_parser("fits", help="write this tree's fits as JSON")
     f.add_argument("--out", required=True)
     f.add_argument("--census-seeds", default="", help="census seeds beyond seed 1, e.g. 2,3")
-    f.add_argument("--census-panels", type=int, default=600)
-    f.add_argument("--methods", default=",".join(METHODS))
     c = sub.add_parser("compare", help="compare two fits files")
     c.add_argument("parent")
     c.add_argument("change")
-    c.add_argument("--tol", type=float, default=1e-8)
     args = ap.parse_args(argv)
     return fits(args) if args.mode == "fits" else compare_main(args)
 

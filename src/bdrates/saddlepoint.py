@@ -38,12 +38,14 @@ from the law's logs, taking 1 - u in a form without cancellation where
 u > 1/2. So it holds at criticality, keeps its digits where 1 - beta is
 far smaller than the root's distance from the radius, is exact for pure
 birth and cannot overflow. Pure birth with k <= a and pure death with
-k >= a have no root, and such a lane raises SolverError. The
-conditional solve starts its a = 1 lanes at their exact root instead:
-given survival one ancestor's count is geometric, Kc'(x) =
-1/(1 - beta e^x), so x = log(1 - 1/k) + log R (capped at x_hi). Each
-pass of the solve evaluates the variant's CGF terms at every lane of
-the group; a lane that has stopped keeps its x.
+k >= a have no root, and such a lane raises SolverError. A conditional
+lane starts at the lower of that root and log(1 - 1/k) + log R, the
+root of Kc'(x) = 1/(1 - beta e^x): given survival one ancestor's count
+is geometric, and both points lie at or above the lane's root (_solve_x).
+The conditional terms form (M - p0)/M from log(M/p0), which keeps its
+digits where M - p0 is far below M (_cond_terms). Each pass of the solve
+evaluates the variant's CGF terms at every lane of the group; a lane
+that has stopped keeps its x.
 The derivative increases in x, so the sign of each probe's residual
 moves a per-lane bracket: probes above the root lower its top, probes
 below raise its bottom. A lane takes the Newton step, clipped to +-2 and
@@ -215,9 +217,16 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: b
     u = 2r / (1 + r + S) with r = a/k and S = sqrt((1 - r)^2 + 4 r rho);
     then x = log1p(-u) + log R (_plain_root). A lane without a root
     (pure birth with k <= a, pure death with k >= a) raises SolverError
-    naming it. Conditional a = 1 lanes, whose conditional law is
-    geometric, start at their exact root log(1 - 1/k) + log R instead
-    (capped at x_hi)."""
+    naming it.
+
+    A conditional lane starts at the lower of that root and
+    log(1 - 1/k) + log R. Both lie at or above its root: tilted by e^x,
+    each ancestor's count given that it survives is geometric with mean
+    1/(1 - beta e^x), and the sum given that some ancestor survives has a
+    mean Kc' at least that and at least the plain K'. The second is the
+    exact root of an a = 1 lane, and close to that of any lane where
+    M - p0 is far below M, whose survivors are nearly always one; from the
+    plain root there, near x = 0, Newton steps only double the distance."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
     x = _plain_root(a_arr / k_arr, g)
@@ -232,12 +241,8 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: b
     x = np.minimum(x, x_hi)
     if not conditional:
         return _newton(x, k_arr, lambda x: _cgf_terms(x, g, a_arr), x_hi, t, a_arr, rates)
-    one = a_arr == 1.0
-    if x_hi < math.inf and one.any():  # beta = 0 leaves no root to seed at
-        # Kc' = 1/(1 - beta e^x) for a = 1, which is k at beta e^x = 1 - 1/k
-        x = np.where(one, np.minimum(np.log1p(-1.0 / k_arr) + _log_radius(g), x_hi), x)
-    log_p0 = a_arr * g.log_alpha
-    return _newton(x, k_arr, lambda x: _cond_terms(x, g, a_arr, log_p0), x_hi, t, a_arr, rates)
+    x = np.minimum(x, np.log1p(-1.0 / k_arr) + _log_radius(g))
+    return _newton(x, k_arr, lambda x: _cond_terms(x, g, a_arr), x_hi, t, a_arr, rates)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -429,21 +434,31 @@ def spa_pmf_normalized(k: int, t: float, a: int, rates: Rates) -> float:
     return (1.0 - p0) * raw / _spa_normalizer(t, a, rates)
 
 
+def _log_m_over_p0(x, g: GeomParams, a):
+    """log(M(x)/p0) = a log(f/alpha) for a ancestors, with p0 = alpha**a,
+    as a log1p of f/alpha - 1 = (1-alpha)(1-beta) e^x / (alpha (1 - beta e^x)),
+    so that it keeps its digits where M - p0 is far below M."""
+    n2 = math.exp(g.log1m_beta) - g.beta * np.expm1(x)
+    return a * np.log1p(np.exp(g.log1m_alpha + g.log1m_beta - g.log_alpha + x) / n2)
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _cond_terms(x, g: GeomParams, a, log_p0):
+def _cond_terms(x, g: GeomParams, a):
     """K = log M(x), the first and second derivative of the non-extinction
     CGF log{(M(x) - p0)/(1 - p0)}, and em = (M - p0)/M, so that
     log(M(x) - p0) = K + log(em).
 
-    log_p0 = a*log(alpha) is the log extinction mass of each lane's
-    ancestors; a scalar or an array matching x. Where K' and K'' are
-    large enough that c2 overflows, it reads inf or NaN: the solve then
-    bisects, and the pmf scores the lane -inf.
+    em is formed from log(M/p0) (_log_m_over_p0), not from K - log(p0):
+    where 1 - beta is tiny, M - p0 can be below one ulp of M at the
+    saddlepoint (1 - beta = e^-489 on a 2 -> 9 lane at lam 387.5,
+    mu 142.9), and the difference keeps no digits of it. Where K' and K''
+    are large enough that c2 overflows, it reads inf or NaN: the solve
+    then bisects, and the pmf scores the lane -inf.
     """
     K, K1, K2 = _cgf_terms(x, g, a)
-    em = -np.expm1(log_p0 - K)  # (M - p0)/M in (0, 1]
-    # far below the saddlepoint M - p0 can round to 0 or below: the lane
-    # is outside the domain there and reads NaN
+    em = -np.expm1(-_log_m_over_p0(x, g, a))  # (M - p0)/M in (0, 1]
+    # far below the saddlepoint log(M/p0) can underflow to 0: the lane is
+    # outside the domain there and reads NaN
     em = np.where(em > 0.0, em, np.nan)
     rho = 1.0 / em  # M/(M - p0) >= 1
     c1 = K1 * rho
@@ -626,12 +641,17 @@ def _conditional_jet(x, g: GeomParams, a):
     """The jet of log(e^{a Phi} - 1) at the lanes' x: log(M - p0) less
     a log(alpha). Its derivatives in t = a Phi are 1 + v, -v(1 + v),
     v(1 + v)(1 + 2v), -v(1 + v)(1 + 6v(1 + v)) with v = 1/(e^t - 1) =
-    p0/(M - p0)."""
-    n2 = math.exp(g.log1m_beta) - g.beta * np.expm1(x)
-    t = a * np.log1p(np.exp(g.log1m_alpha + g.log1m_beta - g.log_alpha + x) / n2)
-    v = 1.0 / np.expm1(t)
-    v2 = v * (1.0 + v)
-    return _compose(1.0 + v, -v2, v2 * (1.0 + 2.0 * v), -v2 * (1.0 + 6.0 * v2), _plain_jet(x, g, a))
+    p0/(M - p0). Where M - p0 is far below M, t is tiny and the fourth,
+    about 6/t^4, overflows below t = 1e-77, although each term of the
+    composition is of order 1. So the n-th derivative is taken times t^n
+    and a Phi's jet divided by t, which leaves every term unchanged: with
+    w = vt = t/(e^t - 1) in (0, 1] they read t + w, -w(t + w),
+    w(t + w)(t + 2w) and -w(t + w)(t^2 + 6w(t + w))."""
+    t = _log_m_over_p0(x, g, a)
+    w = t / np.expm1(t)
+    tw = t + w
+    jet = [j / t for j in _plain_jet(x, g, a)]
+    return _compose(tw, -w * tw, w * tw * (t + 2.0 * w), -w * tw * (t * t + 6.0 * w * tw), jet)
 
 
 def _saddle_terms(jet):

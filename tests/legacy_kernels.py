@@ -182,8 +182,7 @@ def solve_x_quadratic(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, condi
     if x_hi < math.inf and one.any():  # beta = 0 leaves no root to seed at
         # Kc' = 1/(1 - beta e^x) for a = 1, which is k at beta e^x = 1 - 1/k
         x = np.where(one, np.minimum(np.log1p(-1.0 / k_arr) + _log_radius(g), x_hi), x)
-    log_p0 = a_arr * g.log_alpha
-    return _newton(x, k_arr, lambda x: saddlepoint._cond_terms(x, g, a_arr, log_p0), x_hi, t, a_arr, rates)
+    return _newton(x, k_arr, lambda x: saddlepoint._cond_terms(x, g, a_arr), x_hi, t, a_arr, rates)
 
 
 def log_spa_quadratic(k_arr, a_arr, g, t, rates, conditional):

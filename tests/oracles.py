@@ -83,6 +83,17 @@ def _cgf_prime(x, a, alpha, beta):
     return int(a) * (1 - alpha) * (1 - beta) * s / ((1 - beta * s) ** 2 * f)
 
 
+def mp_cond_cgf_prime(x, t, a, lam, mu):
+    """Kc'(x) = K'(x) M / (M - alpha^a) in closed form, M = f(e^x)^a, at
+    the working precision: M - alpha^a keeps the digits of the working
+    precision beyond those that 1 - beta cancels (run it at 300 digits
+    where 1 - beta is near 1e-212)."""
+    alpha, beta = mp_alpha_beta(t, lam, mu)
+    s = mp.e ** mp.mpf(x)
+    m = (alpha + (1 - alpha) * (1 - beta) * s / (1 - beta * s)) ** int(a)
+    return _cgf_prime(x, a, alpha, beta) * m / (m - alpha ** int(a))
+
+
 def mp_log_spa_pmf(k, t, a, lam, mu, lo, hi):
     """Log of the plain saddlepoint pmf approximation, with the saddlepoint
     found by bisecting K'(x) = k on [lo, hi] in arbitrary precision."""

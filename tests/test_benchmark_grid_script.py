@@ -115,11 +115,13 @@ def test_bench_pairs_script_writes_the_paired_summary(tmp_path, monkeypatch):
     assert table["replicates_per_s"]["change_wins"] == 2
 
 
-def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys):
+def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monkeypatch):
     eq = _load("run_fit_equivalence")
+    monkeypatch.setattr(eq, "CENSUS_PANELS", 2)
+    monkeypatch.setattr(eq, "METHODS", ("gw", "qg"))
     parent = tmp_path / "parent.json"
-    argv = ["fits", "--out", str(parent), "--census-panels", "2", "--methods", "gw,qg"]
-    assert eq.main(argv + ["--census-seeds", "4"]) == 0
+    # seed 1 is always in the set, and is not fitted twice
+    assert eq.main(["fits", "--out", str(parent), "--census-seeds", "4,1"]) == 0
     data = json.loads(parent.read_text())
     assert data["census_seeds"] == [1, 4]
     labels = [r["panel"] for r in data["fits"]]
@@ -130,6 +132,8 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys):
     # gw refuses the census panels with unequal gaps, by a typed error
     errors = {r["error"].split(":")[0] for r in data["fits"] if r["error"] is not None}
     assert "DataError" in errors and errors <= {"DataError", "DomainError"}
+    fitted = [r for r in data["fits"] if r["error"] is None]
+    assert all(r["log1m_beta"] <= 0.0 and r["exact"] <= 0.0 for r in fitted)
 
     # the same tree twice: every fit is bit-identical
     capsys.readouterr()
@@ -141,23 +145,38 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys):
 
     # a change that moves one well-conditioned loglik (qg fits take about
     # 76 evaluations, so the parent's count is set to 5), makes one fit
-    # raise and lowers a fit that the parent continued
+    # raise, lowers a fit that the parent continued, and raises two that it
+    # continued: one where the exact loglik rises too, one to rates where
+    # beta rounds to 1
     change = json.loads(parent.read_text())
     pairs = [(p, c) for p, c in zip(data["fits"], change["fits"]) if p["method"] == "qg"]
-    (p0, c0), (_, c1), (p2, c2) = [(p, c) for p, c in pairs if p["error"] is None][:3]
+    (p0, c0), (_, c1), (p2, c2), (p3, c3), (p4, c4) = [
+        (p, c) for p, c in pairs if p["error"] is None
+    ][:5]
     p0["evals"] = c0["evals"] = 5
     c0["loglik"] += 1.0
     c1.update(error="SolverError: no root")
-    p2["continued"] = True
+    p2["continued"] = p3["continued"] = p4["continued"] = True
     c2["loglik"] -= 1.0
+    c3.update(loglik=c3["loglik"] + 1.0, exact=c3["exact"] + 1.0)
+    c4.update(loglik=c4["loglik"] + 1.0, log1m_beta=-400.0)
     parent.write_text(json.dumps(data))
     (tmp_path / "change.json").write_text(json.dumps(change))
-    summary = eq.compare(data, change, 1e-8)["qg"]
+    summary = eq.compare(data, change)["qg"]
     assert len(summary["well_moved"]) == 1
     assert summary["well_moved"][0].startswith(f"qg on {p0['panel']}: ")
     assert summary["errors"] == [f"qg on {c1['panel']}: None -> SolverError: no root"]
-    assert len(summary["moved"]) == 1 and summary["moved"][0].endswith("LOWER")
-    assert summary["identical"] == summary["fits"] - 3
+    lower, higher, suspect = summary["moved"]
+    assert lower.startswith(f"qg on {p2['panel']}: ") and lower.endswith("LOWER")
+    assert higher.endswith(f"; exact {p3['exact']:.10g} -> {c3['exact']:.10g}")
+    assert suspect.endswith(f"; exact {p4['exact']:.10g} -> {p4['exact']:.10g} SUSPECT")
+    assert summary["identical"] == summary["fits"] - 5
     assert eq.main(["compare", str(parent), str(tmp_path / "change.json")]) == 0
     out = capsys.readouterr().out
     assert out.count("well_moved:") == 1 and out.count("errors:") == 1
+
+    # files over different panel sets are refused with a message
+    change["fits"] = change["fits"][:-1]
+    (tmp_path / "change.json").write_text(json.dumps(change))
+    assert eq.main(["compare", str(parent), str(tmp_path / "change.json")]) == 2
+    assert "different (panel, method) pairs" in capsys.readouterr().err

@@ -374,3 +374,16 @@ def test_saddlepoint_fit_returns_where_the_fallback_raised(panel, method):
 def test_compare_reports_every_method_on_a_collapsing_panel():
     rows = compare(COLLAPSE)
     assert [r.method for r in rows] == ["gw", "qg", "spmle", "spmle_adjusted", "mle"]
+
+
+def test_adjusted_fit_reaches_its_optimum_where_m_minus_p0_is_tiny():
+    # a Newton step of this fit lands at (387.5, 142.9), where 1 - beta of
+    # the 2 -> 9 gap is e^-489 and M - p0 of that lane is 1e-211 M. Formed
+    # as K - log p0 it kept no digits: the lane read -153.9 against an exact
+    # -489.9, and the fit stopped there at -163.70. With its digits the
+    # step is rejected, and the fit reaches the optimum near lam = mu = 9338
+    # that the exact fit also finds
+    panel = Panel((Trajectory((0.0, 1.998053006936432, 2.010204501876863), (2, 9, 482)),))
+    res = fit(panel, "spmle_adjusted")
+    assert res.loglik == pytest.approx(-30.2382396282, abs=1e-6)
+    assert res.cov is not None and not res.continued

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mp_alpha_beta, mp_cgf_prime, mp_cond_cgf_derivative, mp_log_spa_pmf
+from oracles import (
+    mp_alpha_beta,
+    mp_cgf_prime,
+    mp_cond_cgf_derivative,
+    mp_cond_cgf_prime,
+    mp_log_spa_pmf,
+)
 from scipy.optimize import brentq
 
 from bdrates import saddlepoint
@@ -489,11 +495,12 @@ def test_plain_loglik_where_one_ulp_exceeds_the_tolerance(a, k, lam, mu, t, ref)
     assert abs(val - ref) <= 1e-5 * abs(ref)
 
 
-@pytest.mark.parametrize("a,k,lam,mu,t", EDGE_INPUTS[1:3])
+@pytest.mark.parametrize("a,k,lam,mu,t", EDGE_INPUTS[:3] + EDGE_INPUTS[4:5])
 def test_conditional_solve_crosses_where_m_minus_p0_rounds_to_zero(a, k, lam, mu, t):
-    # Newton steps from the plain root land where M(x) - p0 rounds to 0;
-    # those probes count as below the root, and the solve still ends near
-    # the exact log pmf
+    # alpha rounds to 1: formed as K - log p0, M(x) - p0 rounded to 0 where
+    # Newton steps from the plain root landed, and those probes counted as
+    # below the root, so two of these lanes ran into the guard band; the
+    # solve must end near the exact log pmf
     rates = Rates(lam, mu)
     val = spa_loglik(_one_step(a, k, t), rates, "conditional")
     ref = log_transition_prob(k, t, a, rates)
@@ -503,7 +510,12 @@ def test_conditional_solve_crosses_where_m_minus_p0_rounds_to_zero(a, k, lam, mu
 @pytest.mark.parametrize("variant", ["plain", "conditional"])
 @pytest.mark.parametrize("a,k,lam,mu,t", [EDGE_INPUTS[0], EDGE_INPUTS[4]])
 def test_root_inside_the_guard_band_raises_solver_error(a, k, lam, mu, t, variant):
-    # alpha rounds to 1, so K'(x_hi) is ~1e-17 or less, far below k = 2
+    # alpha rounds to 1, so K'(x_hi) is ~1e-17 or less, far below k = 2.
+    # Given survival the count is at least geometric with mean
+    # 1/(1 - beta e^x), so the conditional Kc'(x_hi) is above 1e10, and
+    # its root lies in the band only for a k beyond that
+    if variant == "conditional":
+        k = 10**12
     with pytest.raises(SolverError, match="guard band"):
         spa_loglik(_one_step(a, k, t), Rates(lam, mu), variant)
 
@@ -657,3 +669,27 @@ def test_plain_kernel_matches_the_quadratic_seed(lam, mu, t):
         got = _log_spa(k, a, g, t, rates, False)
         ref = legacy.log_spa_quadratic(k, a, g, t, rates, False)
         assert np.all(np.abs(got - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
+
+
+# ---------------------------------------------------------------------------
+# conditional lanes where M - p0 is far below M
+
+# 2 -> 9 over t = 1.998 at rates where 1 - beta runs from e^-34 to e^-489.
+# M - p0 at the root falls from 1e-13 M to 1e-211 M; formed as K - log p0,
+# it kept no digits below about 1e-15 M, and the lane read -76.6 at
+# (150, 60) and -153.9 at (387.5, 142.9) against exact -181.1 and -489.9
+@pytest.mark.parametrize(
+    "lam,mu",
+    [(20.0, 3.2), (66.56, 3.214), (150.0, 60.0), (250.0, 100.0), (387.52235946843052, 142.93051025564782)],
+)
+def test_conditional_lane_keeps_its_digits_where_m_minus_p0_is_tiny(lam, mu):
+    a, k, t = 2, 9, 1.998053006936432
+    rates = Rates(lam, mu)
+    val = spa_loglik(_one_step(a, k, t), rates, "conditional")
+    assert abs(val - log_transition_prob(k, t, a, rates)) < 0.1
+    # the root solves the conditional saddle equation at 300 digits
+    g = geom_params(t, rates)
+    x, _ = _solve_x(np.array([float(k)]), np.array([float(a)]), g, t, rates, True)
+    with mp.workdps(300):
+        kc1 = mp_cond_cgf_prime(float(x[0]), t, a, lam, mu)
+    assert abs(kc1 - k) <= 2.0 * RESIDUAL_TOL * k

@@ -262,9 +262,10 @@ def test_a_sweep_at_other_rates_or_of_the_other_variant_is_not_read(monkeypatch,
 @pytest.mark.parametrize("variant", ["plain", "conditional"])
 def test_a_loglik_that_raises_leaves_no_sweep(variant):
     # the 0.5 gap group solves; the later 4.05 gap group's root lies inside
-    # the guard band (EDGE_INPUTS[0] of test_saddlepoint)
+    # the guard band (EDGE_INPUTS[0] of test_saddlepoint, where the
+    # conditional root of 3 -> 2 is not in the band, but that of 3 -> 1e12 is)
     t = 4.045870995154412
-    panel = Panel((Trajectory((0.0, 0.5), (3, 2)), Trajectory((0.0, t), (3, 2))))
+    panel = Panel((Trajectory((0.0, 0.5), (3, 2)), Trajectory((0.0, t), (3, 10**12))))
     bad = Rates(0.015039993583716273, 30.75876642857539)
     spa_loglik(panel, RATES["growth"], variant)
     assert panel.transitions._saddlepoints
@@ -333,3 +334,22 @@ def test_cgf_passes_per_evaluation(monkeypatch, pname, variant):
         assert max(per_call) <= COND_PASSES[pname]
     else:
         assert set(per_call) == {live}
+
+
+def test_conditional_derivatives_where_m_minus_p0_is_tiny():
+    # a probe of a census fit: M - p0 of the 2 -> 5 and 56 -> 63 lanes is
+    # 1e-82 M and 1e-88 M, where the fourth derivative of log(e^t - 1) in
+    # t = log(M/p0) overflowed and the derivatives read None
+    panel = Panel(
+        (
+            Trajectory((0.0, 1.806873714817237), (2, 5)),
+            Trajectory((0.0, 2.0, 2.03125), (56, 63, 1182)),
+        )
+    )
+    rates = Rates(135.75641630487578, 29.802541097850991)
+    theta = np.log([rates.lam, rates.mu])
+    score, info = spa_derivatives(panel, rates, "conditional")
+    ref = _central(lambda th: spa_loglik(panel, _rates(th), "conditional"), theta)
+    assert np.all(np.abs(score - ref) <= 1e-6 * max(1.0, np.max(np.abs(ref))))
+    ref = -_central(lambda th: spa_derivatives(panel, _rates(th), "conditional")[0], theta)
+    assert np.all(np.abs(info - ref) <= 1e-6 * max(1.0, np.max(np.abs(ref))))
