@@ -16,8 +16,12 @@ RuntimeWarning that escaped, and the wall time; and, at the fitted rates,
 the exact log-likelihood and the smallest log(1 - beta) over the panel's
 gaps. Run it once per tree, with that tree's src first on PYTHONPATH:
 
-    PYTHONPATH=../parent/src python scripts/run_fit_equivalence.py fits --out parent.json
+    PYTHONPATH=../parent/src python scripts/run_fit_equivalence.py fits --out parent.json \
+        --sha "$(git rev-parse HEAD~1)"
     PYTHONPATH=src python scripts/run_fit_equivalence.py fits --out change.json
+
+Each file records the commit of the fitted tree: the --sha given, or else
+git's HEAD there, which a git archive copy has not ("unknown").
 
 The compare mode reads two such files and prints, per method, the fits
 that are bit-identical; the largest loglik move among well-conditioned
@@ -135,9 +139,12 @@ def fits(args) -> int:
             records.append({"panel": label, "method": method, **fit_record(panel, method)})
     # the commit of the tree whose bdrates was fitted, not of this script's
     src = Path(bdrates.__file__).resolve().parent
-    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=src, capture_output=True, text=True)
+    sha = args.sha
+    if not sha:
+        git = subprocess.run(["git", "rev-parse", "HEAD"], cwd=src, capture_output=True, text=True)
+        sha = git.stdout.strip() or "unknown"
     out = {
-        "git_sha": sha.stdout.strip() or "unknown",
+        "git_sha": sha,
         "bdrates": str(src),
         "census_seeds": seeds,
         "fits": records,
@@ -241,6 +248,7 @@ def main(argv=None) -> int:
     f = sub.add_parser("fits", help="write this tree's fits as JSON")
     f.add_argument("--out", required=True)
     f.add_argument("--census-seeds", default="", help="census seeds beyond seed 1, e.g. 2,3")
+    f.add_argument("--sha", default="", help="the commit of the fitted tree, for one without .git")
     c = sub.add_parser("compare", help="compare two fits files")
     c.add_argument("parent")
     c.add_argument("change")

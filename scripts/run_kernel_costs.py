@@ -7,8 +7,9 @@ spmle_adjusted and mle, and times at each fit's optimum:
 
 - spa_loglik, the saddlepoint objective (spmle plain, spmle_adjusted
   conditional);
-- spa_derivatives cold, on a copy of the panel that no spa_loglik call
-  has seen, so it solves its saddlepoints itself;
+- spa_derivatives cold, with the panel's saddlepoint slot emptied
+  inside each timed call, so it costs one spa_loglik sweep (which it
+  runs itself) plus the derivatives;
 - spa_derivatives after spa_loglik at the same rates, as a Newton fit
   calls it, reading the saddlepoints that sweep left;
 - exact_loglik(..., derivatives=True), the exact objective with its
@@ -94,11 +95,10 @@ def panel_costs(panel: Panel) -> dict[tuple[str, str], tuple[float, int]]:
     for method, variant in VARIANTS.items():
         try:
             rates = fit(panel, method).rates
-            cold = Panel(panel.trajectories)
-            cold.transitions  # built before the timing
+            slot = panel.transitions._saddlepoints
             out["spa_loglik", method] = cost(lambda: spa_loglik(panel, rates, variant))
             out["spa_derivatives cold", method] = cost(
-                lambda: spa_derivatives(cold, rates, variant)
+                lambda: (slot.clear(), spa_derivatives(panel, rates, variant))
             )
             spa_loglik(panel, rates, variant)
             out["spa_derivatives after loglik", method] = cost(

@@ -52,17 +52,19 @@ below raise its bottom. A lane takes the Newton step, clipped to +-2 and
 capped at x_hi (log R shrunk by RADIUS_GUARD), while that step lands
 strictly inside the bracket, and otherwise bisects it, never probing
 more than 2 below its top (the bottom starts open). It stops once
-|K' - k| <= RESIDUAL_TOL*max(1, k), or once the bracket is as narrow as
-8.9e-16*|x| (4 eps, brentq's default rtol), keeping the end with the
-smaller residual: where K'' is huge one ulp of x moves K' by more than
-the tolerance. A lane that probes x_hi and finds K' < k there has its
-root inside the guard band and raises SolverError, as does a lane still
-open after 200 probes. The solve returns the terms of its last pass,
-which are those at the saddlepoints, and _score_spa turns them into log
-pmfs without evaluating the CGF again. So a plain group costs one CGF
-pass, the residual check at the closed-form root, unless a lane needs a
-Newton step; a conditional group costs 3-6 on the single-trajectory
-benchmark panels.
+|K' - k| <= RESIDUAL_TOL*max(1, k), or once the Newton correction
+|K' - k|/K'' (K'' finite, x below x_hi) or the bracket is as narrow as
+8.9e-16*|x| (4 eps, brentq's default rtol): where K'' is huge, one ulp
+of x moves K' by more than the tolerance (a conditional 1 -> 10^6 lane
+at t = 1e-3). A lane stopped by its bracket keeps the end with the
+smaller residual.
+A lane that probes x_hi and finds K' < k there has its root inside the
+guard band and raises SolverError, as does a lane still open after 200
+probes. The solve returns the terms of its last pass, which are those at
+the saddlepoints, and _log_spa scores them without evaluating the CGF
+again. So a plain group costs one CGF pass, the residual check at the
+closed-form root, unless a lane needs a Newton step; a conditional group
+costs 3-6 on the single-trajectory benchmark panels.
 
 spa_derivatives gives the score and observed information of either
 variant's panel log likelihood in (log lam, log mu), by implicit
@@ -71,9 +73,10 @@ it), so the fits take Newton steps on it. A fit asks for them at the
 point its objective has just scored, so spa_loglik leaves its finished
 sweep's saddlepoints on the panel's transitions table (one slot, the
 last sweep only) and spa_derivatives reads them there when the rates
-and the variant match: each lane is solved once per evaluation.
-spa_loglik never reads the slot, so every value it returns is computed
-afresh.
+and the variant match: each lane is solved once per evaluation. Where
+they do not, spa_derivatives runs spa_loglik first, which is the only
+code that builds a sweep. spa_loglik never reads the slot, so every
+value it returns is computed afresh.
 """
 
 from __future__ import annotations
@@ -268,7 +271,10 @@ def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
         out = terms(x)
         resid = out[1] - k_arr
         err = np.abs(resid)
-        done |= err <= tol
+        ulps = 8.9e-16 * np.abs(x)
+        # a Newton correction below 4 ulps of x cannot move it; at x_hi the
+        # root may lie inside the guard band, which raises below
+        done |= (err <= tol) | (np.isfinite(out[2]) & (err <= out[2] * ulps) & (x < x_hi))
         if done.all():
             return x, out
         open_ = ~done
@@ -296,7 +302,7 @@ def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
                 )
             mid = np.minimum(np.maximum(0.5 * (lo + hi), hi - 2.0), x_hi)
             cand = np.where(inside, cand, mid)
-        narrow = open_ & (hi - lo <= 8.9e-16 * np.abs(x))
+        narrow = open_ & (hi - lo <= ulps)
         x = np.where(open_, cand, x)
         if narrow.any():
             x = np.where(narrow, np.where(err_lo < err_hi, lo, hi), x)
@@ -368,18 +374,11 @@ def _exact_log(coefs, g: GeomParams) -> float:
     return value
 
 
-def _log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: bool):
-    """Vectorized log saddlepoint pmf of the variant's saddlepoint lanes:
-    their saddlepoints, scored by _score_spa. k_arr and a_arr are float
-    arrays."""
-    x, terms = _solve_x(k_arr, a_arr, g, t, rates, conditional)
-    return _score_spa(x, k_arr, terms, conditional)
-
-
 @np.errstate(divide="ignore", invalid="ignore")
-def _score_spa(x, k_arr, terms, conditional: bool):
-    """Log saddlepoint pmf of the variant's lanes at their saddlepoints x,
-    from the variant's terms there (_solve_x's).
+def _log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: bool):
+    """The saddlepoints x of the variant's saddlepoint lanes (k_arr and
+    a_arr float arrays) and their vectorized log saddlepoint pmfs, scored
+    from the variant's terms of the solve's last pass.
 
     The conditional pmf (1-p0) * exp(Kc - x k)/sqrt(2 pi Kc'') has
     Kc = log(M - p0) - log(1-p0): the (1-p0) factors cancel, leaving
@@ -388,11 +387,12 @@ def _score_spa(x, k_arr, terms, conditional: bool):
     lanes. d2 underflows to 0 when a probe collapses the law toward a
     point mass; the quadratic shape carries no information there, so the
     lane scores -inf rather than the +inf a bare log(0) would produce."""
+    x, terms = _solve_x(k_arr, a_arr, g, t, rates, conditional)
     value, _, d2 = terms[:3]
     if conditional:
         value = value + np.log(terms[3])
     lp = -0.5 * np.log(2.0 * math.pi * d2) + value - x * k_arr
-    return np.where(np.isfinite(d2) & (d2 > 0.0), lp, -np.inf)
+    return x, np.where(np.isfinite(d2) & (d2 > 0.0), lp, -np.inf)
 
 
 def _pmf(k: int, t: float, a: int, rates: Rates, conditional: bool) -> float:
@@ -400,7 +400,7 @@ def _pmf(k: int, t: float, a: int, rates: Rates, conditional: bool) -> float:
     g = geom_params(t, rates)
     coefs, ks, anc = _lanes([k], [a], conditional)
     if ks.size:
-        return float(np.exp(_log_spa(ks, anc, g, t, rates, conditional)[0]))
+        return float(np.exp(_log_spa(ks, anc, g, t, rates, conditional)[1][0]))
     return math.exp(_exact_log(coefs, g))
 
 
@@ -419,7 +419,7 @@ def _spa_normalizer(t: float, a: int, rates: Rates) -> float:
     g = geom_params(t, rates)
     kmax = truncation_limit(t, a, rates)
     ks = np.arange(1.0, kmax + 1.0)
-    lp = _log_spa(ks, np.full_like(ks, float(a)), g, t, rates, False)
+    _, lp = _log_spa(ks, np.full_like(ks, float(a)), g, t, rates, False)
     m = float(np.max(lp))
     return math.exp(m) * float(np.sum(np.exp(lp - m)))
 
@@ -511,17 +511,6 @@ def _is_conditional(variant: str) -> bool:
     return variant == "conditional"
 
 
-def _solve_group(grp, g: GeomParams, rates: Rates, conditional: bool):
-    """A gap group's law and lanes split by _lanes, with the saddlepoints
-    of its saddlepoint lanes, (g, coefs, k, a, x), and the variant's terms
-    at them (x and terms None where it has no such lane)."""
-    coefs, k, a = _lanes(grp.dst, grp.src, conditional)
-    x = terms = None
-    if k.size:
-        x, terms = _solve_x(k, a, g, grp.tau, rates, conditional)
-    return (g, coefs, k, a, x), terms
-
-
 def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
     """Panel log likelihood with saddlepoint transition probabilities.
 
@@ -531,10 +520,11 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
     set per gap, and each set is evaluated in one vectorized sweep.
 
     Every call solves its saddlepoints, and scores them from the solve's
-    last pass. A sweep that finishes leaves each group's law, lanes and
-    saddlepoints in the table's _saddlepoints slot for spa_derivatives at
-    the same rates and variant; the slot is emptied first, so a call that
-    raises leaves nothing there.
+    last pass. A sweep that finishes leaves each group's law, lanes split
+    by _lanes and saddlepoints, (g, coefs, k, a, x) with x None where the
+    group has no saddlepoint lane, in the table's _saddlepoints slot for
+    spa_derivatives at the same rates and variant; the slot is emptied
+    first, so a call that raises leaves nothing there.
     """
     conditional = _is_conditional(variant)
     table = panel.transitions
@@ -542,12 +532,14 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
     total = 0.0
     sweep = []
     for grp in table.groups:
-        lanes, terms = _solve_group(grp, geom_params(grp.tau, rates), rates, conditional)
-        g, coefs, k, _, x = lanes
+        g = geom_params(grp.tau, rates)
+        coefs, k, a = _lanes(grp.dst, grp.src, conditional)
         total += _exact_log(coefs, g)
-        if x is not None:
-            total += float(np.sum(_score_spa(x, k, terms, conditional)))
-        sweep.append(lanes)
+        x = None
+        if k.size:
+            x, lp = _log_spa(k, a, g, grp.tau, rates, conditional)
+            total += float(np.sum(lp))
+        sweep.append((g, coefs, k, a, x))
     table._saddlepoints[rates, conditional] = sweep
     return total
 
@@ -681,9 +673,9 @@ def _saddle_terms(jet):
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _group_weights(g: GeomParams, coefs, k, a, x, conditional: bool):
     """The group's (w1, w2, w3, var) for exact._chain, from its law, lanes
-    and saddlepoints (_solve_group): its log likelihood's gradient in u and
-    its Hessian's weight along c. The exact lanes are linear in u, with
-    _lanes' coefficients."""
+    and saddlepoints (an entry of spa_loglik's sweep): its log likelihood's
+    gradient in u and its Hessian's weight along c. The exact lanes are
+    linear in u, with _lanes' coefficients."""
     n_alpha, n_l1ab, _ = coefs
     if x is None:
         return n_alpha, 0.0, n_l1ab, 0.0
@@ -704,11 +696,12 @@ def spa_derivatives(panel: Panel, rates: Rates, variant: str = "plain"):
     (the block comment above); exact._chain, which the exact likelihood's
     derivatives share, takes the result to (log lam, log mu). The laws,
     lanes and saddlepoints are those of the last spa_loglik sweep on the
-    panel when it ran at equal rates and the same variant; otherwise they
-    are formed and solved here, as spa_loglik does, and the solve's
-    SolverError or DomainError is raised where spa_loglik would raise it.
-    The solve is deterministic lane by lane, so both ways give the same
-    bits.
+    panel when it ran at equal rates and the same variant. Otherwise, once
+    the laws are checked for degeneracy (which returns None with nothing
+    solved and the slot as it was), spa_loglik(panel, rates, variant) runs
+    first: such a cold call leaves its sweep in the slot, and raises the
+    SolverError or DomainError that spa_loglik raises. The solve is
+    deterministic lane by lane, so both ways give the same bits.
     """
     conditional = _is_conditional(variant)
     table = panel.transitions
@@ -720,9 +713,8 @@ def spa_derivatives(panel: Panel, rates: Rates, variant: str = "plain"):
     if any(g.log_alpha == -math.inf or g.log_beta == -math.inf for g in laws):
         return None
     if sweep is None:
-        sweep = [
-            _solve_group(grp, g, rates, conditional)[0] for grp, g in zip(table.groups, laws)
-        ]
+        spa_loglik(panel, rates, variant)
+        sweep = table._saddlepoints[rates, conditional]
     weights = [_group_weights(*lanes, conditional) for lanes in sweep]
     score, info = _chain(table.groups, laws, rates, weights)
     if not (np.all(np.isfinite(score)) and np.all(np.isfinite(info))):

@@ -139,7 +139,9 @@ class Transitions:
 
     _saddlepoints holds the last finished sweep of saddlepoint.spa_loglik
     as {(rates, conditional): each group's law, lanes and saddlepoints}, for
-    spa_derivatives to read at equal rates and the same variant.
+    spa_derivatives to read at equal rates and the same variant. Only
+    spa_loglik writes it; spa_derivatives runs spa_loglik where the slot
+    misses, so a cold derivatives call leaves a sweep there too.
     """
 
     groups: tuple[GapGroup, ...]

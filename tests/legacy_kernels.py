@@ -67,7 +67,6 @@ from bdrates.saddlepoint import (
     _log_radius,
     _log_spa,
     _newton,
-    _score_spa,
     _x_max,
     solve_saddlepoint,
 )
@@ -185,10 +184,17 @@ def solve_x_quadratic(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, condi
     return _newton(x, k_arr, lambda x: saddlepoint._cond_terms(x, g, a_arr), x_hi, t, a_arr, rates)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def log_spa_quadratic(k_arr, a_arr, g, t, rates, conditional):
-    """The saddlepoint kernel _log_spa on the quadratic seed above."""
+    """The saddlepoint kernel _log_spa on the quadratic seed above: the
+    log pmfs, scored as _log_spa scores the terms of the solve's last
+    pass."""
     x, terms = solve_x_quadratic(k_arr, a_arr, g, t, rates, conditional)
-    return _score_spa(x, k_arr, terms, conditional)
+    value, _, d2 = terms[:3]
+    if conditional:
+        value = value + np.log(terms[3])
+    lp = -0.5 * np.log(2.0 * math.pi * d2) + value - x * k_arr
+    return np.where(np.isfinite(d2) & (d2 > 0.0), lp, -np.inf)
 
 
 def _cond_terms(x, g, a, log_p0: float):
@@ -306,7 +312,7 @@ def spa_loglik(panel, rates, variant="plain"):
         else:
             live = ~zero
             if live.any():
-                total += float(np.sum(_log_spa(k[live], a[live], g, tau, rates, False)))
+                total += float(np.sum(_log_spa(k[live], a[live], g, tau, rates, False)[1]))
     return total
 
 

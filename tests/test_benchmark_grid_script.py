@@ -2,6 +2,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
+from bdrates import fit
+from bdrates.simulate import SimConfig, simulate_panel
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -10,6 +15,9 @@ def _load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+GRID = _load("run_benchmark_grid").GRID
 
 
 def test_grid_script_writes_reports_and_prints_table3(tmp_path, capsys):
@@ -25,6 +33,23 @@ def test_grid_script_writes_reports_and_prints_table3(tmp_path, capsys):
         target = grid.TABLE3_GW_RMSE_LAMBDA[z0]
         assert sum(f"paper Table 3: {target}" in line for line in gw_lines) == 1
     assert sum("paper Table 3" in line for line in err.splitlines()) == 2
+
+
+@pytest.mark.parametrize("cell", GRID, ids=[f"z0={c.z0},m={c.m}" for c in GRID])
+def test_every_method_matches_gw_omega_on_the_grid_cells(cell):
+    # on equally spaced panels omega-hat is the pooled growth ratio's
+    # log over the gap for every method; relative to max(1, |omega|),
+    # because seed 5 of the z0 = 1 cell ends where it started and gw reads
+    # omega-hat = 0 exactly
+    for seed in range(10):
+        config = SimConfig(
+            cell.rates, cell.z0, cell.obs_times(), cell.condition_nonextinct, seed=seed
+        )
+        panel = simulate_panel(config, cell.m)
+        ref = fit(panel, "gw").rates.omega
+        for method in ("qg", "spmle", "spmle_adjusted", "mle"):
+            omega = fit(panel, method).rates.omega
+            assert abs(omega - ref) <= 1e-6 * max(1.0, abs(ref)), (seed, method, omega, ref)
 
 
 def test_accuracy_curve_script_prints_one_row_per_ancestor_count(capsys):
@@ -68,6 +93,9 @@ def test_kernel_costs_script_reports_each_kernel(capsys):
     assert passes["spa_loglik", "spmle_adjusted"] >= 1.0
     assert passes["spa_derivatives after loglik", "spmle"] == 0.0
     assert passes["spa_derivatives after loglik", "spmle_adjusted"] == 0.0
+    # every timed cold call solves afresh, as the loglik does
+    for method in ("spmle", "spmle_adjusted"):
+        assert passes["spa_derivatives cold", method] == passes["spa_loglik", method]
     assert passes["exact_loglik+derivatives", "mle"] == 0.0
     # the panels reproduce from the seed
     assert costs.draw_panels(3, 2) == costs.draw_panels(3, 2)
@@ -121,9 +149,10 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     monkeypatch.setattr(eq, "METHODS", ("gw", "qg"))
     parent = tmp_path / "parent.json"
     # seed 1 is always in the set, and is not fitted twice
-    assert eq.main(["fits", "--out", str(parent), "--census-seeds", "4,1"]) == 0
+    argv = ["fits", "--out", str(parent), "--census-seeds", "4,1", "--sha", "9b53e69"]
+    assert eq.main(argv) == 0
     data = json.loads(parent.read_text())
-    assert data["census_seeds"] == [1, 4]
+    assert data["census_seeds"] == [1, 4] and data["git_sha"] == "9b53e69"
     labels = [r["panel"] for r in data["fits"]]
     # 2 panels per census seed, the 11 test panels, 6 seeds of perfbench's
     # stratified panels (3 single_traj, 1 pooled_growth)
@@ -138,7 +167,9 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     # the same tree twice: every fit is bit-identical
     capsys.readouterr()
     assert eq.main(["compare", str(parent), str(parent)]) == 0
-    heads = [line for line in capsys.readouterr().out.splitlines()[1:] if not line.startswith(" ")]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("parent 9b53e69, change 9b53e69,")
+    heads = [line for line in out[1:] if not line.startswith(" ")]
     for line in heads:
         n, same = (int(line.split()[i]) for i in (1, 3))
         assert n == same and "0 error changes" in line

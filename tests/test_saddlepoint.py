@@ -342,10 +342,9 @@ def test_conditional_one_sweep_matches_per_count_loop(lam, mu, t):
     g = geom_params(t, rates)
     for _ in range(5):
         k, a = _mixed_lanes(rng, rates, t, 80)
-        got = _log_spa(k, a, g, t, rates, True)
+        x, got = _log_spa(k, a, g, t, rates, True)
         ref = legacy.log_spa_conditional(k, a, g, t, rates)
         assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
-        x = _solve_x(k, a, g, t, rates, True)[0]
         for i in np.flatnonzero(got != ref):
             kc1 = mp_cond_cgf_derivative(x[i], t, a[i], lam, mu)
             assert abs(kc1 - k[i]) <= RESIDUAL_TOL * max(1.0, k[i])
@@ -653,6 +652,27 @@ def test_lanes_whose_root_is_near_zero_take_one_pass(monkeypatch, a, k, lam, mu,
 
 
 @pytest.mark.parametrize(
+    "lam,mu,ref",
+    [
+        (7.0, 5.0, -4967822.496025696),
+        (2.0, 6.0, -6218595.1560368575),
+        (4.0, 4.0, -5525447.340601421),
+    ],
+)
+def test_large_k_conditional_lanes_stop_on_a_newton_correction_below_four_ulps(
+    monkeypatch, lam, mu, ref
+):
+    # at 1 -> 1e6 over t = 1e-3 one ulp of x moves Kc' by about 9e-10 k,
+    # more than the residual tolerance, and these lanes bisected their
+    # brackets for 25, 33 and 3 passes; the Newton correction at the seed
+    # is below 4 ulps of x, so the solve stops there
+    passes = _count_passes(monkeypatch)
+    val = spa_loglik(_one_step(1, 10**6, 1e-3), Rates(lam, mu), "conditional")
+    assert len(passes) == 1
+    assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize(
     "lam,mu,t",
     [(7.0, 5.0, 0.1), (7.0, 5.0, 0.2), (2.0, 6.0, 0.7), (4.0, 4.0, 0.3), (9.0, 0.5, 1.0)],
 )
@@ -666,7 +686,7 @@ def test_plain_kernel_matches_the_quadratic_seed(lam, mu, t):
         k, a = _mixed_lanes(rng, rates, t, 80)
         k = np.concatenate([k, np.ones(4)])
         a = np.concatenate([a, [1.0, 2.0, 7.0, 40.0]])
-        got = _log_spa(k, a, g, t, rates, False)
+        _, got = _log_spa(k, a, g, t, rates, False)
         ref = legacy.log_spa_quadratic(k, a, g, t, rates, False)
         assert np.all(np.abs(got - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
 

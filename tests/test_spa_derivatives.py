@@ -138,9 +138,18 @@ def test_information_matches_central_differences_of_the_score(pname, rname, vari
     assert np.all(np.abs(info - ref) <= 1e-6 * max(1.0, np.max(np.abs(ref))))
 
 
-def test_derivatives_reject_a_degenerate_law_and_an_unknown_variant():
-    assert spa_derivatives(EDGE, Rates(0.0, 1.0), "plain") is None
-    assert spa_derivatives(EDGE, Rates(1.0, 0.0), "conditional") is None
+def test_derivatives_reject_a_degenerate_law_and_an_unknown_variant(monkeypatch):
+    # a degenerate law returns None before anything is solved, and leaves
+    # the sweep of another point in the slot
+    panel = _fresh(EDGE)
+    spa_loglik(panel, RATES["growth"], "plain")
+    ((key, sweep),) = panel.transitions._saddlepoints.items()
+    solves = _count_solves(monkeypatch)
+    assert spa_derivatives(panel, Rates(0.0, 1.0), "plain") is None
+    assert spa_derivatives(panel, Rates(1.0, 0.0), "conditional") is None
+    assert not solves
+    assert list(panel.transitions._saddlepoints) == [key]
+    assert panel.transitions._saddlepoints[key] is sweep
     with pytest.raises(DomainError):
         spa_derivatives(EDGE, Rates(1.0, 1.0), "renormalized")
 
@@ -246,6 +255,24 @@ def test_derivatives_after_the_loglik_equal_a_cold_call_bit_for_bit(
 
 
 @pytest.mark.parametrize("variant", ["plain", "conditional"])
+@pytest.mark.parametrize("rname", ["growth", "decline", "critical"])
+@pytest.mark.parametrize("pname", sorted(PANELS))
+def test_a_cold_call_leaves_the_sweep_of_the_loglik(pname, rname, variant):
+    rates = RATES[rname]
+    cold, ref = _fresh(PANELS[pname]), _fresh(PANELS[pname])
+    spa_derivatives(cold, rates, variant)
+    spa_loglik(ref, rates, variant)
+    got, want = cold.transitions._saddlepoints, ref.transitions._saddlepoints
+    assert list(got) == list(want) == [(rates, variant == "conditional")]
+    ((sweep,), (ref_sweep,)) = got.values(), want.values()
+    assert len(sweep) == len(ref_sweep) == len(cold.transitions.groups)
+    for (g, coefs, k, a, x), (rg, rcoefs, rk, ra, rx) in zip(sweep, ref_sweep):
+        assert g == rg and coefs == rcoefs
+        assert _same_bits((k, a), (rk, ra))
+        assert (x is None and rx is None) or _same_bits((x,), (rx,))
+
+
+@pytest.mark.parametrize("variant", ["plain", "conditional"])
 def test_a_sweep_at_other_rates_or_of_the_other_variant_is_not_read(monkeypatch, variant):
     panel = _fresh(test_exact_table.PANELS["unequal"])
     other = "plain" if variant == "conditional" else "conditional"
@@ -269,11 +296,16 @@ def test_a_loglik_that_raises_leaves_no_sweep(variant):
     bad = Rates(0.015039993583716273, 30.75876642857539)
     spa_loglik(panel, RATES["growth"], variant)
     assert panel.transitions._saddlepoints
-    with pytest.raises(SolverError, match="guard band"):
+    with pytest.raises(SolverError, match="guard band") as raised:
         spa_loglik(panel, bad, variant)
     assert panel.transitions._saddlepoints == {}
-    with pytest.raises(SolverError, match="guard band"):
+    # a cold derivatives call raises the same error and leaves no sweep,
+    # also where the slot held one at other rates
+    spa_loglik(panel, RATES["growth"], variant)
+    with pytest.raises(SolverError) as cold:
         spa_derivatives(panel, bad, variant)
+    assert str(cold.value) == str(raised.value)
+    assert panel.transitions._saddlepoints == {}
 
 
 @pytest.mark.parametrize("pname", ["unequal", "single_traj"])
