@@ -271,10 +271,13 @@ def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
         out = terms(x)
         resid = out[1] - k_arr
         err = np.abs(resid)
+        done |= err <= tol
+        if done.all():
+            return x, out
         ulps = 8.9e-16 * np.abs(x)
         # a Newton correction below 4 ulps of x cannot move it; at x_hi the
         # root may lie inside the guard band, which raises below
-        done |= (err <= tol) | (np.isfinite(out[2]) & (err <= out[2] * ulps) & (x < x_hi))
+        done |= np.isfinite(out[2]) & (err <= out[2] * ulps) & (x < x_hi)
         if done.all():
             return x, out
         open_ = ~done
