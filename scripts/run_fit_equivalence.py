@@ -17,7 +17,7 @@ the exact log-likelihood and the smallest log(1 - beta) over the panel's
 gaps. Run it once per tree, with that tree's src first on PYTHONPATH:
 
     PYTHONPATH=../parent/src python scripts/run_fit_equivalence.py fits --out parent.json \
-        --sha "$(git rev-parse HEAD~1)"
+        --sha PARENT_COMMIT
     PYTHONPATH=src python scripts/run_fit_equivalence.py fits --out change.json
 
 Each file records the commit of the fitted tree: the --sha given, or else
