@@ -7,6 +7,8 @@ panel set is
 - the census panels of scripts/run_continuation_census.py, seed 1
   (600 panels; --census-seeds adds more seeds);
 - the panels of tests/test_exact_table.py and tests/test_table_consumers.py;
+- four near-critical panels of fixed counts (NEAR_CRITICAL), whose
+  summed targets over summed sources is within 1e-6 of 1 but not 1;
 - perfbench's stratified fit panels of both workloads, seeds 1-6.
 
 The fits mode writes the fits of the bdrates on PYTHONPATH as JSON: per
@@ -33,7 +35,7 @@ SUSPECT where the change's rates put some gap's 1 - beta below the float
 epsilon (beta rounds to 1, where the plain saddlepoint can score a lane
 far above the exact law, so the rise may be a spurious optimum);
 every change of error or warning; and the wall time of both sides per
-panel source (census seed, test module, perfbench):
+panel source (census seed, test module, nearcrit, perfbench):
 
     python scripts/run_fit_equivalence.py compare parent.json change.json
 
@@ -54,6 +56,7 @@ from pathlib import Path
 import bdrates
 from bdrates import BdError, exact_loglik, fit
 from bdrates.exact import geom_params
+from bdrates.types import Panel, Trajectory
 
 ROOT = Path(__file__).resolve().parent.parent
 METHODS = ("gw", "qg", "spmle", "spmle_adjusted", "mle", "mv_spmle")
@@ -66,6 +69,46 @@ TOL = 1e-8
 # below this log(1 - beta), beta rounds to 1
 LOG_EPS = math.log(sys.float_info.epsilon)
 FIELDS = ("lam", "mu", "loglik", "cov", "evals", "newton", "rejected", "converged", "continued")
+
+
+# Panels near lam == mu, from fixed counts so that both trees fit the same
+# ones. Each has |sum dst / sum src - 1| of 9.2e-7 to 1e-6: 1 or 2
+# individuals over 1.1 to 2 million sources. The first holds one
+# population near 10^6, above the exact likelihood's count cap, and
+# little variation, so its fits land at |omega|/xi near 2e-6. The others
+# stay below the cap, and their counts swing by thousands, so their fits
+# land at |omega|/xi near 1e-8. The third has unequal gaps.
+NEAR_CRITICAL = {
+    "gw_band": Panel(
+        (
+            Trajectory((0, 1, 2), (1000000, 1000001, 999999)),
+            Trajectory((0, 1, 2), (5, 7, 4)),
+        )
+    ),
+    "equal_up": Panel(
+        (
+            Trajectory((0, 0.5, 1, 1.5), (90000, 91102, 89194, 91270)),
+            Trajectory((0, 0.5, 1, 1.5), (86000, 84937, 87451, 89107)),
+            Trajectory((0, 0.5, 1, 1.5), (93000, 96720, 95613, 90674)),
+            Trajectory((0, 0.5, 1, 1.5), (88000, 89341, 92896, 85950)),
+        )
+    ),
+    "unequal_down": Panel(
+        (
+            Trajectory((0, 0.5, 1.5, 2, 3), (91000, 87237, 90121, 89935, 92291)),
+            Trajectory((0, 1, 1.5, 2.5, 3), (87000, 90727, 88767, 90083, 86507)),
+            Trajectory((0, 0.5, 1, 2, 2.5), (89000, 92380, 89664, 86591, 88201)),
+        )
+    ),
+    "single_down": Panel(
+        (
+            Trajectory(
+                tuple(0.25 * i for i in range(13)),
+                (90000, 90842, 89861, 89980, 91434, 89269, 90970, 90012, 87119, 90108, 88883, 89226, 89999),
+            ),
+        )
+    ),
+}
 
 
 def _load(path: Path, name: str):
@@ -87,6 +130,7 @@ def panel_set(census_seeds) -> list[tuple[str, object]]:
     for module in ("test_exact_table", "test_table_consumers"):
         panels = _load(ROOT / "tests" / f"{module}.py", module).PANELS
         out += [(f"{module}:{name}", panels[name]) for name in sorted(panels)]
+    out += [(f"nearcrit:{name}", panel) for name, panel in NEAR_CRITICAL.items()]
     from inputs import stratified_panels
     from spec import WORKLOADS
 

@@ -236,18 +236,18 @@ def _wrap_objective(loglik: Callable[[Rates], float]) -> Callable[[np.ndarray], 
 def initial_rates(panel: Panel) -> Rates:
     """Interior starting point for the likelihood searches.
 
-    Equal-spacing panels seed from the moment estimator; otherwise (or
-    when the moments degenerate) the pooled growth ratio fixes omega and
-    the total-rate guess 2|omega| + 1 keeps the start well inside the
-    wedge.  Zero components from a clamped moment fit are floored.
+    Panels the moment estimator takes (equally spaced ones) seed from
+    it; where it refuses (unequal gaps, degenerate moments) the pooled
+    growth ratio fixes omega and the total-rate guess 2|omega| + 1
+    keeps the start well inside the wedge.  Zero components from a
+    clamped moment fit are floored.
     """
     lam = mu = None
-    if panel.equal_spacing():
-        try:
-            est = gw_estimate(panel)
-            lam, mu = est.rates.lam, est.rates.mu
-        except (DataError, DomainError):
-            pass
+    try:
+        est = gw_estimate(panel)
+        lam, mu = est.rates.lam, est.rates.mu
+    except (DataError, DomainError):
+        pass
     if lam is None:
         omega, _ = panel.transitions.pooled_growth()
         xi = 2.0 * abs(omega) + 1.0

@@ -4,8 +4,9 @@ A population of identical individuals where each gives birth at rate
 ``lam`` and dies at rate ``mu`` has, over a horizon ``t``, a transition
 law with a modified-geometric single-ancestor marginal and, from ``a``
 ancestors, the a-fold convolution of it. Everything here is exact and
-works in log space, with an internal switch to the critical-case
-(lam == mu) limit formulas.
+works in log space. The generic formulas hold for every omega != 0, as
+close to 0 as it gets; the lam == mu limit formulas serve omega == 0
+alone.
 
 The single-ancestor law is parametrized by a pair ``(alpha, beta)``:
 ``alpha`` is the extinction mass at the horizon and the positive part is
@@ -53,7 +54,6 @@ from .errors import CapError, DomainError
 from .types import Panel, Rates
 
 __all__ = [
-    "EPS_CRITICAL",
     "alpha_beta",
     "pgf",
     "log_transition_prob",
@@ -64,22 +64,12 @@ __all__ = [
     "truncation_limit",
 ]
 
-# Relative half-width of the band around lam == mu inside which the
-# critical-case limit formulas are used instead of the generic ones.
-EPS_CRITICAL = 1e-8
-
 # Tail mass target for truncated normalization sums, and the hard cap on
 # the truncation index.
 TRUNCATION_TOL = 1e-12
 TRUNCATION_CAP = 10**6
 
 _NEG_INF = float("-inf")
-
-
-def is_critical(rates: Rates) -> bool:
-    """Whether the rate pair falls in the near-critical band where the
-    lam == mu limit formulas apply."""
-    return abs(rates.omega) <= EPS_CRITICAL * rates.xi
 
 
 @dataclass(frozen=True)
@@ -100,30 +90,29 @@ def geom_params(t: float, rates: Rates) -> GeomParams:
 
     Valid for t >= 0; t == 0 degenerates to alpha = beta = 0 (identity
     transition). All quantities are computed without evaluating exp(omega*t)
-    on its own, so very long horizons do not overflow.
+    on its own, so very long horizons do not overflow. The generic
+    formulas keep their relative accuracy as omega nears 0, so the
+    lam == mu limit alpha = beta = u/(1+u), u = lam*t, is taken at
+    omega == 0 only.
     """
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError(f"horizon must be finite and nonnegative, got {t}")
-    lam, mu = rates.lam, rates.mu
-    if is_critical(rates):
-        u = 0.5 * rates.xi * t
-        # alpha = beta = u / (1 + u)
-        if u == 0.0:
-            return GeomParams(0.0, 0.0, _NEG_INF, _NEG_INF, 0.0, 0.0)
-        log_a = math.log(u) - math.log1p(u)
-        alpha = u / (1.0 + u)
-        l1m = -math.log1p(u)
-        return GeomParams(alpha, alpha, log_a, log_a, l1m, l1m)
-
-    omega = rates.omega
     if t == 0.0:
         return GeomParams(0.0, 0.0, _NEG_INF, _NEG_INF, 0.0, 0.0)
+    lam, mu, omega = rates.lam, rates.mu, rates.omega
+    if omega == 0.0:
+        u = lam * t
+        a = u / (1.0 + u)
+        log_a = math.log(u) - math.log1p(u)
+        l1m = -math.log1p(u)
+        return GeomParams(a, a, log_a, log_a, l1m, l1m)
     # denominator lam*(e^{omega t} - 1) + omega has the same sign as omega,
     # and its magnitude is lam*|e^{omega t} - 1| + |omega| exactly.
     wt = omega * t
     if omega > 0.0:
-        # -expm1(-wt) stays positive even when exp(-wt) rounds to 1
-        log_absE = wt + math.log(-math.expm1(-wt)) if wt < 700 else wt
+        # -expm1(-wt) stays positive even when exp(-wt) rounds to 1, and
+        # rounds to 1 itself once wt is large
+        log_absE = wt + math.log(-math.expm1(-wt))
     else:
         log_absE = math.log(-math.expm1(wt))
     log_lam = math.log(lam) if lam > 0.0 else _NEG_INF
@@ -249,10 +238,10 @@ def mean(t: float, a: int, rates: Rates) -> float:
 def variance(t: float, a: int, rates: Rates) -> float:
     """Variance of the count a horizon t after a ancestors.
 
-    Generic form a*(xi/omega)*e^{omega t}(e^{omega t}-1); near criticality
-    it degenerates to a*xi*t.
+    Generic form a*(xi/omega)*e^{omega t}(e^{omega t}-1), accurate for
+    every omega != 0; at omega == 0 its limit a*xi*t.
     """
-    if is_critical(rates):
+    if rates.omega == 0.0:
         return a * rates.xi * t
     w = rates.omega * t
     return a * (rates.xi / rates.omega) * math.exp(w) * math.expm1(w)

@@ -40,9 +40,6 @@ __all__ = [
     "qg_sandwich_cov",
 ]
 
-# |u| below which a series replaces (e^u - 1)/u in nu.
-SERIES_EPS = 1e-6
-
 # xi_hat below this is treated as a deterministic (zero-residual) panel:
 # the profile objective is unbounded there and no covariance makes sense.
 DEGENERATE_XI_FLOOR = 1e-10
@@ -98,12 +95,12 @@ class QgFit:
 
 
 def _nu(tau: float, omega: float) -> float:
-    # tau * zeta / c(omega*tau); always positive
+    # tau * zeta / c(omega*tau); always positive. expm1(u)/u is accurate
+    # for every u != 0, and its limit 1 serves u == 0.
     u = omega * tau
-    zeta = math.exp(u)
-    if abs(u) < SERIES_EPS:
-        return tau * zeta * (1.0 + 0.5 * u + u * u / 6.0)
-    return tau * zeta * math.expm1(u) / u
+    if u == 0.0:
+        return tau
+    return tau * math.exp(u) * math.expm1(u) / u
 
 
 def _fixed_sums(groups) -> tuple[int, float]:
@@ -205,7 +202,8 @@ def qg_fit(panel: Panel) -> QgFit:
     xi_hat = qg_profile_xi(panel, omega_hat)
     loglik = profile(omega_hat)
 
-    if xi_hat < DEGENERATE_XI_FLOOR:
+    degenerate = xi_hat < DEGENERATE_XI_FLOOR
+    if degenerate or not (xi_hat > abs(omega_hat)):
         return QgFit(
             None,
             _clamped_rates(omega_hat),
@@ -213,17 +211,7 @@ def qg_fit(panel: Panel) -> QgFit:
             loglik,
             iterations,
             boundary=True,
-            degenerate=True,
-        )
-    if not (xi_hat > abs(omega_hat)):
-        return QgFit(
-            None,
-            _clamped_rates(omega_hat),
-            None,
-            loglik,
-            iterations,
-            boundary=True,
-            degenerate=False,
+            degenerate=degenerate,
         )
     params = QgParams(omega_hat, xi_hat)
     cov = qg_sandwich_cov(panel, params)

@@ -9,8 +9,10 @@ the birth and death rates:
     lam = log(m)/(2 dt) * (sigma2/(m(m-1)) + 1)
     mu  = log(m)/(2 dt) * (sigma2/(m(m-1)) - 1)
 
-and lam = mu = sigma2/(2 dt) in the critical case. The growth rate
-estimate log(m_hat)/dt depends on m_hat alone and converges at the
+for every m != 1, however close to 1 (log(m) and m - 1 are both
+accurate to rounding there, so their quotient is too), and lam = mu =
+sigma2/(2 dt) at m == 1 exactly. The growth rate estimate
+log(m_hat)/dt depends on m_hat alone and converges at the
 faster sqrt(sum of source counts) rate, while (lam_hat, mu_hat) are
 sqrt(n)-normal with a rank-1 covariance: their standard errors coincide.
 """
@@ -33,8 +35,9 @@ __all__ = [
     "gw_standard_errors",
 ]
 
-# Half-width of the |m_hat - 1| band treated as critical: inside it the
-# generic inversion would divide by m_hat*(m_hat - 1).
+# m_hat at or below 1 + EPS_NEAR_CRITICAL flags the estimate's regime
+# as near-critical: the supercritical limit theory behind the standard
+# errors does not hold there. It does not change the estimate.
 EPS_NEAR_CRITICAL = 1e-6
 
 REGIME_OK = "supercritical_ok"
@@ -105,7 +108,8 @@ def gw_moments(panel: Panel) -> GwMoments:
 def gw_invert(moments: GwMoments) -> Rates:
     """Closed-form inversion of (m_hat, sigma2_hat) to the rate pair.
 
-    Near-critical m_hat maps to the lam == mu limit. A negative rate
+    m_hat == 1 maps to the lam == mu limit; every other m_hat, however
+    close to 1, takes the generic formula. A negative rate
     (possible in small samples when sigma2_hat is small) is clamped to
     the boundary in the way that preserves the growth-rate estimate:
     the clamped rate becomes 0 and the other |log(m_hat)|/delta_t.
@@ -118,7 +122,7 @@ def _invert_flagged(moments: GwMoments) -> tuple[Rates, bool]:
     m, s2, dt = moments.m_hat, moments.sigma2_hat, moments.delta_t
     if m <= 0.0:
         raise DomainError(f"offspring mean estimate must be positive, got {m}")
-    if abs(m - 1.0) <= EPS_NEAR_CRITICAL:
+    if m == 1.0:
         lam = s2 / (2.0 * dt)
         if lam <= 0.0:
             raise DomainError(

@@ -23,7 +23,9 @@ before a closed-form 2x2 decomposition replaced it. The saddlepoint
 solve was seeded at a root of a quadratic in s = e^x whose coefficients
 came from the rates, with its own critical branch and overflow check,
 choosing between both roots, before the closed-form root in
-u = 1 - beta e^x replaced it. They are kept here
+u = 1 - beta e^x replaced it; its critical branch read the band test
+that the law parameters used before they kept their lam == mu limit
+for omega == 0 alone. They are kept here
 verbatim apart from names, calling the package's current helpers, so
 the replacements can be checked against them.
 """
@@ -46,7 +48,6 @@ from bdrates.exact import (
     _log_phi_derivs,
     _log_pmf,
     geom_params,
-    is_critical,
     pgf_geom,
 )
 from bdrates.gaussian import (
@@ -71,6 +72,13 @@ from bdrates.saddlepoint import (
     solve_saddlepoint,
 )
 from bdrates.types import Panel, Rates
+
+
+def is_critical(rates: Rates) -> bool:
+    """Whether the rate pair falls in the near-critical band, |omega| <=
+    1e-8 * xi, where geom_params took the lam == mu limit formulas before
+    it kept them for omega == 0 alone."""
+    return abs(rates.omega) <= 1e-8 * rates.xi
 
 
 @np.errstate(over="ignore", invalid="ignore")

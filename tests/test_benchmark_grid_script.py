@@ -154,9 +154,16 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     data = json.loads(parent.read_text())
     assert data["census_seeds"] == [1, 4] and data["git_sha"] == "9b53e69"
     labels = [r["panel"] for r in data["fits"]]
-    # 2 panels per census seed, the 11 test panels, 6 seeds of perfbench's
-    # stratified panels (3 single_traj, 1 pooled_growth)
-    assert len(set(labels)) == 2 * 2 + 11 + 6 * (3 + 1) and len(labels) == 2 * len(set(labels))
+    # 2 panels per census seed, the 11 test panels, the 4 near-critical
+    # panels, 6 seeds of perfbench's stratified panels (3 single_traj,
+    # 1 pooled_growth)
+    assert len(set(labels)) == 2 * 2 + 11 + 4 + 6 * (3 + 1) and len(labels) == 2 * len(set(labels))
+    near = {label for label in labels if label.startswith("nearcrit:")}
+    assert near == {f"nearcrit:{name}" for name in eq.NEAR_CRITICAL}
+    for panel in eq.NEAR_CRITICAL.values():
+        groups = panel.transitions.groups
+        ratio = sum(int(g.dst.sum()) for g in groups) / sum(int(g.src.sum()) for g in groups)
+        assert 0.0 < abs(ratio - 1.0) <= 1e-6
     assert {r["method"] for r in data["fits"]} == {"gw", "qg"}
     # gw refuses the census panels with unequal gaps, by a typed error
     errors = {r["error"].split(":")[0] for r in data["fits"] if r["error"] is not None}

@@ -2,10 +2,12 @@ import math
 import random
 
 import legacy_kernels as legacy
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import mp_alpha_beta
 
 from bdrates.errors import CapError, DomainError
 from bdrates.exact import (
@@ -41,6 +43,34 @@ def test_alpha_beta_critical_closed_form():
     a, b = alpha_beta(0.5, Rates(2.0, 2.0))
     assert a == pytest.approx(0.5, abs=1e-15)
     assert b == pytest.approx(0.5, abs=1e-15)
+
+
+def _near_critical_laws():
+    """(t, lam, mu) with 0 < |omega|/xi <= 1e-6 and xi*t from 1e-3 to
+    1e5, both log-uniform, omega of either sign."""
+    rng = random.Random(41)
+    out = []
+    for _ in range(40):
+        rel = 10.0 ** rng.uniform(-15.0, -6.0) * rng.choice((1.0, -1.0))
+        lam = 10.0 ** rng.uniform(-1.0, 2.0)
+        mu = lam * (1.0 - rel) / (1.0 + rel)  # omega/xi = rel, to rounding
+        out.append((10.0 ** rng.uniform(-3.0, 5.0) / (lam + mu), lam, mu))
+    return out
+
+
+@pytest.mark.parametrize("t, lam, mu", _near_critical_laws())
+def test_geom_params_logs_match_oracle_near_criticality(t, lam, mu):
+    # the generic formulas hold right up to omega == 0; the lam == mu
+    # limit taken anywhere else is off by about |omega|*t in log(1-alpha)
+    r = Rates(lam, mu)
+    assert r.omega != 0.0
+    g = geom_params(t, r)
+    alpha, beta = mp_alpha_beta(t, lam, mu)
+    want = [mp.log(alpha), mp.log(beta), mp.log(1 - alpha), mp.log(1 - beta)]
+    got = [g.log_alpha, g.log_beta, g.log1m_alpha, g.log1m_beta]
+    for x, ref in zip(got, want):
+        ref = float(ref)
+        assert abs(x - ref) <= 1e-13 * max(1.0, abs(ref)), (x, ref)
 
 
 def test_alpha_beta_ratio_identity():
@@ -156,7 +186,7 @@ def test_variance_critical_branch_and_continuity():
     assert variance(0.5, 4, rc) == pytest.approx(4 * 4.0 * 0.5, rel=1e-15)
     near = Rates(2.0, 2.0 + 1e-9)
     assert variance(0.5, 4, near) == pytest.approx(variance(0.5, 4, rc), rel=1e-6)
-    # pmf continuity across the criticality switch
+    # the pmf is continuous through omega == 0, where its limit takes over
     lc = log_transition_prob(3, 0.5, 4, rc)
     ln = log_transition_prob(3, 0.5, 4, near)
     assert ln == pytest.approx(lc, rel=1e-7)

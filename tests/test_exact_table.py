@@ -14,7 +14,7 @@ from oracles import mp_transition_prob
 
 import bdrates.exact as exact
 from bdrates.estimate import fit
-from bdrates.exact import EPS_CRITICAL, exact_loglik, geom_params, term_table
+from bdrates.exact import exact_loglik, geom_params, term_table
 from bdrates.simulate import SimConfig, simulate_panel
 from bdrates.types import Panel, Rates, Trajectory
 
@@ -52,6 +52,10 @@ def _panels():
 
 PANELS = _panels()
 
+# relative width of the band around lam == mu where geom_params used to
+# take the lam == mu limit; rates inside it now take the generic formulas
+NEAR_CRITICAL = 1e-8
+
 
 def _rel_err(got, ref):
     return abs(got - ref) / abs(ref)
@@ -76,14 +80,30 @@ def test_matches_transition_walk_at_random_rates(name):
 
 @pytest.mark.parametrize("name", sorted(PANELS))
 def test_matches_transition_walk_near_critical(name):
-    # |omega| inside the band where geom_params takes the lam == mu limit
+    # omega == 0, where geom_params takes the lam == mu limit, and two
+    # rate pairs within NEAR_CRITICAL of it, which take the generic formulas
     panel = PANELS[name]
     for lam, frac in [(2.0, 0.0), (6.5, 0.4), (11.0, -0.9)]:
-        mu = lam * (1.0 + frac * EPS_CRITICAL)
+        mu = lam * (1.0 + frac * NEAR_CRITICAL)
         r = Rates(lam, mu)
-        assert exact.is_critical(r)
         ref = legacy.exact_loglik_transition_walk(panel, r)
         assert _rel_err(exact_loglik(panel, r), ref) <= 1e-12
+
+
+# ROADMAP item 2's heavy3 panel: 1971 -> 95 over 1/32, 95 -> 12 over 3
+HEAVY3 = Panel((Trajectory((0.0, 0.03125, 3.03125), (1971, 95, 12)),))
+
+
+@pytest.mark.parametrize("rel", [5e-9, -9e-9, 1.1e-8])
+def test_heavy3_loglik_matches_oracle_near_criticality(rel):
+    # mu/lam - 1 = rel: |omega|/xi is below NEAR_CRITICAL, where the
+    # lam == mu limit law missed the oracle by 5e-6 to 1.1e-5 nats
+    r = Rates(50.0, 50.0 * (1.0 + rel))
+    want = sum(
+        mp.log(mp_transition_prob(k, t, a, r.lam, r.mu))
+        for t, a, k in [(0.03125, 1971, 95), (3.0, 95, 12)]
+    )
+    assert abs(exact_loglik(HEAVY3, r) - float(want)) <= 1e-10
 
 
 # (a, k, t, lam, mu): k = 0, k = 1 and a = 1 included
@@ -235,12 +255,12 @@ def _derivs_at(panel, theta):
 
 
 def _theta_points():
-    """(log lambda, log mu) at random rates, with |omega| inside the
-    near-critical band, and at mu/lambda and lambda/mu = 1e-6."""
+    """(log lambda, log mu) at random rates, with |omega|/xi below
+    NEAR_CRITICAL, and at mu/lambda and lambda/mu = 1e-6."""
     rng = random.Random(23)
     out = [(math.log(rng.uniform(0.3, 12.0)), math.log(rng.uniform(0.3, 12.0))) for _ in range(3)]
     for lam, frac in [(2.0, 0.4), (6.5, -0.9)]:
-        out.append((math.log(lam), math.log(lam * (1.0 + frac * EPS_CRITICAL))))
+        out.append((math.log(lam), math.log(lam * (1.0 + frac * NEAR_CRITICAL))))
     out += [(math.log(5.0), math.log(5e-6)), (math.log(5e-6), math.log(5.0))]
     return out
 
@@ -299,16 +319,16 @@ def _mp_derivs(a, k, t, lam, mu):
     return np.array(grad), np.array([[hess[0], hess[1]], [hess[1], hess[2]]])
 
 
-# (a, k, t, lam, mu): random rates, |omega| inside the near-critical band,
-# and mu/lambda, lambda/mu = 1e-6, with k = 0, k = 1 and a = 1 among them
+# (a, k, t, lam, mu): random rates, |omega|/xi below NEAR_CRITICAL, and
+# mu/lambda, lambda/mu = 1e-6, with k = 0, k = 1 and a = 1 among them
 ORACLE_DERIVS = [
     (3, 5, 0.5, 1.8, 1.2),
     (5, 0, 0.5, 1.8, 1.2),
     (1, 9, 0.7, 3.0, 0.5),
     (20, 1, 1.0, 7.0, 5.0),
     (10, 40, 1.0, 7.0, 5.0),
-    (4, 3, 0.5, 2.0, 2.0 * (1.0 + 0.4 * EPS_CRITICAL)),
-    (37, 12, 0.8, 2.5, 2.5 * (1.0 - 0.9 * EPS_CRITICAL)),
+    (4, 3, 0.5, 2.0, 2.0 * (1.0 + 0.4 * NEAR_CRITICAL)),
+    (37, 12, 0.8, 2.5, 2.5 * (1.0 - 0.9 * NEAR_CRITICAL)),
     (6, 9, 0.6, 3.0, 3e-6),
     (9, 4, 0.6, 3e-6, 3.0),
 ]
@@ -320,11 +340,8 @@ def test_score_and_information_match_oracle(a, k, t, lam, mu):
     rates = Rates(lam, mu)
     _, score, info = exact_loglik(panel, rates, derivatives=True)
     grad, hess = _mp_derivs(a, k, t, lam, mu)
-    # inside the band the law is the lam == mu limit, itself off by about
-    # EPS_CRITICAL relative, and the derivatives are taken at that law
-    rel = 10 * EPS_CRITICAL if exact.is_critical(rates) else 1e-9
-    assert np.max(np.abs(score - grad)) <= rel * max(1.0, np.max(np.abs(grad)))
-    assert np.max(np.abs(-info - hess)) <= rel * max(1.0, np.max(np.abs(hess)))
+    assert np.max(np.abs(score - grad)) <= 1e-9 * max(1.0, np.max(np.abs(grad)))
+    assert np.max(np.abs(-info - hess)) <= 1e-9 * max(1.0, np.max(np.abs(hess)))
 
 
 def test_degenerate_law_has_no_derivatives():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,11 +131,14 @@ def test_c_and_kappa_prime_shape():
 
 
 def test_nu_series_matches_direct():
-    for omega in (1e-7, -1e-7, 3e-6, -3e-6):
-        tau = 0.8
-        direct = tau * math.exp(omega * tau) * math.expm1(omega * tau) / (omega * tau)
-        assert _nu(tau, omega) == pytest.approx(direct, rel=1e-10)
-    assert _nu(0.8, 0.0) == pytest.approx(0.8, rel=1e-12)
+    # near u = omega*tau = 0 expm1(u)/u keeps its digits, as long as
+    # tau*expm1(u) is a normal float; u == 0 takes its limit, tau
+    tau = 0.8
+    for omega in (1e-300, -1e-300, 1e-12, -1e-12, 1e-7, -1e-7, 3e-6, -3e-6, 1e-3, -1e-3):
+        u = mp.mpf(omega) * mp.mpf(tau)
+        want = float(mp.mpf(tau) * mp.exp(u) * mp.expm1(u) / u)
+        assert _nu(tau, omega) == pytest.approx(want, rel=4e-16)
+    assert _nu(tau, 0.0) == tau
 
 
 def test_fit_equal_spacing_matches_embedded_moments():

@@ -138,7 +138,7 @@ def test_invert_critical_closed_form():
     got = gw_invert(GwMoments(1.0, 0.4, 0.1, 10, 1))
     assert got.lam == pytest.approx(2.0, rel=1e-14)
     assert got.mu == pytest.approx(2.0, rel=1e-14)
-    # just inside the near-critical band behaves the same
+    # m_hat near 1 takes the generic formula, which tends to the same limit
     near = gw_invert(GwMoments(1.0 + 0.5 * EPS_NEAR_CRITICAL, 0.4, 0.1, 10, 1))
     assert near.lam == pytest.approx(2.0, rel=1e-5)
 
@@ -177,6 +177,22 @@ def test_estimate_omega_is_log_mean_over_gap():
     m = gw_moments(_panel([3, 5, 9, 14], dt=0.25))
     assert est.omega_hat == pytest.approx(math.log(m.m_hat) / 0.25, rel=1e-15)
     assert est.rates.lam - est.rates.mu == pytest.approx(est.omega_hat, rel=1e-12)
+
+
+def test_estimate_near_critical_rates_keep_the_growth_rate():
+    # m_hat - 1 = -2/2000013, inside the regime flag's band: the rates are
+    # the generic inversion, whose difference is omega_hat (the lam == mu
+    # limit taken there reported omega_hat = -1e-6 against a difference of 0)
+    panel = Panel(
+        (
+            Trajectory((0.0, 1.0, 2.0), (1000000, 1000001, 999999)),
+            Trajectory((0.0, 1.0, 2.0), (5, 7, 4)),
+        )
+    )
+    est = gw_estimate(panel)
+    assert est.regime == REGIME_NEAR_CRITICAL and not est.clamped
+    assert est.omega_hat == pytest.approx(math.log(2000011 / 2000013), rel=1e-12)
+    assert est.rates.lam - est.rates.mu == pytest.approx(est.omega_hat, rel=1e-9)
 
 
 def test_estimate_regime_flags():

@@ -20,7 +20,7 @@ import bdrates.estimate
 import bdrates.saddlepoint
 from bdrates.errors import BdError, DomainError, SolverError
 from bdrates.estimate import fit
-from bdrates.exact import geom_params, is_critical
+from bdrates.exact import geom_params
 from bdrates.saddlepoint import _log_radius, solve_saddlepoint, spa_derivatives, spa_loglik
 from bdrates.types import Panel, Rates, Trajectory
 
@@ -38,20 +38,14 @@ PANELS = {"edge": EDGE, **test_exact_table.PANELS}
 RATES = {
     "growth": Rates(1.3, 0.9),
     "decline": Rates(0.7, 1.1),
-    # inside the critical band, where geom_params and the saddle
-    # quadratic take the lam == mu formulas
+    # omega == 0, where geom_params takes the lam == mu limit, then
+    # |omega|/xi = 2.5e-9 and 1e-6 on either side, which take the generic
+    # formulas (the first inside the band where the limit used to be taken)
     "critical": Rates(2.0, 2.0),
     "in_band": Rates(2.0 * (1 + 2.5e-9), 2.0 * (1 - 2.5e-9)),
-    # just outside it, on either side
     "above_band": Rates(2.0 * (1 + 1e-6), 2.0 * (1 - 1e-6)),
     "below_band": Rates(2.0 * (1 - 1e-6), 2.0 * (1 + 1e-6)),
 }
-
-
-def test_band_rates_straddle_the_critical_switch():
-    assert is_critical(RATES["critical"]) and is_critical(RATES["in_band"])
-    assert not is_critical(RATES["above_band"]) and not is_critical(RATES["below_band"])
-    assert RATES["above_band"].omega > 0.0 > RATES["below_band"].omega
 
 
 def _rates(theta) -> Rates:
