@@ -61,7 +61,7 @@ def _near_critical_laws():
 @pytest.mark.parametrize("t, lam, mu", _near_critical_laws())
 def test_geom_params_logs_match_oracle_near_criticality(t, lam, mu):
     # the generic formulas hold right up to omega == 0; the lam == mu
-    # limit taken anywhere else is off by about |omega|*t in log(1-alpha)
+    # limit would be off by about |omega|*t/2 in log(1-alpha) here
     r = Rates(lam, mu)
     assert r.omega != 0.0
     g = geom_params(t, r)

@@ -97,7 +97,7 @@ HEAVY3 = Panel((Trajectory((0.0, 0.03125, 3.03125), (1971, 95, 12)),))
 @pytest.mark.parametrize("rel", [5e-9, -9e-9, 1.1e-8])
 def test_heavy3_loglik_matches_oracle_near_criticality(rel):
     # mu/lam - 1 = rel: |omega|/xi is below NEAR_CRITICAL, where the
-    # lam == mu limit law missed the oracle by 5e-6 to 1.1e-5 nats
+    # lam == mu limit law would miss the oracle by 5e-6 to 1.1e-5 nats
     r = Rates(50.0, 50.0 * (1.0 + rel))
     want = sum(
         mp.log(mp_transition_prob(k, t, a, r.lam, r.mu))

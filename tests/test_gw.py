@@ -181,8 +181,7 @@ def test_estimate_omega_is_log_mean_over_gap():
 
 def test_estimate_near_critical_rates_keep_the_growth_rate():
     # m_hat - 1 = -2/2000013, inside the regime flag's band: the rates are
-    # the generic inversion, whose difference is omega_hat (the lam == mu
-    # limit taken there reported omega_hat = -1e-6 against a difference of 0)
+    # the generic inversion, so their difference is omega_hat
     panel = Panel(
         (
             Trajectory((0.0, 1.0, 2.0), (1000000, 1000001, 999999)),
