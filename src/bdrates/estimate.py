@@ -89,7 +89,8 @@ class EstimateResult:
     alike.  Calls for the derivatives are not counted: each comes at the
     point the objective has just scored and reuses its work there (the
     exact likelihood's one pass, the saddlepoint likelihoods' solved
-    saddlepoints).
+    saddlepoints). For qg it counts profile evaluations, and is 1 where
+    the profile's maximizer is taken in closed form (one gap group).
     The likelihood searches also report newton_iterations,
     rejected_probes (non-finite or non-improving Newton probes) and
     continued (whether a Nelder-Mead run continued the Newton run); the

@@ -85,23 +85,30 @@ class GeomParams:
     log1m_beta: float
 
 
+# the law of a zero horizon: the ancestor survives alone, alpha = beta = 0
+_IDENTITY_LAW = GeomParams(0.0, 0.0, _NEG_INF, _NEG_INF, 0.0, 0.0)
+
+
 def geom_params(t: float, rates: Rates) -> GeomParams:
     """(alpha, beta) of the single-ancestor law at horizon t, with logs.
 
     Valid for t >= 0; t == 0 degenerates to alpha = beta = 0 (identity
-    transition). All quantities are computed without evaluating exp(omega*t)
-    on its own, so very long horizons do not overflow. The generic
-    formulas keep their relative accuracy as omega nears 0, so the
-    lam == mu limit alpha = beta = u/(1+u), u = lam*t, is taken at
-    omega == 0 only.
+    transition), and so does a horizon so short that lam*t (at omega == 0)
+    or omega*t underflows to 0. All quantities are computed without
+    evaluating exp(omega*t) on its own, so very long horizons do not
+    overflow. The generic formulas keep their relative accuracy as omega
+    nears 0, so the lam == mu limit alpha = beta = u/(1+u), u = lam*t, is
+    taken at omega == 0 only.
     """
     if not (t >= 0.0 and math.isfinite(t)):
         raise DomainError(f"horizon must be finite and nonnegative, got {t}")
     if t == 0.0:
-        return GeomParams(0.0, 0.0, _NEG_INF, _NEG_INF, 0.0, 0.0)
+        return _IDENTITY_LAW
     lam, mu, omega = rates.lam, rates.mu, rates.omega
     if omega == 0.0:
         u = lam * t
+        if u == 0.0:
+            return _IDENTITY_LAW
         a = u / (1.0 + u)
         log_a = math.log(u) - math.log1p(u)
         l1m = -math.log1p(u)
@@ -109,6 +116,10 @@ def geom_params(t: float, rates: Rates) -> GeomParams:
     # denominator lam*(e^{omega t} - 1) + omega has the same sign as omega,
     # and its magnitude is lam*|e^{omega t} - 1| + |omega| exactly.
     wt = omega * t
+    if wt == 0.0:
+        # omega = lam - mu is 0 or at least an ulp of the smaller rate, so
+        # both lam*t and mu*t are below about 1e-307 here
+        return _IDENTITY_LAW
     if omega > 0.0:
         # -expm1(-wt) stays positive even when exp(-wt) rounds to 1, and
         # rounds to 1 itself once wt is large

@@ -9,14 +9,23 @@ normal with the process conditional mean and variance
 in the (omega, xi) = (lam - mu, lam + mu) parametrization on the open
 wedge Theta = {xi > |omega|}. For fixed omega the maximizing xi has the
 closed form xi_hat(omega) = mean of squared standardized residuals, so
-the fit is a 1-D profile search in omega. The profile is unimodal on
-informative panels, but panels that crash to zero within a step or two
-can grow a second local maximum at strongly negative omega, so the
-search seeds a bounded refinement from a coarse grid scan instead of
-trusting golden section alone. With equal spacing the maximizer
-reproduces the embedded-process moment estimator exactly. Standard errors come from the sandwich
-I^{-1} C I^{-1} mapped to (lam, mu) by the fixed linear change of
-variables; under the Gaussian working model C = I.
+the fit is a 1-D profile in omega.
+
+On one gap group (equal spacing) nu cancels from the profile, which is
+
+    -(n/2) * log R(zeta) + const,   R(zeta) = sum (dst - src*zeta)^2 / src,
+
+a quadratic in zeta minimized at zeta_hat = sum dst / sum src. Where
+R(zeta_hat) > 0 the maximizer omega_hat = log(zeta_hat) / tau is the
+embedded-process moment estimator's, and the fit takes it in closed
+form. The profile scan serves only the panels where that fails: several
+gap groups, or no interior maximum (all targets extinct, or zero
+residual). The profile is unimodal on informative panels, but panels
+that crash to zero within a step or two can grow a second local maximum
+at strongly negative omega, so the scan seeds a bounded refinement from
+a coarse grid instead of trusting golden section alone. Standard errors
+come from the sandwich I^{-1} C I^{-1} mapped to (lam, mu) by the fixed
+linear change of variables; under the Gaussian working model C = I.
 """
 
 from __future__ import annotations
@@ -152,23 +161,18 @@ def _profile_loglik_terms(groups, n: int, log_src: float, omega: float) -> float
     return -0.5 * (n * _LOG_2PI + n * math.log(xi) + log_src + log_nu) - 0.5 * n
 
 
-def qg_fit(panel: Panel) -> QgFit:
-    """Profile fit over omega with the closed-form xi plugged in.
+def _least_residual_positive(grp) -> bool:
+    # whether R(zeta) = sum (dst - src*zeta)^2 / src stays positive at its
+    # minimizer, the pooled ratio sum dst / sum src. By Cauchy-Schwarz it
+    # does unless every dst/src is equal (all extinct, or deterministic),
+    # which is tested in integers: in floats a lone transition's R reads
+    # about 1e-27 at the rounded ratio, not 0
+    src, dst = grp.src.tolist(), grp.dst.tolist()
+    return any(d * src[0] != s * dst[0] for s, d in zip(src, dst))
 
-    The bracket is centered at the pooled-ratio growth guess and widened
-    (doubled, up to 5 times) whenever the maximizer lands on an edge.
-    The scan never leaves omega * tau_max in SCAN_U_RANGE, where the
-    terms stay finite; a maximum past that range ends on its edge.
-    Fits whose maximum leaves the open wedge are clamped to the nearest
-    rate boundary, preserving omega_hat, and flagged.
-    """
-    groups = panel.transitions.groups
-    n, log_src = _fixed_sums(groups)
 
-    def profile(omega: float) -> float:
-        return _profile_loglik_terms(groups, n, log_src, omega)
-
-    omega_init, tau_bar = panel.transitions.pooled_growth()
+def _scan_profile(profile, groups, omega_init: float, tau_bar: float) -> tuple[float, int]:
+    # (omega_hat, profile evaluations) of the bracketed scan in qg_fit
     half = 10.0 / tau_bar
     tau_max = max(grp.tau for grp in groups)
     w_lo, w_hi = (u / tau_max for u in SCAN_U_RANGE)
@@ -199,6 +203,41 @@ def qg_fit(panel: Panel) -> QgFit:
         iterations += int(res.nfev)
         omega_hat = float(res.x)
         break
+    return omega_hat, iterations
+
+
+def qg_fit(panel: Panel) -> QgFit:
+    """Profile fit over omega with the closed-form xi plugged in.
+
+    On one gap group with a positive least residual the maximizer is
+    the pooled ratio's growth rate, taken in closed form and reported as
+    one profile evaluation. Every other panel goes to the profile scan:
+    the bracket is centered at the pooled-ratio growth guess and scanned
+    on a 65-point grid, widened (doubled) whenever the maximizer lands on
+    an edge, for at most 6 scans, then refined by bounded Brent. The
+    scan never leaves omega * tau_max in SCAN_U_RANGE, where the terms
+    stay finite. A maximum still on an edge of the sixth scan ends there,
+    at the guess minus or plus 320 / tau_bar unless SCAN_U_RANGE cuts the
+    bracket first: the all-extinct panel with counts 3 -> 0 and 5 -> 0
+    over unit gaps ends at mu = 322.77 after 390 evaluations, not at the
+    range's edge mu = 600.
+    Fits whose maximum leaves the open wedge are clamped to the nearest
+    rate boundary, preserving omega_hat, and flagged.
+    """
+    groups = panel.transitions.groups
+    n, log_src = _fixed_sums(groups)
+
+    def profile(omega: float) -> float:
+        return _profile_loglik_terms(groups, n, log_src, omega)
+
+    omega_init, tau_bar = panel.transitions.pooled_growth()
+    if len(groups) == 1 and _least_residual_positive(groups[0]):
+        # log(sum dst / sum src) / tau, bit for bit. With int64 counts
+        # omega_hat * tau = log(sum dst / sum src) lies within about
+        # +-(44 + log n), far inside SCAN_U_RANGE, so it needs no clamp
+        omega_hat, iterations = omega_init, 1
+    else:
+        omega_hat, iterations = _scan_profile(profile, groups, omega_init, tau_bar)
     xi_hat = qg_profile_xi(panel, omega_hat)
     loglik = profile(omega_hat)
 

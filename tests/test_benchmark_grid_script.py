@@ -40,7 +40,8 @@ def test_every_method_matches_gw_omega_on_the_grid_cells(cell):
     # on equally spaced panels omega-hat is the pooled growth ratio's
     # log over the gap for every method; relative to max(1, |omega|),
     # because seed 5 of the z0 = 1 cell ends where it started and gw reads
-    # omega-hat = 0 exactly
+    # omega-hat = 0 exactly. qg takes that ratio in closed form, so it
+    # holds to rounding; the likelihood searches stop near 1e-8
     for seed in range(10):
         config = SimConfig(
             cell.rates, cell.z0, cell.obs_times(), cell.condition_nonextinct, seed=seed
@@ -49,7 +50,8 @@ def test_every_method_matches_gw_omega_on_the_grid_cells(cell):
         ref = fit(panel, "gw").rates.omega
         for method in ("qg", "spmle", "spmle_adjusted", "mle"):
             omega = fit(panel, method).rates.omega
-            assert abs(omega - ref) <= 1e-6 * max(1.0, abs(ref)), (seed, method, omega, ref)
+            tol = 1e-13 if method == "qg" else 1e-6
+            assert abs(omega - ref) <= tol * max(1.0, abs(ref)), (seed, method, omega, ref)
 
 
 def test_accuracy_curve_script_prints_one_row_per_ancestor_count(capsys):

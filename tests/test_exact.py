@@ -73,6 +73,13 @@ def test_geom_params_logs_match_oracle_near_criticality(t, lam, mu):
         assert abs(x - ref) <= 1e-13 * max(1.0, abs(ref)), (x, ref)
 
 
+def test_geom_params_underflowing_horizon_is_the_identity_law():
+    # t > 0, but lam*t (omega == 0) or omega*t (generic branch) rounds to 0
+    identity = geom_params(0.0, Rates(1.0, 1.0))
+    assert geom_params(1e-300, Rates(1e-30, 1e-30)) == identity
+    assert geom_params(1e-320, Rates(2e-10, 1e-10)) == identity
+
+
 def test_alpha_beta_ratio_identity():
     a, b = alpha_beta(1.0, Rates(7.0, 5.0))
     assert b / a == pytest.approx(7.0 / 5.0, rel=1e-14)

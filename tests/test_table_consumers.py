@@ -155,6 +155,34 @@ def test_qg_fit_matches_walk(name):
     assert (got.boundary, got.degenerate) == (ref.boundary, ref.degenerate)
 
 
+@pytest.mark.parametrize("name", ["absorbing", "pooled_float_grid", "single_traj"])
+def test_qg_fit_takes_the_one_group_maximizer_in_closed_form(name):
+    # one gap group with a positive least residual: omega-hat is the pooled
+    # ratio's growth rate, bit for bit, and a peak of the profile
+    panel = PANELS[name]
+    groups = panel.transitions.groups
+    assert len(groups) == 1
+    got = qg_fit(panel)
+    omega = got.params.omega
+    assert omega == panel.transitions.pooled_growth()[0]
+    assert got.profile_iterations == 1
+    sums = _fixed_sums(groups)
+    peak = _profile_loglik_terms(groups, *sums, omega)
+    for w in (omega * (1.0 - 1e-6), omega * (1.0 + 1e-6)):
+        assert peak >= _profile_loglik_terms(groups, *sums, w)
+
+
+@pytest.mark.parametrize("counts", [(7, 1012), (835, 496), (3, 9, 27)])
+def test_qg_fit_scans_a_group_whose_ratios_all_agree(counts):
+    # R is 0 at the pooled ratio, though a lone transition's reads about
+    # 1e-27 in floats: no interior maximum, so the scan runs as before
+    times = tuple(0.5 * j for j in range(len(counts)))
+    panel = Panel((Trajectory(times, counts),))
+    got, ref = qg_fit(panel), legacy.qg_fit(panel)
+    assert got.profile_iterations > 1 and got.degenerate
+    assert (got.rates, got.loglik) == (ref.rates, ref.loglik)
+
+
 @pytest.mark.parametrize("name", sorted(PANELS))
 def test_initial_rates_match_walk(name):
     panel = PANELS[name]
