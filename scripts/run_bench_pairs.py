@@ -13,9 +13,12 @@ spread q3 - q1, min, max, runs and values; the ratio of the medians; the
 pairs (same seed) in which the change reads better; and the change's
 spread over the bound times the parent's median. Each workload's "runs"
 entry sums correct, attempted and failed operations per side. The host,
-the versions and both checkouts' git commits go with them.
+the versions and both checkouts' git commits go with them: the
+--parent-sha and --change-sha given, or else git's HEAD in each checkout,
+which a git archive copy has not ("unknown").
 
-    python3 scripts/run_bench_pairs.py --parent ../parent --change . \\
+    python3 scripts/run_bench_pairs.py --parent ../parent --change ../change \\
+        --parent-sha PARENT_COMMIT --change-sha CHANGE_COMMIT \\
         --seeds 401-410 --out BENCH_14.json --claim "what the change claims"
 
 Each run takes the benchmark's run_seconds (45) plus about ten seconds of
@@ -50,7 +53,10 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
-def git_sha(checkout: Path) -> str:
+def git_sha(checkout: Path, given: str = "") -> str:
+    """The commit given for checkout, or else git's HEAD there."""
+    if given:
+        return given
     out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
@@ -97,6 +103,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--claim", default="")
     ap.add_argument("--note", default="")
+    ap.add_argument("--parent-sha", default="", help="the parent's commit, for one without .git")
+    ap.add_argument("--change-sha", default="", help="the change's commit, for one without .git")
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -130,8 +138,8 @@ def main(argv=None) -> int:
         "wins": "pairs (same seed) in which the change reads better",
         "note": args.note,
         "host": f"{nproc}-CPU {platform.machine()} host, one run at a time",
-        "parent_git_sha": git_sha(args.parent),
-        "change_git_sha": git_sha(args.change),
+        "parent_git_sha": git_sha(args.parent, args.parent_sha),
+        "change_git_sha": git_sha(args.change, args.change_sha),
         "nproc": nproc,
         "python": platform.python_version(),
         "numpy": numpy.__version__,

@@ -3,9 +3,10 @@
 Draws seeded random panels of 1-2 trajectories with 2-5 observations
 each: gaps from 1/32 to 3, counts up to 3000 (log-uniform) and one step
 in five to 0. Every panel is fit by each method. For each method the
-script prints the fits whose stalled Newton run a Nelder-Mead run
-continued, the largest objective-evaluation count, and every
-RuntimeWarning that escaped fit. A typed error (BdError) counts as a
+script prints its total objective evaluations and rejected Newton
+probes, the fits whose stalled Newton run a Nelder-Mead run continued,
+the largest objective-evaluation count, and every RuntimeWarning that
+escaped fit. A typed error (BdError) counts as a
 refused fit.
 
     PYTHONPATH=src python scripts/run_continuation_census.py --seed 1 --panels 600
@@ -63,6 +64,8 @@ class MethodCensus:
     fits: int = 0
     refused: int = 0
     seconds: float = 0.0
+    evals: int = 0
+    rejected: int = 0
     continued: list = field(default_factory=list)  # (panel, result)
     most_evals: tuple = (0, None)  # (evaluations, panel)
     warned: list = field(default_factory=list)  # (panel, warning text)
@@ -90,6 +93,8 @@ def census(panels, methods) -> dict[str, MethodCensus]:
                 tally.refused += 1
                 continue
             tally.fits += 1
+            tally.evals += res.n_obj_evals
+            tally.rejected += res.rejected_probes
             if res.continued:
                 tally.continued.append((panel, res))
             if res.n_obj_evals > tally.most_evals[0]:
@@ -113,6 +118,7 @@ def main(argv=None) -> int:
             f"{len(tally.continued)} continued, {len(tally.warned)} warnings, "
             f"{tally.seconds:.1f} s"
         )
+        print(f"  total: {tally.evals} evaluations, {tally.rejected} rejected probes")
         print(f"  most evaluations: {evals} on {worst!r}")
         for panel, res in tally.continued:
             print(

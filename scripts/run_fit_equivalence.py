@@ -29,8 +29,9 @@ The compare mode reads two such files and prints, per method, the fits
 that are bit-identical; the largest loglik move among well-conditioned
 fits (at the parent: not continued, at most 60 evaluations, with a cov),
 relative to max(1, |loglik|), and each one past TOL; every other fit
-whose loglik moved past TOL, marking those that end lower, and giving
-for those that end higher the exact log-likelihood at both rates, marked
+whose loglik moved past TOL or is reported on one side only (n/a),
+marking those that end lower, and giving for those that end higher the
+exact log-likelihood at both rates, marked
 SUSPECT where the change's rates put some gap's 1 - beta below the float
 epsilon (beta rounds to 1, where the plain saddlepoint can score a lane
 far above the exact law, so the rise may be a spurious optimum);
@@ -240,7 +241,9 @@ def compare(parent: dict, change: dict) -> dict:
             continue
         if all(p[f] == c[f] for f in FIELDS):
             s["identical"] += 1
-        if p["loglik"] is None:
+        if p["loglik"] is None or c["loglik"] is None:
+            if p["loglik"] != c["loglik"]:
+                s["moved"].append(f"{key}: {_num(p['loglik'])} -> {_num(c['loglik'])}")
             continue
         move = _rel(p["loglik"], c["loglik"])
         line = (

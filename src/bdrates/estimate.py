@@ -84,7 +84,9 @@ class EstimateResult:
     could not be formed (non-PD Hessian, a boundary fit whose smaller
     rate is below 1e-6 of the larger, degenerate moment panel).  loglik
     is the method's own objective at the optimum and is None for the
-    moment estimator, which has no likelihood.  n_obj_evals counts the
+    moment estimator, which has no likelihood, and for a degenerate qg
+    fit (the residuals vanish, as on one transition, and the profile
+    grows without bound, so the scan's last value means nothing).  n_obj_evals counts the
     search's objective calls, Newton probes and Nelder-Mead vertices
     alike.  Calls for the derivatives are not counted: each comes at the
     point the objective has just scored and reuses its work there (the
@@ -290,7 +292,7 @@ def _fit_qg(panel: Panel, t0: float) -> EstimateResult:
         rates=qf.rates,
         omega_hat=qf.rates.lam - qf.rates.mu,
         cov=qf.cov_lambda_mu,
-        loglik=qf.loglik,
+        loglik=None if qf.degenerate else qf.loglik,
         converged=True,
         n_obj_evals=qf.profile_iterations,
         wall_time=time.perf_counter() - t0,

@@ -3,18 +3,24 @@ derivatives, with one Nelder-Mead run as the continuation.
 
 Every likelihood objective in this package is a smooth function of
 (log lambda, log mu), and each supplies its gradient and Hessian: the
-exact likelihood from its term table, the saddlepoint likelihoods by
-implicit differentiation at their saddlepoints. The search takes Newton
-steps: the Hessian's eigenvalues are floored to make it negative
-definite (its 2x2 eigendecomposition is taken in closed form, without a
-LAPACK call), the step is clipped to max-norm MAX_STEP and halved on every
-rejected or non-improving probe. A run stops once a step starts at most
-XATOL or an accepted step gains at most FATOL*max(1, |f|), or when a
-probe fails although the model promised at most that gain for the full
-step: the run then stands at the optimum to within the objective's own
-rounding, which no halving of the step can beat. The Hessian
-of the last model is returned with the optimum, so the standard errors
-cost no further evaluations.
+exact likelihood from its term table, the saddlepoint likelihoods from
+their saddlepoints (the plain one in closed form, the conditional one by
+implicit differentiation). The search takes Newton steps: the Hessian's
+eigenvalues are floored to make it negative definite (its 2x2
+eigendecomposition is taken in closed form, without a LAPACK call), the
+step is clipped to a trust radius in max-norm and halved on every
+rejected or non-improving probe. The radius is carried between
+iterations (Nocedal and Wright, Numerical Optimization, ch. 4): it starts
+at MAX_STEP and, after each accepted step, becomes twice that step's
+max-norm, capped at MAX_STEP. So a run whose steps keep overshooting a
+wall of -inf probes (a saddlepoint root inside the guard band) starts
+each step near the length that last got through, not at MAX_STEP again.
+A run stops once a step starts at most XATOL or an accepted step gains
+at most FATOL*max(1, |f|), or when a probe fails although the model
+promised at most that gain for the full step: the run then stands at the
+optimum to within the objective's own rounding, which no halving of the
+step can beat. The Hessian of the last model is returned with the
+optimum, so the standard errors cost no further evaluations.
 
 A Newton run stalls when it cannot form a finite model, or when its
 halvings fail MAX_HALVINGS times or shrink a step to XATOL without an
@@ -113,10 +119,12 @@ def numeric_hessian_se(
     return cov
 
 
-def _newton_step(model: Optional[Model]) -> Optional[tuple[np.ndarray, float]]:
+def _newton_step(
+    model: Optional[Model], radius: float = MAX_STEP
+) -> Optional[tuple[np.ndarray, float]]:
     """Ascent step of the model with its Hessian's eigenvalues floored to
     at most -EIG_FLOOR*max(1, max |eigenvalue|), clipped to max-norm
-    MAX_STEP, and the gain that floored model predicts for it; None when
+    radius, and the gain that floored model predicts for it; None when
     the model or the step is not finite.
 
     The Hessian's lower triangle [[h00, .], [h10, h11]] is decomposed in
@@ -153,8 +161,8 @@ def _newton_step(model: Optional[Model]) -> Optional[tuple[np.ndarray, float]]:
     # step scaled by c gains q*c*(1 - c/2)
     q = -(p1 * c1 + p2 * c2)
     size = float(np.max(np.abs(step)))
-    if size > MAX_STEP:
-        c = MAX_STEP / size
+    if size > radius:
+        c = radius / size
         return step * c, q * c * (1.0 - 0.5 * c)
     return step, 0.5 * q
 
@@ -200,17 +208,25 @@ def maximize_2d(
 
     model = derivatives(x)
     iterations = rejected = 0
+    radius = MAX_STEP
     status = "maxiter"  # or "converged", or "stalled" to continue
     while status == "maxiter" and iterations < maxiter:
-        newton = _newton_step(model)
+        newton = _newton_step(model, radius)
         if newton is None:
             status = "stalled"
             break
         step, promised = newton
         iterations += 1
-        if np.max(np.abs(step)) <= XATOL:
+        size = float(np.max(np.abs(step)))
+        if size <= XATOL:
             status = "converged"
             break
+        # a step the carried radius cut short shows nothing of the model's
+        # full step: where it gains, or promises, at most the value
+        # tolerance, the run retries from there at MAX_STEP instead of
+        # stopping (a run creeping along a wall would stop on it)
+        cut = radius < MAX_STEP and size >= radius * (1.0 - 1e-12)
+        done = "maxiter" if cut else "converged"
         # a run whose halvings all fail, or shrink the step to XATOL,
         # stalls: its model gives no way up from x
         status = "stalled"
@@ -220,14 +236,17 @@ def maximize_2d(
                 gain = f_new - f
                 x, f = x + step, f_new
                 model = derivatives(x)
-                status = "converged" if gain <= FATOL * max(1.0, abs(f)) else "maxiter"
+                radius = min(MAX_STEP, 2.0 * float(np.max(np.abs(step))))
+                status = "maxiter"
+                if gain <= FATOL * max(1.0, abs(f)):
+                    status, radius = done, MAX_STEP
                 break
             rejected += 1
             if promised <= FATOL * max(1.0, abs(f)):
                 # a failed probe of a step worth at most the value
                 # tolerance is rounding in the objective: halving it only
                 # probes the same point again, down to XATOL
-                status = "converged"
+                status, radius = done, MAX_STEP
                 break
             step = 0.5 * step
             if np.max(np.abs(step)) <= XATOL:

@@ -67,9 +67,11 @@ closed-form root, unless a lane needs a Newton step; a conditional group
 costs 3-6 on the single-trajectory benchmark panels.
 
 spa_derivatives gives the score and observed information of either
-variant's panel log likelihood in (log lam, log mu), by implicit
-differentiation at each lane's saddlepoint (see the comment block above
-it), so the fits take Newton steps on it. A fit asks for them at the
+variant's panel log likelihood in (log lam, log mu), so the fits take
+Newton steps on it (see the comment block above it). At a plain root the
+saddlepoint algebra collapses: K''(x~) = k^2 S/a, and a plain lane's
+derivatives are closed-form functions of u, r, rho and S (_plain_psi). A
+conditional lane is differentiated implicitly at its saddlepoint. A fit asks for them at the
 point its objective has just scored, so spa_loglik leaves its finished
 sweep's saddlepoints on the panel's transitions table (one slot, the
 last sweep only) and spa_derivatives reads them there when the rates
@@ -568,7 +570,23 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
 # saddlepoint near the radius, d x~ / d log(beta) is close to -1, and the
 # derivatives in x and log(beta) separately are huge and cancel.
 #
-# A jet holds a function's derivatives at the lanes, in the order
+# At a plain root the algebra collapses (Butler, 2007, Saddlepoint
+# Approximations with Applications, ch. 1-2). With u = 1 - beta e^x~ and
+# r = a/k, rho = e^-z and S = sqrt((1 - r)^2 + 4 r rho) as in _solve_x,
+# the saddle equation a(1 - u) = k u (rho u + 1 - u) gives
+# K''(x~) = k^2 S / a, and
+#
+#     psi'  = k u + t,
+#     psi'' = k u^2 rho / S - t (1 - r)^2 / S^2,   t = r rho / S^2
+#
+# (_plain_psi). The last term is -t + 4 t^2, written so that it does not
+# cancel where 4 r rho is far above (1 - r)^2. rho enters as
+# sqrt(rho) = exp(1/2 log rho), as in _plain_root, and u sqrt(rho) and
+# sqrt(rho)/S are bounded, so nothing overflows where the jets below do.
+#
+# The conditional variant has no such collapse: _saddle_terms
+# differentiates its lanes implicitly, from jets. A jet holds a
+# function's derivatives at the lanes, in the order
 # (y, yy, yyy, yyyy, z, zz, yz, yzz, yyz, yyzz, yyyz).
 
 
@@ -674,6 +692,21 @@ def _saddle_terms(jet):
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _plain_psi(x, g: GeomParams, k, a):
+    """psi' and psi'' of the plain lanes a -> k (float arrays) at their
+    saddlepoints x, in closed form (the block comment above)."""
+    r = a / k
+    # sqrt(rho) as in _plain_root, so that it cannot overflow
+    root_rho = math.exp(0.5 * (g.log_alpha + g.log_beta - g.log1m_alpha - g.log1m_beta))
+    s = np.hypot(1.0 - r, 2.0 * np.sqrt(r) * root_rho)
+    u = math.exp(g.log1m_beta) - g.beta * np.expm1(x)  # 1 - beta e^x
+    h = root_rho / s
+    t = r * h * h
+    v = u * root_rho
+    return k * u + t, k * v * v / s - t * ((1.0 - r) / s) ** 2
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _group_weights(g: GeomParams, coefs, k, a, x, conditional: bool):
     """The group's (w1, w2, w3, var) for exact._chain, from its law, lanes
     and saddlepoints (an entry of spa_loglik's sweep): its log likelihood's
@@ -682,8 +715,10 @@ def _group_weights(g: GeomParams, coefs, k, a, x, conditional: bool):
     n_alpha, n_l1ab, _ = coefs
     if x is None:
         return n_alpha, 0.0, n_l1ab, 0.0
-    jet = _conditional_jet(x, g, a) if conditional else _plain_jet(x, g, a)
-    first, second = _saddle_terms(jet)
+    if conditional:
+        first, second = _saddle_terms(_conditional_jet(x, g, a))
+    else:
+        first, second = _plain_psi(x, g, k, a)
     d1 = float(np.sum(first))
     w1 = n_alpha + (float(np.sum(a)) - d1)
     return w1, float(np.sum(k)) - d1, n_l1ab + d1, float(np.sum(second))

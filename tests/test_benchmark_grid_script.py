@@ -74,6 +74,18 @@ def test_continuation_census_script_reports_each_method(capsys):
         assert fits + refused == 5
         assert "0 warnings" in line
     assert sum(line.strip().startswith("most evaluations:") for line in out) == 2
+    # each method's totals are those of its fits, refused fits counting 0
+    totals = [line.split() for line in out if line.strip().startswith("total:")]
+    for method, words in zip(["spmle", "mle"], totals):
+        fits = []
+        for panel in census.draw_panels(3, 5):
+            try:
+                fits.append(census.fit(panel, method))
+            except census.BdError:
+                pass
+        assert int(words[1]) == sum(r.n_obj_evals for r in fits) > 0
+        assert int(words[3]) == sum(r.rejected_probes for r in fits)
+        assert words[2:] == ["evaluations,", words[3], "rejected", "probes"]
     # the panels reproduce from the seed
     assert census.draw_panels(3, 5) == census.draw_panels(3, 5)
 
@@ -143,6 +155,11 @@ def test_bench_pairs_script_writes_the_paired_summary(tmp_path, monkeypatch):
     assert m["ratio_change_over_parent"] == 0.8
     assert m["parent"]["q1"] <= m["parent"]["median"] <= m["parent"]["q3"]
     assert table["replicates_per_s"]["change_wins"] == 2
+    # git archive copies record the commits given for them
+    shas = ["--parent-sha", "c24e6bd", "--change-sha", "0123abc"]
+    assert pairs.main(argv + ["--seeds", "401", "--out", str(out)] + shas) == 0
+    report = json.loads(out.read_text())
+    assert (report["parent_git_sha"], report["change_git_sha"]) == ("c24e6bd", "0123abc")
 
 
 def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monkeypatch):
@@ -187,12 +204,12 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     # 76 evaluations, so the parent's count is set to 5), makes one fit
     # raise, lowers a fit that the parent continued, and raises two that it
     # continued: one where the exact loglik rises too, one to rates where
-    # beta rounds to 1
+    # beta rounds to 1; and one whose loglik is no longer reported
     change = json.loads(parent.read_text())
     pairs = [(p, c) for p, c in zip(data["fits"], change["fits"]) if p["method"] == "qg"]
-    (p0, c0), (_, c1), (p2, c2), (p3, c3), (p4, c4) = [
+    (p0, c0), (_, c1), (p2, c2), (p3, c3), (p4, c4), (p5, c5) = [
         (p, c) for p, c in pairs if p["error"] is None
-    ][:5]
+    ][:6]
     p0["evals"] = c0["evals"] = 5
     c0["loglik"] += 1.0
     c1.update(error="SolverError: no root")
@@ -200,17 +217,19 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     c2["loglik"] -= 1.0
     c3.update(loglik=c3["loglik"] + 1.0, exact=c3["exact"] + 1.0)
     c4.update(loglik=c4["loglik"] + 1.0, log1m_beta=-400.0)
+    c5.update(loglik=None)
     parent.write_text(json.dumps(data))
     (tmp_path / "change.json").write_text(json.dumps(change))
     summary = eq.compare(data, change)["qg"]
     assert len(summary["well_moved"]) == 1
     assert summary["well_moved"][0].startswith(f"qg on {p0['panel']}: ")
     assert summary["errors"] == [f"qg on {c1['panel']}: None -> SolverError: no root"]
-    lower, higher, suspect = summary["moved"]
+    lower, higher, suspect, gone = summary["moved"]
     assert lower.startswith(f"qg on {p2['panel']}: ") and lower.endswith("LOWER")
     assert higher.endswith(f"; exact {p3['exact']:.10g} -> {c3['exact']:.10g}")
     assert suspect.endswith(f"; exact {p4['exact']:.10g} -> {p4['exact']:.10g} SUSPECT")
-    assert summary["identical"] == summary["fits"] - 5
+    assert gone == f"qg on {p5['panel']}: {p5['loglik']:.10g} -> n/a"
+    assert summary["identical"] == summary["fits"] - 6
     assert eq.main(["compare", str(parent), str(tmp_path / "change.json")]) == 0
     out = capsys.readouterr().out
     assert out.count("well_moved:") == 1 and out.count("errors:") == 1

@@ -235,6 +235,18 @@ def test_fit_qg_matches_qg_fit():
     assert np.array_equal(res.cov, qf.cov_lambda_mu)
 
 
+def test_fit_qg_reports_no_loglik_on_a_zero_residual_panel():
+    # one transition: the residuals vanish at the exact ratio, so the
+    # profile is unbounded and the scan stops at an arbitrary value
+    panel = Panel((Trajectory((0.0, 1.0), (7, 1012)),))
+    qf = qg_fit(panel)
+    res = fit(panel, "qg")
+    assert qf.degenerate and math.isfinite(qf.loglik)
+    assert res.rates == qf.rates
+    assert res.loglik is None and res.cov is None
+    assert res.n_obj_evals == qf.profile_iterations
+
+
 def test_initial_rates_interior():
     r = initial_rates(PANEL_A)
     assert r.lam > 0.0 and r.mu > 0.0

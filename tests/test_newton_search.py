@@ -185,6 +185,34 @@ def test_a_failed_probe_within_the_value_tolerance_ends_the_run():
     assert res.x == (1e-6, -1e-6)
 
 
+def test_the_carried_radius_limits_the_probes_past_a_wall():
+    # f = -(-x0)^1.25 rises toward a -inf wall at x0 = 0, and its Newton
+    # step from x0 = -d is 4d: every step overshoots the wall. Restarting
+    # each iteration at the full step costs 3 rejected probes per accepted
+    # step (4d, 2d, d); a radius of twice the last accepted step costs 2
+    values = []
+
+    def objective(x):
+        values.append(-((-x[0]) ** 1.25) - x[1] ** 2 if x[0] < 0.0 else -math.inf)
+        return values[-1]
+
+    def derivatives(x):
+        d = -x[0]
+        return np.array([1.25 * d**0.25, -2.0 * x[1]]), np.diag([-0.3125 * d**-0.75, -2.0])
+
+    res = maximize_2d(objective, [-1.0, 0.0], derivatives=derivatives)
+    assert res.converged and not res.continued and res.newton_iterations >= 20
+    best, run, runs = values[0], 0, []  # rejected probes before each accepted one
+    for v in values[1:]:
+        if v > best:
+            runs.append(run)
+            best, run = v, 0
+        else:
+            run += 1
+    assert sum(runs) + run == res.rejected
+    assert len(runs) >= 20 and max(runs[1:]) <= 2
+
+
 COLLAPSE = Panel((Trajectory((0.0, 0.2, 3.4), (25, 1, 1)),))
 ONE_STEP = Panel((Trajectory((0.0, 0.5718816614534702), (6, 9)),))
 PURE_DEATH_EDGE = Panel((Trajectory((0.0, 1.75, 1.9), (19, 2, 2)),))
@@ -212,6 +240,25 @@ def test_continued_fit_reaches_its_loglik_in_one_run():
     assert res.continued and res.converged
     assert res.loglik == pytest.approx(-7.5939, abs=5e-5)
     assert res.n_obj_evals <= 450
+
+
+# a census panel whose spmle Newton run creeps along a -inf wall in steps
+# the carried radius cuts short; one of them gained less than the value
+# tolerance at (log lam, log mu) = (1.8927, 3.2914), where the gradient
+# is (-1.7, 16.7) and the loglik -24.36, and the run stopped there. Such
+# a step retries at MAX_STEP instead, and the run stalls and continues
+CREEP = Panel(
+    (
+        Trajectory((0.0, 0.18200571967658496, 2.210525331189424), (419, 0, 0)),
+        Trajectory((0.0, 3.0), (202, 1)),
+    )
+)
+
+
+def test_a_step_cut_by_the_radius_does_not_end_the_run():
+    res = fit(CREEP, "spmle")
+    assert res.continued and res.converged
+    assert res.loglik == pytest.approx(-5.2117983, abs=1e-6)
 
 
 @pytest.mark.parametrize("method", LIKELIHOODS)

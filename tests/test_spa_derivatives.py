@@ -21,7 +21,16 @@ import bdrates.saddlepoint
 from bdrates.errors import BdError, DomainError, SolverError
 from bdrates.estimate import fit
 from bdrates.exact import geom_params
-from bdrates.saddlepoint import _log_radius, solve_saddlepoint, spa_derivatives, spa_loglik
+from bdrates.saddlepoint import (
+    _log_radius,
+    _plain_jet,
+    _plain_psi,
+    _saddle_terms,
+    _solve_x,
+    solve_saddlepoint,
+    spa_derivatives,
+    spa_loglik,
+)
 from bdrates.types import Panel, Rates, Trajectory
 
 # three gap groups (0.3, 0.5, 0.7); k = 0 lanes (1 -> 0), k = 1 lanes
@@ -66,38 +75,65 @@ def _central(fun, theta, h=1e-3):
     return np.array(cols).T
 
 
-def _mp_score(panel, rates):
-    """d/d(log lam, log mu) of the plain saddlepoint log likelihood, by
-    mpmath differentiation of the oracle pmf summed over the panel: k = 0
-    lanes score a*log(alpha) and k >= 1 lanes mp_log_spa_pmf, each
-    bracketed around the float saddlepoint."""
+def _mp_loglik(panel, rates):
+    """The plain saddlepoint log likelihood of the panel as an mpmath
+    function of (log lam, log mu) near rates: k = 0 lanes score
+    a*log(alpha) and k >= 1 lanes mp_log_spa_pmf, each bisected on a
+    bracket placed by the float saddlepoint's distance below the radius,
+    room: (log R - room - min(0.5, room), log R - room + min(0.5, room/2))
+    at the rates evaluated, so that a root that follows a moving radius
+    stays inside it."""
     lanes = []
     for tr in panel:
         for a, k, t in zip(tr.counts, tr.counts[1:], np.diff(tr.times)):
             if a == 0:
                 continue
-            if k == 0:
-                lanes.append((a, k, t, None))
-                continue
-            x = solve_saddlepoint(k, t, a, rates).x_tilde
-            room = _log_radius(geom_params(t, rates)) - x
-            lanes.append((a, k, t, (x - 0.5, x + min(0.5, 0.5 * room))))
+            room = None
+            if k:
+                room = _log_radius(geom_params(t, rates)) - solve_saddlepoint(k, t, a, rates).x_tilde
+            lanes.append((a, k, t, room))
 
     def loglik(th0, th1):
         lam, mu = mp.exp(th0), mp.exp(th1)
         total = mp.mpf(0)
-        for a, k, t, bracket in lanes:
-            if bracket is None:
-                total += a * mp.log(mp_alpha_beta(t, lam, mu)[0])
-            else:
-                total += mp_log_spa_pmf(k, t, a, lam, mu, *bracket)
+        for a, k, t, room in lanes:
+            alpha, beta = mp_alpha_beta(t, lam, mu)
+            if room is None:
+                total += a * mp.log(alpha)
+                continue
+            x = -mp.log(beta) - room
+            total += mp_log_spa_pmf(k, t, a, lam, mu, x - min(0.5, room), x + min(0.5, room / 2))
         return total
 
+    return loglik
+
+
+def _mp_score(panel, rates):
+    """d/d(log lam, log mu) of the plain saddlepoint log likelihood, by
+    mpmath differentiation of _mp_loglik."""
+    loglik = _mp_loglik(panel, rates)
     # central differences with an explicit step: mpmath's default step is
     # inaccurate at lam == mu, where mp_alpha_beta switches formulas
     th = (mp.log(rates.lam), mp.log(rates.mu))
     h = mp.mpf("1e-20")
     return np.array([float(mp.diff(loglik, th, order, h=h)) for order in ((1, 0), (0, 1))])
+
+
+def _mp_derivatives(panel, rates, dps):
+    """The score and the observed information of the plain saddlepoint log
+    likelihood from central differences of _mp_loglik on a 3 x 3 grid of
+    step 1e-15 in (log lam, log mu), at dps digits."""
+    loglik = _mp_loglik(panel, rates)
+    with mp.workdps(dps):
+        h = mp.mpf("1e-15")
+        th0, th1 = mp.log(rates.lam), mp.log(rates.mu)
+        f = {(i, j): loglik(th0 + i * h, th1 + j * h) for i in (-1, 0, 1) for j in (-1, 0, 1)}
+        score = [(f[1, 0] - f[-1, 0]) / (2 * h), (f[0, 1] - f[0, -1]) / (2 * h)]
+        d00 = (f[1, 0] - 2 * f[0, 0] + f[-1, 0]) / h**2
+        d11 = (f[0, 1] - 2 * f[0, 0] + f[0, -1]) / h**2
+        d01 = (f[1, 1] - f[1, -1] - f[-1, 1] + f[-1, -1]) / (4 * h**2)
+        info = [[-d00, -d01], [-d01, -d11]]
+        return np.array([float(v) for v in score]), np.array([[float(v) for v in row] for row in info])
 
 
 @pytest.mark.parametrize("rname", list(RATES))
@@ -158,6 +194,118 @@ def test_derivatives_near_the_radius_stay_accurate():
     score, _ = spa_derivatives(panel, rates, "plain")
     ref = _mp_score(panel, rates)
     assert np.all(np.abs(score - ref) <= 1e-7 * np.max(np.abs(ref)))
+
+
+# ---------------------------------------------------------------------------
+# the plain lanes' closed form against the jets it replaced and against
+# mpmath
+
+
+def _jet_psi(x, g, k, a):
+    """psi' and psi'' of plain lanes by implicit differentiation of their
+    jets, the derivative path the closed form replaced (the conditional
+    variant still takes it)."""
+    return _saddle_terms(_plain_jet(x, g, a))
+
+
+def test_plain_closed_form_matches_the_jets_over_random_laws():
+    rng = np.random.default_rng(19)
+    agree = overflow = 0
+    for _ in range(1500):
+        rates = Rates(*np.exp(rng.uniform(-4.0, 6.0, 2)))
+        t = math.exp(rng.uniform(-5.0, 1.5))
+        k = rng.integers(1, 600, 8).astype(float)
+        a = rng.integers(1, 300, 8).astype(float)
+        g = geom_params(t, rates)
+        try:
+            x, _ = _solve_x(k, a, g, t, rates, False)
+        except SolverError:
+            continue
+        first, second = _plain_psi(x, g, k, a)
+        with np.errstate(all="ignore"):
+            ref1, ref2 = _jet_psi(x, g, k, a)
+        assert np.all(np.isfinite(first)) and np.all(np.isfinite(second))
+        # where the jets overflow (their fourth y-derivative near the
+        # radius) only the closed form has a value; psi'' is compared on
+        # the scale of psi', since it is a difference that cancels where
+        # rho is large
+        ok = np.isfinite(ref1) & np.isfinite(ref2)
+        assert np.all(np.abs(first - ref1)[ok] <= 1e-11 * ref1[ok])
+        assert np.all(np.abs(second - ref2)[ok] <= 1e-11 * ref1[ok])
+        agree += int(ok.sum())
+        overflow += int((~ok).sum())
+    assert agree > 5000 and overflow > 0
+
+
+# ROADMAP item 2's named panels at their mle rates, and the 2 -> 9 panel
+# where 1 - beta of its first gap is e^-489; there the jets overflowed and
+# spa_derivatives returned None
+HEAVY1 = Panel(
+    (
+        Trajectory((0.0, 2.0, 3.0, 6.0), (1405, 2946, 0, 0)),
+        Trajectory((0.0, 0.03125, 0.53125, 0.5625, 3.5625), (1428, 1, 66, 306, 3)),
+    )
+)
+HEAVY2 = Panel(
+    (
+        Trajectory((0.0, 3.0, 3.01, 3.0310699869735913), (1, 1, 32, 43)),
+        Trajectory((0.0, 0.03125), (1, 1)),
+    )
+)
+WALL = Panel(
+    (
+        Trajectory((0.0, 0.03125, 1.03125, 2.5098467931584425), (2127, 75, 0, 0)),
+        Trajectory((0.0, 1.9661632247672158), (344, 30)),
+    )
+)
+TWO_TO_NINE = Panel((Trajectory((0.0, 1.998053006936432, 2.010204501876863), (2, 9, 482)),))
+NAMED = {
+    "heavy1": (HEAVY1, Rates(5925.733, 5925.826)),
+    "heavy2": (HEAVY2, Rates(422.2108, 422.1777)),
+    "heavy3": (test_exact_table.HEAVY3, Rates(13461.32, 13461.37)),
+    "wall": (WALL, Rates(15231.19, 15231.32)),
+    "crawl": (
+        Panel((Trajectory((0.0, 2.982637915912965, 3.0001743130061844), (2363, 1, 2158)),)),
+        Rates(30910.782, 30910.784),
+    ),
+    "2->9": (TWO_TO_NINE, Rates(9356.296, 9356.258)),
+    "2->9 at e^-489": (TWO_TO_NINE, Rates(387.52235946843052, 142.93051025564782)),
+}
+
+
+@pytest.mark.parametrize("name", list(NAMED))
+def test_plain_derivatives_match_mpmath_on_the_named_panels(name):
+    panel, rates = NAMED[name]
+    score, info = spa_derivatives(panel, rates, "plain")
+    # 1 - beta must keep its digits in mpmath: 60 of them beyond its size
+    log1m_beta = min(geom_params(grp.tau, rates).log1m_beta for grp in panel.transitions.groups)
+    ref_score, ref_info = _mp_derivatives(panel, rates, 60 + math.ceil(-log1m_beta / math.log(10)))
+    assert np.all(np.abs(score - ref_score) <= 1e-8 * np.max(np.abs(ref_score)))
+    assert np.all(np.abs(info - ref_info) <= 1e-8 * np.max(np.abs(ref_info)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    panel=small_panels(),
+    theta=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+)
+def test_plain_derivatives_are_finite_wherever_the_jets_were(panel, theta):
+    rates = _rates(theta)
+    try:
+        got = spa_derivatives(_fresh(panel), rates, "plain")
+    except BdError as exc:
+        got = type(exc)
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(bdrates.saddlepoint, "_plain_psi", _jet_psi)
+        try:
+            ref = spa_derivatives(_fresh(panel), rates, "plain")
+        except BdError as exc:
+            ref = type(exc)
+    if ref is None or isinstance(ref, type):
+        assert got is None or got == ref or all(np.all(np.isfinite(part)) for part in got)
+        return
+    for part, ref_part in zip(got, ref):
+        assert np.all(np.abs(part - ref_part) <= 1e-9 * max(1.0, np.max(np.abs(ref_part))))
 
 
 # pytest's filter turns a RuntimeWarning into a failure
