@@ -6,8 +6,7 @@ in five to 0. Every panel is fit by each method. For each method the
 script prints its total objective evaluations and rejected Newton
 probes, the fits whose stalled Newton run a Nelder-Mead run continued,
 the largest objective-evaluation count, and every RuntimeWarning that
-escaped fit. A typed error (BdError) counts as a
-refused fit.
+escaped fit. A typed error (BdError) counts as a refused fit.
 
     PYTHONPATH=src python scripts/run_continuation_census.py --seed 1 --panels 600
 

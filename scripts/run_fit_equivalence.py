@@ -31,10 +31,10 @@ fits (at the parent: not continued, at most 60 evaluations, with a cov),
 relative to max(1, |loglik|), and each one past TOL; every other fit
 whose loglik moved past TOL or is reported on one side only (n/a),
 marking those that end lower, and giving for those that end higher the
-exact log-likelihood at both rates, marked
-SUSPECT where the change's rates put some gap's 1 - beta below the float
-epsilon (beta rounds to 1, where the plain saddlepoint can score a lane
-far above the exact law, so the rise may be a spurious optimum);
+exact log-likelihood at both rates, marked SUSPECT where the change's
+rates put some gap's 1 - beta below the float epsilon (beta rounds to 1,
+where the plain saddlepoint can score a lane far above the exact law, so
+the rise may be a spurious optimum);
 every change of error or warning; and the wall time of both sides per
 panel source (census seed, test module, nearcrit, perfbench):
 

@@ -86,9 +86,9 @@ class EstimateResult:
     is the method's own objective at the optimum and is None for the
     moment estimator, which has no likelihood, and for a degenerate qg
     fit (the residuals vanish, as on one transition, and the profile
-    grows without bound, so the scan's last value means nothing).  n_obj_evals counts the
-    search's objective calls, Newton probes and Nelder-Mead vertices
-    alike.  Calls for the derivatives are not counted: each comes at the
+    grows without bound, so the scan's last value means nothing).
+    n_obj_evals counts the search's objective calls, Newton probes and
+    Nelder-Mead vertices alike.  Calls for the derivatives are not counted: each comes at the
     point the objective has just scored and reuses its work there (the
     exact likelihood's one pass, the saddlepoint likelihoods' solved
     saddlepoints). For qg it counts profile evaluations, and is 1 where

@@ -19,8 +19,12 @@ A run stops once a step starts at most XATOL or an accepted step gains
 at most FATOL*max(1, |f|), or when a probe fails although the model
 promised at most that gain for the full step: the run then stands at the
 optimum to within the objective's own rounding, which no halving of the
-step can beat. The Hessian of the last model is returned with the
-optimum, so the standard errors cost no further evaluations.
+step can beat. A step that the radius cut short shows nothing of the
+model's full step, so where it gains or promises that little the run
+retries from there at MAX_STEP instead of stopping: a run creeping along
+a wall in short steps would otherwise stop beside it. The Hessian of
+the last model is returned with the optimum, so the standard errors cost
+no further evaluations.
 
 A Newton run stalls when it cannot form a finite model, or when its
 halvings fail MAX_HALVINGS times or shrink a step to XATOL without an
@@ -221,22 +225,21 @@ def maximize_2d(
         if size <= XATOL:
             status = "converged"
             break
-        # a step the carried radius cut short shows nothing of the model's
-        # full step: where it gains, or promises, at most the value
-        # tolerance, the run retries from there at MAX_STEP instead of
-        # stopping (a run creeping along a wall would stop on it)
+        # the radius cut this step short (the module docstring): its small
+        # gain or promise retries at MAX_STEP instead of stopping the run
         cut = radius < MAX_STEP and size >= radius * (1.0 - 1e-12)
         done = "maxiter" if cut else "converged"
         # a run whose halvings all fail, or shrink the step to XATOL,
         # stalls: its model gives no way up from x
         status = "stalled"
         for _ in range(MAX_HALVINGS):
-            f_new = evaluate(x + step)
+            probe = x + step
+            f_new = evaluate(probe)
             if f_new > f:
                 gain = f_new - f
-                x, f = x + step, f_new
+                x, f = probe, f_new
                 model = derivatives(x)
-                radius = min(MAX_STEP, 2.0 * float(np.max(np.abs(step))))
+                radius = min(MAX_STEP, 2.0 * size)
                 status = "maxiter"
                 if gain <= FATOL * max(1.0, abs(f)):
                     status, radius = done, MAX_STEP
@@ -248,8 +251,8 @@ def maximize_2d(
                 # probes the same point again, down to XATOL
                 status, radius = done, MAX_STEP
                 break
-            step = 0.5 * step
-            if np.max(np.abs(step)) <= XATOL:
+            step, size = 0.5 * step, 0.5 * size
+            if size <= XATOL:
                 break
     bookkeeping = dict(newton_iterations=iterations, rejected=rejected)
     if status != "stalled":

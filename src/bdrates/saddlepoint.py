@@ -71,9 +71,9 @@ variant's panel log likelihood in (log lam, log mu), so the fits take
 Newton steps on it (see the comment block above it). At a plain root the
 saddlepoint algebra collapses: K''(x~) = k^2 S/a, and a plain lane's
 derivatives are closed-form functions of u, r, rho and S (_plain_psi). A
-conditional lane is differentiated implicitly at its saddlepoint. A fit asks for them at the
-point its objective has just scored, so spa_loglik leaves its finished
-sweep's saddlepoints on the panel's transitions table (one slot, the
+conditional lane is differentiated implicitly at its saddlepoint. A fit
+asks for them at the point its objective has just scored, so spa_loglik
+leaves its finished sweep's saddlepoints on the panel's transitions table (one slot, the
 last sweep only) and spa_derivatives reads them there when the rates
 and the variant match: each lane is solved once per evaluation. Where
 they do not, spa_derivatives runs spa_loglik first, which is the only
