@@ -28,7 +28,11 @@ git's HEAD there, which a git archive copy has not ("unknown").
 The compare mode reads two such files and prints, per method, the fits
 that are bit-identical; the largest loglik move among well-conditioned
 fits (at the parent: not continued, at most 60 evaluations, with a cov),
-relative to max(1, |loglik|), and each one past TOL; every other fit
+relative to max(1, |loglik|), and each one past TOL; the largest rate
+move among them in units of the fit's own SE (the larger of |d lam| /
+SE(lam) and |d mu| / SE(mu), from the parent's cov), and each one past
+SE_TOL, since on the lam ~ mu ridge the value tolerance fixes the rates
+only to about 1e-4 relative, a small share of their SE; every other fit
 whose loglik moved past TOL or is reported on one side only (n/a),
 marking those that end lower, and giving for those that end higher the
 exact log-likelihood at both rates, marked SUSPECT where the change's
@@ -67,6 +71,8 @@ PERFBENCH_SEEDS = range(1, 7)
 # relative to max(1, |loglik|)
 MAX_WELL_EVALS = 60
 TOL = 1e-8
+# and whose rates must hold to SE_TOL of their own standard errors
+SE_TOL = 1e-3
 # below this log(1 - beta), beta rounds to 1
 LOG_EPS = math.log(sys.float_info.epsilon)
 FIELDS = ("lam", "mu", "loglik", "cov", "evals", "newton", "rejected", "converged", "continued")
@@ -207,6 +213,15 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(1.0, abs(a))
 
 
+def _se_move(p: dict, c: dict) -> float:
+    """The larger rate move from p to c in units of p's standard errors."""
+    moves = []
+    for i, name in enumerate(("lam", "mu")):
+        move, var = abs(c[name] - p[name]), p["cov"][i][i]
+        moves.append(move / math.sqrt(var) if var > 0.0 else (math.inf if move else 0.0))
+    return max(moves)
+
+
 def compare(parent: dict, change: dict) -> dict:
     """Per-method summary of the change's fits against the parent's,
     which must cover the same (panel, method) pairs."""
@@ -224,7 +239,8 @@ def compare(parent: dict, change: dict) -> dict:
         s = out.setdefault(
             p["method"],
             {"fits": 0, "identical": 0, "well": 0, "worst_well": 0.0, "well_moved": [],
-             "moved": [], "errors": [], "warnings": [], "seconds": {}},
+             "worst_se": 0.0, "se_moved": [], "moved": [], "errors": [], "warnings": [],
+             "seconds": {}},
         )
         s["fits"] += 1
         wall = s["seconds"].setdefault(p["panel"].split(":")[0], [0.0, 0.0])
@@ -255,6 +271,13 @@ def compare(parent: dict, change: dict) -> dict:
             s["worst_well"] = max(s["worst_well"], move)
             if move > TOL:
                 s["well_moved"].append(line)
+            se_move = _se_move(p, c)
+            s["worst_se"] = max(s["worst_se"], se_move)
+            if se_move > SE_TOL:
+                s["se_moved"].append(
+                    f"{key}: ({_num(p['lam'])}, {_num(p['mu'])}) -> "
+                    f"({_num(c['lam'])}, {_num(c['mu'])}), {se_move:.2g} SE"
+                )
         elif move > TOL:
             if c["loglik"] < p["loglik"]:
                 line += " LOWER"
@@ -274,16 +297,20 @@ def compare_main(args) -> int:
     except ValueError as exc:
         print(f"cannot compare {args.parent} with {args.change}: {exc}", file=sys.stderr)
         return 2
-    print(f"parent {parent['git_sha']}, change {change['git_sha']}, tol {TOL:g}")
+    print(
+        f"parent {parent['git_sha']}, change {change['git_sha']}, tol {TOL:g}, "
+        f"se tol {SE_TOL:g}"
+    )
     for method, s in summary.items():
         print(
             f"{method}: {s['fits']} fits, {s['identical']} bit-identical, "
-            f"{s['well']} well-conditioned (worst move {s['worst_well']:.2g}), "
+            f"{s['well']} well-conditioned (worst move {s['worst_well']:.2g}, "
+            f"worst rate move {s['worst_se']:.2g} SE), "
             f"{len(s['errors'])} error changes, {len(s['warnings'])} with warnings"
         )
         walls = ", ".join(f"{src} {p:.1f} -> {c:.1f}" for src, (p, c) in s["seconds"].items())
         print(f"  seconds: {walls}")
-        for kind in ("well_moved", "moved", "errors", "warnings"):
+        for kind in ("well_moved", "se_moved", "moved", "errors", "warnings"):
             for line in s[kind]:
                 print(f"  {kind}: {line}")
     return 0

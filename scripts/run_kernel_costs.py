@@ -21,7 +21,9 @@ per-evaluation layer cost, to read beside the evaluations per fit. Beside
 it, passes is the median over the panels of the CGF passes one call
 makes (calls of saddlepoint._cgf_terms, each over one gap group's lanes;
 0 for a call that reads the saddlepoints of the sweep before it, and for
-the exact kernel).
+the exact kernel), and per_group their mean over the panels per gap
+group with saddlepoint lanes, which a median of whole passes rounds
+away.
 
     PYTHONPATH=src python scripts/run_kernel_costs.py --seed 1 --panels 12
 """
@@ -82,34 +84,40 @@ def cgf_passes(call) -> int:
     return count
 
 
-def cost(call) -> tuple[float, int]:
-    """(microseconds, CGF passes) of call."""
-    return best_of(call), cgf_passes(call)
+def cost(call, groups: int) -> tuple[float, int, int]:
+    """(microseconds, CGF passes, groups) of call, whose panel has groups
+    gap groups with saddlepoint lanes."""
+    return best_of(call), cgf_passes(call), groups
 
 
-def panel_costs(panel: Panel) -> dict[tuple[str, str], tuple[float, int]]:
-    """{(kernel, method): (microseconds, CGF passes)} at each method's
-    optimum on one panel; a method whose fit or kernel raises a BdError
-    is left out."""
+def panel_costs(panel: Panel) -> dict[tuple[str, str], tuple[float, int, int]]:
+    """{(kernel, method): (microseconds, CGF passes, gap groups with
+    saddlepoint lanes)} at each method's optimum on one panel; a method
+    whose fit or kernel raises a BdError is left out."""
     out = {}
     for method, variant in VARIANTS.items():
+        conditional = variant == "conditional"
+        groups = sum(
+            bool(saddlepoint._lanes(grp.dst, grp.src, conditional)[1].size)
+            for grp in panel.transitions.groups
+        )
         try:
             rates = fit(panel, method).rates
             slot = panel.transitions._saddlepoints
-            out["spa_loglik", method] = cost(lambda: spa_loglik(panel, rates, variant))
+            out["spa_loglik", method] = cost(lambda: spa_loglik(panel, rates, variant), groups)
             out["spa_derivatives cold", method] = cost(
-                lambda: (slot.clear(), spa_derivatives(panel, rates, variant))
+                lambda: (slot.clear(), spa_derivatives(panel, rates, variant)), groups
             )
             spa_loglik(panel, rates, variant)
             out["spa_derivatives after loglik", method] = cost(
-                lambda: spa_derivatives(panel, rates, variant)
+                lambda: spa_derivatives(panel, rates, variant), groups
             )
         except BdError:
             continue
     try:
         rates = fit(panel, "mle").rates
         out["exact_loglik+derivatives", "mle"] = cost(
-            lambda: exact_loglik(panel, rates, derivatives=True)
+            lambda: exact_loglik(panel, rates, derivatives=True), 0
         )
     except BdError:
         pass
@@ -122,20 +130,22 @@ def main(argv=None) -> int:
     ap.add_argument("--panels", type=int, default=12)
     args = ap.parse_args(argv)
 
-    rows: dict[tuple[str, str], list[tuple[float, int]]] = {}
+    rows: dict[tuple[str, str], list[tuple[float, int, int]]] = {}
     for panel in draw_panels(args.seed, args.panels):
         for key, row in panel_costs(panel).items():
             rows.setdefault(key, []).append(row)
     print(
         f"{'kernel':<30} {'method':<15} {'median_us':>10} {'min_us':>10} {'max_us':>10} "
-        f"{'passes':>7} {'panels':>7}"
+        f"{'passes':>7} {'per_group':>9} {'panels':>7}"
     )
     for (kernel, method), row in rows.items():
-        costs = [us for us, _ in row]
-        passes = statistics.median([p for _, p in row])
+        costs = [us for us, _, _ in row]
+        passes = statistics.median([p for _, p, _ in row])
+        per_group = statistics.mean([p / n if n else 0.0 for _, p, n in row])
         print(
             f"{kernel:<30} {method:<15} {statistics.median(costs):>10.1f} "
-            f"{min(costs):>10.1f} {max(costs):>10.1f} {passes:>7.1f} {len(costs):>7d}"
+            f"{min(costs):>10.1f} {max(costs):>10.1f} {passes:>7.1f} {per_group:>9.2f} "
+            f"{len(costs):>7d}"
         )
     return 0
 

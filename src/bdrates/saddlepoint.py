@@ -39,9 +39,10 @@ u > 1/2. So it holds at criticality, keeps its digits where 1 - beta is
 far smaller than the root's distance from the radius, is exact for pure
 birth and cannot overflow. Pure birth with k <= a and pure death with
 k >= a have no root, and such a lane raises SolverError. A conditional
-lane starts at the lower of that root and log(1 - 1/k) + log R, the
-root of Kc'(x) = 1/(1 - beta e^x): given survival one ancestor's count
-is geometric, and both points lie at or above the lane's root (_solve_x).
+lane takes its first Newton step from that root in closed form, without
+a CGF pass, and starts at the lower of that point and
+log(1 - 1/k) + log R, the root of Kc'(x) = 1/(1 - beta e^x): given
+survival one ancestor's count is geometric (_solve_x).
 The conditional terms form (M - p0)/M from log(M/p0), which keeps its
 digits where M - p0 is far below M (_cond_terms). Each pass of the solve
 evaluates the variant's CGF terms at every lane of the group; a lane
@@ -64,21 +65,24 @@ probes. The solve returns the terms of its last pass, which are those at
 the saddlepoints, and _log_spa scores them without evaluating the CGF
 again. So a plain group costs one CGF pass, the residual check at the
 closed-form root, unless a lane needs a Newton step; a conditional group
-costs 3-6 on the single-trajectory benchmark panels.
+costs 3.5 on average, at most 6, over the fits of 40 simulated
+single-trajectory panels (scripts/run_kernel_costs.py --panels 40).
 
 spa_derivatives gives the score and observed information of either
 variant's panel log likelihood in (log lam, log mu), so the fits take
 Newton steps on it (see the comment block above it). At a plain root the
 saddlepoint algebra collapses: K''(x~) = k^2 S/a, and a plain lane's
 derivatives are closed-form functions of u, r, rho and S (_plain_psi). A
-conditional lane is differentiated implicitly at its saddlepoint. A fit
-asks for them at the point its objective has just scored, so spa_loglik
-leaves its finished sweep's saddlepoints on the panel's transitions table (one slot, the
-last sweep only) and spa_derivatives reads them there when the rates
-and the variant match: each lane is solved once per evaluation. Where
-they do not, spa_derivatives runs spa_loglik first, which is the only
-code that builds a sweep. spa_loglik never reads the slot, so every
-value it returns is computed afresh.
+conditional lane is differentiated implicitly at its saddlepoint, from
+derivatives in the one variable its log(M - p0) depends on
+(_conditional_jet). A fit asks for them at the point its objective has
+just scored, so spa_loglik leaves its finished sweep's saddlepoints on
+the panel's transitions table (one slot, the last sweep of finite total
+only) and spa_derivatives reads them there when the rates and the
+variant match: each lane is solved once per evaluation. Where they do
+not, spa_derivatives runs spa_loglik first, which is the only code that
+builds a sweep. spa_loglik never reads the slot, so every value it
+returns is computed afresh.
 """
 
 from __future__ import annotations
@@ -192,7 +196,7 @@ def cgf_eval(x: float, t: float, a: int, rates: Rates) -> CgfPoint:
 def _plain_root(r, g: GeomParams):
     """The root x of the plain saddle equation K'(x) = k for the ratios
     r = a/k under the law g, from its closed form in u = 1 - beta e^x
-    (_solve_x); +-inf or NaN on a lane that has no root."""
+    (_solve_x), +-inf or NaN on a lane that has no root; and S there."""
     log_rad = _log_radius(g)
     log_rho = g.log_alpha + g.log_beta - g.log1m_alpha - g.log1m_beta
     # S = sqrt((1 - r)^2 + 4 r rho), finite unless rho passes e^1400
@@ -207,7 +211,7 @@ def _plain_root(r, g: GeomParams):
         np.log((1.0 - r + s) / den) + log_rad,
         g.log_alpha - g.log1m_alpha - g.log1m_beta + np.log(4.0 * r / ((s + r - 1.0) * den)),
     )
-    return np.where(u <= 0.5, np.log1p(-u) + log_rad, far)
+    return np.where(u <= 0.5, np.log1p(-u) + log_rad, far), s
 
 
 def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: bool):
@@ -224,17 +228,17 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: b
     (pure birth with k <= a, pure death with k >= a) raises SolverError
     naming it.
 
-    A conditional lane starts at the lower of that root and
-    log(1 - 1/k) + log R. Both lie at or above its root: tilted by e^x,
-    each ancestor's count given that it survives is geometric with mean
-    1/(1 - beta e^x), and the sum given that some ancestor survives has a
-    mean Kc' at least that and at least the plain K'. The second is the
-    exact root of an a = 1 lane, and close to that of any lane where
-    M - p0 is far below M, whose survivors are nearly always one; from the
-    plain root there, near x = 0, Newton steps only double the distance."""
+    A conditional lane starts at the lower of that root moved by the
+    conditional solve's first Newton step, taken in closed form, and
+    log(1 - 1/k) + log R. Tilted by e^x, the count given survival has a
+    mean Kc' at least the plain K' and at least 1/(1 - beta e^x), the mean
+    of one surviving ancestor's geometric count, so both roots lie at or
+    above the lane's. The second is exact for a = 1 and close wherever
+    M - p0 is far below M, where Newton steps from the plain root, near
+    x = 0, only double the distance."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
-    x = _plain_root(a_arr / k_arr, g)
+    x, s = _plain_root(a_arr / k_arr, g)
     ok = np.isfinite(x)
     if not ok.all():
         bad = int(np.argmin(ok))
@@ -243,10 +247,20 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: b
             f"t={t}, rates=({rates.lam}, {rates.mu})"
         )
     x_hi = _x_max(g)
-    x = np.minimum(x, x_hi)
     if not conditional:
+        x = np.minimum(x, x_hi)
         return _newton(x, k_arr, lambda x: _cgf_terms(x, g, a_arr), x_hi, t, a_arr, rates)
-    x = np.minimum(x, np.log1p(-1.0 / k_arr) + _log_radius(g))
+    # the first Newton step from the plain root, clipped to -2 as _newton
+    # clips its own and dropped where it is not finite: there K' = k and
+    # K'' = k^2 S/a (the derivative block below), so with v = p0/(M - p0),
+    # Kc' = K'(1 + v) and Kc'' = (1 + v)(K'' + K'^2) - Kc'^2 read
+    # Kc' - k = k v and Kc'' = k^2 (1 + v)(S/a - v): no CGF pass
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        v = 1.0 / np.expm1(_log_m_over_p0(x, g, a_arr))
+        resid = k_arr * v
+        step = resid / np.fmax(k_arr * k_arr * (1.0 + v) * (s / a_arr - v), 0.5 * resid)
+    x = np.where(np.isfinite(step), x - step, x)
+    x = np.minimum(np.minimum(x, np.log1p(-1.0 / k_arr) + _log_radius(g)), x_hi)
     return _newton(x, k_arr, lambda x: _cond_terms(x, g, a_arr), x_hi, t, a_arr, rates)
 
 
@@ -525,11 +539,12 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
     set per gap, and each set is evaluated in one vectorized sweep.
 
     Every call solves its saddlepoints, and scores them from the solve's
-    last pass. A sweep that finishes leaves each group's law, lanes split
-    by _lanes and saddlepoints, (g, coefs, k, a, x) with x None where the
-    group has no saddlepoint lane, in the table's _saddlepoints slot for
-    spa_derivatives at the same rates and variant; the slot is emptied
-    first, so a call that raises leaves nothing there.
+    last pass. A sweep that finishes with a finite total leaves each
+    group's law, lanes split by _lanes and saddlepoints, (g, coefs, k, a,
+    x) with x None where the group has no saddlepoint lane, in the table's
+    _saddlepoints slot for spa_derivatives at the same rates and variant;
+    the slot is emptied first, so a call that raises or scores -inf leaves
+    nothing there.
     """
     conditional = _is_conditional(variant)
     table = panel.transitions
@@ -545,7 +560,8 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
             x, lp = _log_spa(k, a, g, grp.tau, rates, conditional)
             total += float(np.sum(lp))
         sweep.append((g, coefs, k, a, x))
-    table._saddlepoints[rates, conditional] = sweep
+    if math.isfinite(total):
+        table._saddlepoints[rates, conditional] = sweep
     return total
 
 
@@ -585,33 +601,51 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
 # sqrt(rho)/S are bounded, so nothing overflows where the jets below do.
 #
 # The conditional variant has no such collapse: _saddle_terms
-# differentiates its lanes implicitly, from jets. A jet holds a
-# function's derivatives at the lanes, in the order
-# (y, yy, yyy, yyyy, z, zz, yz, yzz, yyz, yyzz, yyyz).
+# differentiates its lanes implicitly, from the jet of
+# L = log(e^{a Phi} - 1), which holds L's derivatives at the lanes in the
+# order (y, yy, yyy, yyyy, z, zz, yz, yzz, yyz, yyzz, yyyz). L depends on
+# (y, z) only through E = z + log r(y), so the jet is composed from four
+# derivatives in E (_conditional_jet).
 
 
-def _plain_jet(x, g: GeomParams, a):
-    """The jet of a Phi(y, z) = a log(1 + e^z r(y)) at the lanes' x. With
-    E = z + log r(y), whose y-derivatives are 1 + r, r(1 + r), ... and
-    whose z-derivative is 1, a Phi = a softplus(E), and softplus has the
-    derivatives q, q p, q p (p - q), q p (1 - 6 q p) with q = 1 - p the
-    logistic of E."""
-    s = np.exp(x)
+def _conditional_jet(x, g: GeomParams, a):
+    """The jet of L = log(e^T - 1), T = a Phi = log(M/p0), at the lanes'
+    x: log(M - p0) less a log(alpha). L depends on (y, z) through
+    E = z + log r(y) alone, so its jet is composed (Faa di Bruno) from its
+    derivatives f1..f4 in E and E's: 1/n2, r/n2, ... in y and 1 in z.
+    T = a softplus(E), and softplus has the derivatives q, q p, q p (p - q),
+    q p (1 - 6 q p) with q = 1 - p the logistic of E; F(T) = log(e^T - 1)
+    has 1 + v, -v(1 + v), v(1 + v)(1 + 2v), -v(1 + v)(1 + 6v(1 + v)) with
+    v = 1/(e^T - 1). Where M - p0 is far below M, T is tiny and F's fourth
+    overflows below T = 1e-77, although each term of f1..f4 is of order 1.
+    So F's n-th derivative is taken times T^n (h1..h4, in w = vT in
+    (0, 1]) and T's divided by T (c1..c4, softplus^(n)/softplus)."""
     n2 = math.exp(g.log1m_beta) - g.beta * np.expm1(x)  # 1 - beta e^x
-    r = g.beta * s / n2
-    # e^z r = (1-alpha)(1-beta) e^x / (alpha n2); its logistic q and 1 - q
-    # share the denominator alpha n2 + (1-alpha)(1-beta) e^x
-    tail = math.exp(g.log1m_alpha + g.log1m_beta) * s
-    den = g.alpha * n2 + tail
-    q, p = tail / den, g.alpha * n2 / den
+    r = g.beta * np.exp(x) / n2
+    # e^E = e^z r as _log_m_over_p0 forms it; where it is subnormal c1 is
+    # q/softplus(E) = 1, which a q / T, two subnormals, does not keep
+    odds = np.exp(g.log1m_alpha + g.log1m_beta - g.log_alpha + x) / n2
+    sp = np.log1p(odds)
+    p = 1.0 / (1.0 + odds)
+    q = odds * p
+    t = a * sp
+    w = t / np.expm1(t)
+    tw = t + w
+    h2, h3 = -w * tw, w * tw * (t + 2.0 * w)
+    h4 = -w * tw * (t * t + 6.0 * w * tw)
+    c1 = q / sp
+    c2 = c1 * p
+    c3 = c2 * (p - q)
+    c4 = c2 * (1.0 - 6.0 * q * p)
+    sq = c1 * c1
+    f1 = tw * c1
+    f2 = h2 * sq + tw * c2
+    f3 = h3 * sq * c1 + 3.0 * h2 * c1 * c2 + tw * c3
+    f4 = h4 * sq * sq + 6.0 * h3 * sq * c2 + h2 * (4.0 * c1 * c3 + 3.0 * c2 * c2) + tw * c4
     e1 = 1.0 / n2
     e2 = r * e1
     e3 = e2 * (1.0 + 2.0 * r)
     e4 = e2 * (1.0 + 6.0 * e2)
-    f1 = a * q
-    f2 = f1 * p
-    f3 = f2 * (p - q)
-    f4 = f2 * (1.0 - 6.0 * q * p)
     sq1 = e1 * e1
     return (
         f1 * e1,
@@ -626,45 +660,6 @@ def _plain_jet(x, g: GeomParams, a):
         f4 * sq1 + f3 * e2,
         f4 * sq1 * e1 + 3.0 * f3 * e1 * e2 + f2 * e3,
     )
-
-
-def _compose(f1, f2, f3, f4, jet):
-    """The jet of F(J) from F's first four derivatives at J and J's jet
-    (Faa di Bruno)."""
-    j1, j2, j3, j4, jz, jzz, jyz, jyzz, jyyz, jyyzz, jyyyz = jet
-    sq1, sqz = j1 * j1, jz * jz
-    return (
-        f1 * j1,
-        f2 * sq1 + f1 * j2,
-        f3 * sq1 * j1 + 3.0 * f2 * j1 * j2 + f1 * j3,
-        f4 * sq1 * sq1 + 6.0 * f3 * sq1 * j2 + f2 * (4.0 * j1 * j3 + 3.0 * j2 * j2) + f1 * j4,
-        f1 * jz,
-        f2 * sqz + f1 * jzz,
-        f2 * j1 * jz + f1 * jyz,
-        f3 * j1 * sqz + f2 * (j1 * jzz + 2.0 * jyz * jz) + f1 * jyzz,
-        f3 * sq1 * jz + f2 * (j2 * jz + 2.0 * j1 * jyz) + f1 * jyyz,
-        f4 * sq1 * sqz + f3 * (j2 * sqz + sq1 * jzz + 4.0 * j1 * jyz * jz)
-        + f2 * (j2 * jzz + 2.0 * (jyyz * jz + j1 * jyzz + jyz * jyz)) + f1 * jyyzz,
-        f4 * sq1 * j1 * jz + 3.0 * f3 * (sq1 * jyz + j1 * j2 * jz)
-        + f2 * (3.0 * (j2 * jyz + j1 * jyyz) + j3 * jz) + f1 * jyyyz,
-    )
-
-
-def _conditional_jet(x, g: GeomParams, a):
-    """The jet of log(e^{a Phi} - 1) at the lanes' x: log(M - p0) less
-    a log(alpha). Its derivatives in t = a Phi are 1 + v, -v(1 + v),
-    v(1 + v)(1 + 2v), -v(1 + v)(1 + 6v(1 + v)) with v = 1/(e^t - 1) =
-    p0/(M - p0). Where M - p0 is far below M, t is tiny and the fourth,
-    about 6/t^4, overflows below t = 1e-77, although each term of the
-    composition is of order 1. So the n-th derivative is taken times t^n
-    and a Phi's jet divided by t, which leaves every term unchanged: with
-    w = vt = t/(e^t - 1) in (0, 1] they read t + w, -w(t + w),
-    w(t + w)(t + 2w) and -w(t + w)(t^2 + 6w(t + w))."""
-    t = _log_m_over_p0(x, g, a)
-    w = t / np.expm1(t)
-    tw = t + w
-    jet = [j / t for j in _plain_jet(x, g, a)]
-    return _compose(tw, -w * tw, w * tw * (t + 2.0 * w), -w * tw * (t * t + 6.0 * w * tw), jet)
 
 
 def _saddle_terms(jet):
@@ -726,20 +721,22 @@ def _group_weights(g: GeomParams, coefs, k, a, x, conditional: bool):
 
 def spa_derivatives(panel: Panel, rates: Rates, variant: str = "plain"):
     """Score and observed information of spa_loglik(panel, rates, variant)
-    in (log lam, log mu), or None on a degenerate law (alpha or beta 0)
-    or where they are not finite.
+    in (log lam, log mu), or None on a degenerate law (alpha or beta 0),
+    where spa_loglik is not finite, or where they are not finite.
 
-    Each lane is differentiated implicitly at its saddlepoint, in the
-    one rate coordinate z its log pmf depends on beyond two linear terms
-    (the block comment above); exact._chain, which the exact likelihood's
-    derivatives share, takes the result to (log lam, log mu). The laws,
-    lanes and saddlepoints are those of the last spa_loglik sweep on the
-    panel when it ran at equal rates and the same variant. Otherwise, once
+    Each lane is differentiated in the one rate coordinate z its log pmf
+    depends on beyond two linear terms (the block comment above), a plain
+    lane in closed form and a conditional one implicitly at its
+    saddlepoint; exact._chain, which the exact likelihood's derivatives
+    share, takes the result to (log lam, log mu). The laws, lanes and
+    saddlepoints are those of the last spa_loglik sweep on the panel when
+    it ran at equal rates and the same variant. Otherwise, once
     the laws are checked for degeneracy (which returns None with nothing
     solved and the slot as it was), spa_loglik(panel, rates, variant) runs
-    first: such a cold call leaves its sweep in the slot, and raises the
-    SolverError or DomainError that spa_loglik raises. The solve is
-    deterministic lane by lane, so both ways give the same bits.
+    first: such a cold call returns None where it is not finite, leaves
+    its sweep in the slot where it is, and raises the SolverError or
+    DomainError that spa_loglik raises. The solve is deterministic lane
+    by lane, so both ways give the same bits.
     """
     conditional = _is_conditional(variant)
     table = panel.transitions
@@ -751,7 +748,8 @@ def spa_derivatives(panel: Panel, rates: Rates, variant: str = "plain"):
     if any(g.log_alpha == -math.inf or g.log_beta == -math.inf for g in laws):
         return None
     if sweep is None:
-        spa_loglik(panel, rates, variant)
+        if not math.isfinite(spa_loglik(panel, rates, variant)):
+            return None
         sweep = table._saddlepoints[rates, conditional]
     weights = [_group_weights(*lanes, conditional) for lanes in sweep]
     score, info = _chain(table.groups, laws, rates, weights)

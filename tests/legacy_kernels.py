@@ -1084,3 +1084,102 @@ def _newton_step(model: Optional[Model]) -> Optional[tuple[np.ndarray, float]]:
         c = MAX_STEP / size
         return step * c, q * c * (1.0 - 0.5 * c)
     return step, 0.5 * q
+
+
+# ---------------------------------------------------------------------------
+# saddlepoint derivatives by jets: the plain jet, the multivariate Faa di
+# Bruno composition, and the conditional jet composed from them; and the
+# conditional solve's seed before its first Newton step was taken in
+# closed form
+
+
+def solve_x_conditional(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
+    """The conditional branch of saddlepoint._solve_x seeded at the lower
+    of the plain root and log(1 - 1/k) + log R, capped at x_hi, without
+    the closed-form first Newton step."""
+    k_arr = np.asarray(k_arr, dtype=float)
+    a_arr = np.asarray(a_arr, dtype=float)
+    x = saddlepoint._plain_root(a_arr / k_arr, g)[0]
+    if not np.all(np.isfinite(x)):
+        raise SolverError("no saddlepoint root")
+    x_hi = _x_max(g)
+    x = np.minimum(x, x_hi)
+    x = np.minimum(x, np.log1p(-1.0 / k_arr) + _log_radius(g))
+    return _newton(x, k_arr, lambda x: saddlepoint._cond_terms(x, g, a_arr), x_hi, t, a_arr, rates)
+
+
+def plain_jet(x, g: GeomParams, a):
+    """The jet of a Phi(y, z) = a log(1 + e^z r(y)) at the lanes' x. With
+    E = z + log r(y), whose y-derivatives are 1 + r, r(1 + r), ... and
+    whose z-derivative is 1, a Phi = a softplus(E), and softplus has the
+    derivatives q, q p, q p (p - q), q p (1 - 6 q p) with q = 1 - p the
+    logistic of E."""
+    s = np.exp(x)
+    n2 = math.exp(g.log1m_beta) - g.beta * np.expm1(x)  # 1 - beta e^x
+    r = g.beta * s / n2
+    # e^z r = (1-alpha)(1-beta) e^x / (alpha n2); its logistic q and 1 - q
+    # share the denominator alpha n2 + (1-alpha)(1-beta) e^x
+    tail = math.exp(g.log1m_alpha + g.log1m_beta) * s
+    den = g.alpha * n2 + tail
+    q, p = tail / den, g.alpha * n2 / den
+    e1 = 1.0 / n2
+    e2 = r * e1
+    e3 = e2 * (1.0 + 2.0 * r)
+    e4 = e2 * (1.0 + 6.0 * e2)
+    f1 = a * q
+    f2 = f1 * p
+    f3 = f2 * (p - q)
+    f4 = f2 * (1.0 - 6.0 * q * p)
+    sq1 = e1 * e1
+    return (
+        f1 * e1,
+        f2 * sq1 + f1 * e2,
+        f3 * sq1 * e1 + 3.0 * f2 * e1 * e2 + f1 * e3,
+        f4 * sq1 * sq1 + 6.0 * f3 * sq1 * e2 + f2 * (4.0 * e1 * e3 + 3.0 * e2 * e2) + f1 * e4,
+        f1,
+        f2,
+        f2 * e1,
+        f3 * e1,
+        f3 * sq1 + f2 * e2,
+        f4 * sq1 + f3 * e2,
+        f4 * sq1 * e1 + 3.0 * f3 * e1 * e2 + f2 * e3,
+    )
+
+
+def _compose(f1, f2, f3, f4, jet):
+    """The jet of F(J) from F's first four derivatives at J and J's jet
+    (Faa di Bruno)."""
+    j1, j2, j3, j4, jz, jzz, jyz, jyzz, jyyz, jyyzz, jyyyz = jet
+    sq1, sqz = j1 * j1, jz * jz
+    return (
+        f1 * j1,
+        f2 * sq1 + f1 * j2,
+        f3 * sq1 * j1 + 3.0 * f2 * j1 * j2 + f1 * j3,
+        f4 * sq1 * sq1 + 6.0 * f3 * sq1 * j2 + f2 * (4.0 * j1 * j3 + 3.0 * j2 * j2) + f1 * j4,
+        f1 * jz,
+        f2 * sqz + f1 * jzz,
+        f2 * j1 * jz + f1 * jyz,
+        f3 * j1 * sqz + f2 * (j1 * jzz + 2.0 * jyz * jz) + f1 * jyzz,
+        f3 * sq1 * jz + f2 * (j2 * jz + 2.0 * j1 * jyz) + f1 * jyyz,
+        f4 * sq1 * sqz + f3 * (j2 * sqz + sq1 * jzz + 4.0 * j1 * jyz * jz)
+        + f2 * (j2 * jzz + 2.0 * (jyyz * jz + j1 * jyzz + jyz * jyz)) + f1 * jyyzz,
+        f4 * sq1 * j1 * jz + 3.0 * f3 * (sq1 * jyz + j1 * j2 * jz)
+        + f2 * (3.0 * (j2 * jyz + j1 * jyyz) + j3 * jz) + f1 * jyyyz,
+    )
+
+
+def conditional_jet(x, g: GeomParams, a):
+    """The jet of log(e^{a Phi} - 1) at the lanes' x: log(M - p0) less
+    a log(alpha). Its derivatives in t = a Phi are 1 + v, -v(1 + v),
+    v(1 + v)(1 + 2v), -v(1 + v)(1 + 6v(1 + v)) with v = 1/(e^t - 1) =
+    p0/(M - p0). Where M - p0 is far below M, t is tiny and the fourth,
+    about 6/t^4, overflows below t = 1e-77, although each term of the
+    composition is of order 1. So the n-th derivative is taken times t^n
+    and a Phi's jet divided by t, which leaves every term unchanged: with
+    w = vt = t/(e^t - 1) in (0, 1] they read t + w, -w(t + w),
+    w(t + w)(t + 2w) and -w(t + w)(t^2 + 6w(t + w))."""
+    t = saddlepoint._log_m_over_p0(x, g, a)
+    w = t / np.expm1(t)
+    tw = t + w
+    jet = [j / t for j in plain_jet(x, g, a)]
+    return _compose(tw, -w * tw, w * tw * (t + 2.0 * w), -w * tw * (t * t + 6.0 * w * tw), jet)

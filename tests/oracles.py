@@ -88,7 +88,10 @@ def mp_cond_cgf_prime(x, t, a, lam, mu):
     the working precision: M - alpha^a keeps the digits of the working
     precision beyond those that 1 - beta cancels (run it at 300 digits
     where 1 - beta is near 1e-212)."""
-    alpha, beta = mp_alpha_beta(t, lam, mu)
+    return _cond_cgf_prime(x, a, *mp_alpha_beta(t, lam, mu))
+
+
+def _cond_cgf_prime(x, a, alpha, beta):
     s = mp.e ** mp.mpf(x)
     m = (alpha + (1 - alpha) * (1 - beta) * s / (1 - beta * s)) ** int(a)
     return _cgf_prime(x, a, alpha, beta) * m / (m - alpha ** int(a))
@@ -121,3 +124,23 @@ def mp_cond_cgf_derivative(x, t, a, lam, mu):
         m = lambda y: mp_pgf(mp.e ** y, t, a, lam, mu)
         x = mp.mpf(x)
         return mp.diff(m, x) / (m(x) - alpha ** int(a))
+
+
+def mp_log_cond_spa_pmf(k, t, a, lam, mu, lo, hi):
+    """Log of the conditional saddlepoint pmf approximation scaled back by
+    the survival probability 1 - alpha^a, log(M(x) - alpha^a) - x k
+    - log(2 pi Kc''(x))/2, with the saddlepoint found by bisecting
+    Kc'(x) = k (mp_cond_cgf_prime) on [lo, hi] and Kc'' by mpmath
+    differentiation of mp_cond_cgf_prime, in arbitrary precision."""
+    alpha, beta = mp_alpha_beta(t, lam, mu)
+    lo, hi = mp.mpf(lo), mp.mpf(hi)
+    for _ in range(400):
+        mid = (lo + hi) / 2
+        if _cond_cgf_prime(mid, a, alpha, beta) < k:
+            lo = mid
+        else:
+            hi = mid
+    x = (lo + hi) / 2
+    kc2 = mp.diff(lambda y: mp_cond_cgf_prime(y, t, a, lam, mu), x)
+    m = mp_pgf(mp.e ** x, t, a, lam, mu)
+    return mp.log(m - alpha ** int(a)) - mp.log(2 * mp.pi * kc2) / 2 - x * k

@@ -94,17 +94,21 @@ def test_kernel_costs_script_reports_each_kernel(capsys):
     costs = _load("run_kernel_costs")
     assert costs.main(["--seed", "3", "--panels", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
-    rows = {(line[:30].strip(), line[31:46].strip()): line.split()[-5:] for line in out[1:]}
+    rows = {(line[:30].strip(), line[31:46].strip()): line.split()[-6:] for line in out[1:]}
     kernels = ["spa_loglik", "spa_derivatives cold", "spa_derivatives after loglik"]
     expected = [(k, m) for m in ("spmle", "spmle_adjusted") for k in kernels]
     assert list(rows) == expected + [("exact_loglik+derivatives", "mle")]
-    for median, lo, hi, _, panels in rows.values():
+    for median, lo, hi, _, _, panels in rows.values():
         assert 0.0 < float(lo) <= float(median) <= float(hi)
         assert int(panels) == 2
     passes = {key: float(row[3]) for key, row in rows.items()}
-    # one pass per group for the plain value, none where the sweep is read
-    assert passes["spa_loglik", "spmle"] == 1.0
+    per_group = {key: float(row[4]) for key, row in rows.items()}
+    # one pass per group for the plain value, none where the sweep is read;
+    # a single-trajectory panel has one gap group
+    assert passes["spa_loglik", "spmle"] == per_group["spa_loglik", "spmle"] == 1.0
     assert passes["spa_loglik", "spmle_adjusted"] >= 1.0
+    assert per_group["spa_loglik", "spmle_adjusted"] >= 1.0
+    assert per_group["spa_derivatives after loglik", "spmle_adjusted"] == 0.0
     assert passes["spa_derivatives after loglik", "spmle"] == 0.0
     assert passes["spa_derivatives after loglik", "spmle_adjusted"] == 0.0
     # every timed cold call solves afresh, as the loglik does
@@ -201,7 +205,8 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
         assert n == same and "0 error changes" in line
 
     # a change that moves one well-conditioned loglik (qg fits take about
-    # 76 evaluations, so the parent's count is set to 5), makes one fit
+    # 76 evaluations, so the parent's count is set to 5) and its lam by
+    # 0.01 SE, makes one fit
     # raise, lowers a fit that the parent continued, and raises two that it
     # continued: one where the exact loglik rises too, one to rates where
     # beta rounds to 1; and one whose loglik is no longer reported
@@ -212,6 +217,7 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     ][:6]
     p0["evals"] = c0["evals"] = 5
     c0["loglik"] += 1.0
+    c0["lam"] += 0.01 * p0["cov"][0][0] ** 0.5
     c1.update(error="SolverError: no root")
     p2["continued"] = p3["continued"] = p4["continued"] = True
     c2["loglik"] -= 1.0
@@ -223,6 +229,9 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     summary = eq.compare(data, change)["qg"]
     assert len(summary["well_moved"]) == 1
     assert summary["well_moved"][0].startswith(f"qg on {p0['panel']}: ")
+    (se_line,) = summary["se_moved"]
+    assert se_line.startswith(f"qg on {p0['panel']}: ") and se_line.endswith(", 0.01 SE")
+    assert summary["worst_se"] == pytest.approx(0.01)
     assert summary["errors"] == [f"qg on {c1['panel']}: None -> SolverError: no root"]
     lower, higher, suspect, gone = summary["moved"]
     assert lower.startswith(f"qg on {p2['panel']}: ") and lower.endswith("LOWER")
@@ -233,6 +242,7 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     assert eq.main(["compare", str(parent), str(tmp_path / "change.json")]) == 0
     out = capsys.readouterr().out
     assert out.count("well_moved:") == 1 and out.count("errors:") == 1
+    assert out.count("se_moved:") == 1 and "worst rate move 0.01 SE" in out
 
     # files over different panel sets are refused with a message
     change["fits"] = change["fits"][:-1]

@@ -7,13 +7,14 @@ the last spa_loglik sweep."""
 
 import math
 
+import legacy_kernels as legacy
 import mpmath as mp
 import numpy as np
 import pytest
 import test_exact_table
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import mp_alpha_beta, mp_log_spa_pmf
+from oracles import mp_alpha_beta, mp_log_cond_spa_pmf, mp_log_spa_pmf
 from test_newton_search import small_panels
 
 import bdrates.estimate
@@ -22,8 +23,9 @@ from bdrates.errors import BdError, DomainError, SolverError
 from bdrates.estimate import fit
 from bdrates.exact import geom_params
 from bdrates.saddlepoint import (
+    _conditional_jet,
+    _log_m_over_p0,
     _log_radius,
-    _plain_jet,
     _plain_psi,
     _saddle_terms,
     _solve_x,
@@ -75,23 +77,28 @@ def _central(fun, theta, h=1e-3):
     return np.array(cols).T
 
 
-def _mp_loglik(panel, rates):
-    """The plain saddlepoint log likelihood of the panel as an mpmath
+def _mp_loglik(panel, rates, variant="plain"):
+    """The variant's saddlepoint log likelihood of the panel as an mpmath
     function of (log lam, log mu) near rates: k = 0 lanes score
-    a*log(alpha) and k >= 1 lanes mp_log_spa_pmf, each bisected on a
+    a*log(alpha), conditional k = 1 lanes a(1-alpha)(1-beta)alpha^(a-1),
+    and the rest mp_log_spa_pmf or mp_log_cond_spa_pmf, each bisected on a
     bracket placed by the float saddlepoint's distance below the radius,
     room: (log R - room - min(0.5, room), log R - room + min(0.5, room/2))
     at the rates evaluated, so that a root that follows a moving radius
     stays inside it."""
+    conditional = variant == "conditional"
     lanes = []
     for tr in panel:
         for a, k, t in zip(tr.counts, tr.counts[1:], np.diff(tr.times)):
             if a == 0:
                 continue
             room = None
-            if k:
-                room = _log_radius(geom_params(t, rates)) - solve_saddlepoint(k, t, a, rates).x_tilde
+            if k > conditional:
+                g = geom_params(t, rates)
+                x, _ = _solve_x([float(k)], [float(a)], g, t, rates, conditional)
+                room = _log_radius(g) - float(x[0])
             lanes.append((a, k, t, room))
+    log_pmf = mp_log_cond_spa_pmf if conditional else mp_log_spa_pmf
 
     def loglik(th0, th1):
         lam, mu = mp.exp(th0), mp.exp(th1)
@@ -100,18 +107,20 @@ def _mp_loglik(panel, rates):
             alpha, beta = mp_alpha_beta(t, lam, mu)
             if room is None:
                 total += a * mp.log(alpha)
+                if k:
+                    total += mp.log(a * (1 - alpha) * (1 - beta) / alpha)
                 continue
             x = -mp.log(beta) - room
-            total += mp_log_spa_pmf(k, t, a, lam, mu, x - min(0.5, room), x + min(0.5, room / 2))
+            total += log_pmf(k, t, a, lam, mu, x - min(0.5, room), x + min(0.5, room / 2))
         return total
 
     return loglik
 
 
-def _mp_score(panel, rates):
-    """d/d(log lam, log mu) of the plain saddlepoint log likelihood, by
-    mpmath differentiation of _mp_loglik."""
-    loglik = _mp_loglik(panel, rates)
+def _mp_score(panel, rates, variant="plain"):
+    """d/d(log lam, log mu) of the variant's saddlepoint log likelihood,
+    by mpmath differentiation of _mp_loglik."""
+    loglik = _mp_loglik(panel, rates, variant)
     # central differences with an explicit step: mpmath's default step is
     # inaccurate at lam == mu, where mp_alpha_beta switches formulas
     th = (mp.log(rates.lam), mp.log(rates.mu))
@@ -143,6 +152,15 @@ def test_plain_score_matches_mpmath(pname, rname):
     score, _ = spa_derivatives(panel, rates, "plain")
     ref = _mp_score(panel, rates)
     assert np.all(np.abs(score - ref) <= 1e-7 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("rname", list(RATES))
+@pytest.mark.parametrize("pname", ["edge", "unequal"])
+def test_conditional_score_matches_mpmath(pname, rname):
+    panel, rates = PANELS[pname], RATES[rname]
+    score, _ = spa_derivatives(panel, rates, "conditional")
+    ref = _mp_score(panel, rates, "conditional")
+    assert np.all(np.abs(score - ref) <= 1e-10 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("variant", ["plain", "conditional"])
@@ -203,9 +221,8 @@ def test_derivatives_near_the_radius_stay_accurate():
 
 def _jet_psi(x, g, k, a):
     """psi' and psi'' of plain lanes by implicit differentiation of their
-    jets, the derivative path the closed form replaced (the conditional
-    variant still takes it)."""
-    return _saddle_terms(_plain_jet(x, g, a))
+    jets, the derivative path the closed form replaced."""
+    return _saddle_terms(legacy.plain_jet(x, g, a))
 
 
 def test_plain_closed_form_matches_the_jets_over_random_laws():
@@ -305,6 +322,123 @@ def test_plain_derivatives_are_finite_wherever_the_jets_were(panel, theta):
         assert got is None or got == ref or all(np.all(np.isfinite(part)) for part in got)
         return
     for part, ref_part in zip(got, ref):
+        assert np.all(np.abs(part - ref_part) <= 1e-9 * max(1.0, np.max(np.abs(ref_part))))
+
+
+# ---------------------------------------------------------------------------
+# the conditional lanes' derivatives composed in one variable, and their
+# solve's closed-form first Newton step, against the code they replaced
+
+
+def test_conditional_composition_matches_the_legacy_jets_over_random_laws():
+    rng = np.random.default_rng(19)
+    tiny = np.finfo(float).tiny
+    agree = limit = 0
+    for _ in range(1500):
+        rates = Rates(*np.exp(rng.uniform(-4.0, 6.0, 2)))
+        t = math.exp(rng.uniform(-5.0, 1.5))
+        k = rng.integers(2, 600, 8).astype(float)
+        a = rng.integers(1, 300, 8).astype(float)
+        g = geom_params(t, rates)
+        try:
+            x, _ = _solve_x(k, a, g, t, rates, True)
+        except SolverError:
+            continue
+        # the parent's seed finds the same saddlepoints, to the solve's
+        # stopping rules
+        ref_x, _ = legacy.solve_x_conditional(k, a, g, t, rates)
+        assert np.all(np.abs(x - ref_x) <= 1e-9 * np.maximum(1.0, np.abs(x)))
+        with np.errstate(all="ignore"):
+            first, second = _saddle_terms(_conditional_jet(x, g, a))
+            ref1, ref2 = _saddle_terms(legacy.conditional_jet(x, g, a))
+            sub = _log_m_over_p0(x, g, a) < tiny
+        ok = np.isfinite(ref1) & np.isfinite(ref2)
+        assert np.all(np.isfinite(first[ok])) and np.all(np.isfinite(second[ok]))
+        # where T = log(M/p0) is subnormal, the legacy a q / T divides two
+        # subnormals and keeps no digits (psi' read 1.907 on 7 -> 111 at
+        # lam 303.6, mu 0.812, t 2.45, where mpmath gives 1); the law given
+        # survival is that of one survivor, whose psi is z plus a constant
+        assert np.all(np.abs(first[sub] - 1.0) <= 1e-12) and np.all(np.abs(second[sub]) <= 1e-12)
+        both = ok & ~_legacy_loses_digits(x, g)
+        assert np.all(np.abs(first - ref1)[both] <= 1e-12 * np.abs(ref1[both]))
+        assert np.all(np.abs(second - ref2)[both] <= 1e-12 * np.abs(ref1[both]))
+        agree += int(both.sum())
+        limit += int(sub.sum())
+    assert agree > 11000 and limit > 0
+
+
+def _legacy_loses_digits(x, g):
+    """Where the legacy jets form (1-alpha)(1-beta) e^x as a subnormal,
+    and lose digits that the composition keeps: on the 1 -> 2 lane at
+    t = 1.40625, lam = e^6.2421875 and mu = e^-9, 1 - beta = e^-722.8,
+    the legacy score is (-725.78664814, 3.00017307) and mpmath's and the
+    composition's (-725.78664826, 3.00017306)."""
+    return g.log1m_alpha + g.log1m_beta + x < math.log(np.finfo(float).tiny)
+
+
+def _legacy_conditional(patch):
+    """Make the conditional variant seed its solve at the lower of the
+    plain root and log(1 - 1/k) + log R, and differentiate its lanes by
+    the legacy jets."""
+    real = bdrates.saddlepoint._solve_x
+
+    def solve(k, a, g, t, rates, conditional):
+        if conditional:
+            return legacy.solve_x_conditional(k, a, g, t, rates)
+        return real(k, a, g, t, rates, conditional)
+
+    patch.setattr(bdrates.saddlepoint, "_solve_x", solve)
+    patch.setattr(bdrates.saddlepoint, "_conditional_jet", legacy.conditional_jet)
+
+
+# the first example is a panel at rho = alpha beta / ((1-alpha)(1-beta))
+# near e^2191, where a seed that took sqrt(rho) by math.exp raised
+# OverflowError; the second is that of _legacy_loses_digits
+@settings(max_examples=60, deadline=None)
+@given(
+    panel=small_panels(),
+    theta=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+)
+@example(
+    panel=Panel((Trajectory((0.0, 2.0, 3.0), (1, 2, 0)), Trajectory((0.0, 1.0), (1, 0)))),
+    theta=(0.0, 7.0),
+)
+@example(
+    panel=Panel(
+        (
+            Trajectory((0.0, 1.40625, 2.40625, 3.40625, 4.40625), (1, 2, 0, 0, 0)),
+            Trajectory((0.0, 1.0), (1, 0)),
+        )
+    ),
+    theta=(6.2421875, -9.0),
+)
+def test_conditional_derivatives_are_finite_wherever_the_legacy_ones_were(panel, theta):
+    rates = _rates(theta)
+    outs = []
+    for legacy_path in (False, True):
+        fresh = _fresh(panel)
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            if legacy_path:
+                _legacy_conditional(patch)
+            try:
+                outs.append((spa_loglik(fresh, rates, "conditional"), spa_derivatives(fresh, rates, "conditional")))
+            except BdError as exc:
+                outs.append(type(exc))
+        if not legacy_path:
+            sweep = fresh.transitions._saddlepoints.get((rates, True), [])
+            lossy = any(x is not None and np.any(_legacy_loses_digits(x, g)) for g, *_, x in sweep)
+    got, ref = outs
+    if isinstance(ref, type) or ref[1] is None:
+        if isinstance(got, type):
+            assert got == ref
+        else:
+            assert got[1] is None or all(np.all(np.isfinite(part)) for part in got[1])
+        return
+    assert not isinstance(got, type) and got[1] is not None
+    assert abs(got[0] - ref[0]) <= 1e-9 * max(1.0, abs(ref[0]))
+    if lossy:
+        return
+    for part, ref_part in zip(got[1], ref[1]):
         assert np.all(np.abs(part - ref_part) <= 1e-9 * max(1.0, np.max(np.abs(ref_part))))
 
 
@@ -450,6 +584,22 @@ def test_a_loglik_that_raises_leaves_no_sweep(variant):
     assert panel.transitions._saddlepoints == {}
 
 
+def test_derivatives_are_none_where_the_loglik_is_not_finite():
+    # the 3 -> 95 lane over t = 3 scores -inf under the conditional
+    # variant; the derivatives of the other lanes read a score of
+    # (-3561, 1445) there
+    panel = Panel((Trajectory((0.0, 0.5, 2.5, 5.5), (150, 1257, 3, 95)),))
+    rates = Rates(250.2901987107919, 4.570406856062319)
+    assert spa_derivatives(_fresh(panel), rates, "conditional") is None
+    assert spa_loglik(panel, rates, "conditional") == -math.inf
+    assert panel.transitions._saddlepoints == {}
+    assert spa_derivatives(panel, rates, "conditional") is None
+    assert panel.transitions._saddlepoints == {}
+    # the plain variant scores the panel, and leaves its sweep
+    assert math.isfinite(spa_loglik(panel, rates, "plain"))
+    assert spa_derivatives(panel, rates, "plain") is not None
+
+
 @pytest.mark.parametrize("pname", ["unequal", "single_traj"])
 @pytest.mark.parametrize("method", ["spmle", "spmle_adjusted"])
 def test_fits_solve_each_group_once_per_counted_evaluation(monkeypatch, method, pname):
@@ -466,13 +616,14 @@ def test_fits_solve_each_group_once_per_counted_evaluation(monkeypatch, method, 
 
 
 # the most CGF passes one conditional spa_loglik call made during the fit
-# of each panel (the plain call makes one per gap group with saddlepoint
-# lanes: the residual check at the quadratic root, whose terms it scores)
+# of each panel, whose first Newton step takes none (the plain call makes
+# one per gap group with saddlepoint lanes: the residual check at the
+# closed-form root, whose terms it scores)
 COND_PASSES = {
-    "pooled_float_grid": 3,
-    "single_traj": 6,
-    "absorbing": 5,
-    "unequal": 21,
+    "pooled_float_grid": 2,
+    "single_traj": 5,
+    "absorbing": 4,
+    "unequal": 16,
     "large_counts": 1,
 }
 
