@@ -251,15 +251,17 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: b
         x = np.minimum(x, x_hi)
         return _newton(x, k_arr, lambda x: _cgf_terms(x, g, a_arr), x_hi, t, a_arr, rates)
     # the first Newton step from the plain root, clipped to -2 as _newton
-    # clips its own and dropped where it is not finite: there K' = k and
-    # K'' = k^2 S/a (the derivative block below), so with v = p0/(M - p0),
-    # Kc' = K'(1 + v) and Kc'' = (1 + v)(K'' + K'^2) - Kc'^2 read
-    # Kc' - k = k v and Kc'' = k^2 (1 + v)(S/a - v): no CGF pass
+    # clips its own: there K' = k and K'' = k^2 S/a (the derivative block
+    # below), so with v = p0/(M - p0) Kc' - k = k v and Kc'' = (1 + v)(K''
+    # + K'^2) - Kc'^2 = k^2 (1 + v)(S/a - v), without a CGF pass. A lane
+    # keeps its root where that is not below x_hi, or Kc'' reads <= 0 or
+    # the step is not finite there: the float root does not bear them out
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         v = 1.0 / np.expm1(_log_m_over_p0(x, g, a_arr))
         resid = k_arr * v
-        step = resid / np.fmax(k_arr * k_arr * (1.0 + v) * (s / a_arr - v), 0.5 * resid)
-    x = np.where(np.isfinite(step), x - step, x)
+        kc2 = k_arr * k_arr * (1.0 + v) * (s / a_arr - v)
+        step = resid / np.fmax(kc2, 0.5 * resid)
+    x = np.where((kc2 > 0.0) & np.isfinite(step) & (x < x_hi), x - step, x)
     x = np.minimum(np.minimum(x, np.log1p(-1.0 / k_arr) + _log_radius(g)), x_hi)
     return _newton(x, k_arr, lambda x: _cond_terms(x, g, a_arr), x_hi, t, a_arr, rates)
 

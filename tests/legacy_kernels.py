@@ -25,7 +25,12 @@ came from the rates, with its own critical branch and overflow check,
 choosing between both roots, before the closed-form root in
 u = 1 - beta e^x replaced it; its critical branch read the band test
 that the law parameters used before they kept their lam == mu limit
-for omega == 0 alone. They are kept here
+for omega == 0 alone. The saddlepoint derivatives were taken from jets
+by implicit differentiation, the conditional one composing the plain
+jet with log(e^T - 1) in two variables, before the plain lanes took a
+closed form and the conditional ones a composition in one variable; the
+conditional solve then spent its first CGF pass on the step that its
+seed now takes in closed form. They are kept here
 verbatim apart from names, calling the package's current helpers, so
 the replacements can be checked against them.
 """

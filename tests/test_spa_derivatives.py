@@ -29,7 +29,6 @@ from bdrates.saddlepoint import (
     _plain_psi,
     _saddle_terms,
     _solve_x,
-    solve_saddlepoint,
     spa_derivatives,
     spa_loglik,
 )
@@ -330,15 +329,36 @@ def test_plain_derivatives_are_finite_wherever_the_jets_were(panel, theta):
 # solve's closed-form first Newton step, against the code they replaced
 
 
-def test_conditional_composition_matches_the_legacy_jets_over_random_laws():
-    rng = np.random.default_rng(19)
-    tiny = np.finfo(float).tiny
-    agree = limit = 0
-    for _ in range(1500):
+def _legacy_loses_digits(x, g):
+    """Where the legacy jets form (1-alpha)(1-beta) e^x as a subnormal,
+    and lose digits that the composition keeps: on the 1 -> 2 lane at
+    t = 1.40625, lam = e^6.2421875 and mu = e^-9, 1 - beta = e^-722.8,
+    the legacy score is (-725.78664814, 3.00017307) and mpmath's and the
+    composition's (-725.78664826, 3.00017306)."""
+    return g.log1m_alpha + g.log1m_beta + x < math.log(np.finfo(float).tiny)
+
+
+def _random_laws(seed, n):
+    """Two pinned laws, then n random ones of 8 lanes each, as
+    (rates, t, k, a). In the first, T = log(M/p0) of 7 -> 111 is
+    subnormal. In the second, 1 - alpha = e^-725 and the plain root of
+    234 -> 575 lies in the guard band, where Kc'' at it reads negative: a
+    step of -2 from it took the solve to where M - p0 underflows, and the
+    lane scored -inf."""
+    yield Rates(303.58980999084366, 0.811955588379467), 2.449658003879583, [111.0], [7.0]
+    yield Rates(0.33483882769517925, 305.4461415419284), 2.376316830935839, [575.0], [234.0]
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
         rates = Rates(*np.exp(rng.uniform(-4.0, 6.0, 2)))
         t = math.exp(rng.uniform(-5.0, 1.5))
-        k = rng.integers(2, 600, 8).astype(float)
-        a = rng.integers(1, 300, 8).astype(float)
+        yield rates, t, rng.integers(2, 600, 8), rng.integers(1, 300, 8)
+
+
+def test_conditional_composition_matches_the_legacy_jets_over_random_laws():
+    tiny = np.finfo(float).tiny
+    agree = limit = 0
+    for rates, t, k, a in _random_laws(19, 1500):
+        k, a = np.asarray(k, dtype=float), np.asarray(a, dtype=float)
         g = geom_params(t, rates)
         try:
             x, _ = _solve_x(k, a, g, t, rates, True)
@@ -364,16 +384,7 @@ def test_conditional_composition_matches_the_legacy_jets_over_random_laws():
         assert np.all(np.abs(second - ref2)[both] <= 1e-12 * np.abs(ref1[both]))
         agree += int(both.sum())
         limit += int(sub.sum())
-    assert agree > 11000 and limit > 0
-
-
-def _legacy_loses_digits(x, g):
-    """Where the legacy jets form (1-alpha)(1-beta) e^x as a subnormal,
-    and lose digits that the composition keeps: on the 1 -> 2 lane at
-    t = 1.40625, lam = e^6.2421875 and mu = e^-9, 1 - beta = e^-722.8,
-    the legacy score is (-725.78664814, 3.00017307) and mpmath's and the
-    composition's (-725.78664826, 3.00017306)."""
-    return g.log1m_alpha + g.log1m_beta + x < math.log(np.finfo(float).tiny)
+    assert agree > 11000 and limit >= 1
 
 
 def _legacy_conditional(patch):
@@ -421,7 +432,8 @@ def test_conditional_derivatives_are_finite_wherever_the_legacy_ones_were(panel,
             if legacy_path:
                 _legacy_conditional(patch)
             try:
-                outs.append((spa_loglik(fresh, rates, "conditional"), spa_derivatives(fresh, rates, "conditional")))
+                value = spa_loglik(fresh, rates, "conditional")
+                outs.append((value, spa_derivatives(fresh, rates, "conditional")))
             except BdError as exc:
                 outs.append(type(exc))
         if not legacy_path:
