@@ -39,10 +39,8 @@ u > 1/2. So it holds at criticality, keeps its digits where 1 - beta is
 far smaller than the root's distance from the radius, is exact for pure
 birth and cannot overflow. Pure birth with k <= a and pure death with
 k >= a have no root, and such a lane raises SolverError. A conditional
-lane takes its first Newton step from that root in closed form, without
-a CGF pass, and starts at the lower of that point and
-log(1 - 1/k) + log R, the root of Kc'(x) = 1/(1 - beta e^x): given
-survival one ancestor's count is geometric (_solve_x).
+lane starts at the lower of that root moved by a Halley step, taken in
+closed form without a CGF pass, and log(1 - 1/k) + log R (_solve_x).
 The conditional terms form (M - p0)/M from log(M/p0), which keeps its
 digits where M - p0 is far below M (_cond_terms). Each pass of the solve
 evaluates the variant's CGF terms at every lane of the group; a lane
@@ -65,7 +63,7 @@ probes. The solve returns the terms of its last pass, which are those at
 the saddlepoints, and _log_spa scores them without evaluating the CGF
 again. So a plain group costs one CGF pass, the residual check at the
 closed-form root, unless a lane needs a Newton step; a conditional group
-costs 3.5 on average, at most 6, over the fits of 40 simulated
+costs 2.5 on average, at most 4, over the fits of 40 simulated
 single-trajectory panels (scripts/run_kernel_costs.py --panels 40).
 
 spa_derivatives gives the score and observed information of either
@@ -73,8 +71,7 @@ variant's panel log likelihood in (log lam, log mu), so the fits take
 Newton steps on it (see the comment block above it). At a plain root the
 saddlepoint algebra collapses: K''(x~) = k^2 S/a, and a plain lane's
 derivatives are closed-form functions of u, r, rho and S (_plain_psi). A
-conditional lane is differentiated implicitly at its saddlepoint, from
-derivatives in the one variable its log(M - p0) depends on
+conditional lane is differentiated implicitly at its saddlepoint
 (_conditional_jet). A fit asks for them at the point its objective has
 just scored, so spa_loglik leaves its finished sweep's saddlepoints on
 the panel's transitions table (one slot, the last sweep of finite total
@@ -228,14 +225,11 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: b
     (pure birth with k <= a, pure death with k >= a) raises SolverError
     naming it.
 
-    A conditional lane starts at the lower of that root moved by the
-    conditional solve's first Newton step, taken in closed form, and
-    log(1 - 1/k) + log R. Tilted by e^x, the count given survival has a
-    mean Kc' at least the plain K' and at least 1/(1 - beta e^x), the mean
-    of one surviving ancestor's geometric count, so both roots lie at or
-    above the lane's. The second is exact for a = 1 and close wherever
-    M - p0 is far below M, where Newton steps from the plain root, near
-    x = 0, only double the distance."""
+    A conditional lane starts at the lower of that root moved by a closed-
+    form Halley step and log(1 - 1/k) + log R, both roots at or above its
+    own: given survival the count has a mean Kc' at least the plain K' and
+    at least one survivor's 1/(1 - beta e^x). The second is exact for
+    a = 1 and close wherever M - p0 is far below M."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
     x, s = _plain_root(a_arr / k_arr, g)
@@ -250,17 +244,22 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: b
     if not conditional:
         x = np.minimum(x, x_hi)
         return _newton(x, k_arr, lambda x: _cgf_terms(x, g, a_arr), x_hi, t, a_arr, rates)
-    # the first Newton step from the plain root, clipped to -2 as _newton
-    # clips its own: there K' = k and K'' = k^2 S/a (the derivative block
-    # below), so with v = p0/(M - p0) Kc' - k = k v and Kc'' = (1 + v)(K''
-    # + K'^2) - Kc'^2 = k^2 (1 + v)(S/a - v), without a CGF pass. A lane
-    # keeps its root where that is not below x_hi, or Kc'' reads <= 0 or
-    # the step is not finite there: the float root does not bear them out
+    # a Halley step from the plain root, at most twice Newton's and clipped
+    # to -2 as _newton clips its own. There K' = k, K'' = k^2 S/a (the block
+    # below) and K''' = k/u^2 (p(2p - 1) + 3p(1 - u) + (1 - u)(2 - u)) with
+    # u = 1 - beta e^x, p = 1 - k u/a; so with v = p0/(M - p0), Kc' - k = k v,
+    # Kc'' = (1 + v)(K'' - v k^2), Kc''' = (1 + v)(K''' - 3v k K'' + v(1 + 2v)
+    # k^3), without a CGF pass. A lane keeps its root where that is not below
+    # x_hi, Kc'' <= 0 or the step is not finite: the float root fails there
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         v = 1.0 / np.expm1(_log_m_over_p0(x, g, a_arr))
-        resid = k_arr * v
-        kc2 = k_arr * k_arr * (1.0 + v) * (s / a_arr - v)
-        step = resid / np.fmax(kc2, 0.5 * resid)
+        u = math.exp(g.log1m_beta) - g.beta * np.expm1(x)
+        p, k2 = 1.0 - u * k_arr / a_arr, k_arr * k_arr * s / a_arr
+        k3 = k_arr / (u * u) * (p * (2.0 * p - 1.0) + 3.0 * p * (1.0 - u) + (1.0 - u) * (2.0 - u))
+        resid, kc2 = k_arr * v, (1.0 + v) * (k2 - v * k_arr * k_arr)
+        kc3 = (1.0 + v) * (k3 - 3.0 * v * k_arr * k2 + v * (1.0 + 2.0 * v) * k_arr**3)
+        den = np.maximum(kc2 - 0.5 * resid * kc3 / kc2, 0.5 * kc2)
+        step = resid / np.maximum(den, 0.5 * resid)
     x = np.where((kc2 > 0.0) & np.isfinite(step) & (x < x_hi), x - step, x)
     x = np.minimum(np.minimum(x, np.log1p(-1.0 / k_arr) + _log_radius(g)), x_hi)
     return _newton(x, k_arr, lambda x: _cond_terms(x, g, a_arr), x_hi, t, a_arr, rates)
@@ -611,10 +610,10 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
 
 
 def _conditional_jet(x, g: GeomParams, a):
-    """The jet of L = log(e^T - 1), T = a Phi = log(M/p0), at the lanes'
-    x: log(M - p0) less a log(alpha). L depends on (y, z) through
-    E = z + log r(y) alone, so its jet is composed (Faa di Bruno) from its
-    derivatives f1..f4 in E and E's: 1/n2, r/n2, ... in y and 1 in z.
+    """The jet of L = log(e^T - 1), T = a Phi = log(M/p0), at the lanes' x:
+    log(M - p0) less a log(alpha). L depends on (y, z) through E = z + log
+    r(y) alone, so its jet is composed (Faa di Bruno) from its derivatives
+    f1..f4 in E and E's: 1/n2, r/n2, ... in y and 1 in z.
     T = a softplus(E), and softplus has the derivatives q, q p, q p (p - q),
     q p (1 - 6 q p) with q = 1 - p the logistic of E; F(T) = log(e^T - 1)
     has 1 + v, -v(1 + v), v(1 + v)(1 + 2v), -v(1 + v)(1 + 6v(1 + v)) with
