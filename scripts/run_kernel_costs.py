@@ -18,12 +18,13 @@ spmle_adjusted and mle, and times at each fit's optimum:
 Each figure is the best of 20 calls on one panel; the table gives the
 median, smallest and largest over the panels, in microseconds. It is the
 per-evaluation layer cost, to read beside the evaluations per fit. Beside
-it, passes is the median over the panels of the CGF passes one call
-makes (calls of saddlepoint._cgf_terms, each over one gap group's lanes;
-0 for a call that reads the saddlepoints of the sweep before it, and for
-the exact kernel), and per_group their mean over the panels per gap
-group with saddlepoint lanes, which a median of whole passes rounds
-away.
+it, passes is the median over the panels of the solve passes one call
+makes (calls of saddlepoint._cgf_terms for the plain solve and of
+saddlepoint._cond_pass for the conditional one, each over one gap
+group's lanes; 0 for a call that reads the saddlepoints of the sweep
+before it, and for the exact kernel), and per_group their mean over the
+panels per gap group with saddlepoint lanes, which a median of whole
+passes rounds away.
 
     PYTHONPATH=src python scripts/run_kernel_costs.py --seed 1 --panels 12
 """
@@ -44,6 +45,8 @@ RATES = Rates(7.0, 6.0)
 TIMES = tuple(0.2 * (j + 1) for j in range(14))
 REPEATS = 20
 VARIANTS = {"spmle": "plain", "spmle_adjusted": "conditional"}
+# the pass of the plain solve (a CGF evaluation) and of the conditional one
+PASSES = ("_cgf_terms", "_cond_pass")
 
 
 def draw_panels(seed: int, n_panels: int) -> list[Panel]:
@@ -67,27 +70,33 @@ def best_of(call) -> float:
     return 1e6 * best
 
 
-def cgf_passes(call) -> int:
-    """The calls of saddlepoint._cgf_terms that one call() makes."""
-    real, count = saddlepoint._cgf_terms, 0
+def solve_passes(call) -> dict[str, int]:
+    """{name: calls} of the saddlepoint passes (PASSES) that one call()
+    makes."""
+    reals = {name: getattr(saddlepoint, name) for name in PASSES}
+    counts = dict.fromkeys(PASSES, 0)
 
-    def counting(*args):
-        nonlocal count
-        count += 1
-        return real(*args)
+    def counting(name):
+        def wrapped(*args):
+            counts[name] += 1
+            return reals[name](*args)
 
-    saddlepoint._cgf_terms = counting
+        return wrapped
+
+    for name in PASSES:
+        setattr(saddlepoint, name, counting(name))
     try:
         call()
     finally:
-        saddlepoint._cgf_terms = real
-    return count
+        for name, real in reals.items():
+            setattr(saddlepoint, name, real)
+    return counts
 
 
 def cost(call, groups: int) -> tuple[float, int, int]:
-    """(microseconds, CGF passes, groups) of call, whose panel has groups
+    """(microseconds, solve passes, groups) of call, whose panel has groups
     gap groups with saddlepoint lanes."""
-    return best_of(call), cgf_passes(call), groups
+    return best_of(call), sum(solve_passes(call).values()), groups
 
 
 def panel_costs(panel: Panel) -> dict[tuple[str, str], tuple[float, int, int]]:

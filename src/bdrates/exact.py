@@ -48,7 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CapError, DomainError
 from .types import Panel, Rates
@@ -329,6 +328,8 @@ class TermTable:
 
 def term_table(groups) -> TermTable:
     """Build the TermTable of a sequence of GapGroups."""
+    from scipy.special import gammaln  # here, so that import bdrates loads no scipy
+
     src = np.concatenate([grp.src for grp in groups])
     dst = np.concatenate([grp.dst for grp in groups])
     live = dst > 0

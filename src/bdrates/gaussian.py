@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, SolverError
 from .exact import _log_phi_derivs, geom_params
@@ -194,6 +193,8 @@ def _scan_profile(profile, groups, omega_init: float, tau_bar: float) -> tuple[f
             width = hi - lo
             lo, hi = lo - width / 2.0, hi + width / 2.0
             continue
+        from scipy.optimize import minimize_scalar  # here, so that import bdrates loads no scipy
+
         res = minimize_scalar(
             lambda w: -profile(w),
             bounds=(float(grid[best - 1]), float(grid[best + 1])),

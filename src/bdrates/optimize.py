@@ -3,9 +3,8 @@ derivatives, with one Nelder-Mead run as the continuation.
 
 Every likelihood objective in this package is a smooth function of
 (log lambda, log mu), and each supplies its gradient and Hessian: the
-exact likelihood from its term table, the saddlepoint likelihoods from
-their saddlepoints (the plain one in closed form, the conditional one by
-implicit differentiation). The search takes Newton steps: the Hessian's
+exact likelihood from its term table, the saddlepoint likelihoods in
+closed form from their saddlepoints. The search takes Newton steps: the Hessian's
 eigenvalues are floored to make it negative definite (its 2x2
 eigendecomposition is taken in closed form, without a LAPACK call), the
 step is clipped to a trust radius in max-norm and halved on every
@@ -41,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError
 
@@ -264,6 +262,8 @@ def maximize_2d(
             hessian=None if model is None else model[1],
             **bookkeeping,
         )
+
+    from scipy.optimize import minimize  # here, so that import bdrates loads no scipy
 
     # rejected probes sit at +inf in the simplex; scipy's fatol check then
     # computes inf-inf, which is harmless but noisy without the errstate

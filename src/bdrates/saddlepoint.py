@@ -29,55 +29,59 @@ log(1-alpha) + log(1-beta) plus a constant, so the likelihood's value
 and its derivatives read the same numbers. A rule for lanes that the
 saddlepoint scores badly belongs in _lanes too.
 
-Both variants solve their saddle equation with one lane-vectorized
-Newton solve (_solve_x, _newton). Both start from the root of the plain
-saddle equation, which in u = 1 - beta e^x is u = 2r/(1 + r + S) with
-r = a/k, S = sqrt((1 - r)^2 + 4 r rho) and rho = alpha beta /
-((1-alpha)(1-beta)), so x = log1p(-u) + log R. _plain_root evaluates it
-from the law's logs, taking 1 - u in a form without cancellation where
-u > 1/2. So it holds at criticality, keeps its digits where 1 - beta is
-far smaller than the root's distance from the radius, is exact for pure
-birth and cannot overflow. Pure birth with k <= a and pure death with
-k >= a have no root, and such a lane raises SolverError. A conditional
-lane starts at the lower of that root moved by a Halley step, taken in
-closed form without a CGF pass, and log(1 - 1/k) + log R (_solve_x).
-The conditional terms form (M - p0)/M from log(M/p0), which keeps its
-digits where M - p0 is far below M (_cond_terms). Each pass of the solve
-evaluates the variant's CGF terms at every lane of the group; a lane
-that has stopped keeps its x.
-The derivative increases in x, so the sign of each probe's residual
-moves a per-lane bracket: probes above the root lower its top, probes
-below raise its bottom. A lane takes the Newton step, clipped to +-2 and
-capped at x_hi (log R shrunk by RADIUS_GUARD), while that step lands
-strictly inside the bracket, and otherwise bisects it, never probing
-more than 2 below its top (the bottom starts open). It stops once
-|K' - k| <= RESIDUAL_TOL*max(1, k), or once the Newton correction
-|K' - k|/K'' (K'' finite, x below x_hi) or the bracket is as narrow as
-8.9e-16*|x| (4 eps, brentq's default rtol): where K'' is huge, one ulp
-of x moves K' by more than the tolerance (a conditional 1 -> 10^6 lane
-at t = 1e-3). A lane stopped by its bracket keeps the end with the
-smaller residual.
-A lane that probes x_hi and finds K' < k there has its root inside the
-guard band and raises SolverError, as does a lane still open after 200
-probes. The solve returns the terms of its last pass, which are those at
-the saddlepoints, and _log_spa scores them without evaluating the CGF
-again. So a plain group costs one CGF pass, the residual check at the
-closed-form root, unless a lane needs a Newton step; a conditional group
-costs 2.5 on average, at most 4, over the fits of 40 simulated
+Both variants start from the root of the plain saddle equation, which in
+u = 1 - beta e^x is u = 2r/(1 + r + S) with r = a/k, S = sqrt((1 - r)^2
++ 4 r rho) and rho = alpha beta / ((1-alpha)(1-beta)) (_plain_u, with
+1 - u in a form without cancellation where u > 1/2). So it holds at
+criticality, keeps its digits near the radius, is exact for pure birth
+and cannot overflow. Pure birth with k <= a and pure death with k >= a
+have no root, and such a lane raises SolverError.
+
+The plain variant solves in x = log1p(-u) + log R by Newton steps on
+K' = k (_solve_x, _newton), each lane inside a bracket of its probes:
+it takes the step, clipped to +-2 and capped at x_hi (log R shrunk by
+RADIUS_GUARD), while the step lands inside the bracket, and bisects it
+otherwise. It stops once |K' - k| <= RESIDUAL_TOL*max(1, k), or once the
+Newton correction or the bracket is as narrow as 8.9e-16*|x| (4 eps).
+
+The conditional variant solves in s = log u (_cond_solve), where the
+root keeps its digits however close it sits to the radius: log(M - p0)
+depends on the rates and x only through E = z + log((1 - u)/u) (the
+block comment above spa_derivatives), and each pass (_cond_pass) forms
+E and the first two derivatives f1, f2 of L = log(M/p0 - 1) in E, so
+that Kc' = f1/u and Kc'' = (f2 + f1 (1 - u))/u^2. A lane starts at the
+plain root moved by a closed-form Halley step, or at -log k where that
+is higher (Kc' is at least K' and at least 1/u, so both roots lie at or
+below its own in s; the second is exact for a = 1). It takes Newton
+steps on log Kc' - log k, capped halfway to s = 0 and floored at s_hi =
+log u_hi, u_hi = -expm1(-RADIUS_GUARD log R) being x_hi in u, and stops
+once |log(Kc'/k)| <= RESIDUAL_TOL. A law with alpha = 0 has p0 = 0, and
+
+its conditional lanes are its plain ones.
+
+A lane whose root lies inside the guard band (a probe at x_hi with
+K' < k, or at s_hi with Kc' < k) raises SolverError, as does a lane
+still open after 200 passes, a conditional lane with a step that is not
+finite, and one whose 1 - u = beta e^x at the plain root is not a
+normal float (every lane of a law with beta = 0). Either solve returns
+the terms of its last pass, which are those at the saddlepoints, and
+_log_spa scores them without a further pass. Each pass evaluates every
+lane of the gap group; a lane that has stopped keeps its point. So a
+plain group costs one CGF pass unless a lane needs a Newton step, and a
+conditional group 1.5 passes on average over the fits of 40 simulated
 single-trajectory panels (scripts/run_kernel_costs.py --panels 40).
 
 spa_derivatives gives the score and observed information of either
-variant's panel log likelihood in (log lam, log mu), so the fits take
-Newton steps on it (see the comment block above it). At a plain root the
-saddlepoint algebra collapses: K''(x~) = k^2 S/a, and a plain lane's
-derivatives are closed-form functions of u, r, rho and S (_plain_psi). A
-conditional lane is differentiated implicitly at its saddlepoint
-(_conditional_jet). A fit asks for them at the point its objective has
-just scored, so spa_loglik leaves its finished sweep's saddlepoints on
-the panel's transitions table (one slot, the last sweep of finite total
-only) and spa_derivatives reads them there when the rates and the
-variant match: each lane is solved once per evaluation. Where they do
-not, spa_derivatives runs spa_loglik first, which is the only code that
+variant's panel log likelihood in (log lam, log mu), in closed form from
+the saddlepoints (the comment block above it): a plain lane's from u, r,
+rho and S (_plain_psi), a conditional one's from E and u (_cond_psi). A
+fit asks for them at the point its objective has just scored, so
+spa_loglik leaves its finished sweep's saddlepoints on the panel's
+transitions table (one slot, the last sweep of finite total only): x
+for a plain group, the solve's last pass for a conditional one.
+spa_derivatives reads them there when the rates and the variant match:
+each lane is solved once per evaluation. Where they do not,
+spa_derivatives runs spa_loglik first, which is the only code that
 builds a sweep. spa_loglik never reads the slot, so every value it
 returns is computed afresh.
 """
@@ -107,8 +111,8 @@ __all__ = [
     "high_mass_region",
 ]
 
-# Relative guard band below log R inside which evaluation is refused, and
-# the saddle equation residual tolerance |K'(x~) - k| <= RESIDUAL_TOL*max(1,k).
+# Relative guard band below log R inside which evaluation is refused, and the
+# residual tolerance: |K' - k| <= RESIDUAL_TOL*max(1, k), |log(Kc'/k)| <= RESIDUAL_TOL.
 RADIUS_GUARD = 1e-12
 RESIDUAL_TOL = 1e-10
 
@@ -189,80 +193,50 @@ def cgf_eval(x: float, t: float, a: int, rates: Rates) -> CgfPoint:
     return CgfPoint(float(x), float(value), float(d1), float(d2))
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _plain_root(r, g: GeomParams):
-    """The root x of the plain saddle equation K'(x) = k for the ratios
-    r = a/k under the law g, from its closed form in u = 1 - beta e^x
-    (_solve_x), +-inf or NaN on a lane that has no root; and S there."""
-    log_rad = _log_radius(g)
+def _plain_u(r, g: GeomParams):
+    """The plain root u for the ratios r = a/k under the law g, S there,
+    log rho, and log(1 - u) in the forms that keep their digits: log((1 -
+    r + S)/(1 + r + S)) for r <= 1 and, less log rho, log(4r/((S + r -
+    1)(1 + r + S))) for r > 1. Its callers ignore float warnings."""
     log_rho = g.log_alpha + g.log_beta - g.log1m_alpha - g.log1m_beta
     # S = sqrt((1 - r)^2 + 4 r rho), finite unless rho passes e^1400
     s = np.hypot(1.0 - r, 2.0 * np.sqrt(r) * np.exp(0.5 * log_rho))
     den = 1.0 + r + s
-    u = 2.0 * r / den
-    # where u > 1/2, 1 - u without cancellation: for r > 1, log(1 - u) +
-    # log R is log(rho / beta) + log(4r / ((S + r - 1)(1 + r + S))), and
-    # beta cancels, so a beta = 0 law keeps its root
-    far = np.where(
-        r <= 1.0,
-        np.log((1.0 - r + s) / den) + log_rad,
-        g.log_alpha - g.log1m_alpha - g.log1m_beta + np.log(4.0 * r / ((s + r - 1.0) * den)),
-    )
+    near = np.log((1.0 - r + s) / den)
+    return 2.0 * r / den, s, log_rho, near, np.log(4.0 * r / ((s + r - 1.0) * den))
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _plain_root(r, g: GeomParams):
+    """The plain root x for the ratios r = a/k under the law g, +-inf or
+    NaN on a lane that has no root, and S there. Where u > 1/2 and r > 1,
+    log(rho/beta) replaces log rho + log R, so a beta = 0 law keeps it."""
+    u, s, _, near, far = _plain_u(r, g)
+    log_rad = _log_radius(g)
+    far = np.where(r <= 1.0, near + log_rad, g.log_alpha - g.log1m_alpha - g.log1m_beta + far)
     return np.where(u <= 0.5, np.log1p(-u) + log_rad, far), s
 
 
-def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: bool):
-    """Vectorized saddlepoints x~ of the variant's saddle equation, for
-    k >= 1 lanes (k >= 2 conditional), and the variant's terms there
-    (_newton's last pass).
+def _no_root(k_arr, a_arr, i: int, t: float, rates: Rates) -> SolverError:
+    lane = f"k={k_arr.flat[i]}, a={a_arr.flat[i]}, t={t}, rates=({rates.lam}, {rates.mu})"
+    return SolverError(f"no saddlepoint root for {lane}")
 
-    Both variants are seeded at the root of the plain saddle equation,
-    capped at x_hi. In u = 1 - beta e^x it reads a(1 - u) = k u (rho u +
-    1 - u) with rho = alpha beta / ((1-alpha)(1-beta)) = e^-z (the z of
-    the derivative block below), whose only root in (0, 1) is
-    u = 2r / (1 + r + S) with r = a/k and S = sqrt((1 - r)^2 + 4 r rho);
-    then x = log1p(-u) + log R (_plain_root). A lane without a root
-    (pure birth with k <= a, pure death with k >= a) raises SolverError
-    naming it.
 
-    A conditional lane starts at the lower of that root moved by a closed-
-    form Halley step and log(1 - 1/k) + log R, both roots at or above its
-    own: given survival the count has a mean Kc' at least the plain K' and
-    at least one survivor's 1/(1 - beta e^x). The second is exact for
-    a = 1 and close wherever M - p0 is far below M."""
+def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
+    """Vectorized saddlepoints x~ of the plain saddle equation for k >= 1
+    lanes, and the CGF terms there (_newton's last pass), seeded at the
+    closed-form root capped at x_hi. In u = 1 - beta e^x the equation
+    reads a(1 - u) = k u (rho u + 1 - u), rho = e^-z. A lane without a
+    root raises SolverError naming it."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
-    x, s = _plain_root(a_arr / k_arr, g)
+    x = _plain_root(a_arr / k_arr, g)[0]
     ok = np.isfinite(x)
     if not ok.all():
-        bad = int(np.argmin(ok))
-        raise SolverError(
-            f"no saddlepoint root for k={k_arr.flat[bad]}, a={a_arr.flat[bad]}, "
-            f"t={t}, rates=({rates.lam}, {rates.mu})"
-        )
+        raise _no_root(k_arr, a_arr, int(np.argmin(ok)), t, rates)
     x_hi = _x_max(g)
-    if not conditional:
-        x = np.minimum(x, x_hi)
-        return _newton(x, k_arr, lambda x: _cgf_terms(x, g, a_arr), x_hi, t, a_arr, rates)
-    # a Halley step from the plain root, at most twice Newton's and clipped
-    # to -2 as _newton clips its own. There K' = k, K'' = k^2 S/a (the block
-    # below) and K''' = k/u^2 (p(2p - 1) + 3p(1 - u) + (1 - u)(2 - u)) with
-    # u = 1 - beta e^x, p = 1 - k u/a; so with v = p0/(M - p0), Kc' - k = k v,
-    # Kc'' = (1 + v)(K'' - v k^2), Kc''' = (1 + v)(K''' - 3v k K'' + v(1 + 2v)
-    # k^3), without a CGF pass. A lane keeps its root where that is not below
-    # x_hi, Kc'' <= 0 or the step is not finite: the float root fails there
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        v = 1.0 / np.expm1(_log_m_over_p0(x, g, a_arr))
-        u = math.exp(g.log1m_beta) - g.beta * np.expm1(x)
-        p, k2 = 1.0 - u * k_arr / a_arr, k_arr * k_arr * s / a_arr
-        k3 = k_arr / (u * u) * (p * (2.0 * p - 1.0) + 3.0 * p * (1.0 - u) + (1.0 - u) * (2.0 - u))
-        resid, kc2 = k_arr * v, (1.0 + v) * (k2 - v * k_arr * k_arr)
-        kc3 = (1.0 + v) * (k3 - 3.0 * v * k_arr * k2 + v * (1.0 + 2.0 * v) * k_arr**3)
-        den = np.maximum(kc2 - 0.5 * resid * kc3 / kc2, 0.5 * kc2)
-        step = resid / np.maximum(den, 0.5 * resid)
-    x = np.where((kc2 > 0.0) & np.isfinite(step) & (x < x_hi), x - step, x)
-    x = np.minimum(np.minimum(x, np.log1p(-1.0 / k_arr) + _log_radius(g)), x_hi)
-    return _newton(x, k_arr, lambda x: _cond_terms(x, g, a_arr), x_hi, t, a_arr, rates)
+    x = np.minimum(x, x_hi)
+    return _newton(x, k_arr, lambda x: _cgf_terms(x, g, a_arr), x_hi, t, a_arr, rates)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -336,6 +310,90 @@ def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
     )
 
 
+def _cond_pass(s, z: float, a):
+    """One pass of the conditional solve at s = log u of every lane: (s,
+    u, 1 - u, E, p, q, softplus(E), T, w, T + w, c1, f1, f2), with q the
+    logistic of E, p = 1 - q, T = a softplus(E), w = T/(e^T - 1), c1 =
+    q/softplus(E) and f1, f2 the first two derivatives of L = log(e^T -
+    1) in E (_cond_psi). Where e^E or T underflows, c1 or w reads its
+    limit 1; e^E is capped at e^700, so that p is not NaN past it. It
+    runs under the errstate of _cond_solve, its only caller."""
+    u = np.exp(s)
+    om = -np.expm1(s)
+    e = z + np.log(om) - s
+    ee = np.exp(np.minimum(e, 700.0))
+    p = 1.0 / (1.0 + ee)
+    q = ee * p
+    sp = np.logaddexp(0.0, e)
+    t = a * sp
+    w = np.where(t > 0.0, t / np.expm1(t), 1.0)
+    tw = t + w
+    c1 = np.where(e < -40.0, 1.0, q / sp)
+    f1 = tw * c1
+    return s, u, om, e, p, q, sp, t, w, tw, c1, f1, f1 * (p - w * c1)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _cond_solve(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
+    """The terms of the conditional solve's last pass (_cond_pass), those
+    at the saddlepoints of the lanes a -> k (float arrays, k >= 2, alpha >
+    0); the module docstring gives the seed, steps and refusals. At the
+    plain root K' = k, K'' = k^2 S/a, K''' = k/u^2 (p(2p - 1) + 3p(1 - u)
+    + (1 - u)(2 - u)) with p = 1 - k u/a, so with v = 1/(e^T - 1), Kc' - k
+    = k v, Kc'' = (1 + v)(K'' - v k^2), Kc''' = (1 + v)(K''' - 3v k K'' +
+    v(1 + 2v) k^3). The Halley step, at most twice Newton's and at most 2
+    in x, moves u to u + (1 - u)(1 - e^-step) unless Kc'' <= 0."""
+    r = a_arr / k_arr
+    u, big_s, log_rho, near, far = _plain_u(r, g)
+    om = np.where(u <= 0.5, 1.0 - u, np.exp(np.where(r <= 1.0, near, log_rho + far)))
+    ok = (om >= np.finfo(float).tiny) & (g.log_beta > -math.inf)
+    if not ok.all():
+        raise _no_root(k_arr, a_arr, int(np.argmin(ok)), t, rates)
+    s = np.where(u <= 0.5, np.log(u), np.log1p(-om))
+    z = g.log1m_alpha + g.log1m_beta - g.log_alpha - g.log_beta
+    v = 1.0 / np.expm1(a_arr * np.logaddexp(0.0, z + np.log(om) - s))
+    p, k2 = 1.0 - u * k_arr / a_arr, k_arr * k_arr * big_s / a_arr
+    k3 = k_arr / (u * u) * (p * (2.0 * p - 1.0) + 3.0 * p * (1.0 - u) + (1.0 - u) * (2.0 - u))
+    resid, kc2 = k_arr * v, (1.0 + v) * (k2 - v * k_arr * k_arr)
+    kc3 = (1.0 + v) * (k3 - 3.0 * v * k_arr * k2 + v * (1.0 + 2.0 * v) * k_arr**3)
+    den = np.maximum(kc2 - 0.5 * resid * kc3 / kc2, 0.5 * kc2)
+    step = np.log1p(om / u * -np.expm1(-resid / np.maximum(den, 0.5 * resid)))
+    s = np.where((kc2 > 0.0) & np.isfinite(step), s + step, s)
+    u_hi = -math.expm1(-RADIUS_GUARD * _log_radius(g))
+    s_hi = math.log(u_hi) if u_hi > 0.0 else -math.inf
+    s = np.maximum(np.maximum(s, -np.log(k_arr)), s_hi)
+    log_k = np.log(k_arr)
+    done = np.zeros(s.shape, dtype=bool)
+    for _ in range(200):
+        terms = _cond_pass(s, z, a_arr)
+        fo, f2 = terms[-2] * terms[2], terms[-1]  # f1 (1 - u), f2
+        h = np.log(terms[-2]) - s - log_k  # log(Kc'/k)
+        done |= np.abs(h) <= RESIDUAL_TOL
+        if done.all():
+            return terms
+        # a Newton step on h, whose slope in s is -(f2 + f1 (1 - u))/(f1 (1 - u))
+        cand = np.maximum(np.minimum(s + h * fo / (f2 + fo), 0.5 * s), s_hi)
+        if (cand == s_hi).any():
+            blocked = ~done & (s == s_hi) & (h < 0.0)
+            if blocked.any():
+                i = int(np.argmax(blocked))
+                raise SolverError(
+                    f"saddlepoint for k={k_arr[i]}, a={a_arr[i]}, t={t}, "
+                    f"rates=({rates.lam}, {rates.mu}) lies inside the radius guard "
+                    f"band: Kc'(u_hi) = {k_arr[i] * math.exp(h[i])}"
+                )
+        if not np.isfinite(cand).all():
+            done = np.isfinite(cand)  # names a lane whose step is not finite
+            break
+        s = np.where(done, s, cand)
+
+    i = int(np.argmin(done))
+    raise SolverError(
+        f"saddlepoint solve did not converge for k={k_arr[i]}, a={a_arr[i]}, "
+        f"t={t}, rates=({rates.lam}, {rates.mu})"
+    )
+
+
 def _check_args(t: float, a: int, k: int = 0) -> None:
     """Refuse a pointwise target outside k >= 0, a >= 1, 0 < t < inf."""
     if not k >= 0:
@@ -352,9 +410,7 @@ def solve_saddlepoint(k: int, t: float, a: int, rates: Rates) -> SaddlepointSolu
         raise DomainError(f"saddlepoint target count must be >= 1, got {k}")
     _check_args(t, a, k)
     g = geom_params(t, rates)
-    xs, (value, d1, d2) = _solve_x(
-        np.array([float(k)]), np.array([float(a)]), g, t, rates, False
-    )
+    xs, (value, d1, d2) = _solve_x(np.array([float(k)]), np.array([float(a)]), g, t, rates)
     x = float(xs[0])
     pt = CgfPoint(x, float(value[0]), float(d1[0]), float(d2[0]))
     return SaddlepointSolution(x, math.exp(x), pt, float(d1[0]) - k)
@@ -397,22 +453,41 @@ def _exact_log(coefs, g: GeomParams) -> float:
 @np.errstate(divide="ignore", invalid="ignore")
 def _log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: bool):
     """The saddlepoints x of the variant's saddlepoint lanes (k_arr and
-    a_arr float arrays) and their vectorized log saddlepoint pmfs, scored
-    from the variant's terms of the solve's last pass.
-
-    The conditional pmf (1-p0) * exp(Kc - x k)/sqrt(2 pi Kc'') has
-    Kc = log(M - p0) - log(1-p0): the (1-p0) factors cancel, leaving
-    log(M - p0) = K + log(em) where the plain pmf has K. p0 = alpha**a is
-    carried per lane, and a lane's value does not depend on the other
-    lanes. d2 underflows to 0 when a probe collapses the law toward a
-    point mass; the quadratic shape carries no information there, so the
-    lane scores -inf rather than the +inf a bare log(0) would produce."""
-    x, terms = _solve_x(k_arr, a_arr, g, t, rates, conditional)
-    value, _, d2 = terms[:3]
-    if conditional:
-        value = value + np.log(terms[3])
+    a_arr float arrays) and their log pmfs, scored from the terms of the
+    solve's last pass; a lane's value does not depend on the other lanes.
+    A law with alpha = 0 scores its conditional lanes as plain ones. d2
+    underflows to 0 when a probe collapses the law toward a point mass;
+    the lane scores -inf there, not the +inf of a bare log(0)."""
+    if conditional and g.log_alpha > -math.inf:
+        return _cond_log_spa(k_arr, a_arr, g, t, rates)[1:]
+    x, (value, _, d2) = _solve_x(k_arr, a_arr, g, t, rates)
     lp = -0.5 * np.log(2.0 * math.pi * d2) + value - x * k_arr
     return x, np.where(np.isfinite(d2) & (d2 > 0.0), lp, -np.inf)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _cond_log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
+    """The terms of the conditional solve's last pass (_cond_solve), the
+    saddlepoints x = log(1 - u) + log R, and the lanes' log pmfs.
+
+    The pmf (1 - p0) exp(Kc - x k)/sqrt(2 pi Kc'') has Kc = log(M - p0) -
+    log(1 - p0), so it scores a log(alpha) + L - x k - 1/2 log(2 pi
+    Kc''), log Kc'' = log(f2 + f1 (1 - u)) - 2s. L = log(e^T - 1) is T +
+    log(-expm1(-T)) where T > 1 and log T - log w below, log T = log a +
+    E where e^E underflows: so a lane keeps its value where M - p0
+    underflows. A lane scores -inf where Kc'' is not above 2^-53 k^2, half
+    an ulp of Kc'^2: its law given survival has collapsed to a point mass
+    (a -> a as lam and mu go to 0), where the variance E[N^2] - E[N]^2 of
+    the solve in x kept no digits and scored it -inf too. Without that
+    wall the a -> a edge fits climb without bound (ROADMAP items 2-3)."""
+    terms = _cond_solve(k_arr, a_arr, g, t, rates)
+    s, _, om, e, _, _, sp, big_t, w, _, _, f1, f2 = terms
+    log_t = np.log(a_arr) + np.where(e < -40.0, e, np.log(sp))
+    ell = np.where(big_t > 1.0, big_t + np.log(-np.expm1(-big_t)), log_t - np.log(w))
+    x = np.log(om) + _log_radius(g)
+    d = f2 + f1 * om
+    lp = a_arr * g.log_alpha + ell - x * k_arr - 0.5 * np.log(2.0 * math.pi * d) + s
+    return terms, x, np.where(d > 2.0**-53 * f1 * f1, lp, -np.inf)
 
 
 def _pmf(k: int, t: float, a: int, rates: Rates, conditional: bool) -> float:
@@ -452,38 +527,6 @@ def spa_pmf_normalized(k: int, t: float, a: int, rates: Rates) -> float:
         return raw
     p0 = spa_pmf(0, t, a, rates)
     return (1.0 - p0) * raw / _spa_normalizer(t, a, rates)
-
-
-def _log_m_over_p0(x, g: GeomParams, a):
-    """log(M(x)/p0) = a log(f/alpha) for a ancestors, with p0 = alpha**a,
-    as a log1p of f/alpha - 1 = (1-alpha)(1-beta) e^x / (alpha (1 - beta e^x)),
-    so that it keeps its digits where M - p0 is far below M."""
-    n2 = math.exp(g.log1m_beta) - g.beta * np.expm1(x)
-    return a * np.log1p(np.exp(g.log1m_alpha + g.log1m_beta - g.log_alpha + x) / n2)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _cond_terms(x, g: GeomParams, a):
-    """K = log M(x), the first and second derivative of the non-extinction
-    CGF log{(M(x) - p0)/(1 - p0)}, and em = (M - p0)/M, so that
-    log(M(x) - p0) = K + log(em).
-
-    em is formed from log(M/p0) (_log_m_over_p0), not from K - log(p0):
-    where 1 - beta is tiny, M - p0 can be below one ulp of M at the
-    saddlepoint (1 - beta = e^-489 on a 2 -> 9 lane at lam 387.5,
-    mu 142.9), and the difference keeps no digits of it. Where K' and K''
-    are large enough that c2 overflows, it reads inf or NaN: the solve
-    then bisects, and the pmf scores the lane -inf.
-    """
-    K, K1, K2 = _cgf_terms(x, g, a)
-    em = -np.expm1(-_log_m_over_p0(x, g, a))  # (M - p0)/M in (0, 1]
-    # far below the saddlepoint log(M/p0) can underflow to 0: the lane is
-    # outside the domain there and reads NaN
-    em = np.where(em > 0.0, em, np.nan)
-    rho = 1.0 / em  # M/(M - p0) >= 1
-    c1 = K1 * rho
-    c2 = (K2 + K1 * K1) * rho - c1 * c1
-    return K, c1, c2, em
 
 
 def spa_pmf_conditional(k: int, t: float, a: int, rates: Rates) -> float:
@@ -542,10 +585,11 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
     Every call solves its saddlepoints, and scores them from the solve's
     last pass. A sweep that finishes with a finite total leaves each
     group's law, lanes split by _lanes and saddlepoints, (g, coefs, k, a,
-    x) with x None where the group has no saddlepoint lane, in the table's
-    _saddlepoints slot for spa_derivatives at the same rates and variant;
-    the slot is emptied first, so a call that raises or scores -inf leaves
-    nothing there.
+    sp), in the table's _saddlepoints slot for spa_derivatives at the same
+    rates and variant. sp is None where the group has no saddlepoint lane,
+    the terms of the conditional solve's last pass (_cond_pass) for a
+    conditional group and x otherwise; the slot is emptied first, so a
+    call that raises or scores -inf leaves nothing there.
     """
     conditional = _is_conditional(variant)
     table = panel.transitions
@@ -556,11 +600,14 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
         g = geom_params(grp.tau, rates)
         coefs, k, a = _lanes(grp.dst, grp.src, conditional)
         total += _exact_log(coefs, g)
-        x = None
+        sp = None
         if k.size:
-            x, lp = _log_spa(k, a, g, grp.tau, rates, conditional)
+            if conditional and g.log_alpha > -math.inf:
+                sp, _, lp = _cond_log_spa(k, a, g, grp.tau, rates)
+            else:
+                sp, lp = _log_spa(k, a, g, grp.tau, rates, False)
             total += float(np.sum(lp))
-        sweep.append((g, coefs, k, a, x))
+        sweep.append((g, coefs, k, a, sp))
     if math.isfinite(total):
         table._saddlepoints[rates, conditional] = sweep
     return total
@@ -581,7 +628,8 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
 # log(1-alpha) + log(1-beta)) is (a - psi', k - psi', psi') and its
 # Hessian psi'' c c^T along c = (1, 1, -1), the shape of the exact
 # likelihood's (exact._chain). The conditional variant's log(M - p0) is
-# a log(alpha) + log(e^{a Phi} - 1), again a function of (y, z) alone.
+# a log(alpha) + log(e^{a Phi} - 1), again a function of (y, z) alone,
+# and so is its psi.
 #
 # Taking y rather than x keeps the two rate directions apart: at a
 # saddlepoint near the radius, d x~ / d log(beta) is close to -1, and the
@@ -599,92 +647,44 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
 # (_plain_psi). The last term is -t + 4 t^2, written so that it does not
 # cancel where 4 r rho is far above (1 - r)^2. rho enters as
 # sqrt(rho) = exp(1/2 log rho), as in _plain_root, and u sqrt(rho) and
-# sqrt(rho)/S are bounded, so nothing overflows where the jets below do.
+# sqrt(rho)/S are bounded, so nothing overflows.
 #
-# The conditional variant has no such collapse: _saddle_terms
-# differentiates its lanes implicitly, from the jet of
-# L = log(e^{a Phi} - 1), which holds L's derivatives at the lanes in the
-# order (y, yy, yyy, yyyy, z, zz, yz, yzz, yyz, yyzz, yyyz). L depends on
-# (y, z) only through E = z + log r(y), so the jet is composed from four
-# derivatives in E (_conditional_jet).
+# The conditional L = log(e^T - 1), T = a Phi = a softplus(E), depends on
+# (y, z) only through E = z + log r(y) = z + log((1 - u)/u). With f1, f2,
+# ... its derivatives in E, dE/dy = 1/u and d2E/dy2 = (1 - u)/u^2 give
+# Kc' = f1/u and Kc'' = D/u^2, D = f2 + f1 (1 - u). At a root f1 = k u,
+# so along the roots u = f1/k, z = E - log((1 - u)/u) and psi = L - k
+# log(1 - u) - 1/2 log D + log u are functions of E, du/dE = u f2/f1 and
+# dz/dE = D/(f1 (1 - u)). With D' = f3 + f2 (1 - 2u), D'' = f4 + f3 (1 -
+# 2u) - 2u f2^2/f1 and N = f2 - f1 D'/(2D) along the roots (_cond_psi),
+#
+#     psi'  = f1 + (1 - u) N/D,
+#     psi'' = f1 (1 - u)/D (f2 + ((1 - u)(N' - N D'/D) - u f2 N/f1)/D).
 
 
-def _conditional_jet(x, g: GeomParams, a):
-    """The jet of L = log(e^T - 1), T = a Phi = log(M/p0), at the lanes' x:
-    log(M - p0) less a log(alpha). L depends on (y, z) through E = z + log
-    r(y) alone, so its jet is composed (Faa di Bruno) from its derivatives
-    f1..f4 in E and E's: 1/n2, r/n2, ... in y and 1 in z.
-    T = a softplus(E), and softplus has the derivatives q, q p, q p (p - q),
-    q p (1 - 6 q p) with q = 1 - p the logistic of E; F(T) = log(e^T - 1)
-    has 1 + v, -v(1 + v), v(1 + v)(1 + 2v), -v(1 + v)(1 + 6v(1 + v)) with
-    v = 1/(e^T - 1). Where M - p0 is far below M, T is tiny and F's fourth
-    overflows below T = 1e-77, although each term of f1..f4 is of order 1.
-    So F's n-th derivative is taken times T^n (h1..h4, in w = vT in
-    (0, 1]) and T's divided by T (c1..c4, softplus^(n)/softplus)."""
-    n2 = math.exp(g.log1m_beta) - g.beta * np.expm1(x)  # 1 - beta e^x
-    r = g.beta * np.exp(x) / n2
-    # e^E = e^z r as _log_m_over_p0 forms it; where it is subnormal c1 is
-    # q/softplus(E) = 1, which a q / T, two subnormals, does not keep
-    odds = np.exp(g.log1m_alpha + g.log1m_beta - g.log_alpha + x) / n2
-    sp = np.log1p(odds)
-    p = 1.0 / (1.0 + odds)
-    q = odds * p
-    t = a * sp
-    w = t / np.expm1(t)
-    tw = t + w
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _cond_psi(terms):
+    """psi' and psi'' of the conditional lanes from the terms of their
+    solve's last pass (_cond_pass), in closed form (the block comment
+    above). f3 and f4 compose F(T) = log(e^T - 1), whose n-th derivative
+    is taken times T^n (h2..h4, in w = T/(e^T - 1)) so that it does not
+    overflow where T is tiny, with softplus(E), whose n-th derivative is
+    divided by softplus (c1..c4: q, q p, q p (p - q), q p (1 - 6 q p))."""
+    _, u, om, _, p, q, _, t, w, tw, c1, f1, f2 = terms
+    c2 = c1 * p
     h2, h3 = -w * tw, w * tw * (t + 2.0 * w)
     h4 = -w * tw * (t * t + 6.0 * w * tw)
-    c1 = q / sp
-    c2 = c1 * p
-    c3 = c2 * (p - q)
-    c4 = c2 * (1.0 - 6.0 * q * p)
+    c3, c4 = c2 * (p - q), c2 * (1.0 - 6.0 * q * p)
     sq = c1 * c1
-    f1 = tw * c1
-    f2 = h2 * sq + tw * c2
     f3 = h3 * sq * c1 + 3.0 * h2 * c1 * c2 + tw * c3
     f4 = h4 * sq * sq + 6.0 * h3 * sq * c2 + h2 * (4.0 * c1 * c3 + 3.0 * c2 * c2) + tw * c4
-    e1 = 1.0 / n2
-    e2 = r * e1
-    e3 = e2 * (1.0 + 2.0 * r)
-    e4 = e2 * (1.0 + 6.0 * e2)
-    sq1 = e1 * e1
-    return (
-        f1 * e1,
-        f2 * sq1 + f1 * e2,
-        f3 * sq1 * e1 + 3.0 * f2 * e1 * e2 + f1 * e3,
-        f4 * sq1 * sq1 + 6.0 * f3 * sq1 * e2 + f2 * (4.0 * e1 * e3 + 3.0 * e2 * e2) + f1 * e4,
-        f1,
-        f2,
-        f2 * e1,
-        f3 * e1,
-        f3 * sq1 + f2 * e2,
-        f4 * sq1 + f3 * e2,
-        f4 * sq1 * e1 + 3.0 * f3 * e1 * e2 + f2 * e3,
-    )
-
-
-def _saddle_terms(jet):
-    """psi' and psi'' at each lane, for psi(z) = L(y~, z) - y~ k
-    - 1/2 log L_yy(y~, z) with L_y(y~(z), z) = k and L's jet. By the
-    envelope theorem the first part has the derivatives L_z and
-    L_zz + L_yz y~_z, with y~_z = -L_yz / L_yy; the log term G adds
-    G_z + G_y y~_z and its second derivative, in which y~_zz comes from
-    differentiating L_y(y~(z), z) = k twice."""
-    _, l2, l3, l4, lz, lzz, lyz, lyzz, lyyz, lyyzz, lyyyz = jet
-    inv = 1.0 / l2
-    yz = -lyz * inv
-    r3, rz = l3 * inv, lyyz * inv
-    gy = -0.5 * r3
-    first = lz - 0.5 * rz + gy * yz
-    yzz = -(lyzz + (2.0 * lyyz + l3 * yz) * yz) * inv
-    second = (
-        lzz + lyz * yz
-        - 0.5 * (lyyzz * inv - rz * rz)
-        - (lyyyz * inv - r3 * rz) * yz
-        - 0.5 * (l4 * inv - r3 * r3) * yz * yz
-        + gy * yzz
-    )
-    return first, second
+    d = f2 + f1 * om
+    r1 = (f3 + f2 * (1.0 - 2.0 * u)) / d
+    r2 = (f4 + f3 * (1.0 - 2.0 * u) - 2.0 * u * f2 * f2 / f1) / d
+    n = f2 - 0.5 * f1 * r1
+    dn = f3 - 0.5 * (f2 * r1 + f1 * (r2 - r1 * r1))
+    second = f1 * om / d * (f2 + (om * (dn - n * r1) - u * f2 * n / f1) / d)
+    return f1 + om * n / d, second
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -703,18 +703,18 @@ def _plain_psi(x, g: GeomParams, k, a):
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _group_weights(g: GeomParams, coefs, k, a, x, conditional: bool):
+def _group_weights(g: GeomParams, coefs, k, a, sp, conditional: bool):
     """The group's (w1, w2, w3, var) for exact._chain, from its law, lanes
     and saddlepoints (an entry of spa_loglik's sweep): its log likelihood's
     gradient in u and its Hessian's weight along c. The exact lanes are
     linear in u, with _lanes' coefficients."""
     n_alpha, n_l1ab, _ = coefs
-    if x is None:
+    if sp is None:
         return n_alpha, 0.0, n_l1ab, 0.0
     if conditional:
-        first, second = _saddle_terms(_conditional_jet(x, g, a))
+        first, second = _cond_psi(sp)
     else:
-        first, second = _plain_psi(x, g, k, a)
+        first, second = _plain_psi(sp, g, k, a)
     d1 = float(np.sum(first))
     w1 = n_alpha + (float(np.sum(a)) - d1)
     return w1, float(np.sum(k)) - d1, n_l1ab + d1, float(np.sum(second))
@@ -725,19 +725,18 @@ def spa_derivatives(panel: Panel, rates: Rates, variant: str = "plain"):
     in (log lam, log mu), or None on a degenerate law (alpha or beta 0),
     where spa_loglik is not finite, or where they are not finite.
 
-    Each lane is differentiated in the one rate coordinate z its log pmf
-    depends on beyond two linear terms (the block comment above), a plain
-    lane in closed form and a conditional one implicitly at its
-    saddlepoint; exact._chain, which the exact likelihood's derivatives
-    share, takes the result to (log lam, log mu). The laws, lanes and
+    Each lane is differentiated in closed form in the one rate coordinate
+    z its log pmf depends on beyond two linear terms (the block comment
+    above); exact._chain, which the exact likelihood's derivatives share,
+    takes the result to (log lam, log mu). The laws, lanes and
     saddlepoints are those of the last spa_loglik sweep on the panel when
-    it ran at equal rates and the same variant. Otherwise, once
-    the laws are checked for degeneracy (which returns None with nothing
-    solved and the slot as it was), spa_loglik(panel, rates, variant) runs
-    first: such a cold call returns None where it is not finite, leaves
-    its sweep in the slot where it is, and raises the SolverError or
-    DomainError that spa_loglik raises. The solve is deterministic lane
-    by lane, so both ways give the same bits.
+    it ran at equal rates and the same variant. Otherwise, once the laws
+    are checked for degeneracy (which returns None with nothing solved and
+    the slot as it was), spa_loglik(panel, rates, variant) runs first:
+    such a cold call returns None where it is not finite, leaves its sweep
+    in the slot where it is, and raises the SolverError or DomainError
+    that spa_loglik raises. The solve is deterministic lane by lane, so
+    both ways give the same bits.
     """
     conditional = _is_conditional(variant)
     table = panel.transitions

@@ -30,7 +30,10 @@ by implicit differentiation, the conditional one composing the plain
 jet with log(e^T - 1) in two variables, before the plain lanes took a
 closed form and the conditional ones a composition in one variable; the
 conditional solve then spent its first CGF pass on the step that its
-seed now takes in closed form. They are kept here
+seed now takes in closed form. The conditional solve ran in x, through
+the plain CGF terms and log(M/p0), and its lanes were differentiated
+through the jet of log(M - p0) composed in E, before the solve in
+s = log u and the closed-form psi in E and u. They are kept here
 verbatim apart from names, calling the package's current helpers, so
 the replacements can be checked against them.
 """
@@ -194,7 +197,7 @@ def solve_x_quadratic(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, condi
     if x_hi < math.inf and one.any():  # beta = 0 leaves no root to seed at
         # Kc' = 1/(1 - beta e^x) for a = 1, which is k at beta e^x = 1 - 1/k
         x = np.where(one, np.minimum(np.log1p(-1.0 / k_arr) + _log_radius(g), x_hi), x)
-    return _newton(x, k_arr, lambda x: saddlepoint._cond_terms(x, g, a_arr), x_hi, t, a_arr, rates)
+    return _newton(x, k_arr, lambda x: cond_terms(x, g, a_arr), x_hi, t, a_arr, rates)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -1110,7 +1113,7 @@ def solve_x_conditional(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
     x_hi = _x_max(g)
     x = np.minimum(x, x_hi)
     x = np.minimum(x, np.log1p(-1.0 / k_arr) + _log_radius(g))
-    return _newton(x, k_arr, lambda x: saddlepoint._cond_terms(x, g, a_arr), x_hi, t, a_arr, rates)
+    return _newton(x, k_arr, lambda x: cond_terms(x, g, a_arr), x_hi, t, a_arr, rates)
 
 
 def plain_jet(x, g: GeomParams, a):
@@ -1183,8 +1186,172 @@ def conditional_jet(x, g: GeomParams, a):
     and a Phi's jet divided by t, which leaves every term unchanged: with
     w = vt = t/(e^t - 1) in (0, 1] they read t + w, -w(t + w),
     w(t + w)(t + 2w) and -w(t + w)(t^2 + 6w(t + w))."""
-    t = saddlepoint._log_m_over_p0(x, g, a)
+    t = log_m_over_p0(x, g, a)
     w = t / np.expm1(t)
     tw = t + w
     jet = [j / t for j in plain_jet(x, g, a)]
     return _compose(tw, -w * tw, w * tw * (t + 2.0 * w), -w * tw * (t * t + 6.0 * w * tw), jet)
+
+
+# ---------------------------------------------------------------------------
+# the conditional kernel in x: the solve seeded one closed-form Halley step
+# from the plain root, its terms formed from log(M/p0), and the jet of
+# log(M - p0) composed in E and differentiated implicitly, before the
+# solve in s = log u and the closed-form psi of saddlepoint._cond_psi
+
+
+def log_m_over_p0(x, g: GeomParams, a):
+    """log(M(x)/p0) = a log(f/alpha) for a ancestors, with p0 = alpha**a,
+    as a log1p of f/alpha - 1 = (1-alpha)(1-beta) e^x / (alpha (1 - beta e^x)),
+    so that it keeps its digits where M - p0 is far below M."""
+    n2 = math.exp(g.log1m_beta) - g.beta * np.expm1(x)
+    return a * np.log1p(np.exp(g.log1m_alpha + g.log1m_beta - g.log_alpha + x) / n2)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def cond_terms(x, g: GeomParams, a):
+    """K = log M(x), the first and second derivative of the non-extinction
+    CGF log{(M(x) - p0)/(1 - p0)}, and em = (M - p0)/M, so that
+    log(M(x) - p0) = K + log(em).
+
+    em is formed from log(M/p0) (log_m_over_p0), not from K - log(p0):
+    where 1 - beta is tiny, M - p0 can be below one ulp of M at the
+    saddlepoint (1 - beta = e^-489 on a 2 -> 9 lane at lam 387.5,
+    mu 142.9), and the difference keeps no digits of it. Where K' and K''
+    are large enough that c2 overflows, it reads inf or NaN: the solve
+    then bisects, and the pmf scores the lane -inf.
+    """
+    K, K1, K2 = _cgf_terms(x, g, a)
+    em = -np.expm1(-log_m_over_p0(x, g, a))  # (M - p0)/M in (0, 1]
+    # far below the saddlepoint log(M/p0) can underflow to 0: the lane is
+    # outside the domain there and reads NaN
+    em = np.where(em > 0.0, em, np.nan)
+    rho = 1.0 / em  # M/(M - p0) >= 1
+    c1 = K1 * rho
+    c2 = (K2 + K1 * K1) * rho - c1 * c1
+    return K, c1, c2, em
+
+
+def solve_x_conditional_halley(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
+    """The conditional branch of saddlepoint._solve_x before the solve in
+    s = log u: seeded at the lower of the plain root moved by a closed-form
+    Halley step and log(1 - 1/k) + log R, capped at x_hi, and solved in x
+    by _newton on cond_terms."""
+    k_arr = np.asarray(k_arr, dtype=float)
+    a_arr = np.asarray(a_arr, dtype=float)
+    x, s = saddlepoint._plain_root(a_arr / k_arr, g)
+    ok = np.isfinite(x)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise SolverError(
+            f"no saddlepoint root for k={k_arr.flat[bad]}, a={a_arr.flat[bad]}, "
+            f"t={t}, rates=({rates.lam}, {rates.mu})"
+        )
+    x_hi = _x_max(g)
+    # a Halley step from the plain root, at most twice Newton's and clipped
+    # to -2 as _newton clips its own. There K' = k, K'' = k^2 S/a (the block
+    # below) and K''' = k/u^2 (p(2p - 1) + 3p(1 - u) + (1 - u)(2 - u)) with
+    # u = 1 - beta e^x, p = 1 - k u/a; so with v = p0/(M - p0), Kc' - k = k v,
+    # Kc'' = (1 + v)(K'' - v k^2), Kc''' = (1 + v)(K''' - 3v k K'' + v(1 + 2v)
+    # k^3), without a CGF pass. A lane keeps its root where that is not below
+    # x_hi, Kc'' <= 0 or the step is not finite: the float root fails there
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        v = 1.0 / np.expm1(log_m_over_p0(x, g, a_arr))
+        u = math.exp(g.log1m_beta) - g.beta * np.expm1(x)
+        p, k2 = 1.0 - u * k_arr / a_arr, k_arr * k_arr * s / a_arr
+        k3 = k_arr / (u * u) * (p * (2.0 * p - 1.0) + 3.0 * p * (1.0 - u) + (1.0 - u) * (2.0 - u))
+        resid, kc2 = k_arr * v, (1.0 + v) * (k2 - v * k_arr * k_arr)
+        kc3 = (1.0 + v) * (k3 - 3.0 * v * k_arr * k2 + v * (1.0 + 2.0 * v) * k_arr**3)
+        den = np.maximum(kc2 - 0.5 * resid * kc3 / kc2, 0.5 * kc2)
+        step = resid / np.maximum(den, 0.5 * resid)
+    x = np.where((kc2 > 0.0) & np.isfinite(step) & (x < x_hi), x - step, x)
+    x = np.minimum(np.minimum(x, np.log1p(-1.0 / k_arr) + _log_radius(g)), x_hi)
+    return _newton(x, k_arr, lambda x: cond_terms(x, g, a_arr), x_hi, t, a_arr, rates)
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def log_spa_conditional_halley(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
+    """The saddlepoints x and log pmfs of the conditional lanes, scored as
+    saddlepoint._log_spa scored the terms of solve_x_conditional_halley's
+    last pass: log(M - p0) = K + log(em)."""
+    x, (value, _, d2, em) = solve_x_conditional_halley(k_arr, a_arr, g, t, rates)
+    lp = -0.5 * np.log(2.0 * math.pi * d2) + value + np.log(em) - x * k_arr
+    return x, np.where(np.isfinite(d2) & (d2 > 0.0), lp, -np.inf)
+
+
+def conditional_jet_in_e(x, g: GeomParams, a):
+    """The jet of L = log(e^T - 1), T = a Phi = log(M/p0), at the lanes' x:
+    log(M - p0) less a log(alpha). L depends on (y, z) through E = z + log
+    r(y) alone, so its jet is composed (Faa di Bruno) from its derivatives
+    f1..f4 in E and E's: 1/n2, r/n2, ... in y and 1 in z.
+    T = a softplus(E), and softplus has the derivatives q, q p, q p (p - q),
+    q p (1 - 6 q p) with q = 1 - p the logistic of E; F(T) = log(e^T - 1)
+    has 1 + v, -v(1 + v), v(1 + v)(1 + 2v), -v(1 + v)(1 + 6v(1 + v)) with
+    v = 1/(e^T - 1). Where M - p0 is far below M, T is tiny and F's fourth
+    overflows below T = 1e-77, although each term of f1..f4 is of order 1.
+    So F's n-th derivative is taken times T^n (h1..h4, in w = vT in
+    (0, 1]) and T's divided by T (c1..c4, softplus^(n)/softplus)."""
+    n2 = math.exp(g.log1m_beta) - g.beta * np.expm1(x)  # 1 - beta e^x
+    r = g.beta * np.exp(x) / n2
+    # e^E = e^z r as log_m_over_p0 forms it; where it is subnormal c1 is
+    # q/softplus(E) = 1, which a q / T, two subnormals, does not keep
+    odds = np.exp(g.log1m_alpha + g.log1m_beta - g.log_alpha + x) / n2
+    sp = np.log1p(odds)
+    p = 1.0 / (1.0 + odds)
+    q = odds * p
+    t = a * sp
+    w = t / np.expm1(t)
+    tw = t + w
+    h2, h3 = -w * tw, w * tw * (t + 2.0 * w)
+    h4 = -w * tw * (t * t + 6.0 * w * tw)
+    c1 = q / sp
+    c2 = c1 * p
+    c3 = c2 * (p - q)
+    c4 = c2 * (1.0 - 6.0 * q * p)
+    sq = c1 * c1
+    f1 = tw * c1
+    f2 = h2 * sq + tw * c2
+    f3 = h3 * sq * c1 + 3.0 * h2 * c1 * c2 + tw * c3
+    f4 = h4 * sq * sq + 6.0 * h3 * sq * c2 + h2 * (4.0 * c1 * c3 + 3.0 * c2 * c2) + tw * c4
+    e1 = 1.0 / n2
+    e2 = r * e1
+    e3 = e2 * (1.0 + 2.0 * r)
+    e4 = e2 * (1.0 + 6.0 * e2)
+    sq1 = e1 * e1
+    return (
+        f1 * e1,
+        f2 * sq1 + f1 * e2,
+        f3 * sq1 * e1 + 3.0 * f2 * e1 * e2 + f1 * e3,
+        f4 * sq1 * sq1 + 6.0 * f3 * sq1 * e2 + f2 * (4.0 * e1 * e3 + 3.0 * e2 * e2) + f1 * e4,
+        f1,
+        f2,
+        f2 * e1,
+        f3 * e1,
+        f3 * sq1 + f2 * e2,
+        f4 * sq1 + f3 * e2,
+        f4 * sq1 * e1 + 3.0 * f3 * e1 * e2 + f2 * e3,
+    )
+
+
+def saddle_terms(jet):
+    """psi' and psi'' at each lane, for psi(z) = L(y~, z) - y~ k
+    - 1/2 log L_yy(y~, z) with L_y(y~(z), z) = k and L's jet. By the
+    envelope theorem the first part has the derivatives L_z and
+    L_zz + L_yz y~_z, with y~_z = -L_yz / L_yy; the log term G adds
+    G_z + G_y y~_z and its second derivative, in which y~_zz comes from
+    differentiating L_y(y~(z), z) = k twice."""
+    _, l2, l3, l4, lz, lzz, lyz, lyzz, lyyz, lyyzz, lyyyz = jet
+    inv = 1.0 / l2
+    yz = -lyz * inv
+    r3, rz = l3 * inv, lyyz * inv
+    gy = -0.5 * r3
+    first = lz - 0.5 * rz + gy * yz
+    yzz = -(lyzz + (2.0 * lyyz + l3 * yz) * yz) * inv
+    second = (
+        lzz + lyz * yz
+        - 0.5 * (lyyzz * inv - rz * rz)
+        - (lyyyz * inv - r3 * rz) * yz
+        - 0.5 * (l4 * inv - r3 * r3) * yz * yz
+        + gy * yzz
+    )
+    return first, second

@@ -115,6 +115,13 @@ def test_kernel_costs_script_reports_each_kernel(capsys):
     for method in ("spmle", "spmle_adjusted"):
         assert passes["spa_derivatives cold", method] == passes["spa_loglik", method]
     assert passes["exact_loglik+derivatives", "mle"] == 0.0
+    # each variant's solve makes only its own passes
+    panel = costs.draw_panels(3, 1)[0]
+    rates = costs.RATES
+    plain = costs.solve_passes(lambda: costs.spa_loglik(panel, rates, "plain"))
+    cond = costs.solve_passes(lambda: costs.spa_loglik(panel, rates, "conditional"))
+    assert plain["_cgf_terms"] >= 1 and plain["_cond_pass"] == 0
+    assert cond["_cond_pass"] >= 1 and cond["_cgf_terms"] == 0
     # the panels reproduce from the seed
     assert costs.draw_panels(3, 2) == costs.draw_panels(3, 2)
 

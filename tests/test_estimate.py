@@ -1,10 +1,16 @@
 """Estimation front-end: dispatch, optimizer, numeric Hessian, compare."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+import bdrates
 import bdrates.optimize as optimize
 from bdrates.errors import CapError, DomainError
 from bdrates.estimate import (
@@ -95,15 +101,28 @@ def test_maximize_quadratic_newton():
     assert np.array_equal(res.hessian, np.diag([-2.0, -6.0]))
 
 
+def test_import_loads_no_scipy():
+    # scipy.special and scipy.optimize are imported by the functions that
+    # call them, so a process that only imports the package pays for neither
+    code = "import sys, bdrates; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(bdrates.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def _counting_minimize(monkeypatch):
-    """The results of every scipy minimize call that maximize_2d makes."""
-    real, runs = optimize.minimize, []
+    """The results of every scipy minimize call that maximize_2d makes
+    (it imports minimize from scipy.optimize when it continues)."""
+    real, runs = scipy.optimize.minimize, []
 
     def minimize(*args, **kwargs):
         runs.append(real(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(optimize, "minimize", minimize)
+    monkeypatch.setattr(scipy.optimize, "minimize", minimize)
     return runs
 
 

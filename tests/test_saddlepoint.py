@@ -12,6 +12,7 @@ from oracles import (
     mp_cgf_prime,
     mp_cond_cgf_derivative,
     mp_cond_cgf_prime,
+    mp_log_cond_spa_pmf,
     mp_log_spa_pmf,
 )
 from scipy.optimize import brentq
@@ -369,15 +370,14 @@ def test_conditional_seed_of_one_ancestor_is_its_root(monkeypatch, lam, mu, t):
     # at the root in closed form, and the seed solves the saddle equation
     # at mpmath precision: to RESIDUAL_TOL, or to what the float error of
     # its input log R and two float spacings of x move Kc' (at k = 1e6 and
-    # x near 5 one spacing moves it by 9e-10 k)
+    # x near 5 one spacing moves it by 9e-10 k). The seed is the first s =
+    # log u that the solve passes, and x = log(1 - u) + log R
     rates = Rates(lam, mu)
     g = geom_params(t, rates)
     k = np.array([2.0, 5.0, 40.0, 1e6])
-    seeds = []
-    real = saddlepoint._newton
-    monkeypatch.setattr(saddlepoint, "_newton", lambda x, *args: seeds.append(x) or real(x, *args))
-    _solve_x(k, np.ones_like(k), g, t, rates, True)
-    (x,) = seeds
+    passes = _count_cond_passes(monkeypatch)
+    saddlepoint._cond_solve(k, np.ones_like(k), g, t, rates)
+    x = np.log(-np.expm1(passes[0])) + _log_radius(g)
     lr_err = abs(_log_radius(g) + mp.log(mp_alpha_beta(t, lam, mu)[1]))
     for xi, ki in zip(x, k):
         kc1 = mp_cond_cgf_derivative(xi, t, 1, lam, mu)
@@ -572,6 +572,15 @@ def _count_passes(monkeypatch):
     return calls
 
 
+def _count_cond_passes(monkeypatch):
+    """The s = log u of each pass of the conditional solve."""
+    real, calls = saddlepoint._cond_pass, []
+    monkeypatch.setattr(
+        saddlepoint, "_cond_pass", lambda s, *args: calls.append(s) or real(s, *args)
+    )
+    return calls
+
+
 @pytest.mark.parametrize(
     "lam,mu,t",
     [
@@ -600,7 +609,7 @@ def test_plain_seed_solves_the_saddle_equation(monkeypatch, lam, mu, t):
     real = saddlepoint._newton
     monkeypatch.setattr(saddlepoint, "_newton", lambda x, *args: seeds.append(x) or real(x, *args))
     passes = _count_passes(monkeypatch)
-    x, _ = _solve_x(k, a, g, t, rates, False)
+    x, _ = _solve_x(k, a, g, t, rates)
     assert len(passes) == 1
     assert np.array_equal(seeds[0], x)
     with mp.workdps(200):
@@ -664,9 +673,11 @@ def test_large_k_conditional_lanes_stop_on_a_newton_correction_below_four_ulps(
 ):
     # at 1 -> 1e6 over t = 1e-3 one ulp of x moves Kc' by about 9e-10 k,
     # more than the residual tolerance, and these lanes bisected their
-    # brackets for 25, 33 and 3 passes; the Newton correction at the seed
-    # is below 4 ulps of x, so the solve stops there
-    passes = _count_passes(monkeypatch)
+    # brackets for 25, 33 and 3 passes when the solve ran in x; the Newton
+    # correction at the seed was below 4 ulps of x, and the solve stopped
+    # there. In s = log u the seed -log k is the root, and meets the
+    # residual tolerance in one pass
+    passes = _count_cond_passes(monkeypatch)
     val = spa_loglik(_one_step(1, 10**6, 1e-3), Rates(lam, mu), "conditional")
     assert len(passes) == 1
     assert abs(val - ref) <= 1e-12 * abs(ref)
@@ -709,7 +720,26 @@ def test_conditional_lane_keeps_its_digits_where_m_minus_p0_is_tiny(lam, mu):
     assert abs(val - log_transition_prob(k, t, a, rates)) < 0.1
     # the root solves the conditional saddle equation at 300 digits
     g = geom_params(t, rates)
-    x, _ = _solve_x(np.array([float(k)]), np.array([float(a)]), g, t, rates, True)
+    x, _ = _log_spa(np.array([float(k)]), np.array([float(a)]), g, t, rates, True)
     with mp.workdps(300):
         kc1 = mp_cond_cgf_prime(float(x[0]), t, a, lam, mu)
     assert abs(kc1 - k) <= 2.0 * RESIDUAL_TOL * k
+
+
+def test_conditional_lane_where_m_minus_p0_underflows_matches_mpmath():
+    # 3 -> 95 over t = 3 at lam 250.29, mu 4.5704: 1 - beta = e^-737.2, and
+    # at the root M - p0 lies below the smallest float; the solve in x
+    # formed (M - p0)/M as 4e-322, read Kc' = inf and scored the lane -inf,
+    # where the exact log pmf is -744.10. mpmath keeps the digits that
+    # 1 - beta cancels at 60 + |log(1 - beta)|/ln 10 digits
+    a, k, t = 3, 95, 3.0
+    rates = Rates(250.2901987107919, 4.570406856062319)
+    g = geom_params(t, rates)
+    x, got = _log_spa(np.array([float(k)]), np.array([float(a)]), g, t, rates, True)
+    # the root lies below 0, and log R is e^-737
+    with mp.workdps(60 + math.ceil(abs(g.log1m_beta) / math.log(10))):
+        ref = mp_log_cond_spa_pmf(k, t, a, rates.lam, rates.mu, 2.0 * x[0], 0.5 * x[0])
+    assert abs(got[0] - ref) <= 1e-13 * abs(ref)
+    assert abs(got[0] - log_transition_prob(k, t, a, rates)) < 0.1
+    panel = Panel((Trajectory((0.0, 0.5, 2.5, 5.5), (150, 1257, 3, 95)),))
+    assert math.isfinite(spa_loglik(panel, rates, "conditional"))

@@ -23,11 +23,11 @@ from bdrates.errors import BdError, DomainError, SolverError
 from bdrates.estimate import fit
 from bdrates.exact import geom_params
 from bdrates.saddlepoint import (
-    _conditional_jet,
-    _log_m_over_p0,
+    _cond_log_spa,
+    _cond_psi,
     _log_radius,
+    _log_spa,
     _plain_psi,
-    _saddle_terms,
     _solve_x,
     spa_derivatives,
     spa_loglik,
@@ -94,7 +94,7 @@ def _mp_loglik(panel, rates, variant="plain"):
             room = None
             if k > conditional:
                 g = geom_params(t, rates)
-                x, _ = _solve_x([float(k)], [float(a)], g, t, rates, conditional)
+                x, _ = _log_spa(np.array([float(k)]), np.array([float(a)]), g, t, rates, conditional)
                 room = _log_radius(g) - float(x[0])
             lanes.append((a, k, t, room))
     log_pmf = mp_log_cond_spa_pmf if conditional else mp_log_spa_pmf
@@ -221,7 +221,7 @@ def test_derivatives_near_the_radius_stay_accurate():
 def _jet_psi(x, g, k, a):
     """psi' and psi'' of plain lanes by implicit differentiation of their
     jets, the derivative path the closed form replaced."""
-    return _saddle_terms(legacy.plain_jet(x, g, a))
+    return legacy.saddle_terms(legacy.plain_jet(x, g, a))
 
 
 def test_plain_closed_form_matches_the_jets_over_random_laws():
@@ -234,7 +234,7 @@ def test_plain_closed_form_matches_the_jets_over_random_laws():
         a = rng.integers(1, 300, 8).astype(float)
         g = geom_params(t, rates)
         try:
-            x, _ = _solve_x(k, a, g, t, rates, False)
+            x, _ = _solve_x(k, a, g, t, rates)
         except SolverError:
             continue
         first, second = _plain_psi(x, g, k, a)
@@ -358,23 +358,33 @@ def _random_laws(seed, n):
 
 
 def test_conditional_composition_matches_the_legacy_jets_over_random_laws():
+    # the closed-form psi of the solve in s = log u against the jets in two
+    # variables at the same saddlepoints
     tiny = np.finfo(float).tiny
     agree = limit = 0
     for rates, t, k, a in _random_laws(19, 1500):
         k, a = np.asarray(k, dtype=float), np.asarray(a, dtype=float)
         g = geom_params(t, rates)
         try:
-            x, _ = _solve_x(k, a, g, t, rates, True)
+            terms, x, _ = _cond_log_spa(k, a, g, t, rates)
         except SolverError:
             continue
+        sub = terms[7] < tiny  # T = log(M/p0)
         # the parent's seed finds the same saddlepoints, to the solve's
-        # stopping rules
-        ref_x, _ = legacy.solve_x_conditional(k, a, g, t, rates)
-        assert np.all(np.abs(x - ref_x) <= 1e-9 * np.maximum(1.0, np.abs(x)))
+        # stopping rules, except on lanes where M - p0 underflows: there
+        # the solve in x refuses the group, or stops where Kc' is far from
+        # k (7 -> 111 at lam 303.6, mu 0.812, t 2.45: x = -3.40, where
+        # mpmath reads Kc' = 1.03; the solve in s stops at x = -0.00905,
+        # where it reads 111.0)
+        try:
+            ref_x, _ = legacy.solve_x_conditional(k, a, g, t, rates)
+        except SolverError:
+            assert sub.any()
+        else:
+            assert np.all(np.abs(x - ref_x)[~sub] <= 1e-9 * np.maximum(1.0, np.abs(x[~sub])))
         with np.errstate(all="ignore"):
-            first, second = _saddle_terms(_conditional_jet(x, g, a))
-            ref1, ref2 = _saddle_terms(legacy.conditional_jet(x, g, a))
-            sub = _log_m_over_p0(x, g, a) < tiny
+            first, second = _cond_psi(terms)
+            ref1, ref2 = legacy.saddle_terms(legacy.conditional_jet(x, g, a))
         ok = np.isfinite(ref1) & np.isfinite(ref2)
         assert np.all(np.isfinite(first[ok])) and np.all(np.isfinite(second[ok]))
         # where T = log(M/p0) is subnormal, the legacy a q / T divides two
@@ -390,19 +400,63 @@ def test_conditional_composition_matches_the_legacy_jets_over_random_laws():
     assert agree > 11000 and limit >= 1
 
 
+def test_conditional_kernel_matches_the_legacy_kernel_over_random_laws():
+    # the solve in s = log u and its closed-form psi against the solve in
+    # x, its terms formed from log(M/p0) and the jets composed in E. They
+    # refuse the same groups, except that the solve in x refuses, or
+    # scores -inf, lanes where M - p0 underflows (T below the smallest
+    # float at the root), which the solve in s scores
+    tiny = np.finfo(float).tiny
+    agree = gained = 0
+    for seed in range(19, 41):
+        for rates, t, k, a in _random_laws(seed, 150):
+            k, a = np.asarray(k, dtype=float), np.asarray(a, dtype=float)
+            g = geom_params(t, rates)
+            try:
+                terms, x, lp = _cond_log_spa(k, a, g, t, rates)
+            except SolverError:
+                with pytest.raises(SolverError):
+                    legacy.log_spa_conditional_halley(k, a, g, t, rates)
+                continue
+            under = terms[7] < tiny
+            try:
+                ref_x, ref = legacy.log_spa_conditional_halley(k, a, g, t, rates)
+            except SolverError:
+                assert under.any() and np.all(np.isfinite(lp))
+                gained += 1
+                continue
+            fin = np.isfinite(ref)
+            assert np.all(under[~fin]) and np.all(np.isfinite(lp))
+            assert np.all(np.abs(x - ref_x)[fin] <= 1e-9 * np.maximum(1.0, np.abs(x[fin])))
+            assert np.all(np.abs(lp - ref)[fin] <= 1e-9 * np.abs(ref[fin]))
+            with np.errstate(all="ignore"):
+                first, second = _cond_psi(terms)
+                ref1, ref2 = legacy.saddle_terms(legacy.conditional_jet_in_e(x, g, a))
+            ok = np.isfinite(ref1) & np.isfinite(ref2) & ~under & ~_legacy_loses_digits(x, g)
+            assert np.all(np.abs(first - ref1)[ok] <= 1e-12 * np.abs(ref1[ok]))
+            assert np.all(np.abs(second - ref2)[ok] <= 1e-12 * np.abs(ref1[ok]))
+            agree += int(ok.sum())
+    assert agree > 20000 and gained >= 1
+
+
 def _legacy_conditional(patch):
-    """Make the conditional variant seed its solve at the lower of the
-    plain root and log(1 - 1/k) + log R, and differentiate its lanes by
-    the legacy jets."""
-    real = bdrates.saddlepoint._solve_x
+    """Make the conditional variant solve in x from the plain root and
+    log(1 - 1/k) + log R, score from log(M/p0), and differentiate its
+    lanes by the jets in two variables; its sweep entries then hold
+    (x, g, a) in place of the last pass."""
 
-    def solve(k, a, g, t, rates, conditional):
-        if conditional:
-            return legacy.solve_x_conditional(k, a, g, t, rates)
-        return real(k, a, g, t, rates, conditional)
+    def log_spa(k, a, g, t, rates):
+        x, terms = legacy.solve_x_conditional(k, a, g, t, rates)
+        value, _, d2, em = terms
+        lp = -0.5 * np.log(2.0 * math.pi * d2) + value + np.log(em) - x * k
+        return (x, g, a), x, np.where(np.isfinite(d2) & (d2 > 0.0), lp, -np.inf)
 
-    patch.setattr(bdrates.saddlepoint, "_solve_x", solve)
-    patch.setattr(bdrates.saddlepoint, "_conditional_jet", legacy.conditional_jet)
+    patch.setattr(bdrates.saddlepoint, "_cond_log_spa", log_spa)
+    patch.setattr(
+        bdrates.saddlepoint,
+        "_cond_psi",
+        lambda sp: legacy.saddle_terms(legacy.conditional_jet(*sp)),
+    )
 
 
 # the first example is a panel at rho = alpha beta / ((1-alpha)(1-beta))
@@ -442,7 +496,10 @@ def test_conditional_derivatives_are_finite_wherever_the_legacy_ones_were(panel,
                 outs.append(type(exc))
         if not legacy_path:
             sweep = fresh.transitions._saddlepoints.get((rates, True), [])
-            lossy = any(x is not None and np.any(_legacy_loses_digits(x, g)) for g, *_, x in sweep)
+            lossy = any(
+                sp is not None and np.any(_legacy_loses_digits(np.log(sp[2]) + _log_radius(g), g))
+                for g, *_, sp in sweep
+            )
     got, ref = outs
     if isinstance(ref, type) or ref[1] is None:
         if isinstance(got, type):
@@ -515,14 +572,13 @@ def _fresh(panel):
 
 
 def _count_solves(monkeypatch):
-    real = bdrates.saddlepoint._solve_x
+    """The calls of either variant's solve."""
     calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(bdrates.saddlepoint, "_solve_x", counting)
+    for name in ("_solve_x", "_cond_solve"):
+        real = getattr(bdrates.saddlepoint, name)
+        monkeypatch.setattr(
+            bdrates.saddlepoint, name, lambda *args, real=real: calls.append(args) or real(*args)
+        )
     return calls
 
 
@@ -558,10 +614,13 @@ def test_a_cold_call_leaves_the_sweep_of_the_loglik(pname, rname, variant):
     assert list(got) == list(want) == [(rates, variant == "conditional")]
     ((sweep,), (ref_sweep,)) = got.values(), want.values()
     assert len(sweep) == len(ref_sweep) == len(cold.transitions.groups)
-    for (g, coefs, k, a, x), (rg, rcoefs, rk, ra, rx) in zip(sweep, ref_sweep):
+    for (g, coefs, k, a, sp), (rg, rcoefs, rk, ra, rsp) in zip(sweep, ref_sweep):
         assert g == rg and coefs == rcoefs
         assert _same_bits((k, a), (rk, ra))
-        assert (x is None and rx is None) or _same_bits((x,), (rx,))
+        # a conditional group holds the last pass of its solve, a plain one x
+        if variant == "plain" and sp is not None:
+            sp, rsp = (sp,), (rsp,)
+        assert (sp is None and rsp is None) or _same_bits(sp, rsp)
 
 
 @pytest.mark.parametrize("variant", ["plain", "conditional"])
@@ -601,11 +660,11 @@ def test_a_loglik_that_raises_leaves_no_sweep(variant):
 
 
 def test_derivatives_are_none_where_the_loglik_is_not_finite():
-    # the 3 -> 95 lane over t = 3 scores -inf under the conditional
-    # variant; the derivatives of the other lanes read a score of
-    # (-3561, 1445) there
-    panel = Panel((Trajectory((0.0, 0.5, 2.5, 5.5), (150, 1257, 3, 95)),))
-    rates = Rates(250.2901987107919, 4.570406856062319)
+    # at rates 1e-13 the 19 -> 19 lane over t = 0.0033 has collapsed to a
+    # point mass given survival, Kc'' below 2^-53 k^2, and scores -inf
+    # under the conditional variant, but not under the plain one
+    panel = Panel((Trajectory((0.0, 0.5, 0.5033276295544015914), (150, 19, 19)),))
+    rates = Rates(1e-13, 1.07e-13)
     assert spa_derivatives(_fresh(panel), rates, "conditional") is None
     assert spa_loglik(panel, rates, "conditional") == -math.inf
     assert panel.transitions._saddlepoints == {}
@@ -653,7 +712,9 @@ def test_cgf_passes_per_evaluation(monkeypatch, pname, variant):
         bool(bdrates.saddlepoint._lanes(grp.dst, grp.src, conditional)[1].size)
         for grp in panel.transitions.groups
     )
-    real_terms, real_loglik = bdrates.saddlepoint._cgf_terms, bdrates.estimate.spa_loglik
+    # a plain pass evaluates the CGF terms, a conditional one _cond_pass
+    name = "_cond_pass" if conditional else "_cgf_terms"
+    real_terms, real_loglik = getattr(bdrates.saddlepoint, name), bdrates.estimate.spa_loglik
     passes, per_call = [0], []
 
     def counting_terms(*args):
@@ -667,7 +728,7 @@ def test_cgf_passes_per_evaluation(monkeypatch, pname, variant):
         finally:
             per_call.append(passes[0] - before)
 
-    monkeypatch.setattr(bdrates.saddlepoint, "_cgf_terms", counting_terms)
+    monkeypatch.setattr(bdrates.saddlepoint, name, counting_terms)
     monkeypatch.setattr(bdrates.estimate, "spa_loglik", counting_loglik)
     res = fit(panel, "spmle_adjusted" if conditional else "spmle")
     assert len(per_call) == res.n_obj_evals
