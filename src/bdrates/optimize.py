@@ -4,8 +4,8 @@ derivatives, with one Nelder-Mead run as the continuation.
 Every likelihood objective in this package is a smooth function of
 (log lambda, log mu), and each supplies its gradient and Hessian: the
 exact likelihood from its term table, the saddlepoint likelihoods in
-closed form from their saddlepoints. The search takes Newton steps: the Hessian's
-eigenvalues are floored to make it negative definite (its 2x2
+closed form from their saddlepoints. The search takes Newton steps: the
+Hessian's eigenvalues are floored to make it negative definite (its 2x2
 eigendecomposition is taken in closed form, without a LAPACK call), the
 step is clipped to a trust radius in max-norm and halved on every
 rejected or non-improving probe. The radius is carried between

@@ -68,8 +68,9 @@ the terms of its last pass, which are those at the saddlepoints, and
 _log_spa scores them without a further pass. Each pass evaluates every
 lane of the gap group; a lane that has stopped keeps its point. So a
 plain group costs one CGF pass unless a lane needs a Newton step, and a
-conditional group 1.5 passes on average over the fits of 40 simulated
-single-trajectory panels (scripts/run_kernel_costs.py --panels 40).
+conditional group 2.4 passes on average, at most 3, over the fits of 40
+simulated single-trajectory panels (scripts/run_kernel_costs.py).
+
 
 spa_derivatives gives the score and observed information of either
 variant's panel log likelihood in (log lam, log mu), in closed form from

@@ -142,9 +142,9 @@ class Transitions:
     lanes and saddlepoints}, for spa_derivatives to read at equal rates
     and the same variant. A plain group's saddlepoints are its x; a
     conditional group's are the terms of its solve's last pass in s =
-    log u, from which its derivatives are formed. Only spa_loglik writes it; spa_derivatives runs
-    spa_loglik where the slot misses, so a cold derivatives call leaves a
-    sweep there too.
+    log u, from which its derivatives are formed. Only spa_loglik writes
+    it; spa_derivatives runs spa_loglik where the slot misses, so a cold
+    derivatives call leaves a sweep there too.
     """
 
     groups: tuple[GapGroup, ...]

@@ -637,6 +637,17 @@ def test_a_lane_without_a_root_raises_solver_error(a, k, lam, mu, t, variant):
         spa_pmf(k, t, a, Rates(lam, mu))
 
 
+def test_conditional_lanes_of_a_law_without_births_raise_solver_error():
+    # with beta = 0, u = 1 - beta e^x is 1 for every x, and the solve in
+    # s = log u has nothing to move: pure death with k < a has a plain
+    # root in x, and scores under the plain variant, but not under the
+    # conditional one
+    panel, rates = _one_step(5, 2, 0.7), Rates(0.0, 2.0)
+    assert math.isfinite(spa_loglik(panel, rates, "plain"))
+    with pytest.raises(SolverError, match="no saddlepoint root for k=2.0, a=5.0"):
+        spa_loglik(panel, rates, "conditional")
+
+
 @pytest.mark.parametrize(
     "a,k,lam,mu,t",
     [

@@ -94,7 +94,8 @@ def _mp_loglik(panel, rates, variant="plain"):
             room = None
             if k > conditional:
                 g = geom_params(t, rates)
-                x, _ = _log_spa(np.array([float(k)]), np.array([float(a)]), g, t, rates, conditional)
+                ka = np.array([float(k)]), np.array([float(a)])
+                x, _ = _log_spa(*ka, g, t, rates, conditional)
                 room = _log_radius(g) - float(x[0])
             lanes.append((a, k, t, room))
     log_pmf = mp_log_cond_spa_pmf if conditional else mp_log_spa_pmf
