@@ -56,7 +56,6 @@ below its own in s; the second is exact for a = 1). It takes Newton
 steps on log Kc' - log k, capped halfway to s = 0 and floored at s_hi =
 log u_hi, u_hi = -expm1(-RADIUS_GUARD log R) being x_hi in u, and stops
 once |log(Kc'/k)| <= RESIDUAL_TOL. A law with alpha = 0 has p0 = 0, and
-
 its conditional lanes are its plain ones.
 
 A lane whose root lies inside the guard band (a probe at x_hi with
@@ -70,7 +69,6 @@ lane of the gap group; a lane that has stopped keeps its point. So a
 plain group costs one CGF pass unless a lane needs a Newton step, and a
 conditional group 2.4 passes on average, at most 3, over the fits of 40
 simulated single-trajectory panels (scripts/run_kernel_costs.py).
-
 
 spa_derivatives gives the score and observed information of either
 variant's panel log likelihood in (log lam, log mu), in closed form from
