@@ -51,22 +51,20 @@ block comment above spa_derivatives), and each pass (_cond_pass) forms
 E and the first two derivatives f1, f2 of L = log(M/p0 - 1) in E, so
 that Kc' = f1/u and Kc'' = (f2 + f1 (1 - u))/u^2. A lane starts at the
 plain root moved by a closed-form Halley step, or at -log k where that
-is higher (Kc' is at least K' and at least 1/u, so both roots lie at or
-below its own in s; the second is exact for a = 1). It takes Newton
-steps on log Kc' - log k, capped halfway to s = 0 and floored at s_hi =
-log u_hi, u_hi = -expm1(-RADIUS_GUARD log R) being x_hi in u, and stops
-once |log(Kc'/k)| <= RESIDUAL_TOL. A law with alpha = 0 has p0 = 0, and
-its conditional lanes are its plain ones.
+is higher (both lie at or below its root in s), takes Newton steps on
+log Kc' - log k, capped halfway to s = 0 and floored at s_hi = log u_hi,
+u_hi = -expm1(-RADIUS_GUARD log R) being x_hi in u, and stops once
+|log(Kc'/k)| <= RESIDUAL_TOL. Where 1 - u at the plain root is not a
+normal float (beta = 0 among them), u is 1 and the lane is solved in x
+(_flat_solve). With alpha = 0, p0 = 0 and the lanes are plain ones.
 
-A lane whose root lies inside the guard band (a probe at x_hi with
-K' < k, or at s_hi with Kc' < k) raises SolverError, as does a lane
-still open after 200 passes, a conditional lane with a step that is not
-finite, and one whose 1 - u = beta e^x at the plain root is not a
-normal float (every lane of a law with beta = 0). Either solve returns
-the terms of its last pass, which are those at the saddlepoints, and
-_log_spa scores them without a further pass. Each pass evaluates every
-lane of the gap group; a lane that has stopped keeps its point. So a
-plain group costs one CGF pass unless a lane needs a Newton step, and a
+A lane without a root or whose root lies inside the guard band (a probe
+at x_hi with K' < k, or at s_hi with Kc' < k) raises SolverError, as
+does a lane still open after 200 passes or with a step that is not
+finite. Either solve returns the terms of its last pass, those at the
+saddlepoints, which _log_spa scores. Each pass evaluates every lane of
+the gap group; a lane that has stopped keeps its point. So a plain
+group costs one CGF pass unless a lane needs a Newton step, and a
 conditional group 2.4 passes on average, at most 3, over the fits of 40
 simulated single-trajectory panels (scripts/run_kernel_costs.py).
 
@@ -148,10 +146,7 @@ def _log_radius(g: GeomParams) -> float:
 
 def _x_max(g: GeomParams) -> float:
     """Largest usable x: log R(t) shrunk by a relative guard band."""
-    lr = _log_radius(g)
-    if lr == math.inf:
-        return math.inf
-    return lr * (1.0 - RADIUS_GUARD)
+    return _log_radius(g) * (1.0 - RADIUS_GUARD)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -222,13 +217,11 @@ def _no_root(k_arr, a_arr, i: int, t: float, rates: Rates) -> SolverError:
 
 
 def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
-    """Vectorized saddlepoints x~ of the plain saddle equation for k >= 1
-    lanes, and the CGF terms there (_newton's last pass), seeded at the
-    closed-form root capped at x_hi. In u = 1 - beta e^x the equation
-    reads a(1 - u) = k u (rho u + 1 - u), rho = e^-z. A lane without a
-    root raises SolverError naming it."""
-    k_arr = np.asarray(k_arr, dtype=float)
-    a_arr = np.asarray(a_arr, dtype=float)
+    """Vectorized saddlepoints x~ of the plain saddle equation for lanes
+    a -> k (float arrays, k >= 1), and the CGF terms there (_newton's last
+    pass), seeded at the closed-form root capped at x_hi. In u = 1 - beta
+    e^x the equation reads a(1 - u) = k u (rho u + 1 - u), rho = e^-z. A
+    lane without a root raises SolverError naming it."""
     x = _plain_root(a_arr / k_arr, g)[0]
     ok = np.isfinite(x)
     if not ok.all():
@@ -240,18 +233,15 @@ def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
-    """Solve d1(x) = k from the seeds x, where terms(x) gives a CGF's
-    terms (value, d1, d2, ...) at every lane and d1 increases in x.
-    Returns the saddlepoints and the terms of the last pass, which are
-    those at the saddlepoints.
+    """Solve d1(x) = k from the seeds x, where terms(x) gives terms
+    (value, d1, d2, ...) at every lane and d1 increases in x. Returns the
+    saddlepoints and the terms of the last pass, those at the saddlepoints.
 
-    Each pass evaluates every lane; a lane that has stopped keeps its x.
     Each lane brackets its root between the points it has probed; a probe
     where d1 is NaN counts as below the root. The module docstring gives
-    the steps and the stopping rules. A lane's value does not depend on
-    the other lanes. Where the terms overflow (d1 = +inf and d2 = -inf at
-    x_hi when 1 - beta is below about 1e-150), the Newton candidate reads
-    NaN and the lane bisects its bracket instead.
+    the steps and the stopping rules. Where the terms overflow (d1 = +inf
+    and d2 = -inf at x_hi when 1 - beta is below about 1e-150), the Newton
+    candidate reads NaN and the lane bisects its bracket instead.
     """
     x = np.array(x, dtype=float)
     tol = RESIDUAL_TOL * np.maximum(1.0, k_arr)
@@ -309,17 +299,19 @@ def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
     )
 
 
-def _cond_pass(s, z: float, a):
+def _cond_pass(s, z: float, a, e=None):
     """One pass of the conditional solve at s = log u of every lane: (s,
     u, 1 - u, E, p, q, softplus(E), T, w, T + w, c1, f1, f2), with q the
     logistic of E, p = 1 - q, T = a softplus(E), w = T/(e^T - 1), c1 =
     q/softplus(E) and f1, f2 the first two derivatives of L = log(e^T -
     1) in E (_cond_psi). Where e^E or T underflows, c1 or w reads its
-    limit 1; e^E is capped at e^700, so that p is not NaN past it. It
-    runs under the errstate of _cond_solve, its only caller."""
+    limit 1; e^E is capped at e^700, so that p is not NaN past it. A
+    given e is E at s = 0 (_flat_solve). It runs under the errstate of
+    its callers."""
     u = np.exp(s)
     om = -np.expm1(s)
-    e = z + np.log(om) - s
+    if e is None:
+        e = z + np.log(om) - s
     ee = np.exp(np.minimum(e, 700.0))
     p = 1.0 / (1.0 + ee)
     q = ee * p
@@ -345,9 +337,12 @@ def _cond_solve(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
     r = a_arr / k_arr
     u, big_s, log_rho, near, far = _plain_u(r, g)
     om = np.where(u <= 0.5, 1.0 - u, np.exp(np.where(r <= 1.0, near, log_rho + far)))
-    ok = (om >= np.finfo(float).tiny) & (g.log_beta > -math.inf)
-    if not ok.all():
-        raise _no_root(k_arr, a_arr, int(np.argmin(ok)), t, rates)
+    flat = ~(om >= np.finfo(float).tiny) | (g.log_beta == -math.inf)
+    if flat.any():
+        out = np.empty((13,) + flat.shape)
+        out[:, flat] = _flat_solve(k_arr[flat], a_arr[flat], g, t, rates)
+        out[:, ~flat] = _cond_solve(k_arr[~flat], a_arr[~flat], g, t, rates)
+        return tuple(out)
     s = np.where(u <= 0.5, np.log(u), np.log1p(-om))
     z = g.log1m_alpha + g.log1m_beta - g.log_alpha - g.log_beta
     v = 1.0 / np.expm1(a_arr * np.logaddexp(0.0, z + np.log(om) - s))
@@ -393,6 +388,25 @@ def _cond_solve(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
     )
 
 
+def _flat_solve(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
+    """The last pass (_cond_pass) at the conditional roots of lanes whose
+    1 - u at the plain root is not a normal float. With k < a the root
+    lies at E <= log(k/(a - k)), where 1 - u = e^(E - z) u is smaller
+    still: u is 1, E = x + log((1 - alpha)(1 - beta)/alpha), Kc' = f1 and
+    Kc'' = f2 in x, and _newton solves them. k >= a raises SolverError."""
+    x = _plain_root(a_arr / k_arr, g)[0]
+    ok = np.isfinite(x) & (k_arr < a_arr)
+    if not ok.all():
+        raise _no_root(k_arr, a_arr, int(np.argmin(ok)), t, rates)
+    c, x_hi = g.log1m_alpha + g.log1m_beta - g.log_alpha, _x_max(g)
+
+    def terms(x):
+        out = _cond_pass(np.zeros(x.shape), 0.0, a_arr, x + c)
+        return out, out[-2], out[-1]
+
+    return _newton(np.minimum(x, x_hi), k_arr, terms, x_hi, t, a_arr, rates)[1][0]
+
+
 def _check_args(t: float, a: int, k: int = 0) -> None:
     """Refuse a pointwise target outside k >= 0, a >= 1, 0 < t < inf."""
     if not k >= 0:
@@ -428,11 +442,7 @@ def _lanes(k, a, conditional: bool):
         return (0.0, 0.0, 0.0), k, a
     # a k = 1 lane: a - 1 lines die out, one survives with one descendant
     ones = a[exact & (k == 1.0)]
-    coefs = (
-        float(np.sum(a[exact])) - ones.size,
-        float(ones.size),
-        float(np.sum(np.log(ones))),
-    )
+    coefs = (float(np.sum(a[exact])) - ones.size, float(ones.size), float(np.sum(np.log(ones))))
     live = ~exact
     return coefs, k[live], a[live]
 
@@ -451,14 +461,15 @@ def _exact_log(coefs, g: GeomParams) -> float:
 
 @np.errstate(divide="ignore", invalid="ignore")
 def _log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: bool):
-    """The saddlepoints x of the variant's saddlepoint lanes (k_arr and
-    a_arr float arrays) and their log pmfs, scored from the terms of the
-    solve's last pass; a lane's value does not depend on the other lanes.
-    A law with alpha = 0 scores its conditional lanes as plain ones. d2
-    underflows to 0 when a probe collapses the law toward a point mass;
-    the lane scores -inf there, not the +inf of a bare log(0)."""
+    """The variant's saddlepoint lanes (k_arr and a_arr float arrays)
+    scored from the solve's last pass: (sp, log pmfs), sp being that pass
+    for a conditional lane (_cond_log_spa) and x for a plain one; alpha =
+    0 makes the conditional lanes plain ones. A lane's value does not
+    depend on the other lanes. Where d2 underflows to 0 (a law collapsed
+    toward a point mass) the lane scores -inf, not the +inf of log(0)."""
     if conditional and g.log_alpha > -math.inf:
-        return _cond_log_spa(k_arr, a_arr, g, t, rates)[1:]
+        sp, _, lp = _cond_log_spa(k_arr, a_arr, g, t, rates)
+        return sp, lp
     x, (value, _, d2) = _solve_x(k_arr, a_arr, g, t, rates)
     lp = -0.5 * np.log(2.0 * math.pi * d2) + value - x * k_arr
     return x, np.where(np.isfinite(d2) & (d2 > 0.0), lp, -np.inf)
@@ -467,26 +478,24 @@ def _log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: b
 @np.errstate(divide="ignore", invalid="ignore")
 def _cond_log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
     """The terms of the conditional solve's last pass (_cond_solve), the
-    saddlepoints x = log(1 - u) + log R, and the lanes' log pmfs.
+    saddlepoints x = log(1 - u) + log R (E less log((1 - alpha)(1 -
+    beta)/alpha) where u is 1), and the lanes' log pmfs.
 
     The pmf (1 - p0) exp(Kc - x k)/sqrt(2 pi Kc'') has Kc = log(M - p0) -
     log(1 - p0), so it scores a log(alpha) + L - x k - 1/2 log(2 pi
     Kc''), log Kc'' = log(f2 + f1 (1 - u)) - 2s. L = log(e^T - 1) is T +
     log(-expm1(-T)) where T > 1 and log T - log w below, log T = log a +
     E where e^E underflows: so a lane keeps its value where M - p0
-    underflows. A lane scores -inf where Kc'' is not above 2^-53 k^2, half
-    an ulp of Kc'^2: its law given survival has collapsed to a point mass
-    (a -> a as lam and mu go to 0), where the variance E[N^2] - E[N]^2 of
-    the solve in x kept no digits and scored it -inf too. Without that
-    wall the a -> a edge fits climb without bound (ROADMAP items 2-3)."""
+    underflows. Where Kc'' underflows to 0 the lane scores -inf."""
     terms = _cond_solve(k_arr, a_arr, g, t, rates)
     s, _, om, e, _, _, sp, big_t, w, _, _, f1, f2 = terms
     log_t = np.log(a_arr) + np.where(e < -40.0, e, np.log(sp))
     ell = np.where(big_t > 1.0, big_t + np.log(-np.expm1(-big_t)), log_t - np.log(w))
-    x = np.log(om) + _log_radius(g)
+    c = g.log1m_alpha + g.log1m_beta - g.log_alpha  # E - x where u is 1
+    x = np.where(om > 0.0, np.log(om) + _log_radius(g), e - c)
     d = f2 + f1 * om
     lp = a_arr * g.log_alpha + ell - x * k_arr - 0.5 * np.log(2.0 * math.pi * d) + s
-    return terms, x, np.where(d > 2.0**-53 * f1 * f1, lp, -np.inf)
+    return terms, x, np.where(d > 0.0, lp, -np.inf)
 
 
 def _pmf(k: int, t: float, a: int, rates: Rates, conditional: bool) -> float:
@@ -585,10 +594,9 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
     last pass. A sweep that finishes with a finite total leaves each
     group's law, lanes split by _lanes and saddlepoints, (g, coefs, k, a,
     sp), in the table's _saddlepoints slot for spa_derivatives at the same
-    rates and variant. sp is None where the group has no saddlepoint lane,
-    the terms of the conditional solve's last pass (_cond_pass) for a
-    conditional group and x otherwise; the slot is emptied first, so a
-    call that raises or scores -inf leaves nothing there.
+    rates and variant: sp is _log_spa's (None without saddlepoint lanes).
+    The slot is emptied first, so a call that raises or scores -inf
+    leaves nothing there.
     """
     conditional = _is_conditional(variant)
     table = panel.transitions
@@ -601,10 +609,7 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
         total += _exact_log(coefs, g)
         sp = None
         if k.size:
-            if conditional and g.log_alpha > -math.inf:
-                sp, _, lp = _cond_log_spa(k, a, g, grp.tau, rates)
-            else:
-                sp, lp = _log_spa(k, a, g, grp.tau, rates, False)
+            sp, lp = _log_spa(k, a, g, grp.tau, rates, conditional)
             total += float(np.sum(lp))
         sweep.append((g, coefs, k, a, sp))
     if math.isfinite(total):
@@ -710,10 +715,7 @@ def _group_weights(g: GeomParams, coefs, k, a, sp, conditional: bool):
     n_alpha, n_l1ab, _ = coefs
     if sp is None:
         return n_alpha, 0.0, n_l1ab, 0.0
-    if conditional:
-        first, second = _cond_psi(sp)
-    else:
-        first, second = _plain_psi(sp, g, k, a)
+    first, second = _cond_psi(sp) if conditional else _plain_psi(sp, g, k, a)
     d1 = float(np.sum(first))
     w1 = n_alpha + (float(np.sum(a)) - d1)
     return w1, float(np.sum(k)) - d1, n_l1ab + d1, float(np.sum(second))

@@ -31,6 +31,7 @@ from bdrates.exact import (
 )
 from bdrates.saddlepoint import (
     RESIDUAL_TOL,
+    _cond_log_spa,
     _exact_log,
     _lanes,
     _log_radius,
@@ -343,7 +344,7 @@ def test_conditional_one_sweep_matches_per_count_loop(lam, mu, t):
     g = geom_params(t, rates)
     for _ in range(5):
         k, a = _mixed_lanes(rng, rates, t, 80)
-        x, got = _log_spa(k, a, g, t, rates, True)
+        _, x, got = _cond_log_spa(k, a, g, t, rates)
         ref = legacy.log_spa_conditional(k, a, g, t, rates)
         assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
         for i in np.flatnonzero(got != ref):
@@ -637,15 +638,39 @@ def test_a_lane_without_a_root_raises_solver_error(a, k, lam, mu, t, variant):
         spa_pmf(k, t, a, Rates(lam, mu))
 
 
-def test_conditional_lanes_of_a_law_without_births_raise_solver_error():
-    # with beta = 0, u = 1 - beta e^x is 1 for every x, and the solve in
-    # s = log u has nothing to move: pure death with k < a has a plain
-    # root in x, and scores under the plain variant, but not under the
-    # conditional one
-    panel, rates = _one_step(5, 2, 0.7), Rates(0.0, 2.0)
-    assert math.isfinite(spa_loglik(panel, rates, "plain"))
-    with pytest.raises(SolverError, match="no saddlepoint root for k=2.0, a=5.0"):
-        spa_loglik(panel, rates, "conditional")
+@pytest.mark.parametrize("lam", [0.0, 1e-320, 1e-310])
+def test_conditional_lanes_where_u_rounds_to_one_are_solved_in_e(lam):
+    # with beta = 0, u = 1 - beta e^x is 1 for every x, and below lam
+    # 1e-308 the 1 - u of the plain root of 5 -> 2 is subnormal: there
+    # the solve in s = log u has nothing to move, and these lanes solve
+    # Kc' = f1 = k in E. The solve in x read -1.215323876288272 on each
+    rates, ref = Rates(lam, 2.0), -1.215323876288272
+    val = spa_loglik(_one_step(5, 2, 0.7), rates, "conditional")
+    assert abs(val - ref) <= 1e-9 * abs(ref)
+    assert abs(math.log(spa_pmf_conditional(2, 0.7, 5, rates)) - val) <= 1e-14
+    # lanes with k >= a have no root there, under either solve; one such
+    # lane beside 5 -> 2 refuses the group
+    with pytest.raises(SolverError, match="k=5.0, a=5.0"):
+        pair = Trajectory((0.0, 0.7), (5, 2)), Trajectory((0.0, 0.7), (5, 5))
+        spa_loglik(Panel(pair), rates, "conditional")
+
+
+def test_a_group_with_lanes_where_u_rounds_to_one_scores_each_lane_alone():
+    # at mu 1e-306 the 1 - u of the plain roots of 5 -> 2 and 20 -> 40 are
+    # normal floats, and those of 100 -> 2 and 1000 -> 3 subnormal: the
+    # group solves the first two in s and the others in E, at 1 - u = 0,
+    # and each lane reads what it reads alone, and what the solve in x reads
+    t, rates = 0.5, Rates(2.0, 1e-306)
+    g = geom_params(t, rates)
+    k, a = np.array([2.0, 2.0, 3.0, 40.0]), np.array([5.0, 100.0, 1000.0, 20.0])
+    terms, x, lp = _cond_log_spa(k, a, g, t, rates)
+    assert np.array_equal(terms[2] > 0.0, [True, False, False, True])  # 1 - u
+    for i in range(4):
+        _, xi, lpi = _cond_log_spa(k[i : i + 1], a[i : i + 1], g, t, rates)
+        assert xi[0] == x[i] and lpi[0] == lp[i]
+    ref_x, ref = legacy.log_spa_conditional_halley(k, a, g, t, rates)
+    assert np.all(np.abs(lp - ref) <= 1e-12 * np.abs(ref))
+    assert np.all(np.abs(x - ref_x) <= 1e-9 * np.maximum(1.0, np.abs(x)))
 
 
 @pytest.mark.parametrize(
@@ -731,7 +756,7 @@ def test_conditional_lane_keeps_its_digits_where_m_minus_p0_is_tiny(lam, mu):
     assert abs(val - log_transition_prob(k, t, a, rates)) < 0.1
     # the root solves the conditional saddle equation at 300 digits
     g = geom_params(t, rates)
-    x, _ = _log_spa(np.array([float(k)]), np.array([float(a)]), g, t, rates, True)
+    _, x, _ = _cond_log_spa(np.array([float(k)]), np.array([float(a)]), g, t, rates)
     with mp.workdps(300):
         kc1 = mp_cond_cgf_prime(float(x[0]), t, a, lam, mu)
     assert abs(kc1 - k) <= 2.0 * RESIDUAL_TOL * k
@@ -746,7 +771,7 @@ def test_conditional_lane_where_m_minus_p0_underflows_matches_mpmath():
     a, k, t = 3, 95, 3.0
     rates = Rates(250.2901987107919, 4.570406856062319)
     g = geom_params(t, rates)
-    x, got = _log_spa(np.array([float(k)]), np.array([float(a)]), g, t, rates, True)
+    _, x, got = _cond_log_spa(np.array([float(k)]), np.array([float(a)]), g, t, rates)
     # the root lies below 0, and log R is e^-737
     with mp.workdps(60 + math.ceil(abs(g.log1m_beta) / math.log(10))):
         ref = mp_log_cond_spa_pmf(k, t, a, rates.lam, rates.mu, 2.0 * x[0], 0.5 * x[0])

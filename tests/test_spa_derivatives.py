@@ -26,7 +26,6 @@ from bdrates.saddlepoint import (
     _cond_log_spa,
     _cond_psi,
     _log_radius,
-    _log_spa,
     _plain_psi,
     _solve_x,
     spa_derivatives,
@@ -95,7 +94,10 @@ def _mp_loglik(panel, rates, variant="plain"):
             if k > conditional:
                 g = geom_params(t, rates)
                 ka = np.array([float(k)]), np.array([float(a)])
-                x, _ = _log_spa(*ka, g, t, rates, conditional)
+                if conditional:
+                    _, x, _ = _cond_log_spa(*ka, g, t, rates)
+                else:
+                    x, _ = _solve_x(*ka, g, t, rates)
                 room = _log_radius(g) - float(x[0])
             lanes.append((a, k, t, room))
     log_pmf = mp_log_cond_spa_pmf if conditional else mp_log_spa_pmf
@@ -440,19 +442,6 @@ def test_conditional_kernel_matches_the_legacy_kernel_over_random_laws():
     assert agree > 20000 and gained >= 1
 
 
-def _past_the_wall(panel, rates):
-    """Whether some conditional lane of the panel has collapsed to a point
-    mass at float precision, Kc'' <= 2^-53 k^2, where it scores -inf."""
-    for grp in panel.transitions.groups:
-        _, k, a = bdrates.saddlepoint._lanes(grp.dst, grp.src, True)
-        if k.size:
-            g = geom_params(grp.tau, rates)
-            *_, f1, f2 = terms = bdrates.saddlepoint._cond_solve(k, a, g, grp.tau, rates)
-            if np.any(f2 + f1 * terms[2] <= 2.0**-53 * f1 * f1):
-                return True
-    return False
-
-
 def _legacy_conditional(patch):
     """Make the conditional variant solve in x and score from log(M/p0),
     and differentiate its lanes by the jets in two variables; its sweep
@@ -475,7 +464,8 @@ def _legacy_conditional(patch):
 # OverflowError; the next two are those of _legacy_loses_digits, then two
 # a -> a lanes near collapse and a lane with T subnormal, where the legacy
 # loglik is off by 1e-8 and 6e-4, a panel whose mpmath loglik needs the 48
-# digits that 1 - beta of its 1 -> 3 lane cancels, and a lane at the wall
+# digits that 1 - beta of its 1 -> 3 lane cancels, and an a -> a lane where
+# Kc'' is 1.1e-16 k^2 (legacy 16.063, mpmath 16.363)
 @settings(max_examples=60, deadline=None)
 @given(
     panel=small_panels(),
@@ -547,14 +537,7 @@ def test_conditional_derivatives_are_finite_wherever_the_legacy_ones_were(panel,
         else:
             assert got[1] is None or all(np.all(np.isfinite(part)) for part in got[1])
         return
-    assert not isinstance(got, type)
-    if got[0] == -math.inf:
-        # the legacy placed the collapsed-law wall by its rounding: 3 -> 3
-        # over t = 0.01 at theta (-36, -27.5) lies at 0.98 of the wall,
-        # where the legacy read 16.063 and mpmath 16.363
-        assert _past_the_wall(panel, rates)
-        return
-    assert got[1] is not None
+    assert not isinstance(got, type) and got[1] is not None
     value = ref[0]
     if oracle:
         with mp.workdps(int(digits)):
@@ -711,19 +694,19 @@ def test_a_loglik_that_raises_leaves_no_sweep(variant):
 
 
 def test_derivatives_are_none_where_the_loglik_is_not_finite():
-    # at rates 1e-13 the 19 -> 19 lane over t = 0.0033 has collapsed to a
-    # point mass given survival, Kc'' below 2^-53 k^2, and scores -inf
-    # under the conditional variant, but not under the plain one
-    panel = Panel((Trajectory((0.0, 0.5, 0.5033276295544015914), (150, 19, 19)),))
-    rates = Rates(1e-13, 1.07e-13)
-    assert spa_derivatives(_fresh(panel), rates, "conditional") is None
-    assert spa_loglik(panel, rates, "conditional") == -math.inf
+    # at lam 1e-20, mu 1e-277 the 11 -> 11 lane over t = 2.28 has
+    # collapsed to a point mass, K'' underflows, and it scores -inf under
+    # the plain variant, but not under the conditional one
+    panel = Panel((Trajectory((0.0, 0.5, 2.78), (150, 11, 11)),))
+    rates = Rates(1e-20, 1e-277)
+    assert spa_derivatives(_fresh(panel), rates, "plain") is None
+    assert spa_loglik(panel, rates, "plain") == -math.inf
     assert panel.transitions._saddlepoints == {}
-    assert spa_derivatives(panel, rates, "conditional") is None
+    assert spa_derivatives(panel, rates, "plain") is None
     assert panel.transitions._saddlepoints == {}
-    # the plain variant scores the panel, and leaves its sweep
-    assert math.isfinite(spa_loglik(panel, rates, "plain"))
-    assert spa_derivatives(panel, rates, "plain") is not None
+    # the conditional variant scores the panel, and leaves its sweep
+    assert math.isfinite(spa_loglik(panel, rates, "conditional"))
+    assert spa_derivatives(panel, rates, "conditional") is not None
 
 
 @pytest.mark.parametrize("pname", ["unequal", "single_traj"])
