@@ -27,6 +27,29 @@ panels per gap group with saddlepoint lanes, which a median of whole
 passes rounds away.
 
     PYTHONPATH=src python scripts/run_kernel_costs.py --seed 1 --panels 12
+
+A pass name that the saddlepoint module lacks (a tree from before that
+pass existed) counts 0, so one copy of this script times any tree.
+
+With --replicates N it also splits one Monte Carlo replicate of the
+benchmark's pooled_growth cell (lambda 7, mu 5, ten ancestors, 30
+observations 0.1 apart, 20 trajectories conditioned on survival: the
+run_benchmark replicate of perfbench's MC phase, fitting gw and spmle)
+into its stages, as simulate.run_benchmark runs them:
+
+- draws: the gap laws and the conditioned paths (simulate._gap_laws,
+  simulate._draw_conditioned);
+- panel build: the Trajectory and Panel objects of those paths;
+- table build: the panel's transitions table;
+- gw: the moment fit;
+- search: the spmle fit, from its start to its covariance.
+
+Each stage's figure is the best of 20 runs of the replicate, each on a
+fresh panel; the table gives the median, smallest and largest over the
+replicates (seeds child_seed(seed, 0, r), as run_benchmark's), in
+microseconds, and each stage's share of the summed medians.
+
+    PYTHONPATH=src python scripts/run_kernel_costs.py --seed 1 --panels 0 --replicates 12
 """
 
 import argparse
@@ -36,10 +59,10 @@ import time
 
 import numpy as np
 
-from bdrates import BdError, Panel, Rates, fit, saddlepoint
+from bdrates import BdError, Panel, Rates, Trajectory, fit, saddlepoint, simulate
 from bdrates.exact import exact_loglik
 from bdrates.saddlepoint import spa_derivatives, spa_loglik
-from bdrates.simulate import SimConfig, simulate_panel
+from bdrates.simulate import BenchmarkCell, SimConfig, child_seed, simulate_panel
 
 RATES = Rates(7.0, 6.0)
 TIMES = tuple(0.2 * (j + 1) for j in range(14))
@@ -47,6 +70,10 @@ REPEATS = 20
 VARIANTS = {"spmle": "plain", "spmle_adjusted": "conditional"}
 # the pass of the plain solve (a CGF evaluation) and of the conditional one
 PASSES = ("_cgf_terms", "_cond_pass")
+# perfbench's pooled_growth Monte Carlo cell and the methods it fits there
+MC_CELL = BenchmarkCell(Rates(7.0, 5.0), z0=10, n_obs=30, m=20, dt=0.1)
+MC_METHODS = ("gw", "spmle")
+STAGES = ("draws", "panel build", "table build", "gw", "search")
 
 
 def draw_panels(seed: int, n_panels: int) -> list[Panel]:
@@ -72,8 +99,8 @@ def best_of(call) -> float:
 
 def solve_passes(call) -> dict[str, int]:
     """{name: calls} of the saddlepoint passes (PASSES) that one call()
-    makes."""
-    reals = {name: getattr(saddlepoint, name) for name in PASSES}
+    makes; 0 for a pass the module lacks."""
+    reals = {name: getattr(saddlepoint, name) for name in PASSES if hasattr(saddlepoint, name)}
     counts = dict.fromkeys(PASSES, 0)
 
     def counting(name):
@@ -83,7 +110,7 @@ def solve_passes(call) -> dict[str, int]:
 
         return wrapped
 
-    for name in PASSES:
+    for name in reals:
         setattr(saddlepoint, name, counting(name))
     try:
         call()
@@ -133,14 +160,56 @@ def panel_costs(panel: Panel) -> dict[tuple[str, str], tuple[float, int, int]]:
     return out
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--panels", type=int, default=12)
-    args = ap.parse_args(argv)
+def replicate_stages(seed: int) -> list[float]:
+    """Seconds of each of STAGES in one run of the MC_CELL replicate
+    simulated from seed."""
+    cell = MC_CELL
+    config = SimConfig(cell.rates, cell.z0, cell.obs_times(), cell.condition_nonextinct, seed=seed)
+    marks = [time.perf_counter()]
+    rng = np.random.default_rng(config.seed)
+    counts, _ = simulate._draw_conditioned(rng, config, simulate._gap_laws(config), cell.m)
+    marks.append(time.perf_counter())
+    times = (0.0,) + tuple(config.obs_times)
+    panel = Panel(tuple(Trajectory(times, tuple(row)) for row in counts.tolist()))
+    marks.append(time.perf_counter())
+    panel.transitions
+    marks.append(time.perf_counter())
+    for method in MC_METHODS:
+        try:
+            fit(panel, method)
+        except BdError:
+            pass  # run_benchmark counts it as a failed replicate
+        marks.append(time.perf_counter())
+    if panel != simulate_panel(config, cell.m):
+        raise SystemExit("the split replicate's panel differs from simulate_panel's")
+    return [b - a for a, b in zip(marks, marks[1:])]
 
+
+def replicate_split(seed: int, n_replicates: int) -> list[list[float]]:
+    """Per replicate, the best of REPEATS runs of each of STAGES in
+    microseconds."""
+    out = []
+    for rep in range(n_replicates):
+        sub = child_seed(seed, 0, rep)
+        runs = [replicate_stages(sub) for _ in range(REPEATS)]
+        out.append([1e6 * min(stage) for stage in zip(*runs)])
+    return out
+
+
+def print_split(split: list[list[float]]) -> None:
+    medians = [statistics.median(stage) for stage in zip(*split)]
+    print(f"{'stage':<30} {'median_us':>10} {'min_us':>10} {'max_us':>10} {'share':>7}")
+    for name, stage, median in zip(STAGES, zip(*split), medians):
+        print(
+            f"{name:<30} {median:>10.1f} {min(stage):>10.1f} {max(stage):>10.1f} "
+            f"{median / sum(medians):>7.3f}"
+        )
+    print(f"{'replicate':<30} {sum(medians):>10.1f} {'':>10} {'':>10} {1.0:>7.3f}")
+
+
+def print_kernels(seed: int, n_panels: int) -> None:
     rows: dict[tuple[str, str], list[tuple[float, int, int]]] = {}
-    for panel in draw_panels(args.seed, args.panels):
+    for panel in draw_panels(seed, n_panels):
         for key, row in panel_costs(panel).items():
             rows.setdefault(key, []).append(row)
     print(
@@ -156,6 +225,22 @@ def main(argv=None) -> int:
             f"{min(costs):>10.1f} {max(costs):>10.1f} {passes:>7.1f} {per_group:>9.2f} "
             f"{len(costs):>7d}"
         )
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--panels", type=int, default=12)
+    ap.add_argument(
+        "--replicates", type=int, default=0,
+        help="pooled_growth Monte Carlo replicates to split into stages",
+    )
+    args = ap.parse_args(argv)
+
+    if args.panels:
+        print_kernels(args.seed, args.panels)
+    if args.replicates:
+        print_split(replicate_split(args.seed, args.replicates))
     return 0
 
 

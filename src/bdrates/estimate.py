@@ -189,7 +189,7 @@ def _search_functions(
             return None if out is None else (out[0], -out[1])
 
         return objective, derivatives
-    worst = max(max(tr.counts) for tr in panel)
+    worst = panel.transitions.count_max
     if worst > options.max_count_cap:
         raise CapError(
             f"panel count {worst} exceeds the exact-likelihood cap "

@@ -287,7 +287,7 @@ def _information(panel: Panel, params: QgParams) -> np.ndarray:
         zd = tau * math.exp(u)  # zeta_dot
         i_xx += n / (2.0 * xi * xi)
         i_xw += n * nd / (2.0 * xi)
-        i_ww += 0.5 * n * nd * nd + (sum(grp.src.tolist()) * zd * zd) / (xi * nu)
+        i_ww += 0.5 * n * nd * nd + (grp.src_sum * zd * zd) / (xi * nu)
     return np.array([[i_xx, i_xw], [i_xw, i_ww]])
 
 
@@ -364,7 +364,7 @@ def _score_cov_true(panel: Panel, params: QgParams) -> np.ndarray:
         )
         c_ww += (
             0.25 * nd * nd * (2.0 * n + kap4_sum)
-            + (sum(grp.src.tolist()) * zd * zd) / (xi * nu)
+            + (grp.src_sum * zd * zd) / (xi * nu)
             + n * nd * zd * skew / math.sqrt(xi * nu**3)
         )
     return np.array([[c_xx, c_xw], [c_xw, c_ww]])

@@ -15,6 +15,10 @@ sigma2/(2 dt) at m == 1 exactly. The growth rate estimate
 log(m_hat)/dt depends on m_hat alone and converges at the
 faster sqrt(sum of source counts) rate, while (lam_hat, mu_hat) are
 sqrt(n)-normal with a rank-1 covariance: their standard errors coincide.
+
+The moments depend on the panel alone: they are formed from its step
+table on first use and kept there (Transitions.gw_moments), so the
+moment fit and the start of every likelihood search share them.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError, DomainError
-from .types import Panel, Rates
+from .types import Panel, Rates, Transitions
 
 __all__ = [
     "EPS_NEAR_CRITICAL",
@@ -83,26 +89,30 @@ def gw_moments(panel: Panel) -> GwMoments:
 
     m_hat is the ratio of summed targets to summed sources; sigma2_hat
     averages the squared standardized one-step fluctuations around m_hat.
-    Requires equal spacing throughout the panel.
+    Requires equal spacing throughout the panel. The moments depend on
+    the panel alone, so they are formed once and kept with its step
+    table (Transitions.gw_moments).
     """
+    return panel.transitions.gw_moments
+
+
+def _moments(table: Transitions) -> GwMoments:
+    # the step table's sums give m_hat in Python ints; sigma2_hat sums
+    # the transitions' terms left to right in group order, panel order
+    # within a group, with ** as Python's float power
     try:
-        delta_t = panel.common_gap()
+        delta_t = table.common_gap()
     except DataError:
         raise DataError(
             "panel is not equally spaced; the embedded-process estimator "
             "does not apply (use the quasi-likelihood estimator instead)"
         ) from None
-    src: list[int] = []
-    dst: list[int] = []
-    for grp in panel.transitions.groups:
-        src += grp.src.tolist()
-        dst += grp.dst.tolist()
-    n_terms = len(src)
-    m_hat = sum(dst) / sum(src)
-    acc = 0.0
-    for a, k in zip(src, dst):
-        acc += a * (k / a - m_hat) ** 2
-    return GwMoments(m_hat, acc / n_terms, delta_t, n_terms, len(panel))
+    src = np.concatenate([grp.src for grp in table.groups])
+    dst = np.concatenate([grp.dst for grp in table.groups])
+    m_hat = table.dst_total / table.src_total
+    terms = src * np.float_power(dst / src - m_hat, 2.0)
+    acc = float(terms.cumsum()[-1])
+    return GwMoments(m_hat, acc / len(src), delta_t, len(src), table.n_traj)
 
 
 def gw_invert(moments: GwMoments) -> Rates:
@@ -158,7 +168,7 @@ def gw_standard_errors(moments: GwMoments, panel: Panel) -> tuple[float, float, 
             "offspring mean estimate m_hat is 0 (every trajectory died out in "
             "its first step): the standard errors divide by it"
         )
-    src_total = sum(sum(grp.src.tolist()) for grp in panel.transitions.groups)
+    src_total = panel.transitions.src_total
     gap = abs(m - 1.0)
     if gap > 0.0 and m > 0.0:
         se_rate = abs(math.log(m)) * s2 / math.sqrt(

@@ -207,15 +207,20 @@ def _gap_laws(config: SimConfig) -> list[tuple[float, float, float, float]]:
     1 - beta, log(beta / (1 - beta))), the last the mean growth per survivor.
 
     The probabilities are exp(log1m_*), not 1.0 - alpha or 1.0 - beta,
-    which cancel at long gaps.
+    which cancel at long gaps. The law of each distinct gap (the exact
+    float) is formed once: a grid such as 0.1*(j+1) has only a few.
     """
+    by_gap: dict[float, tuple[float, float, float]] = {}
     laws = []
     prev = 0.0
     for t in config.obs_times:
-        g = geom_params(t - prev, config.rates)
-        laws.append(
-            (t, math.exp(g.log1m_alpha), math.exp(g.log1m_beta), g.log_beta - g.log1m_beta)
-        )
+        gap = t - prev
+        if gap not in by_gap:
+            g = geom_params(gap, config.rates)
+            by_gap[gap] = (
+                math.exp(g.log1m_alpha), math.exp(g.log1m_beta), g.log_beta - g.log1m_beta
+            )
+        laws.append((t, *by_gap[gap]))
         prev = t
     return laws
 

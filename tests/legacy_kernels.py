@@ -33,9 +33,14 @@ conditional solve then spent its first CGF pass on the step that its
 seed now takes in closed form. The conditional solve ran in x, through
 the plain CGF terms and log(M/p0), and its lanes were differentiated
 through the jet of log(M - p0) composed in E, before the solve in
-s = log u and the closed-form psi in E and u. They are kept here
-verbatim apart from names, calling the package's current helpers, so
-the replacements can be checked against them.
+s = log u and the closed-form psi in E and u. The transitions table
+was built by a Python walk over every step, sorting the steps by a key
+function and chaining the gap runs one step at a time, and the spacing
+tests, the moments, the pooled growth guess and the simulator's gap
+laws walked the gaps and counts on every call, before the table was
+built from flat arrays with the moments kept beside it. They are kept
+here verbatim apart from names, calling the package's current helpers,
+so the replacements can be checked against them.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ from bdrates.saddlepoint import (
     _x_max,
     solve_saddlepoint,
 )
-from bdrates.types import Panel, Rates
+from bdrates.types import SPACING_TOL, Panel, Rates
 
 
 def is_critical(rates: Rates) -> bool:
@@ -350,6 +355,157 @@ def exact_loglik(panel, rates):
             if total == -math.inf:
                 return -math.inf
     return total
+
+
+# ---------------------------------------------------------------------------
+# the step walks that the flat step table replaced
+
+
+def _left_sum(values) -> float:
+    # sum() as it added floats before Python 3.12, one after another from
+    # 0; from 3.12 on sum() compensates its float sums
+    acc = 0
+    for v in values:
+        acc += v
+    return acc
+
+
+def transitions_walk(panel: Panel) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """(tau, src, dst) of each gap group, as Transitions.from_panel built
+    them by walking the steps (its float sum() written as _left_sum, which
+    keeps its order on every Python version)."""
+    steps = [
+        (b - a, k0, k1)
+        for tr in panel
+        for a, b, k0, k1 in zip(tr.times, tr.times[1:], tr.counts, tr.counts[1:])
+        if k0 > 0
+    ]
+    order = sorted(range(len(steps)), key=lambda i: steps[i][0])
+    runs: list[list[int]] = []
+    lo = 0.0
+    for i in order:
+        gap = steps[i][0]
+        # same test as Panel.equal_spacing, against the run's smallest gap
+        if runs and gap - lo <= SPACING_TOL * 0.5 * (lo + gap):
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+            lo = gap
+    groups = []
+    for run in runs:
+        members = [steps[i] for i in sorted(run)]
+        groups.append(
+            (
+                _left_sum(m[0] for m in members) / len(members),
+                np.array([m[1] for m in members], dtype=np.int64),
+                np.array([m[2] for m in members], dtype=np.int64),
+            )
+        )
+    return groups
+
+
+def validate_trajectory_walk(times, counts) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """Trajectory's checks as they walked every element, raising the same
+    DataErrors; returns the (times, counts) a Trajectory keeps."""
+    times = tuple(float(t) for t in times)
+    counts = tuple(counts)
+    if len(times) != len(counts):
+        raise DataError(
+            f"times and counts must have equal length, got {len(times)} and {len(counts)}"
+        )
+    if len(times) < 2:
+        raise DataError("a trajectory needs at least two observations")
+    for t in times:
+        if not math.isfinite(t):
+            raise DataError(f"non-finite observation time {t}")
+    for a, b in zip(times, times[1:]):
+        if not b > a:
+            raise DataError(f"observation times must strictly increase ({a} then {b})")
+    for k in counts:
+        if not isinstance(k, (int,)) or isinstance(k, bool):
+            raise DataError(f"counts must be integers, got {k!r}")
+        if k < 0:
+            raise DataError(f"counts must be nonnegative, got {k}")
+    if counts[0] < 1:
+        raise DataError("initial count must be positive")
+    for prev, cur in zip(counts, counts[1:]):
+        if prev == 0 and cur > 0:
+            raise DataError("zero is absorbing: a zero count cannot be followed by a positive one")
+    return times, counts
+
+
+def all_gaps_walk(panel: Panel) -> list[float]:
+    out: list[float] = []
+    for tr in panel.trajectories:
+        out.extend(tr.gaps())
+    return out
+
+
+def _gaps_agree(gaps: list[float], tolerance: float) -> bool:
+    lo, hi = min(gaps), max(gaps)
+    mid = 0.5 * (lo + hi)
+    return (hi - lo) <= tolerance * mid
+
+
+def equal_spacing_walk(panel: Panel, tolerance: float = SPACING_TOL) -> bool:
+    return _gaps_agree(all_gaps_walk(panel), tolerance)
+
+
+def common_gap_walk(panel: Panel, tolerance: float = SPACING_TOL) -> float:
+    gaps = all_gaps_walk(panel)
+    if not _gaps_agree(gaps, tolerance):
+        raise DataError(
+            f"panel is not equally spaced: gaps range [{min(gaps)}, {max(gaps)}]"
+        )
+    return _left_sum(gaps) / len(gaps)
+
+
+def gw_moments_group_walk(panel: Panel) -> GwMoments:
+    """gw_moments as it read the gap groups: src and dst concatenated in
+    group order, sigma2_hat summed one transition at a time."""
+    try:
+        delta_t = common_gap_walk(panel)
+    except DataError:
+        raise DataError(
+            "panel is not equally spaced; the embedded-process estimator "
+            "does not apply (use the quasi-likelihood estimator instead)"
+        ) from None
+    src: list[int] = []
+    dst: list[int] = []
+    for grp in panel.transitions.groups:
+        src += grp.src.tolist()
+        dst += grp.dst.tolist()
+    n_terms = len(src)
+    m_hat = sum(dst) / sum(src)
+    acc = 0.0
+    for a, k in zip(src, dst):
+        acc += a * (k / a - m_hat) ** 2
+    return GwMoments(m_hat, acc / n_terms, delta_t, n_terms, len(panel))
+
+
+def pooled_growth_walk(panel: Panel) -> tuple[float, float]:
+    """Transitions.pooled_growth as it summed the groups' counts."""
+    groups = panel.transitions.groups
+    n = sum(len(grp.src) for grp in groups)
+    tau_bar = sum(grp.tau * (len(grp.src) / n) for grp in groups)
+    num = sum(sum(grp.dst.tolist()) for grp in groups)
+    den = sum(sum(grp.src.tolist()) for grp in groups)
+    if num > 0:
+        return math.log(num / den) / tau_bar, tau_bar
+    return math.log(0.5 / den) / tau_bar, tau_bar
+
+
+def gap_laws_walk(config) -> list[tuple[float, float, float, float]]:
+    """simulate._gap_laws with one geom_params call per observation."""
+    laws = []
+    prev = 0.0
+    for t in config.obs_times:
+        g = geom_params(t - prev, config.rates)
+        laws.append(
+            (t, math.exp(g.log1m_alpha), math.exp(g.log1m_beta), g.log_beta - g.log1m_beta)
+        )
+        prev = t
+    return laws
 
 
 def exact_loglik_transition_walk(panel: Panel, rates: Rates) -> float:

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdrates import gw
 from bdrates.errors import DataError, DomainError
+from bdrates.estimate import fit
 from bdrates.exact import variance
 from bdrates.gw import (
     EPS_NEAR_CRITICAL,
@@ -16,7 +18,7 @@ from bdrates.gw import (
     gw_moments,
     gw_standard_errors,
 )
-from bdrates.types import Panel, Rates, Trajectory
+from bdrates.types import Panel, Rates, Trajectory, Transitions
 
 
 def _panel(*count_rows, dt=1.0):
@@ -73,21 +75,35 @@ def test_moments_requires_equal_spacing():
         gw_moments(Panel((tr,)))
 
 
-def test_moments_walk_the_gaps_once(monkeypatch):
+def test_step_table_and_moments_are_built_once_per_panel(monkeypatch):
     panel = _panel([2, 3, 5, 4], [6, 6, 9], dt=0.1)
-    calls = []
-    real = Panel.all_gaps
+    tables, moments = [], []
+    real_table, real_moments = Transitions.from_panel.__func__, gw._moments
 
-    def counting(self):
-        calls.append(1)
-        return real(self)
+    def counting_table(cls, p):
+        tables.append(p)
+        return real_table(cls, p)
 
-    monkeypatch.setattr(Panel, "all_gaps", counting)
-    assert gw_moments(panel).delta_t == sum(real(panel)) / 5
-    assert len(calls) == 1
-    tr = Trajectory((0.0, 1.0, 3.0), (2, 3, 4))
-    with pytest.raises(DataError, match="embedded-process estimator does not apply"):
-        gw_moments(Panel((tr,)))
+    def counting_moments(table):
+        moments.append(table)
+        return real_moments(table)
+
+    monkeypatch.setattr(Transitions, "from_panel", classmethod(counting_table))
+    monkeypatch.setattr(gw, "_moments", counting_moments)
+    # the moment fit, then the start of a likelihood fit, then the public calls
+    fit(panel, "gw")
+    fit(panel, "spmle")
+    assert gw_moments(panel) is gw_moments(panel)
+    assert gw_estimate(panel) == gw_estimate(panel)
+    assert panel.equal_spacing() and panel.common_gap() == gw_moments(panel).delta_t
+    assert len(tables) == 1 and len(moments) == 1
+    assert gw_moments(panel).delta_t == sum(panel.all_gaps()) / 5
+    # unequal gaps: the refusal is not kept, and the table is still built once
+    uneven = Panel((Trajectory((0.0, 1.0, 3.0), (2, 3, 4)),))
+    for _ in range(2):
+        with pytest.raises(DataError, match="embedded-process estimator does not apply"):
+            gw_moments(uneven)
+    assert len(tables) == 2
 
 
 def test_standard_errors_reject_zero_offspring_mean():
