@@ -126,6 +126,27 @@ def test_kernel_costs_script_reports_each_kernel(capsys):
     assert costs.draw_panels(3, 2) == costs.draw_panels(3, 2)
 
 
+def test_kernel_costs_script_counts_a_pass_the_module_lacks_as_zero(monkeypatch):
+    costs = _load("run_kernel_costs")
+    panel = costs.draw_panels(3, 1)[0]
+    monkeypatch.delattr(costs.saddlepoint, "_cond_pass")
+    plain = costs.solve_passes(lambda: costs.spa_loglik(panel, costs.RATES, "plain"))
+    assert plain["_cgf_terms"] >= 1 and plain["_cond_pass"] == 0
+
+
+def test_kernel_costs_script_splits_a_replicate_into_its_stages(capsys):
+    costs = _load("run_kernel_costs")
+    assert costs.main(["--seed", "3", "--panels", "0", "--replicates", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split()[0] == "stage"
+    rows = {line[:30].strip(): line.split()[-4:] for line in out[1:-1]}
+    assert list(rows) == list(costs.STAGES)
+    shares = [float(row[-1]) for row in rows.values()]
+    assert all(0.0 < s < 1.0 for s in shares)
+    assert sum(shares) == pytest.approx(1.0, abs=0.01)
+    assert out[-1].split()[0] == "replicate"
+
+
 def test_bench_pairs_script_writes_the_paired_summary(tmp_path, monkeypatch):
     pairs = _load("run_bench_pairs")
     assert pairs.parse_seeds("401-403") == [401, 402, 403]
