@@ -26,6 +26,16 @@ before it, and for the exact kernel), and per_group their mean over the
 panels per gap group with saddlepoint lanes, which a median of whole
 passes rounds away.
 
+A second table splits each likelihood fit (spmle, spmle_adjusted, mle)
+into its evaluations and its search, so that a cheaper kernel is not
+confused with a cheaper search: "fit" is the fit's wall time, "fit
+evaluations" the summed time of its objective and derivatives calls
+(the spa_loglik, spa_derivatives and exact_loglik that bdrates.estimate
+calls, each timed by a wrapper), and "fit search" the difference: the
+start, the Newton steps, the covariance, and the wrappers' own cost of
+about 0.2 us per call. Each is the best of 20 fits of one panel; the
+table gives the median, smallest and largest over the panels.
+
     PYTHONPATH=src python scripts/run_kernel_costs.py --seed 1 --panels 12
 
 A pass name that the saddlepoint module lacks (a tree from before that
@@ -59,7 +69,7 @@ import time
 
 import numpy as np
 
-from bdrates import BdError, Panel, Rates, Trajectory, fit, saddlepoint, simulate
+from bdrates import BdError, Panel, Rates, Trajectory, estimate, fit, saddlepoint, simulate
 from bdrates.exact import exact_loglik
 from bdrates.saddlepoint import spa_derivatives, spa_loglik
 from bdrates.simulate import BenchmarkCell, SimConfig, child_seed, simulate_panel
@@ -70,6 +80,11 @@ REPEATS = 20
 VARIANTS = {"spmle": "plain", "spmle_adjusted": "conditional"}
 # the pass of the plain solve (a CGF evaluation) and of the conditional one
 PASSES = ("_cgf_terms", "_cond_pass")
+# the likelihood fits, and the kernels their objectives and derivatives
+# call, by the names bdrates.estimate calls them under
+SEARCH_METHODS = ("spmle", "spmle_adjusted", "mle")
+EVAL_KERNELS = ("spa_loglik", "spa_derivatives", "exact_loglik")
+SEARCH_FIGURES = ("fit", "fit evaluations", "fit search")
 # perfbench's pooled_growth Monte Carlo cell and the methods it fits there
 MC_CELL = BenchmarkCell(Rates(7.0, 5.0), z0=10, n_obs=30, m=20, dt=0.1)
 MC_METHODS = ("gw", "spmle")
@@ -160,6 +175,41 @@ def panel_costs(panel: Panel) -> dict[tuple[str, str], tuple[float, int, int]]:
     return out
 
 
+def fit_split(panel: Panel, method: str) -> list[float] | None:
+    """The SEARCH_FIGURES of one fit of panel by method, in
+    microseconds, each the smallest over REPEATS fits (the module
+    docstring); None where the fit raises a BdError."""
+    spent = [0.0]
+    reals = {name: getattr(estimate, name) for name in EVAL_KERNELS}
+
+    def timed(real):
+        def wrapped(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return real(*args, **kwargs)
+            finally:
+                spent[0] += time.perf_counter() - t0
+
+        return wrapped
+
+    best = [float("inf")] * len(SEARCH_FIGURES)
+    for name, real in reals.items():
+        setattr(estimate, name, timed(real))
+    try:
+        for _ in range(REPEATS):
+            spent[0] = 0.0
+            t0 = time.perf_counter()
+            fit(panel, method)
+            wall = time.perf_counter() - t0
+            best = [min(b, v) for b, v in zip(best, (wall, spent[0], wall - spent[0]))]
+    except BdError:
+        return None
+    finally:
+        for name, real in reals.items():
+            setattr(estimate, name, real)
+    return [1e6 * b for b in best]
+
+
 def replicate_stages(seed: int) -> list[float]:
     """Seconds of each of STAGES in one run of the MC_CELL replicate
     simulated from seed."""
@@ -209,9 +259,14 @@ def print_split(split: list[list[float]]) -> None:
 
 def print_kernels(seed: int, n_panels: int) -> None:
     rows: dict[tuple[str, str], list[tuple[float, int, int]]] = {}
+    splits: dict[str, list[list[float]]] = {}
     for panel in draw_panels(seed, n_panels):
         for key, row in panel_costs(panel).items():
             rows.setdefault(key, []).append(row)
+        for method in SEARCH_METHODS:
+            split = fit_split(panel, method)
+            if split is not None:
+                splits.setdefault(method, []).append(split)
     print(
         f"{'kernel':<30} {'method':<15} {'median_us':>10} {'min_us':>10} {'max_us':>10} "
         f"{'passes':>7} {'per_group':>9} {'panels':>7}"
@@ -225,6 +280,15 @@ def print_kernels(seed: int, n_panels: int) -> None:
             f"{min(costs):>10.1f} {max(costs):>10.1f} {passes:>7.1f} {per_group:>9.2f} "
             f"{len(costs):>7d}"
         )
+    print()
+    print(f"{'fit figure':<30} {'method':<15} {'median_us':>10} {'min_us':>10} {'max_us':>10} "
+          f"{'panels':>7}")
+    for method, split in splits.items():
+        for name, figure in zip(SEARCH_FIGURES, zip(*split)):
+            print(
+                f"{name:<30} {method:<15} {statistics.median(figure):>10.1f} "
+                f"{min(figure):>10.1f} {max(figure):>10.1f} {len(figure):>7d}"
+            )
 
 
 def main(argv=None) -> int:

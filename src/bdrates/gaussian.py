@@ -59,6 +59,7 @@ DEGENERATE_XI_FLOOR = 1e-10
 SCAN_U_RANGE = (-600.0, 300.0)
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -104,11 +105,17 @@ class QgFit:
 
 def _nu(tau: float, omega: float) -> float:
     # tau * zeta / c(omega*tau); always positive. expm1(u)/u is accurate
-    # for every u != 0, and its limit 1 serves u == 0.
+    # for every u != 0, and its limit 1 serves u == 0. Where
+    # tau*expm1(u) is not a normal float, the product would lose digits,
+    # so expm1(u)/u is formed first there; every other u keeps the
+    # product's bits.
     u = omega * tau
     if u == 0.0:
         return tau
-    return tau * math.exp(u) * math.expm1(u) / u
+    em1 = math.expm1(u)
+    if abs(tau * em1) < _TINY:
+        return tau * math.exp(u) * (em1 / u)
+    return tau * math.exp(u) * em1 / u
 
 
 def _fixed_sums(groups) -> tuple[int, float]:

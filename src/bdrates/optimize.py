@@ -31,6 +31,14 @@ improving probe. It then hands its best point to one Nelder-Mead run,
 which steps around holes where the objective is -inf (a saddlepoint
 solve that fails across a wall of rates, for instance). The Hessian at
 that run's optimum comes from the derivatives there, or there is none.
+
+The search keeps its point, steps and tests in Python floats, and so
+does the covariance (numeric_hessian_se): on 2-vectors numpy's per-call
+cost outweighs the arithmetic, and a float operation rounds as the same
+numpy operation does, so the floats give the bits the arrays gave. The
+objective and the derivatives still receive the point as an array, the
+derivatives return their gradient and Hessian as arrays, and the
+Hessian and the covariance come back as 2x2 arrays.
 """
 
 from __future__ import annotations
@@ -93,41 +101,43 @@ def numeric_hessian_se(
     """Covariance of (lambda, mu) from the observed information.
 
     hessian is the Hessian of the maximized log-likelihood, as a function
-    of (log lambda, log mu), at theta_hat. Its negation is inverted, then
-    pushed through the Jacobian diag(lambda, mu) of the exp map. Returns
-    None when there is no Hessian, when the smaller rate is below
-    BOUNDARY_RATIO of the larger (a boundary fit), or when the negated
-    Hessian is not finite and positive definite. (perfbench's tracer
-    patches this function by its name.)
+    of (log lambda, log mu), at theta_hat (a 2x2 array). Its negation is
+    inverted, then pushed through the Jacobian diag(lambda, mu) of the exp
+    map, in Python floats: entry (i, j) is rate_i * inverse_ij * rate_j,
+    the bits of the matrix product. Returns None when there is no
+    Hessian, when the smaller rate is below BOUNDARY_RATIO of the larger
+    (a boundary fit), when the negated Hessian is not finite and positive
+    definite, or when its inverse is not finite (a subnormal determinant,
+    where the matrix product read NaN). (perfbench's tracer patches this
+    function by its name.)
     """
     if hessian is None:
         return None
-    th = np.asarray(theta_hat, dtype=float)
-    lam, mu = math.exp(th[0]), math.exp(th[1])
+    lam, mu = math.exp(theta_hat[0]), math.exp(theta_hat[1])
     if min(lam, mu) < BOUNDARY_RATIO * max(lam, mu):
         return None
-    h00, h01, h11 = -hessian[0, 0], -hessian[0, 1], -hessian[1, 1]
+    (h00, h01), (_, h11) = hessian.tolist()
+    h00, h01, h11 = -h00, -h01, -h11
     if not (math.isfinite(h00) and math.isfinite(h11) and math.isfinite(h01)):
         return None
     det = h00 * h11 - h01 * h01
     if h00 <= 0.0 or det <= 0.0:
         return None
-    inv = np.array([[h11, -h01], [-h01, h00]]) / det
-    jac = np.diag([lam, mu])
-    cov = jac @ inv @ jac
-    cov[1, 0] = cov[0, 1]
-    if cov[0, 0] < 0.0 or cov[1, 1] < 0.0:
+    i00, i01, i11 = h11 / det, -h01 / det, h00 / det
+    if not (math.isfinite(i00) and math.isfinite(i11) and math.isfinite(i01)):
         return None
-    return cov
+    # + 0.0: a zero covariance reads +0.0, as the matrix product's sum gives it
+    cov01 = lam * i01 * mu + 0.0
+    return np.array([[lam * i00 * lam, cov01], [cov01, mu * i11 * mu]])
 
 
 def _newton_step(
     model: Optional[Model], radius: float = MAX_STEP
-) -> Optional[tuple[np.ndarray, float]]:
+) -> Optional[tuple[tuple[float, float], float]]:
     """Ascent step of the model with its Hessian's eigenvalues floored to
     at most -EIG_FLOOR*max(1, max |eigenvalue|), clipped to max-norm
     radius, and the gain that floored model predicts for it; None when
-    the model or the step is not finite.
+    the model or the step is not finite. The step is a pair of floats.
 
     The Hessian's lower triangle [[h00, .], [h10, h11]] is decomposed in
     closed form: the eigenvalue of larger magnitude e1 = m + sign(m) r,
@@ -138,9 +148,10 @@ def _newton_step(
     if model is None:
         return None
     grad, hess = model
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+    g0, g1 = grad.tolist()
+    (h00, h01), (h10, h11) = hess.tolist()
+    if not all(map(math.isfinite, (g0, g1, h00, h01, h10, h11))):
         return None
-    h00, h10, h11 = float(hess[0, 0]), float(hess[1, 0]), float(hess[1, 1])
     m, d = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
     sr = -math.hypot(d, h10) if m < 0.0 else math.hypot(d, h10)
     e1 = m + sr
@@ -153,20 +164,19 @@ def _newton_step(
     v0, v1 = (u0 / norm, u1 / norm) if norm else (1.0, 0.0)  # else H = e1 I
     floor = -EIG_FLOOR * max(1.0, abs(e1), abs(e2))
     e1, e2 = min(e1, floor), min(e2, floor)
-    g0, g1 = float(grad[0]), float(grad[1])
     p1, p2 = v0 * g0 + v1 * g1, v0 * g1 - v1 * g0  # along (v0, v1) and (-v1, v0)
     c1, c2 = p1 / e1, p2 / e2
-    step = np.array([-(v0 * c1 - v1 * c2), -(v1 * c1 + v0 * c2)])
-    if not np.all(np.isfinite(step)):
+    s0, s1 = -(v0 * c1 - v1 * c2), -(v1 * c1 + v0 * c2)
+    if not (math.isfinite(s0) and math.isfinite(s1)):
         return None
     # the full step gains q = -(p1 c1 + p2 c2) >= 0 on the floored model, a
     # step scaled by c gains q*c*(1 - c/2)
     q = -(p1 * c1 + p2 * c2)
-    size = float(np.max(np.abs(step)))
+    size = max(abs(s0), abs(s1))
     if size > radius:
         c = radius / size
-        return step * c, q * c * (1.0 - 0.5 * c)
-    return step, 0.5 * q
+        return (s0 * c, s1 * c), q * c * (1.0 - 0.5 * c)
+    return (s0, s1), 0.5 * q
 
 
 def maximize_2d(
@@ -191,24 +201,27 @@ def maximize_2d(
     returns None makes this a Nelder-Mead search from the start), and
     converged reports whether it stopped on its simplex tolerances.
     """
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (2,):
-        raise ValueError(f"expected a 2-vector start, got shape {x.shape}")
+    point = np.asarray(x0, dtype=float)
+    if point.shape != (2,):
+        raise ValueError(f"expected a 2-vector start, got shape {point.shape}")
+    # the search's arithmetic is on floats; point is x as the array that
+    # the objective and the derivatives receive
+    x = tuple(point.tolist())
     n_evals = 0
 
-    def evaluate(point: np.ndarray) -> float:
+    def evaluate(at: np.ndarray) -> float:
         nonlocal n_evals
         n_evals += 1
-        val = float(objective(point))
+        val = float(objective(at))
         # nan and +inf both mean the probe broke down numerically; -inf is
         # a legitimate log-zero rejection. All three reject the probe.
         return val if math.isfinite(val) else -math.inf
 
-    f = evaluate(x)
+    f = evaluate(point)
     if f == -math.inf:
-        raise DomainError(f"objective is not finite at the starting point {x.tolist()}")
+        raise DomainError(f"objective is not finite at the starting point {list(x)}")
 
-    model = derivatives(x)
+    model = derivatives(point)
     iterations = rejected = 0
     radius = MAX_STEP
     status = "maxiter"  # or "converged", or "stalled" to continue
@@ -219,7 +232,7 @@ def maximize_2d(
             break
         step, promised = newton
         iterations += 1
-        size = float(np.max(np.abs(step)))
+        size = max(abs(step[0]), abs(step[1]))
         if size <= XATOL:
             status = "converged"
             break
@@ -231,12 +244,13 @@ def maximize_2d(
         # stalls: its model gives no way up from x
         status = "stalled"
         for _ in range(MAX_HALVINGS):
-            probe = x + step
-            f_new = evaluate(probe)
+            probe = (x[0] + step[0], x[1] + step[1])
+            at = np.array(probe)
+            f_new = evaluate(at)
             if f_new > f:
                 gain = f_new - f
-                x, f = probe, f_new
-                model = derivatives(x)
+                x, point, f = probe, at, f_new
+                model = derivatives(point)
                 radius = min(MAX_STEP, 2.0 * size)
                 status = "maxiter"
                 if gain <= FATOL * max(1.0, abs(f)):
@@ -249,13 +263,13 @@ def maximize_2d(
                 # probes the same point again, down to XATOL
                 status, radius = done, MAX_STEP
                 break
-            step, size = 0.5 * step, 0.5 * size
+            step, size = (0.5 * step[0], 0.5 * step[1]), 0.5 * size
             if size <= XATOL:
                 break
     bookkeeping = dict(newton_iterations=iterations, rejected=rejected)
     if status != "stalled":
         return OptResult(
-            x=(float(x[0]), float(x[1])),
+            x=x,
             fun=f,
             n_evals=n_evals,
             converged=status == "converged",
@@ -269,8 +283,8 @@ def maximize_2d(
     # computes inf-inf, which is harmless but noisy without the errstate
     with np.errstate(invalid="ignore"):
         best = minimize(
-            lambda point: -evaluate(point),
-            x,
+            lambda at: -evaluate(at),
+            point,
             method="Nelder-Mead",
             options={
                 "xatol": XATOL,
@@ -279,10 +293,10 @@ def maximize_2d(
                 "maxfev": 4 * maxiter,
             },
         )
-    x = np.asarray(best.x, dtype=float)
-    model = derivatives(x) if evaluate(x) > -math.inf else None
+    point = np.asarray(best.x, dtype=float)
+    model = derivatives(point) if evaluate(point) > -math.inf else None
     return OptResult(
-        x=(float(x[0]), float(x[1])),
+        x=(float(point[0]), float(point[1])),
         fun=-float(best.fun),
         n_evals=n_evals,
         converged=bool(best.success),

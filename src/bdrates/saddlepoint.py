@@ -29,6 +29,15 @@ log(1-alpha) + log(1-beta) plus a constant, so the likelihood's value
 and its derivatives read the same numbers. A rule for lanes that the
 saddlepoint scores badly belongs in _lanes too.
 
+The split depends on the counts alone, so a panel's transitions table
+makes it once per variant (Transitions.spa_lanes, from lane_table): per
+gap group, the exact lanes' coefficients and the saddlepoint lanes as a
+_Lanes, which keeps beside k and a the rate-free arrays the kernels read
+at every evaluation (a/k, its square root, 1 - a/k, k^2, k^3, log k,
+log a) and the sums of k and a. Each is the expression the kernels
+formed on every call before, so reading it gives the same bits; the
+pointwise pmfs build their _Lanes per call.
+
 Both variants start from the root of the plain saddle equation, which in
 u = 1 - beta e^x is u = 2r/(1 + r + S) with r = a/k, S = sqrt((1 - r)^2
 + 4 r rho) and rho = alpha beta / ((1-alpha)(1-beta)) (_plain_u, with
@@ -187,27 +196,30 @@ def cgf_eval(x: float, t: float, a: int, rates: Rates) -> CgfPoint:
     return CgfPoint(float(x), float(value), float(d1), float(d2))
 
 
-def _plain_u(r, g: GeomParams):
-    """The plain root u for the ratios r = a/k under the law g, S there,
-    log rho, and log(1 - u) in the forms that keep their digits: log((1 -
-    r + S)/(1 + r + S)) for r <= 1 and, less log rho, log(4r/((S + r -
-    1)(1 + r + S))) for r > 1. Its callers ignore float warnings."""
+def _plain_u(lanes: _Lanes, g: GeomParams):
+    """The plain root u for the lanes' ratios r = a/k under the law g, S
+    there, log rho, and log(1 - u) in the forms that keep their digits:
+    log((1 - r + S)/(1 + r + S)) for r <= 1 and, less log rho, log(4r/((S
+    + r - 1)(1 + r + S))) for r > 1. Its callers ignore float warnings."""
+    r = lanes.r
     log_rho = g.log_alpha + g.log_beta - g.log1m_alpha - g.log1m_beta
     # S = sqrt((1 - r)^2 + 4 r rho), finite unless rho passes e^1400
-    s = np.hypot(1.0 - r, 2.0 * np.sqrt(r) * np.exp(0.5 * log_rho))
+    s = np.hypot(lanes.one_m_r, 2.0 * lanes.sqrt_r * np.exp(0.5 * log_rho))
     den = 1.0 + r + s
-    near = np.log((1.0 - r + s) / den)
+    near = np.log((lanes.one_m_r + s) / den)
     return 2.0 * r / den, s, log_rho, near, np.log(4.0 * r / ((s + r - 1.0) * den))
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _plain_root(r, g: GeomParams):
-    """The plain root x for the ratios r = a/k under the law g, +-inf or
-    NaN on a lane that has no root, and S there. Where u > 1/2 and r > 1,
+def _plain_root(lanes: _Lanes, g: GeomParams):
+    """The plain root x of the lanes under the law g, +-inf or NaN on a
+    lane that has no root, and S there. Where u > 1/2 and r > 1,
     log(rho/beta) replaces log rho + log R, so a beta = 0 law keeps it."""
-    u, s, _, near, far = _plain_u(r, g)
+    u, s, _, near, far = _plain_u(lanes, g)
     log_rad = _log_radius(g)
-    far = np.where(r <= 1.0, near + log_rad, g.log_alpha - g.log1m_alpha - g.log1m_beta + far)
+    far = np.where(
+        lanes.r <= 1.0, near + log_rad, g.log_alpha - g.log1m_alpha - g.log1m_beta + far
+    )
     return np.where(u <= 0.5, np.log1p(-u) + log_rad, far), s
 
 
@@ -216,13 +228,14 @@ def _no_root(k_arr, a_arr, i: int, t: float, rates: Rates) -> SolverError:
     return SolverError(f"no saddlepoint root for {lane}")
 
 
-def _solve_x(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
-    """Vectorized saddlepoints x~ of the plain saddle equation for lanes
-    a -> k (float arrays, k >= 1), and the CGF terms there (_newton's last
-    pass), seeded at the closed-form root capped at x_hi. In u = 1 - beta
-    e^x the equation reads a(1 - u) = k u (rho u + 1 - u), rho = e^-z. A
-    lane without a root raises SolverError naming it."""
-    x = _plain_root(a_arr / k_arr, g)[0]
+def _solve_x(lanes: _Lanes, g: GeomParams, t: float, rates: Rates):
+    """Vectorized saddlepoints x~ of the plain saddle equation for the
+    lanes (k >= 1), and the CGF terms there (_newton's last pass), seeded
+    at the closed-form root capped at x_hi. In u = 1 - beta e^x the
+    equation reads a(1 - u) = k u (rho u + 1 - u), rho = e^-z. A lane
+    without a root raises SolverError naming it."""
+    k_arr, a_arr = lanes.k, lanes.a
+    x = _plain_root(lanes, g)[0]
     ok = np.isfinite(x)
     if not ok.all():
         raise _no_root(k_arr, a_arr, int(np.argmin(ok)), t, rates)
@@ -325,38 +338,38 @@ def _cond_pass(s, z: float, a, e=None):
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _cond_solve(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
+def _cond_solve(lanes: _Lanes, g: GeomParams, t: float, rates: Rates):
     """The terms of the conditional solve's last pass (_cond_pass), those
-    at the saddlepoints of the lanes a -> k (float arrays, k >= 2, alpha >
-    0); the module docstring gives the seed, steps and refusals. At the
-    plain root K' = k, K'' = k^2 S/a, K''' = k/u^2 (p(2p - 1) + 3p(1 - u)
-    + (1 - u)(2 - u)) with p = 1 - k u/a, so with v = 1/(e^T - 1), Kc' - k
-    = k v, Kc'' = (1 + v)(K'' - v k^2), Kc''' = (1 + v)(K''' - 3v k K'' +
-    v(1 + 2v) k^3). The Halley step, at most twice Newton's and at most 2
+    at the saddlepoints of the lanes (k >= 2, alpha > 0); the module
+    docstring gives the seed, steps and refusals. At the plain root K' =
+    k, K'' = k^2 S/a, K''' = k/u^2 (p(2p - 1) + 3p(1 - u) + (1 - u)(2 -
+    u)) with p = 1 - k u/a, so with v = 1/(e^T - 1), Kc' - k = k v, Kc''
+    = (1 + v)(K'' - v k^2), Kc''' = (1 + v)(K''' - 3v k K'' + v(1 + 2v)
+    k^3). The Halley step, at most twice Newton's and at most 2
     in x, moves u to u + (1 - u)(1 - e^-step) unless Kc'' <= 0."""
-    r = a_arr / k_arr
-    u, big_s, log_rho, near, far = _plain_u(r, g)
-    om = np.where(u <= 0.5, 1.0 - u, np.exp(np.where(r <= 1.0, near, log_rho + far)))
+    k_arr, a_arr = lanes.k, lanes.a
+    u, big_s, log_rho, near, far = _plain_u(lanes, g)
+    om = np.where(u <= 0.5, 1.0 - u, np.exp(np.where(lanes.r <= 1.0, near, log_rho + far)))
     flat = ~(om >= np.finfo(float).tiny) | (g.log_beta == -math.inf)
     if flat.any():
         out = np.empty((13,) + flat.shape)
-        out[:, flat] = _flat_solve(k_arr[flat], a_arr[flat], g, t, rates)
-        out[:, ~flat] = _cond_solve(k_arr[~flat], a_arr[~flat], g, t, rates)
+        out[:, flat] = _flat_solve(lanes[flat], g, t, rates)
+        out[:, ~flat] = _cond_solve(lanes[~flat], g, t, rates)
         return tuple(out)
     s = np.where(u <= 0.5, np.log(u), np.log1p(-om))
     z = g.log1m_alpha + g.log1m_beta - g.log_alpha - g.log_beta
     v = 1.0 / np.expm1(a_arr * np.logaddexp(0.0, z + np.log(om) - s))
-    p, k2 = 1.0 - u * k_arr / a_arr, k_arr * k_arr * big_s / a_arr
+    p, k2 = 1.0 - u * k_arr / a_arr, lanes.k_sq * big_s / a_arr
     k3 = k_arr / (u * u) * (p * (2.0 * p - 1.0) + 3.0 * p * (1.0 - u) + (1.0 - u) * (2.0 - u))
     resid, kc2 = k_arr * v, (1.0 + v) * (k2 - v * k_arr * k_arr)
-    kc3 = (1.0 + v) * (k3 - 3.0 * v * k_arr * k2 + v * (1.0 + 2.0 * v) * k_arr**3)
+    kc3 = (1.0 + v) * (k3 - 3.0 * v * k_arr * k2 + v * (1.0 + 2.0 * v) * lanes.k_cube)
     den = np.maximum(kc2 - 0.5 * resid * kc3 / kc2, 0.5 * kc2)
     step = np.log1p(om / u * -np.expm1(-resid / np.maximum(den, 0.5 * resid)))
     s = np.where((kc2 > 0.0) & np.isfinite(step), s + step, s)
     u_hi = -math.expm1(-RADIUS_GUARD * _log_radius(g))
     s_hi = math.log(u_hi) if u_hi > 0.0 else -math.inf
-    s = np.maximum(np.maximum(s, -np.log(k_arr)), s_hi)
-    log_k = np.log(k_arr)
+    log_k = lanes.log_k
+    s = np.maximum(np.maximum(s, -log_k), s_hi)
     done = np.zeros(s.shape, dtype=bool)
     for _ in range(200):
         terms = _cond_pass(s, z, a_arr)
@@ -388,13 +401,14 @@ def _cond_solve(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
     )
 
 
-def _flat_solve(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
+def _flat_solve(lanes: _Lanes, g: GeomParams, t: float, rates: Rates):
     """The last pass (_cond_pass) at the conditional roots of lanes whose
     1 - u at the plain root is not a normal float. With k < a the root
     lies at E <= log(k/(a - k)), where 1 - u = e^(E - z) u is smaller
     still: u is 1, E = x + log((1 - alpha)(1 - beta)/alpha), Kc' = f1 and
     Kc'' = f2 in x, and _newton solves them. k >= a raises SolverError."""
-    x = _plain_root(a_arr / k_arr, g)[0]
+    k_arr, a_arr = lanes.k, lanes.a
+    x = _plain_root(lanes, g)[0]
     ok = np.isfinite(x) & (k_arr < a_arr)
     if not ok.all():
         raise _no_root(k_arr, a_arr, int(np.argmin(ok)), t, rates)
@@ -423,7 +437,8 @@ def solve_saddlepoint(k: int, t: float, a: int, rates: Rates) -> SaddlepointSolu
         raise DomainError(f"saddlepoint target count must be >= 1, got {k}")
     _check_args(t, a, k)
     g = geom_params(t, rates)
-    xs, (value, d1, d2) = _solve_x(np.array([float(k)]), np.array([float(a)]), g, t, rates)
+    lanes = _Lanes(np.array([float(k)]), np.array([float(a)]))
+    xs, (value, d1, d2) = _solve_x(lanes, g, t, rates)
     x = float(xs[0])
     pt = CgfPoint(x, float(value[0]), float(d1[0]), float(d2[0]))
     return SaddlepointSolution(x, math.exp(x), pt, float(d1[0]) - k)
@@ -447,6 +462,43 @@ def _lanes(k, a, conditional: bool):
     return coefs, k[live], a[live]
 
 
+class _Lanes:
+    """Saddlepoint lanes a -> k (float arrays, k >= 1) and the rate-free
+    arrays their kernels read: r = a/k, sqrt(r), 1 - r, k^2, k^3, log k
+    and log a, and the sums of k and a. Each is the expression a kernel
+    would form from k and a, so reading it gives the bits that forming it
+    gives. Indexing by a mask gives the lanes it selects."""
+
+    __slots__ = ("k", "a", "r", "sqrt_r", "one_m_r", "k_sq", "k_cube", "log_k", "log_a",
+                 "k_sum", "a_sum")
+
+    def __init__(self, k: np.ndarray, a: np.ndarray):
+        self.k, self.a = k, a
+        self.r = a / k
+        self.sqrt_r = np.sqrt(self.r)
+        self.one_m_r = 1.0 - self.r
+        self.k_sq = k * k
+        self.k_cube = k**3
+        self.log_k = np.log(k)
+        self.log_a = np.log(a)
+        self.k_sum, self.a_sum = float(np.sum(k)), float(np.sum(a))
+
+    def __getitem__(self, mask: np.ndarray) -> _Lanes:
+        return _Lanes(self.k[mask], self.a[mask])
+
+
+def lane_table(groups, conditional: bool) -> tuple:
+    """Each gap group's lanes under the variant, as (coefs, lanes): the
+    exact lanes' coefficients from _lanes and the saddlepoint lanes (a
+    _Lanes, None where there are none). Rate-free, so the panel's
+    transitions table builds it once per variant (Transitions.spa_lanes)."""
+    out = []
+    for grp in groups:
+        coefs, k, a = _lanes(grp.dst, grp.src, conditional)
+        out.append((coefs, _Lanes(k, a) if k.size else None))
+    return tuple(out)
+
+
 def _exact_log(coefs, g: GeomParams) -> float:
     """The exact lanes' summed log pmf under the law g, from _lanes'
     coefficients. A zero coefficient drops its term, so a log(alpha) of
@@ -460,23 +512,23 @@ def _exact_log(coefs, g: GeomParams) -> float:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates, conditional: bool):
-    """The variant's saddlepoint lanes (k_arr and a_arr float arrays)
-    scored from the solve's last pass: (sp, log pmfs), sp being that pass
-    for a conditional lane (_cond_log_spa) and x for a plain one; alpha =
-    0 makes the conditional lanes plain ones. A lane's value does not
-    depend on the other lanes. Where d2 underflows to 0 (a law collapsed
+def _log_spa(lanes: _Lanes, g: GeomParams, t: float, rates: Rates, conditional: bool):
+    """The variant's saddlepoint lanes scored from the solve's last pass:
+    (sp, log pmfs), sp being that pass for a conditional lane
+    (_cond_log_spa) and x for a plain one; alpha = 0 makes the
+    conditional lanes plain ones. A lane's value does not depend on the
+    other lanes. Where d2 underflows to 0 (a law collapsed
     toward a point mass) the lane scores -inf, not the +inf of log(0)."""
     if conditional and g.log_alpha > -math.inf:
-        sp, _, lp = _cond_log_spa(k_arr, a_arr, g, t, rates)
+        sp, _, lp = _cond_log_spa(lanes, g, t, rates)
         return sp, lp
-    x, (value, _, d2) = _solve_x(k_arr, a_arr, g, t, rates)
-    lp = -0.5 * np.log(2.0 * math.pi * d2) + value - x * k_arr
+    x, (value, _, d2) = _solve_x(lanes, g, t, rates)
+    lp = -0.5 * np.log(2.0 * math.pi * d2) + value - x * lanes.k
     return x, np.where(np.isfinite(d2) & (d2 > 0.0), lp, -np.inf)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _cond_log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
+def _cond_log_spa(lanes: _Lanes, g: GeomParams, t: float, rates: Rates):
     """The terms of the conditional solve's last pass (_cond_solve), the
     saddlepoints x = log(1 - u) + log R (E less log((1 - alpha)(1 -
     beta)/alpha) where u is 1), and the lanes' log pmfs.
@@ -487,14 +539,14 @@ def _cond_log_spa(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
     log(-expm1(-T)) where T > 1 and log T - log w below, log T = log a +
     E where e^E underflows: so a lane keeps its value where M - p0
     underflows. Where Kc'' underflows to 0 the lane scores -inf."""
-    terms = _cond_solve(k_arr, a_arr, g, t, rates)
+    terms = _cond_solve(lanes, g, t, rates)
     s, _, om, e, _, _, sp, big_t, w, _, _, f1, f2 = terms
-    log_t = np.log(a_arr) + np.where(e < -40.0, e, np.log(sp))
+    log_t = lanes.log_a + np.where(e < -40.0, e, np.log(sp))
     ell = np.where(big_t > 1.0, big_t + np.log(-np.expm1(-big_t)), log_t - np.log(w))
     c = g.log1m_alpha + g.log1m_beta - g.log_alpha  # E - x where u is 1
     x = np.where(om > 0.0, np.log(om) + _log_radius(g), e - c)
     d = f2 + f1 * om
-    lp = a_arr * g.log_alpha + ell - x * k_arr - 0.5 * np.log(2.0 * math.pi * d) + s
+    lp = lanes.a * g.log_alpha + ell - x * lanes.k - 0.5 * np.log(2.0 * math.pi * d) + s
     return terms, x, np.where(d > 0.0, lp, -np.inf)
 
 
@@ -503,7 +555,7 @@ def _pmf(k: int, t: float, a: int, rates: Rates, conditional: bool) -> float:
     g = geom_params(t, rates)
     coefs, ks, anc = _lanes([k], [a], conditional)
     if ks.size:
-        return float(np.exp(_log_spa(ks, anc, g, t, rates, conditional)[1][0]))
+        return float(np.exp(_log_spa(_Lanes(ks, anc), g, t, rates, conditional)[1][0]))
     return math.exp(_exact_log(coefs, g))
 
 
@@ -522,7 +574,7 @@ def _spa_normalizer(t: float, a: int, rates: Rates) -> float:
     g = geom_params(t, rates)
     kmax = truncation_limit(t, a, rates)
     ks = np.arange(1.0, kmax + 1.0)
-    _, lp = _log_spa(ks, np.full_like(ks, float(a)), g, t, rates, False)
+    _, lp = _log_spa(_Lanes(ks, np.full_like(ks, float(a))), g, t, rates, False)
     m = float(np.max(lp))
     return math.exp(m) * float(np.sum(np.exp(lp - m)))
 
@@ -588,30 +640,29 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
     Transitions out of 0 contribute nothing; _lanes splits the rest into
     exact and saddlepoint lanes. The panel's transitions table (built
     once per panel, gaps equal to 1e-9 relative merged) supplies one lane
-    set per gap, and each set is evaluated in one vectorized sweep.
+    set per gap, split once per variant (Transitions.spa_lanes), and each
+    set is evaluated in one vectorized sweep.
 
     Every call solves its saddlepoints, and scores them from the solve's
     last pass. A sweep that finishes with a finite total leaves each
-    group's law, lanes split by _lanes and saddlepoints, (g, coefs, k, a,
-    sp), in the table's _saddlepoints slot for spa_derivatives at the same
-    rates and variant: sp is _log_spa's (None without saddlepoint lanes).
-    The slot is emptied first, so a call that raises or scores -inf
-    leaves nothing there.
+    group's law and saddlepoints, (g, sp), in the table's _saddlepoints
+    slot for spa_derivatives at the same rates and variant: sp is
+    _log_spa's (None without saddlepoint lanes). The slot is emptied
+    first, so a call that raises or scores -inf leaves nothing there.
     """
     conditional = _is_conditional(variant)
     table = panel.transitions
     table._saddlepoints.clear()
     total = 0.0
     sweep = []
-    for grp in table.groups:
+    for grp, (coefs, lanes) in zip(table.groups, table.spa_lanes(conditional)):
         g = geom_params(grp.tau, rates)
-        coefs, k, a = _lanes(grp.dst, grp.src, conditional)
         total += _exact_log(coefs, g)
         sp = None
-        if k.size:
-            sp, lp = _log_spa(k, a, g, grp.tau, rates, conditional)
+        if lanes is not None:
+            sp, lp = _log_spa(lanes, g, grp.tau, rates, conditional)
             total += float(np.sum(lp))
-        sweep.append((g, coefs, k, a, sp))
+        sweep.append((g, sp))
     if math.isfinite(total):
         table._saddlepoints[rates, conditional] = sweep
     return total
@@ -692,33 +743,34 @@ def _cond_psi(terms):
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _plain_psi(x, g: GeomParams, k, a):
-    """psi' and psi'' of the plain lanes a -> k (float arrays) at their
-    saddlepoints x, in closed form (the block comment above)."""
-    r = a / k
+def _plain_psi(x, g: GeomParams, lanes: _Lanes):
+    """psi' and psi'' of the plain lanes at their saddlepoints x, in
+    closed form (the block comment above)."""
+    k, r = lanes.k, lanes.r
     # sqrt(rho) as in _plain_root, so that it cannot overflow
     root_rho = math.exp(0.5 * (g.log_alpha + g.log_beta - g.log1m_alpha - g.log1m_beta))
-    s = np.hypot(1.0 - r, 2.0 * np.sqrt(r) * root_rho)
+    s = np.hypot(lanes.one_m_r, 2.0 * lanes.sqrt_r * root_rho)
     u = math.exp(g.log1m_beta) - g.beta * np.expm1(x)  # 1 - beta e^x
     h = root_rho / s
     t = r * h * h
     v = u * root_rho
-    return k * u + t, k * v * v / s - t * ((1.0 - r) / s) ** 2
+    return k * u + t, k * v * v / s - t * (lanes.one_m_r / s) ** 2
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _group_weights(g: GeomParams, coefs, k, a, sp, conditional: bool):
-    """The group's (w1, w2, w3, var) for exact._chain, from its law, lanes
-    and saddlepoints (an entry of spa_loglik's sweep): its log likelihood's
-    gradient in u and its Hessian's weight along c. The exact lanes are
-    linear in u, with _lanes' coefficients."""
+def _group_weights(g: GeomParams, sp, coefs, lanes: _Lanes, conditional: bool):
+    """The group's (w1, w2, w3, var) for exact._chain, from its law and
+    saddlepoints (an entry of spa_loglik's sweep) and its lanes (an entry
+    of lane_table): its log likelihood's gradient in u and its Hessian's
+    weight along c. The exact lanes are linear in u, with _lanes'
+    coefficients."""
     n_alpha, n_l1ab, _ = coefs
     if sp is None:
         return n_alpha, 0.0, n_l1ab, 0.0
-    first, second = _cond_psi(sp) if conditional else _plain_psi(sp, g, k, a)
+    first, second = _cond_psi(sp) if conditional else _plain_psi(sp, g, lanes)
     d1 = float(np.sum(first))
-    w1 = n_alpha + (float(np.sum(a)) - d1)
-    return w1, float(np.sum(k)) - d1, n_l1ab + d1, float(np.sum(second))
+    w1 = n_alpha + (lanes.a_sum - d1)
+    return w1, lanes.k_sum - d1, n_l1ab + d1, float(np.sum(second))
 
 
 def spa_derivatives(panel: Panel, rates: Rates, variant: str = "plain"):
@@ -745,15 +797,20 @@ def spa_derivatives(panel: Panel, rates: Rates, variant: str = "plain"):
     if sweep is None:
         laws = [geom_params(grp.tau, rates) for grp in table.groups]
     else:
-        laws = [lanes[0] for lanes in sweep]
+        laws = [g for g, _ in sweep]
     if any(g.log_alpha == -math.inf or g.log_beta == -math.inf for g in laws):
         return None
     if sweep is None:
         if not math.isfinite(spa_loglik(panel, rates, variant)):
             return None
         sweep = table._saddlepoints[rates, conditional]
-    weights = [_group_weights(*lanes, conditional) for lanes in sweep]
+    weights = [
+        _group_weights(g, sp, coefs, lanes, conditional)
+        for (g, sp), (coefs, lanes) in zip(sweep, table.spa_lanes(conditional))
+    ]
     score, info = _chain(table.groups, laws, rates, weights)
-    if not (np.all(np.isfinite(score)) and np.all(np.isfinite(info))):
+    # float tests: numpy's per-call cost on a 2-vector and a 2x2 outweighs them
+    (s0, s1), (i0, i1) = score.tolist(), info.tolist()
+    if not all(map(math.isfinite, (s0, s1, *i0, *i1))):
         return None
     return score, info

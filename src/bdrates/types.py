@@ -154,13 +154,22 @@ class Transitions:
     the panel through this table: the moments, the quasi-likelihood, the
     starting point of the searches and the transition likelihoods.
 
+    Beside the table sit what the likelihoods read of it, each formed on
+    first use and kept for the table's lifetime: the exact likelihood's
+    term table (term_table), the moments (gw_moments), and each
+    saddlepoint variant's lane table (spa_lanes): per gap group, the
+    lanes split into exact and saddlepoint ones, the sums of the
+    saddlepoint lanes' k and a, and the rate-free lane arrays (a/k,
+    sqrt(a/k), 1 - a/k, k^2, k^3, log k, log a) that the solve, the
+    scoring and the derivatives read at every evaluation.
+
     _saddlepoints holds the last finished sweep of saddlepoint.spa_loglik
-    whose total is finite, as {(rates, conditional): each group's law,
-    lanes and saddlepoints}, for spa_derivatives to read at equal rates
-    and the same variant. A plain group's saddlepoints are its x; a
-    conditional group's are the terms of its solve's last pass in s =
-    log u, from which its derivatives are formed. Only spa_loglik writes
-    it; spa_derivatives runs spa_loglik where the slot misses, so a cold
+    whose total is finite, as {(rates, conditional): each group's law
+    and saddlepoints}, for spa_derivatives to read at equal rates and the
+    same variant. A plain group's saddlepoints are its x; a conditional
+    group's are the terms of its solve's last pass in s = log u, from
+    which its derivatives are formed. Only spa_loglik writes it;
+    spa_derivatives runs spa_loglik where the slot misses, so a cold
     derivatives call leaves a sweep there too.
     """
 
@@ -175,6 +184,7 @@ class Transitions:
     count_max: int
     n_traj: int
     _saddlepoints: dict = field(default_factory=dict, init=False, repr=False)
+    _spa_lanes: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def term_table(self):
@@ -195,6 +205,18 @@ class Transitions:
         from .gw import _moments
 
         return _moments(self)
+
+    def spa_lanes(self, conditional: bool) -> tuple:
+        """The saddlepoint variant's lane table (a saddlepoint.lane_table:
+        per gap group, the exact lanes' coefficients and the saddlepoint
+        lanes), split on the variant's first evaluation and kept for the
+        table's lifetime."""
+        lanes = self._spa_lanes.get(conditional)
+        if lanes is None:
+            from .saddlepoint import lane_table
+
+            lanes = self._spa_lanes[conditional] = lane_table(self.groups, conditional)
+        return lanes
 
     def equal_spacing(self, tolerance: float = SPACING_TOL) -> bool:
         """Whether all gaps, steps out of 0 included, agree to the given

@@ -38,9 +38,11 @@ was built by a Python walk over every step, sorting the steps by a key
 function and chaining the gap runs one step at a time, and the spacing
 tests, the moments, the pooled growth guess and the simulator's gap
 laws walked the gaps and counts on every call, before the table was
-built from flat arrays with the moments kept beside it. They are kept
-here verbatim apart from names, calling the package's current helpers,
-so the replacements can be checked against them.
+built from flat arrays with the moments kept beside it. The Newton
+search and the covariance of its optimum took their arithmetic on numpy
+2-vectors and 2x2 arrays before they took it in Python floats. They are
+kept here verbatim apart from names, calling the package's current
+helpers, so the replacements can be checked against them.
 """
 
 from __future__ import annotations
@@ -74,9 +76,11 @@ from bdrates.gaussian import (
     qg_sandwich_cov,
 )
 from bdrates.gw import GwMoments, gw_estimate
+from bdrates import optimize
 from bdrates.optimize import EIG_FLOOR, FATOL, MAX_STEP, XATOL, Model, OptResult
 from bdrates.saddlepoint import (
     RESIDUAL_TOL,
+    _Lanes,
     _cgf_terms,
     _log_radius,
     _log_spa,
@@ -333,7 +337,7 @@ def spa_loglik(panel, rates, variant="plain"):
         else:
             live = ~zero
             if live.any():
-                total += float(np.sum(_log_spa(k[live], a[live], g, tau, rates, False)[1]))
+                total += float(np.sum(_log_spa(_Lanes(k[live], a[live]), g, tau, rates, False)[1]))
     return total
 
 
@@ -1263,7 +1267,7 @@ def solve_x_conditional(k_arr, a_arr, g: GeomParams, t: float, rates: Rates):
     the closed-form first Newton step."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
-    x = saddlepoint._plain_root(a_arr / k_arr, g)[0]
+    x = saddlepoint._plain_root(_Lanes(k_arr, a_arr), g)[0]
     if not np.all(np.isfinite(x)):
         raise SolverError("no saddlepoint root")
     x_hi = _x_max(g)
@@ -1395,7 +1399,7 @@ def solve_x_conditional_halley(k_arr, a_arr, g: GeomParams, t: float, rates: Rat
     by _newton on cond_terms."""
     k_arr = np.asarray(k_arr, dtype=float)
     a_arr = np.asarray(a_arr, dtype=float)
-    x, s = saddlepoint._plain_root(a_arr / k_arr, g)
+    x, s = saddlepoint._plain_root(_Lanes(k_arr, a_arr), g)
     ok = np.isfinite(x)
     if not ok.all():
         bad = int(np.argmin(ok))
@@ -1511,3 +1515,214 @@ def saddle_terms(jet):
         + gy * yzz
     )
     return first, second
+
+
+# ---------------------------------------------------------------------------
+# the damped Newton search and the covariance of its optimum on numpy
+# 2-vectors, as maximize_2d, _newton_step and numeric_hessian_se ran them
+# before they took their arithmetic in Python floats
+
+
+def numeric_hessian_se_array(
+    theta_hat: Sequence[float], hessian: Optional[np.ndarray] = None
+) -> Optional[np.ndarray]:
+    """Covariance of (lambda, mu) from the observed information.
+
+    hessian is the Hessian of the maximized log-likelihood, as a function
+    of (log lambda, log mu), at theta_hat. Its negation is inverted, then
+    pushed through the Jacobian diag(lambda, mu) of the exp map. Returns
+    None when there is no Hessian, when the smaller rate is below
+    BOUNDARY_RATIO of the larger (a boundary fit), or when the negated
+    Hessian is not finite and positive definite. (perfbench's tracer
+    patches this function by its name.)
+    """
+    if hessian is None:
+        return None
+    th = np.asarray(theta_hat, dtype=float)
+    lam, mu = math.exp(th[0]), math.exp(th[1])
+    if min(lam, mu) < optimize.BOUNDARY_RATIO * max(lam, mu):
+        return None
+    h00, h01, h11 = -hessian[0, 0], -hessian[0, 1], -hessian[1, 1]
+    if not (math.isfinite(h00) and math.isfinite(h11) and math.isfinite(h01)):
+        return None
+    det = h00 * h11 - h01 * h01
+    if h00 <= 0.0 or det <= 0.0:
+        return None
+    inv = np.array([[h11, -h01], [-h01, h00]]) / det
+    jac = np.diag([lam, mu])
+    cov = jac @ inv @ jac
+    cov[1, 0] = cov[0, 1]
+    if cov[0, 0] < 0.0 or cov[1, 1] < 0.0:
+        return None
+    return cov
+
+
+def newton_step_vector(
+    model: Optional[Model], radius: float = MAX_STEP
+) -> Optional[tuple[np.ndarray, float]]:
+    """Ascent step of the model with its Hessian's eigenvalues floored to
+    at most -EIG_FLOOR*max(1, max |eigenvalue|), clipped to max-norm
+    radius, and the gain that floored model predicts for it; None when
+    the model or the step is not finite.
+
+    The Hessian's lower triangle [[h00, .], [h10, h11]] is decomposed in
+    closed form: the eigenvalue of larger magnitude e1 = m + sign(m) r,
+    with m the mean of the diagonal and r = hypot((h00 - h11)/2, h10), and
+    the other as det/e1 in the form of LAPACK's dlaev2, which loses
+    nothing to cancellation; e1's eigenvector is taken from the row of
+    H - e1 I that does not cancel either."""
+    if model is None:
+        return None
+    grad, hess = model
+    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+        return None
+    h00, h10, h11 = float(hess[0, 0]), float(hess[1, 0]), float(hess[1, 1])
+    m, d = 0.5 * (h00 + h11), 0.5 * (h00 - h11)
+    sr = -math.hypot(d, h10) if m < 0.0 else math.hypot(d, h10)
+    e1 = m + sr
+    big, small = (h00, h11) if abs(h00) > abs(h11) else (h11, h00)
+    e2 = (big / e1) * small - (h10 / e1) * h10 if e1 else 0.0
+    # (e1 - h11, h10) = (d + sr, h10) and (h10, e1 - h00) = (h10, sr - d)
+    # both span e1's eigenspace; take the one whose sum does not cancel
+    u0, u1 = (d + sr, h10) if d * sr >= 0.0 else (h10, sr - d)
+    norm = math.hypot(u0, u1)
+    v0, v1 = (u0 / norm, u1 / norm) if norm else (1.0, 0.0)  # else H = e1 I
+    floor = -EIG_FLOOR * max(1.0, abs(e1), abs(e2))
+    e1, e2 = min(e1, floor), min(e2, floor)
+    g0, g1 = float(grad[0]), float(grad[1])
+    p1, p2 = v0 * g0 + v1 * g1, v0 * g1 - v1 * g0  # along (v0, v1) and (-v1, v0)
+    c1, c2 = p1 / e1, p2 / e2
+    step = np.array([-(v0 * c1 - v1 * c2), -(v1 * c1 + v0 * c2)])
+    if not np.all(np.isfinite(step)):
+        return None
+    # the full step gains q = -(p1 c1 + p2 c2) >= 0 on the floored model, a
+    # step scaled by c gains q*c*(1 - c/2)
+    q = -(p1 * c1 + p2 * c2)
+    size = float(np.max(np.abs(step)))
+    if size > radius:
+        c = radius / size
+        return step * c, q * c * (1.0 - 0.5 * c)
+    return step, 0.5 * q
+
+
+def maximize_2d_vector(
+    objective: Callable[[np.ndarray], float],
+    x0: Sequence[float],
+    *,
+    derivatives: Callable[[np.ndarray], Optional[Model]],
+    maxiter: int = 2000,
+) -> OptResult:
+    """Maximize a 2-D objective: damped Newton steps on its derivatives,
+    continued by one Nelder-Mead run (the module docstring).
+
+    The objective may return -inf (or nan, treated the same) to reject a
+    point; it must be finite at x0, else DomainError. derivatives(x),
+    asked only at a point just passed to objective, returns the
+    objective's gradient and Hessian there, or None where it has none.
+    At most maxiter Newton steps are taken; converged reports whether
+    the run stopped on XATOL or FATOL.
+
+    When the Newton run stalls, Nelder-Mead searches from the run's best
+    point for at most maxiter iterations (a derivatives that always
+    returns None makes this a Nelder-Mead search from the start), and
+    converged reports whether it stopped on its simplex tolerances.
+    """
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (2,):
+        raise ValueError(f"expected a 2-vector start, got shape {x.shape}")
+    n_evals = 0
+
+    def evaluate(point: np.ndarray) -> float:
+        nonlocal n_evals
+        n_evals += 1
+        val = float(objective(point))
+        # nan and +inf both mean the probe broke down numerically; -inf is
+        # a legitimate log-zero rejection. All three reject the probe.
+        return val if math.isfinite(val) else -math.inf
+
+    f = evaluate(x)
+    if f == -math.inf:
+        raise DomainError(f"objective is not finite at the starting point {x.tolist()}")
+
+    model = derivatives(x)
+    iterations = rejected = 0
+    radius = MAX_STEP
+    status = "maxiter"  # or "converged", or "stalled" to continue
+    while status == "maxiter" and iterations < maxiter:
+        newton = newton_step_vector(model, radius)
+        if newton is None:
+            status = "stalled"
+            break
+        step, promised = newton
+        iterations += 1
+        size = float(np.max(np.abs(step)))
+        if size <= XATOL:
+            status = "converged"
+            break
+        # the radius cut this step short (the module docstring): its small
+        # gain or promise retries at MAX_STEP instead of stopping the run
+        cut = radius < MAX_STEP and size >= radius * (1.0 - 1e-12)
+        done = "maxiter" if cut else "converged"
+        # a run whose halvings all fail, or shrink the step to XATOL,
+        # stalls: its model gives no way up from x
+        status = "stalled"
+        for _ in range(optimize.MAX_HALVINGS):
+            probe = x + step
+            f_new = evaluate(probe)
+            if f_new > f:
+                gain = f_new - f
+                x, f = probe, f_new
+                model = derivatives(x)
+                radius = min(MAX_STEP, 2.0 * size)
+                status = "maxiter"
+                if gain <= FATOL * max(1.0, abs(f)):
+                    status, radius = done, MAX_STEP
+                break
+            rejected += 1
+            if promised <= FATOL * max(1.0, abs(f)):
+                # a failed probe of a step worth at most the value
+                # tolerance is rounding in the objective: halving it only
+                # probes the same point again, down to XATOL
+                status, radius = done, MAX_STEP
+                break
+            step, size = 0.5 * step, 0.5 * size
+            if size <= XATOL:
+                break
+    bookkeeping = dict(newton_iterations=iterations, rejected=rejected)
+    if status != "stalled":
+        return OptResult(
+            x=(float(x[0]), float(x[1])),
+            fun=f,
+            n_evals=n_evals,
+            converged=status == "converged",
+            hessian=None if model is None else model[1],
+            **bookkeeping,
+        )
+
+    from scipy.optimize import minimize  # here, so that import bdrates loads no scipy
+
+    # rejected probes sit at +inf in the simplex; scipy's fatol check then
+    # computes inf-inf, which is harmless but noisy without the errstate
+    with np.errstate(invalid="ignore"):
+        best = minimize(
+            lambda point: -evaluate(point),
+            x,
+            method="Nelder-Mead",
+            options={
+                "xatol": XATOL,
+                "fatol": FATOL,
+                "maxiter": maxiter,
+                "maxfev": 4 * maxiter,
+            },
+        )
+    x = np.asarray(best.x, dtype=float)
+    model = derivatives(x) if evaluate(x) > -math.inf else None
+    return OptResult(
+        x=(float(x[0]), float(x[1])),
+        fun=-float(best.fun),
+        n_evals=n_evals,
+        converged=bool(best.success),
+        continued=True,
+        hessian=None if model is None else model[1],
+        **bookkeeping,
+    )

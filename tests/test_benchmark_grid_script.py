@@ -94,6 +94,8 @@ def test_kernel_costs_script_reports_each_kernel(capsys):
     costs = _load("run_kernel_costs")
     assert costs.main(["--seed", "3", "--panels", "2"]) == 0
     out = capsys.readouterr().out.splitlines()
+    blank = out.index("")
+    out, split_out = out[:blank], out[blank + 1 :]
     rows = {(line[:30].strip(), line[31:46].strip()): line.split()[-6:] for line in out[1:]}
     kernels = ["spa_loglik", "spa_derivatives cold", "spa_derivatives after loglik"]
     expected = [(k, m) for m in ("spmle", "spmle_adjusted") for k in kernels]
@@ -124,6 +126,24 @@ def test_kernel_costs_script_reports_each_kernel(capsys):
     assert cond["_cond_pass"] >= 1 and cond["_cgf_terms"] == 0
     # the panels reproduce from the seed
     assert costs.draw_panels(3, 2) == costs.draw_panels(3, 2)
+    # each likelihood fit split into its evaluations and its search
+    assert split_out[0].split()[:2] == ["fit", "figure"]
+    split = {
+        (line[:30].strip(), line[31:46].strip()): [float(v) for v in line.split()[-4:]]
+        for line in split_out[1:]
+    }
+    assert list(split) == [
+        (figure, method) for method in costs.SEARCH_METHODS for figure in costs.SEARCH_FIGURES
+    ]
+    for method in costs.SEARCH_METHODS:
+        wall, evals, search = (split[figure, method] for figure in costs.SEARCH_FIGURES)
+        assert all(row[-1] == 2 for row in (wall, evals, search))
+        # medians of best-of figures: each below the wall time, both positive
+        assert 0.0 < evals[0] < wall[0] and 0.0 < search[0] < wall[0]
+        assert all(lo <= med <= hi for med, lo, hi, _ in (wall, evals, search))
+    # the timing wrappers are gone again
+    assert costs.estimate.spa_loglik is costs.spa_loglik
+    assert costs.estimate.exact_loglik is costs.exact_loglik
 
 
 def test_kernel_costs_script_counts_a_pass_the_module_lacks_as_zero(monkeypatch):

@@ -141,6 +141,31 @@ def test_nu_series_matches_direct():
     assert _nu(tau, 0.0) == tau
 
 
+def test_nu_keeps_its_digits_where_tau_expm1_is_subnormal():
+    # tau*expm1(u) below the smallest normal float: expm1(u)/u is formed
+    # first there (the product read 0.8000000024703282 at omega = 1e-315)
+    cases = ((0.8, 1e-315), (0.8, -1e-315), (0.8, 5e-324), (3.0, -2e-308), (1e-5, 1e-304))
+    for tau, omega in cases:
+        u = mp.mpf(omega) * mp.mpf(tau)
+        want = float(mp.mpf(tau) * mp.exp(u) * mp.expm1(u) / u)
+        assert _nu(tau, omega) == pytest.approx(want, rel=4e-16)
+    assert _nu(0.8, 1e-315) == 0.8
+
+
+def test_nu_keeps_the_product_bits_wherever_tau_expm1_is_normal():
+    rng = np.random.default_rng(5)
+    taus = np.exp(rng.uniform(-12.0, 3.0, 4000))
+    omegas = np.exp(rng.uniform(-700.0, 2.0, 4000)) * rng.choice([-1.0, 1.0], 4000)
+    checked = 0
+    for tau, omega in zip(taus.tolist(), omegas.tolist()):
+        u = omega * tau
+        if abs(tau * math.expm1(u)) < np.finfo(float).tiny:
+            continue
+        assert _nu(tau, omega) == tau * math.exp(u) * math.expm1(u) / u
+        checked += 1
+    assert checked > 3000
+
+
 def test_fit_equal_spacing_matches_embedded_moments():
     panel = _panel([10, 12, 11, 15, 14, 19], dt=0.5)
     fit = qg_fit(panel)

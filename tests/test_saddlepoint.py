@@ -31,6 +31,7 @@ from bdrates.exact import (
 )
 from bdrates.saddlepoint import (
     RESIDUAL_TOL,
+    _Lanes,
     _cond_log_spa,
     _exact_log,
     _lanes,
@@ -344,7 +345,7 @@ def test_conditional_one_sweep_matches_per_count_loop(lam, mu, t):
     g = geom_params(t, rates)
     for _ in range(5):
         k, a = _mixed_lanes(rng, rates, t, 80)
-        _, x, got = _cond_log_spa(k, a, g, t, rates)
+        _, x, got = _cond_log_spa(_Lanes(k, a), g, t, rates)
         ref = legacy.log_spa_conditional(k, a, g, t, rates)
         assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
         for i in np.flatnonzero(got != ref):
@@ -377,7 +378,7 @@ def test_conditional_seed_of_one_ancestor_is_its_root(monkeypatch, lam, mu, t):
     g = geom_params(t, rates)
     k = np.array([2.0, 5.0, 40.0, 1e6])
     passes = _count_cond_passes(monkeypatch)
-    saddlepoint._cond_solve(k, np.ones_like(k), g, t, rates)
+    saddlepoint._cond_solve(_Lanes(k, np.ones_like(k)), g, t, rates)
     x = np.log(-np.expm1(passes[0])) + _log_radius(g)
     lr_err = abs(_log_radius(g) + mp.log(mp_alpha_beta(t, lam, mu)[1]))
     for xi, ki in zip(x, k):
@@ -610,7 +611,7 @@ def test_plain_seed_solves_the_saddle_equation(monkeypatch, lam, mu, t):
     real = saddlepoint._newton
     monkeypatch.setattr(saddlepoint, "_newton", lambda x, *args: seeds.append(x) or real(x, *args))
     passes = _count_passes(monkeypatch)
-    x, _ = _solve_x(k, a, g, t, rates)
+    x, _ = _solve_x(_Lanes(k, a), g, t, rates)
     assert len(passes) == 1
     assert np.array_equal(seeds[0], x)
     with mp.workdps(200):
@@ -663,10 +664,10 @@ def test_a_group_with_lanes_where_u_rounds_to_one_scores_each_lane_alone():
     t, rates = 0.5, Rates(2.0, 1e-306)
     g = geom_params(t, rates)
     k, a = np.array([2.0, 2.0, 3.0, 40.0]), np.array([5.0, 100.0, 1000.0, 20.0])
-    terms, x, lp = _cond_log_spa(k, a, g, t, rates)
+    terms, x, lp = _cond_log_spa(_Lanes(k, a), g, t, rates)
     assert np.array_equal(terms[2] > 0.0, [True, False, False, True])  # 1 - u
     for i in range(4):
-        _, xi, lpi = _cond_log_spa(k[i : i + 1], a[i : i + 1], g, t, rates)
+        _, xi, lpi = _cond_log_spa(_Lanes(k[i : i + 1], a[i : i + 1]), g, t, rates)
         assert xi[0] == x[i] and lpi[0] == lp[i]
     ref_x, ref = legacy.log_spa_conditional_halley(k, a, g, t, rates)
     assert np.all(np.abs(lp - ref) <= 1e-12 * np.abs(ref))
@@ -733,7 +734,7 @@ def test_plain_kernel_matches_the_quadratic_seed(lam, mu, t):
         k, a = _mixed_lanes(rng, rates, t, 80)
         k = np.concatenate([k, np.ones(4)])
         a = np.concatenate([a, [1.0, 2.0, 7.0, 40.0]])
-        _, got = _log_spa(k, a, g, t, rates, False)
+        _, got = _log_spa(_Lanes(k, a), g, t, rates, False)
         ref = legacy.log_spa_quadratic(k, a, g, t, rates, False)
         assert np.all(np.abs(got - ref) <= 1e-11 * np.maximum(1.0, np.abs(ref)))
 
@@ -756,7 +757,7 @@ def test_conditional_lane_keeps_its_digits_where_m_minus_p0_is_tiny(lam, mu):
     assert abs(val - log_transition_prob(k, t, a, rates)) < 0.1
     # the root solves the conditional saddle equation at 300 digits
     g = geom_params(t, rates)
-    _, x, _ = _cond_log_spa(np.array([float(k)]), np.array([float(a)]), g, t, rates)
+    _, x, _ = _cond_log_spa(_Lanes(np.array([float(k)]), np.array([float(a)])), g, t, rates)
     with mp.workdps(300):
         kc1 = mp_cond_cgf_prime(float(x[0]), t, a, lam, mu)
     assert abs(kc1 - k) <= 2.0 * RESIDUAL_TOL * k
@@ -771,7 +772,7 @@ def test_conditional_lane_where_m_minus_p0_underflows_matches_mpmath():
     a, k, t = 3, 95, 3.0
     rates = Rates(250.2901987107919, 4.570406856062319)
     g = geom_params(t, rates)
-    _, x, got = _cond_log_spa(np.array([float(k)]), np.array([float(a)]), g, t, rates)
+    _, x, got = _cond_log_spa(_Lanes(np.array([float(k)]), np.array([float(a)])), g, t, rates)
     # the root lies below 0, and log R is e^-737
     with mp.workdps(60 + math.ceil(abs(g.log1m_beta) / math.log(10))):
         ref = mp_log_cond_spa_pmf(k, t, a, rates.lam, rates.mu, 2.0 * x[0], 0.5 * x[0])

@@ -23,6 +23,7 @@ from bdrates.errors import BdError, DomainError, SolverError
 from bdrates.estimate import fit
 from bdrates.exact import geom_params
 from bdrates.saddlepoint import (
+    _Lanes,
     _cond_log_spa,
     _cond_psi,
     _log_radius,
@@ -95,9 +96,9 @@ def _mp_loglik(panel, rates, variant="plain"):
                 g = geom_params(t, rates)
                 ka = np.array([float(k)]), np.array([float(a)])
                 if conditional:
-                    _, x, _ = _cond_log_spa(*ka, g, t, rates)
+                    _, x, _ = _cond_log_spa(_Lanes(*ka), g, t, rates)
                 else:
-                    x, _ = _solve_x(*ka, g, t, rates)
+                    x, _ = _solve_x(_Lanes(*ka), g, t, rates)
                 room = _log_radius(g) - float(x[0])
             lanes.append((a, k, t, room))
     log_pmf = mp_log_cond_spa_pmf if conditional else mp_log_spa_pmf
@@ -221,10 +222,10 @@ def test_derivatives_near_the_radius_stay_accurate():
 # mpmath
 
 
-def _jet_psi(x, g, k, a):
+def _jet_psi(x, g, lanes):
     """psi' and psi'' of plain lanes by implicit differentiation of their
     jets, the derivative path the closed form replaced."""
-    return legacy.saddle_terms(legacy.plain_jet(x, g, a))
+    return legacy.saddle_terms(legacy.plain_jet(x, g, lanes.a))
 
 
 def test_plain_closed_form_matches_the_jets_over_random_laws():
@@ -237,12 +238,12 @@ def test_plain_closed_form_matches_the_jets_over_random_laws():
         a = rng.integers(1, 300, 8).astype(float)
         g = geom_params(t, rates)
         try:
-            x, _ = _solve_x(k, a, g, t, rates)
+            x, _ = _solve_x(_Lanes(k, a), g, t, rates)
         except SolverError:
             continue
-        first, second = _plain_psi(x, g, k, a)
+        first, second = _plain_psi(x, g, _Lanes(k, a))
         with np.errstate(all="ignore"):
-            ref1, ref2 = _jet_psi(x, g, k, a)
+            ref1, ref2 = _jet_psi(x, g, _Lanes(k, a))
         assert np.all(np.isfinite(first)) and np.all(np.isfinite(second))
         # where the jets overflow (their fourth y-derivative near the
         # radius) only the closed form has a value; psi'' is compared on
@@ -369,7 +370,7 @@ def test_conditional_composition_matches_the_legacy_jets_over_random_laws():
         k, a = np.asarray(k, dtype=float), np.asarray(a, dtype=float)
         g = geom_params(t, rates)
         try:
-            terms, x, _ = _cond_log_spa(k, a, g, t, rates)
+            terms, x, _ = _cond_log_spa(_Lanes(k, a), g, t, rates)
         except SolverError:
             continue
         sub = terms[7] < tiny  # T = log(M/p0)
@@ -416,7 +417,7 @@ def test_conditional_kernel_matches_the_legacy_kernel_over_random_laws():
             k, a = np.asarray(k, dtype=float), np.asarray(a, dtype=float)
             g = geom_params(t, rates)
             try:
-                terms, x, lp = _cond_log_spa(k, a, g, t, rates)
+                terms, x, lp = _cond_log_spa(_Lanes(k, a), g, t, rates)
             except SolverError:
                 with pytest.raises(SolverError):
                     legacy.log_spa_conditional_halley(k, a, g, t, rates)
@@ -447,9 +448,9 @@ def _legacy_conditional(patch):
     and differentiate its lanes by the jets in two variables; its sweep
     entries then hold (x, g, a) in place of the last pass."""
 
-    def log_spa(k, a, g, t, rates):
-        x, lp = legacy.log_spa_conditional_halley(k, a, g, t, rates)
-        return (x, g, a), x, lp
+    def log_spa(lanes, g, t, rates):
+        x, lp = legacy.log_spa_conditional_halley(lanes.k, lanes.a, g, t, rates)
+        return (x, g, lanes.a), x, lp
 
     patch.setattr(bdrates.saddlepoint, "_cond_log_spa", log_spa)
     patch.setattr(
@@ -648,13 +649,20 @@ def test_a_cold_call_leaves_the_sweep_of_the_loglik(pname, rname, variant):
     assert list(got) == list(want) == [(rates, variant == "conditional")]
     ((sweep,), (ref_sweep,)) = got.values(), want.values()
     assert len(sweep) == len(ref_sweep) == len(cold.transitions.groups)
-    for (g, coefs, k, a, sp), (rg, rcoefs, rk, ra, rsp) in zip(sweep, ref_sweep):
-        assert g == rg and coefs == rcoefs
-        assert _same_bits((k, a), (rk, ra))
+    for (g, sp), (rg, rsp) in zip(sweep, ref_sweep):
+        assert g == rg
         # a conditional group holds the last pass of its solve, a plain one x
         if variant == "plain" and sp is not None:
             sp, rsp = (sp,), (rsp,)
         assert (sp is None and rsp is None) or _same_bits(sp, rsp)
+    # and both tables split the lanes alike
+    conditional = variant == "conditional"
+    tables = cold.transitions.spa_lanes(conditional), ref.transitions.spa_lanes(conditional)
+    for (coefs, lanes), (rcoefs, rlanes) in zip(*tables):
+        assert coefs == rcoefs
+        assert (lanes is None and rlanes is None) or _same_bits(
+            (lanes.k, lanes.a), (rlanes.k, rlanes.a)
+        )
 
 
 @pytest.mark.parametrize("variant", ["plain", "conditional"])
@@ -707,6 +715,54 @@ def test_derivatives_are_none_where_the_loglik_is_not_finite():
     # the conditional variant scores the panel, and leaves its sweep
     assert math.isfinite(spa_loglik(panel, rates, "conditional"))
     assert spa_derivatives(panel, rates, "conditional") is not None
+
+
+def test_lane_tables_are_built_once_per_panel_and_variant(monkeypatch):
+    panel = _fresh(test_exact_table.PANELS["unequal"])
+    groups = panel.transitions.groups
+    real, calls = bdrates.saddlepoint._lanes, []
+
+    def counting_lanes(k, a, conditional):
+        calls.append(conditional)
+        return real(k, a, conditional)
+
+    monkeypatch.setattr(bdrates.saddlepoint, "_lanes", counting_lanes)
+    # two fits of each variant, then the public calls at their optima
+    fits = [fit(panel, method) for method in ("spmle", "spmle_adjusted") * 2]
+    for res, variant in zip(fits, ("plain", "conditional")):
+        spa_derivatives(panel, res.rates, variant)
+    assert len(groups) > 1 and calls == [False] * len(groups) + [True] * len(groups)
+    # a cold derivatives call splits a fresh panel's lanes once too
+    cold, rates = _fresh(panel), RATES["growth"]
+    del calls[:]
+    for variant in ("conditional", "conditional", "plain"):
+        spa_derivatives(cold, rates, variant)
+        spa_derivatives(cold, RATES["decline"], variant)
+    assert calls == [True] * len(groups) + [False] * len(groups)
+    monkeypatch.undo()
+    # the kept arrays are those each evaluation formed, bit for bit
+    for conditional in (False, True):
+        for grp, (coefs, lanes) in zip(groups, panel.transitions.spa_lanes(conditional)):
+            ref_coefs, k, a = real(grp.dst, grp.src, conditional)
+            assert coefs == ref_coefs
+            if lanes is None:
+                assert k.size == 0
+                continue
+            r = a / k
+            want = (k, a, r, np.sqrt(r), 1.0 - r, k * k, k**3, np.log(k), np.log(a))
+            got = (lanes.k, lanes.a, lanes.r, lanes.sqrt_r, lanes.one_m_r, lanes.k_sq,
+                   lanes.k_cube, lanes.log_k, lanes.log_a)
+            assert _same_bits(got, want)
+            assert (lanes.k_sum, lanes.a_sum) == (float(np.sum(k)), float(np.sum(a)))
+    # and the fits, values and derivatives equal those of fresh panels
+    for res, variant in zip(fits, ("plain", "conditional")):
+        ref = fit(_fresh(panel), res.method)
+        assert (res.rates, res.loglik, res.n_obj_evals) == (ref.rates, ref.loglik, ref.n_obj_evals)
+        assert _same_bits(res.cov, ref.cov)
+        fresh = _fresh(panel)
+        assert spa_loglik(panel, rates, variant) == spa_loglik(fresh, rates, variant)
+        got, want = spa_derivatives(panel, rates, variant), spa_derivatives(fresh, rates, variant)
+        assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("pname", ["unequal", "single_traj"])
