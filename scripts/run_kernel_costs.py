@@ -1,9 +1,14 @@
 """Per-call cost of the likelihood kernels at each method's optimum.
 
-Simulates seeded single-trajectory panels (lambda 7, mu 6, one
-ancestor, 14 observations 0.2 apart, conditioned on survival: the
-benchmark's single_traj cell), fits each panel with spmle,
-spmle_adjusted and mle, and times at each fit's optimum:
+Simulates seeded panels of one of the benchmark's two fit cells (--cell):
+
+- single (the default): one trajectory, lambda 7, mu 6, one ancestor,
+  14 observations 0.2 apart, conditioned on survival (single_traj);
+- pooled: four trajectories, lambda 7, mu 5, ten ancestors, 20
+  observations 0.1 apart, conditioned on survival (pooled_growth);
+
+fits each panel with spmle, spmle_adjusted and mle, and times at each
+fit's optimum:
 
 - spa_loglik, the saddlepoint objective (spmle plain, spmle_adjusted
   conditional);
@@ -37,6 +42,7 @@ about 0.2 us per call. Each is the best of 20 fits of one panel; the
 table gives the median, smallest and largest over the panels.
 
     PYTHONPATH=src python scripts/run_kernel_costs.py --seed 1 --panels 12
+    PYTHONPATH=src python scripts/run_kernel_costs.py --seed 1 --panels 12 --cell pooled
 
 A pass name that the saddlepoint module lacks (a tree from before that
 pass existed) counts 0, so one copy of this script times any tree.
@@ -76,6 +82,12 @@ from bdrates.simulate import BenchmarkCell, SimConfig, child_seed, simulate_pane
 
 RATES = Rates(7.0, 6.0)
 TIMES = tuple(0.2 * (j + 1) for j in range(14))
+# the fit cells of perfbench's workloads: (rates, ancestors, observation
+# times, trajectories), each conditioned on survival
+CELLS = {
+    "single": (RATES, 1, TIMES, 1),
+    "pooled": (Rates(7.0, 5.0), 10, tuple(0.1 * (j + 1) for j in range(20)), 4),
+}
 REPEATS = 20
 VARIANTS = {"spmle": "plain", "spmle_adjusted": "conditional"}
 # the pass of the plain solve (a CGF evaluation) and of the conditional one
@@ -91,14 +103,15 @@ MC_METHODS = ("gw", "spmle")
 STAGES = ("draws", "panel build", "table build", "gw", "search")
 
 
-def draw_panels(seed: int, n_panels: int) -> list[Panel]:
-    """n_panels one-trajectory panels, each simulated from its own seed
-    derived from seed and its index."""
+def draw_panels(seed: int, n_panels: int, cell: str = "single") -> list[Panel]:
+    """n_panels panels of the fit cell (CELLS), each simulated from its
+    own seed derived from seed and its index."""
+    rates, z0, times, m = CELLS[cell]
     panels = []
     for i in range(n_panels):
         sub = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-        config = SimConfig(RATES, 1, TIMES, condition_nonextinct=True, seed=sub)
-        panels.append(simulate_panel(config, 1))
+        config = SimConfig(rates, z0, times, condition_nonextinct=True, seed=sub)
+        panels.append(simulate_panel(config, m))
     return panels
 
 
@@ -257,10 +270,10 @@ def print_split(split: list[list[float]]) -> None:
     print(f"{'replicate':<30} {sum(medians):>10.1f} {'':>10} {'':>10} {1.0:>7.3f}")
 
 
-def print_kernels(seed: int, n_panels: int) -> None:
+def print_kernels(seed: int, n_panels: int, cell: str = "single") -> None:
     rows: dict[tuple[str, str], list[tuple[float, int, int]]] = {}
     splits: dict[str, list[list[float]]] = {}
-    for panel in draw_panels(seed, n_panels):
+    for panel in draw_panels(seed, n_panels, cell):
         for key, row in panel_costs(panel).items():
             rows.setdefault(key, []).append(row)
         for method in SEARCH_METHODS:
@@ -296,13 +309,17 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--panels", type=int, default=12)
     ap.add_argument(
+        "--cell", choices=sorted(CELLS), default="single",
+        help="the fit cell the panels are drawn from",
+    )
+    ap.add_argument(
         "--replicates", type=int, default=0,
         help="pooled_growth Monte Carlo replicates to split into stages",
     )
     args = ap.parse_args(argv)
 
     if args.panels:
-        print_kernels(args.seed, args.panels)
+        print_kernels(args.seed, args.panels, args.cell)
     if args.replicates:
         print_split(replicate_split(args.seed, args.replicates))
     return 0

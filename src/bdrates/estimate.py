@@ -32,7 +32,7 @@ import numpy as np
 from .errors import BdError, CapError, DataError, DomainError, SolverError
 from .exact import exact_loglik
 from .gaussian import qg_fit
-from .gw import gw_estimate
+from .gw import gw_estimate, gw_invert
 from .optimize import maximize_2d, numeric_hessian_se
 from .saddlepoint import spa_derivatives, spa_loglik
 from .types import Panel, Rates
@@ -162,26 +162,59 @@ def _rates_from_log(x: np.ndarray) -> Optional[Rates]:
 Objective = Callable[[np.ndarray], float]
 Derivatives = Callable[[np.ndarray], Optional[tuple[np.ndarray, np.ndarray]]]
 
+# an mle point whose value has not been evaluated yet
+_UNSCORED = object()
+
+
+class _LastPoint:
+    """The search's last evaluated point: its (log lambda, log mu) as
+    floats, its Rates (None where exp overflows) and, for mle, the score
+    and information there (None where there are none, _UNSCORED before
+    the value is evaluated). The objective and the derivatives read the
+    Rates from here, so a point asked for twice builds them once."""
+
+    __slots__ = ("key", "rates", "model")
+
+    def __init__(self) -> None:
+        self.key = self.rates = None
+        self.model = _UNSCORED
+
+    def rates_at(self, x: np.ndarray) -> Optional[Rates]:
+        key = x.tolist()
+        if key != self.key:
+            self.key, self.rates = key, _rates_from_log(x)
+            self.model = _UNSCORED if self.rates is not None else None
+        return self.rates
+
 
 def _search_functions(
     method: str, panel: Panel, options: FitOptions
 ) -> tuple[Objective, Derivatives]:
     """The method's objective in (log lambda, log mu) and its derivatives:
     the analytic score and observed information, as the gradient and
-    Hessian of the objective, or None where there are none."""
+    Hessian of the objective, or None where there are none.
+
+    Both keep one entry, the last point evaluated (_LastPoint), and build
+    its Rates once: a search asks for the derivatives at the point its
+    objective has just scored. For mle the entry also keeps the score and
+    information that the point's exact evaluation returned with its
+    value. A derivatives call at any other point evaluates it afresh."""
+    last = _LastPoint()
     if method != "mle":
         variant = "conditional" if method == "spmle_adjusted" else "plain"
         if method == "mv_spmle":
             from .multivariate import mv_loglik
 
-            objective = _wrap_objective(lambda rates: mv_loglik(panel, rates))
+            objective = _wrap_objective(lambda rates: mv_loglik(panel, rates), last)
         else:
             # spa_loglik takes exactly (panel, rates, variant), the
             # signature perfbench's traced run wraps
-            objective = _wrap_objective(lambda rates: spa_loglik(panel, rates, variant))
+            objective = _wrap_objective(
+                lambda rates: spa_loglik(panel, rates, variant), last
+            )
 
         def derivatives(x: np.ndarray):
-            rates = _rates_from_log(x)
+            rates = last.rates_at(x)
             try:
                 out = None if rates is None else spa_derivatives(panel, rates, variant)
             except (DomainError, SolverError):
@@ -196,33 +229,33 @@ def _search_functions(
             f"{options.max_count_cap}; raise max_count_cap or use a "
             "saddlepoint method"
         )
-    # each evaluation returns the score and information with the value;
-    # the objective keeps those of its last point for derivatives to read
-    last: dict[Rates, tuple[np.ndarray, np.ndarray]] = {}
 
     def loglik(rates: Rates) -> float:
-        last.clear()
+        last.model = None
         value, score, info = exact_loglik(panel, rates, derivatives=True)
         if score is not None:
-            last[rates] = (score, -info)
+            last.model = (score, -info)
         return value
 
-    objective = _wrap_objective(loglik)
+    objective = _wrap_objective(loglik, last)
 
     def derivatives(x: np.ndarray):
-        rates = _rates_from_log(x)
-        if rates not in last:
+        last.rates_at(x)
+        if last.model is _UNSCORED:
             objective(x)
-        return last.get(rates)
+        return last.model
 
     return objective, derivatives
 
 
-def _wrap_objective(loglik: Callable[[Rates], float]) -> Callable[[np.ndarray], float]:
-    """loglik as a function of (log lambda, log mu); -inf where it fails."""
+def _wrap_objective(
+    loglik: Callable[[Rates], float], last: _LastPoint
+) -> Callable[[np.ndarray], float]:
+    """loglik as a function of (log lambda, log mu), at the Rates of
+    last; -inf where it fails."""
 
     def objective(x: np.ndarray) -> float:
-        rates = _rates_from_log(x)
+        rates = last.rates_at(x)
         if rates is None:
             return -math.inf
         try:
@@ -240,15 +273,18 @@ def initial_rates(panel: Panel) -> Rates:
     """Interior starting point for the likelihood searches.
 
     Panels the moment estimator takes (equally spaced ones) seed from
-    it; where it refuses (unequal gaps, degenerate moments) the pooled
+    its rates: the panel's cached moments (Transitions.gw_moments) and
+    their closed-form inversion, without the moment fit's standard
+    errors, which the start does not read. Where the moments or their
+    inversion refuse (unequal gaps, degenerate moments) the pooled
     growth ratio fixes omega and the total-rate guess 2|omega| + 1
-    keeps the start well inside the wedge.  Zero components from a
+    keeps the start well inside the wedge. Zero components from a
     clamped moment fit are floored.
     """
     lam = mu = None
     try:
-        est = gw_estimate(panel)
-        lam, mu = est.rates.lam, est.rates.mu
+        est = gw_invert(panel.transitions.gw_moments)
+        lam, mu = est.lam, est.mu
     except (DataError, DomainError):
         pass
     if lam is None:

@@ -383,18 +383,18 @@ def _table_loglik(tab: TermTable, laws: list[GeomParams], moments: bool = False)
         return (total, zero, zero) if moments else total
     slopes = [g.log_alpha + g.log_beta - c for g, c in zip(laws, l1ab)]
     # a lone group's slope broadcasts; spreading it would copy the table
-    v = tab.j * (slopes[0] if len(slopes) == 1 else np.repeat(slopes, tab.group_terms))
+    v = tab.j * (slopes[0] if len(slopes) == 1 else np.array(slopes).repeat(tab.group_terms))
     v += tab.coef
     peak = np.maximum.reduceat(v, tab.starts)
-    v -= np.repeat(peak, tab.lengths)
+    v -= peak.repeat(tab.lengths)
     np.exp(v, out=v)
     mass = np.add.reduceat(v, tab.starts)
-    value = total + float(np.sum(peak)) + float(np.sum(np.log(mass)))
+    value = total + float(peak.sum()) + float(np.log(mass).sum())
     if not moments:
         return value
     # v / mass are the softmax weights within each segment
     mean = np.add.reduceat(v * tab.j, tab.starts) / mass
-    dev = tab.j - np.repeat(mean, tab.lengths)
+    dev = tab.j - mean.repeat(tab.lengths)
     var = np.add.reduceat(v * dev * dev, tab.starts) / mass
     n = len(laws)
     return (

@@ -122,7 +122,7 @@ def _fixed_sums(groups) -> tuple[int, float]:
     # number of transitions and the sum of their log source counts: the
     # parts of the working likelihood that do not depend on the parameters
     n = sum(len(grp.src) for grp in groups)
-    return n, sum(float(np.sum(np.log(grp.src))) for grp in groups)
+    return n, sum(float(np.log(grp.src).sum()) for grp in groups)
 
 
 def _residual_sums(groups, omega: float) -> tuple[float, float]:
@@ -133,7 +133,7 @@ def _residual_sums(groups, omega: float) -> tuple[float, float]:
     for grp in groups:
         nu = _nu(grp.tau, omega)
         r = grp.dst - grp.src * math.exp(omega * grp.tau)
-        rss += float(np.sum(r * r / grp.src)) / nu
+        rss += float((r * r / grp.src).sum()) / nu
         log_nu += len(grp.src) * math.log(nu)
     return rss, log_nu
 
@@ -360,7 +360,7 @@ def _score_cov_true(panel: Panel, params: QgParams) -> np.ndarray:
         # kap3 = skew/sqrt(src) and kap4 = kurt/src, so the group enters
         # through n, sum(src) and sum(1/src) alone
         skew = k3_raw / k2**1.5
-        kap4_sum = k4_raw / (k2 * k2) * float(np.sum(1.0 / grp.src))
+        kap4_sum = k4_raw / (k2 * k2) * float((1.0 / grp.src).sum())
         u = omega * tau
         nu = _nu(tau, omega)
         nd = tau * (1.0 + _log_phi_derivs(u)[0])

@@ -121,6 +121,7 @@ __all__ = [
 # residual tolerance: |K' - k| <= RESIDUAL_TOL*max(1, k), |log(Kc'/k)| <= RESIDUAL_TOL.
 RADIUS_GUARD = 1e-12
 RESIDUAL_TOL = 1e-10
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -249,6 +250,8 @@ def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
     """Solve d1(x) = k from the seeds x, where terms(x) gives terms
     (value, d1, d2, ...) at every lane and d1 increases in x. Returns the
     saddlepoints and the terms of the last pass, those at the saddlepoints.
+    The seeds are a float array, which each pass replaces and none
+    writes into, so it is not copied.
 
     Each lane brackets its root between the points it has probed; a probe
     where d1 is NaN counts as below the root. The module docstring gives
@@ -256,9 +259,8 @@ def _newton(x, k_arr, terms, x_hi: float, t: float, a_arr, rates: Rates):
     and d2 = -inf at x_hi when 1 - beta is below about 1e-150), the Newton
     candidate reads NaN and the lane bisects its bracket instead.
     """
-    x = np.array(x, dtype=float)
     tol = RESIDUAL_TOL * np.maximum(1.0, k_arr)
-    done = np.zeros(x.shape, dtype=bool)
+    done = False  # each lane's flag from the first pass on
     lo = hi = err_lo = err_hi = None  # each lane's bracket, |d1 - k| at its ends
     for _ in range(200):
         out = terms(x)
@@ -350,7 +352,7 @@ def _cond_solve(lanes: _Lanes, g: GeomParams, t: float, rates: Rates):
     k_arr, a_arr = lanes.k, lanes.a
     u, big_s, log_rho, near, far = _plain_u(lanes, g)
     om = np.where(u <= 0.5, 1.0 - u, np.exp(np.where(lanes.r <= 1.0, near, log_rho + far)))
-    flat = ~(om >= np.finfo(float).tiny) | (g.log_beta == -math.inf)
+    flat = ~(om >= _TINY) | (g.log_beta == -math.inf)
     if flat.any():
         out = np.empty((13,) + flat.shape)
         out[:, flat] = _flat_solve(lanes[flat], g, t, rates)
@@ -370,14 +372,14 @@ def _cond_solve(lanes: _Lanes, g: GeomParams, t: float, rates: Rates):
     s_hi = math.log(u_hi) if u_hi > 0.0 else -math.inf
     log_k = lanes.log_k
     s = np.maximum(np.maximum(s, -log_k), s_hi)
-    done = np.zeros(s.shape, dtype=bool)
+    done = False  # each lane's flag from the first pass on
     for _ in range(200):
         terms = _cond_pass(s, z, a_arr)
-        fo, f2 = terms[-2] * terms[2], terms[-1]  # f1 (1 - u), f2
         h = np.log(terms[-2]) - s - log_k  # log(Kc'/k)
         done |= np.abs(h) <= RESIDUAL_TOL
         if done.all():
             return terms
+        fo, f2 = terms[-2] * terms[2], terms[-1]  # f1 (1 - u), f2
         # a Newton step on h, whose slope in s is -(f2 + f1 (1 - u))/(f1 (1 - u))
         cand = np.maximum(np.minimum(s + h * fo / (f2 + fo), 0.5 * s), s_hi)
         if (cand == s_hi).any():
@@ -661,7 +663,7 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
         sp = None
         if lanes is not None:
             sp, lp = _log_spa(lanes, g, grp.tau, rates, conditional)
-            total += float(np.sum(lp))
+            total += float(lp.sum())
         sweep.append((g, sp))
     if math.isfinite(total):
         table._saddlepoints[rates, conditional] = sweep
@@ -727,8 +729,9 @@ def _cond_psi(terms):
     divided by softplus (c1..c4: q, q p, q p (p - q), q p (1 - 6 q p))."""
     _, u, om, _, p, q, _, t, w, tw, c1, f1, f2 = terms
     c2 = c1 * p
-    h2, h3 = -w * tw, w * tw * (t + 2.0 * w)
-    h4 = -w * tw * (t * t + 6.0 * w * tw)
+    w_tw = w * tw
+    h2, h3 = -w_tw, w_tw * (t + 2.0 * w)
+    h4 = -w_tw * (t * t + 6.0 * w * tw)
     c3, c4 = c2 * (p - q), c2 * (1.0 - 6.0 * q * p)
     sq = c1 * c1
     f3 = h3 * sq * c1 + 3.0 * h2 * c1 * c2 + tw * c3
@@ -768,9 +771,9 @@ def _group_weights(g: GeomParams, sp, coefs, lanes: _Lanes, conditional: bool):
     if sp is None:
         return n_alpha, 0.0, n_l1ab, 0.0
     first, second = _cond_psi(sp) if conditional else _plain_psi(sp, g, lanes)
-    d1 = float(np.sum(first))
+    d1 = float(first.sum())
     w1 = n_alpha + (lanes.a_sum - d1)
-    return w1, lanes.k_sum - d1, n_l1ab + d1, float(np.sum(second))
+    return w1, lanes.k_sum - d1, n_l1ab + d1, float(second.sum())
 
 
 def spa_derivatives(panel: Panel, rates: Rates, variant: str = "plain"):

@@ -144,6 +144,20 @@ def test_kernel_costs_script_reports_each_kernel(capsys):
     # the timing wrappers are gone again
     assert costs.estimate.spa_loglik is costs.spa_loglik
     assert costs.estimate.exact_loglik is costs.exact_loglik
+    # the pooled_growth fit cell: four trajectories on one merged gap group
+    assert costs.main(["--seed", "3", "--panels", "1", "--cell", "pooled"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    blank = out.index("")
+    rows = {(line[:30].strip(), line[31:46].strip()): line.split()[-6:] for line in out[1:blank]}
+    assert list(rows) == expected + [("exact_loglik+derivatives", "mle")]
+    assert all(int(row[-1]) == 1 for row in rows.values())
+    assert float(rows["spa_loglik", "spmle_adjusted"][4]) >= 1.0
+    split = [line.split() for line in out[blank + 2 :]]
+    assert len(split) == len(costs.SEARCH_METHODS) * len(costs.SEARCH_FIGURES)
+    assert all(row[-1] == "1" for row in split)
+    (panel,) = costs.draw_panels(3, 1, "pooled")
+    assert len(panel) == 4 and len(panel.transitions.groups) == 1
+    assert all(tr.counts[0] == 10 and len(tr.times) == 21 for tr in panel)
 
 
 def test_kernel_costs_script_counts_a_pass_the_module_lacks_as_zero(monkeypatch):

@@ -27,7 +27,7 @@ from bdrates.estimate import (
 )
 from bdrates.exact import exact_loglik
 from bdrates.optimize import maximize_2d
-from bdrates.types import Panel, Trajectory
+from bdrates.types import Panel, Rates, Trajectory
 
 FROZEN = {
     **{f"exact_table.{k}": p for k, p in test_exact_table.PANELS.items()},
@@ -117,6 +117,41 @@ def test_saddlepoint_cov_from_the_information_agrees_with_the_stencil(name, meth
         cols.append((-grad[0] + 8 * grad[1] - 8 * grad[2] + grad[3]) / (12 * h))
     ref = np.array(cols).T
     assert np.all(np.abs(hess - ref) <= 1e-6 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("method", LIKELIHOODS)
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_a_fit_builds_one_rates_per_evaluated_point(name, method, monkeypatch):
+    # two for the start (the moment inversion and its floor), one per
+    # point the objective evaluates, which its derivatives read too, and
+    # one for the result
+    built = []
+    real = Rates.__post_init__
+
+    def counting(self):
+        built.append((self.lam, self.mu))
+        real(self)
+
+    monkeypatch.setattr(Rates, "__post_init__", counting)
+    res = fit(FROZEN[name], method)
+    assert len(built) <= res.n_obj_evals + 3
+
+
+@pytest.mark.parametrize("method", LIKELIHOODS)
+def test_derivatives_at_a_point_the_objective_has_not_seen(method):
+    # the derivatives evaluate such a point afresh, and the objective's
+    # entry for the point it saw last does not answer for it
+    panel = FROZEN["table_consumers.pooled_float_grid"]
+    objective, derivatives = _search_functions(method, panel, FitOptions())
+    theta = np.log([7.0, 5.0])
+    objective(theta)
+    moved = derivatives(theta + 0.01)
+    fresh = _search_functions(method, panel, FitOptions())[1](theta + 0.01)
+    assert all(np.array_equal(a, b) for a, b in zip(moved, fresh))
+    assert not np.array_equal(moved[0], derivatives(theta)[0])
+    # off the domain there is no model, at either entry
+    assert derivatives(np.array([800.0, 0.0])) is None
+    assert objective(np.array([800.0, 0.0])) == -math.inf
 
 
 # ---------------------------------------------------------------------------

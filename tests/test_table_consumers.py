@@ -2,13 +2,16 @@
 transitions table; these tests hold them to the trajectory walks they
 replaced, kept verbatim in legacy_kernels."""
 
+import math
+
 import legacy_kernels as legacy
 import numpy as np
 import pytest
 
 import bdrates.gaussian as gaussian
+import bdrates.gw as gw
 from bdrates.errors import BdError, DataError
-from bdrates.estimate import initial_rates
+from bdrates.estimate import fit, initial_rates
 from bdrates.gaussian import (
     QgParams,
     _fixed_sums,
@@ -19,7 +22,7 @@ from bdrates.gaussian import (
     qg_loglik,
     qg_profile_xi,
 )
-from bdrates.gw import _invert_flagged, gw_estimate, gw_moments, gw_standard_errors
+from bdrates.gw import _invert_flagged, gw_estimate, gw_invert, gw_moments, gw_standard_errors
 from bdrates.simulate import SimConfig, simulate_panel
 from bdrates.types import Panel, Rates, Trajectory
 
@@ -181,6 +184,30 @@ def test_qg_fit_scans_a_group_whose_ratios_all_agree(counts):
     got, ref = qg_fit(panel), legacy.qg_fit(panel)
     assert got.profile_iterations > 1 and got.degenerate
     assert (got.rates, got.loglik) == (ref.rates, ref.loglik)
+
+
+@pytest.mark.parametrize("name", sorted(PANELS))
+def test_initial_rates_forms_no_standard_errors(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the start formed the moment fit's standard errors")
+
+    want = initial_rates(PANELS[name])
+    monkeypatch.setattr(gw, "gw_standard_errors", refuse)
+    assert initial_rates(PANELS[name]) == want
+    for method in ("spmle", "mle"):
+        fit(PANELS[name], method)
+
+
+def test_initial_rates_where_the_standard_errors_divide_by_zero():
+    # gaps of 1e-170: the rate standard error's denominator 2 dt^2 m^2
+    # (m - 1)^2 n underflows to 0, so gw_estimate raises ZeroDivisionError;
+    # the start reads only the inversion, which is finite
+    dt = 1e-170
+    panel = Panel((Trajectory((0.0, dt, 2 * dt, 3 * dt), (5, 7, 9, 12)),))
+    inverted = gw_invert(gw_moments(panel))
+    floor = 1e-3 * max(1.0, inverted.lam + inverted.mu)
+    assert initial_rates(panel) == Rates(max(inverted.lam, floor), max(inverted.mu, floor))
+    assert math.isfinite(fit(panel, "spmle").loglik)
 
 
 @pytest.mark.parametrize("name", sorted(PANELS))
