@@ -283,8 +283,8 @@ def initial_rates(panel: Panel) -> Rates:
     """
     lam = mu = None
     try:
-        est = gw_invert(panel.transitions.gw_moments)
-        lam, mu = est.lam, est.mu
+        inverted = gw_invert(panel.transitions.gw_moments)
+        lam, mu = inverted.lam, inverted.mu
     except (DataError, DomainError):
         pass
     if lam is None:
