@@ -25,6 +25,15 @@ gaps. Run it once per tree, with that tree's src first on PYTHONPATH:
 Each file records the commit of the fitted tree: the --sha given, or else
 git's HEAD there, which a git archive copy has not ("unknown").
 
+Each file also pins the tree's seeded random stream, so that a sampler
+change cannot move seeded results silently. On perfbench's two Monte
+Carlo cells and the four cells of scripts/run_benchmark_grid.py it
+records one sha256 per (cell, seed), seeds 1-20, of the trajectories and
+rejection counts that simulate_panel_stats draws (or of the CapError it
+raises), and the rows of one seeded run_benchmark report per cell
+(gw and spmle, BENCH_REPLICATES replicates, seed BENCH_SEED), less the
+wall time.
+
 The compare mode reads two such files and prints, per method, the fits
 that are bit-identical; the largest loglik move among well-conditioned
 fits (at the parent: not continued, at most 60 evaluations, with a cov),
@@ -39,8 +48,10 @@ exact log-likelihood at both rates, marked SUSPECT where the change's
 rates put some gap's 1 - beta below the float epsilon (beta rounds to 1,
 where the plain saddlepoint can score a lane far above the exact law, so
 the rise may be a spurious optimum);
-every change of error or warning; and the wall time of both sides per
-panel source (census seed, test module, nearcrit, perfbench):
+every change of error or warning; the wall time of both sides per
+panel source (census seed, test module, nearcrit, perfbench); and every
+stream case (cell and seed) and benchmark row (cell and method) that
+differs or is recorded on one side only:
 
     python scripts/run_fit_equivalence.py compare parent.json change.json
 
@@ -49,6 +60,8 @@ minutes on a 2-CPU host, plus about a minute per added census seed.
 """
 
 import argparse
+import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -59,8 +72,9 @@ import warnings
 from pathlib import Path
 
 import bdrates
-from bdrates import BdError, exact_loglik, fit
+from bdrates import BdError, BenchmarkCell, CapError, Rates, exact_loglik, fit, run_benchmark
 from bdrates.exact import geom_params
+from bdrates.simulate import SimConfig, simulate_panel_stats
 from bdrates.types import Panel, Trajectory
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,6 +90,12 @@ SE_TOL = 1e-3
 # below this log(1 - beta), beta rounds to 1
 LOG_EPS = math.log(sys.float_info.epsilon)
 FIELDS = ("lam", "mu", "loglik", "cov", "evals", "newton", "rejected", "converged", "continued")
+# the seeded stream's cases: simulate_panel_stats seeds per cell, and the
+# seeded run_benchmark report per cell
+STREAM_SEEDS = range(1, 21)
+BENCH_METHODS = ("gw", "spmle")
+BENCH_REPLICATES = 20
+BENCH_SEED = 20261020
 
 
 # Panels near lam == mu, from fixed counts so that both trees fit the same
@@ -148,6 +168,44 @@ def panel_set(census_seeds) -> list[tuple[str, object]]:
     return out
 
 
+def stream_cells() -> dict:
+    """{name: BenchmarkCell}: perfbench's Monte Carlo cells, then the grid
+    script's cells."""
+    from spec import WORKLOADS
+
+    grid = _load(ROOT / "scripts" / "run_benchmark_grid.py", "run_benchmark_grid").GRID
+    cells = {
+        f"mc_{name}": BenchmarkCell(Rates(c.lam, c.mu), c.z0, c.n_obs, c.m, c.dt)
+        for name, c in ((name, w.mc_cell) for name, w in WORKLOADS.items())
+    }
+    cells.update((f"grid_z0={c.z0},m={c.m}", c) for c in grid)
+    return cells
+
+
+def stream_digest(cell, seed: int) -> str:
+    """sha256 of the trajectories and rejections simulate_panel_stats
+    draws for cell from seed, or of the CapError it raises."""
+    config = SimConfig(cell.rates, cell.z0, cell.obs_times(), cell.condition_nonextinct, seed=seed)
+    try:
+        panel, rejections = simulate_panel_stats(config, cell.m)
+        drawn = [[[tr.times, tr.counts] for tr in panel], rejections]
+    except CapError as exc:
+        drawn = f"CapError: {exc}"
+    return hashlib.sha256(json.dumps(drawn).encode()).hexdigest()
+
+
+def benchmark_rows(cell) -> dict:
+    """{method: row} of the seeded run_benchmark report of cell, each row
+    without its wall time, as run_benchmark's equality reads them."""
+    (report,) = run_benchmark(cell, BENCH_METHODS, BENCH_REPLICATES, BENCH_SEED)
+    rows = {}
+    for row in report.rows:
+        rec = dataclasses.asdict(row)
+        del rec["mean_wall_time"]
+        rows[row.method] = rec
+    return rows
+
+
 def fit_record(panel, method: str) -> dict:
     rec = {"error": None}
     t0 = time.perf_counter()
@@ -188,6 +246,12 @@ def fits(args) -> int:
     for label, panel in panel_set(seeds):
         for method in METHODS:
             records.append({"panel": label, "method": method, **fit_record(panel, method)})
+    streams, bench = {}, {}
+    for name, cell in stream_cells().items():
+        for seed in STREAM_SEEDS:
+            streams[f"{name}:{seed}"] = stream_digest(cell, seed)
+        for method, row in benchmark_rows(cell).items():
+            bench[f"{name}:{method}"] = row
     # the commit of the tree whose bdrates was fitted, not of this script's
     src = Path(bdrates.__file__).resolve().parent
     sha = args.sha
@@ -199,9 +263,14 @@ def fits(args) -> int:
         "bdrates": str(src),
         "census_seeds": seeds,
         "fits": records,
+        "streams": streams,
+        "benchmark": bench,
     }
     Path(args.out).write_text(json.dumps(out, indent=1))
-    print(f"{len(records)} fits written to {args.out}")
+    print(
+        f"{len(records)} fits, {len(streams)} stream digests and {len(bench)} "
+        f"benchmark rows written to {args.out}"
+    )
     return 0
 
 
@@ -289,6 +358,18 @@ def compare(parent: dict, change: dict) -> dict:
     return out
 
 
+def differing(parent: dict, change: dict, key: str) -> list[str]:
+    """The cases of parent[key] and change[key] (stream digests or
+    benchmark rows) that differ, or that one file lacks, in order."""
+    ours, theirs = parent.get(key, {}), change.get(key, {})
+    # rows are compared as JSON text, so that a NaN equals itself
+    return [
+        case
+        for case in {**ours, **theirs}
+        if json.dumps(ours.get(case), sort_keys=True) != json.dumps(theirs.get(case), sort_keys=True)
+    ]
+
+
 def compare_main(args) -> int:
     parent = json.loads(Path(args.parent).read_text())
     change = json.loads(Path(args.change).read_text())
@@ -313,6 +394,12 @@ def compare_main(args) -> int:
         for kind in ("well_moved", "se_moved", "moved", "errors", "warnings"):
             for line in s[kind]:
                 print(f"  {kind}: {line}")
+    for key, what in (("streams", "stream cases"), ("benchmark", "benchmark rows")):
+        cases = differing(parent, change, key)
+        n = len({**parent.get(key, {}), **change.get(key, {})})
+        print(f"{key}: {n} {what}, {n - len(cases)} identical")
+        for case in cases:
+            print(f"  differs: {case}")
     return 0
 
 

@@ -48,10 +48,17 @@ A pass name that the saddlepoint module lacks (a tree from before that
 pass existed) counts 0, so one copy of this script times any tree.
 
 With --replicates N it also splits one Monte Carlo replicate of the
-benchmark's pooled_growth cell (lambda 7, mu 5, ten ancestors, 30
-observations 0.1 apart, 20 trajectories conditioned on survival: the
-run_benchmark replicate of perfbench's MC phase, fitting gw and spmle)
-into its stages, as simulate.run_benchmark runs them:
+benchmark's Monte Carlo cell of the same workload (--cell) into its
+stages, as simulate.run_benchmark runs them: the replicate that
+perfbench's MC phase runs, fitting gw and spmle to trajectories
+conditioned on survival:
+
+- single: one trajectory, lambda 7, mu 6, one ancestor, 14 observations
+  0.2 apart (single_traj);
+- pooled: 20 trajectories, lambda 7, mu 5, ten ancestors, 30
+  observations 0.1 apart (pooled_growth).
+
+The stages:
 
 - draws: the gap laws and the conditioned paths (simulate._gap_laws,
   simulate._draw_conditioned);
@@ -66,6 +73,7 @@ replicates (seeds child_seed(seed, 0, r), as run_benchmark's), in
 microseconds, and each stage's share of the summed medians.
 
     PYTHONPATH=src python scripts/run_kernel_costs.py --seed 1 --panels 0 --replicates 12
+    PYTHONPATH=src python scripts/run_kernel_costs.py --seed 1 --panels 0 --replicates 12 --cell pooled
 """
 
 import argparse
@@ -97,8 +105,12 @@ PASSES = ("_cgf_terms", "_cond_pass")
 SEARCH_METHODS = ("spmle", "spmle_adjusted", "mle")
 EVAL_KERNELS = ("spa_loglik", "spa_derivatives", "exact_loglik")
 SEARCH_FIGURES = ("fit", "fit evaluations", "fit search")
-# perfbench's pooled_growth Monte Carlo cell and the methods it fits there
-MC_CELL = BenchmarkCell(Rates(7.0, 5.0), z0=10, n_obs=30, m=20, dt=0.1)
+# perfbench's Monte Carlo cells, by the fit cell of the same workload, and
+# the methods it fits there
+MC_CELLS = {
+    "single": BenchmarkCell(RATES, z0=1, n_obs=14, m=1, dt=0.2),
+    "pooled": BenchmarkCell(Rates(7.0, 5.0), z0=10, n_obs=30, m=20, dt=0.1),
+}
 MC_METHODS = ("gw", "spmle")
 STAGES = ("draws", "panel build", "table build", "gw", "search")
 
@@ -223,10 +235,10 @@ def fit_split(panel: Panel, method: str) -> list[float] | None:
     return [1e6 * b for b in best]
 
 
-def replicate_stages(seed: int) -> list[float]:
-    """Seconds of each of STAGES in one run of the MC_CELL replicate
-    simulated from seed."""
-    cell = MC_CELL
+def replicate_stages(seed: int, cell: str) -> list[float]:
+    """Seconds of each of STAGES in one run of the MC_CELLS[cell]
+    replicate simulated from seed."""
+    cell = MC_CELLS[cell]
     config = SimConfig(cell.rates, cell.z0, cell.obs_times(), cell.condition_nonextinct, seed=seed)
     marks = [time.perf_counter()]
     rng = np.random.default_rng(config.seed)
@@ -248,13 +260,13 @@ def replicate_stages(seed: int) -> list[float]:
     return [b - a for a, b in zip(marks, marks[1:])]
 
 
-def replicate_split(seed: int, n_replicates: int) -> list[list[float]]:
-    """Per replicate, the best of REPEATS runs of each of STAGES in
-    microseconds."""
+def replicate_split(seed: int, n_replicates: int, cell: str) -> list[list[float]]:
+    """Per replicate of MC_CELLS[cell], the best of REPEATS runs of each
+    of STAGES in microseconds."""
     out = []
     for rep in range(n_replicates):
         sub = child_seed(seed, 0, rep)
-        runs = [replicate_stages(sub) for _ in range(REPEATS)]
+        runs = [replicate_stages(sub, cell) for _ in range(REPEATS)]
         out.append([1e6 * min(stage) for stage in zip(*runs)])
     return out
 
@@ -310,18 +322,19 @@ def main(argv=None) -> int:
     ap.add_argument("--panels", type=int, default=12)
     ap.add_argument(
         "--cell", choices=sorted(CELLS), default="single",
-        help="the fit cell the panels are drawn from",
+        help="the workload whose fit cell the panels and whose Monte Carlo cell "
+        "the replicates are drawn from",
     )
     ap.add_argument(
         "--replicates", type=int, default=0,
-        help="pooled_growth Monte Carlo replicates to split into stages",
+        help="Monte Carlo replicates to split into stages",
     )
     args = ap.parse_args(argv)
 
     if args.panels:
         print_kernels(args.seed, args.panels, args.cell)
     if args.replicates:
-        print_split(replicate_split(args.seed, args.replicates))
+        print_split(replicate_split(args.seed, args.replicates, args.cell))
     return 0
 
 

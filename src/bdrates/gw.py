@@ -159,8 +159,10 @@ def gw_standard_errors(moments: GwMoments, panel: Panel) -> tuple[float, float, 
     with S the summed source counts. Outside the supercritical regime
     the rate-pair formula degenerates (division by m-1) and the caller
     is expected to flag the regime; the values are still returned. A
-    zero m_hat (every trajectory extinct after one step) raises
-    DomainError, since the growth-rate normalization divides by it.
+    denominator that is 0 (m_hat == 1, or a gap so short that it
+    underflows) gives an infinite standard error. A zero m_hat (every
+    trajectory extinct after one step) raises DomainError, since the
+    growth-rate normalization divides by it.
     """
     m, s2, dt = moments.m_hat, moments.sigma2_hat, moments.delta_t
     if m == 0.0:
@@ -170,13 +172,10 @@ def gw_standard_errors(moments: GwMoments, panel: Panel) -> tuple[float, float, 
         )
     src_total = panel.transitions.src_total
     gap = abs(m - 1.0)
-    if gap > 0.0 and m > 0.0:
-        se_rate = abs(math.log(m)) * s2 / math.sqrt(
-            2.0 * dt * dt * m * m * gap * gap * moments.n_terms
-        )
-    else:
-        se_rate = math.inf
-    se_omega = math.sqrt(s2) / (m * dt * math.sqrt(src_total))
+    rate_den = math.sqrt(2.0 * dt * dt * m * m * gap * gap * moments.n_terms)
+    se_rate = abs(math.log(m)) * s2 / rate_den if rate_den > 0.0 and m > 0.0 else math.inf
+    omega_den = m * dt * math.sqrt(src_total)
+    se_omega = math.sqrt(s2) / omega_den if omega_den > 0.0 else math.inf
     return se_rate, se_rate, se_omega
 
 

@@ -7,9 +7,9 @@ Two samplers draw from the same law:
   exact transition law.  Over a gap tau, each of z individuals leaves
   descendants with probability 1 - alpha(tau), and the S survivors grow
   to Z = S + NegBin(S, 1 - beta(tau)), with (alpha, beta) from
-  exact.geom_params.  The draws are vectorized over the panel's
-  trajectories, so a panel costs a few numpy calls per gap whatever the
-  counts.
+  exact.geom_params.  Per gap, one numpy call draws the survivors of
+  every path and one scalar call per path with survivors its births, so
+  a gap costs about 6 us plus 0.7 us per live path.
 - Single trajectories (simulate_trajectory, simulate_trajectory_stats)
   are drawn event by event: in state k the holding time is exponential
   with rate k(lambda + mu) and the jump is a birth with probability
@@ -207,8 +207,11 @@ def _gap_laws(config: SimConfig) -> list[tuple[float, float, float, float]]:
     1 - beta, log(beta / (1 - beta))), the last the mean growth per survivor.
 
     The probabilities are exp(log1m_*), not 1.0 - alpha or 1.0 - beta,
-    which cancel at long gaps. The law of each distinct gap (the exact
-    float) is formed once: a grid such as 0.1*(j+1) has only a few.
+    which cancel at long gaps. log1m_alpha can round above 0 where alpha
+    is 0 or nearly (mu == 0: 8.9e-16 at lam 3.625 over a gap of 1), so
+    the survival probability is capped at 1, which numpy's binomial
+    requires. The law of each distinct gap (the exact float) is formed
+    once: a grid such as 0.1*(j+1) has only a few.
     """
     by_gap: dict[float, tuple[float, float, float]] = {}
     laws = []
@@ -218,7 +221,9 @@ def _gap_laws(config: SimConfig) -> list[tuple[float, float, float, float]]:
         if gap not in by_gap:
             g = geom_params(gap, config.rates)
             by_gap[gap] = (
-                math.exp(g.log1m_alpha), math.exp(g.log1m_beta), g.log_beta - g.log1m_beta
+                min(math.exp(g.log1m_alpha), 1.0),
+                math.exp(g.log1m_beta),
+                g.log_beta - g.log1m_beta,
             )
         laws.append((t, *by_gap[gap]))
         prev = t
@@ -231,14 +236,23 @@ def _draw_paths(
     laws: list[tuple[float, float, float, float]],
     n: int,
 ) -> np.ndarray:
-    """n unconditioned paths from z0, shape (n, n_obs + 1)."""
+    """n unconditioned paths from z0, shape (n, n_obs + 1).
+
+    Per gap, one binomial call over the batch draws the survivors, and
+    one scalar negative_binomial call per live lane, in lane order, its
+    births. That is the stream of one array call over the live lanes:
+    numpy's array form runs the same C draw per lane in the same order,
+    after argument checks that cost it 21-25 us per call however few
+    lanes it draws, against about 0.7 us per scalar call. Each gap's
+    counts fill a row of a gap-major array, returned transposed.
+    """
     n_obs = len(laws)
-    out = np.empty((n, n_obs + 1), dtype=np.int64)
-    z = np.full(n, config.z0, dtype=np.int64)
-    out[:, 0] = z
+    out = np.empty((n_obs + 1, n), dtype=np.int64)
+    out[0] = config.z0
+    negative_binomial = rng.negative_binomial
     for i, (t, p_survive, p_geom, log_growth) in enumerate(laws):
-        z = rng.binomial(z, p_survive)
-        s_max = int(z.max())
+        z = rng.binomial(out[i], p_survive).tolist()
+        s_max = max(z)
         if s_max > 0:
             log_mean = math.log(s_max) + log_growth
             if log_mean > math.log(_MAX_STEP_MEAN):
@@ -247,15 +261,14 @@ def _draw_paths(
                     f"the step expects {math.exp(min(log_mean, 700.0)):.3g} births, "
                     f"more than can be drawn; {i}/{n_obs} observations recorded"
                 )
-            live = z > 0
-            z[live] += rng.negative_binomial(z[live], p_geom)
-            if int(z.max()) > config.max_pop:
+            z = [s + negative_binomial(s, p_geom) if s else 0 for s in z]
+            if max(z) > config.max_pop:
                 raise CapError(
                     f"population cap {config.max_pop} exceeded at t={t:.6g}, "
                     f"{i}/{n_obs} observations recorded"
                 )
-        out[:, i + 1] = z
-    return out
+        out[i + 1] = z
+    return out.T
 
 
 def _draw_conditioned(
@@ -276,14 +289,16 @@ def _draw_conditioned(
     # batches are sized from the exact survival probability to the last
     # observation, so one batch nearly always suffices; the floor only
     # keeps the size finite, the budget and memory caps below bind first.
-    # The margin costs little: a batch's draws are mostly numpy's per-call
-    # cost (about 20 us per negative_binomial and 6 us per binomial call,
-    # whether the call draws 1 path or 33), so on the benchmark's
-    # pooled_growth Monte Carlo cell (lam 7, mu 5, ten ancestors, 30
-    # steps of 0.1) the 33 paths of a batch take 1.10 ms and the 20 kept
-    # ones would take 1.02 ms (best of 300, Xeon host, numpy 2.4). A
-    # tighter batch would change the random stream, and with it every
-    # seeded Monte Carlo result.
+    # The margin costs each gap about 0.7 us per live path it adds: a gap
+    # costs one binomial call (about 6 us, whether it draws 1 path or
+    # 33) and one scalar negative_binomial call per live path (about
+    # 0.7 us). On the benchmark's pooled_growth Monte Carlo cell (lam 7,
+    # mu 5, ten ancestors, 30 steps of 0.1) the 33 paths of a batch take
+    # 1.01 ms and the 20 kept ones would take 0.73 ms; on its single_traj
+    # cell (lam 7, mu 6, one ancestor, 14 steps of 0.2) 17 paths take
+    # 0.17 ms and 7 would take 0.14 ms (medians over 40 seeds of best of
+    # 30, 2-CPU Xeon host, numpy 2.4). A tighter batch would change the
+    # random stream, and with it every seeded Monte Carlo result.
     log_alpha = geom_params(config.obs_times[-1], config.rates).log_alpha
     p_keep = max(-math.expm1(config.z0 * log_alpha), 1e-9)
     kept: list[np.ndarray] = []

@@ -40,7 +40,9 @@ tests, the moments, the pooled growth guess and the simulator's gap
 laws walked the gaps and counts on every call, before the table was
 built from flat arrays with the moments kept beside it. The Newton
 search and the covariance of its optimum took their arithmetic on numpy
-2-vectors and 2x2 arrays before they took it in Python floats. They are
+2-vectors and 2x2 arrays before they took it in Python floats. The panel
+sampler drew each gap's births in one masked-array negative-binomial
+call over the live lanes before it drew them lane by lane. They are
 kept here verbatim apart from names, calling the package's current
 helpers, so the replacements can be checked against them.
 """
@@ -56,7 +58,7 @@ from scipy.linalg import cho_solve
 from scipy.optimize import brentq, minimize, minimize_scalar
 
 from bdrates import saddlepoint
-from bdrates.errors import DataError, DomainError, SolverError
+from bdrates.errors import CapError, DataError, DomainError, SolverError
 from bdrates.exact import (
     _NEG_INF,
     GeomParams,
@@ -88,6 +90,7 @@ from bdrates.saddlepoint import (
     _x_max,
     solve_saddlepoint,
 )
+from bdrates.simulate import _MAX_STEP_MEAN
 from bdrates.types import SPACING_TOL, Panel, Rates
 
 
@@ -510,6 +513,35 @@ def gap_laws_walk(config) -> list[tuple[float, float, float, float]]:
         )
         prev = t
     return laws
+
+
+def draw_paths_array(rng, config, laws, n: int) -> np.ndarray:
+    """simulate._draw_paths with each gap's births drawn by one array
+    negative_binomial call over the live lanes."""
+    n_obs = len(laws)
+    out = np.empty((n, n_obs + 1), dtype=np.int64)
+    z = np.full(n, config.z0, dtype=np.int64)
+    out[:, 0] = z
+    for i, (t, p_survive, p_geom, log_growth) in enumerate(laws):
+        z = rng.binomial(z, p_survive)
+        s_max = int(z.max())
+        if s_max > 0:
+            log_mean = math.log(s_max) + log_growth
+            if log_mean > math.log(_MAX_STEP_MEAN):
+                raise CapError(
+                    f"population cap {config.max_pop} out of reach at t={t:.6g}: "
+                    f"the step expects {math.exp(min(log_mean, 700.0)):.3g} births, "
+                    f"more than can be drawn; {i}/{n_obs} observations recorded"
+                )
+            live = z > 0
+            z[live] += rng.negative_binomial(z[live], p_geom)
+            if int(z.max()) > config.max_pop:
+                raise CapError(
+                    f"population cap {config.max_pop} exceeded at t={t:.6g}, "
+                    f"{i}/{n_obs} observations recorded"
+                )
+        out[:, i + 1] = z
+    return out
 
 
 def exact_loglik_transition_walk(panel: Panel, rates: Rates) -> float:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,16 @@ def _load(name):
 
 
 GRID = _load("run_benchmark_grid").GRID
+
+
+def _load_perfbench_spec():
+    path = SCRIPTS.parent / "perfbench" / "spec.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spec", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_grid_script_writes_reports_and_prints_table3(tmp_path, capsys):
@@ -158,6 +169,16 @@ def test_kernel_costs_script_reports_each_kernel(capsys):
     (panel,) = costs.draw_panels(3, 1, "pooled")
     assert len(panel) == 4 and len(panel.transitions.groups) == 1
     assert all(tr.counts[0] == 10 and len(tr.times) == 21 for tr in panel)
+    # --cell also picks the Monte Carlo cell of the same perfbench workload
+    spec = _load_perfbench_spec()
+    for cell, workload in (("single", "single_traj"), ("pooled", "pooled_growth")):
+        mc = spec.WORKLOADS[workload].mc_cell
+        ours = costs.MC_CELLS[cell]
+        assert (ours.rates.lam, ours.rates.mu, ours.z0, ours.n_obs, ours.m, ours.dt) == (
+            mc.lam, mc.mu, mc.z0, mc.n_obs, mc.m, mc.dt
+        )
+        assert ours.condition_nonextinct
+    assert costs.MC_METHODS == spec.MC_METHODS
 
 
 def test_kernel_costs_script_counts_a_pass_the_module_lacks_as_zero(monkeypatch):
@@ -168,9 +189,11 @@ def test_kernel_costs_script_counts_a_pass_the_module_lacks_as_zero(monkeypatch)
     assert plain["_cgf_terms"] >= 1 and plain["_cond_pass"] == 0
 
 
-def test_kernel_costs_script_splits_a_replicate_into_its_stages(capsys):
+@pytest.mark.parametrize("cell", ["single", "pooled"])
+def test_kernel_costs_script_splits_a_replicate_into_its_stages(capsys, cell):
     costs = _load("run_kernel_costs")
-    assert costs.main(["--seed", "3", "--panels", "0", "--replicates", "1"]) == 0
+    argv = ["--seed", "3", "--panels", "0", "--replicates", "1", "--cell", cell]
+    assert costs.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].split()[0] == "stage"
     rows = {line[:30].strip(): line.split()[-4:] for line in out[1:-1]}
@@ -262,9 +285,15 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("parent 9b53e69, change 9b53e69,")
     heads = [line for line in out[1:] if not line.startswith(" ")]
-    for line in heads:
+    # a line per method, then one for the stream cases and one for the
+    # benchmark rows
+    assert [line.split(":")[0] for line in heads] == ["gw", "qg", "streams", "benchmark"]
+    for line in heads[:2]:
         n, same = (int(line.split()[i]) for i in (1, 3))
         assert n == same and "0 error changes" in line
+    for line in heads[2:]:
+        n, same = (int(line.split()[i]) for i in (1, 4))
+        assert n == same > 0
 
     # a change that moves one well-conditioned loglik (qg fits take about
     # 76 evaluations, so the parent's count is set to 5) and its lam by
@@ -311,3 +340,54 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     (tmp_path / "change.json").write_text(json.dumps(change))
     assert eq.main(["compare", str(parent), str(tmp_path / "change.json")]) == 2
     assert "different (panel, method) pairs" in capsys.readouterr().err
+
+
+def test_fit_equivalence_script_pins_the_seeded_stream(tmp_path, capsys, monkeypatch):
+    import legacy_kernels as legacy
+    from bdrates import simulate
+
+    eq = _load("run_fit_equivalence")
+    monkeypatch.setattr(eq, "CENSUS_PANELS", 0)
+    monkeypatch.setattr(eq, "METHODS", ("gw",))
+    monkeypatch.setattr(eq, "STREAM_SEEDS", range(1, 4))
+    monkeypatch.setattr(eq, "BENCH_REPLICATES", 3)
+    real = simulate._draw_paths
+
+    def write(name, sampler):
+        monkeypatch.setattr(simulate, "_draw_paths", sampler)
+        assert eq.main(["fits", "--out", str(tmp_path / name), "--sha", name]) == 0
+        return json.loads((tmp_path / name).read_text())
+
+    def one_draw_later(rng, config, laws, n):
+        rng.random()
+        return real(rng, config, laws, n)
+
+    parent = write("parent", legacy.draw_paths_array)
+    same = write("same", real)
+    moved = write("moved", one_draw_later)
+    cells = ["mc_single_traj", "mc_pooled_growth"] + [
+        f"grid_z0={c.z0},m={c.m}" for c in GRID
+    ]
+    assert list(parent["streams"]) == [f"{c}:{s}" for c in cells for s in (1, 2, 3)]
+    assert list(parent["benchmark"]) == [f"{c}:{m}" for c in cells for m in ("gw", "spmle")]
+    assert all(row["n_used"] + row["n_failed"] == 3 for row in parent["benchmark"].values())
+    assert all("mean_wall_time" not in row for row in parent["benchmark"].values())
+    # the array sampler and the lane-by-lane one draw the same stream
+    assert parent["streams"] == same["streams"] and parent["benchmark"] == same["benchmark"]
+    capsys.readouterr()
+    assert eq.main(["compare", str(tmp_path / "parent"), str(tmp_path / "same")]) == 0
+    out = capsys.readouterr().out
+    assert "streams: 18 stream cases, 18 identical" in out
+    assert "benchmark: 12 benchmark rows, 12 identical" in out and "differs" not in out
+    # a sampler that draws one more number lists every case it moved
+    streams = eq.differing(parent, moved, "streams")
+    assert streams == [k for k in parent["streams"] if parent["streams"][k] != moved["streams"][k]]
+    assert len(streams) == 18
+    assert eq.differing(parent, moved, "benchmark")
+    assert eq.main(["compare", str(tmp_path / "parent"), str(tmp_path / "moved")]) == 0
+    out = capsys.readouterr().out
+    assert "streams: 18 stream cases, 0 identical" in out
+    assert out.count("  differs: ") == 18 + len(eq.differing(parent, moved, "benchmark"))
+    # a case one file lacks differs too
+    del moved["streams"]["grid_z0=1,m=1:2"]
+    assert "grid_z0=1,m=1:2" in eq.differing(same, moved, "streams")

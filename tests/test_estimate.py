@@ -407,6 +407,17 @@ def test_compare_reports_every_method_on_a_collapsing_panel():
     assert [r.method for r in rows] == ["gw", "qg", "spmle", "spmle_adjusted", "mle"]
 
 
+def test_compare_reports_every_method_where_the_moment_errors_underflow():
+    # a common gap of 1e-170: the moment fit's standard errors divided by
+    # an underflowed 0, and the bare ZeroDivisionError aborted compare()
+    panel = Panel((Trajectory((0.0, 1e-170, 2e-170, 3e-170), (5, 7, 9, 12)),))
+    rows = compare(panel)
+    assert [r.method for r in rows] == ["gw", "qg", "spmle", "spmle_adjusted", "mle"]
+    assert all(r.error is None for r in rows)
+    gw_fit = rows[0].result
+    assert gw_fit.rates == gw_estimate(panel).rates and gw_fit.cov is None
+
+
 def test_adjusted_fit_reaches_its_optimum_where_m_minus_p0_is_tiny():
     # a Newton step of this fit lands at (387.5, 142.9), where 1 - beta of
     # the 2 -> 9 gap is e^-489 and M - p0 of that lane is 1e-211 M. Formed

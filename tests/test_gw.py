@@ -255,6 +255,29 @@ def test_standard_errors_degenerate_at_critical_mean():
     assert math.isfinite(se_w) or se_w == 0.0  # sigma2_hat is 0 here
 
 
+# a common gap of 1e-170: 2 dt^2 m^2 (m-1)^2 n underflows to 0, while the
+# inversion is finite
+TINY_GAP = Panel((Trajectory((0.0, 1e-170, 2e-170, 3e-170), (5, 7, 9, 12)),))
+
+
+def test_standard_errors_are_infinite_where_the_rate_denominator_underflows():
+    mo = gw_moments(TINY_GAP)
+    se_l, se_m, se_w = gw_standard_errors(mo, TINY_GAP)
+    assert se_l == se_m == math.inf
+    assert se_w == math.sqrt(mo.sigma2_hat) / (mo.m_hat * mo.delta_t * math.sqrt(21))
+    # the fit returns the inverted rates, without a covariance
+    res = fit(TINY_GAP, "gw")
+    assert res.rates == gw.gw_invert(mo) and res.rates.lam > 1e169
+    assert res.cov is None and res.se_omega is None
+
+
+def test_standard_errors_are_infinite_where_the_growth_denominator_underflows():
+    # m dt rounds to 0 where dt is the smallest subnormal and m below 1/2
+    moments = gw.GwMoments(m_hat=0.4, sigma2_hat=0.5, delta_t=5e-324, n_terms=3, m_traj=1)
+    panel = _panel([3, 4, 5, 6])
+    assert gw_standard_errors(moments, panel) == (math.inf, math.inf, math.inf)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     rows=st.lists(

@@ -15,7 +15,7 @@ from scipy.stats import chi2_contingency
 
 from bdrates.errors import CapError, DomainError
 from bdrates.estimate import FitOptions, fit
-from bdrates.exact import alpha_beta, log_transition_prob, mean, variance
+from bdrates.exact import alpha_beta, geom_params, log_transition_prob, mean, variance
 from bdrates.simulate import (
     BenchmarkCell,
     SimConfig,
@@ -95,6 +95,15 @@ def test_pure_birth_nondecreasing():
         for traj in _per_seed_or_panel(sampler, config, 25):
             counts = traj.counts
             assert all(b >= a for a, b in zip(counts, counts[1:])), sampler
+
+
+def test_pure_birth_survival_probability_rounding_above_one():
+    # log(1 - alpha) rounds to 8.9e-16 here, and numpy's binomial refused
+    # the survival probability exp of it with a bare ValueError
+    config = SimConfig(Rates(3.625, 0.0), 1, (1.0, 2.0), seed=4)
+    assert geom_params(1.0, config.rates).log1m_alpha > 0.0
+    panel = simulate_panel(config, 5)
+    assert all(0 < a <= b for tr in panel for a, b in zip(tr.counts, tr.counts[1:]))
 
 
 def test_pure_death_nonincreasing():
