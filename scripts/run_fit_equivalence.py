@@ -174,10 +174,10 @@ def stream_cells() -> dict:
     from spec import WORKLOADS
 
     grid = _load(ROOT / "scripts" / "run_benchmark_grid.py", "run_benchmark_grid").GRID
-    cells = {
-        f"mc_{name}": BenchmarkCell(Rates(c.lam, c.mu), c.z0, c.n_obs, c.m, c.dt)
-        for name, c in ((name, w.mc_cell) for name, w in WORKLOADS.items())
-    }
+    cells = {}
+    for name, workload in WORKLOADS.items():
+        c = workload.mc_cell
+        cells[f"mc_{name}"] = BenchmarkCell(Rates(c.lam, c.mu), c.z0, c.n_obs, c.m, c.dt)
     cells.update((f"grid_z0={c.z0},m={c.m}", c) for c in grid)
     return cells
 

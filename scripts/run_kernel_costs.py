@@ -238,11 +238,11 @@ def fit_split(panel: Panel, method: str) -> list[float] | None:
 def replicate_stages(seed: int, cell: str) -> list[float]:
     """Seconds of each of STAGES in one run of the MC_CELLS[cell]
     replicate simulated from seed."""
-    cell = MC_CELLS[cell]
-    config = SimConfig(cell.rates, cell.z0, cell.obs_times(), cell.condition_nonextinct, seed=seed)
+    mc = MC_CELLS[cell]
+    config = SimConfig(mc.rates, mc.z0, mc.obs_times(), mc.condition_nonextinct, seed=seed)
     marks = [time.perf_counter()]
     rng = np.random.default_rng(config.seed)
-    counts, _ = simulate._draw_conditioned(rng, config, simulate._gap_laws(config), cell.m)
+    counts, _ = simulate._draw_conditioned(rng, config, simulate._gap_laws(config), mc.m)
     marks.append(time.perf_counter())
     times = (0.0,) + tuple(config.obs_times)
     panel = Panel(tuple(Trajectory(times, tuple(row)) for row in counts.tolist()))
@@ -255,7 +255,7 @@ def replicate_stages(seed: int, cell: str) -> list[float]:
         except BdError:
             pass  # run_benchmark counts it as a failed replicate
         marks.append(time.perf_counter())
-    if panel != simulate_panel(config, cell.m):
+    if panel != simulate_panel(config, mc.m):
         raise SystemExit("the split replicate's panel differs from simulate_panel's")
     return [b - a for a, b in zip(marks, marks[1:])]
 
