@@ -27,12 +27,14 @@ git's HEAD there, which a git archive copy has not ("unknown").
 
 Each file also pins the tree's seeded random stream, so that a sampler
 change cannot move seeded results silently. On perfbench's two Monte
-Carlo cells and the four cells of scripts/run_benchmark_grid.py it
+Carlo cells and the four cells of scripts/run_benchmark_grid.py, all
+conditioned on survival, and on one unconditioned cell (UNCONDITIONED,
+the cell of the Wald coverage test in tests/test_mc_properties.py) it
 records one sha256 per (cell, seed), seeds 1-20, of the trajectories and
 rejection counts that simulate_panel_stats draws (or of the CapError it
-raises), and the rows of one seeded run_benchmark report per cell
-(gw and spmle, BENCH_REPLICATES replicates, seed BENCH_SEED), less the
-wall time.
+raises); and for each of the six benchmark cells the rows of one seeded
+run_benchmark report (gw and spmle, BENCH_REPLICATES replicates, seed
+BENCH_SEED), less the wall time.
 
 The compare mode reads two such files and prints, per method, the fits
 that are bit-identical; the largest loglik move among well-conditioned
@@ -55,6 +57,8 @@ differs or is recorded on one side only:
 
     python scripts/run_fit_equivalence.py compare parent.json change.json
 
+compare reads the two files alone, so it needs no bdrates on the path.
+
 With the default set and all six methods, one tree takes about two
 minutes on a 2-CPU host, plus about a minute per added census seed.
 """
@@ -70,12 +74,6 @@ import sys
 import time
 import warnings
 from pathlib import Path
-
-import bdrates
-from bdrates import BdError, BenchmarkCell, CapError, Rates, exact_loglik, fit, run_benchmark
-from bdrates.exact import geom_params
-from bdrates.simulate import SimConfig, simulate_panel_stats
-from bdrates.types import Panel, Trajectory
 
 ROOT = Path(__file__).resolve().parent.parent
 METHODS = ("gw", "qg", "spmle", "spmle_adjusted", "mle", "mv_spmle")
@@ -96,6 +94,8 @@ STREAM_SEEDS = range(1, 21)
 BENCH_METHODS = ("gw", "spmle")
 BENCH_REPLICATES = 20
 BENCH_SEED = 20261020
+# the one unconditioned stream cell: (lam, mu, z0, observation times, m)
+UNCONDITIONED = (7.0, 5.0, 5, (0.1, 0.25, 0.4, 0.6), 50)
 
 
 # Panels near lam == mu, from fixed counts so that both trees fit the same
@@ -105,37 +105,41 @@ BENCH_SEED = 20261020
 # little variation, so its fits land at |omega|/xi near 2e-6. The others
 # stay below the cap, and their counts swing by thousands, so their fits
 # land at |omega|/xi near 1e-8. The third has unequal gaps.
-NEAR_CRITICAL = {
-    "gw_band": Panel(
-        (
-            Trajectory((0, 1, 2), (1000000, 1000001, 999999)),
-            Trajectory((0, 1, 2), (5, 7, 4)),
-        )
-    ),
-    "equal_up": Panel(
-        (
-            Trajectory((0, 0.5, 1, 1.5), (90000, 91102, 89194, 91270)),
-            Trajectory((0, 0.5, 1, 1.5), (86000, 84937, 87451, 89107)),
-            Trajectory((0, 0.5, 1, 1.5), (93000, 96720, 95613, 90674)),
-            Trajectory((0, 0.5, 1, 1.5), (88000, 89341, 92896, 85950)),
-        )
-    ),
-    "unequal_down": Panel(
-        (
-            Trajectory((0, 0.5, 1.5, 2, 3), (91000, 87237, 90121, 89935, 92291)),
-            Trajectory((0, 1, 1.5, 2.5, 3), (87000, 90727, 88767, 90083, 86507)),
-            Trajectory((0, 0.5, 1, 2, 2.5), (89000, 92380, 89664, 86591, 88201)),
-        )
-    ),
-    "single_down": Panel(
-        (
-            Trajectory(
-                tuple(0.25 * i for i in range(13)),
-                (90000, 90842, 89861, 89980, 91434, 89269, 90970, 90012, 87119, 90108, 88883, 89226, 89999),
-            ),
-        )
-    ),
-}
+def near_critical() -> dict:
+    """{name: Panel} of the near-critical panels."""
+    from bdrates.types import Panel, Trajectory
+
+    return {
+        "gw_band": Panel(
+            (
+                Trajectory((0, 1, 2), (1000000, 1000001, 999999)),
+                Trajectory((0, 1, 2), (5, 7, 4)),
+            )
+        ),
+        "equal_up": Panel(
+            (
+                Trajectory((0, 0.5, 1, 1.5), (90000, 91102, 89194, 91270)),
+                Trajectory((0, 0.5, 1, 1.5), (86000, 84937, 87451, 89107)),
+                Trajectory((0, 0.5, 1, 1.5), (93000, 96720, 95613, 90674)),
+                Trajectory((0, 0.5, 1, 1.5), (88000, 89341, 92896, 85950)),
+            )
+        ),
+        "unequal_down": Panel(
+            (
+                Trajectory((0, 0.5, 1.5, 2, 3), (91000, 87237, 90121, 89935, 92291)),
+                Trajectory((0, 1, 1.5, 2.5, 3), (87000, 90727, 88767, 90083, 86507)),
+                Trajectory((0, 0.5, 1, 2, 2.5), (89000, 92380, 89664, 86591, 88201)),
+            )
+        ),
+        "single_down": Panel(
+            (
+                Trajectory(
+                    tuple(0.25 * i for i in range(13)),
+                    (90000, 90842, 89861, 89980, 91434, 89269, 90970, 90012, 87119, 90108, 88883, 89226, 89999),
+                ),
+            )
+        ),
+    }
 
 
 def _load(path: Path, name: str):
@@ -157,7 +161,7 @@ def panel_set(census_seeds) -> list[tuple[str, object]]:
     for module in ("test_exact_table", "test_table_consumers"):
         panels = _load(ROOT / "tests" / f"{module}.py", module).PANELS
         out += [(f"{module}:{name}", panels[name]) for name in sorted(panels)]
-    out += [(f"nearcrit:{name}", panel) for name, panel in NEAR_CRITICAL.items()]
+    out += [(f"nearcrit:{name}", panel) for name, panel in near_critical().items()]
     from inputs import stratified_panels
     from spec import WORKLOADS
 
@@ -168,10 +172,12 @@ def panel_set(census_seeds) -> list[tuple[str, object]]:
     return out
 
 
-def stream_cells() -> dict:
+def bench_cells() -> dict:
     """{name: BenchmarkCell}: perfbench's Monte Carlo cells, then the grid
     script's cells."""
     from spec import WORKLOADS
+
+    from bdrates import BenchmarkCell, Rates
 
     grid = _load(ROOT / "scripts" / "run_benchmark_grid.py", "run_benchmark_grid").GRID
     cells = {}
@@ -182,12 +188,28 @@ def stream_cells() -> dict:
     return cells
 
 
-def stream_digest(cell, seed: int) -> str:
-    """sha256 of the trajectories and rejections simulate_panel_stats
-    draws for cell from seed, or of the CapError it raises."""
-    config = SimConfig(cell.rates, cell.z0, cell.obs_times(), cell.condition_nonextinct, seed=seed)
+def stream_cells() -> dict:
+    """{name: (SimConfig, m)}: the benchmark cells, then UNCONDITIONED."""
+    from bdrates import Rates
+    from bdrates.simulate import SimConfig
+
+    cells = {
+        name: (SimConfig(c.rates, c.z0, c.obs_times(), c.condition_nonextinct), c.m)
+        for name, c in bench_cells().items()
+    }
+    lam, mu, z0, times, m = UNCONDITIONED
+    cells[f"unconditioned_z0={z0},m={m}"] = (SimConfig(Rates(lam, mu), z0, times), m)
+    return cells
+
+
+def stream_digest(config, m: int, seed: int) -> str:
+    """sha256 of the m trajectories and rejections simulate_panel_stats
+    draws for config from seed, or of the CapError it raises."""
+    from bdrates import CapError
+    from bdrates.simulate import simulate_panel_stats
+
     try:
-        panel, rejections = simulate_panel_stats(config, cell.m)
+        panel, rejections = simulate_panel_stats(dataclasses.replace(config, seed=seed), m)
         drawn = [[[tr.times, tr.counts] for tr in panel], rejections]
     except CapError as exc:
         drawn = f"CapError: {exc}"
@@ -197,6 +219,8 @@ def stream_digest(cell, seed: int) -> str:
 def benchmark_rows(cell) -> dict:
     """{method: row} of the seeded run_benchmark report of cell, each row
     without its wall time, as run_benchmark's equality reads them."""
+    from bdrates import run_benchmark
+
     (report,) = run_benchmark(cell, BENCH_METHODS, BENCH_REPLICATES, BENCH_SEED)
     rows = {}
     for row in report.rows:
@@ -207,6 +231,9 @@ def benchmark_rows(cell) -> dict:
 
 
 def fit_record(panel, method: str) -> dict:
+    from bdrates import BdError, exact_loglik, fit
+    from bdrates.exact import geom_params
+
     rec = {"error": None}
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
@@ -247,12 +274,15 @@ def fits(args) -> int:
         for method in METHODS:
             records.append({"panel": label, "method": method, **fit_record(panel, method)})
     streams, bench = {}, {}
-    for name, cell in stream_cells().items():
+    for name, (config, m) in stream_cells().items():
         for seed in STREAM_SEEDS:
-            streams[f"{name}:{seed}"] = stream_digest(cell, seed)
+            streams[f"{name}:{seed}"] = stream_digest(config, m, seed)
+    for name, cell in bench_cells().items():
         for method, row in benchmark_rows(cell).items():
             bench[f"{name}:{method}"] = row
     # the commit of the tree whose bdrates was fitted, not of this script's
+    import bdrates
+
     src = Path(bdrates.__file__).resolve().parent
     sha = args.sha
     if not sha:

@@ -70,7 +70,14 @@ The stages:
 Each stage's figure is the best of 20 runs of the replicate, each on a
 fresh panel; the table gives the median, smallest and largest over the
 replicates (seeds child_seed(seed, 0, r), as run_benchmark's), in
-microseconds, and each stage's share of the summed medians.
+microseconds, and each stage's share of the summed medians. Below it,
+the draws as counts, median, smallest and largest over the replicates:
+the paths drawn (kept, rejected and any drawn past the last kept one)
+and the live path-steps drawn (a path's gaps drawn from a positive
+count), each read by a generator that counts the survivor draws of one
+further, untimed run of the draws. The counting takes the gap laws and
+the generator as arguments only, so one copy of this script counts any
+tree's sampler.
 
     PYTHONPATH=src python scripts/run_kernel_costs.py --seed 1 --panels 0 --replicates 12
     PYTHONPATH=src python scripts/run_kernel_costs.py --seed 1 --panels 0 --replicates 12 --cell pooled
@@ -113,6 +120,7 @@ MC_CELLS = {
 }
 MC_METHODS = ("gw", "spmle")
 STAGES = ("draws", "panel build", "table build", "gw", "search")
+DRAW_COUNTS = ("paths drawn", "live path-steps")
 
 
 def draw_panels(seed: int, n_panels: int, cell: str = "single") -> list[Panel]:
@@ -245,7 +253,9 @@ def replicate_stages(seed: int, cell: str) -> list[float]:
     counts, _ = simulate._draw_conditioned(rng, config, simulate._gap_laws(config), mc.m)
     marks.append(time.perf_counter())
     times = (0.0,) + tuple(config.obs_times)
-    panel = Panel(tuple(Trajectory(times, tuple(row)) for row in counts.tolist()))
+    if isinstance(counts, np.ndarray):  # the batch sampler's paths
+        counts = counts.tolist()
+    panel = Panel(tuple(Trajectory(times, tuple(row)) for row in counts))
     marks.append(time.perf_counter())
     panel.transitions
     marks.append(time.perf_counter())
@@ -260,18 +270,61 @@ def replicate_stages(seed: int, cell: str) -> list[float]:
     return [b - a for a, b in zip(marks, marks[1:])]
 
 
+class _FirstGap(float):
+    """The first gap's survival probability, told apart from the same
+    value at a later gap."""
+
+
+class _CountingRng:
+    """A Generator that counts the paths and live path-steps of the
+    survivor draws it makes, scalar or over a batch."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.paths = 0
+        self.steps = 0
+
+    def binomial(self, n, p):
+        if isinstance(p, _FirstGap):
+            self.paths += np.size(n)
+        self.steps += int(np.count_nonzero(n))
+        return self.rng.binomial(n, p)
+
+    def negative_binomial(self, n, p):
+        return self.rng.negative_binomial(n, p)
+
+
+def replicate_draws(seed: int, cell: str) -> list[int]:
+    """DRAW_COUNTS of the MC_CELLS[cell] replicate simulated from seed."""
+    mc = MC_CELLS[cell]
+    config = SimConfig(mc.rates, mc.z0, mc.obs_times(), mc.condition_nonextinct, seed=seed)
+    laws = simulate._gap_laws(config)
+    t, p_survive, *rest = laws[0]
+    rng = _CountingRng(config.seed)
+    simulate._draw_conditioned(rng, config, [(t, _FirstGap(p_survive), *rest)] + laws[1:], mc.m)
+    return [rng.paths, rng.steps]
+
+
 def replicate_split(seed: int, n_replicates: int, cell: str) -> list[list[float]]:
     """Per replicate of MC_CELLS[cell], the best of REPEATS runs of each
-    of STAGES in microseconds."""
+    of STAGES in microseconds, then its DRAW_COUNTS."""
     out = []
     for rep in range(n_replicates):
         sub = child_seed(seed, 0, rep)
         runs = [replicate_stages(sub, cell) for _ in range(REPEATS)]
-        out.append([1e6 * min(stage) for stage in zip(*runs)])
+        out.append([1e6 * min(stage) for stage in zip(*runs)] + replicate_draws(sub, cell))
     return out
 
 
 def print_split(split: list[list[float]]) -> None:
+    times, counts = [row[: len(STAGES)] for row in split], [row[len(STAGES):] for row in split]
+    print_stages(times)
+    print(f"{'draw count':<30} {'median':>10} {'min':>10} {'max':>10}")
+    for name, count in zip(DRAW_COUNTS, zip(*counts)):
+        print(f"{name:<30} {statistics.median(count):>10.1f} {min(count):>10d} {max(count):>10d}")
+
+
+def print_stages(split: list[list[float]]) -> None:
     medians = [statistics.median(stage) for stage in zip(*split)]
     print(f"{'stage':<30} {'median_us':>10} {'min_us':>10} {'max_us':>10} {'share':>7}")
     for name, stage, median in zip(STAGES, zip(*split), medians):

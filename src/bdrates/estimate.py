@@ -23,6 +23,7 @@ left out of compare()'s default battery because it would repeat spmle.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -68,12 +69,39 @@ class FitOptions:
     restarts is read by no code: the continuation is a single run.  The
     field stays only so that callers that still pass it construct
     (perfbench's warm-up options).
+
+    start overrides the searches' starting point: a Rates or a
+    (lambda, mu) pair, both positive and finite, since the search starts
+    from their logs.  It is kept as a pair of floats; anything else
+    raises DomainError.
     """
 
     restarts: int = 0
     maxiter: int = 2000
     max_count_cap: int = 10**5
     start: Optional[tuple[float, float]] = None  # (lambda, mu) override
+
+    def __post_init__(self) -> None:
+        if self.start is not None:
+            object.__setattr__(self, "start", _start_pair(self.start))
+
+
+def _start_pair(start) -> tuple[float, float]:
+    """start as (lambda, mu) floats, or DomainError naming it."""
+    pair = (start.lam, start.mu) if isinstance(start, Rates) else start
+    try:
+        lam, mu = pair
+    except (TypeError, ValueError):
+        lam = mu = None
+    if not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and 0.0 < v < math.inf
+        for v in (lam, mu)
+    ):
+        raise DomainError(
+            f"start must be a Rates or a (lambda, mu) pair, both positive and "
+            f"finite, got {start!r}"
+        )
+    return float(lam), float(mu)
 
 
 @dataclass(frozen=True, eq=False)

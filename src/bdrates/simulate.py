@@ -7,9 +7,13 @@ Two samplers draw from the same law:
   exact transition law.  Over a gap tau, each of z individuals leaves
   descendants with probability 1 - alpha(tau), and the S survivors grow
   to Z = S + NegBin(S, 1 - beta(tau)), with (alpha, beta) from
-  exact.geom_params.  Per gap, one numpy call draws the survivors of
-  every path and one scalar call per path with survivors its births, so
-  a gap costs about 6 us plus 0.7 us per live path.
+  exact.geom_params.  An unconditioned panel draws all its paths
+  together: per gap, one numpy call draws the survivors of every path
+  and one scalar call per path with survivors its births, so a gap costs
+  about 6 us plus 0.7 us per live path.  A panel conditioned on survival
+  draws one path at a time, by two scalar calls per gap, and stops a
+  path at its first zero: it costs about 2 us per live path-step and
+  draws no path past the last one it keeps.
 - Single trajectories (simulate_trajectory, simulate_trajectory_stats)
   are drawn event by event: in state k the holding time is exponential
   with rate k(lambda + mu) and the jump is a birth with probability
@@ -66,10 +70,11 @@ class SimConfig:
 
     - max_events bounds the work spent on one trajectory across its
       rejected paths, so a conditioned run on rates that rarely survive
-      cannot spin forever.  The event loop counts births and deaths; the
-      panel sampler counts path steps, one per gap of every path drawn
-      (its unconditioned draw is one path per trajectory and is not
-      bounded further).
+      cannot spin forever.  The event loop counts births and deaths.  The
+      panel sampler refuses the ceil(max_events / n_obs)-th rejected path
+      in a row, counting each as n_obs path steps, though a rejected path
+      stops at its first zero (its unconditioned draw is one path per
+      trajectory and is not bounded further).
     - max_pop bounds the population: the event loop checks it after
       every event, the panel sampler at every observation of every path
       it draws, and also refuses a gap whose expected growth is beyond
@@ -197,9 +202,7 @@ def simulate_trajectory(
 # the counts are int64; any larger step is far above every population cap
 # the estimators can handle, so it is reported as a cap instead.
 _MAX_STEP_MEAN = 1e15
-
-# Path steps (lanes x observations) held in one batch of conditioned draws.
-_MAX_BATCH_STEPS = 2**22
+_LOG_MAX_STEP_MEAN = math.log(_MAX_STEP_MEAN)
 
 
 def _gap_laws(config: SimConfig) -> list[tuple[float, float, float, float]]:
@@ -230,6 +233,33 @@ def _gap_laws(config: SimConfig) -> list[tuple[float, float, float, float]]:
     return laws
 
 
+def _check_step(
+    config: SimConfig, laws: list[tuple[float, float, float, float]], i: int, s_max: int
+) -> None:
+    """Refuse gap i's births from s_max > 0 survivors (the most of any
+    lane) where they expect more than the sampler can draw."""
+    t, _, _, log_growth = laws[i]
+    log_mean = math.log(s_max) + log_growth
+    if log_mean > _LOG_MAX_STEP_MEAN:
+        raise CapError(
+            f"population cap {config.max_pop} out of reach at t={t:.6g}: "
+            f"the step expects {math.exp(min(log_mean, 700.0)):.3g} births, "
+            f"more than can be drawn; {i}/{len(laws)} observations recorded"
+        )
+
+
+def _check_population(
+    config: SimConfig, laws: list[tuple[float, float, float, float]], i: int, z_max: int
+) -> None:
+    """Refuse a count z_max (the most of any lane) above max_pop at gap i's
+    observation."""
+    if z_max > config.max_pop:
+        raise CapError(
+            f"population cap {config.max_pop} exceeded at t={laws[i][0]:.6g}, "
+            f"{i}/{len(laws)} observations recorded"
+        )
+
+
 def _draw_paths(
     rng: np.random.Generator,
     config: SimConfig,
@@ -244,29 +274,21 @@ def _draw_paths(
     numpy's array form runs the same C draw per lane in the same order,
     after argument checks that cost it 21-25 us per call however few
     lanes it draws, against about 0.7 us per scalar call. Each gap's
-    counts fill a row of a gap-major array, returned transposed.
+    counts fill a row of a gap-major array, returned transposed. The caps
+    are checked per gap on the largest lane, the step's before any births
+    are drawn and the population's after all of them.
     """
     n_obs = len(laws)
     out = np.empty((n_obs + 1, n), dtype=np.int64)
     out[0] = config.z0
     negative_binomial = rng.negative_binomial
-    for i, (t, p_survive, p_geom, log_growth) in enumerate(laws):
+    for i, (_, p_survive, p_geom, _) in enumerate(laws):
         z = rng.binomial(out[i], p_survive).tolist()
         s_max = max(z)
         if s_max > 0:
-            log_mean = math.log(s_max) + log_growth
-            if log_mean > math.log(_MAX_STEP_MEAN):
-                raise CapError(
-                    f"population cap {config.max_pop} out of reach at t={t:.6g}: "
-                    f"the step expects {math.exp(min(log_mean, 700.0)):.3g} births, "
-                    f"more than can be drawn; {i}/{n_obs} observations recorded"
-                )
+            _check_step(config, laws, i, s_max)
             z = [s + negative_binomial(s, p_geom) if s else 0 for s in z]
-            if max(z) > config.max_pop:
-                raise CapError(
-                    f"population cap {config.max_pop} exceeded at t={t:.6g}, "
-                    f"{i}/{n_obs} observations recorded"
-                )
+            _check_population(config, laws, i, max(z))
         out[i + 1] = z
     return out.T
 
@@ -276,58 +298,49 @@ def _draw_conditioned(
     config: SimConfig,
     laws: list[tuple[float, float, float, float]],
     m: int,
-) -> tuple[np.ndarray, list[int]]:
-    """m paths with a positive last count, and the rejected paths drawn
-    before each since the previous accepted one.
+) -> tuple[list[list[int]], list[int]]:
+    """m paths from z0 with a positive last count, as lists of counts,
+    and the paths rejected before each since the previous kept one.
 
-    Paths are drawn in batches and read as one stream in draw order.  A
-    trajectory may spend max_events path steps on rejected paths, as the
-    event loop may spend max_events events.
+    Paths are drawn one at a time, each gap by one scalar binomial call
+    for the survivors and, where any survive, one scalar
+    negative_binomial call for their births, under _draw_paths's caps.
+    A path stops at its first zero, so a rejected path costs only the
+    gaps it lived, and no path is drawn once m are kept: a panel costs
+    about 2 us per live path-step.  Rejected paths count against
+    max_events one step per gap, as if drawn to the end: the
+    ceil(max_events / n_obs)-th rejected path in a row raises CapError,
+    as the event loop raises once max_events events are spent.
     """
-    n_obs = len(laws)
-    max_run = -(-config.max_events // n_obs)
-    # batches are sized from the exact survival probability to the last
-    # observation, so one batch nearly always suffices; the floor only
-    # keeps the size finite, the budget and memory caps below bind first.
-    # The margin costs each gap about 0.7 us per live path it adds: a gap
-    # costs one binomial call (about 6 us, whether it draws 1 path or
-    # 33) and one scalar negative_binomial call per live path (about
-    # 0.7 us). On the benchmark's pooled_growth Monte Carlo cell (lam 7,
-    # mu 5, ten ancestors, 30 steps of 0.1) the 33 paths of a batch take
-    # 1.01 ms and the 20 kept ones would take 0.73 ms; on its single_traj
-    # cell (lam 7, mu 6, one ancestor, 14 steps of 0.2) 17 paths take
-    # 0.17 ms and 7 would take 0.14 ms (medians over 40 seeds of best of
-    # 30, 2-CPU Xeon host, numpy 2.4). A tighter batch would change the
-    # random stream, and with it every seeded Monte Carlo result.
-    log_alpha = geom_params(config.obs_times[-1], config.rates).log_alpha
-    p_keep = max(-math.expm1(config.z0 * log_alpha), 1e-9)
-    kept: list[np.ndarray] = []
+    max_run = -(-config.max_events // len(laws))
+    binomial = rng.binomial
+    negative_binomial = rng.negative_binomial
+    kept: list[list[int]] = []
     rejections: list[int] = []
     run = 0
-    while len(rejections) < m:
-        need = m - len(rejections)
-        n = min(
-            math.ceil(1.2 * need / p_keep) + 8,
-            need * max_run,
-            max(1, _MAX_BATCH_STEPS // (n_obs + 1)),
-        )
-        paths = _draw_paths(rng, config, laws, n)
-        accepted = np.flatnonzero(paths[:, -1] > 0)[:need]
-        runs = np.diff(accepted, prepend=-1) - 1
-        if len(accepted):
-            runs[0] += run
+    while len(kept) < m:
+        z = config.z0
+        path = [z]
+        for i, (_, p_survive, p_geom, _) in enumerate(laws):
+            z = binomial(z, p_survive)
+            if not z:
+                break
+            _check_step(config, laws, i, z)
+            z += negative_binomial(z, p_geom)
+            _check_population(config, laws, i, z)
+            path.append(z)
+        if z:
+            kept.append(path)
+            rejections.append(run)
             run = 0
-        after = n - 1 - (int(accepted[-1]) if len(accepted) else -1)
-        longest = max(runs.max(initial=0), run + after if len(accepted) < need else 0)
-        if longest >= max_run:
+            continue
+        run += 1
+        if run >= max_run:
             raise CapError(
                 f"event cap exhausted after {max_run} rejected paths; the "
                 "non-extinction event may be too rare for these rates"
             )
-        kept.append(paths[accepted])
-        rejections.extend(runs.tolist())
-        run += after
-    return np.concatenate(kept), rejections
+    return kept, rejections
 
 
 def simulate_panel_stats(config: SimConfig, m: int) -> tuple[Panel, list[int]]:
@@ -346,9 +359,9 @@ def simulate_panel_stats(config: SimConfig, m: int) -> tuple[Panel, list[int]]:
     if config.condition_nonextinct:
         counts, rejections = _draw_conditioned(rng, config, laws, m)
     else:
-        counts, rejections = _draw_paths(rng, config, laws, m), [0] * m
+        counts, rejections = _draw_paths(rng, config, laws, m).tolist(), [0] * m
     times = (0.0,) + tuple(config.obs_times)
-    panel = Panel(tuple(Trajectory(times, tuple(row)) for row in counts.tolist()))
+    panel = Panel(tuple(Trajectory(times, tuple(row)) for row in counts))
     return panel, rejections
 
 

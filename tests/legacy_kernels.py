@@ -42,8 +42,11 @@ built from flat arrays with the moments kept beside it. The Newton
 search and the covariance of its optimum took their arithmetic on numpy
 2-vectors and 2x2 arrays before they took it in Python floats. The panel
 sampler drew each gap's births in one masked-array negative-binomial
-call over the live lanes before it drew them lane by lane. They are
-kept here verbatim apart from names, calling the package's current
+call over the live lanes before it drew them lane by lane, and drew
+conditioned panels in batches sized from the survival probability
+before it drew them one path at a time, stopping each at its first
+zero; that sampler's reference is the array one run one path at a time.
+They are kept here verbatim apart from names, calling the package's current
 helpers, so the replacements can be checked against them.
 """
 
@@ -542,6 +545,28 @@ def draw_paths_array(rng, config, laws, n: int) -> np.ndarray:
                 )
         out[:, i + 1] = z
     return out
+
+
+def draw_conditioned_array(rng, config, laws, m: int) -> tuple[list[list[int]], list[int]]:
+    """simulate._draw_conditioned as draw_paths_array one path at a time
+    until m paths survive: a dead lane's binomial draws nothing and it
+    draws no births, so its stream stops at its first zero."""
+    max_run = -(-config.max_events // len(laws))
+    kept, rejections, run = [], [], 0
+    while len(kept) < m:
+        (path,) = draw_paths_array(rng, config, laws, 1).tolist()
+        if path[-1] > 0:
+            kept.append(path)
+            rejections.append(run)
+            run = 0
+            continue
+        run += 1
+        if run >= max_run:
+            raise CapError(
+                f"event cap exhausted after {max_run} rejected paths; the "
+                "non-extinction event may be too rare for these rates"
+            )
+    return kept, rejections
 
 
 def exact_loglik_transition_walk(panel: Panel, rates: Rates) -> float:

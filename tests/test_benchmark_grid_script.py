@@ -1,12 +1,14 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from bdrates import fit
-from bdrates.simulate import SimConfig, simulate_panel
+from bdrates.simulate import SimConfig, simulate_panel, simulate_panel_stats
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -196,12 +198,38 @@ def test_kernel_costs_script_splits_a_replicate_into_its_stages(capsys, cell):
     assert costs.main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0].split()[0] == "stage"
-    rows = {line[:30].strip(): line.split()[-4:] for line in out[1:-1]}
+    end = len(costs.STAGES) + 1
+    rows = {line[:30].strip(): line.split()[-4:] for line in out[1:end]}
     assert list(rows) == list(costs.STAGES)
     shares = [float(row[-1]) for row in rows.values()]
     assert all(0.0 < s < 1.0 for s in shares)
     assert sum(shares) == pytest.approx(1.0, abs=0.01)
-    assert out[-1].split()[0] == "replicate"
+    assert out[end].split()[0] == "replicate"
+    # the draws as counts: every path drawn is kept or rejected, and a
+    # kept path lives all its gaps
+    assert out[end + 1].startswith("draw count")
+    counts = {line[:30].strip(): line.split()[-3:] for line in out[end + 2:]}
+    assert list(counts) == list(costs.DRAW_COUNTS)
+    mc = costs.MC_CELLS[cell]
+    config = SimConfig(mc.rates, mc.z0, mc.obs_times(), True, seed=costs.child_seed(3, 0, 0))
+    _, rejections = simulate_panel_stats(config, mc.m)
+    paths, steps = (int(row[-1]) for row in counts.values())
+    assert costs.replicate_draws(config.seed, cell) == [paths, steps]
+    assert paths == mc.m + sum(rejections)
+    assert mc.m * mc.n_obs + sum(rejections) <= steps <= paths * mc.n_obs
+
+
+def test_kernel_costs_script_counts_the_draws_of_a_batch_sampler(monkeypatch):
+    # the array reference draws the same lanes in batches of one path, so
+    # the counts read through its array calls are the package's
+    import legacy_kernels as legacy
+    from bdrates import simulate
+
+    costs = _load("run_kernel_costs")
+    seeds = [costs.child_seed(5, 0, r) for r in range(4)]
+    new = [costs.replicate_draws(seed, "pooled") for seed in seeds]
+    monkeypatch.setattr(simulate, "_draw_conditioned", legacy.draw_conditioned_array)
+    assert [costs.replicate_draws(seed, "pooled") for seed in seeds] == new
 
 
 def test_bench_pairs_script_writes_the_paired_summary(tmp_path, monkeypatch):
@@ -267,8 +295,8 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     # 1 pooled_growth)
     assert len(set(labels)) == 2 * 2 + 11 + 4 + 6 * (3 + 1) and len(labels) == 2 * len(set(labels))
     near = {label for label in labels if label.startswith("nearcrit:")}
-    assert near == {f"nearcrit:{name}" for name in eq.NEAR_CRITICAL}
-    for panel in eq.NEAR_CRITICAL.values():
+    assert near == {f"nearcrit:{name}" for name in eq.near_critical()}
+    for panel in eq.near_critical().values():
         groups = panel.transitions.groups
         ratio = sum(int(g.dst.sum()) for g in groups) / sum(int(g.src.sum()) for g in groups)
         assert 0.0 < abs(ratio - 1.0) <= 1e-6
@@ -342,6 +370,32 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     assert "different (panel, method) pairs" in capsys.readouterr().err
 
 
+def test_fit_equivalence_compare_runs_without_the_package(tmp_path):
+    # compare reads two JSON files, so it runs where bdrates cannot be
+    # imported: no src on the path, and the package's import blocked
+    record = {
+        "panel": "census1:0", "method": "gw", "error": None, "seconds": 0.1, "warnings": [],
+        "lam": 2.0, "mu": 1.0, "loglik": None, "cov": None, "evals": 1, "newton": 0,
+        "rejected": 0, "converged": True, "continued": False,
+    }
+    for name, digest in (("parent", "a"), ("change", "b")):
+        data = {"git_sha": name, "fits": [record], "streams": {"cell:1": digest}, "benchmark": {}}
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    script = SCRIPTS / "run_fit_equivalence.py"
+    code = (
+        "import runpy, sys; sys.modules['bdrates'] = None; "
+        f"sys.argv = ['run_fit_equivalence.py', 'compare', 'parent.json', 'change.json']; "
+        f"runpy.run_path({str(script)!r}, run_name='__main__')"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "gw: 1 fits, 1 bit-identical" in proc.stdout
+    assert "streams: 1 stream cases, 0 identical\n  differs: cell:1" in proc.stdout
+
+
 def test_fit_equivalence_script_pins_the_seeded_stream(tmp_path, capsys, monkeypatch):
     import legacy_kernels as legacy
     from bdrates import simulate
@@ -351,43 +405,49 @@ def test_fit_equivalence_script_pins_the_seeded_stream(tmp_path, capsys, monkeyp
     monkeypatch.setattr(eq, "METHODS", ("gw",))
     monkeypatch.setattr(eq, "STREAM_SEEDS", range(1, 4))
     monkeypatch.setattr(eq, "BENCH_REPLICATES", 3)
-    real = simulate._draw_paths
+    samplers = (simulate._draw_paths, simulate._draw_conditioned)
 
-    def write(name, sampler):
-        monkeypatch.setattr(simulate, "_draw_paths", sampler)
+    def write(name, paths, conditioned):
+        monkeypatch.setattr(simulate, "_draw_paths", paths)
+        monkeypatch.setattr(simulate, "_draw_conditioned", conditioned)
         assert eq.main(["fits", "--out", str(tmp_path / name), "--sha", name]) == 0
         return json.loads((tmp_path / name).read_text())
 
-    def one_draw_later(rng, config, laws, n):
-        rng.random()
-        return real(rng, config, laws, n)
+    def one_draw_later(real):
+        def sampler(rng, *args):
+            rng.random()
+            return real(rng, *args)
 
-    parent = write("parent", legacy.draw_paths_array)
-    same = write("same", real)
-    moved = write("moved", one_draw_later)
+        return sampler
+
+    parent = write("parent", legacy.draw_paths_array, legacy.draw_conditioned_array)
+    same = write("same", *samplers)
+    moved = write("moved", *map(one_draw_later, samplers))
     cells = ["mc_single_traj", "mc_pooled_growth"] + [
         f"grid_z0={c.z0},m={c.m}" for c in GRID
     ]
-    assert list(parent["streams"]) == [f"{c}:{s}" for c in cells for s in (1, 2, 3)]
+    uncond = "unconditioned_z0=5,m=50"
+    assert list(parent["streams"]) == [f"{c}:{s}" for c in cells + [uncond] for s in (1, 2, 3)]
     assert list(parent["benchmark"]) == [f"{c}:{m}" for c in cells for m in ("gw", "spmle")]
     assert all(row["n_used"] + row["n_failed"] == 3 for row in parent["benchmark"].values())
     assert all("mean_wall_time" not in row for row in parent["benchmark"].values())
-    # the array sampler and the lane-by-lane one draw the same stream
+    # the array references and the package's samplers draw the same stream
     assert parent["streams"] == same["streams"] and parent["benchmark"] == same["benchmark"]
     capsys.readouterr()
     assert eq.main(["compare", str(tmp_path / "parent"), str(tmp_path / "same")]) == 0
     out = capsys.readouterr().out
-    assert "streams: 18 stream cases, 18 identical" in out
+    assert "streams: 21 stream cases, 21 identical" in out
     assert "benchmark: 12 benchmark rows, 12 identical" in out and "differs" not in out
-    # a sampler that draws one more number lists every case it moved
+    # samplers that draw one more number list every case they moved, the
+    # unconditioned cell's and the conditioned cells' alike
     streams = eq.differing(parent, moved, "streams")
     assert streams == [k for k in parent["streams"] if parent["streams"][k] != moved["streams"][k]]
-    assert len(streams) == 18
+    assert len(streams) == 21
     assert eq.differing(parent, moved, "benchmark")
     assert eq.main(["compare", str(tmp_path / "parent"), str(tmp_path / "moved")]) == 0
     out = capsys.readouterr().out
-    assert "streams: 18 stream cases, 0 identical" in out
-    assert out.count("  differs: ") == 18 + len(eq.differing(parent, moved, "benchmark"))
+    assert "streams: 21 stream cases, 0 identical" in out
+    assert out.count("  differs: ") == 21 + len(eq.differing(parent, moved, "benchmark"))
     # a case one file lacks differs too
     del moved["streams"]["grid_z0=1,m=1:2"]
     assert "grid_z0=1,m=1:2" in eq.differing(same, moved, "streams")

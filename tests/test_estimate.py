@@ -319,6 +319,43 @@ def test_start_override():
     assert abs(res.rates.lam - base.rates.lam) / base.rates.lam <= 1e-5
 
 
+START_PANEL = Panel((Trajectory((0.0, 0.2, 0.4, 0.6000000000000001, 0.8), (1, 2, 4, 3, 6)),))
+
+
+@pytest.mark.parametrize(
+    "start", [Rates(3.0, 2.0), (3.0, 2.0), [3, 2], (np.float64(3.0), 2.0)], ids=repr
+)
+def test_start_accepts_rates_or_a_positive_pair(start):
+    options = FitOptions(start=start)
+    assert options.start == (3.0, 2.0)
+    assert all(type(v) is float for v in options.start)
+    res = fit(START_PANEL, "spmle", options)
+    assert res.rates == fit(START_PANEL, "spmle", FitOptions(start=(3.0, 2.0))).rates
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        (3.0,),
+        (3.0, 0.0),
+        ("a", 1.0),
+        (3.0, -1.0),
+        (math.nan, 1.0),
+        (3.0, math.inf),
+        (True, 1.0),
+        (3.0, 2.0, 1.0),
+        3.0,
+        "ab",
+        Rates(3.0, 0.0),
+    ],
+    ids=repr,
+)
+def test_start_refuses_anything_else_naming_it(start):
+    # each used to end in a bare TypeError or ValueError inside fit
+    with pytest.raises(DomainError, match="^start must be a Rates or a"):
+        fit(START_PANEL, "spmle", FitOptions(start=start))
+
+
 def test_mle_count_cap():
     with pytest.raises(CapError):
         fit(PANEL_A, "mle", FitOptions(max_count_cap=100))

@@ -1,11 +1,17 @@
-"""The panel sampler's lane-by-lane births against the masked-array
-draw they replaced (legacy_kernels.draw_paths_array), bit for bit.
+"""The panel samplers against the masked-array draw they replaced
+(legacy_kernels.draw_paths_array), bit for bit.
 
-Both draw each gap's survivors by one binomial call over the batch; the
-array form then drew the births by one negative_binomial call over the
-live lanes, which runs numpy's C draw once per lane in lane order, the
-same draws the scalar calls make. So every path, rejection count, cap
-error and seeded benchmark report must be equal.
+Unconditioned panels: both draw each gap's survivors by one binomial
+call over the batch; the array form then drew the births by one
+negative_binomial call over the live lanes, which runs numpy's C draw
+once per lane in lane order, the same draws the scalar calls make.
+
+Conditioned panels are drawn one path at a time, stopping each path at
+its first zero. Their reference is the array sampler run on one path at
+a time until m paths survive (legacy_kernels.draw_conditioned_array): a
+dead lane's binomial draws nothing and it draws no births, so its
+stream is the same. So every path, rejection count, cap error and
+seeded benchmark report must be equal.
 """
 
 import dataclasses
@@ -64,10 +70,12 @@ def _outcome(call):
 
 
 def _both(call):
-    """call() with the lane-by-lane sampler, then with the array one."""
+    """call() with the package's samplers, then with the array references
+    (the conditioned one calls no package sampler)."""
     new = _outcome(call)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(simulate, "_draw_paths", legacy.draw_paths_array)
+        m.setattr(simulate, "_draw_conditioned", legacy.draw_conditioned_array)
         old = _outcome(call)
     return new, old
 
@@ -90,7 +98,7 @@ def test_seeded_panels_and_rejections_are_the_array_samplers(name):
 @pytest.mark.parametrize("name", list(CELLS))
 @pytest.mark.parametrize("n", [1, 2, 17, 33])
 def test_unconditioned_batches_are_the_array_samplers(name, n):
-    # every batch size _draw_conditioned asks for on these cells, each row
+    # batches of one path to many from these cells' z0 and gaps, each row
     # a path from z0, dead lanes among them
     config = _config(CELLS[name], 0)
     laws = simulate._gap_laws(config)
@@ -109,17 +117,31 @@ def test_unconditioned_panel_is_the_array_samplers():
     assert any(tr.counts[-1] == 0 for tr in new[0])
 
 
-@pytest.mark.parametrize("name", ["mc_single", "mc_pooled"])
-@pytest.mark.parametrize("batch_paths", [1, 2, 5])
-def test_multi_batch_runs_are_the_array_samplers(monkeypatch, name, batch_paths):
-    # batches of a few paths: runs of rejections span batches, and the
-    # accepted paths are gathered from many
-    cell = CELLS[name]
-    monkeypatch.setattr(simulate, "_MAX_BATCH_STEPS", batch_paths * (cell.n_obs + 1))
-    for rep in range(15):
-        config = _config(cell, child_seed(7, 0, rep))
-        new, old = _both(lambda: simulate_panel_stats(config, cell.m))
-        assert new == old, rep
+@pytest.mark.parametrize("m", [1, 7, 60])
+def test_rejection_runs_are_the_one_path_references(m):
+    # about one path in four survives, so runs of rejections of many
+    # lengths lie between the kept paths
+    config = SimConfig(Rates(1.0, 2.0), 1, (0.5, 1.0), condition_nonextinct=True)
+    runs = set()
+    for seed in range(15):
+        seeded = dataclasses.replace(config, seed=seed)
+        new, old = _both(lambda: simulate_panel_stats(seeded, m))
+        assert new == old, seed
+        runs.update(new[1])
+    assert {0, 1, 2, 3} <= runs
+
+
+def test_the_rejection_cap_raises_the_one_path_references_error():
+    config = SimConfig(
+        Rates(0.1, 8.0), 1, (12.5, 25.0), condition_nonextinct=True, max_events=2001
+    )
+    new, old = _both(lambda: simulate_panel_stats(config, 3))
+    assert new == old
+    assert new == (
+        CapError,
+        "event cap exhausted after 1001 rejected paths; the non-extinction event "
+        "may be too rare for these rates",
+    )
 
 
 def test_the_step_mean_cap_raises_the_array_samplers_error():
@@ -129,6 +151,12 @@ def test_the_step_mean_cap_raises_the_array_samplers_error():
     assert new == old
     assert new[0] is CapError and "out of reach at t=5:" in new[1]
     assert new[1].endswith("1/2 observations recorded")
+    # a conditioned panel raises at its first path's step, expecting the
+    # births of that path's survivors, not of the largest of three lanes
+    conditioned = dataclasses.replace(config, condition_nonextinct=True)
+    new, old = _both(lambda: simulate_panel_stats(conditioned, 3))
+    assert new == old
+    assert new[0] is CapError and "out of reach at t=5:" in new[1]
 
 
 def test_the_population_cap_raises_the_array_samplers_error():
@@ -138,6 +166,9 @@ def test_the_population_cap_raises_the_array_samplers_error():
     new, old = _both(lambda: simulate_panel_stats(config, 20))
     assert new == old
     assert new == (CapError, "population cap 500 exceeded at t=1, 1/2 observations recorded")
+    # a conditioned panel raises at the first path past the cap
+    conditioned = dataclasses.replace(config, condition_nonextinct=True)
+    assert _both(lambda: simulate_panel_stats(conditioned, 20)) == (new, new)
 
 
 class _CountingRng:
@@ -170,6 +201,62 @@ def test_one_binomial_call_per_gap_and_one_birth_draw_per_live_lane():
     assert any(s == 0 for gap in rng.survivors for s in gap)
     old = legacy.draw_paths_array(np.random.default_rng(3), config, laws, 17)
     assert _same_paths(paths, old)
+
+
+class _LoggingRng:
+    """A Generator that logs every scalar draw as (kind, n, result)."""
+
+    def __init__(self, seed: int):
+        self.rng = np.random.default_rng(seed)
+        self.log: list[tuple[str, int, int]] = []
+
+    def binomial(self, n, p):
+        out = self.rng.binomial(n, p)
+        self.log.append(("survivors", n, out))
+        return out
+
+    def negative_binomial(self, n, p):
+        out = self.rng.negative_binomial(n, p)
+        self.log.append(("births", n, out))
+        return out
+
+
+@pytest.mark.parametrize("name", ["mc_single", "mc_pooled", "grid_z0=1,m=20"])
+def test_a_conditioned_path_draws_nothing_after_its_first_zero(name):
+    # replay the log path by path: survivors drawn from the last count,
+    # births for a positive survivor count only, a path ending at its
+    # first zero or its last gap, and no draw after the m-th kept path
+    cell = CELLS[name]
+    config = _config(cell, 0)
+    laws = simulate._gap_laws(config)
+    lived = []  # the counts of each rejected path, z0 first
+    for seed in range(10):
+        rng = _LoggingRng(seed)
+        kept, rejections = simulate._draw_conditioned(rng, config, laws, cell.m)
+        log = list(reversed(rng.log))
+        replayed: list[list[int]] = []
+        runs, run = [], 0
+        while len(replayed) < cell.m:
+            path = [config.z0]
+            for _ in laws:
+                kind, n, survivors = log.pop()
+                assert (kind, n) == ("survivors", path[-1])
+                if survivors == 0:
+                    break
+                kind, n, births = log.pop()
+                assert (kind, n) == ("births", survivors)
+                path.append(survivors + births)
+            if len(path) == len(laws) + 1:
+                replayed.append(path)
+                runs.append(run)
+                run = 0
+            else:
+                run += 1
+                lived.append(path)
+        assert log == []
+        assert (replayed, runs) == (kept, rejections)
+    # paths died, some of them after their first gap
+    assert any(len(path) > 1 for path in lived)
 
 
 @settings(max_examples=80, deadline=None)

@@ -159,15 +159,9 @@ def test_conditioning_forces_survival():
             assert rejections >= 0
 
 
-@pytest.mark.parametrize("batch_paths", [None, 2])
-def test_panel_rejections_count_paths_per_trajectory(monkeypatch, batch_paths):
+def test_panel_rejections_count_paths_per_trajectory():
     # each trajectory's rejected paths are geometric with the survival
-    # probability p = 1 - alpha(1)^2 as success probability; two-path
-    # batches make most runs of rejections span several batches
-    import bdrates.simulate as simulate
-
-    if batch_paths is not None:
-        monkeypatch.setattr(simulate, "_MAX_BATCH_STEPS", batch_paths * 3)
+    # probability p = 1 - alpha(1)^2 as success probability
     config = SimConfig(
         Rates(1.0, 2.0), 2, (0.5, 1.0), condition_nonextinct=True, seed=5
     )
@@ -177,6 +171,25 @@ def test_panel_rejections_count_paths_per_trajectory(monkeypatch, batch_paths):
     p = 1.0 - alpha_beta(1.0, config.rates)[0] ** 2
     se = math.sqrt((1.0 - p) / p**2 / n)
     assert abs(np.mean(rejections) - (1.0 - p) / p) <= 4.0 * se
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimConfig(Rates(7.0, 6.0), 1, tuple(0.2 * (j + 1) for j in range(14)), True, 4),
+        SimConfig(Rates(7.0, 5.0), 10, tuple(0.1 * (j + 1) for j in range(30)), True, 9),
+        SimConfig(Rates(1.0, 2.0), 2, (0.5, 1.0), True, 5),
+    ],
+    ids=["single_traj", "pooled_growth", "rare_survival"],
+)
+def test_conditioned_panels_are_prefix_stable(config):
+    # paths are drawn one at a time and none past the m-th kept one, so a
+    # smaller panel is the start of a larger one from the same seed
+    panel, rejections = simulate_panel_stats(config, 25)
+    for k in (1, 2, 7, 24):
+        small, small_rejections = simulate_panel_stats(config, k)
+        assert small.trajectories == panel.trajectories[:k]
+        assert small_rejections == rejections[:k]
 
 
 def test_conditioning_cap_on_hopeless_configs():
@@ -264,6 +277,27 @@ def test_panel_sampler_matches_event_loop():
         cap = int(np.quantile(np.concatenate([a, b]), 0.95))
         table = np.array(
             [[np.sum(np.minimum(x, cap) == v) for x in (a, b)] for v in range(cap + 1)]
+        )
+        assert cap >= 5 and table.sum(axis=1).min() >= 10
+        assert chi2_contingency(table).pvalue > 1e-3, obs
+
+
+def test_conditioned_panel_sampler_matches_event_loop():
+    # the chi-square above, conditioned on survival to the last
+    # observation from one ancestor, which more than half the paths miss
+    config = SimConfig(
+        Rates(2.0, 1.5), 1, tuple(0.2 * (j + 1) for j in range(6)), condition_nonextinct=True
+    )
+    n = 6000
+    law = _draws("law", config, n, 33)
+    events = _draws("events", config, n, 34)
+    for obs in (3, 6):
+        a = np.array([traj.counts[obs] for traj in law])
+        b = np.array([traj.counts[obs] for traj in events])
+        assert a.min() > 0 and b.min() > 0
+        cap = int(np.quantile(np.concatenate([a, b]), 0.95))
+        table = np.array(
+            [[np.sum(np.minimum(x, cap) == v) for x in (a, b)] for v in range(1, cap + 1)]
         )
         assert cap >= 5 and table.sum(axis=1).min() >= 10
         assert chi2_contingency(table).pvalue > 1e-3, obs
