@@ -142,6 +142,12 @@ def test_the_rejection_cap_raises_the_one_path_references_error():
         "event cap exhausted after 1001 rejected paths; the non-extinction event "
         "may be too rare for these rates",
     )
+    # every path dies in its first gap, so each draws once: the 1001st
+    # rejected path raises, and none is drawn after it
+    rng = _LoggingRng(0)
+    with pytest.raises(CapError):
+        simulate._draw_conditioned(rng, config, simulate._gap_laws(config), 3)
+    assert rng.log == [("survivors", 1, 0)] * 1001
 
 
 def test_the_step_mean_cap_raises_the_array_samplers_error():
