@@ -8,10 +8,12 @@ aggregated. Results land in <prefix>.csv and <prefix>.json.
 
 Each row also prints the method's mean objective evaluations and fit
 time per replicate. Cost grows linearly with --replicates and is set by
-the fits, not by simulation (a few ms per panel): on a 2-CPU host
-(Python 3.11, numpy 2.4) --replicates 100 --methods gw,spmle,mle took
-16 s, 10 s of them in the m=20, z0=10 cell, whose mle fits take 0.091 s
-each and spmle fits 0.0036 s (both about 3.6 evaluations).
+the fits, not by simulation (a few ms per panel): on a shared 2-CPU
+Xeon host (Python 3.11, numpy 2.4) --replicates 100 --methods
+gw,spmle,mle took 9.7 and 14 s in two runs, 6.4 and 9.5 s of them in
+the m=20, z0=10 cell, whose counts reach the thousands: there mle fits
+take 0.060-0.089 s each and spmle fits 0.0008-0.0013 s (both about 3.6
+evaluations).
 """
 
 import argparse

@@ -12,7 +12,9 @@ panel set is
 - perfbench's stratified fit panels of both workloads, seeds 1-6.
 
 The fits mode writes the fits of the bdrates on PYTHONPATH as JSON: per
-panel and method the rates, loglik, cov, evaluation and probe counts,
+panel and method a sha256 of the panel's times and counts (the test
+panels are drawn by the tree's own sampler), the rates, loglik, cov,
+evaluation and probe counts,
 converged and continued flags, the typed error if fit raised one, every
 RuntimeWarning that escaped, and the wall time; and, at the fitted rates,
 the exact log-likelihood and the smallest log(1 - beta) over the panel's
@@ -37,7 +39,9 @@ run_benchmark report (gw and spmle, BENCH_REPLICATES replicates, seed
 BENCH_SEED), less the wall time.
 
 The compare mode reads two such files and prints, per method, the fits
-that are bit-identical; the largest loglik move among well-conditioned
+that are bit-identical; the fits on panels whose digests differ
+(redrawn by a changed sampler, so not moved by a changed fit), which it
+lists apart and compares no further; the largest loglik move among well-conditioned
 fits (at the parent: not continued, at most 60 evaluations, with a cov),
 relative to max(1, |loglik|), and each one past TOL; the largest rate
 move among them in units of the fit's own SE (the larger of |d lam| /
@@ -230,6 +234,12 @@ def benchmark_rows(cell) -> dict:
     return rows
 
 
+def panel_digest(panel) -> str:
+    """sha256 of a panel's times and counts."""
+    drawn = [[tr.times, tr.counts] for tr in panel]
+    return hashlib.sha256(json.dumps(drawn).encode()).hexdigest()
+
+
 def fit_record(panel, method: str) -> dict:
     from bdrates import BdError, exact_loglik, fit
     from bdrates.exact import geom_params
@@ -271,8 +281,11 @@ def fits(args) -> int:
     seeds = sorted({1} | {int(s) for s in args.census_seeds.split(",") if s.strip()})
     records = []
     for label, panel in panel_set(seeds):
+        digest = panel_digest(panel)
         for method in METHODS:
-            records.append({"panel": label, "method": method, **fit_record(panel, method)})
+            records.append(
+                {"panel": label, "method": method, "digest": digest, **fit_record(panel, method)}
+            )
     streams, bench = {}, {}
     for name, (config, m) in stream_cells().items():
         for seed in STREAM_SEEDS:
@@ -337,15 +350,18 @@ def compare(parent: dict, change: dict) -> dict:
         c = theirs[p["panel"], p["method"]]
         s = out.setdefault(
             p["method"],
-            {"fits": 0, "identical": 0, "well": 0, "worst_well": 0.0, "well_moved": [],
-             "worst_se": 0.0, "se_moved": [], "moved": [], "errors": [], "warnings": [],
-             "seconds": {}},
+            {"fits": 0, "identical": 0, "redrawn": [], "well": 0, "worst_well": 0.0,
+             "well_moved": [], "worst_se": 0.0, "se_moved": [], "moved": [], "errors": [],
+             "warnings": [], "seconds": {}},
         )
         s["fits"] += 1
         wall = s["seconds"].setdefault(p["panel"].split(":")[0], [0.0, 0.0])
         wall[0] += p["seconds"]
         wall[1] += c["seconds"]
         key = f"{p['method']} on {p['panel']}"
+        if p.get("digest") != c.get("digest"):
+            s["redrawn"].append(key)
+            continue
         if p["warnings"] or c["warnings"]:
             s["warnings"].append(f"{key}: {p['warnings']} -> {c['warnings']}")
         if p["error"] != c["error"]:
@@ -415,13 +431,14 @@ def compare_main(args) -> int:
     for method, s in summary.items():
         print(
             f"{method}: {s['fits']} fits, {s['identical']} bit-identical, "
+            f"{len(s['redrawn'])} on redrawn panels, "
             f"{s['well']} well-conditioned (worst move {s['worst_well']:.2g}, "
             f"worst rate move {s['worst_se']:.2g} SE), "
             f"{len(s['errors'])} error changes, {len(s['warnings'])} with warnings"
         )
         walls = ", ".join(f"{src} {p:.1f} -> {c:.1f}" for src, (p, c) in s["seconds"].items())
         print(f"  seconds: {walls}")
-        for kind in ("well_moved", "se_moved", "moved", "errors", "warnings"):
+        for kind in ("redrawn", "well_moved", "se_moved", "moved", "errors", "warnings"):
             for line in s[kind]:
                 print(f"  {kind}: {line}")
     for key, what in (("streams", "stream cases"), ("benchmark", "benchmark rows")):

@@ -8,11 +8,7 @@ from .types import Panel, Rates, Trajectory
 from .exact import (
     alpha_beta,
     exact_loglik,
-    extinction_prob,
     log_transition_prob,
-    mean,
-    pgf,
-    variance,
 )
 from .saddlepoint import (
     cgf_eval,
@@ -44,8 +40,6 @@ from .simulate import (
     child_seed,
     run_benchmark,
     simulate_panel,
-    simulate_trajectory,
-    simulate_trajectory_stats,
     summarize,
 )
 from .panel_io import (

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: usage and data problems exit 2,
 resource caps exit 3, solver non-convergence exits 4.
 """
 
+__all__ = ["BdError", "DomainError", "DataError", "SolverError", "CapError"]
+
 
 class BdError(Exception):
     """Base class for all package errors."""

@@ -54,11 +54,7 @@ from .types import Panel, Rates
 
 __all__ = [
     "alpha_beta",
-    "pgf",
     "log_transition_prob",
-    "mean",
-    "variance",
-    "extinction_prob",
     "exact_loglik",
     "truncation_limit",
 ]
@@ -158,39 +154,6 @@ def alpha_beta(t: float, rates: Rates) -> tuple[float, float]:
     return g.alpha, g.beta
 
 
-def pgf(s: float, t: float, rates: Rates, a: int = 1) -> float:
-    """Probability generating function E[s^Z(t)] from a ancestors.
-
-    Requires 0 <= s < 1/beta(t); the a-ancestor value is the single-ancestor
-    one raised to the a-th power.
-    """
-    if a < 0 or a != int(a):
-        raise DomainError(f"ancestor count must be a nonnegative integer, got {a}")
-    if not (s >= 0.0 and math.isfinite(s)):
-        raise DomainError(f"pgf argument must be finite and nonnegative, got {s}")
-    g = geom_params(t, rates)
-    return pgf_geom(s, g)[0] ** a
-
-
-def pgf_geom(s: float, g: GeomParams) -> tuple[float, float, float]:
-    """Single-ancestor pgf value and its first two s-derivatives at s for
-    the law g; raises DomainError unless s lies inside the convergence
-    disc, s < 1/beta."""
-    om_b = math.exp(g.log1m_beta)
-    # 1 - beta*s as (1-beta) - beta*(s-1): both pieces are known accurately,
-    # which matters when s is just below the radius.
-    om_bs = om_b - g.beta * (s - 1.0)
-    if om_bs <= 0.0:
-        raise DomainError(
-            f"pgf argument {s} is outside the convergence disc (radius {1.0 / g.beta})"
-        )
-    om_a = math.exp(g.log1m_alpha)
-    f = g.alpha + om_a * om_b * s / om_bs
-    f1 = om_a * om_b / (om_bs * om_bs)
-    f2 = 2.0 * g.beta * om_a * om_b / (om_bs * om_bs * om_bs)
-    return f, f1, f2
-
-
 def log_transition_prob(k: int, t: float, a: int, rates: Rates) -> float:
     """Log probability of observing k individuals a horizon t after a.
 
@@ -238,31 +201,6 @@ def _log_pmf(k: int, a: int, g: GeomParams) -> float:
     if m == _NEG_INF:
         return _NEG_INF
     return m + math.log(sum(math.exp(v - m) for v in terms))
-
-
-def mean(t: float, a: int, rates: Rates) -> float:
-    """Expected count a horizon t after a ancestors: a * exp(omega*t)."""
-    return a * math.exp(rates.omega * t)
-
-
-def variance(t: float, a: int, rates: Rates) -> float:
-    """Variance of the count a horizon t after a ancestors.
-
-    Generic form a*(xi/omega)*e^{omega t}(e^{omega t}-1), accurate for
-    every omega != 0; at omega == 0 its limit a*xi*t.
-    """
-    if rates.omega == 0.0:
-        return a * rates.xi * t
-    w = rates.omega * t
-    return a * (rates.xi / rates.omega) * math.exp(w) * math.expm1(w)
-
-
-def extinction_prob(rates: Rates) -> float:
-    """Probability that the line of a single ancestor eventually dies out:
-    min(1, mu/lam), and 1 for a pure-death process."""
-    if rates.lam == 0.0:
-        return 1.0
-    return min(1.0, rates.mu / rates.lam)
 
 
 def truncation_limit(t: float, a: int, rates: Rates, tol: float = TRUNCATION_TOL) -> int:

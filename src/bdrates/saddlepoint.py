@@ -1,9 +1,9 @@
 """Saddlepoint approximation of the transition pmf and its likelihood.
 
 The moment generating function of the count at horizon t from a
-ancestors is the pgf evaluated at e^x, so the cumulant generating
-function is K(x) = a*log f(e^x, t), finite for x < log R(t) with R the
-pgf convergence radius. The saddlepoint x~ solving K'(x~) = k has a
+ancestors is the probability generating function f evaluated at e^x,
+so the cumulant generating function is K(x) = a*log f(e^x, t), finite
+for x < log R(t) with R the radius of convergence of f. The saddlepoint x~ solving K'(x~) = k has a
 closed form in the law's (alpha, beta), and the approximate pmf is
 
     (2*pi*K''(x~))**(-1/2) * exp(K(x~) - x~*k).
@@ -163,7 +163,7 @@ def _x_max(g: GeomParams) -> float:
 def _cgf_terms(x, g: GeomParams, a):
     """Vectorized K, K', K'' at x for a ancestors (a may be an array).
 
-    Uses the geometric form of the pgf; 1 - beta*s is assembled as
+    Uses the geometric form of f; 1 - beta*s is assembled as
     (1-beta) - beta*(e^x - 1) so accuracy survives close to the radius.
     Where 1 - beta is tiny (1e-146 at 50 -> 3, lambda 1471, mu 1214,
     t 1.3), K'' close to the radius exceeds the float range; the terms
@@ -677,7 +677,7 @@ def spa_loglik(panel: Panel, rates: Rates, variant: str = "plain") -> float:
 # score and observed information
 #
 # With y = x + log(beta) and z = log(1-alpha) + log(1-beta) - log(alpha)
-# - log(beta), the single-ancestor pgf at e^x is
+# - log(beta), the single-ancestor generating function at e^x is
 #
 #     f = alpha * (1 + e^z r(y)),   r(y) = e^y / (1 - e^y) = beta e^x / (1 - beta e^x),
 #

@@ -1,30 +1,19 @@
 """Exact simulation of the process and the Monte-Carlo benchmark harness.
 
-Two samplers draw from the same law:
-
-- Panels (simulate_panel, simulate_panel_stats, and through them
-  run_benchmark and ``bdrates simulate``) are drawn gap by gap from the
-  exact transition law.  Over a gap tau, each of z individuals leaves
-  descendants with probability 1 - alpha(tau), and the S survivors grow
-  to Z = S + NegBin(S, 1 - beta(tau)), with (alpha, beta) from
-  exact.geom_params.  An unconditioned panel draws all its paths
-  together: per gap, one numpy call draws the survivors of every path
-  and one scalar call per path with survivors its births, so a gap costs
-  about 6 us plus 0.7 us per live path.  A panel conditioned on survival
-  draws one path at a time, by two scalar calls per gap, and stops a
-  path at its first zero: it costs about 2 us per live path-step and
-  draws no path past the last one it keeps.
-- Single trajectories (simulate_trajectory, simulate_trajectory_stats)
-  are drawn event by event: in state k the holding time is exponential
-  with rate k(lambda + mu) and the jump is a birth with probability
-  lambda/(lambda + mu); states are read off at the observation times from
-  the same event clock.  This loop shares no code with the transition
-  law, which is why it stays: it is the independent oracle that the
-  tests hold both the pmf and the panel sampler against.
-
-Non-extinction conditioning rejects and redraws whole paths until the
-final observation is positive (the weakest, and documented, reading of
-conditioning on survival), on both paths.
+Panels (simulate_panel, simulate_panel_stats, and through them
+run_benchmark and ``bdrates simulate``) are drawn gap by gap from the
+exact transition law: over a gap tau, each of z individuals leaves
+descendants with probability 1 - alpha(tau), and the S survivors grow
+to Z = S + NegBin(S, 1 - beta(tau)), with (alpha, beta) from
+exact.geom_params.  An unconditioned panel draws all its paths
+together, about 6 us per gap plus 0.7 us per live path (_draw_paths).
+A panel conditioned on survival draws one path at a time and stops a
+path at its first zero, about 2 us per live path-step
+(_draw_conditioned): it rejects and redraws whole paths until the final
+observation is positive (the weakest, and documented, reading of
+conditioning on survival).  The tests hold this sampler against an
+event-by-event simulator (tests/oracles.py) that shares no code with
+the transition law.
 
 run_benchmark() wraps the simulator and the estimation front-end into a
 bias / standard deviation / RMSE table per estimator, with per-replicate
@@ -36,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -52,11 +40,10 @@ __all__ = [
     "BenchmarkCell",
     "MethodStats",
     "BenchmarkReport",
-    "simulate_trajectory",
-    "simulate_trajectory_stats",
     "simulate_panel",
     "simulate_panel_stats",
     "run_benchmark",
+    "summarize",
     "child_seed",
 ]
 
@@ -68,17 +55,15 @@ class SimConfig:
     obs_times are the recording instants after time zero; the returned
     trajectory always prepends (0, z0).  The caps raise CapError:
 
-    - max_events bounds the work spent on one trajectory across its
-      rejected paths, so a conditioned run on rates that rarely survive
-      cannot spin forever.  The event loop counts births and deaths.  The
-      panel sampler refuses the ceil(max_events / n_obs)-th rejected path
-      in a row, counting each as n_obs path steps, though a rejected path
-      stops at its first zero (its unconditioned draw is one path per
-      trajectory and is not bounded further).
-    - max_pop bounds the population: the event loop checks it after
-      every event, the panel sampler at every observation of every path
-      it draws, and also refuses a gap whose expected growth is beyond
-      what the sampler can draw.
+    - max_events bounds the work spent on one conditioned trajectory
+      across its rejected paths, so a run on rates that rarely survive
+      cannot spin forever: the ceil(max_events / n_obs)-th rejected path
+      in a row is refused.  Each rejected path counts as n_obs path
+      steps, though it stops at its first zero.  An unconditioned
+      trajectory is one path and is not bounded further.
+    - max_pop bounds the population: it is checked at every observation
+      of every path drawn, and a gap whose expected growth is beyond
+      what the sampler can draw is refused before its births are drawn.
     """
 
     rates: Rates
@@ -117,84 +102,6 @@ def child_seed(master: int, *path: int) -> int:
     ss = np.random.SeedSequence(entropy=[master, *path])
     lo, hi = (int(w) for w in ss.generate_state(2))
     return (hi << 32) | lo
-
-
-def _sample_counts(
-    rng: random.Random, config: SimConfig, budget: int
-) -> tuple[tuple[int, ...], int]:
-    """One unconditioned path read at obs_times; returns (counts, events).
-
-    The event clock is global: observation instants falling inside a
-    holding interval record the pre-jump state, so no holding-time draw
-    is ever discarded or restarted.
-    """
-    lam = config.rates.lam
-    xi = config.rates.xi
-    p_birth = lam / xi
-    obs = config.obs_times
-    n_obs = len(obs)
-    out: list[int] = []
-    k = config.z0
-    t = 0.0
-    events = 0
-    i = 0
-    while i < n_obs:
-        if k == 0:
-            out.extend([0] * (n_obs - i))
-            break
-        t_next = t + rng.expovariate(k * xi)
-        while i < n_obs and obs[i] <= t_next:
-            out.append(k)
-            i += 1
-        if i >= n_obs:
-            break
-        events += 1
-        if events > budget:
-            raise CapError(
-                f"event cap exhausted at t={t_next:.6g}, population {k}, "
-                f"{i}/{n_obs} observations recorded"
-            )
-        k += 1 if rng.random() < p_birth else -1
-        if k > config.max_pop:
-            raise CapError(
-                f"population cap {config.max_pop} exceeded at t={t_next:.6g}, "
-                f"{i}/{n_obs} observations recorded"
-            )
-        t = t_next
-    return tuple(out), events
-
-
-def simulate_trajectory_stats(
-    config: SimConfig, rng: Optional[random.Random] = None
-) -> tuple[Trajectory, int]:
-    """Simulate one trajectory; also report how many paths conditioning threw
-    away before acceptance."""
-    if rng is None:
-        rng = random.Random(config.seed)
-    budget = config.max_events
-    rejections = 0
-    while True:
-        counts, used = _sample_counts(rng, config, budget)
-        budget -= used
-        if not config.condition_nonextinct or counts[-1] > 0:
-            traj = Trajectory(
-                (0.0,) + tuple(config.obs_times), (config.z0,) + counts
-            )
-            return traj, rejections
-        rejections += 1
-        if budget <= 0:
-            raise CapError(
-                f"event cap exhausted after {rejections} rejected paths; "
-                "the non-extinction event may be too rare for these rates"
-            )
-
-
-def simulate_trajectory(
-    config: SimConfig, rng: Optional[random.Random] = None
-) -> Trajectory:
-    """Exact simulation of the process, recorded at config.obs_times."""
-    traj, _ = simulate_trajectory_stats(config, rng)
-    return traj
 
 
 # Largest expected growth of one lane over one gap that the panel sampler
@@ -277,6 +184,13 @@ def _draw_paths(
     counts fill a row of a gap-major array, returned transposed. The caps
     are checked per gap on the largest lane, the step's before any births
     are drawn and the population's after all of them.
+
+    Unconditioned panels keep this batch: _draw_conditioned's one-path
+    loop would reorder their draws and so change every seeded panel (the
+    seeded Wald coverage check in tests/test_mc_properties.py would read
+    449/500, under its floor of 450).  Nothing else draws them at m >= 20,
+    where the batch is cheaper: no benchmark cell, and ``bdrates
+    simulate`` defaults to m = 1.
     """
     n_obs = len(laws)
     out = np.empty((n_obs + 1, n), dtype=np.int64)
@@ -291,6 +205,27 @@ def _draw_paths(
             _check_population(config, laws, i, max(z))
         out[i + 1] = z
     return out.T
+
+
+# After this many first-gap deaths in a row, _draw_conditioned draws first
+# gaps by array calls, in chunks that double from this size.
+_FIRST_GAP_RUN = 64
+_MAX_FIRST_GAP_CHUNK = 2**20  # 8 MB of int64 draws
+
+
+def _first_gap_deaths(rng: np.random.Generator, z0: int, p_survive: float, n: int) -> int:
+    """The number of first-gap deaths from z0 before the first survivor
+    among n draws (n if none survives), drawn by one array call, which
+    makes the n scalar calls' draws in order.  If a survivor turns up,
+    the generator is rewound and only the deaths are drawn again."""
+    state = rng.bit_generator.state
+    survivors = np.flatnonzero(rng.binomial(z0, p_survive, n))
+    if survivors.size == 0:
+        return n
+    deaths = int(survivors[0])
+    rng.bit_generator.state = state
+    rng.binomial(z0, p_survive, deaths)
+    return deaths
 
 
 def _draw_conditioned(
@@ -309,16 +244,35 @@ def _draw_conditioned(
     gaps it lived, and no path is drawn once m are kept: a panel costs
     about 2 us per live path-step.  Rejected paths count against
     max_events one step per gap, as if drawn to the end: the
-    ceil(max_events / n_obs)-th rejected path in a row raises CapError,
-    as the event loop raises once max_events events are spent.
+    ceil(max_events / n_obs)-th rejected path in a row raises CapError.
+
+    After _FIRST_GAP_RUN first-gap deaths in a row, _first_gap_deaths
+    draws the first gaps, leaving the paths, rejections, refusal and
+    generator state as above: rates that almost never survive refuse at
+    the default max_events in 0.1 s, not 10 s.
     """
     max_run = -(-config.max_events // len(laws))
     binomial = rng.binomial
     negative_binomial = rng.negative_binomial
     kept: list[list[int]] = []
     rejections: list[int] = []
-    run = 0
+    run = first_gap_run = 0
+    chunk = _FIRST_GAP_RUN
     while len(kept) < m:
+        if run >= max_run:
+            raise CapError(
+                f"event cap exhausted after {max_run} rejected paths; the "
+                "non-extinction event may be too rare for these rates"
+            )
+        if first_gap_run >= _FIRST_GAP_RUN:
+            n = min(chunk, max_run - run)
+            deaths = _first_gap_deaths(rng, config.z0, laws[0][1], n)
+            run += deaths
+            if deaths == n:
+                chunk = min(2 * chunk, _MAX_FIRST_GAP_CHUNK)
+                continue
+            # the next path survives its first gap, which ends the run
+            chunk = _FIRST_GAP_RUN
         z = config.z0
         path = [z]
         for i, (_, p_survive, p_geom, _) in enumerate(laws):
@@ -332,14 +286,10 @@ def _draw_conditioned(
         if z:
             kept.append(path)
             rejections.append(run)
-            run = 0
+            run = first_gap_run = 0
             continue
         run += 1
-        if run >= max_run:
-            raise CapError(
-                f"event cap exhausted after {max_run} rejected paths; the "
-                "non-extinction event may be too rare for these rates"
-            )
+        first_gap_run = first_gap_run + 1 if len(path) == 1 else 0
     return kept, rejections
 
 
@@ -348,9 +298,8 @@ def simulate_panel_stats(config: SimConfig, m: int) -> tuple[Panel, list[int]]:
 
     Drawn from the exact transition law with one numpy Generator seeded
     from config.seed for the whole panel (not per-trajectory child
-    seeds), so a panel reproduces from its seed but its trajectory j is
-    not the one simulate_trajectory draws.  rejections[j] counts the
-    paths conditioning threw away between trajectory j - 1 and j.
+    seeds), so a panel reproduces from its seed.  rejections[j] counts
+    the paths conditioning threw away between trajectory j - 1 and j.
     """
     if m < 1:
         raise DomainError(f"panel size must be positive, got {m}")

@@ -374,10 +374,6 @@ class Panel:
         """The panel's step table and gap groups (built once)."""
         return Transitions.from_panel(self)
 
-    def all_gaps(self) -> list[float]:
-        """Every gap, steps out of 0 included, in panel order."""
-        return self.transitions.gap.tolist()
-
     def equal_spacing(self, tolerance: float = SPACING_TOL) -> bool:
         """Whether all gaps, within and across trajectories, agree to the
         given relative tolerance."""

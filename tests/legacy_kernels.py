@@ -68,7 +68,6 @@ from bdrates.exact import (
     _log_phi_derivs,
     _log_pmf,
     geom_params,
-    pgf_geom,
 )
 from bdrates.gaussian import (
     _LOG_2PI,
@@ -95,6 +94,7 @@ from bdrates.saddlepoint import (
 )
 from bdrates.simulate import _MAX_STEP_MEAN
 from bdrates.types import SPACING_TOL, Panel, Rates
+from oracles import pgf_geom
 
 
 def is_critical(rates: Rates) -> bool:

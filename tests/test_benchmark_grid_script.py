@@ -306,6 +306,10 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     assert "DataError" in errors and errors <= {"DataError", "DomainError"}
     fitted = [r for r in data["fits"] if r["error"] is None]
     assert all(r["log1m_beta"] <= 0.0 and r["exact"] <= 0.0 for r in fitted)
+    # one digest per panel, the same for each of its fits
+    digests = {r["panel"]: r["digest"] for r in data["fits"]}
+    assert all(r["digest"] == digests[r["panel"]] for r in data["fits"])
+    assert len(set(digests.values())) == len(digests)
 
     # the same tree twice: every fit is bit-identical
     capsys.readouterr()
@@ -328,12 +332,14 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     # 0.01 SE, makes one fit
     # raise, lowers a fit that the parent continued, and raises two that it
     # continued: one where the exact loglik rises too, one to rates where
-    # beta rounds to 1; and one whose loglik is no longer reported
+    # beta rounds to 1; and one whose loglik is no longer reported; and
+    # one on a panel that the change's sampler drew anew, listed apart
+    # however far its loglik moved
     change = json.loads(parent.read_text())
     pairs = [(p, c) for p, c in zip(data["fits"], change["fits"]) if p["method"] == "qg"]
-    (p0, c0), (_, c1), (p2, c2), (p3, c3), (p4, c4), (p5, c5) = [
+    (p0, c0), (_, c1), (p2, c2), (p3, c3), (p4, c4), (p5, c5), (p6, c6) = [
         (p, c) for p, c in pairs if p["error"] is None
-    ][:6]
+    ][:7]
     p0["evals"] = c0["evals"] = 5
     c0["loglik"] += 1.0
     c0["lam"] += 0.01 * p0["cov"][0][0] ** 0.5
@@ -343,6 +349,7 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     c3.update(loglik=c3["loglik"] + 1.0, exact=c3["exact"] + 1.0)
     c4.update(loglik=c4["loglik"] + 1.0, log1m_beta=-400.0)
     c5.update(loglik=None)
+    c6.update(digest="0" * 64, loglik=c6["loglik"] - 1.0, lam=2 * c6["lam"])
     parent.write_text(json.dumps(data))
     (tmp_path / "change.json").write_text(json.dumps(change))
     summary = eq.compare(data, change)["qg"]
@@ -357,11 +364,13 @@ def test_fit_equivalence_script_writes_and_compares_fits(tmp_path, capsys, monke
     assert higher.endswith(f"; exact {p3['exact']:.10g} -> {c3['exact']:.10g}")
     assert suspect.endswith(f"; exact {p4['exact']:.10g} -> {p4['exact']:.10g} SUSPECT")
     assert gone == f"qg on {p5['panel']}: {p5['loglik']:.10g} -> n/a"
-    assert summary["identical"] == summary["fits"] - 6
+    assert summary["redrawn"] == [f"qg on {p6['panel']}"]
+    assert summary["identical"] == summary["fits"] - 7
     assert eq.main(["compare", str(parent), str(tmp_path / "change.json")]) == 0
     out = capsys.readouterr().out
     assert out.count("well_moved:") == 1 and out.count("errors:") == 1
     assert out.count("se_moved:") == 1 and "worst rate move 0.01 SE" in out
+    assert out.count("  redrawn: ") == 1 and "1 on redrawn panels" in out
 
     # files over different panel sets are refused with a message
     change["fits"] = change["fits"][:-1]

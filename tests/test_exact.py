@@ -7,20 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import mp_alpha_beta
+from oracles import mean, mp_alpha_beta, pgf, pgf_geom, variance
 
 from bdrates.errors import CapError, DomainError
 from bdrates.exact import (
     alpha_beta,
     exact_loglik,
-    extinction_prob,
     geom_params,
     log_transition_prob,
-    mean,
-    pgf,
-    pgf_geom,
     truncation_limit,
-    variance,
 )
 from bdrates.types import Panel, Rates, Trajectory
 
@@ -197,13 +192,6 @@ def test_variance_critical_branch_and_continuity():
     lc = log_transition_prob(3, 0.5, 4, rc)
     ln = log_transition_prob(3, 0.5, 4, near)
     assert ln == pytest.approx(lc, rel=1e-7)
-
-
-def test_extinction_prob():
-    assert extinction_prob(Rates(7.0, 5.0)) == pytest.approx(5.0 / 7.0)
-    assert extinction_prob(Rates(5.0, 7.0)) == 1.0
-    assert extinction_prob(Rates(2.0, 2.0)) == 1.0
-    assert extinction_prob(Rates(0.0, 3.0)) == 1.0
 
 
 def test_long_horizon_supercritical_no_overflow():

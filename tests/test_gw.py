@@ -3,11 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import variance
 
 from bdrates import gw
 from bdrates.errors import DataError, DomainError
 from bdrates.estimate import fit
-from bdrates.exact import variance
 from bdrates.gw import (
     EPS_NEAR_CRITICAL,
     REGIME_NEAR_CRITICAL,
@@ -97,7 +97,7 @@ def test_step_table_and_moments_are_built_once_per_panel(monkeypatch):
     assert gw_estimate(panel) == gw_estimate(panel)
     assert panel.equal_spacing() and panel.common_gap() == gw_moments(panel).delta_t
     assert len(tables) == 1 and len(moments) == 1
-    assert gw_moments(panel).delta_t == sum(panel.all_gaps()) / 5
+    assert gw_moments(panel).delta_t == sum(panel.transitions.gap.tolist()) / 5
     # unequal gaps: the refusal is not kept, and the table is still built once
     uneven = Panel((Trajectory((0.0, 1.0, 3.0), (2, 3, 4)),))
     for _ in range(2):

@@ -16,11 +16,12 @@ from legacy_kernels import (
     mv_solve,
     mv_spa_pmf,
 )
+from oracles import mean, pgf, variance
 from scipy.optimize import minimize
 
 from bdrates.errors import DomainError, SolverError
 from bdrates.estimate import fit
-from bdrates.exact import geom_params, log_transition_prob, mean, pgf, variance
+from bdrates.exact import geom_params, log_transition_prob
 from bdrates.saddlepoint import cgf_eval, solve_saddlepoint, spa_loglik, spa_pmf
 from bdrates.simulate import SimConfig, simulate_panel
 from bdrates.types import Panel, Rates, Trajectory

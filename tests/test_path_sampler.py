@@ -16,6 +16,7 @@ seeded benchmark report must be equal.
 
 import dataclasses
 import importlib.util
+import time
 from pathlib import Path
 
 import numpy as np
@@ -142,12 +143,65 @@ def test_the_rejection_cap_raises_the_one_path_references_error():
         "event cap exhausted after 1001 rejected paths; the non-extinction event "
         "may be too rare for these rates",
     )
-    # every path dies in its first gap, so each draws once: the 1001st
-    # rejected path raises, and none is drawn after it
+    # every path dies in its first gap, so each draws once, the 65th on
+    # by array calls: the 1001st rejected path raises, and none is drawn
+    # after it
     rng = _LoggingRng(0)
     with pytest.raises(CapError):
         simulate._draw_conditioned(rng, config, simulate._gap_laws(config), 3)
     assert rng.log == [("survivors", 1, 0)] * 1001
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SimConfig(Rates(0.1, 8.0), 1, (0.6,), True, max_events=4000),
+        SimConfig(Rates(0.1, 8.0), 1, (0.5, 1.0), True, max_events=4000),
+        SimConfig(Rates(1.0, 6.0), 1, (0.9, 1.2, 1.5), True, max_events=6000),
+        SimConfig(Rates(0.1, 8.0), 1, (1.0,), True, max_events=3000),
+    ],
+    ids=["one_gap", "two_gaps", "three_gaps", "rare"],
+)
+def test_runs_of_first_gap_deaths_are_the_one_path_references(config, monkeypatch):
+    # about one path in 50 to 120 survives its first gap (one in 2,700
+    # in the rare cell, which mostly reaches the cap), so runs of
+    # _FIRST_GAP_RUN first-gap deaths are drawn by array calls, and
+    # chunks that hold a survivor rewind the generator
+    real, chunks = simulate._first_gap_deaths, []
+
+    def logged(rng, z0, p_survive, n):
+        chunks.append((n, real(rng, z0, p_survive, n)))
+        return chunks[-1][1]
+
+    monkeypatch.setattr(simulate, "_first_gap_deaths", logged)
+    laws = simulate._gap_laws(config)
+    for seed in range(6):
+        for m in (1, 6):
+            new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = _outcome(lambda: simulate._draw_conditioned(new_rng, config, laws, m))
+            old = _outcome(lambda: legacy.draw_conditioned_array(old_rng, config, laws, m))
+            assert new == old, (seed, m)
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state, (seed, m)
+    # chunks ran out with no survivor and doubled, and found one and rewound
+    assert any(deaths == n > simulate._FIRST_GAP_RUN for n, deaths in chunks)
+    assert any(deaths < n for n, deaths in chunks)
+
+
+def test_a_hopeless_config_refuses_at_the_default_cap_within_a_second():
+    # one ancestor survives 25 time units at lam 0.1, mu 8 with
+    # probability 1.7e-86, so the 10^7-th one-gap path in a row is refused
+    config = SimConfig(Rates(0.1, 8.0), 1, (25.0,), condition_nonextinct=True, seed=3)
+    laws = simulate._gap_laws(config)
+    rng = np.random.default_rng(3)
+    start = time.perf_counter()
+    with pytest.raises(CapError, match="after 10000000 rejected paths"):
+        simulate._draw_conditioned(rng, config, laws, 1)
+    assert time.perf_counter() - start < 1.0
+    # the stream stands after 10^7 first-gap draws, where the one-path
+    # loop leaves it
+    reference = np.random.default_rng(3)
+    assert not reference.binomial(1, laws[0][1], 10**7).any()
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_the_step_mean_cap_raises_the_array_samplers_error():
@@ -210,15 +264,20 @@ def test_one_binomial_call_per_gap_and_one_birth_draw_per_live_lane():
 
 
 class _LoggingRng:
-    """A Generator that logs every scalar draw as (kind, n, result)."""
+    """A Generator that logs every draw as (kind, n, result), those of an
+    array call one by one (a rewind of its bit_generator is not logged)."""
 
     def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
         self.log: list[tuple[str, int, int]] = []
 
-    def binomial(self, n, p):
-        out = self.rng.binomial(n, p)
-        self.log.append(("survivors", n, out))
+    def binomial(self, n, p, size=None):
+        out = self.rng.binomial(n, p, size)
+        if size is None:
+            self.log.append(("survivors", n, out))
+        else:
+            self.log += [("survivors", n, s) for s in out.tolist()]
         return out
 
     def negative_binomial(self, n, p):

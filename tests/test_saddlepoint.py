@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    mean,
     mp_alpha_beta,
     mp_cgf_prime,
     mp_cond_cgf_derivative,
     mp_cond_cgf_prime,
     mp_log_cond_spa_pmf,
     mp_log_spa_pmf,
+    variance,
 )
 from scipy.optimize import brentq
 
@@ -25,9 +27,7 @@ from bdrates.exact import (
     exact_loglik,
     geom_params,
     log_transition_prob,
-    mean,
     truncation_limit,
-    variance,
 )
 from bdrates.saddlepoint import (
     RESIDUAL_TOL,

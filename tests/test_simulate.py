@@ -1,7 +1,8 @@
-"""Simulators and benchmark harness.
+"""The panel sampler and the benchmark harness.
 
-The event loop (simulate_trajectory) is the reference: tests that check
-a law take the panel sampler (simulate_panel) as a second input.
+The event loop (oracles.simulate_trajectory) is the reference: tests
+that check a law take the panel sampler (simulate_panel) as a second
+input.
 """
 
 import dataclasses
@@ -11,11 +12,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from oracles import mean, simulate_trajectory, simulate_trajectory_stats, variance
 from scipy.stats import chi2_contingency
 
 from bdrates.errors import CapError, DomainError
 from bdrates.estimate import FitOptions, fit
-from bdrates.exact import alpha_beta, geom_params, log_transition_prob, mean, variance
+from bdrates.exact import alpha_beta, geom_params, log_transition_prob
 from bdrates.simulate import (
     BenchmarkCell,
     SimConfig,
@@ -23,8 +25,6 @@ from bdrates.simulate import (
     run_benchmark,
     simulate_panel,
     simulate_panel_stats,
-    simulate_trajectory,
-    simulate_trajectory_stats,
     summarize,
 )
 from bdrates.types import Panel, Rates

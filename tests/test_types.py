@@ -65,7 +65,7 @@ def test_panel_aggregation():
     )
     assert len(p) == 2
     assert p.n_transitions == 3
-    assert p.all_gaps() == [0.5, 0.5, 0.5]
+    assert p.transitions.gap.tolist() == [0.5, 0.5, 0.5]
     assert p.equal_spacing()
     assert p.common_gap() == pytest.approx(0.5)
 
@@ -93,7 +93,7 @@ def test_transitions_float_grid_is_one_group():
     times = (0.0,) + tuple(0.1 * (j + 1) for j in range(30))
     counts = tuple(range(10, 41))
     p = Panel((Trajectory(times, counts), Trajectory(times, counts[::-1])))
-    assert len(set(p.all_gaps())) > 1
+    assert len(set(p.transitions.gap.tolist())) > 1
     (grp,) = p.transitions.groups
     assert grp.tau == p.common_gap()
     assert grp.src.tolist() == list(counts[:-1]) + list(counts[::-1][:-1])
