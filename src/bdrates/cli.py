@@ -36,6 +36,7 @@ from .estimate import (
 from .exact import log_transition_prob
 from .panel_io import (
     PANEL_SCHEMA,
+    cell_from_dict,
     dumps_json,
     read_panel,
     write_benchmark_csv,
@@ -232,18 +233,7 @@ def _cells_from_config(path: str) -> list[BenchmarkCell]:
     cells = []
     for i, entry in enumerate(doc):
         try:
-            cells.append(
-                BenchmarkCell(
-                    rates=Rates(float(entry["lambda"]), float(entry["mu"])),
-                    z0=int(entry["z0"]),
-                    n_obs=int(entry["n_obs"]),
-                    m=int(entry["m"]),
-                    dt=float(entry["dt"]),
-                    condition_nonextinct=bool(
-                        entry.get("condition_nonextinct", True)
-                    ),
-                )
-            )
+            cells.append(cell_from_dict(entry))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"benchmark config cell {i}: {exc}")
     return cells

@@ -13,14 +13,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Optional, Sequence
 
 from . import __version__
 from .errors import DataError
 from .estimate import CompareRow, EstimateResult
-from .simulate import BenchmarkReport
-from .types import Panel, Trajectory
+from .simulate import BenchmarkCell, BenchmarkReport, MethodStats
+from .types import Panel, Rates, Trajectory
 
 __all__ = [
     "PANEL_SCHEMA",
@@ -33,6 +33,8 @@ __all__ = [
     "error_to_dict",
     "write_results",
     "read_results",
+    "cell_to_dict",
+    "cell_from_dict",
     "write_benchmark_json",
     "write_benchmark_csv",
 ]
@@ -238,18 +240,30 @@ def read_results(path: str):
 # benchmark reports
 
 
+def cell_to_dict(cell: BenchmarkCell) -> dict:
+    """A benchmark cell as report files and ``bdrates benchmark --config``
+    spell it: its rates as lambda and mu, then its other fields."""
+    spelled = asdict(cell)
+    rates = spelled.pop("rates")
+    return {"lambda": rates["lam"], "mu": rates["mu"], **spelled}
+
+
+def cell_from_dict(entry: dict) -> BenchmarkCell:
+    """The cell that cell_to_dict spells as entry, conditioned on survival
+    where entry does not say."""
+    return BenchmarkCell(
+        rates=Rates(float(entry["lambda"]), float(entry["mu"])),
+        z0=int(entry["z0"]),
+        n_obs=int(entry["n_obs"]),
+        m=int(entry["m"]),
+        dt=float(entry["dt"]),
+        condition_nonextinct=bool(entry.get("condition_nonextinct", True)),
+    )
+
+
 def _report_to_dict(report: BenchmarkReport) -> dict:
-    cell = report.cell
     return {
-        "cell": {
-            "lambda": cell.rates.lam,
-            "mu": cell.rates.mu,
-            "z0": cell.z0,
-            "n_obs": cell.n_obs,
-            "m": cell.m,
-            "dt": cell.dt,
-            "condition_nonextinct": cell.condition_nonextinct,
-        },
+        "cell": cell_to_dict(report.cell),
         "n_replicates": report.n_replicates,
         "seed": report.seed,
         "rows": [asdict(row) for row in report.rows],
@@ -266,38 +280,21 @@ def write_benchmark_json(path: str, reports: Sequence[BenchmarkReport]) -> None:
         fh.write(dumps_json(doc) + "\n")
 
 
-_BENCH_COLUMNS = [
-    "lambda", "mu", "z0", "n_obs", "m", "dt", "method",
-    "n_used", "n_failed", "n_nonconverged",
-    "bias_lambda", "sd_lambda", "rmse_lambda",
-    "bias_mu", "sd_mu", "rmse_mu",
-    "bias_omega", "sd_omega", "rmse_omega",
-    "mean_obj_evals", "mean_wall_time",
-]
+# the cell's keys that the CSV carries: all but condition_nonextinct
+_CSV_CELL_KEYS = ("lambda", "mu", "z0", "n_obs", "m", "dt")
 
 
 def write_benchmark_csv(path: str, reports: Sequence[BenchmarkReport]) -> None:
-    """One row per (cell, method); floats at 17 significant digits."""
+    """One row per (cell, method): the cell, then the MethodStats fields;
+    floats at 17 significant digits."""
     with open(path, "w", newline="") as fh:
         fh.write(f"# schema: {BENCHMARK_SCHEMA}\n")
         writer = csv.writer(fh)
-        writer.writerow(_BENCH_COLUMNS)
+        writer.writerow([*_CSV_CELL_KEYS, *(f.name for f in fields(MethodStats))])
         for report in reports:
-            cell = report.cell
+            cell = cell_to_dict(report.cell)
             for row in report.rows:
-                stats = asdict(row)
-                record = [
-                    format(cell.rates.lam, ".17g"),
-                    format(cell.rates.mu, ".17g"),
-                    cell.z0,
-                    cell.n_obs,
-                    cell.m,
-                    format(cell.dt, ".17g"),
-                    row.method,
-                ]
-                for col in _BENCH_COLUMNS[7:]:
-                    val = stats[col]
-                    record.append(
-                        format(val, ".17g") if isinstance(val, float) else val
-                    )
-                writer.writerow(record)
+                values = [*(cell[key] for key in _CSV_CELL_KEYS), *asdict(row).values()]
+                writer.writerow(
+                    [format(v, ".17g") if isinstance(v, float) else v for v in values]
+                )

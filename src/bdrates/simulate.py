@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BdError, CapError, DomainError
-from .estimate import EstimateResult, FitOptions, fit
+from .estimate import FitOptions, fit
 from .exact import geom_params
 from .types import Panel, Rates, Trajectory
 
@@ -389,21 +389,28 @@ class BenchmarkReport:
     rows: tuple[MethodStats, ...]
 
 
+def _summarize_rows(samples: np.ndarray, truths: np.ndarray) -> np.ndarray:
+    """(bias, sd, rmse) of each row of a k x n sample array against its
+    truth, as a k x 3 array: NaN where n = 0, sd 0 where n = 1.
+
+    numpy sums each row along its contiguous axis pairwise, as it sums a
+    1-D array, so each row's figures have the bits of that row summarized
+    alone.
+    """
+    k, n = samples.shape
+    if n == 0:
+        return np.full((k, 3), math.nan)
+    bias = samples.mean(axis=1) - truths
+    sd = samples.std(axis=1, ddof=1) if n > 1 else np.zeros(k)
+    rmse = np.sqrt(((samples - truths[:, None]) ** 2).mean(axis=1))
+    return np.column_stack((bias, sd, rmse))
+
+
 def summarize(values: Sequence[float], truth: float) -> tuple[float, float, float]:
     """(bias, sd, rmse) of a sample of estimates against the truth."""
-    v = np.asarray(values, dtype=float)
-    if len(v) == 0:
-        return math.nan, math.nan, math.nan
-    # ndarray methods and math.sqrt: the same reductions as np.mean,
-    # np.std and np.sqrt, without their per-call wrappers
-    bias = float(v.mean() - truth)
-    sd = float(v.std(ddof=1)) if len(v) > 1 else 0.0
-    rmse = math.sqrt(((v - truth) ** 2).mean())
+    samples = np.asarray(values, dtype=float).reshape(1, -1)
+    bias, sd, rmse = _summarize_rows(samples, np.array([truth], dtype=float))[0].tolist()
     return bias, sd, rmse
-
-
-def _mean(values: Sequence[float]) -> float:
-    return float(np.asarray(values).mean()) if values else math.nan
 
 
 def run_benchmark(
@@ -428,7 +435,8 @@ def run_benchmark(
         raise DomainError(f"seed must be a nonnegative integer, got {seed}")
     reports = []
     for ci, cell in enumerate(cells):
-        estimates: dict[str, list[EstimateResult]] = {m: [] for m in methods}
+        # per method, one (lam, mu, omega, evaluations, wall time) per kept fit
+        kept: dict[str, list[tuple[float, ...]]] = {m: [] for m in methods}
         failures = {m: 0 for m in methods}
         nonconverged = {m: 0 for m in methods}
         for rep in range(n_replicates):
@@ -448,33 +456,23 @@ def run_benchmark(
                     continue
                 if not res.converged:
                     nonconverged[method] += 1
-                estimates[method].append(res)
+                lam, mu = res.rates.lam, res.rates.mu
+                kept[method].append((lam, mu, lam - mu, res.n_obj_evals, res.wall_time))
+        # the cost rows are measured against 0, so their bias is their mean
+        truths = np.array([cell.rates.lam, cell.rates.mu, cell.rates.omega, 0.0, 0.0])
         rows = []
         for method in methods:
-            kept = estimates[method]
-            lams = [r.rates.lam for r in kept]
-            mus = [r.rates.mu for r in kept]
-            oms = [r.rates.lam - r.rates.mu for r in kept]
-            bl, sl, rl = summarize(lams, cell.rates.lam)
-            bm, sm, rm = summarize(mus, cell.rates.mu)
-            bo, so, ro = summarize(oms, cell.rates.omega)
+            # one contiguous row per quantity, which numpy sums pairwise
+            samples = np.array(kept[method], dtype=float).reshape(-1, len(truths)).T.copy()
+            figures = _summarize_rows(samples, truths)
             rows.append(
                 MethodStats(
-                    method=method,
-                    n_used=len(kept),
-                    n_failed=failures[method],
-                    n_nonconverged=nonconverged[method],
-                    bias_lambda=bl,
-                    sd_lambda=sl,
-                    rmse_lambda=rl,
-                    bias_mu=bm,
-                    sd_mu=sm,
-                    rmse_mu=rm,
-                    bias_omega=bo,
-                    sd_omega=so,
-                    rmse_omega=ro,
-                    mean_obj_evals=_mean([r.n_obj_evals for r in kept]),
-                    mean_wall_time=_mean([r.wall_time for r in kept]),
+                    method,
+                    len(kept[method]),
+                    failures[method],
+                    nonconverged[method],
+                    *figures[:3].ravel().tolist(),
+                    *figures[3:, 0].tolist(),
                 )
             )
         reports.append(
