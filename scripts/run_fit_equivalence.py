@@ -36,7 +36,10 @@ records one sha256 per (cell, seed), seeds 1-20, of the trajectories and
 rejection counts that simulate_panel_stats draws (or of the CapError it
 raises); and for each of the six benchmark cells the rows of one seeded
 run_benchmark report (gw and spmle, BENCH_REPLICATES replicates, seed
-BENCH_SEED), less the wall time.
+BENCH_SEED), less the wall time, plus one report of LONG_REPLICATES
+replicates on perfbench's single_traj Monte Carlo cell. Its samples are
+longer than numpy's 128-element pairwise-summation block, so a change in
+the order in which the harness sums them shows.
 
 The compare mode reads two such files and prints, per method, the fits
 that are bit-identical; the fits on panels whose digests differ
@@ -98,6 +101,7 @@ STREAM_SEEDS = range(1, 21)
 BENCH_METHODS = ("gw", "spmle")
 BENCH_REPLICATES = 20
 BENCH_SEED = 20261020
+LONG_REPLICATES = 300
 # the one unconditioned stream cell: (lam, mu, z0, observation times, m)
 UNCONDITIONED = (7.0, 5.0, 5, (0.1, 0.25, 0.4, 0.6), 50)
 
@@ -220,12 +224,12 @@ def stream_digest(config, m: int, seed: int) -> str:
     return hashlib.sha256(json.dumps(drawn).encode()).hexdigest()
 
 
-def benchmark_rows(cell) -> dict:
+def benchmark_rows(cell, n_replicates: int) -> dict:
     """{method: row} of the seeded run_benchmark report of cell, each row
     without its wall time, as run_benchmark's equality reads them."""
     from bdrates import run_benchmark
 
-    (report,) = run_benchmark(cell, BENCH_METHODS, BENCH_REPLICATES, BENCH_SEED)
+    (report,) = run_benchmark(cell, BENCH_METHODS, n_replicates, BENCH_SEED)
     rows = {}
     for row in report.rows:
         rec = dataclasses.asdict(row)
@@ -290,9 +294,12 @@ def fits(args) -> int:
     for name, (config, m) in stream_cells().items():
         for seed in STREAM_SEEDS:
             streams[f"{name}:{seed}"] = stream_digest(config, m, seed)
-    for name, cell in bench_cells().items():
-        for method, row in benchmark_rows(cell).items():
+    cells = bench_cells()
+    for name, cell in cells.items():
+        for method, row in benchmark_rows(cell, BENCH_REPLICATES).items():
             bench[f"{name}:{method}"] = row
+    for method, row in benchmark_rows(cells["mc_single_traj"], LONG_REPLICATES).items():
+        bench[f"mc_single_traj_x{LONG_REPLICATES}:{method}"] = row
     # the commit of the tree whose bdrates was fitted, not of this script's
     import bdrates
 

@@ -7,8 +7,10 @@ estimate    fit rates to a panel CSV, write a JSON result file
 pmf         tabulate exact vs saddlepoint transition probabilities as CSV
 benchmark   Monte Carlo estimator comparison over a grid of scenarios
 
-Exit codes: 0 success, 2 usage or parse failure, 3 resource cap
-exceeded, 4 estimator did not converge.  simulate and benchmark runs
+Exit codes: 0 success, 2 usage or parse failure or a file that cannot
+be read or written, 3 resource cap exceeded, 4 estimator did not
+converge.  benchmark opens its two outputs before the Monte Carlo run,
+so an unwritable --out fails at once.  simulate and benchmark runs
 without --seed draw one from the OS and record it in every output, so
 any run can be replayed; estimate is deterministic and takes no seed.
 """
@@ -261,6 +263,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     methods = [canonical_method(tok) for tok in args.methods.split(",") if tok]
     if not methods:
         raise DataError("--methods is empty")
+    for suffix in (".csv", ".json"):
+        # an output that cannot be written fails now, not after the run;
+        # appending creates the file but keeps what an earlier run wrote
+        open(args.out + suffix, "a").close()
     reports = run_benchmark(
         cells, methods, n_replicates=args.replicates, seed=seed
     )
@@ -376,7 +382,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, DomainError) as exc:
+    except (DataError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapError as exc:

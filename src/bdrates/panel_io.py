@@ -56,7 +56,7 @@ def write_panel(path: str, panel: Panel, ids: Optional[Sequence[str]] = None) ->
         ids = [f"traj{j}" for j in range(len(panel))]
     if len(ids) != len(panel) or len(set(ids)) != len(panel):
         raise DataError("ids must be unique, one per trajectory")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# schema: {PANEL_SCHEMA}\n")
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
@@ -65,15 +65,23 @@ def write_panel(path: str, panel: Panel, ids: Optional[Sequence[str]] = None) ->
                 writer.writerow([tid, format(float(t), ".17g"), int(c)])
 
 
+def _csv_rows(fh, path: str):
+    """(1-based row number, fields) of each row of the CSV text fh reads
+    from path, refusing bytes that are not UTF-8 with a DataError."""
+    try:
+        yield from enumerate(csv.reader(fh), start=1)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path!r} is not UTF-8 text: {exc.reason}") from exc
+
+
 def read_panel(path: str) -> Panel:
     """Parse a panel CSV; failures name the 1-based file row."""
     groups: dict[str, list[tuple[float, int]]] = {}
-    order: list[str] = []
     first_row: dict[str, int] = {}
-    closed: set[str] = set()
+    current = None
     header_seen = False
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in _csv_rows(fh, path):
             if not row or (row[0].startswith("#")):
                 continue
             if not header_seen:
@@ -103,18 +111,15 @@ def read_panel(path: str) -> Panel:
                 )
             if c < 0:
                 raise DataError(f"row {lineno}: count must be nonnegative")
-            if tid in closed:
-                raise DataError(
-                    f"row {lineno}: trajectory {tid!r} reappears after other "
-                    f"rows; rows must be grouped by trajectory_id"
-                )
-            if tid not in groups:
-                for other in order:
-                    if other != tid:
-                        closed.add(other)
+            if tid != current:
+                if tid in groups:
+                    raise DataError(
+                        f"row {lineno}: trajectory {tid!r} reappears after other "
+                        f"rows; rows must be grouped by trajectory_id"
+                    )
                 groups[tid] = []
-                order.append(tid)
                 first_row[tid] = lineno
+                current = tid
             prev = groups[tid]
             if prev:
                 if t == prev[-1][0]:
@@ -133,8 +138,7 @@ def read_panel(path: str) -> Panel:
     if not groups:
         raise DataError("file has a header but no data rows")
     trajectories = []
-    for tid in order:
-        rows = groups[tid]
+    for tid, rows in groups.items():
         try:
             trajectories.append(
                 Trajectory(tuple(t for t, _ in rows), tuple(c for _, c in rows))
@@ -248,16 +252,26 @@ def cell_to_dict(cell: BenchmarkCell) -> dict:
     return {"lambda": rates["lam"], "mu": rates["mu"], **spelled}
 
 
+def _integral(value):
+    """An integral float, such as 2.0, as its int; any other value as is."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 def cell_from_dict(entry: dict) -> BenchmarkCell:
     """The cell that cell_to_dict spells as entry, conditioned on survival
-    where entry does not say."""
+    where entry does not say.  BenchmarkCell refuses a size that is not an
+    integer, and condition_nonextinct must be a bool: DataError, naming
+    it, otherwise."""
+    condition = entry.get("condition_nonextinct", True)
+    if not isinstance(condition, bool):
+        raise DataError(f"condition_nonextinct must be true or false, got {condition!r}")
     return BenchmarkCell(
         rates=Rates(float(entry["lambda"]), float(entry["mu"])),
-        z0=int(entry["z0"]),
-        n_obs=int(entry["n_obs"]),
-        m=int(entry["m"]),
+        z0=_integral(entry["z0"]),
+        n_obs=_integral(entry["n_obs"]),
+        m=_integral(entry["m"]),
         dt=float(entry["dt"]),
-        condition_nonextinct=bool(entry.get("condition_nonextinct", True)),
+        condition_nonextinct=condition,
     )
 
 

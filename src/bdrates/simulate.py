@@ -18,13 +18,20 @@ the transition law.
 run_benchmark() wraps the simulator and the estimation front-end into a
 bias / standard deviation / RMSE table per estimator, with per-replicate
 seeds split from the master seed so results do not depend on execution
-order.
+order.  Each method's kept fits form one 5 x n array, a row each for
+lambda-hat, mu-hat, omega-hat, the objective evaluations and the wall
+time, reduced row by row in one pass (_summarize_rows).  numpy sums a
+contiguous row pairwise, in the order in which it sums the same values
+as a 1-D array, so every figure has the bits of summarize() on its row
+alone, at any n; tests/test_simulate.py holds the rows to the
+per-quantity summaries kept in tests/legacy_kernels.py.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -293,6 +300,12 @@ def _draw_conditioned(
     return kept, rejections
 
 
+def _check_size(name: str, value) -> None:
+    """Refuse a size that is a bool, not an integer or below 1, naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+
+
 def simulate_panel_stats(config: SimConfig, m: int) -> tuple[Panel, list[int]]:
     """m independent trajectories plus per-trajectory rejection counts.
 
@@ -301,8 +314,7 @@ def simulate_panel_stats(config: SimConfig, m: int) -> tuple[Panel, list[int]]:
     seeds), so a panel reproduces from its seed.  rejections[j] counts
     the paths conditioning threw away between trajectory j - 1 and j.
     """
-    if m < 1:
-        raise DomainError(f"panel size must be positive, got {m}")
+    _check_size("panel size m", m)
     rng = np.random.default_rng(config.seed)
     laws = _gap_laws(config)
     if config.condition_nonextinct:
@@ -330,7 +342,8 @@ class BenchmarkCell:
 
     n_obs is the number of observations after time zero, i.e. the number
     of transitions each trajectory contributes; m is the number of
-    trajectories per panel.
+    trajectories per panel.  z0, n_obs and m are positive integers, not
+    bools; DomainError names the one that is not.
     """
 
     rates: Rates
@@ -341,8 +354,8 @@ class BenchmarkCell:
     condition_nonextinct: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_obs < 1 or self.m < 1:
-            raise DomainError("n_obs and m must be positive")
+        for name in ("z0", "n_obs", "m"):
+            _check_size(name, getattr(self, name))
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise DomainError(f"dt must be positive and finite, got {self.dt}")
 

@@ -46,6 +46,9 @@ call over the live lanes before it drew them lane by lane, and drew
 conditioned panels in batches sized from the survival probability
 before it drew them one path at a time, stopping each at its first
 zero; that sampler's reference is the array one run one path at a time.
+The benchmark harness summarized each quantity of a method's kept fits
+as its own 1-D array, with summarize and _mean, before one pass over a
+5 x n array of them replaced it.
 They are kept here verbatim apart from names, calling the package's current
 helpers, so the replacements can be checked against them.
 """
@@ -92,7 +95,7 @@ from bdrates.saddlepoint import (
     _x_max,
     solve_saddlepoint,
 )
-from bdrates.simulate import _MAX_STEP_MEAN
+from bdrates.simulate import _MAX_STEP_MEAN, MethodStats
 from bdrates.types import SPACING_TOL, Panel, Rates
 from oracles import pgf_geom
 
@@ -567,6 +570,53 @@ def draw_conditioned_array(rng, config, laws, m: int) -> tuple[list[list[int]], 
                 "non-extinction event may be too rare for these rates"
             )
     return kept, rejections
+
+
+def summarize(values: Sequence[float], truth: float) -> tuple[float, float, float]:
+    """(bias, sd, rmse) of a sample of estimates against the truth."""
+    v = np.asarray(values, dtype=float)
+    if len(v) == 0:
+        return math.nan, math.nan, math.nan
+    # ndarray methods and math.sqrt: the same reductions as np.mean,
+    # np.std and np.sqrt, without their per-call wrappers
+    bias = float(v.mean() - truth)
+    sd = float(v.std(ddof=1)) if len(v) > 1 else 0.0
+    rmse = math.sqrt(((v - truth) ** 2).mean())
+    return bias, sd, rmse
+
+
+def _mean(values: Sequence[float]) -> float:
+    return float(np.asarray(values).mean()) if values else math.nan
+
+
+def method_stats_per_quantity(
+    method: str, kept: list, n_failed: int, n_nonconverged: int, rates: Rates
+) -> MethodStats:
+    """run_benchmark's row of one method from its kept fits (each with
+    rates, n_obj_evals and wall_time), one quantity at a time."""
+    lams = [r.rates.lam for r in kept]
+    mus = [r.rates.mu for r in kept]
+    oms = [r.rates.lam - r.rates.mu for r in kept]
+    bl, sl, rl = summarize(lams, rates.lam)
+    bm, sm, rm = summarize(mus, rates.mu)
+    bo, so, ro = summarize(oms, rates.omega)
+    return MethodStats(
+        method=method,
+        n_used=len(kept),
+        n_failed=n_failed,
+        n_nonconverged=n_nonconverged,
+        bias_lambda=bl,
+        sd_lambda=sl,
+        rmse_lambda=rl,
+        bias_mu=bm,
+        sd_mu=sm,
+        rmse_mu=rm,
+        bias_omega=bo,
+        sd_omega=so,
+        rmse_omega=ro,
+        mean_obj_evals=_mean([r.n_obj_evals for r in kept]),
+        mean_wall_time=_mean([r.wall_time for r in kept]),
+    )
 
 
 def exact_loglik_transition_walk(panel: Panel, rates: Rates) -> float:

@@ -437,8 +437,14 @@ def test_fit_equivalence_script_pins_the_seeded_stream(tmp_path, capsys, monkeyp
     ]
     uncond = "unconditioned_z0=5,m=50"
     assert list(parent["streams"]) == [f"{c}:{s}" for c in cells + [uncond] for s in (1, 2, 3)]
-    assert list(parent["benchmark"]) == [f"{c}:{m}" for c in cells for m in ("gw", "spmle")]
-    assert all(row["n_used"] + row["n_failed"] == 3 for row in parent["benchmark"].values())
+    long = f"mc_single_traj_x{eq.LONG_REPLICATES}"
+    assert list(parent["benchmark"]) == [f"{c}:{m}" for c in cells + [long] for m in ("gw", "spmle")]
+    assert all(
+        row["n_used"] + row["n_failed"] == (eq.LONG_REPLICATES if case.startswith(long) else 3)
+        for case, row in parent["benchmark"].items()
+    )
+    # the long report sums more values than numpy's pairwise block holds
+    assert parent["benchmark"][f"{long}:gw"]["n_used"] > 128
     assert all("mean_wall_time" not in row for row in parent["benchmark"].values())
     # the array references and the package's samplers draw the same stream
     assert parent["streams"] == same["streams"] and parent["benchmark"] == same["benchmark"]
@@ -446,7 +452,7 @@ def test_fit_equivalence_script_pins_the_seeded_stream(tmp_path, capsys, monkeyp
     assert eq.main(["compare", str(tmp_path / "parent"), str(tmp_path / "same")]) == 0
     out = capsys.readouterr().out
     assert "streams: 21 stream cases, 21 identical" in out
-    assert "benchmark: 12 benchmark rows, 12 identical" in out and "differs" not in out
+    assert "benchmark: 14 benchmark rows, 14 identical" in out and "differs" not in out
     # samplers that draw one more number list every case they moved, the
     # unconditioned cell's and the conditioned cells' alike
     streams = eq.differing(parent, moved, "streams")

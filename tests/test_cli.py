@@ -405,6 +405,42 @@ class TestBenchmark:
         assert code == 2
         assert "cell 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ({"z0": 2.7}, "z0"),
+            ({"m": 1.9}, "m"),
+            ({"n_obs": True}, "n_obs"),
+            ({"condition_nonextinct": "false"}, "condition_nonextinct"),
+        ],
+    )
+    def test_config_refuses_values_of_the_wrong_type(self, entry, named, tmp_path, capsys):
+        # these were truncated to 2 and 1, read as 1, and read as true
+        config = tmp_path / "cells.json"
+        cell = {"lambda": 7, "mu": 5, "z0": 10, "n_obs": 5, "m": 1, "dt": 0.1}
+        config.write_text(json.dumps([cell, {**cell, **entry}]))
+        code = run(
+            ["benchmark", "--config", str(config), "--replicates", "2",
+             "--seed", "1", "--out", str(tmp_path / "b")]
+        )
+        assert code == 2
+        assert f"error: benchmark config cell 1: {named} must be" in capsys.readouterr().err
+
+    def test_config_takes_integral_numbers_as_integers(self, tmp_path):
+        config = tmp_path / "cells.json"
+        config.write_text(
+            json.dumps([{"lambda": 7, "mu": 5, "z0": 2.0, "n_obs": 5.0, "m": 1.0, "dt": 0.1}])
+        )
+        out = str(tmp_path / "bench")
+        code = run(
+            ["benchmark", "--config", str(config), "--methods", "gw",
+             "--replicates", "2", "--seed", "4", "--out", out]
+        )
+        assert code == 0
+        cell = json.load(open(out + ".json"))["reports"][0]["cell"]
+        assert (cell["z0"], cell["n_obs"], cell["m"]) == (2, 5, 1)
+        assert all(type(cell[k]) is int for k in ("z0", "n_obs", "m"))
+
     def test_missing_cell_flags_exit_2(self, tmp_path):
         code = run(
             ["benchmark", "--lambda", "7", "--replicates", "2", "--seed", "1",
@@ -428,3 +464,56 @@ def test_negative_seed_exit_2_names_seed(argv, panel_csv, tmp_path, capsys):
     code = run(argv + ["--seed", "-1", "--out", str(tmp_path / "out")])
     assert code == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "input_missing",
+        "input_directory",
+        "input_not_utf8",
+        "simulate_out",
+        "estimate_out",
+        "pmf_out",
+        "benchmark_out",
+    ],
+)
+def test_unreadable_or_unwritable_file_exit_2(case, panel_csv, tmp_path, capsys, monkeypatch):
+    import bdrates.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the Monte Carlo run started")
+
+    # benchmark refuses its output before the run, not after it
+    monkeypatch.setattr(cli, "run_benchmark", no_run)
+    not_utf8 = tmp_path / "latin1.csv"
+    not_utf8.write_bytes(b"trajectory_id,time,count\nh\xe9,0.0,3\nh\xe9,0.1,4\n")
+    out = str(tmp_path / "missing" / "out.csv")
+    argv, named = {
+        "input_missing": (["estimate", "--input", str(tmp_path / "none.csv")], "none.csv"),
+        "input_directory": (["estimate", "--input", str(tmp_path)], str(tmp_path)),
+        "input_not_utf8": (["estimate", "--input", str(not_utf8)], f"{not_utf8}' is not UTF-8"),
+        "simulate_out": (
+            ["simulate", "--lambda", "2", "--mu", "1", "--dt", "0.2", "--n-obs", "3",
+             "--seed", "1", "--out", out],
+            out,
+        ),
+        "estimate_out": (
+            ["estimate", "--input", panel_csv, "--method", "gw", "--out", out], out
+        ),
+        "pmf_out": (
+            ["pmf", "--lambda", "2", "--mu", "1", "--t", "0.5", "--a", "3", "--k-max", "5",
+             "--out", out],
+            out,
+        ),
+        "benchmark_out": (
+            ["benchmark", "--lambda", "7", "--mu", "5", "--z0", "10", "--n-obs", "5",
+             "--m", "1", "--dt", "0.1", "--methods", "gw", "--replicates", "2",
+             "--seed", "1", "--out", str(tmp_path / "missing" / "b")],
+            str(tmp_path / "missing" / "b.csv"),
+        ),
+    }[case]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -28,6 +29,8 @@ from bdrates.panel_io import (
     BENCHMARK_SCHEMA,
     PANEL_SCHEMA,
     RESULT_SCHEMA,
+    cell_from_dict,
+    cell_to_dict,
     dumps_json,
     error_to_dict,
     result_to_dict,
@@ -185,6 +188,19 @@ class TestPanelCsv:
         write_panel(p, panel)
         assert read_panel(p) == panel
 
+    def test_many_trajectories_read_in_linear_time(self, tmp_path):
+        # each new id used to close every earlier one: 13.7 s for this file
+        n = 20000
+        p = _write_lines(
+            tmp_path / "many.csv",
+            ["trajectory_id,time,count"]
+            + [f"t{j},{t},{c}" for j in range(n) for t, c in ((0.0, 3), (0.5, 4))],
+        )
+        t0 = time.perf_counter()
+        panel = read_panel(p)
+        assert time.perf_counter() - t0 < 2.0
+        assert len(panel) == n and panel.trajectories[-1] == Trajectory((0.0, 0.5), (3, 4))
+
 
 class TestDumpsJson:
     @given(
@@ -317,6 +333,21 @@ def reports():
 
 
 class TestBenchmarkFiles:
+    def test_cell_round_trip(self):
+        for cell in (
+            BenchmarkCell(Rates(7.0, 5.0), z0=10, n_obs=5, m=3, dt=0.1),
+            BenchmarkCell(Rates(2, 1), z0=1, n_obs=14, m=1, dt=0.2, condition_nonextinct=False),
+        ):
+            spelled = cell_to_dict(cell)
+            assert list(spelled) == [
+                "lambda", "mu", "z0", "n_obs", "m", "dt", "condition_nonextinct"
+            ]
+            assert cell_from_dict(spelled) == cell
+        del spelled["condition_nonextinct"]
+        assert cell_from_dict(spelled).condition_nonextinct is True
+        with pytest.raises(DataError, match="condition_nonextinct must be true or false, got 0"):
+            cell_from_dict({**spelled, "condition_nonextinct": 0})
+
     def test_json_document(self, tmp_path, reports):
         p = str(tmp_path / "b.json")
         write_benchmark_json(p, reports)

@@ -6,16 +6,18 @@ input.
 """
 
 import dataclasses
+import json
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from oracles import mean, simulate_trajectory, simulate_trajectory_stats, variance
 from scipy.stats import chi2_contingency
 
-from bdrates.errors import CapError, DomainError
+from bdrates.errors import CapError, DataError, DomainError
 from bdrates.estimate import FitOptions, fit
 from bdrates.exact import alpha_beta, geom_params, log_transition_prob
 from bdrates.simulate import (
@@ -370,6 +372,67 @@ def test_benchmark_reports_fit_cost(monkeypatch):
     assert row.mean_obj_evals > 0 and row.mean_wall_time > 0
 
 
+def test_benchmark_counts_nonconverged_fits_and_keeps_them(monkeypatch):
+    import bdrates.simulate as simulate
+
+    results = []
+
+    def record(panel, method, options):
+        results.append(fit(panel, method, options))
+        return results[-1]
+
+    monkeypatch.setattr(simulate, "fit", record)
+    cell = BenchmarkCell(Rates(7.0, 5.0), 5, 4, 2, 0.1)
+    gw_row, mle_row = run_benchmark(cell, ["gw", "mle"], 4, seed=8, options=FitOptions(maxiter=1))[
+        0
+    ].rows
+    for row in (gw_row, mle_row):
+        mine = [r for r in results if r.method == row.method]
+        assert row.n_nonconverged == sum(not r.converged for r in mine)
+        # a fit that hit its budget still enters the statistics
+        assert row.n_used == len(mine) == 4 and row.n_failed == 0
+        lams = [r.rates.lam for r in mine]
+        assert (row.bias_lambda, row.sd_lambda, row.rmse_lambda) == summarize(lams, 7.0)
+    # one Newton step: no likelihood fit converges, and gw reads no options
+    assert (gw_row.n_nonconverged, mle_row.n_nonconverged) == (0, 4)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 127, 128, 129, 1000, 4097])
+def test_benchmark_rows_match_the_per_quantity_summaries_bit_for_bit(n, monkeypatch):
+    # the rows of one pass over the kept fits' array equal those of
+    # summarizing each quantity alone, wall time included, on
+    # Cauchy-tailed estimates; no fit kept gives NaN without a warning
+    import legacy_kernels as legacy
+
+    import bdrates.simulate as simulate
+
+    rng = np.random.default_rng(n)
+    truth = Rates(7.0, 6.0)
+    centres = np.array([[truth.lam], [truth.mu]])
+    lams, mus = np.abs(centres + rng.standard_cauchy((2, n))).tolist()
+    kept = [
+        SimpleNamespace(
+            rates=Rates(lam, mu), converged=True, n_obj_evals=int(k), wall_time=float(w)
+        )
+        for lam, mu, k, w in zip(lams, mus, rng.integers(1, 300, n), rng.exponential(1e-3, n))
+    ]
+    feed = iter(kept)
+
+    def replay(panel, method, options):
+        res = next(feed, None)
+        if res is None:
+            raise DataError("no fit kept")
+        return res
+
+    monkeypatch.setattr(simulate, "simulate_panel", lambda config, m: None)
+    monkeypatch.setattr(simulate, "fit", replay)
+    cell = BenchmarkCell(truth, 1, 3, 1, 0.2)
+    (row,) = run_benchmark(cell, ["spmle"], max(n, 2), seed=1)[0].rows
+    expected = legacy.method_stats_per_quantity("spmle", kept, max(n, 2) - n, 0, truth)
+    assert json.dumps(dataclasses.asdict(row)) == json.dumps(dataclasses.asdict(expected))
+    assert json.dumps(summarize(lams, truth.lam)) == json.dumps(legacy.summarize(lams, truth.lam))
+
+
 def test_benchmark_determinism_and_failure_accounting():
     cell = BenchmarkCell(Rates(1.0, 2.0), 1, 4, 1, 0.25)  # doomed panels: z0=1, subcritical
     a = run_benchmark(cell, ["gw"], 12, seed=5)
@@ -405,3 +468,24 @@ def test_benchmark_input_validation():
         BenchmarkCell(GROW, 2, 0, 1, 0.2)
     with pytest.raises(DomainError):
         BenchmarkCell(GROW, 2, 3, 1, -0.2)
+
+
+@pytest.mark.parametrize("field", ["z0", "n_obs", "m"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+def test_benchmark_cell_refuses_sizes_that_are_not_integers(field, value):
+    # n_obs=2.5 used to end in a bare TypeError from obs_times(), and
+    # m=1.5 drew two-trajectory panels reported as m=1.5
+    sizes = {"z0": 2, "n_obs": 3, "m": 1, field: value}
+    with pytest.raises(DomainError, match=f"^{field} must be a positive integer, got {value!r}"):
+        BenchmarkCell(GROW, dt=0.2, **sizes)
+    # numpy integers are integers
+    assert BenchmarkCell(GROW, dt=0.2, **{**sizes, field: np.int64(2)}).obs_times()
+
+
+@pytest.mark.parametrize("conditioned", [False, True])
+@pytest.mark.parametrize("m", [1.5, 2.0, True])
+def test_panel_size_must_be_an_integer(conditioned, m):
+    config = SimConfig(GROW, 3, (0.5, 1.0), condition_nonextinct=conditioned)
+    for draw in (simulate_panel, simulate_panel_stats):
+        with pytest.raises(DomainError, match=f"panel size m must be a positive integer, got {m!r}"):
+            draw(config, m)
