@@ -383,9 +383,8 @@ def test_benchmark_counts_nonconverged_fits_and_keeps_them(monkeypatch):
 
     monkeypatch.setattr(simulate, "fit", record)
     cell = BenchmarkCell(Rates(7.0, 5.0), 5, 4, 2, 0.1)
-    gw_row, mle_row = run_benchmark(cell, ["gw", "mle"], 4, seed=8, options=FitOptions(maxiter=1))[
-        0
-    ].rows
+    (report,) = run_benchmark(cell, ["gw", "mle"], 4, seed=8, options=FitOptions(maxiter=1))
+    gw_row, mle_row = report.rows
     for row in (gw_row, mle_row):
         mine = [r for r in results if r.method == row.method]
         assert row.n_nonconverged == sum(not r.converged for r in mine)
