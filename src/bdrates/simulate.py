@@ -477,6 +477,8 @@ def run_benchmark(
         for method in methods:
             # one contiguous row per quantity, which numpy sums pairwise
             samples = np.array(kept[method], dtype=float).reshape(-1, len(truths)).T.copy()
+            # MethodStats lists each rate's (bias, sd, rmse) in this row
+            # order, then the two cost means
             figures = _summarize_rows(samples, truths)
             rows.append(
                 MethodStats(

@@ -415,7 +415,7 @@ class TestBenchmark:
         ],
     )
     def test_config_refuses_values_of_the_wrong_type(self, entry, named, tmp_path, capsys):
-        # these were truncated to 2 and 1, read as 1, and read as true
+        # cast, these would run as z0=2, m=1, n_obs=1 and conditioned
         config = tmp_path / "cells.json"
         cell = {"lambda": 7, "mu": 5, "z0": 10, "n_obs": 5, "m": 1, "dt": 0.1}
         config.write_text(json.dumps([cell, {**cell, **entry}]))

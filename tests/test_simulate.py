@@ -472,8 +472,8 @@ def test_benchmark_input_validation():
 @pytest.mark.parametrize("field", ["z0", "n_obs", "m"])
 @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
 def test_benchmark_cell_refuses_sizes_that_are_not_integers(field, value):
-    # n_obs=2.5 used to end in a bare TypeError from obs_times(), and
-    # m=1.5 drew two-trajectory panels reported as m=1.5
+    # unrefused, n_obs=2.5 would end in a bare TypeError from obs_times(),
+    # and m=1.5 would draw two-trajectory panels reported as m=1.5
     sizes = {"z0": 2, "n_obs": 3, "m": 1, field: value}
     with pytest.raises(DomainError, match=f"^{field} must be a positive integer, got {value!r}"):
         BenchmarkCell(GROW, dt=0.2, **sizes)
